@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -194,28 +195,52 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeJSON strictly decodes the request body into v, translating the
-// common failure modes into client-facing messages. It returns an HTTP
+// decodeJSON strictly decodes the request body into v: unknown fields, and
+// anything but whitespace after the value, are errors. It returns an HTTP
 // status and error for the handler to report.
 func decodeJSON(r *http.Request, v any) (int, error) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxErr.Limit)
+		return bodyError(err)
+	}
+	// Decoder.More reports false before a stray ']' or '}', so the rest of
+	// the body is read to EOF instead.
+	rest := io.MultiReader(dec.Buffered(), r.Body)
+	var buf [512]byte
+	for {
+		n, err := rest.Read(buf[:])
+		for _, c := range buf[:n] {
+			if !isSpace(c) {
+				return http.StatusBadRequest, errTrailingData
+			}
 		}
-		return http.StatusBadRequest, fmt.Errorf("invalid JSON body: %v", err)
+		if err == io.EOF {
+			return 0, nil
+		}
+		if err != nil {
+			return bodyError(err)
+		}
 	}
-	if dec.More() {
-		return http.StatusBadRequest, errors.New("invalid JSON body: trailing data")
+}
+
+var errTrailingData = errors.New("invalid JSON body: trailing data")
+
+// bodyError translates a failure to read or decode a request body into a
+// client-facing status and message: 413 when the body exceeds the request
+// cap, 400 otherwise.
+func bodyError(err error) (int, error) {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		return http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", maxErr.Limit)
 	}
-	return 0, nil
+	return http.StatusBadRequest, fmt.Errorf("invalid JSON body: %v", err)
 }
 
 // checkBatch validates a point batch: non-empty, within the size cap, and
-// (when wantDim > 0) rectangular with the given dimensionality.
+// (when wantDim > 0) rectangular with the given dimensionality. Points
+// bodies get the same checks from decodePoints as they are scanned.
 func (s *Server) checkBatch(points [][]float64, wantDim int) error {
 	if len(points) == 0 {
 		return errors.New("no points in request")
@@ -425,46 +450,35 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 
 // ---- prediction service -------------------------------------------------
 
-type pointsRequest struct {
-	Points [][]float64 `json:"points"`
-}
-
 type predictResponse struct {
 	Model       string `json:"model"`
 	Version     int    `json:"version"`
 	Assignments []int  `json:"assignments"`
 }
 
-// assignPool recycles assignment buffers across predict requests; together
-// with Model.PredictBatchInto's pooled kernel scratch, the steady-state
-// predict path allocates nothing beyond request decode/encode.
-var assignPool = sync.Pool{New: func() any { return new([]int) }}
-
+// handlePredict assigns each point of the body to its nearest center. With
+// the pooled decode buffers and Model.PredictBatchInto's pooled kernel
+// scratch, the steady-state path allocates only for the response.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	mv, ok := s.currentModel(w, r)
 	if !ok {
 		return
 	}
-	var req pointsRequest
-	if status, err := decodeJSON(r, &req); err != nil {
+	body, status, err := s.decodePoints(r, mv.Model.Dim())
+	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if err := s.checkBatch(req.Points, mv.Model.Dim()); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	defer body.release()
+	if cap(body.assign) < len(body.rows) {
+		body.assign = make([]int, len(body.rows))
 	}
-	bufp := assignPool.Get().(*[]int)
-	if cap(*bufp) < len(req.Points) {
-		*bufp = make([]int, len(req.Points))
-	}
-	out := (*bufp)[:len(req.Points)]
-	mv.Model.PredictBatchInto(req.Points, out, s.cfg.Parallelism)
+	out := body.assign[:len(body.rows)]
+	mv.Model.PredictBatchInto(body.rows, out, s.cfg.Parallelism)
 	writeJSON(w, http.StatusOK, predictResponse{
 		Model: mv.Name, Version: mv.Version,
 		Assignments: out,
 	})
-	assignPool.Put(bufp)
 }
 
 type transformResponse struct {
@@ -478,16 +492,13 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req pointsRequest
-	if status, err := decodeJSON(r, &req); err != nil {
+	body, status, err := s.decodePoints(r, mv.Model.Dim())
+	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if err := s.checkBatch(req.Points, mv.Model.Dim()); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := mv.Model.TransformBatch(req.Points, s.cfg.Parallelism)
+	defer body.release()
+	out := mv.Model.TransformBatch(body.rows, s.cfg.Parallelism)
 	writeJSON(w, http.StatusOK, transformResponse{Model: mv.Name, Version: mv.Version, Distances: out})
 }
 
@@ -844,16 +855,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
 		return
 	}
-	var req pointsRequest
-	if status, err := decodeJSON(r, &req); err != nil {
+	body, status, err := s.decodePoints(r, e.spec.Dim)
+	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if err := s.checkBatch(req.Points, e.spec.Dim); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	total, refits, err := s.streams.Ingest(e, req.Points)
+	defer body.release()
+	total, refits, err := s.streams.Ingest(e, body.rows)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, ErrStreamDeleted) {
@@ -863,7 +871,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{
-		Stream: e.name, Ingested: len(req.Points), TotalPoints: total, Refits: refits,
+		Stream: e.name, Ingested: len(body.rows), TotalPoints: total, Refits: refits,
 	})
 }
 

@@ -284,12 +284,15 @@ func (m *JobManager) SubmitSpec(spec FitSpec) (*Job, error) {
 
 	// The enqueue stays under m.mu so it cannot interleave with Stop: once
 	// Stop has set stopped (also under m.mu) and drained the queue, no send
-	// can slip a job into the dead channel.
+	// can slip a job into the dead channel. The spec is written before the
+	// send: once a worker holds the job, its "running" write and its removal
+	// on settling must not be overtaken by this "queued" one.
+	m.persistJob(j, JobQueued)
 	select {
 	case m.queue <- j:
-		m.persistJob(j, JobQueued)
 		return j, nil
 	default:
+		m.unpersistJob(j.ID)
 		j.mu.Lock()
 		j.state = JobFailed
 		j.err = "fit queue full"

@@ -232,16 +232,18 @@ func (m *JobManager) Recover() (requeued, failed int, err error) {
 }
 
 // requeue re-enqueues a recovered job, refreshing its persisted state (a
-// resumed dist fit's file still said "running").
+// resumed dist fit's file still said "running"). As in SubmitSpec, the
+// spec is written before the send so a worker's later writes win; on a
+// full queue the caller fails the job, which removes the file.
 func (m *JobManager) requeue(j *Job) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.stopped {
 		return false
 	}
+	m.persistJob(j, JobQueued)
 	select {
 	case m.queue <- j:
-		m.persistJob(j, JobQueued)
 		return true
 	default:
 		return false

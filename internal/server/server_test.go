@@ -211,6 +211,10 @@ func TestMalformedPayloads(t *testing.T) {
 		{"predict bad json", "POST", "/v1/models/m/predict", `{"points": [[1,`, http.StatusBadRequest},
 		{"predict unknown field", "POST", "/v1/models/m/predict", `{"pts": [[1,2]]}`, http.StatusBadRequest},
 		{"predict trailing data", "POST", "/v1/models/m/predict", `{"points": [[1,2]]} extra`, http.StatusBadRequest},
+		{"predict trailing bracket", "POST", "/v1/models/m/predict", `{"points": [[1,2]]}]`, http.StatusBadRequest},
+		{"upload trailing bracket", "PUT", "/v1/models/m2", `{"centers": [[0,0]]}]`, http.StatusBadRequest},
+		{"rollback trailing brace", "POST", "/v1/models/m/rollback", `{"version": 1}}`, http.StatusBadRequest},
+		{"fit trailing brace", "POST", "/v1/fit", `{"model": "f", "points": [[1],[2]], "config": {"k": 1}}}`, http.StatusBadRequest},
 		{"predict empty batch", "POST", "/v1/models/m/predict", `{"points": []}`, http.StatusBadRequest},
 		{"predict wrong dim", "POST", "/v1/models/m/predict", `{"points": [[1,2,3]]}`, http.StatusBadRequest},
 		{"predict ragged batch", "POST", "/v1/models/m/predict", `{"points": [[1,2],[1]]}`, http.StatusBadRequest},
