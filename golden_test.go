@@ -1,0 +1,502 @@
+//go:build amd64 && !amd64.v3
+
+package kmeansll
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"sort"
+	"testing"
+
+	"kmeansll/internal/core"
+	"kmeansll/internal/geom"
+	"kmeansll/internal/lloyd"
+	"kmeansll/internal/rng"
+)
+
+// This file pins the exact bits of the float64 pipeline, and of the float32
+// blocked kernels at the pure-Go tier, as FNV-64a hashes of Float64bits. A
+// refactor of the engine must leave every hash unchanged; an intended
+// arithmetic change shows up here as a named mismatch.
+//
+// The build constraint excludes targets where Go may fuse multiply-adds
+// (arm64, GOAMD64=v3 and up), which changes bits legitimately.
+
+// goldenHash accumulates values into one FNV-64a hash.
+type goldenHash struct{ h uint64 }
+
+func newGoldenHash() *goldenHash {
+	f := fnv.New64a()
+	return &goldenHash{h: f.Sum64()}
+}
+
+func (g *goldenHash) u64(v uint64) {
+	const prime = 1099511628211
+	for i := 0; i < 8; i++ {
+		g.h ^= v & 0xff
+		g.h *= prime
+		v >>= 8
+	}
+}
+
+func (g *goldenHash) f64(v float64) { g.u64(math.Float64bits(v)) }
+
+func (g *goldenHash) f64s(vs []float64) {
+	g.u64(uint64(len(vs)))
+	for _, v := range vs {
+		g.f64(v)
+	}
+}
+
+func (g *goldenHash) ints(vs []int) {
+	g.u64(uint64(len(vs)))
+	for _, v := range vs {
+		g.u64(uint64(int64(v)))
+	}
+}
+
+// goldenData returns n points in d dimensions drawn around a few offset
+// centers, plus positive weights when weighted. n is chosen by the callers
+// so it is never a multiple of the 128-point tile.
+func goldenData(n, d int, weighted bool, seedVal uint64) ([][]float64, []float64) {
+	r := rng.New(seedVal)
+	const clusters = 6
+	means := make([][]float64, clusters)
+	for c := range means {
+		means[c] = make([]float64, d)
+		for j := range means[c] {
+			means[c][j] = 8*r.Float64() - 4
+		}
+	}
+	pts := make([][]float64, n)
+	for i := range pts {
+		m := means[r.Intn(clusters)]
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = m[j] + 0.6*r.NormFloat64()
+		}
+		pts[i] = p
+	}
+	var w []float64
+	if weighted {
+		w = make([]float64, n)
+		for i := range w {
+			w[i] = 0.25 + 2*r.Float64()
+		}
+	}
+	return pts, w
+}
+
+// goldenWant holds the pinned hashes, keyed by case name.
+var goldenWant = map[string]uint64{
+	"cluster/d=16/w=false/kmeans++/elkan":             0x2926a60999d0f1c2,
+	"cluster/d=16/w=false/kmeans++/hamerly":           0x2926a60999d0f1c2,
+	"cluster/d=16/w=false/kmeans++/minibatch":         0x28755ce18f837e2c,
+	"cluster/d=16/w=false/kmeans++/naive":             0x2926a60999d0f1c2,
+	"cluster/d=16/w=false/kmeans++/spherical":         0x8bba313391af6c55,
+	"cluster/d=16/w=false/kmeans++/trimmed":           0x8680bcd73418ea93,
+	"cluster/d=16/w=false/kmeans||/elkan":             0xaf3779879d36835e,
+	"cluster/d=16/w=false/kmeans||/hamerly":           0xaf3779879d36835e,
+	"cluster/d=16/w=false/kmeans||/minibatch":         0x865b6fdac0133fdf,
+	"cluster/d=16/w=false/kmeans||/naive":             0xaf3779879d36835e,
+	"cluster/d=16/w=false/kmeans||/spherical":         0xf341b594b509219,
+	"cluster/d=16/w=false/kmeans||/trimmed":           0xa90f392565715c19,
+	"cluster/d=16/w=false/partition/elkan":            0xdf0a782d2174864c,
+	"cluster/d=16/w=false/partition/hamerly":          0xdf0a782d2174864c,
+	"cluster/d=16/w=false/partition/minibatch":        0x85811a64df068f56,
+	"cluster/d=16/w=false/partition/naive":            0xdf0a782d2174864c,
+	"cluster/d=16/w=false/partition/spherical":        0x63fac0e3ef39871,
+	"cluster/d=16/w=false/partition/trimmed":          0x9f809f306bf60e8e,
+	"cluster/d=16/w=false/random/elkan":               0x8ebc5fff502a030d,
+	"cluster/d=16/w=false/random/hamerly":             0x8ebc5fff502a030d,
+	"cluster/d=16/w=false/random/minibatch":           0xfb354c6811266e26,
+	"cluster/d=16/w=false/random/naive":               0x8ebc5fff502a030d,
+	"cluster/d=16/w=false/random/spherical":           0xccecad91c59334aa,
+	"cluster/d=16/w=false/random/trimmed":             0x699da80be903502f,
+	"cluster/d=16/w=true/kmeans++/elkan":              0xd6fd7fe852f2d115,
+	"cluster/d=16/w=true/kmeans++/hamerly":            0xd6fd7fe852f2d115,
+	"cluster/d=16/w=true/kmeans++/minibatch":          0x6a4be8ae27ddf73d,
+	"cluster/d=16/w=true/kmeans++/naive":              0xd6fd7fe852f2d115,
+	"cluster/d=16/w=true/kmeans++/spherical":          0x1ac74d626ba477f1,
+	"cluster/d=16/w=true/kmeans++/trimmed":            0xaa27862fb181fd3b,
+	"cluster/d=16/w=true/kmeans||/elkan":              0xd427286455ea5e19,
+	"cluster/d=16/w=true/kmeans||/hamerly":            0xd427286455ea5e19,
+	"cluster/d=16/w=true/kmeans||/minibatch":          0x7bc93680c2754530,
+	"cluster/d=16/w=true/kmeans||/naive":              0xd427286455ea5e19,
+	"cluster/d=16/w=true/kmeans||/spherical":          0xaa8aeb777319eb4b,
+	"cluster/d=16/w=true/kmeans||/trimmed":            0xb63ecd9c9401ebcf,
+	"cluster/d=16/w=true/partition/elkan":             0x6be169e9285cfb50,
+	"cluster/d=16/w=true/partition/hamerly":           0x6be169e9285cfb50,
+	"cluster/d=16/w=true/partition/minibatch":         0x61b96976fd38214f,
+	"cluster/d=16/w=true/partition/naive":             0x6be169e9285cfb50,
+	"cluster/d=16/w=true/partition/spherical":         0xe95dfbc461924a8c,
+	"cluster/d=16/w=true/partition/trimmed":           0x41fc76a3dbd721fc,
+	"cluster/d=16/w=true/random/elkan":                0xa16c54d382861fad,
+	"cluster/d=16/w=true/random/hamerly":              0xa16c54d382861fad,
+	"cluster/d=16/w=true/random/minibatch":            0xb09348e41c88d90c,
+	"cluster/d=16/w=true/random/naive":                0xa16c54d382861fad,
+	"cluster/d=16/w=true/random/spherical":            0x3adfc16cc7c488c4,
+	"cluster/d=16/w=true/random/trimmed":              0x5f0437055fd2674,
+	"cluster/d=2/w=false/kmeans++/elkan":              0xef93f0131a502882,
+	"cluster/d=2/w=false/kmeans++/hamerly":            0xef93f0131a502882,
+	"cluster/d=2/w=false/kmeans++/minibatch":          0xbba5171af9872e37,
+	"cluster/d=2/w=false/kmeans++/naive":              0xef93f0131a502882,
+	"cluster/d=2/w=false/kmeans++/spherical":          0x218740d4c1d8a2db,
+	"cluster/d=2/w=false/kmeans++/trimmed":            0x7a78b62add198727,
+	"cluster/d=2/w=false/kmeans||/elkan":              0xca0fe68bbb911b01,
+	"cluster/d=2/w=false/kmeans||/hamerly":            0xca0fe68bbb911b01,
+	"cluster/d=2/w=false/kmeans||/minibatch":          0xba267d67d495457c,
+	"cluster/d=2/w=false/kmeans||/naive":              0x36a9c2100010d5f2,
+	"cluster/d=2/w=false/kmeans||/spherical":          0x76b2dfc46cd87ffc,
+	"cluster/d=2/w=false/kmeans||/trimmed":            0x90c68b8d568df37b,
+	"cluster/d=2/w=false/partition/elkan":             0x48157e497d148ca4,
+	"cluster/d=2/w=false/partition/hamerly":           0x48157e497d148ca4,
+	"cluster/d=2/w=false/partition/minibatch":         0xcde8923627fa3677,
+	"cluster/d=2/w=false/partition/naive":             0x48157e497d148ca4,
+	"cluster/d=2/w=false/partition/spherical":         0x45de732f07dc58d7,
+	"cluster/d=2/w=false/partition/trimmed":           0x86a041005fa09f09,
+	"cluster/d=2/w=false/random/elkan":                0x8008478fc020cba2,
+	"cluster/d=2/w=false/random/hamerly":              0x8008478fc020cba2,
+	"cluster/d=2/w=false/random/minibatch":            0xf1a18c5548f9fd0,
+	"cluster/d=2/w=false/random/naive":                0x760083fffb2f1b34,
+	"cluster/d=2/w=false/random/spherical":            0x8297231a2f9710be,
+	"cluster/d=2/w=false/random/trimmed":              0x71deb6cc082bd6b1,
+	"cluster/d=2/w=true/kmeans++/elkan":               0x90be03be7c1ae6a7,
+	"cluster/d=2/w=true/kmeans++/hamerly":             0x90be03be7c1ae6a7,
+	"cluster/d=2/w=true/kmeans++/minibatch":           0xc429619bd436bc7b,
+	"cluster/d=2/w=true/kmeans++/naive":               0x90be03be7c1ae6a7,
+	"cluster/d=2/w=true/kmeans++/spherical":           0xc07d04b086e43c2b,
+	"cluster/d=2/w=true/kmeans++/trimmed":             0xf8b615c1cff3e934,
+	"cluster/d=2/w=true/kmeans||/elkan":               0xec16cdf6728bcfdd,
+	"cluster/d=2/w=true/kmeans||/hamerly":             0xec16cdf6728bcfdd,
+	"cluster/d=2/w=true/kmeans||/minibatch":           0x1b3cd1b9e12a6aeb,
+	"cluster/d=2/w=true/kmeans||/naive":               0xefccbd4ced452876,
+	"cluster/d=2/w=true/kmeans||/spherical":           0xc63a1d6af0905fb1,
+	"cluster/d=2/w=true/kmeans||/trimmed":             0x79d39caabbff8deb,
+	"cluster/d=2/w=true/partition/elkan":              0x9705234c3a161564,
+	"cluster/d=2/w=true/partition/hamerly":            0x9705234c3a161564,
+	"cluster/d=2/w=true/partition/minibatch":          0x9cfc7040d832332c,
+	"cluster/d=2/w=true/partition/naive":              0x9705234c3a161564,
+	"cluster/d=2/w=true/partition/spherical":          0xa7eb9b40e32b5904,
+	"cluster/d=2/w=true/partition/trimmed":            0xb574f6d8c989bcc5,
+	"cluster/d=2/w=true/random/elkan":                 0x4f95d8f16c12eddf,
+	"cluster/d=2/w=true/random/hamerly":               0x4f95d8f16c12eddf,
+	"cluster/d=2/w=true/random/minibatch":             0x1b9eff0a8a2e9261,
+	"cluster/d=2/w=true/random/naive":                 0xf3857bdb4d97b999,
+	"cluster/d=2/w=true/random/spherical":             0xaba84471912ec398,
+	"cluster/d=2/w=true/random/trimmed":               0xa83dda3696312c78,
+	"cluster/d=58/w=false/kmeans++/elkan":             0x8ec641936613b073,
+	"cluster/d=58/w=false/kmeans++/hamerly":           0x8ec641936613b073,
+	"cluster/d=58/w=false/kmeans++/minibatch":         0xb009378e6a3e3222,
+	"cluster/d=58/w=false/kmeans++/naive":             0x8ec641936613b073,
+	"cluster/d=58/w=false/kmeans++/spherical":         0x69caec59dcbadc69,
+	"cluster/d=58/w=false/kmeans++/trimmed":           0x9ea04db357511975,
+	"cluster/d=58/w=false/kmeans||/elkan":             0x436750835758a2ff,
+	"cluster/d=58/w=false/kmeans||/hamerly":           0x436750835758a2ff,
+	"cluster/d=58/w=false/kmeans||/minibatch":         0xeddc19f81111cfac,
+	"cluster/d=58/w=false/kmeans||/naive":             0x436750835758a2ff,
+	"cluster/d=58/w=false/kmeans||/spherical":         0x5db34678c9e15e19,
+	"cluster/d=58/w=false/kmeans||/trimmed":           0x790429a7fc8ec17a,
+	"cluster/d=58/w=false/partition/elkan":            0x7123cd4e2f5ff572,
+	"cluster/d=58/w=false/partition/hamerly":          0x7123cd4e2f5ff572,
+	"cluster/d=58/w=false/partition/minibatch":        0xe19e7d412f82ec0f,
+	"cluster/d=58/w=false/partition/naive":            0x7123cd4e2f5ff572,
+	"cluster/d=58/w=false/partition/spherical":        0x93841aa37a7dc2e,
+	"cluster/d=58/w=false/partition/trimmed":          0xd8b3e6fe8ad137dd,
+	"cluster/d=58/w=false/random/elkan":               0xeabba100ab07f960,
+	"cluster/d=58/w=false/random/hamerly":             0xeabba100ab07f960,
+	"cluster/d=58/w=false/random/minibatch":           0x753bc4d731e10293,
+	"cluster/d=58/w=false/random/naive":               0xeabba100ab07f960,
+	"cluster/d=58/w=false/random/spherical":           0xd184a33d04a47b3e,
+	"cluster/d=58/w=false/random/trimmed":             0x6c9bbce6f2a71ff9,
+	"cluster/d=58/w=true/kmeans++/elkan":              0x782fd8143012a170,
+	"cluster/d=58/w=true/kmeans++/hamerly":            0x782fd8143012a170,
+	"cluster/d=58/w=true/kmeans++/minibatch":          0x7397f316d574e7f1,
+	"cluster/d=58/w=true/kmeans++/naive":              0x782fd8143012a170,
+	"cluster/d=58/w=true/kmeans++/spherical":          0x5ae65420ae069f9e,
+	"cluster/d=58/w=true/kmeans++/trimmed":            0xaf0ee02f612bc58c,
+	"cluster/d=58/w=true/kmeans||/elkan":              0x89b2963f2f8612fa,
+	"cluster/d=58/w=true/kmeans||/hamerly":            0x89b2963f2f8612fa,
+	"cluster/d=58/w=true/kmeans||/minibatch":          0xc014317de06ece9e,
+	"cluster/d=58/w=true/kmeans||/naive":              0x89b2963f2f8612fa,
+	"cluster/d=58/w=true/kmeans||/spherical":          0x8b46779e7bc04830,
+	"cluster/d=58/w=true/kmeans||/trimmed":            0xce9fbfb025248c71,
+	"cluster/d=58/w=true/partition/elkan":             0xd6dc6070b42ad8ec,
+	"cluster/d=58/w=true/partition/hamerly":           0xd6dc6070b42ad8ec,
+	"cluster/d=58/w=true/partition/minibatch":         0x5b3e5f828b77279b,
+	"cluster/d=58/w=true/partition/naive":             0xd6dc6070b42ad8ec,
+	"cluster/d=58/w=true/partition/spherical":         0xeaf74dcd9e249b4b,
+	"cluster/d=58/w=true/partition/trimmed":           0xa265263c7efb60f1,
+	"cluster/d=58/w=true/random/elkan":                0xd20e237d2f227f8c,
+	"cluster/d=58/w=true/random/hamerly":              0xd20e237d2f227f8c,
+	"cluster/d=58/w=true/random/minibatch":            0x4bf2b3df49977b94,
+	"cluster/d=58/w=true/random/naive":                0xd20e237d2f227f8c,
+	"cluster/d=58/w=true/random/spherical":            0xb73e0d6f16c3cb64,
+	"cluster/d=58/w=true/random/trimmed":              0x88702949752585b8,
+	"core/d=16/w=false/bernoulli":                     0xe2fcf6ca56e2412e,
+	"core/d=16/w=false/exact-l":                       0xf2f635ec39898593,
+	"core/d=16/w=true/bernoulli":                      0x1c70e3a1b36192a3,
+	"core/d=16/w=true/exact-l":                        0x6011d129c364e38e,
+	"core/d=2/w=false/bernoulli":                      0xc580443f2493845b,
+	"core/d=2/w=false/exact-l":                        0xcdf893f468683eca,
+	"core/d=2/w=true/bernoulli":                       0xfc9990616c55977c,
+	"core/d=2/w=true/exact-l":                         0x770a8992e1567109,
+	"core/d=58/w=false/bernoulli":                     0x3fbfa4372a0f48ce,
+	"core/d=58/w=false/exact-l":                       0x5023caa5f0f7427e,
+	"core/d=58/w=true/bernoulli":                      0xd90401e96d923e34,
+	"core/d=58/w=true/exact-l":                        0xfc362f9718def409,
+	"f32/cluster/d=16/init=0/lloyd:naive":             0xc8b1aa34d5e76b41,
+	"f32/cluster/d=16/init=0/minibatch:b=64,iters=30": 0x751e828cc51a53d,
+	"f32/cluster/d=16/init=1/lloyd:naive":             0xa28354f73f8efad6,
+	"f32/cluster/d=16/init=1/minibatch:b=64,iters=30": 0xd803be65f5a60e1,
+	"f32/cluster/d=16/init=2/lloyd:naive":             0x6f27b4248e705350,
+	"f32/cluster/d=16/init=2/minibatch:b=64,iters=30": 0x2ebd05369814a2fe,
+	"f32/cluster/d=2/init=0/lloyd:naive":              0x10f816861a08b39a,
+	"f32/cluster/d=2/init=0/minibatch:b=64,iters=30":  0x708584749a799406,
+	"f32/cluster/d=2/init=1/lloyd:naive":              0x7bec80ec4aeec4ff,
+	"f32/cluster/d=2/init=1/minibatch:b=64,iters=30":  0x384f604f65caffea,
+	"f32/cluster/d=2/init=2/lloyd:naive":              0xe99ac6d84efae69c,
+	"f32/cluster/d=2/init=2/minibatch:b=64,iters=30":  0x80de6ef429efec4b,
+	"f32/cluster/d=58/init=0/lloyd:naive":             0x90bb472b47b09a09,
+	"f32/cluster/d=58/init=0/minibatch:b=64,iters=30": 0x55e390571747158d,
+	"f32/cluster/d=58/init=1/lloyd:naive":             0xaed105131a231217,
+	"f32/cluster/d=58/init=1/minibatch:b=64,iters=30": 0xf144d8043bd3a3db,
+	"f32/cluster/d=58/init=2/lloyd:naive":             0x298825cefb8ffcce,
+	"f32/cluster/d=58/init=2/minibatch:b=64,iters=30": 0xae44d8527a405d8,
+	"f32/predict/d=16/k=21":                           0xa4d3ae0c6891029d,
+	"f32/predict/d=16/k=5":                            0xbe6d229c3f721bf7,
+	"f32/predict/d=2/k=21":                            0x29485789a3c1f47b,
+	"f32/predict/d=2/k=5":                             0xc36714222f0b5173,
+	"f32/predict/d=58/k=21":                           0x5e8fa819883bfb93,
+	"f32/predict/d=58/k=5":                            0x735518691c2522d0,
+	"predict/blocked/k=20/d=16":                       0x464585c0f987242a,
+	"predict/blocked/k=33/d=58":                       0x9d8483499cb47243,
+	"predict/kdtree/k=300/d=3":                        0x6335a3fc0dc80638,
+	"predict/scan/k=2/d=16":                           0xe1e6fdcfc78ee542,
+	"predict/scan/k=3/d=2":                            0xfe4e9d48aa1e2700,
+	"trace/d=16/w=false/naive":                        0x3d5c7c1fb7898489,
+	"trace/d=16/w=false/trimmed":                      0xd86707f578d5a6e4,
+	"trace/d=16/w=true/naive":                         0x9621dd67a12a018b,
+	"trace/d=16/w=true/trimmed":                       0x6169cfc6dd1356e6,
+	"trace/d=2/w=false/naive":                         0xc04f431d8e563de9,
+	"trace/d=2/w=false/trimmed":                       0x4ddbea199e495c08,
+	"trace/d=2/w=true/naive":                          0x222ae851fb31bcf4,
+	"trace/d=2/w=true/trimmed":                        0xce01af4eb9d10021,
+	"trace/d=58/w=false/naive":                        0xa6f2e2b3cdba110d,
+	"trace/d=58/w=false/trimmed":                      0xa19ce37387469e97,
+	"trace/d=58/w=true/naive":                         0x3476f9ed79285d32,
+	"trace/d=58/w=true/trimmed":                       0x6b77642b163b6158,
+}
+
+func checkGolden(t *testing.T, got map[string]uint64) {
+	t.Helper()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		want, ok := goldenWant[name]
+		switch {
+		case !ok:
+			t.Errorf("no pinned hash: %q: %#x,", name, got[name])
+		case want != got[name]:
+			t.Errorf("hash changed: %q: %#x, want %#x", name, got[name], want)
+		}
+	}
+}
+
+var goldenDims = []int{2, 16, 58}
+
+func TestGoldenCluster(t *testing.T) {
+	inits := []struct {
+		name string
+		init InitMethod
+	}{
+		{"kmeans||", KMeansParallel},
+		{"kmeans++", KMeansPlusPlus},
+		{"random", RandomInit},
+		{"partition", PartitionInit},
+	}
+	opts := []struct {
+		name string
+		opt  Optimizer
+	}{
+		{"naive", Lloyd{Kernel: NaiveKernel}},
+		{"elkan", Lloyd{Kernel: ElkanKernel}},
+		{"hamerly", Lloyd{Kernel: HamerlyKernel}},
+		{"minibatch", MiniBatch{BatchSize: 64, Iters: 30}},
+		{"trimmed", Trimmed{Fraction: 0.05}},
+		{"spherical", Spherical{}},
+	}
+	got := map[string]uint64{}
+	for _, d := range goldenDims {
+		for _, weighted := range []bool{false, true} {
+			pts, w := goldenData(901, d, weighted, uint64(100+d))
+			for _, in := range inits {
+				for _, op := range opts {
+					m, err := Cluster(pts, Config{
+						K: 7, Init: in.init, MaxIter: 25, Optimizer: op.opt,
+						Weights: w, Parallelism: 2, Seed: 17,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := newGoldenHash()
+					for _, c := range m.Centers {
+						h.f64s(c)
+					}
+					h.ints(m.Assign)
+					h.f64(m.Cost)
+					h.f64(m.SeedCost)
+					h.u64(uint64(m.Iters))
+					h.ints(m.Outliers)
+					h.f64(m.TrimmedCost)
+					h.f64(m.Cohesion)
+					got[fmt.Sprintf("cluster/d=%d/w=%v/%s/%s", d, weighted, in.name, op.name)] = h.h
+				}
+			}
+		}
+	}
+	checkGolden(t, got)
+}
+
+func TestGoldenCoreInit(t *testing.T) {
+	got := map[string]uint64{}
+	for _, d := range goldenDims {
+		for _, weighted := range []bool{false, true} {
+			pts, w := goldenData(1001, d, weighted, uint64(200+d))
+			ds := &geom.Dataset{X: geom.FromRows(pts), Weight: w}
+			for _, mode := range []core.SampleMode{core.Bernoulli, core.ExactL} {
+				centers, st := core.Init(ds, core.Config{K: 9, Mode: mode, Parallelism: 2, Seed: 5})
+				h := newGoldenHash()
+				h.f64s(centers.Data)
+				h.f64s(st.PhiTrace)
+				h.u64(uint64(st.Candidates))
+				h.ints(st.RoundCandidates)
+				h.f64(st.SeedCost)
+				got[fmt.Sprintf("core/d=%d/w=%v/%s", d, weighted, mode)] = h.h
+			}
+		}
+	}
+	checkGolden(t, got)
+}
+
+// TestGoldenCostTrace pins the per-iteration cost traces, which Model does
+// not keep: naive Lloyd and Trimmed from k-means|| seeds. The Elkan and
+// Hamerly traces are upper bounds, not costs, and are left out.
+func TestGoldenCostTrace(t *testing.T) {
+	got := map[string]uint64{}
+	for _, d := range goldenDims {
+		for _, weighted := range []bool{false, true} {
+			pts, w := goldenData(777, d, weighted, uint64(500+d))
+			ds := &geom.Dataset{X: geom.FromRows(pts), Weight: w}
+			init, _ := core.Init(ds, core.Config{K: 8, Parallelism: 2, Seed: 9})
+			res := lloyd.Run(ds, init, lloyd.Config{MaxIter: 30, Parallelism: 2})
+			h := newGoldenHash()
+			h.f64s(res.Centers.Data)
+			h.f64s(res.CostTrace)
+			got[fmt.Sprintf("trace/d=%d/w=%v/naive", d, weighted)] = h.h
+			tr := lloyd.Trimmed(ds, init, lloyd.TrimmedConfig{TrimFraction: 0.05, MaxIter: 30, Parallelism: 2})
+			h = newGoldenHash()
+			h.f64s(tr.Centers.Data)
+			h.f64s(tr.CostTrace)
+			h.ints(tr.Outliers)
+			h.f64(tr.TrimmedCost)
+			got[fmt.Sprintf("trace/d=%d/w=%v/trimmed", d, weighted)] = h.h
+		}
+	}
+	checkGolden(t, got)
+}
+
+func TestGoldenPredict(t *testing.T) {
+	got := map[string]uint64{}
+	cases := []struct {
+		name    string
+		k, d    int
+		useTree bool
+	}{
+		{"blocked", 20, 16, false},
+		{"blocked", 33, 58, false},
+		{"scan", 3, 2, false},
+		{"scan", 2, 16, false},
+		{"kdtree", 300, 3, true},
+	}
+	for _, tc := range cases {
+		pts, _ := goldenData(517, tc.d, false, uint64(300+tc.k))
+		r := rng.New(uint64(tc.k))
+		centers := make([][]float64, tc.k)
+		for c := range centers {
+			centers[c] = append([]float64(nil), pts[r.Intn(len(pts))]...)
+			centers[c][0] += 0.01 * float64(c)
+		}
+		m, err := NewModel(centers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int, len(pts))
+		m.predictBatch(pts, out, 2, tc.useTree)
+		h := newGoldenHash()
+		h.ints(out)
+		tr := m.TransformBatch(pts, 2)
+		for _, row := range tr {
+			h.f64s(row)
+		}
+		got[fmt.Sprintf("predict/%s/k=%d/d=%d", tc.name, tc.k, tc.d)] = h.h
+	}
+	checkGolden(t, got)
+}
+
+// TestGoldenFloat32PureGo pins the float32 blocked kernels at the pure-Go
+// tier, through batch prediction and the float32 fit pipeline.
+func TestGoldenFloat32PureGo(t *testing.T) {
+	prev := geom.ActiveF32Tier()
+	if !geom.SetF32Tier(geom.F32TierPureGo) {
+		t.Fatal("pure-Go tier unavailable")
+	}
+	defer geom.SetF32Tier(prev)
+
+	got := map[string]uint64{}
+	for _, d := range goldenDims {
+		pts, w := goldenData(645, d, true, uint64(400+d))
+		for i := range pts {
+			for j, v := range pts[i] {
+				pts[i][j] = float64(float32(v))
+			}
+		}
+		for _, k := range []int{5, 21} {
+			m, err := NewModel(pts[:k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetPredictPrecision(Float32)
+			out := make([]int, len(pts))
+			m.predictBatch(pts, out, 2, false)
+			h := newGoldenHash()
+			h.ints(out)
+			got[fmt.Sprintf("f32/predict/d=%d/k=%d", d, k)] = h.h
+		}
+		for _, in := range []InitMethod{KMeansParallel, KMeansPlusPlus, RandomInit} {
+			for _, op := range []Optimizer{Lloyd{Kernel: NaiveKernel}, MiniBatch{BatchSize: 64, Iters: 30}} {
+				m, err := Cluster(pts, Config{
+					K: 7, Init: in, MaxIter: 25, Optimizer: op,
+					Weights: w, Parallelism: 2, Seed: 23, Precision: Float32,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := newGoldenHash()
+				for _, c := range m.Centers {
+					h.f64s(c)
+				}
+				h.ints(m.Assign)
+				h.f64(m.Cost)
+				h.f64(m.SeedCost)
+				h.u64(uint64(m.Iters))
+				got[fmt.Sprintf("f32/cluster/d=%d/init=%d/%s", d, in, op)] = h.h
+			}
+		}
+	}
+	checkGolden(t, got)
+}
