@@ -25,8 +25,9 @@ import (
 // A resumed fit is bit-identical to an uninterrupted one because everything
 // the arithmetic depends on is either in the checkpoint (driver RNG state,
 // candidate set, φ traces) or deterministic given it: per-point sampling is
-// counter-based in (seed, round, i), D² caches rebuild exactly from the full
-// center set, and reductions run in fixed shard order. The shard count is
+// counter-based in (seed, round, i), D² caches rebuild exactly by replaying
+// the recorded Update groups in order, and reductions run in fixed shard
+// order. The shard count is
 // part of the checkpoint so a resume with a different worker count re-shards
 // to the original spans — worker count never was part of the math; span
 // boundaries are.
@@ -37,7 +38,7 @@ const (
 	// PhaseLloyd marks a checkpoint taken between Lloyd iterations.
 	PhaseLloyd = "lloyd"
 
-	checkpointVersion = 1
+	checkpointVersion = 2
 	checkpointFile    = "checkpoint.json"
 
 	// DefaultCheckpointEvery is how many Lloyd iterations pass between
@@ -73,11 +74,17 @@ type Checkpoint struct {
 	Iter  int `json:"iter"`
 
 	// Init-phase running state.
-	Phi        float64   `json:"phi"`
-	Psi        float64   `json:"psi"`
-	PhiTrace   []float64 `json:"phi_trace,omitempty"`
-	Candidates int       `json:"candidates,omitempty"`
-	SeedCost   float64   `json:"seed_cost,omitempty"`
+	Phi      float64   `json:"phi"`
+	Psi      float64   `json:"psi"`
+	PhiTrace []float64 `json:"phi_trace,omitempty"`
+	// RoundStarts[j] is the first candidate row of the j-th Update group
+	// folded into the D² caches (ψ's group starts at 0). A resume replays
+	// the groups in order; the distance kernel a group runs depends on its
+	// size, so refolding all candidates at once would not rebuild the
+	// caches bit for bit.
+	RoundStarts []int   `json:"round_starts,omitempty"`
+	Candidates  int     `json:"candidates,omitempty"`
+	SeedCost    float64 `json:"seed_cost,omitempty"`
 
 	// Lloyd-phase running state.
 	CostTrace []float64 `json:"cost_trace,omitempty"`
@@ -288,6 +295,14 @@ func (c *Coordinator) noteCkpt(cp *Checkpoint) {
 	c.mu.Unlock()
 }
 
+// foldedStarts snapshots the first candidate row of every Update group
+// folded into the shards' D² caches so far.
+func (c *Coordinator) foldedStarts() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int(nil), c.folded.starts...)
+}
+
 // owners snapshots the shard→worker map.
 func (c *Coordinator) owners() []int {
 	c.mu.Lock()
@@ -308,8 +323,9 @@ func (c *Coordinator) saveInit(cfg core.Config, round int, centers *geom.Matrix,
 		N: c.n, Dim: c.dim, Shards: len(c.spans),
 		Round: round,
 		Phi:   phi, Psi: psi, PhiTrace: append([]float64(nil), phiTrace...),
-		Rng:    r.State(),
-		Owners: c.owners(),
+		RoundStarts: c.foldedStarts(),
+		Rng:         r.State(),
+		Owners:      c.owners(),
 	}
 	if err := c.ckpt.save(cp, centers, nil); err != nil {
 		return fmt.Errorf("distkm: checkpoint: %w", err)

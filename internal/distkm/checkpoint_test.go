@@ -17,6 +17,12 @@ import (
 // dead) partway through. Returns the checkpoint left behind.
 func crashFit(t *testing.T, dir string, ds *geom.Dataset, cfg core.Config, workers, healthy int) *Checkpoint {
 	t.Helper()
+	return crashFitPrecision(t, dir, ds, cfg, workers, healthy, false)
+}
+
+// crashFitPrecision is crashFit with the shard precision selectable.
+func crashFitPrecision(t *testing.T, dir string, ds *geom.Dataset, cfg core.Config, workers, healthy int, f32 bool) *Checkpoint {
+	t.Helper()
 	clients, closeAll := LoopbackCluster(workers)
 	t.Cleanup(closeAll)
 	wrapped := make([]Client, len(clients))
@@ -29,6 +35,7 @@ func crashFit(t *testing.T, dir string, ds *geom.Dataset, cfg core.Config, worke
 	}
 	c.SetRetryPolicy(fastRetry)
 	c.SetCheckpointer(&Checkpointer{Dir: dir, EveryLloyd: 1})
+	c.SetFloat32(f32)
 	if err := c.Distribute(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +56,12 @@ func crashFit(t *testing.T, dir string, ds *geom.Dataset, cfg core.Config, worke
 // different count than crashed, typically) and resumes from dir.
 func resumeFit(t *testing.T, dir string, ds *geom.Dataset, cfg core.Config, workers int) (*geom.Matrix, *geom.Matrix, Stats) {
 	t.Helper()
+	return resumeFitPrecision(t, dir, ds, cfg, workers, false)
+}
+
+// resumeFitPrecision is resumeFit with the shard precision selectable.
+func resumeFitPrecision(t *testing.T, dir string, ds *geom.Dataset, cfg core.Config, workers int, f32 bool) (*geom.Matrix, *geom.Matrix, Stats) {
+	t.Helper()
 	clients, closeAll := LoopbackCluster(workers)
 	t.Cleanup(closeAll)
 	c, err := NewCoordinator(clients)
@@ -56,6 +69,7 @@ func resumeFit(t *testing.T, dir string, ds *geom.Dataset, cfg core.Config, work
 		t.Fatal(err)
 	}
 	c.SetCheckpointer(&Checkpointer{Dir: dir, EveryLloyd: 1})
+	c.SetFloat32(f32)
 	if err := c.Distribute(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +105,33 @@ func TestResumeMidInitBitIdentical(t *testing.T) {
 	gotInit, gotCenters, _ := resumeFit(t, dir, ds, cfg, 2) // fewer workers than crashed
 	requireBitIdentical(t, "resumed Init centers", gotInit, wantCenters)
 	requireBitIdentical(t, "resumed Lloyd centers", gotCenters, wantRes.Centers)
+}
+
+// The float32 form of the mid-init resume. A float32 Update's per-pair
+// distances depend on how many centers arrive together (one center takes the
+// scalar expansion, larger groups the blocked kernels), so the resume must
+// replay the checkpointed Update groups rather than refold every candidate
+// at once, or φ misses the checkpointed value.
+func TestFloat32ResumeMidInitBitIdentical(t *testing.T) {
+	const workers = 3
+	ds := blobs(t, 5, 120, 6, 25, 41)
+	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 21}
+	ds32 := geom.ToDataset32(ds)
+	wantCenters, _ := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantRes, _ := mrkm.Lloyd32(ds32, wantCenters, 20, mrkm.Config{Mappers: workers})
+
+	dir := t.TempDir()
+	cp := crashFitPrecision(t, dir, ds, cfg, workers, 7, true)
+	if cp.Phase != PhaseInit {
+		t.Fatalf("crash landed in phase %q, want %q (adjust the healthy budget)", cp.Phase, PhaseInit)
+	}
+	if cp.Round < 1 {
+		t.Fatalf("checkpointed round %d; the test should interrupt after at least one sampling round", cp.Round)
+	}
+
+	gotInit, gotCenters, _ := resumeFitPrecision(t, dir, ds, cfg, 2, true)
+	requireBitIdentical(t, "resumed float32 Init centers", gotInit, wantCenters)
+	requireBitIdentical(t, "resumed float32 Lloyd centers", gotCenters, wantRes.Centers)
 }
 
 // Same property when the coordinator dies between Lloyd iterations: the

@@ -84,10 +84,10 @@ type Coordinator struct {
 	alive    []bool // worker index -> reachable
 	lastCkpt *CheckpointInfo
 
-	// rebuildCenters, when non-nil, is the center set whose distances are
-	// folded into the shards' D² caches right now; a failover re-load rebuilds
-	// the cache from it before the failed call is retried.
-	rebuildCenters *geom.Matrix
+	// folded records the Update groups already folded into every shard's D²
+	// cache; a failover re-load replays them before the failed call is
+	// retried.
+	folded cacheLog
 
 	// pending holds workers handed to AddWorker but not yet admitted; they
 	// enter the live set at the next fan-out barrier (membership.go).
@@ -451,7 +451,7 @@ func (c *Coordinator) reassign(shardID int, tried []int) error {
 	}
 	c.assign[shardID] = next
 	cl := c.clients[next]
-	rebuild := c.rebuildCenters
+	folded := c.folded.clone()
 	c.mu.Unlock()
 
 	if c.ds == nil && c.segs == nil {
@@ -465,16 +465,64 @@ func (c *Coordinator) reassign(shardID int, tried []int) error {
 		c.mu.Unlock()
 		return nil // loop in withFailover picks the next survivor
 	}
-	if rebuild != nil && rebuild.Rows > 0 {
+	if err := c.replay(cl, c.ref(shardID), folded); err != nil {
+		c.mu.Lock()
+		c.alive[next] = false
+		c.mu.Unlock()
+	}
+	return nil
+}
+
+// cacheLog records how the shards' D² caches were built: Update group j
+// folded centers[starts[j]:starts[j+1]], and the last group ends at rows.
+// Replaying the groups in order rebuilds a cache bit-identically. One
+// Update over all the rows would not: the distance kernel a group runs
+// depends on how many centers arrive together.
+type cacheLog struct {
+	centers *geom.Matrix
+	starts  []int
+	rows    int
+}
+
+// validate checks a checkpointed log before it is replayed: the first group
+// starts at row 0 and the starts never decrease or pass the last row.
+func (l cacheLog) validate() error {
+	if len(l.starts) == 0 || l.starts[0] != 0 {
+		return errors.New("distkm: checkpoint has no Update groups starting at row 0")
+	}
+	for j := 1; j < len(l.starts); j++ {
+		if l.starts[j] < l.starts[j-1] || l.starts[j] > l.rows {
+			return fmt.Errorf("distkm: checkpoint Update group %d starts at row %d", j, l.starts[j])
+		}
+	}
+	return nil
+}
+
+// clone copies the log so it can be replayed outside the coordinator lock.
+func (l cacheLog) clone() cacheLog {
+	l.starts = append([]int(nil), l.starts...)
+	return l
+}
+
+// group returns the center rows of Update group j.
+func (l cacheLog) group(j int) geom.Matrix {
+	hi := l.rows
+	if j+1 < len(l.starts) {
+		hi = l.starts[j+1]
+	}
+	return l.centers.RowRange(l.starts[j], hi)
+}
+
+// replay rebuilds shard ref's D² cache on cl from the logged groups, in
+// order, the first with Reset.
+func (c *Coordinator) replay(cl Client, ref ShardRef, l cacheLog) error {
+	for j := range l.starts {
+		g := l.group(j)
 		c.calls.Add(1)
 		if err := cl.Call("Worker.Update", UpdateArgs{
-			Ref:   c.ref(shardID),
-			New:   matOf(rebuild.Rows, rebuild.Cols, rebuild.Data),
-			Reset: true,
+			Ref: ref, New: matOf(g.Rows, g.Cols, g.Data), Reset: j == 0,
 		}, &CostReply{}); err != nil {
-			c.mu.Lock()
-			c.alive[next] = false
-			c.mu.Unlock()
+			return err
 		}
 	}
 	return nil
@@ -518,6 +566,7 @@ func (c *Coordinator) snapshot(st *Stats, rounds0, calls0, fail0, retry0 int64) 
 type initResume struct {
 	round    int
 	centers  *geom.Matrix
+	starts   []int // first candidate row of each Update group
 	phi, psi float64
 	phiTrace []float64
 	r        *rng.Rng
@@ -578,23 +627,24 @@ func (c *Coordinator) initFrom(cfg core.Config, res *initResume) (*geom.Matrix, 
 	}
 
 	c.mu.Lock()
-	c.rebuildCenters = centers
+	c.folded = cacheLog{centers: centers}
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
-		c.rebuildCenters = nil
+		c.folded = cacheLog{}
 		c.mu.Unlock()
 	}()
 
-	// updateAndCost broadcasts centers[from:], folds them into every shard's
-	// D² cache, and reduces the φ partials in shard order.
-	updateAndCost := func(from int) (float64, error) {
-		view := centers.RowRange(from, centers.Rows)
+	// fold broadcasts centers[lo:hi], folds them into every shard's D²
+	// cache, logs the group for failover replay, and reduces the φ partials
+	// in shard order.
+	fold := func(lo, hi int) (float64, error) {
+		view := centers.RowRange(lo, hi)
 		args := matOf(view.Rows, view.Cols, view.Data)
 		phis := make([]float64, len(c.spans))
 		err := c.fanOut(func(s int, cl Client) error {
 			var rep CostReply
-			if err := cl.Call("Worker.Update", UpdateArgs{Ref: c.ref(s), New: args, Reset: from == 0}, &rep); err != nil {
+			if err := cl.Call("Worker.Update", UpdateArgs{Ref: c.ref(s), New: args, Reset: lo == 0}, &rep); err != nil {
 				return err
 			}
 			phis[s] = rep.Phi
@@ -603,6 +653,11 @@ func (c *Coordinator) initFrom(cfg core.Config, res *initResume) (*geom.Matrix, 
 		if err != nil {
 			return 0, err
 		}
+		c.mu.Lock()
+		c.folded.centers = centers
+		c.folded.starts = append(c.folded.starts, lo)
+		c.folded.rows = hi
+		c.mu.Unlock()
 		var phi float64
 		for _, p := range phis {
 			phi += p
@@ -614,7 +669,7 @@ func (c *Coordinator) initFrom(cfg core.Config, res *initResume) (*geom.Matrix, 
 	var err error
 	if res == nil {
 		// Step 2: ψ.
-		if phi, err = updateAndCost(0); err != nil {
+		if phi, err = fold(0, 1); err != nil {
 			return nil, stats, err
 		}
 		stats.Psi = phi
@@ -623,12 +678,20 @@ func (c *Coordinator) initFrom(cfg core.Config, res *initResume) (*geom.Matrix, 
 			return nil, stats, err
 		}
 	} else {
-		// Rebuild every shard's D² cache from the checkpointed candidate set.
-		// The reduced φ must land bit-exactly on the checkpointed value —
-		// anything else means the distributed dataset is not the one the
-		// checkpoint was taken against.
-		if phi, err = updateAndCost(0); err != nil {
+		// Rebuild every shard's D² cache by replaying the checkpointed
+		// Update groups in order. The reduced φ must land bit-exactly on the
+		// checkpointed value — anything else means the distributed dataset
+		// is not the one the checkpoint was taken against.
+		replayed := cacheLog{centers: centers, starts: res.starts, rows: centers.Rows}
+		if err := replayed.validate(); err != nil {
 			return nil, stats, err
+		}
+		for j := range replayed.starts {
+			g := replayed.group(j)
+			lo := replayed.starts[j]
+			if phi, err = fold(lo, lo+g.Rows); err != nil {
+				return nil, stats, err
+			}
 		}
 		if math.Float64bits(phi) != math.Float64bits(res.phi) {
 			return nil, stats, fmt.Errorf("distkm: checkpoint does not match the distributed dataset (phi %v, checkpointed %v)", phi, res.phi)
@@ -653,7 +716,7 @@ func (c *Coordinator) initFrom(cfg core.Config, res *initResume) (*geom.Matrix, 
 				centers.AppendRow(pts.Row(i))
 			}
 		}
-		if phi, err = updateAndCost(from); err != nil {
+		if phi, err = fold(from, centers.Rows); err != nil {
 			return nil, stats, err
 		}
 		stats.PhiTrace = append(stats.PhiTrace, phi)
@@ -919,6 +982,7 @@ func (c *Coordinator) ResumeFit(cfg core.Config, maxIter int) (*geom.Matrix, llo
 		initCenters, initStats, err := c.initFrom(cfg, &initResume{
 			round:    cp.Round,
 			centers:  centers,
+			starts:   cp.RoundStarts,
 			phi:      cp.Phi,
 			psi:      cp.Psi,
 			phiTrace: cp.PhiTrace,

@@ -381,7 +381,7 @@ func TestWorkerFailoverPreservesBitIdentity(t *testing.T) {
 	const workers = 3
 	ds := blobs(t, 5, 120, 6, 25, 1)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 7}
-	wantCenters, _ := mrkm.Init(ds, cfg, mrkm.Config{Mappers: workers})
+	wantCenters, wantStats := mrkm.Init(ds, cfg, mrkm.Config{Mappers: workers})
 	wantRes, _ := mrkm.Lloyd(ds, wantCenters, 20, mrkm.Config{Mappers: workers})
 
 	clients, closeAll := LoopbackCluster(workers)
@@ -403,12 +403,26 @@ func TestWorkerFailoverPreservesBitIdentity(t *testing.T) {
 		t.Fatal("expected at least one failover")
 	}
 	requireBitIdentical(t, "post-failover Init centers", gotCenters, wantCenters)
+	requireSameTrace(t, "post-failover PhiTrace", stats.PhiTrace, wantStats.PhiTrace)
 
 	gotRes, _, err := c.Lloyd(gotCenters, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, "post-failover Lloyd centers", gotRes.Centers, wantRes.Centers)
+}
+
+// requireSameTrace fails unless got and want hold the same float64 bits.
+func requireSameTrace(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v (bit-identical)", what, i, got[i], want[i])
+		}
+	}
 }
 
 // When every worker is gone the fit fails with an error instead of hanging.

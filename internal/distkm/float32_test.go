@@ -126,7 +126,7 @@ func TestFloat32FailoverPreservesBitIdentity(t *testing.T) {
 	ds := blobs(t, 5, 120, 6, 25, 1)
 	ds32 := geom.ToDataset32(ds)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 7}
-	wantCenters, _ := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantCenters, wantStats := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
 
 	clients, closeAll := LoopbackCluster(workers)
 	t.Cleanup(closeAll)
@@ -147,6 +147,7 @@ func TestFloat32FailoverPreservesBitIdentity(t *testing.T) {
 		t.Fatal("expected at least one failover")
 	}
 	requireBitIdentical(t, "post-failover float32 Init centers", gotCenters, wantCenters)
+	requireSameTrace(t, "post-failover float32 PhiTrace", stats.PhiTrace, wantStats.PhiTrace)
 }
 
 // Float32 pull mode: workers mmap float32 .kmd part files (the native view is

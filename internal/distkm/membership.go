@@ -117,7 +117,7 @@ func (c *Coordinator) steal(w int) {
 		}
 		cl := c.clients[w]
 		donorCl := c.clients[donor]
-		rebuild := c.rebuildCenters
+		folded := c.folded.clone()
 		ref := c.ref(shard)
 		c.mu.Unlock()
 
@@ -128,18 +128,11 @@ func (c *Coordinator) steal(w int) {
 			c.mu.Unlock()
 			return
 		}
-		if rebuild != nil && rebuild.Rows > 0 {
-			c.calls.Add(1)
-			if err := cl.Call("Worker.Update", UpdateArgs{
-				Ref:   ref,
-				New:   matOf(rebuild.Rows, rebuild.Cols, rebuild.Data),
-				Reset: true,
-			}, &CostReply{}); err != nil {
-				c.mu.Lock()
-				c.alive[w] = false
-				c.mu.Unlock()
-				return
-			}
+		if err := c.replay(cl, ref, folded); err != nil {
+			c.mu.Lock()
+			c.alive[w] = false
+			c.mu.Unlock()
+			return
 		}
 		c.mu.Lock()
 		c.assign[shard] = w
