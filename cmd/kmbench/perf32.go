@@ -20,7 +20,7 @@ import (
 // distributed Lloyd iteration over a loopback cluster, and steady-state
 // PredictBatch — each measured three ways in one process: float64 blocked
 // (the committed reference), float32 with the pure-Go kernels
-// (geom.SetF32Asm(false)), and float32 with the assembly dot kernels where
+// (geom.SetF32Tier(geom.F32TierPureGo)), and float32 with the assembly dot kernels where
 // the platform has them. The speedup_* ratios divide the float64 ns/op by
 // the best float32 variant's; the bench gate holds every ratio whose
 // committed baseline met the bar to the ≥1.3× floor from docs/kernels.md,
@@ -49,7 +49,7 @@ func runF32Suite() (perfFile, error) {
 	}
 	x := perfData(loadN, loadDim, f32K, 11)
 	ds := geom.NewDataset(x)
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 
 	// Shared starting centers so the Lloyd-iteration rows measure one
 	// assignment+update pass over identical state in every variant.
@@ -69,22 +69,65 @@ func runF32Suite() (perfFile, error) {
 	out := make([]int, f32Batch)
 
 	defer geom.SetKernel(geom.KernelAuto)
-	defer geom.SetF32Asm(geom.F32AsmAvailable())
+	defer geom.SetF32Tier(geom.ActiveF32Tier())
 
+	env := &f32Env{ds: ds, initCenters: initCenters, centerRows: centerRows, queries: queries, out: out}
 	byVariant := map[string]map[string]float64{}
+	record := func(variant string, results []perfResult) {
+		f.Results = append(f.Results, results...)
+		byVariant[variant] = map[string]float64{}
+		for i, metric := range f32Metrics {
+			byVariant[variant][metric] = results[i].NsPerOp
+		}
+	}
+
+	geom.SetKernel(geom.KernelBlocked)
+	record("f64", benchVariant(env, ds, "f64", kmeansll.Float64))
+
+	geom.SetF32Tier(geom.F32TierPureGo)
+	record("f32", benchVariant(env, ds32, "f32", kmeansll.Float32))
+
+	best := byVariant["f32"]
+	if tiers := geom.F32Tiers(); len(tiers) > 1 {
+		geom.SetF32Tier(tiers[len(tiers)-1])
+		record("f32asm", benchVariant(env, ds32, "f32asm", kmeansll.Float32))
+		best = byVariant["f32asm"]
+	}
+
+	for _, metric := range f32Metrics {
+		f.Speedups[metric+"_f32"] = byVariant["f64"][metric] / best[metric]
+	}
+	return f, nil
+}
+
+// f32Metrics names benchVariant's rows, in order, as the speedup keys.
+var f32Metrics = []string{
+	"init", "lloyd_iter", "lloyd_elkan", "lloyd_hamerly",
+	"minibatch", "dist_lloyd_iter", "predict_batch",
+}
+
+// f32Env is the state every variant of the float32 suite shares.
+type f32Env struct {
+	ds          *geom.Dataset // float64 points; distributed shards narrow it
+	initCenters *geom.Matrix
+	centerRows  [][]float64
+	queries     [][]float64
+	out         []int
+}
+
+// benchVariant measures every row of the suite over points stored as T,
+// calling the same entry points for every variant; the rows come back in
+// f32Metrics order.
+func benchVariant[T geom.Float](env *f32Env, ds *geom.Set[T], variant string, prec kmeansll.Precision) []perfResult {
+	initCenters := env.initCenters
 
 	// lloydIter measures one refinement pass under the given assignment
 	// method — for Elkan/Hamerly that is the bound-building first iteration,
 	// the distance-dominated part the float32 kernels accelerate.
-	lloydIter := func(variant string, prec kmeansll.Precision, method lloyd.Method) perfResult {
+	lloydIter := func(method lloyd.Method) perfResult {
 		return measure("LloydIter"+methodTag(method)+"/precision="+variant, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := lloyd.Config{MaxIter: 1, Parallelism: 1, Method: method}
-				if prec == kmeansll.Float32 {
-					lloyd.Run32(ds32, initCenters, cfg)
-				} else {
-					lloyd.Run(ds, initCenters, cfg)
-				}
+				lloyd.Run(ds, initCenters, lloyd.Config{MaxIter: 1, Parallelism: 1, Method: method})
 			}
 		})
 	}
@@ -94,14 +137,14 @@ func runF32Suite() (perfFile, error) {
 	// assignment pass, everything crossing the real net/rpc + gob wire. The
 	// float32 variants install float32 shards (Coordinator.SetFloat32), so
 	// this row is the serving-tier form of the f32 assignment path.
-	distIter := func(variant string, prec kmeansll.Precision) perfResult {
+	distIter := func() perfResult {
 		clients, closeAll := distkm.LoopbackCluster(distWorkers)
 		coord, err := distkm.NewCoordinator(clients)
 		if err != nil {
 			panic(err)
 		}
 		coord.SetFloat32(prec == kmeansll.Float32)
-		if err := coord.Distribute(ds); err != nil {
+		if err := coord.Distribute(env.ds); err != nil {
 			panic(err)
 		}
 		res := measure("DistLloydIter/precision="+variant, func(b *testing.B) {
@@ -116,77 +159,35 @@ func runF32Suite() (perfFile, error) {
 		return res
 	}
 
-	benchVariant := func(variant string, prec kmeansll.Precision) {
-		initRes := measure("Init/precision="+variant, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.Config{K: f32K, Parallelism: 1, Seed: uint64(i % perfRestart)}
-				if prec == kmeansll.Float32 {
-					core.Init32(ds32, cfg)
-				} else {
-					core.Init(ds, cfg)
-				}
-			}
-		})
-		lloydRes := lloydIter(variant, prec, lloyd.Naive)
-		elkanRes := lloydIter(variant, prec, lloyd.Elkan)
-		hamerlyRes := lloydIter(variant, prec, lloyd.Hamerly)
-		mbRes := measure("MiniBatch/precision="+variant, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := lloyd.MiniBatchConfig{
-					BatchSize: f32Batch, Iters: f32MBSteps,
-					Seed: uint64(i % perfRestart), Parallelism: 1,
-				}
-				if prec == kmeansll.Float32 {
-					lloyd.MiniBatch32(ds32, initCenters, cfg)
-				} else {
-					lloyd.MiniBatch(ds, initCenters, cfg)
-				}
-			}
-		})
-		distRes := distIter(variant, prec)
-		model, err := kmeansll.NewModel(centerRows)
-		if err != nil {
-			panic(err) // centerRows is well-formed by construction
+	initRes := measure("Init/precision="+variant, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.Init(ds, core.Config{K: f32K, Parallelism: 1, Seed: uint64(i % perfRestart)})
 		}
-		model.SetPredictPrecision(prec)
-		model.PredictBatch(queries[:1], 1) // warm the lazy center caches
-		predRes := measure("PredictBatch/precision="+variant, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				model.PredictBatchInto(queries, out, 1)
-			}
-		})
-		f.Results = append(f.Results, initRes, lloydRes, elkanRes, hamerlyRes, mbRes, distRes, predRes)
-		byVariant[variant] = map[string]float64{
-			"init":            initRes.NsPerOp,
-			"lloyd_iter":      lloydRes.NsPerOp,
-			"lloyd_elkan":     elkanRes.NsPerOp,
-			"lloyd_hamerly":   hamerlyRes.NsPerOp,
-			"minibatch":       mbRes.NsPerOp,
-			"dist_lloyd_iter": distRes.NsPerOp,
-			"predict_batch":   predRes.NsPerOp,
+	})
+	lloydRes := lloydIter(lloyd.Naive)
+	elkanRes := lloydIter(lloyd.Elkan)
+	hamerlyRes := lloydIter(lloyd.Hamerly)
+	mbRes := measure("MiniBatch/precision="+variant, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lloyd.MiniBatch(ds, initCenters, lloyd.MiniBatchConfig{
+				BatchSize: f32Batch, Iters: f32MBSteps,
+				Seed: uint64(i % perfRestart), Parallelism: 1,
+			})
 		}
+	})
+	distRes := distIter()
+	model, err := kmeansll.NewModel(env.centerRows)
+	if err != nil {
+		panic(err) // centerRows is well-formed by construction
 	}
-
-	geom.SetKernel(geom.KernelBlocked)
-	benchVariant("f64", kmeansll.Float64)
-
-	geom.SetF32Asm(false)
-	benchVariant("f32", kmeansll.Float32)
-
-	best := byVariant["f32"]
-	if geom.F32AsmAvailable() {
-		geom.SetF32Asm(true)
-		benchVariant("f32asm", kmeansll.Float32)
-		best = byVariant["f32asm"]
-	}
-
-	for _, metric := range []string{
-		"init", "lloyd_iter", "lloyd_elkan", "lloyd_hamerly",
-		"minibatch", "dist_lloyd_iter", "predict_batch",
-	} {
-		f.Speedups[metric+"_f32"] = byVariant["f64"][metric] / best[metric]
-	}
-	return f, nil
+	model.SetPredictPrecision(prec)
+	model.PredictBatch(env.queries[:1], 1) // warm the lazy center caches
+	predRes := measure("PredictBatch/precision="+variant, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			model.PredictBatchInto(env.queries, env.out, 1)
+		}
+	})
+	return []perfResult{initRes, lloydRes, elkanRes, hamerlyRes, mbRes, distRes, predRes}
 }
 
 // methodTag renders the assignment method as a benchmark-name suffix ("" for

@@ -97,7 +97,7 @@ func main() {
 	// Every other combination loads through the usual float64 path.
 	var (
 		ds     *geom.Dataset
-		ds32   *geom.Dataset32
+		ds32   *geom.Set[float32]
 		closer io.Closer
 	)
 	if precision == kmeansll.Float32 && !*norm &&
@@ -171,31 +171,11 @@ func main() {
 			// anything else narrows once here.
 			mds := ds32
 			if mds == nil {
-				mds = geom.ToDataset32(ds)
+				mds = geom.ConvertSet[float32](ds)
 			}
-			init, stats := mrkm.Init32(mds, cfg, mrkm.Config{})
-			logf("kmcluster: mapreduce init: %d jobs, %d candidates, seed cost %.4g",
-				stats.MRRounds, stats.Candidates, stats.SeedCost)
-			res, _ := mrkm.Lloyd32(mds, init, iters, mrkm.Config{})
-			logf("kmcluster: Lloyd converged=%v after %d iterations, final cost %.6g",
-				res.Converged, res.Iters, res.Cost)
-			centers = res.Centers
-			assignOut = make([]int, len(res.Assign))
-			for i, a := range res.Assign {
-				assignOut[i] = int(a)
-			}
+			centers, assignOut = fitMR(mds, cfg, iters, logf)
 		} else {
-			init, stats := mrkm.Init(ds, cfg, mrkm.Config{})
-			logf("kmcluster: mapreduce init: %d jobs, %d candidates, seed cost %.4g",
-				stats.MRRounds, stats.Candidates, stats.SeedCost)
-			res, _ := mrkm.Lloyd(ds, init, iters, mrkm.Config{})
-			logf("kmcluster: Lloyd converged=%v after %d iterations, final cost %.6g",
-				res.Converged, res.Iters, res.Cost)
-			centers = res.Centers
-			assignOut = make([]int, len(res.Assign))
-			for i, a := range res.Assign {
-				assignOut[i] = int(a)
-			}
+			centers, assignOut = fitMR(ds, cfg, iters, logf)
 		}
 	} else {
 		// The shared pipeline: exactly kmeansll.ClusterDataset, so the same
@@ -207,7 +187,7 @@ func main() {
 		}
 		var model *kmeansll.Model
 		if ds32 != nil {
-			model, err = kmeansll.ClusterDataset32(ds32, cfg)
+			model, err = kmeansll.ClusterDataset(ds32, cfg)
 		} else {
 			model, err = kmeansll.ClusterDataset(ds, cfg)
 		}
@@ -270,4 +250,20 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "kmcluster:", err)
 	os.Exit(1)
+}
+
+// fitMR runs k-means|| and Lloyd on the MapReduce realization over points
+// stored as T, logging each phase, and returns the centers and assignment.
+func fitMR[T geom.Float](ds *geom.Set[T], cfg core.Config, iters int, logf func(string, ...any)) (*geom.Matrix, []int) {
+	init, stats := mrkm.Init(ds, cfg, mrkm.Config{})
+	logf("kmcluster: mapreduce init: %d jobs, %d candidates, seed cost %.4g",
+		stats.MRRounds, stats.Candidates, stats.SeedCost)
+	res, _ := mrkm.Lloyd(ds, init, iters, mrkm.Config{})
+	logf("kmcluster: Lloyd converged=%v after %d iterations, final cost %.6g",
+		res.Converged, res.Iters, res.Cost)
+	assign := make([]int, len(res.Assign))
+	for i, a := range res.Assign {
+		assign[i] = int(a)
+	}
+	return res.Centers, assign
 }

@@ -172,10 +172,10 @@ func TestFloat32PredictEquivalence(t *testing.T) {
 func TestFloat32ClusterDataset32(t *testing.T) {
 	points, weights := f32Case(t, 700, 24, 6, true, 77)
 	ds := &geom.Dataset{X: geom.FromRows(points), Weight: weights}
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 
 	cfg := Config{K: 6, Init: KMeansParallel, MaxIter: 15, Seed: 9, Precision: Float32}
-	a, err := ClusterDataset32(ds32, cfg)
+	a, err := ClusterDataset(ds32, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,52 +198,20 @@ func TestFloat32ClusterDataset32(t *testing.T) {
 	}
 }
 
-// TestFloat32FallbackConfigs checks that configurations outside the float32
-// fast path still fit correctly (on the widened float64 pipeline) instead of
-// failing — the documented fallback contract — and that the widening is
-// observable through PrecisionRequested/PrecisionEffective.
-func TestFloat32FallbackConfigs(t *testing.T) {
-	points, _ := f32Case(t, 400, 8, 4, false, 5)
-	for _, cfg := range []Config{
-		{K: 4, Init: PartitionInit, Seed: 3, Precision: Float32, MaxIter: 10},
-		{K: 4, Optimizer: Trimmed{Fraction: 0.05}, Seed: 3, Precision: Float32, MaxIter: 10},
-		{K: 4, Optimizer: Spherical{}, Seed: 3, Precision: Float32, MaxIter: 10},
-	} {
-		m, err := Cluster(points, cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if m.K() != 4 {
-			t.Fatalf("%+v: got %d centers", cfg, m.K())
-		}
-		if m.PrecisionRequested() != Float32 || m.PrecisionEffective() != Float64 {
-			t.Fatalf("%+v: requested %v / effective %v, want f32 / f64",
-				cfg, m.PrecisionRequested(), m.PrecisionEffective())
-		}
-		// The fallback runs in float64 and must match the plain float64 fit
-		// bit for bit.
-		c64 := cfg
-		c64.Precision = Float64
-		ref, err := Cluster(points, c64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Cost != ref.Cost {
-			t.Fatalf("%+v: fallback cost %v != float64 cost %v", cfg, m.Cost, ref.Cost)
-		}
-	}
-}
-
-// TestFloat32AccelConfigs checks that the configurations PR 9 moved onto the
-// float32 fast path — Elkan/Hamerly Lloyd kernels and MiniBatch — actually
-// stay there (PrecisionEffective == Float32) and meet the tolerance contract
-// against their float64 counterparts.
+// TestFloat32AccelConfigs checks that configurations beyond the plain naive
+// Lloyd fit — the Elkan/Hamerly Lloyd kernels, MiniBatch, and the
+// Partition seeding and Trimmed/Spherical optimizers that once widened to
+// float64 — run in float32 (PrecisionEffective == Float32) and meet the
+// tolerance contract against their float64 counterparts.
 func TestFloat32AccelConfigs(t *testing.T) {
 	points, _ := f32Case(t, 600, 12, 5, false, 9)
 	for _, cfg := range []Config{
 		{K: 5, Init: RandomInit, Kernel: ElkanKernel, Seed: 7, Precision: Float32, MaxIter: 25},
 		{K: 5, Init: RandomInit, Kernel: HamerlyKernel, Seed: 7, Precision: Float32, MaxIter: 25},
 		{K: 5, Init: RandomInit, Optimizer: MiniBatch{BatchSize: 64, Iters: 30}, Seed: 7, Precision: Float32},
+		{K: 5, Init: PartitionInit, Seed: 7, Precision: Float32, MaxIter: 25},
+		{K: 5, Init: RandomInit, Optimizer: Trimmed{Fraction: 0.05}, Seed: 7, Precision: Float32, MaxIter: 25},
+		{K: 5, Init: RandomInit, Optimizer: Spherical{}, Seed: 7, Precision: Float32, MaxIter: 25},
 	} {
 		m, err := Cluster(points, cfg)
 		if err != nil {

@@ -26,8 +26,7 @@
 // The two distance-heavy passes — the per-round D² cache update and the
 // Step 7 weighting — run on geom's blocked pairwise-distance engine (cached
 // center norms, tiled inner-product kernels) whenever the round's center
-// count clears geom.UseBlocked; tiny rounds keep the SqDistBound early-exit
-// scan.
+// count clears geom.UseBlocked; tiny rounds keep the scalar pair scan.
 package core
 
 import (
@@ -166,7 +165,16 @@ type Stats struct {
 // Init runs k-means|| and returns the k initial centers plus run statistics.
 // The dataset may be weighted; weights flow through sampling, Step 7 and the
 // reclustering exactly as if each point were replicated.
-func Init(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
+//
+// The points may be stored as float64 or float32. The sampling decisions
+// (Bernoulli coin flips, ExactL draws, reclustering) only ever see the
+// float64 D² cache, so a run is deterministic for a given seed and
+// parallelism-independent in both; float32 storage rounds the cached
+// distances, making its chosen centers equivalent in distribution rather
+// than bit-identical to the float64 run on the widened data
+// (docs/kernels.md). Step 8 reclusters the (tiny) weighted candidate set in
+// float64 either way.
+func Init[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) {
 	if cfg.K <= 0 {
 		panic("core: Config.K must be positive")
 	}
@@ -175,12 +183,7 @@ func Init(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 		panic("core: empty dataset")
 	}
 	if cfg.K >= n {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		c := ds.Subset(all).X.Clone()
-		return c, Stats{Candidates: n, Passes: 0}
+		return geom.Widen(ds.X), Stats{Candidates: n, Passes: 0}
 	}
 
 	r := rng.New(cfg.Seed)
@@ -194,8 +197,7 @@ func Init(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 	} else {
 		first = r.WeightedIndex(ds.Weight)
 	}
-	centers := geom.NewMatrix(0, ds.Dim())
-	centers.Cols = ds.Dim()
+	centers := &geom.Mat[T]{Cols: ds.Dim()}
 	// The candidate set grows to ~1 + r·ℓ rows; reserve once so the
 	// per-round AppendRow loop never reallocates mid-run.
 	est := 1 + rounds*int(math.Ceil(ell))
@@ -210,11 +212,12 @@ func Init(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 	d2 := make([]float64, n)
 	chunks := geom.ChunkCount(n, cfg.Parallelism)
 	partial := make([]float64, chunks)
+	n0 := geom.RowSqNorms(centers, nil)
 	geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
 		var s float64
-		c0 := centers.Row(0)
 		for i := lo; i < hi; i++ {
-			d2[i] = ds.W(i) * geom.SqDist(ds.Point(i), c0)
+			_, d := geom.NearestPair(ds.Point(i), centers, n0)
+			d2[i] = ds.W(i) * d
 			s += d2[i]
 		}
 		partial[chunk] = s
@@ -247,12 +250,13 @@ func Init(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 		// Update cached distances against only the new centers — one pass.
 		// Above the crossover the pass runs through the blocked engine:
 		// per-point min over the round's centers, folded into the weighted
-		// cache (min(d2, w·d²new) ≡ the bounded scan's result).
-		if kNew := centers.Rows - from; geom.UseBlocked(kNew, ds.Dim()) {
-			newView := centers.RowRange(from, centers.Rows)
-			cNorms := geom.RowSqNorms(&newView, nil)
+		// cache (min(d2, w·d²new) ≡ the scalar fold's result); below it,
+		// the scalar pair fold.
+		newView := centers.RowRange(from, centers.Rows)
+		cNorms := geom.RowSqNorms(&newView, nil)
+		if geom.UseBlocked(newView.Rows, ds.Dim()) {
 			geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
-				sc := geom.GetScratch()
+				sc := geom.GetScratch[T]()
 				var s float64
 				geom.VisitNearest(ds.X, &newView, cNorms, lo, hi, sc, false, func(i int, _ int32, dNew float64) {
 					if nd := ds.W(i) * dNew; nd < d2[i] {
@@ -267,17 +271,7 @@ func Init(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 			geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
 				var s float64
 				for i := lo; i < hi; i++ {
-					if d2[i] > 0 {
-						w := ds.W(i)
-						p := ds.Point(i)
-						best := d2[i] / w
-						for c := from; c < centers.Rows; c++ {
-							if nd := geom.SqDistBound(p, centers.Row(c), best); nd < best {
-								best = nd
-							}
-						}
-						d2[i] = w * best
-					}
+					d2[i] = geom.FoldPair(ds.Point(i), ds.W(i), d2[i], &newView, cNorms)
 					s += d2[i]
 				}
 				partial[chunk] = s
@@ -294,10 +288,10 @@ func Init(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 	weights := candidateWeights(ds, centers, cfg.Parallelism)
 	stats.Passes++
 
-	// Step 8: recluster the weighted candidates down to k.
-	final := recluster(centers, weights, cfg, r)
+	// Step 8: recluster the weighted candidates down to k, in float64.
+	final := recluster(geom.Widen(centers), weights, cfg, r)
 
-	stats.SeedCost = lloyd.Cost(ds, final, cfg.Parallelism)
+	stats.SeedCost = lloyd.Cost(ds, geom.Convert[T](final), cfg.Parallelism)
 	stats.Passes++
 	return final, stats
 }
@@ -355,26 +349,23 @@ func sampleExactL(r *rng.Rng, d2 []float64, m int) []int {
 // whose nearest candidate is x. The candidate set is the largest center set
 // the algorithm ever scans (~1 + r·ℓ rows), so this pass benefits most from
 // the blocked engine.
-func candidateWeights(ds *geom.Dataset, centers *geom.Matrix, parallelism int) []float64 {
+func candidateWeights[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int) []float64 {
 	n, k := ds.N(), centers.Rows
 	chunks := geom.ChunkCount(n, parallelism)
 	perChunk := make([][]float64, chunks)
 	blocked := geom.UseBlocked(k, centers.Cols)
-	var cNorms []float64
-	if blocked {
-		cNorms = geom.RowSqNorms(centers, nil)
-	}
+	cNorms := geom.RowSqNorms(centers, nil)
 	geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
 		w := make([]float64, k)
 		if blocked {
-			sc := geom.GetScratch()
+			sc := geom.GetScratch[T]()
 			geom.VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, _ float64) {
 				w[idx] += ds.W(i)
 			})
 			sc.Release()
 		} else {
 			for i := lo; i < hi; i++ {
-				idx, _ := geom.Nearest(ds.Point(i), centers)
+				idx, _ := geom.NearestPair(ds.Point(i), centers, cNorms)
 				w[idx] += ds.W(i)
 			}
 		}

@@ -10,7 +10,7 @@ import (
 
 // blobs32 generates well-separated clusters and returns float64 and float32
 // views of the same float32-representable values.
-func blobs32(t *testing.T, k, m, dim int, seed uint64) (*geom.Dataset, *geom.Dataset32) {
+func blobs32(t *testing.T, k, m, dim int, seed uint64) (*geom.Dataset, *geom.Set[float32]) {
 	t.Helper()
 	r := rng.New(seed)
 	x := geom.NewMatrix(k*m, dim)
@@ -26,8 +26,8 @@ func blobs32(t *testing.T, k, m, dim int, seed uint64) (*geom.Dataset, *geom.Dat
 			}
 		}
 	}
-	ds32 := geom.ToDataset32(geom.NewDataset(x))
-	return ds32.ToDataset(), ds32
+	ds32 := geom.ConvertSet[float32](geom.NewDataset(x))
+	return geom.WidenSet(ds32), ds32
 }
 
 // TestInit32SeedQuality checks the float32 run seeds as well as the float64
@@ -39,7 +39,7 @@ func TestInit32SeedQuality(t *testing.T) {
 		ds64, ds32 := blobs32(t, 8, 400, 16, 3)
 		cfg := Config{K: 8, Seed: 7, Mode: mode}
 		_, s64 := Init(ds64, cfg)
-		c32, s32 := Init32(ds32, cfg)
+		c32, s32 := Init(ds32, cfg)
 
 		if c32.Rows != 8 || c32.Cols != 16 {
 			t.Fatalf("mode=%v: Init32 returned %dx%d centers", mode, c32.Rows, c32.Cols)
@@ -75,8 +75,8 @@ func TestInit32SeedQuality(t *testing.T) {
 func TestInit32Deterministic(t *testing.T) {
 	_, ds32 := blobs32(t, 5, 200, 8, 11)
 	cfg := Config{K: 5, Seed: 42, Parallelism: 4}
-	a, sa := Init32(ds32, cfg)
-	b, sb := Init32(ds32, cfg)
+	a, sa := Init(ds32, cfg)
+	b, sb := Init(ds32, cfg)
 	if sa.Candidates != sb.Candidates || sa.SeedCost != sb.SeedCost {
 		t.Fatalf("stats diverged: %+v vs %+v", sa, sb)
 	}
@@ -90,7 +90,7 @@ func TestInit32Deterministic(t *testing.T) {
 // TestInit32SmallDataset covers the k ≥ n early-out.
 func TestInit32SmallDataset(t *testing.T) {
 	_, ds32 := blobs32(t, 1, 3, 4, 13)
-	c, stats := Init32(ds32, Config{K: 10, Seed: 1})
+	c, stats := Init(ds32, Config{K: 10, Seed: 1})
 	if c.Rows != 3 {
 		t.Fatalf("k ≥ n should return all %d points, got %d", 3, c.Rows)
 	}

@@ -389,7 +389,7 @@ func (s *Stream) ClusterOpt(k int, opt lloyd.Opt, cfg lloyd.Config) (ClusterResu
 	if cs.N() == 0 {
 		return ClusterResult{}, fmt.Errorf("Cluster on empty stream")
 	}
-	cs, err := opt.Prepare(cs)
+	cs, err := lloyd.Prepare(opt, cs)
 	if err != nil {
 		return ClusterResult{}, err
 	}
@@ -401,7 +401,7 @@ func (s *Stream) ClusterOpt(k int, opt lloyd.Opt, cfg lloyd.Config) (ClusterResu
 	}
 	init := seed.KMeansPP(cs, k, s.r.Split(0xC0FFEE), cfg.Parallelism)
 	seedCost := lloyd.Cost(cs, init, cfg.Parallelism)
-	res := opt.Refine(cs, init, cfg, s.seed)
+	res := lloyd.Refine(opt, cs, init, cfg, s.seed)
 	return ClusterResult{RefineResult: res, SeedCost: seedCost}, nil
 }
 

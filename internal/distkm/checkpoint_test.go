@@ -116,9 +116,9 @@ func TestFloat32ResumeMidInitBitIdentical(t *testing.T) {
 	const workers = 3
 	ds := blobs(t, 5, 120, 6, 25, 41)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 21}
-	ds32 := geom.ToDataset32(ds)
-	wantCenters, _ := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
-	wantRes, _ := mrkm.Lloyd32(ds32, wantCenters, 20, mrkm.Config{Mappers: workers})
+	ds32 := geom.ConvertSet[float32](ds)
+	wantCenters, _ := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantRes, _ := mrkm.Lloyd(ds32, wantCenters, 20, mrkm.Config{Mappers: workers})
 
 	dir := t.TempDir()
 	cp := crashFitPrecision(t, dir, ds, cfg, workers, 7, true)

@@ -39,10 +39,10 @@ func loopbackCoordinator32(t *testing.T, ds *geom.Dataset, workers int) *Coordin
 func TestFloat32InitBitIdenticalToMRKM32(t *testing.T) {
 	const workers = 3
 	ds := blobs(t, 5, 120, 6, 25, 1)
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 7}
 
-	wantCenters, wantStats := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantCenters, wantStats := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: workers})
 
 	c := loopbackCoordinator32(t, ds, workers)
 	gotCenters, gotStats, err := c.Init(cfg)
@@ -72,10 +72,10 @@ func TestFloat32InitBitIdenticalToMRKM32(t *testing.T) {
 func TestFloat32LloydBitIdenticalToMRKM32(t *testing.T) {
 	const workers = 4
 	ds := blobs(t, 4, 100, 5, 40, 9)
-	ds32 := geom.ToDataset32(ds)
-	init, _ := mrkm.Init32(ds32, core.Config{K: 4, Seed: 10}, mrkm.Config{Mappers: workers})
+	ds32 := geom.ConvertSet[float32](ds)
+	init, _ := mrkm.Init(ds32, core.Config{K: 4, Seed: 10}, mrkm.Config{Mappers: workers})
 
-	wantRes, _ := mrkm.Lloyd32(ds32, init, 30, mrkm.Config{Mappers: workers})
+	wantRes, _ := mrkm.Lloyd(ds32, init, 30, mrkm.Config{Mappers: workers})
 
 	c := loopbackCoordinator32(t, ds, workers)
 	gotRes, _, err := c.Lloyd(init, 30)
@@ -107,10 +107,10 @@ func TestFloat32WeightedBitIdenticalToMRKM32(t *testing.T) {
 		w[i] = 0.5 + float64(i%7)/4
 	}
 	ds.Weight = w
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 	cfg := core.Config{K: 4, L: 8, Rounds: 4, Seed: 13}
 
-	wantCenters, _ := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantCenters, _ := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: workers})
 	c := loopbackCoordinator32(t, ds, workers)
 	gotCenters, _, err := c.Init(cfg)
 	if err != nil {
@@ -124,9 +124,9 @@ func TestFloat32WeightedBitIdenticalToMRKM32(t *testing.T) {
 func TestFloat32FailoverPreservesBitIdentity(t *testing.T) {
 	const workers = 3
 	ds := blobs(t, 5, 120, 6, 25, 1)
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 7}
-	wantCenters, wantStats := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantCenters, wantStats := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: workers})
 
 	clients, closeAll := LoopbackCluster(workers)
 	t.Cleanup(closeAll)
@@ -157,11 +157,11 @@ func TestFloat32FailoverPreservesBitIdentity(t *testing.T) {
 func TestFloat32ManifestPullBitIdentical(t *testing.T) {
 	const workers = 3
 	ds := blobs(t, 5, 150, 7, 25, 3)
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 11}
 
-	wantCenters, _ := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
-	wantRes, _ := mrkm.Lloyd32(ds32, wantCenters, 20, mrkm.Config{Mappers: workers})
+	wantCenters, _ := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantRes, _ := mrkm.Lloyd(ds32, wantCenters, 20, mrkm.Config{Mappers: workers})
 
 	for _, parts := range []int{workers, 5} {
 		dir := t.TempDir()
@@ -171,7 +171,7 @@ func TestFloat32ManifestPullBitIdentical(t *testing.T) {
 			lo, hi := p*n/parts, (p+1)*n/parts
 			view := ds32.X.RowRange(lo, hi)
 			name := filepath.Join(dir, partName(p))
-			if err := dsio.Save32(name, &geom.Dataset32{X: &view}); err != nil {
+			if err := dsio.Save32(name, &geom.Set[float32]{X: &view}); err != nil {
 				t.Fatal(err)
 			}
 			m.Shards = append(m.Shards, dsio.ManifestShard{Path: partName(p), Rows: hi - lo})
@@ -237,14 +237,14 @@ func TestTwoProcessFloat32BitIdentical(t *testing.T) {
 	coord.SetFloat32(true)
 
 	ds := blobs(t, 5, 150, 8, 30, 17)
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 23}
 	if err := coord.Distribute(ds); err != nil {
 		t.Fatal(err)
 	}
 
-	wantInit, _ := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
-	wantRes, _ := mrkm.Lloyd32(ds32, wantInit, 20, mrkm.Config{Mappers: workers})
+	wantInit, _ := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantRes, _ := mrkm.Lloyd(ds32, wantInit, 20, mrkm.Config{Mappers: workers})
 
 	gotInit, _, err := coord.Init(cfg)
 	if err != nil {
@@ -273,10 +273,10 @@ func TestTwoProcessFloat32BitIdentical(t *testing.T) {
 func TestFloat32PushNarrowsOnce(t *testing.T) {
 	const workers = 2
 	ds := blobs(t, 3, 60, 4, 15, 21) // raw float64 blobs, not f32-representable
-	ds32 := geom.ToDataset32(ds)
+	ds32 := geom.ConvertSet[float32](ds)
 	cfg := core.Config{K: 3, L: 6, Rounds: 3, Seed: 5}
 
-	wantCenters, _ := mrkm.Init32(ds32, cfg, mrkm.Config{Mappers: workers})
+	wantCenters, _ := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: workers})
 	c := loopbackCoordinator32(t, ds, workers)
 	gotCenters, _, err := c.Init(cfg)
 	if err != nil {

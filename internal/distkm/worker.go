@@ -21,15 +21,9 @@ import (
 // together with the data-local D² cache the sampling rounds maintain — the
 // state a Hadoop implementation persists alongside its split between jobs.
 type shard struct {
-	lo int // global index of point 0
-	ds *geom.Dataset
-	d2 []float64 // w_i · d²(x_i, C), +Inf before the first update pass
-
-	// ds32/pn32 are set instead of ds for a float32 shard (LoadArgs.Float32):
-	// float32 points plus their cached squared norms, the inputs mrkm's
-	// shared *Span32 bodies take. Exactly one of ds and ds32 is non-nil.
-	ds32 *geom.Dataset32
-	pn32 []float32
+	lo   int       // global index of point 0
+	data shardData // the points, in the precision LoadArgs.Float32 chose
+	d2   []float64 // w_i · d²(x_i, C), +Inf before the first update pass
 
 	// lastUsed (guarded by the worker mutex) feeds the janitor: a fit whose
 	// coordinator died without a clean Release would otherwise strand its
@@ -50,33 +44,51 @@ type shard struct {
 	dropped bool
 }
 
-// n returns the shard's point count in either precision.
-func (s *shard) n() int {
-	if s.ds32 != nil {
-		return s.ds32.N()
-	}
-	return s.ds.N()
+// shardData is a shard's points in either storage precision. Every method
+// runs the shared mrkm span body over the whole shard, so a worker's
+// partials are bit-identical to the in-process mapper's over the matching
+// span. Centers arrive as float64 off the wire and are narrowed once per
+// call; candidates are data points, so narrowing recovers their exact
+// storage bits.
+type shardData interface {
+	n() int
+	dim() int
+	point(i int) []float64 // widened to float64 (exact)
+	update(d2 []float64, centers *geom.Matrix) float64
+	weights(centers *geom.Matrix) []float64
+	lloyd(centers *geom.Matrix) (*geom.Matrix, float64)
+	cost(centers *geom.Matrix) float64
+	assign(centers *geom.Matrix, out []int32) float64
 }
 
-// dim returns the shard's dimensionality in either precision.
-func (s *shard) dim() int {
-	if s.ds32 != nil {
-		return s.ds32.Dim()
-	}
-	return s.ds.Dim()
+// points is shardData over storage type T.
+type points[T geom.Float] struct{ ds *geom.Set[T] }
+
+func (p points[T]) n() int   { return p.ds.N() }
+func (p points[T]) dim() int { return p.ds.Dim() }
+
+func (p points[T]) point(i int) []float64 {
+	return geom.WidenRow(make([]float64, p.ds.Dim()), p.ds.Point(i))
 }
 
-// point returns point i widened to float64 (exact for float32 shards).
-func (s *shard) point(i int) []float64 {
-	if s.ds32 == nil {
-		return s.ds.Point(i)
-	}
-	p := s.ds32.Point(i)
-	out := make([]float64, len(p))
-	for j, v := range p {
-		out[j] = float64(v)
-	}
-	return out
+func (p points[T]) update(d2 []float64, centers *geom.Matrix) float64 {
+	return mrkm.UpdateSpan(p.ds, d2, 0, p.ds.N(), geom.Convert[T](centers), 0)
+}
+
+func (p points[T]) weights(centers *geom.Matrix) []float64 {
+	return mrkm.WeightSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+}
+
+func (p points[T]) lloyd(centers *geom.Matrix) (*geom.Matrix, float64) {
+	return mrkm.LloydSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+}
+
+func (p points[T]) cost(centers *geom.Matrix) float64 {
+	return mrkm.CostSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+}
+
+func (p points[T]) assign(centers *geom.Matrix, out []int32) float64 {
+	return mrkm.AssignSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers), out)
 }
 
 // closeMaps unmaps the shard's backing files. Callers must guarantee no
@@ -161,37 +173,22 @@ func (w *Worker) Load(args LoadArgs, _ *Ack) error {
 	x := &geom.Matrix{Rows: args.Points.Rows, Cols: args.Points.Cols, Data: args.Points.Data}
 	ds := &geom.Dataset{X: x, Weight: args.Weights}
 	if args.Float32 {
-		w.install32(args.Ref, args.Lo, geom.ToDataset32(ds), nil)
+		w.install(args.Ref, args.Lo, points[float32]{geom.ConvertSet[float32](ds)}, nil)
 		return nil
 	}
-	w.install(args.Ref, args.Lo, ds, nil)
+	w.install(args.Ref, args.Lo, points[float64]{ds}, nil)
 	return nil
 }
 
 // install records a shard under ref, releasing any mapping a replaced shard
 // held. The D² cache starts at +Inf ("no centers seen yet").
-func (w *Worker) install(ref ShardRef, lo int, ds *geom.Dataset, closers []io.Closer) {
-	d2 := make([]float64, ds.N())
+func (w *Worker) install(ref ShardRef, lo int, data shardData, closers []io.Closer) {
+	d2 := make([]float64, data.n())
 	for i := range d2 {
 		d2[i] = math.Inf(1)
 	}
 	//kmlint:ignore determinism lastUsed only feeds the shard-TTL janitor, never the fit
-	s := &shard{lo: lo, ds: ds, d2: d2, lastUsed: time.Now(), closers: closers}
-	w.installShard(ref, s)
-}
-
-// install32 is install for a float32 shard: it additionally caches the
-// per-point squared norms the scalar norm-expansion kernels need.
-func (w *Worker) install32(ref ShardRef, lo int, ds *geom.Dataset32, closers []io.Closer) {
-	d2 := make([]float64, ds.N())
-	for i := range d2 {
-		d2[i] = math.Inf(1)
-	}
-	s := &shard{
-		lo: lo, ds32: ds, pn32: geom.RowSqNorms32(ds.X, nil),
-		//kmlint:ignore determinism lastUsed only feeds the shard-TTL janitor, never the fit
-		d2: d2, lastUsed: time.Now(), closers: closers,
-	}
+	s := &shard{lo: lo, data: data, d2: d2, lastUsed: time.Now(), closers: closers}
 	w.installShard(ref, s)
 }
 
@@ -212,7 +209,9 @@ func (w *Worker) installShard(ref ShardRef, s *shard) {
 // points: each segment names a row range of one .kmd file under the worker's
 // data dir. A single-segment shard aliases the mmap directly (zero copy);
 // multi-segment shards copy the rows into one contiguous matrix so the
-// kernels see the same layout either way.
+// kernels see the same layout either way. A float32 shard over a float32
+// .kmd file aliases the mapped pages too; float64 files narrow into a
+// private copy on open.
 func (w *Worker) LoadPath(args LoadPathArgs, _ *Ack) error {
 	if w.dataDir == "" {
 		return fmt.Errorf("distkm: worker was not started with a data dir; path loads are disabled")
@@ -221,79 +220,13 @@ func (w *Worker) LoadPath(args LoadPathArgs, _ *Ack) error {
 		return fmt.Errorf("distkm: LoadPath shard %d: no segments", args.Ref.Shard)
 	}
 	if args.Float32 {
-		return w.loadPath32(args)
+		return loadPath(w, args, (*dsio.Reader).Dataset32)
 	}
-	var (
-		readers []io.Closer
-		dim     = -1
-		total   int
-		weight  = false
-	)
-	fail := func(err error) error {
-		for _, r := range readers {
-			_ = r.Close()
-		}
-		return err
-	}
-	parts := make([]*geom.Dataset, len(args.Segs))
-	for i, seg := range args.Segs {
-		if seg.Path == "" || !filepath.IsLocal(seg.Path) {
-			return fail(fmt.Errorf("distkm: LoadPath shard %d: path %q escapes the data dir", args.Ref.Shard, seg.Path))
-		}
-		r, err := dsio.Open(filepath.Join(w.dataDir, seg.Path))
-		if err != nil {
-			return fail(fmt.Errorf("distkm: LoadPath shard %d: %v", args.Ref.Shard, err))
-		}
-		readers = append(readers, r)
-		ds := r.Dataset()
-		if seg.Lo < 0 || seg.Hi > ds.N() || seg.Lo >= seg.Hi {
-			return fail(fmt.Errorf("distkm: LoadPath shard %d: rows [%d,%d) outside %s's %d rows",
-				args.Ref.Shard, seg.Lo, seg.Hi, seg.Path, ds.N()))
-		}
-		if i == 0 {
-			dim, weight = ds.Dim(), ds.Weight != nil
-		} else if ds.Dim() != dim || (ds.Weight != nil) != weight {
-			return fail(fmt.Errorf("distkm: LoadPath shard %d: %s disagrees on dims/weighting", args.Ref.Shard, seg.Path))
-		}
-		view := ds.X.RowRange(seg.Lo, seg.Hi)
-		part := &geom.Dataset{X: &view}
-		if ds.Weight != nil {
-			part.Weight = ds.Weight[seg.Lo:seg.Hi]
-		}
-		parts[i] = part
-		total += seg.Hi - seg.Lo
-	}
-
-	if len(parts) == 1 {
-		w.install(args.Ref, args.Lo, parts[0], readers)
-		return nil
-	}
-	x := geom.NewMatrix(total, dim)
-	var ww []float64
-	if weight {
-		ww = make([]float64, 0, total)
-	}
-	at := 0
-	for _, part := range parts {
-		copy(x.Data[at*dim:], part.X.Data)
-		at += part.N()
-		if weight {
-			ww = append(ww, part.Weight...)
-		}
-	}
-	for _, r := range readers {
-		_ = r.Close() // rows are copied; the mappings can go
-	}
-	w.install(args.Ref, args.Lo, &geom.Dataset{X: x, Weight: ww}, nil)
-	return nil
+	return loadPath(w, args, (*dsio.Reader).Dataset)
 }
 
-// loadPath32 is LoadPath's float32 form. A single-segment shard over a
-// float32 .kmd file aliases the mapped pages directly (Reader.Dataset32 is
-// zero-copy there); float64 files narrow into a private copy on open, and
-// multi-segment shards copy rows into one contiguous matrix, exactly
-// mirroring the float64 path's layout guarantees.
-func (w *Worker) loadPath32(args LoadPathArgs) error {
+// loadPath is LoadPath over storage type T; view opens a reader's rows as T.
+func loadPath[T geom.Float](w *Worker, args LoadPathArgs, view func(*dsio.Reader) *geom.Set[T]) error {
 	var (
 		readers []io.Closer
 		dim     = -1
@@ -306,7 +239,7 @@ func (w *Worker) loadPath32(args LoadPathArgs) error {
 		}
 		return err
 	}
-	parts := make([]*geom.Dataset32, len(args.Segs))
+	parts := make([]*geom.Set[T], len(args.Segs))
 	for i, seg := range args.Segs {
 		if seg.Path == "" || !filepath.IsLocal(seg.Path) {
 			return fail(fmt.Errorf("distkm: LoadPath shard %d: path %q escapes the data dir", args.Ref.Shard, seg.Path))
@@ -316,7 +249,7 @@ func (w *Worker) loadPath32(args LoadPathArgs) error {
 			return fail(fmt.Errorf("distkm: LoadPath shard %d: %v", args.Ref.Shard, err))
 		}
 		readers = append(readers, r)
-		ds := r.Dataset32()
+		ds := view(r)
 		if seg.Lo < 0 || seg.Hi > ds.N() || seg.Lo >= seg.Hi {
 			return fail(fmt.Errorf("distkm: LoadPath shard %d: rows [%d,%d) outside %s's %d rows",
 				args.Ref.Shard, seg.Lo, seg.Hi, seg.Path, ds.N()))
@@ -326,8 +259,8 @@ func (w *Worker) loadPath32(args LoadPathArgs) error {
 		} else if ds.Dim() != dim || (ds.Weight != nil) != weight {
 			return fail(fmt.Errorf("distkm: LoadPath shard %d: %s disagrees on dims/weighting", args.Ref.Shard, seg.Path))
 		}
-		view := ds.X.RowRange(seg.Lo, seg.Hi)
-		part := &geom.Dataset32{X: &view}
+		v := ds.X.RowRange(seg.Lo, seg.Hi)
+		part := &geom.Set[T]{X: &v}
 		if ds.Weight != nil {
 			part.Weight = ds.Weight[seg.Lo:seg.Hi]
 		}
@@ -336,10 +269,10 @@ func (w *Worker) loadPath32(args LoadPathArgs) error {
 	}
 
 	if len(parts) == 1 {
-		w.install32(args.Ref, args.Lo, parts[0], readers)
+		w.install(args.Ref, args.Lo, points[T]{parts[0]}, readers)
 		return nil
 	}
-	x := geom.NewMatrix32(total, dim)
+	x := geom.NewMat[T](total, dim)
 	var ww []float64
 	if weight {
 		ww = make([]float64, 0, total)
@@ -355,7 +288,7 @@ func (w *Worker) loadPath32(args LoadPathArgs) error {
 	for _, r := range readers {
 		_ = r.Close() // rows are copied; the mappings can go
 	}
-	w.install32(args.Ref, args.Lo, &geom.Dataset32{X: x, Weight: ww}, nil)
+	w.install(args.Ref, args.Lo, points[T]{&geom.Set[T]{X: x, Weight: ww}}, nil)
 	return nil
 }
 
@@ -369,7 +302,7 @@ func (w *Worker) Update(args UpdateArgs, reply *CostReply) error {
 		return err
 	}
 	defer w.done(s)
-	centers, err := args.New.checked(s.dim(), 0)
+	centers, err := args.New.checked(s.data.dim(), 0)
 	if err != nil {
 		return err
 	}
@@ -378,13 +311,7 @@ func (w *Worker) Update(args UpdateArgs, reply *CostReply) error {
 			s.d2[i] = math.Inf(1)
 		}
 	}
-	if s.ds32 != nil {
-		// Narrowing the wire float64 recovers the exact float32 candidate
-		// bits (candidates are data points, widened losslessly on Sample).
-		reply.Phi = mrkm.UpdateSpan32(s.ds32, s.pn32, s.d2, 0, s.ds32.N(), geom.ToMatrix32(centers), 0)
-		return nil
-	}
-	reply.Phi = mrkm.UpdateSpan(s.ds, s.d2, 0, s.ds.N(), centers, 0)
+	reply.Phi = s.data.update(s.d2, centers)
 	return nil
 }
 
@@ -397,8 +324,8 @@ func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 		return err
 	}
 	defer w.done(s)
-	pts := geom.NewMatrix(0, s.dim())
-	pts.Cols = s.dim()
+	pts := geom.NewMatrix(0, s.data.dim())
+	pts.Cols = s.data.dim()
 	for i := range s.d2 {
 		if s.d2[i] <= 0 {
 			continue
@@ -406,126 +333,65 @@ func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 		p := args.Ell * s.d2[i] / args.Phi
 		if p >= 1 || rng.PointRand(args.Seed, args.Round, s.lo+i) < p {
 			reply.Indices = append(reply.Indices, s.lo+i)
-			pts.AppendRow(s.point(i)) // float32 rows widen exactly
+			pts.AppendRow(s.data.point(i)) // float32 rows widen exactly
 		}
 	}
 	reply.Points = matOf(pts.Rows, pts.Cols, pts.Data)
 	return nil
 }
 
-// Weights is the Step 7 partial: for each candidate, the total weight of the
-// shard's points whose nearest candidate it is. Accumulation order is point
-// order, matching the mrkm combiner.
-func (w *Worker) Weights(args CentersArgs, reply *WeightsReply) error {
+// centersCall pins the shard for one centers-taking RPC, validates the
+// broadcast centers, and runs call on them.
+func (w *Worker) centersCall(args CentersArgs, call func(s *shard, centers *geom.Matrix)) error {
 	s, err := w.shardByRef(args.Ref)
 	if err != nil {
 		return err
 	}
 	defer w.done(s)
-	centers, err := args.Centers.checked(s.dim(), 1)
+	centers, err := args.Centers.checked(s.data.dim(), 1)
 	if err != nil {
 		return err
 	}
-	if s.ds32 != nil {
-		reply.W = mrkm.WeightSpan32(s.ds32, s.pn32, 0, s.ds32.N(), geom.ToMatrix32(centers))
-		return nil
-	}
-	reply.W = make([]float64, centers.Rows)
-	for i := 0; i < s.ds.N(); i++ {
-		idx, _ := geom.Nearest(s.ds.Point(i), centers)
-		reply.W[idx] += s.ds.W(i)
-	}
+	call(s, centers)
 	return nil
+}
+
+// Weights is the Step 7 partial: for each candidate, the total weight of the
+// shard's points whose nearest candidate it is (mrkm.WeightSpan).
+func (w *Worker) Weights(args CentersArgs, reply *WeightsReply) error {
+	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
+		reply.W = s.data.weights(centers)
+	})
 }
 
 // LloydStep is one Lloyd iteration's map side: per-center Σw·x and Σw over
-// the shard, plus the assignment-cost partial. Centers the shard never
-// assigns to keep all-zero rows; the coordinator's reduction skips them by
-// the zero total weight.
+// the shard, plus the assignment-cost partial (mrkm.LloydSpan). Centers the
+// shard never assigns to keep all-zero rows; the coordinator's reduction
+// skips them by the zero total weight.
 func (w *Worker) LloydStep(args CentersArgs, reply *LloydReply) error {
-	s, err := w.shardByRef(args.Ref)
-	if err != nil {
-		return err
-	}
-	defer w.done(s)
-	centers, err := args.Centers.checked(s.dim(), 1)
-	if err != nil {
-		return err
-	}
-	if s.ds32 != nil {
-		sums, phi := mrkm.LloydSpan32(s.ds32, s.pn32, 0, s.ds32.N(), geom.ToMatrix32(centers))
+	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
+		sums, phi := s.data.lloyd(centers)
 		reply.Sums = matOf(sums.Rows, sums.Cols, sums.Data)
 		reply.Phi = phi
-		return nil
-	}
-	k, d := centers.Rows, centers.Cols
-	sums := geom.NewMatrix(k, d+1)
-	var phi float64
-	for i := 0; i < s.ds.N(); i++ {
-		p := s.ds.Point(i)
-		idx, dist := geom.Nearest(p, centers)
-		ww := s.ds.W(i)
-		row := sums.Row(idx)
-		for j, v := range p {
-			row[j] += ww * v
-		}
-		row[d] += ww
-		phi += ww * dist
-	}
-	reply.Sums = matOf(sums.Rows, sums.Cols, sums.Data)
-	reply.Phi = phi
-	return nil
+	})
 }
 
 // Cost returns the shard's φ partial against an arbitrary center set
-// (the final evaluation pass).
+// (the final evaluation pass, mrkm.CostSpan).
 func (w *Worker) Cost(args CentersArgs, reply *CostReply) error {
-	s, err := w.shardByRef(args.Ref)
-	if err != nil {
-		return err
-	}
-	defer w.done(s)
-	centers, err := args.Centers.checked(s.dim(), 1)
-	if err != nil {
-		return err
-	}
-	if s.ds32 != nil {
-		reply.Phi = mrkm.CostSpan32(s.ds32, s.pn32, 0, s.ds32.N(), geom.ToMatrix32(centers))
-		return nil
-	}
-	var part float64
-	for i := 0; i < s.ds.N(); i++ {
-		_, dist := geom.Nearest(s.ds.Point(i), centers)
-		part += s.ds.W(i) * dist
-	}
-	reply.Phi = part
-	return nil
+	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
+		reply.Phi = s.data.cost(centers)
+	})
 }
 
 // Assign returns the shard's nearest-center assignment (shard order) and its
-// cost partial — the final pass a fit uses to report per-point clusters.
+// cost partial — the final pass a fit uses to report per-point clusters
+// (mrkm.AssignSpan).
 func (w *Worker) Assign(args CentersArgs, reply *AssignReply) error {
-	s, err := w.shardByRef(args.Ref)
-	if err != nil {
-		return err
-	}
-	defer w.done(s)
-	centers, err := args.Centers.checked(s.dim(), 1)
-	if err != nil {
-		return err
-	}
-	if s.ds32 != nil {
-		reply.Assign = make([]int32, s.ds32.N())
-		reply.Phi = mrkm.AssignSpan32(s.ds32, s.pn32, 0, s.ds32.N(), geom.ToMatrix32(centers), reply.Assign)
-		return nil
-	}
-	reply.Assign = make([]int32, s.ds.N())
-	for i := 0; i < s.ds.N(); i++ {
-		idx, dist := geom.Nearest(s.ds.Point(i), centers)
-		reply.Assign[i] = int32(idx)
-		reply.Phi += s.ds.W(i) * dist
-	}
-	return nil
+	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
+		reply.Assign = make([]int32, s.data.n())
+		reply.Phi = s.data.assign(centers, reply.Assign)
+	})
 }
 
 // Fetch returns the point with the given global index (Step 1's first
@@ -537,10 +403,10 @@ func (w *Worker) Fetch(args FetchArgs, reply *FetchReply) error {
 	}
 	defer w.done(s)
 	i := args.Index - s.lo
-	if i < 0 || i >= s.n() {
+	if i < 0 || i >= s.data.n() {
 		return fmt.Errorf("distkm: shard %d does not own global index %d", args.Ref.Shard, args.Index)
 	}
-	reply.Point = append([]float64(nil), s.point(i)...)
+	reply.Point = s.data.point(i)
 	return nil
 }
 
@@ -631,7 +497,7 @@ func (w *Worker) Status(_ Ack, reply *StatusReply) error {
 	reply.Shards = len(w.shards)
 	//kmlint:ignore determinism status totals are order-insensitive sums of ints
 	for _, s := range w.shards {
-		reply.Points += s.n()
+		reply.Points += s.data.n()
 	}
 	return nil
 }

@@ -39,7 +39,7 @@ func TestFloat32RoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds64 := testDataset(t, tc.n, tc.dim, tc.weighted, 7)
-			ds32 := geom.ToDataset32(ds64)
+			ds32 := geom.ConvertSet[float32](ds64)
 			path := filepath.Join(t.TempDir(), "a32.kmd")
 			if err := Save32(path, ds32); err != nil {
 				t.Fatalf("Save32: %v", err)
@@ -70,7 +70,7 @@ func TestFloat32RoundTrip(t *testing.T) {
 			}
 			// The widened view must hold exactly the widened stored values.
 			got64 := r.Dataset()
-			want64 := ds32.ToDataset()
+			want64 := geom.WidenSet(ds32)
 			if !bitsEqual(got64.X.Data, want64.X.Data) {
 				t.Fatal("float64 view of a float32 file is not the exact widening")
 			}
@@ -109,7 +109,7 @@ func TestFloat32StreamingWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := filepath.Join(dir, "v.kmd")
-	if err := Save32(saved, geom.ToDataset32(ds)); err != nil {
+	if err := Save32(saved, geom.ConvertSet[float32](ds)); err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(streamed)
@@ -133,7 +133,7 @@ func TestFloat32ZeroCopy(t *testing.T) {
 		t.Skip("no zero-copy on this platform")
 	}
 	path := filepath.Join(t.TempDir(), "z.kmd")
-	ds32 := geom.ToDataset32(testDataset(t, 65, 9, true, 11))
+	ds32 := geom.ConvertSet[float32](testDataset(t, 65, 9, true, 11))
 	if err := Save32(path, ds32); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFloat32ZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r64.Close()
-	want := geom.ToMatrix32(ds64.X)
+	want := geom.Convert[float32](ds64.X)
 	if !bits32Equal(r64.Dataset32().X.Data, want.Data) {
 		t.Fatal("Dataset32 of a float64 file is not the exact narrowing")
 	}
@@ -197,7 +197,7 @@ func TestFloat32HeaderCompat(t *testing.T) {
 // checks Decode and Verify both notice.
 func TestFloat32CorruptionRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.kmd")
-	if err := Save32(path, geom.ToDataset32(testDataset(t, 31, 4, false, 9))); err != nil {
+	if err := Save32(path, geom.ConvertSet[float32](testDataset(t, 31, 4, false, 9))); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -36,7 +36,7 @@ func validFile32(tb testing.TB, weighted bool) []byte {
 		ds.Weight = []float64{1, 2, 3}
 	}
 	path := filepath.Join(tb.TempDir(), "seed32.kmd")
-	if err := Save32(path, geom.ToDataset32(ds)); err != nil {
+	if err := Save32(path, geom.ConvertSet[float32](ds)); err != nil {
 		tb.Fatal(err)
 	}
 	buf, err := os.ReadFile(path)
@@ -102,7 +102,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		path := filepath.Join(t.TempDir(), "rt.kmd")
 		if in.Float32 {
-			err = Save32(path, geom.ToDataset32(ds))
+			err = Save32(path, geom.ConvertSet[float32](ds))
 		} else {
 			err = Save(path, ds)
 		}

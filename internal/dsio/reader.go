@@ -28,9 +28,9 @@ var nativeLittle = func() bool {
 // narrowing for a float64 one — the same rounding CreateFloat32 applies).
 type Reader struct {
 	info     Info
-	ds       *geom.Dataset   // float64 view; lazy for float32 files
-	ds32     *geom.Dataset32 // float32 view; lazy for float64 files
-	mapped   []byte          // non-nil ⇒ munmap on Close
+	ds       *geom.Dataset      // float64 view; lazy for float32 files
+	ds32     *geom.Set[float32] // float32 view; lazy for float64 files
+	mapped   []byte             // non-nil ⇒ munmap on Close
 	zeroCopy bool
 	closed   bool
 	trackID  uint64 // key in the process-wide mapping tracker (track.go)
@@ -112,7 +112,7 @@ func Open(path string) (*Reader, error) {
 	r := &Reader{info: in}
 	if in.Rows == 0 {
 		if in.Float32 {
-			r.ds32 = &geom.Dataset32{X: &geom.Matrix32{Rows: 0, Cols: in.Cols}}
+			r.ds32 = &geom.Set[float32]{X: &geom.Mat[float32]{Rows: 0, Cols: in.Cols}}
 		} else {
 			r.ds = &geom.Dataset{X: &geom.Matrix{Rows: 0, Cols: in.Cols}}
 		}
@@ -127,7 +127,7 @@ func Open(path string) (*Reader, error) {
 			switch {
 			case in.Float32 && uintptr(unsafe.Pointer(&body[0]))%4 == 0:
 				pts := unsafe.Slice((*float32)(unsafe.Pointer(&body[0])), vals)
-				ds32 := &geom.Dataset32{X: &geom.Matrix32{Rows: in.Rows, Cols: in.Cols, Data: pts[:vals:vals]}}
+				ds32 := &geom.Set[float32]{X: &geom.Mat[float32]{Rows: in.Rows, Cols: in.Cols, Data: pts[:vals:vals]}}
 				if in.Weighted {
 					// After an odd float32 payload the weight section is only
 					// 4-byte aligned, so it cannot be aliased as []float64;
@@ -162,9 +162,9 @@ func Open(path string) (*Reader, error) {
 	}
 	ptsEnd := int(in.elemSize()) * vals
 	if in.Float32 {
-		x := geom.NewMatrix32(in.Rows, in.Cols)
+		x := geom.NewMat[float32](in.Rows, in.Cols)
 		decodeFloats32(body[:ptsEnd], x.Data)
-		ds32 := &geom.Dataset32{X: x}
+		ds32 := &geom.Set[float32]{X: x}
 		if in.Weighted {
 			ds32.Weight = make([]float64, in.Rows)
 			decodeFloats(body[ptsEnd:], ds32.Weight)
@@ -201,7 +201,7 @@ func (r *Reader) Info() Info { return r.info }
 // consume any .kmd file.
 func (r *Reader) Dataset() *geom.Dataset {
 	if r.ds == nil && r.ds32 != nil {
-		r.ds = r.ds32.ToDataset()
+		r.ds = geom.WidenSet(r.ds32)
 	}
 	return r.ds
 }
@@ -211,9 +211,9 @@ func (r *Reader) Dataset() *geom.Dataset {
 // valid only until Close (weights are always a private copy). For a float64
 // file it is a lazily built private copy with every point narrowed, exactly
 // as CreateFloat32 would have rounded it on disk.
-func (r *Reader) Dataset32() *geom.Dataset32 {
+func (r *Reader) Dataset32() *geom.Set[float32] {
 	if r.ds32 == nil && r.ds != nil {
-		r.ds32 = geom.ToDataset32(r.ds)
+		r.ds32 = geom.ConvertSet[float32](r.ds)
 	}
 	return r.ds32
 }
@@ -311,7 +311,7 @@ func Save(path string, ds *geom.Dataset) error {
 // Save32 writes ds to path as a float32-payload file, the one-call
 // counterpart of CreateFloat32. Point values round-trip exactly (float32 →
 // float64 → float32 is the identity); weights are stored as float64.
-func Save32(path string, ds *geom.Dataset32) error {
+func Save32(path string, ds *geom.Set[float32]) error {
 	w, err := CreateFloat32(path, ds.Dim())
 	if err != nil {
 		return err

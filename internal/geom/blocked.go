@@ -3,7 +3,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -100,39 +99,22 @@ func UseBlocked(k, d int) bool {
 // state callers (serving) obtain one from the pool per batch and release it,
 // so no per-batch allocations happen once the pool is warm. A Scratch is not
 // safe for concurrent use; parallel scans take one per worker.
-type Scratch struct {
-	pn     []float64 // point-tile squared norms
-	gather []float64 // contiguous copy of a point tile (slice-of-rows inputs)
-	d2     []float64 // tile nearest distances (slice-of-rows inputs)
-	idx    []int32   // tile nearest indices (slice-of-rows inputs)
+type Scratch[T Float] struct {
+	pn     []T     // point-tile squared norms
+	gather []T     // contiguous copy of a point tile (slice-of-rows inputs)
+	d2     []T     // tile nearest distances
+	idx    []int32 // tile nearest indices
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-// GetScratch returns a Scratch from the shared pool.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+// GetScratch returns a Scratch from the shared pool of storage type T.
+func GetScratch[T Float]() *Scratch[T] { return kernelsFor[T]().pool.Get().(*Scratch[T]) }
 
 // Release returns the Scratch to the pool. The caller must not use it after.
-func (s *Scratch) Release() { scratchPool.Put(s) }
+func (s *Scratch[T]) Release() { kernelsFor[T]().pool.Put(s) }
 
-// TileBuffers returns pooled index/distance buffers of length n for callers
-// that consume NearestBlocked results tile by tile. The buffers alias the
-// scratch storage NearestBlockedRows uses internally, so a caller must not
-// mix the two on one Scratch.
-func (s *Scratch) TileBuffers(n int) ([]int32, []float64) {
-	return growI32(&s.idx, n), growF64(&s.d2, n)
-}
-
-func growF64(buf *[]float64, n int) []float64 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
-}
-
-func growI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -140,10 +122,11 @@ func growI32(buf *[]int32, n int) []int32 {
 // RowSqNorms returns ‖row‖² for every row of m, reusing dst when it has
 // capacity. Consumers compute center norms once per round/iteration and pass
 // them to the blocked kernels.
-func RowSqNorms(m *Matrix, dst []float64) []float64 {
-	dst = growF64(&dst, m.Rows)
+func RowSqNorms[T Float](m *Mat[T], dst []T) []T {
+	sqNorm := kernelsFor[T]().sqNorm
+	dst = grow(&dst, m.Rows)
 	for i := 0; i < m.Rows; i++ {
-		dst[i] = SqNorm(m.Row(i))
+		dst[i] = sqNorm(m.Row(i))
 	}
 	return dst
 }
@@ -153,7 +136,7 @@ func RowSqNorms(m *Matrix, dst []float64) []float64 {
 // when idx is non-nil; pass nil when only distances are needed). cNorms must
 // be RowSqNorms(centers, ...). Ties go to the lowest center index. sc
 // provides the tile buffers; pass a pooled Scratch to avoid allocation.
-func NearestBlocked(pts, centers *Matrix, cNorms []float64, idx []int32, d2 []float64, sc *Scratch) {
+func NearestBlocked[T Float](pts, centers *Mat[T], cNorms []T, idx []int32, d2 []T, sc *Scratch[T]) {
 	n, d, k := pts.Rows, pts.Cols, centers.Rows
 	if k == 0 {
 		panic("geom: NearestBlocked with no centers")
@@ -167,44 +150,43 @@ func NearestBlocked(pts, centers *Matrix, cNorms []float64, idx []int32, d2 []fl
 	if len(d2) < n || (idx != nil && len(idx) < n) {
 		panic("geom: NearestBlocked output shorter than points")
 	}
+	kt := kernelsFor[T]()
 	for lo := 0; lo < n; lo += tilePoints {
-		hi := lo + tilePoints
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+tilePoints, n)
 		var idxTile []int32
 		if idx != nil {
 			idxTile = idx[lo:hi]
 		}
-		nearestTile(pts, lo, hi, centers, cNorms, idxTile, d2[lo:hi], sc)
+		nearestTile(kt, pts, lo, hi, centers, cNorms, idxTile, d2[lo:hi], sc)
 	}
 }
 
-// NearestBlockedRows is NearestBlocked for points held as one slice per row
-// (the public API's representation). Each tile is gathered into contiguous
-// scratch storage first, so the inner kernels run at full speed; out[i]
-// receives the nearest-center index of points[i].
-func NearestBlockedRows(points [][]float64, centers *Matrix, cNorms []float64, out []int, sc *Scratch) {
-	d := centers.Cols
-	n := len(points)
-	for lo := 0; lo < n; lo += tilePoints {
-		hi := lo + tilePoints
-		if hi > n {
-			hi = n
-		}
+// NearestBlockedRows is NearestBlocked for float64 points held as one slice
+// per row (the public API's representation). Each tile is gathered into
+// contiguous scratch storage of type T first (one rounding per coordinate
+// for float32, amortized over the k-center scan), so the inner kernels run
+// at full speed; out[i] receives the nearest-center index of points[i].
+func NearestBlockedRows[T Float](points [][]float64, centers *Mat[T], cNorms []T, out []int, sc *Scratch[T]) {
+	kt := kernelsFor[T]()
+	for lo := 0; lo < len(points); lo += tilePoints {
+		hi := min(lo+tilePoints, len(points))
 		m := hi - lo
-		g := growF64(&sc.gather, m*d)
-		for i := 0; i < m; i++ {
-			copy(g[i*d:(i+1)*d], points[lo+i])
-		}
-		view := Matrix{Rows: m, Cols: d, Data: g}
-		tIdx := growI32(&sc.idx, m)
-		tD2 := growF64(&sc.d2, m)
-		nearestTile(&view, 0, m, centers, cNorms, tIdx, tD2, sc)
+		view := gatherRows(kt, points[lo:hi], centers.Cols, sc)
+		tIdx := grow(&sc.idx, m)
+		nearestTile(kt, &view, 0, m, centers, cNorms, tIdx, grow(&sc.d2, m), sc)
 		for i := 0; i < m; i++ {
 			out[lo+i] = int(tIdx[i])
 		}
 	}
+}
+
+// gatherRows copies rows into sc's contiguous gather buffer as T.
+func gatherRows[T Float](kt *kernels[T], rows [][]float64, d int, sc *Scratch[T]) Mat[T] {
+	g := grow(&sc.gather, len(rows)*d)
+	for i, p := range rows {
+		kt.convert(g[i*d:(i+1)*d], p)
+	}
+	return Mat[T]{Rows: len(rows), Cols: d, Data: g}
 }
 
 // VisitNearest runs the blocked nearest-center search over rows [lo, hi) of
@@ -212,19 +194,17 @@ func NearestBlockedRows(points [][]float64, centers *Matrix, cNorms []float64, o
 // ascending order — the building block consumers tile their fused scan
 // passes on (Lloyd assignment+accumulate, k-means|| round updates and
 // Step 7), keeping each point tile cache-resident while it is consumed.
-// When withIdx is false the index argument is always 0 and per-tile index
-// tracking is skipped. Tile buffers come from sc's pool (TileBuffers), so
-// the caller must not also use TileBuffers or NearestBlockedRows on sc.
-func VisitNearest(pts, centers *Matrix, cNorms []float64, lo, hi int, sc *Scratch, withIdx bool, visit func(i int, idx int32, d2 float64)) {
-	idxT, d2T := sc.TileBuffers(tilePoints)
+// The distance is widened to float64 for the visitor, so downstream sums
+// accumulate in double precision. When withIdx is false the index argument
+// is always 0 and per-tile index tracking is skipped. Tile buffers come from
+// sc, so the caller must not also use NearestBlockedRows on sc.
+func VisitNearest[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, sc *Scratch[T], withIdx bool, visit func(i int, idx int32, d2 float64)) {
+	idxT, d2T := grow(&sc.idx, tilePoints), grow(&sc.d2, tilePoints)
 	if !withIdx {
 		idxT = nil
 	}
 	for tLo := lo; tLo < hi; tLo += tilePoints {
-		tHi := tLo + tilePoints
-		if tHi > hi {
-			tHi = hi
-		}
+		tHi := min(tLo+tilePoints, hi)
 		view := pts.RowRange(tLo, tHi)
 		NearestBlocked(&view, centers, cNorms, idxT, d2T, sc)
 		for i := tLo; i < tHi; i++ {
@@ -232,32 +212,56 @@ func VisitNearest(pts, centers *Matrix, cNorms []float64, lo, hi int, sc *Scratc
 			if idxT != nil {
 				ix = idxT[i-tLo]
 			}
-			visit(i, ix, d2T[i-tLo])
+			visit(i, ix, float64(d2T[i-tLo]))
 		}
+	}
+}
+
+// ScanBlocked reports whether an assignment scan of k centers in d
+// dimensions over T storage runs on the blocked engine: above UseBlocked's
+// crossover, and always where T has no exact scalar kernel (float32), whose
+// blocked kernels are the arithmetic its tolerance contract is stated
+// against.
+func ScanBlocked[T Float](k, d int) bool {
+	return UseBlocked(k, d) || !kernelsFor[T]().exact
+}
+
+// VisitAssign is the assignment scan of the Lloyd family: VisitNearest when
+// blocked is set or T has no exact scalar kernel, and otherwise the exact
+// early-exit scan (NearestPair) per row. The visitor contract is
+// VisitNearest's; idx is always reported.
+func VisitAssign[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bool, visit func(i int, idx int32, d2 float64)) {
+	if blocked || !kernelsFor[T]().exact {
+		sc := GetScratch[T]()
+		VisitNearest(pts, centers, cNorms, lo, hi, sc, true, visit)
+		sc.Release()
+		return
+	}
+	for i := lo; i < hi; i++ {
+		idx, d2 := NearestPair(pts.Row(i), centers, cNorms)
+		visit(i, int32(idx), d2)
 	}
 }
 
 // nearestTile runs the blocked nearest-center search for point rows
 // [pLo, pHi) of pts. idxTile (optional) and d2Tile are tile-local views
 // (length pHi−pLo).
-func nearestTile(pts *Matrix, pLo, pHi int, centers *Matrix, cNorms []float64, idxTile []int32, d2Tile []float64, sc *Scratch) {
+func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Mat[T], cNorms []T, idxTile []int32, d2Tile []T, sc *Scratch[T]) {
 	m := pHi - pLo
 	k := centers.Rows
-	pn := growF64(&sc.pn, m)
+	pn := grow(&sc.pn, m)
 	for i := 0; i < m; i++ {
-		pn[i] = SqNorm(pts.Row(pLo + i))
+		pn[i] = kt.sqNorm(pts.Row(pLo + i))
 	}
+	inf := T(math.Inf(1))
 	for i := 0; i < m; i++ {
-		d2Tile[i] = math.Inf(1)
+		d2Tile[i] = inf
 		if idxTile != nil {
 			idxTile[i] = 0
 		}
 	}
 	for cLo := 0; cLo < k; cLo += tileCenters {
-		cHi := cLo + tileCenters
-		if cHi > k {
-			cHi = k
-		}
+		cHi := min(cLo+tileCenters, k)
 		// Two points at a time against the center tile.
 		i := 0
 		for ; i+2 <= m; i += 2 {
@@ -270,7 +274,7 @@ func nearestTile(pts *Matrix, pLo, pHi int, centers *Matrix, cNorms []float64, i
 			}
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
-				a0, a1, a2, a3, b0, b1, b2, b3 := dot2x4(pa, pb,
+				a0, a1, a2, a3, b0, b1, b2, b3 := kt.dot2x4(pa, pb,
 					centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
 				n0, n1, n2, n3 := cNorms[c], cNorms[c+1], cNorms[c+2], cNorms[c+3]
 				if v := clamp0(na + n0 - 2*a0); v < ba {
@@ -299,8 +303,7 @@ func nearestTile(pts *Matrix, pLo, pHi int, centers *Matrix, cNorms []float64, i
 				}
 			}
 			for ; c < cHi; c++ {
-				row := centers.Row(c)
-				da, db := dot2x1(pa, pb, row)
+				da, db := kt.dot2x1(pa, pb, centers.Row(c))
 				if v := clamp0(na + cNorms[c] - 2*da); v < ba {
 					ba, ia = v, int32(c)
 				}
@@ -323,7 +326,7 @@ func nearestTile(pts *Matrix, pLo, pHi int, centers *Matrix, cNorms []float64, i
 			}
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
-				a0, a1, a2, a3 := dot1x4(p,
+				a0, a1, a2, a3 := kt.dot1x4(p,
 					centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
 				if v := clamp0(np + cNorms[c] - 2*a0); v < best {
 					best, bi = v, int32(c)
@@ -339,8 +342,7 @@ func nearestTile(pts *Matrix, pLo, pHi int, centers *Matrix, cNorms []float64, i
 				}
 			}
 			for ; c < cHi; c++ {
-				da := dot1(p, centers.Row(c))
-				if v := clamp0(np + cNorms[c] - 2*da); v < best {
+				if v := clamp0(np + cNorms[c] - 2*kt.dot1(p, centers.Row(c))); v < best {
 					best, bi = v, int32(c)
 				}
 			}
@@ -357,7 +359,7 @@ func nearestTile(pts *Matrix, pLo, pHi int, centers *Matrix, cNorms []float64, i
 // the same norm-expansion kernels as NearestBlocked. pNorms/cNorms may be
 // nil, in which case they are computed internally (allocating); pass cached
 // norms on hot paths. out must have length ≥ pts.Rows*centers.Rows.
-func PairwiseSqDist(pts, centers *Matrix, pNorms, cNorms, out []float64) {
+func PairwiseSqDist[T Float](pts, centers *Mat[T], pNorms, cNorms, out []T) {
 	n, d, k := pts.Rows, pts.Cols, centers.Rows
 	if centers.Cols != d {
 		panic(fmt.Sprintf("geom: PairwiseSqDist dim mismatch: points %d, centers %d", d, centers.Cols))
@@ -371,64 +373,136 @@ func PairwiseSqDist(pts, centers *Matrix, pNorms, cNorms, out []float64) {
 	if cNorms == nil {
 		cNorms = RowSqNorms(centers, nil)
 	}
+	kt := kernelsFor[T]()
 	for i := 0; i < n; i++ {
-		p := pts.Row(i)
-		np := pNorms[i]
-		row := out[i*k : (i+1)*k]
-		c := 0
-		for ; c+4 <= k; c += 4 {
-			a0, a1, a2, a3 := dot1x4(p,
-				centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
-			row[c] = clamp0(np + cNorms[c] - 2*a0)
-			row[c+1] = clamp0(np + cNorms[c+1] - 2*a1)
-			row[c+2] = clamp0(np + cNorms[c+2] - 2*a2)
-			row[c+3] = clamp0(np + cNorms[c+3] - 2*a3)
-		}
-		for ; c < k; c++ {
-			row[c] = clamp0(np + cNorms[c] - 2*dot1(p, centers.Row(c)))
-		}
+		expandRow(kt, pts.Row(i), pNorms[i], centers, cNorms, out[i*k:(i+1)*k])
 	}
 }
 
-// PairwiseSqDistRows is PairwiseSqDist for points held as one slice per row,
-// gathered tile-wise through sc (like NearestBlockedRows): out[i*k+j]
-// receives d²(points[i], center j). The batch feature-transform path uses it
-// to fill a whole distance block with the norm-expansion kernels.
-func PairwiseSqDistRows(points [][]float64, centers *Matrix, cNorms []float64, out []float64, sc *Scratch) {
-	d, k := centers.Cols, centers.Rows
-	n := len(points)
-	if len(out) < n*k {
+// PairwiseSqDistRows is PairwiseSqDist for float64 points held as one slice
+// per row, gathered tile-wise through sc (like NearestBlockedRows):
+// out[i*k+j] receives d²(points[i], center j). The batch feature-transform
+// path uses it to fill a whole distance block with the norm-expansion
+// kernels.
+func PairwiseSqDistRows[T Float](points [][]float64, centers *Mat[T], cNorms []T, out []T, sc *Scratch[T]) {
+	k := centers.Rows
+	if len(out) < len(points)*k {
 		panic("geom: PairwiseSqDistRows output too short")
 	}
-	for lo := 0; lo < n; lo += tilePoints {
-		hi := lo + tilePoints
-		if hi > n {
-			hi = n
-		}
-		m := hi - lo
-		g := growF64(&sc.gather, m*d)
-		for i := 0; i < m; i++ {
-			copy(g[i*d:(i+1)*d], points[lo+i])
-		}
-		view := Matrix{Rows: m, Cols: d, Data: g}
-		pn := RowSqNorms(&view, growF64(&sc.pn, m))
+	kt := kernelsFor[T]()
+	for lo := 0; lo < len(points); lo += tilePoints {
+		hi := min(lo+tilePoints, len(points))
+		view := gatherRows(kt, points[lo:hi], centers.Cols, sc)
+		pn := RowSqNorms(&view, grow(&sc.pn, hi-lo))
 		PairwiseSqDist(&view, centers, pn, cNorms, out[lo*k:hi*k])
 	}
 }
 
-// SqDistNorm returns d²(a, b) via the norm expansion given precomputed
-// ‖a‖² and ‖b‖². With both norms cached this is 2 flops per coordinate
-// against SqDist's 3; k-means++'s incremental D² update caches the point
-// norms once and the new center's norm per draw.
-//
-// Like all expansion kernels, its absolute error scales with the norms, not
-// the distance: for data offset far from the origin (coordinates ≫ 1e6 with
-// unit-scale separations) prefer SqDist, or pin KernelNaive.
-func SqDistNorm(a, b []float64, an, bn float64) float64 {
-	return clamp0(an + bn - 2*dotWide(a, b))
+// expandRow is one row of PairwiseSqDist: the norm-expansion distance from
+// p (squared norm np) to every center, four centers per dot-kernel call
+// and the tail one at a time — the same per-pair values NearestBlocked
+// computes, since a center tile's 4-groups align with the row's.
+func expandRow[T Float](kt *kernels[T], p []T, np T, centers *Mat[T], cNorms []T, row []T) {
+	k := centers.Rows
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		a0, a1, a2, a3 := kt.dot1x4(p,
+			centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
+		row[c] = clamp0(np + cNorms[c] - 2*a0)
+		row[c+1] = clamp0(np + cNorms[c+1] - 2*a1)
+		row[c+2] = clamp0(np + cNorms[c+2] - 2*a2)
+		row[c+3] = clamp0(np + cNorms[c+3] - 2*a3)
+	}
+	for ; c < k; c++ {
+		row[c] = clamp0(np + cNorms[c] - 2*kt.dot1(p, centers.Row(c)))
+	}
 }
 
-func clamp0(v float64) float64 {
+// SqDistRow fills out[c] with the squared distance from point p (with
+// cached squared norm pn) to every row of centers, for callers that stream
+// points through their own loop structure (the bounded Lloyd variants' full
+// scans). float64 computes the exact (a−b)² sums; float32 runs the tier's
+// 1×4 expansion kernels, matching PairwiseSqDist and NearestBlocked bit for
+// bit.
+func SqDistRow[T Float](p []T, pn T, centers *Mat[T], cNorms []T, out []T) {
+	if len(out) < centers.Rows {
+		panic("geom: SqDistRow output too short")
+	}
+	kernelsFor[T]().row(p, pn, centers, cNorms, out)
+}
+
+// SqDistPair returns the scalar squared distance of one (point, center)
+// pair with cached squared norms an and bn: the exact (a−b)² sum for
+// float64 (the norms are unused), the norm expansion for float32.
+func SqDistPair[T Float](a, b []T, an, bn T) float64 {
+	return kernelsFor[T]().pair(a, b, an, bn)
+}
+
+// pairNorm returns the squared norm of p the pair kernels take: ‖p‖² where
+// they expand, 0 where they are the exact sums and ignore norms.
+func (kt *kernels[T]) pairNorm(p []T) T {
+	if kt.exact {
+		return 0
+	}
+	return kt.sqNorm(p)
+}
+
+// NearestPair returns the index of the row of centers closest to p and the
+// squared distance to it, scanning one pair at a time with SqDistPair's
+// arithmetic (for float64: exactly Nearest, early exit included). Ties go
+// to the lowest index. centers must have at least one row; cNorms are its
+// cached squared norms.
+func NearestPair[T Float](p []T, centers *Mat[T], cNorms []T) (int, float64) {
+	if centers.Rows == 0 {
+		panic("geom: NearestPair with no centers")
+	}
+	kt := kernelsFor[T]()
+	pn := kt.pairNorm(p)
+	best := 0
+	bestD := kt.pair(p, centers.Row(0), pn, cNorms[0])
+	for c := 1; c < centers.Rows; c++ {
+		if d := kt.pairBound(p, centers.Row(c), pn, cNorms[c], bestD); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best, bestD
+}
+
+// FoldPair folds centers into a point's weighted D² cache entry d2 (weight
+// w, +Inf before any center), one pair at a time with SqDistPair's
+// arithmetic: the scalar form of a k-means|| round update, for rounds below
+// the blocked crossover. An entry already at 0 stays 0.
+func FoldPair[T Float](p []T, w, d2 float64, centers *Mat[T], cNorms []T) float64 {
+	if !(d2 > 0) {
+		return d2
+	}
+	kt := kernelsFor[T]()
+	pn := kt.pairNorm(p)
+	best := d2
+	if !math.IsInf(best, 1) {
+		best /= w
+	}
+	for c := 0; c < centers.Rows; c++ {
+		if nd := kt.pairBound(p, centers.Row(c), pn, cNorms[c], best); nd < best {
+			best = nd
+		}
+	}
+	return w * best
+}
+
+// SqDistNorm returns d²(a, b) via the norm expansion given precomputed
+// ‖a‖² and ‖b‖², taken in T and widened. With both norms cached this is 2
+// flops per coordinate against SqDist's 3; k-means++'s incremental D²
+// update caches the point norms once and the new center's norm per draw.
+//
+// Like all expansion kernels, its absolute error scales with the norms, not
+// the distance: for data offset far from the origin (coordinates ≫ 1e6
+// with unit-scale separations) prefer SqDist, or pin KernelNaive.
+func SqDistNorm[T Float](a, b []T, an, bn T) float64 {
+	return clamp0(float64(an) + float64(bn) - 2*float64(dotWide(a, b)))
+}
+
+func clamp0[T Float](v T) T {
 	if v < 0 {
 		return 0
 	}
@@ -436,20 +510,21 @@ func clamp0(v float64) float64 {
 }
 
 // dot2x4 computes the 8 inner products of points {a, b} against centers
-// {c0..c3}. Each product is accumulated strictly sequentially in coordinate
-// order (one accumulator per pair), so its value is bit-identical to dot1/
-// dot2x1/dot1x4 for the same operands; the 8 independent chains exist only
-// for instruction-level parallelism.
-func dot2x4(a, b, c0, c1, c2, c3 []float64) (a0, a1, a2, a3, b0, b1, b2, b3 float64) {
+// {c0..c3}. The slices are re-sliced to a common length up front so the
+// loop body carries no bounds checks; each product is accumulated strictly
+// sequentially in coordinate order (one accumulator per pair), so its value
+// is bit-identical to dot1/dot2x1/dot1x4 for the same operands; the 8
+// independent chains exist only for instruction-level parallelism.
+func dot2x4[T Float](a, b, c0, c1, c2, c3 []T) (a0, a1, a2, a3, b0, b1, b2, b3 T) {
 	d := len(a)
 	if d == 0 {
 		return
 	}
-	_ = b[d-1]
-	_ = c0[d-1]
-	_ = c1[d-1]
-	_ = c2[d-1]
-	_ = c3[d-1]
+	b = b[:d]
+	c0 = c0[:d]
+	c1 = c1[:d]
+	c2 = c2[:d]
+	c3 = c3[:d]
 	for i := 0; i < d; i++ {
 		av, bv := a[i], b[i]
 		w0, w1, w2, w3 := c0[i], c1[i], c2[i], c3[i]
@@ -466,15 +541,15 @@ func dot2x4(a, b, c0, c1, c2, c3 []float64) (a0, a1, a2, a3, b0, b1, b2, b3 floa
 }
 
 // dot1x4 is dot2x4 for a single point.
-func dot1x4(a, c0, c1, c2, c3 []float64) (a0, a1, a2, a3 float64) {
+func dot1x4[T Float](a, c0, c1, c2, c3 []T) (a0, a1, a2, a3 T) {
 	d := len(a)
 	if d == 0 {
 		return
 	}
-	_ = c0[d-1]
-	_ = c1[d-1]
-	_ = c2[d-1]
-	_ = c3[d-1]
+	c0 = c0[:d]
+	c1 = c1[:d]
+	c2 = c2[:d]
+	c3 = c3[:d]
 	for i := 0; i < d; i++ {
 		av := a[i]
 		a0 += av * c0[i]
@@ -485,14 +560,14 @@ func dot1x4(a, c0, c1, c2, c3 []float64) (a0, a1, a2, a3 float64) {
 	return
 }
 
-// dot2x1 computes ⟨a,c⟩ and ⟨b,c⟩ with the same per-pair ordering.
-func dot2x1(a, b, c []float64) (da, db float64) {
+// dot2x1 computes ⟨a,c⟩ and ⟨b,c⟩ with the same per-pair sequential order.
+func dot2x1[T Float](a, b, c []T) (da, db T) {
 	d := len(a)
 	if d == 0 {
 		return
 	}
-	_ = b[d-1]
-	_ = c[d-1]
+	b = b[:d]
+	c = c[:d]
 	for i := 0; i < d; i++ {
 		w := c[i]
 		da += a[i] * w
@@ -501,25 +576,53 @@ func dot2x1(a, b, c []float64) (da, db float64) {
 	return
 }
 
-// dot1 is the scalar tail kernel, per-pair order identical to the blocked
-// variants.
-func dot1(a, b []float64) (s float64) {
+// dot1 is the sequential single-pair tail kernel.
+func dot1[T Float](a, b []T) (s T) {
 	d := len(a)
 	if d == 0 {
 		return
 	}
-	_ = b[d-1]
+	b = b[:d]
 	for i := 0; i < d; i++ {
 		s += a[i] * b[i]
 	}
 	return
 }
 
-// dotWide is a 4-accumulator unrolled dot product for single-pair call sites
-// (SqDistNorm); faster than dot1's single chain, with its own fixed
-// summation order.
-func dotWide(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
+// dot2x1Wide computes ⟨a,c⟩ and ⟨b,c⟩ with dotWide's 4-accumulator order,
+// so a center-tail inner product has one fixed value whether the point is
+// processed in a 2-point pair or as the odd tail of a tile.
+func dot2x1Wide[T Float](a, b, c []T) (da, db T) {
+	d := len(a)
+	if d == 0 {
+		return
+	}
+	b = b[:d]
+	c = c[:d]
+	var a0, a1, a2, a3, b0, b1, b2, b3 T
+	i := 0
+	for ; i+4 <= d; i += 4 {
+		w0, w1, w2, w3 := c[i], c[i+1], c[i+2], c[i+3]
+		a0 += a[i] * w0
+		a1 += a[i+1] * w1
+		a2 += a[i+2] * w2
+		a3 += a[i+3] * w3
+		b0 += b[i] * w0
+		b1 += b[i+1] * w1
+		b2 += b[i+2] * w2
+		b3 += b[i+3] * w3
+	}
+	for ; i < d; i++ {
+		a0 += a[i] * c[i]
+		b0 += b[i] * c[i]
+	}
+	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
+}
+
+// dotWide is a 4-accumulator unrolled dot product with its own fixed
+// summation order: SqDistNorm's kernel, and float32's tail kernel.
+func dotWide[T Float](a, b []T) T {
+	var s0, s1, s2, s3 T
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		s0 += a[i] * b[i]
@@ -529,6 +632,31 @@ func dotWide(a, b []float64) float64 {
 	}
 	for ; i < len(a); i++ {
 		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// sqNormSeq is ‖a‖² accumulated in one sequential chain (float64's order).
+func sqNormSeq[T Float](a []T) T {
+	var s T
+	for _, v := range a {
+		s += v * v
+	}
+	return s
+}
+
+// sqNormWide is ‖a‖² with dotWide's 4-chain order (float32's order).
+func sqNormWide[T Float](a []T) T {
+	var s0, s1, s2, s3 T
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 += a[i] * a[i]
+		s1 += a[i+1] * a[i+1]
+		s2 += a[i+2] * a[i+2]
+		s3 += a[i+3] * a[i+3]
+	}
+	for ; i < len(a); i++ {
+		s0 += a[i] * a[i]
 	}
 	return (s0 + s1) + (s2 + s3)
 }

@@ -68,7 +68,7 @@ func TestNearestBlockedEquivalence(t *testing.T) {
 				cNorms := RowSqNorms(centers, nil)
 				gotIdx := make([]int32, pts.Rows)
 				gotD2 := make([]float64, pts.Rows)
-				sc := GetScratch()
+				sc := GetScratch[float64]()
 				defer sc.Release()
 				NearestBlocked(pts, centers, cNorms, gotIdx, gotD2, sc)
 
@@ -100,7 +100,7 @@ func TestNearestBlockedRows(t *testing.T) {
 	wantIdx, _ := naiveNearest(pts, centers)
 
 	out := make([]int, n)
-	sc := GetScratch()
+	sc := GetScratch[float64]()
 	defer sc.Release()
 	NearestBlockedRows(rows, centers, RowSqNorms(centers, nil), out, sc)
 	for i := range out {
@@ -160,7 +160,7 @@ func TestSqDistNorm(t *testing.T) {
 // path (odd point, <4 center group, partial tiles) is exercised.
 func TestNearestBlockedRagged(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	sc := GetScratch()
+	sc := GetScratch[float64]()
 	defer sc.Release()
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + r.Intn(2*tilePoints+3)
@@ -190,7 +190,7 @@ func TestNearestBlockedDuplicateCenters(t *testing.T) {
 	centers := FromRows([][]float64{row, row, row, row, row, row, row, row, row})
 	idx := make([]int32, pts.Rows)
 	d2 := make([]float64, pts.Rows)
-	sc := GetScratch()
+	sc := GetScratch[float64]()
 	defer sc.Release()
 	NearestBlocked(pts, centers, RowSqNorms(centers, nil), idx, d2, sc)
 	for i, got := range idx {
@@ -265,7 +265,7 @@ func BenchmarkNearestCrossover(b *testing.B) {
 				cNorms := RowSqNorms(centers, nil)
 				idx := make([]int32, pts.Rows)
 				d2 := make([]float64, pts.Rows)
-				sc := GetScratch()
+				sc := GetScratch[float64]()
 				defer sc.Release()
 				b.SetBytes(int64(2048 * dim * 8))
 				b.ResetTimer()

@@ -11,7 +11,7 @@ const hasDotF32Asm = true
 // dot2x4f32asm computes the 8 float32 inner products of points {a, b}
 // against centers {c0..c3} with 4-wide SSE lanes. Accumulation order is
 // lane-strided (i, i+4, i+8, … per lane, lanes summed at the end), so the
-// value may differ from dot2x4f32 by float32 rounding — covered by the
+// value may differ from the pure-Go dot2x4 by float32 rounding — covered by the
 // tolerance contract, and still a pure function of the dimension.
 //
 //go:noescape

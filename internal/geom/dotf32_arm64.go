@@ -14,7 +14,7 @@ const baselineF32Tier = F32TierNEON
 // dot2x4f32asm computes the 8 float32 inner products of points {a, b}
 // against centers {c0..c3} with 4-wide NEON fused multiply-adds.
 // Accumulation order is lane-strided with the scalar tail added after the
-// lane reduce, so the value may differ from dot2x4f32 by float32 rounding —
+// lane reduce, so the value may differ from the pure-Go dot2x4 by float32 rounding —
 // covered by the tolerance contract, and still a pure function of the
 // dimension.
 //

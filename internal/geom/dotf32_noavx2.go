@@ -8,11 +8,11 @@ package geom
 const hasAVX2F32 = false
 
 // The AVX2 entry points alias the pure-Go kernels so the dispatch sites in
-// blocked32.go compile unconditionally; hasAVX2F32 keeps them unreached.
+// kernels.go compile unconditionally; hasAVX2F32 keeps them unreached.
 func dot2x4f32avx(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32) {
-	return dot2x4f32(a, b, c0, c1, c2, c3)
+	return dot2x4(a, b, c0, c1, c2, c3)
 }
 
 func dot1x4f32avx(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32) {
-	return dot1x4f32(a, c0, c1, c2, c3)
+	return dot1x4(a, c0, c1, c2, c3)
 }

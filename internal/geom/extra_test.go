@@ -10,7 +10,7 @@ func TestDotKnown(t *testing.T) {
 	if d := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); d != 32 {
 		t.Fatalf("Dot = %v, want 32", d)
 	}
-	if d := Dot(nil, nil); d != 0 {
+	if d := Dot[float64](nil, nil); d != 0 {
 		t.Fatalf("empty Dot = %v", d)
 	}
 }
@@ -28,7 +28,7 @@ func TestSqNorm(t *testing.T) {
 	if n := SqNorm([]float64{3, 4}); n != 25 {
 		t.Fatalf("SqNorm = %v, want 25", n)
 	}
-	if n := SqNorm(nil); n != 0 {
+	if n := SqNorm[float64](nil); n != 0 {
 		t.Fatalf("empty SqNorm = %v", n)
 	}
 }

@@ -53,7 +53,7 @@ func (t F32Tier) String() string {
 }
 
 // f32Tier holds the active tier. It is initialised to the best tier the
-// binary and CPU support and can be pinned by SetF32Tier/SetF32Asm.
+// binary and CPU support and can be pinned by SetF32Tier.
 var f32Tier atomic.Int32
 
 func init() { f32Tier.Store(int32(bestF32Tier())) }
@@ -112,28 +112,3 @@ func F32Tiers() []F32Tier {
 	}
 	return tiers
 }
-
-// SetF32Asm enables or disables the assembly float32 dot kernels and reports
-// whether the request took effect (enabling fails when the binary carries no
-// assembly — unsupported architectures or the km_purego tag). Enabling
-// selects the best available tier; disabling pins F32TierPureGo. Kept as the
-// coarse on/off seam from before the tier ladder existed; SetF32Tier is the
-// precise knob.
-func SetF32Asm(on bool) bool {
-	if !on {
-		f32Tier.Store(int32(F32TierPureGo))
-		return true
-	}
-	if !hasDotF32Asm {
-		return false
-	}
-	f32Tier.Store(int32(bestF32Tier()))
-	return true
-}
-
-// F32AsmEnabled reports whether any assembly float32 tier is active.
-func F32AsmEnabled() bool { return activeF32Tier() != F32TierPureGo }
-
-// F32AsmAvailable reports whether this binary contains assembly float32 dot
-// kernels at all.
-func F32AsmAvailable() bool { return hasDotF32Asm }

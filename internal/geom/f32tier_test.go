@@ -8,21 +8,32 @@ import (
 
 // tierTestData builds a deterministic ragged workload: n points × k centers
 // at dimension d, values in roughly unit scale (the contract's domain).
-func tierTestData(n, k, d int) (*Matrix32, *Matrix32) {
+func tierTestData(n, k, d int) (*Mat[float32], *Mat[float32]) {
 	state := uint64(d)*2654435761 + 12345
 	next := func() float32 {
 		state = state*6364136223846793005 + 1442695040888963407
 		return float32(int32(state>>33)) / float32(1<<31) // [-1, 1)
 	}
-	pts := NewMatrix32(n, d)
+	pts := NewMat[float32](n, d)
 	for i := range pts.Data {
 		pts.Data[i] = next()
 	}
-	centers := NewMatrix32(k, d)
+	centers := NewMat[float32](k, d)
 	for i := range centers.Data {
 		centers.Data[i] = next()
 	}
 	return pts, centers
+}
+
+// sqDistWide is the exact float32 reference: the (a−b)² sum with every term
+// widened into a float64 accumulator.
+func sqDistWide(a, b []float32) float64 {
+	var s float64
+	for i := range a {
+		d := float64(a[i]) - float64(b[i])
+		s += d * d
+	}
+	return s
 }
 
 // TestF32TierMatrix forces every kernel tier available in this binary over
@@ -39,14 +50,14 @@ func TestF32TierMatrix(t *testing.T) {
 	}
 	for d := 1; d <= 128; d++ {
 		pts, centers := tierTestData(n, k, d)
-		cNorms := RowSqNorms32(centers, nil)
+		cNorms := RowSqNorms(centers, nil)
 
 		// Exact reference: widened (a−b)² sums.
 		refD2 := make([]float64, n)
 		for i := 0; i < n; i++ {
 			best := math.Inf(1)
 			for c := 0; c < k; c++ {
-				if v := SqDist32(pts.Row(i), centers.Row(c)); v < best {
+				if v := sqDistWide(pts.Row(i), centers.Row(c)); v < best {
 					best = v
 				}
 			}
@@ -60,8 +71,8 @@ func TestF32TierMatrix(t *testing.T) {
 			// Single-call baseline for this tier.
 			base := make([]float32, n)
 			baseIdx := make([]int32, n)
-			sc := GetScratch32()
-			NearestBlocked32(pts, centers, cNorms, baseIdx, base, sc)
+			sc := GetScratch[float32]()
+			NearestBlocked(pts, centers, cNorms, baseIdx, base, sc)
 			sc.Release()
 
 			// Same rows re-chunked at awkward boundaries, computed
@@ -75,8 +86,8 @@ func TestF32TierMatrix(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						sc := GetScratch32()
-						VisitNearest32(pts, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, d2 float64) {
+						sc := GetScratch[float32]()
+						VisitNearest(pts, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, d2 float64) {
 							got[i] = float32(d2)
 							gotIdx[i] = idx
 						})
@@ -95,7 +106,7 @@ func TestF32TierMatrix(t *testing.T) {
 			// Cross-tier contract: the chosen center's exact distance must be
 			// within relative tolerance of the exact minimum.
 			for i := 0; i < n; i++ {
-				exact := SqDist32(pts.Row(i), centers.Row(int(baseIdx[i])))
+				exact := sqDistWide(pts.Row(i), centers.Row(int(baseIdx[i])))
 				if exact > refD2[i]+1e-4*(1+refD2[i]) {
 					t.Fatalf("tier %v d=%d: point %d chose center %d with exact d²=%g, min=%g",
 						tier, d, i, baseIdx[i], exact, refD2[i])
@@ -109,9 +120,8 @@ func TestF32TierMatrix(t *testing.T) {
 	}
 }
 
-// TestF32TierKnobs covers the tier/asm control surface: forcing unavailable
-// tiers fails, the compat SetF32Asm seam maps onto the ladder, and the
-// available-tier list starts with pure Go.
+// TestF32TierKnobs covers the tier control surface: forcing unavailable
+// tiers fails, and the available-tier list starts with pure Go.
 func TestF32TierKnobs(t *testing.T) {
 	orig := ActiveF32Tier()
 	defer SetF32Tier(orig)
@@ -136,22 +146,5 @@ func TestF32TierKnobs(t *testing.T) {
 				t.Errorf("SetF32Tier(%v) succeeded though unavailable", tier)
 			}
 		}
-	}
-
-	if !SetF32Asm(false) {
-		t.Error("SetF32Asm(false) must always succeed")
-	}
-	if F32AsmEnabled() || ActiveF32Tier() != F32TierPureGo {
-		t.Errorf("after SetF32Asm(false): enabled=%v tier=%v", F32AsmEnabled(), ActiveF32Tier())
-	}
-	if F32AsmAvailable() {
-		if !SetF32Asm(true) {
-			t.Error("SetF32Asm(true) failed though assembly is available")
-		}
-		if !F32AsmEnabled() || ActiveF32Tier() == F32TierPureGo {
-			t.Errorf("after SetF32Asm(true): enabled=%v tier=%v", F32AsmEnabled(), ActiveF32Tier())
-		}
-	} else if SetF32Asm(true) {
-		t.Error("SetF32Asm(true) succeeded without assembly kernels")
 	}
 }

@@ -26,22 +26,37 @@ import (
 	"math"
 )
 
-// Matrix is a dense row-major matrix. Row i occupies
+// Float is the storage type of points and centers: the engine is written
+// once over it. float64 is the bit-reproducible reference; float32 halves
+// the memory traffic of every scan under the tolerance contract in
+// docs/kernels.md. Reductions, weights, bounds and accumulators stay
+// float64 in both. The per-precision arithmetic lives in one place, the
+// kernel table in kernels.go.
+type Float interface{ float32 | float64 }
+
+// Mat is a dense row-major matrix. Row i occupies
 // Data[i*Cols : (i+1)*Cols]. The layout is chosen so that a "point" is a
 // contiguous slice, which keeps the distance kernels cache-friendly and lets
 // callers pass rows around without copying.
-type Matrix struct {
+type Mat[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// NewMatrix allocates a zeroed rows×cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
+// Matrix is the float64 matrix, the representation of centers and of the
+// reference pipeline.
+type Matrix = Mat[float64]
+
+// NewMat allocates a zeroed rows×cols matrix.
+func NewMat[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic("geom: negative matrix dimension")
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// NewMatrix allocates a zeroed rows×cols float64 matrix.
+func NewMatrix(rows, cols int) *Matrix { return NewMat[float64](rows, cols) }
 
 // FromRows builds a matrix by copying the given equal-length rows.
 func FromRows(rows [][]float64) *Matrix {
@@ -60,25 +75,25 @@ func FromRows(rows [][]float64) *Matrix {
 }
 
 // Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) []float64 {
+func (m *Mat[T]) Row(i int) []T {
 	return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
 }
 
 // RowRange returns a value view of rows [lo, hi) sharing the backing
 // storage. The blocked kernels take matrix views, so per-chunk and
 // per-round sub-scans need no copying.
-func (m *Matrix) RowRange(lo, hi int) Matrix {
-	return Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+func (m *Mat[T]) RowRange(lo, hi int) Mat[T] {
+	return Mat[T]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
 // CopyRow copies row i into dst, which must have length Cols.
-func (m *Matrix) CopyRow(i int, dst []float64) {
+func (m *Mat[T]) CopyRow(i int, dst []T) {
 	copy(dst, m.Row(i))
 }
 
 // Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
+func (m *Mat[T]) Clone() *Mat[T] {
+	c := NewMat[T](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
@@ -88,7 +103,7 @@ func (m *Matrix) Clone() *Matrix {
 // upper bound (e.g. k-means|| collecting ~1+r·ℓ candidates) reserve once so
 // AppendRow never copies. No-op when Cols is still unknown or capacity is
 // already sufficient.
-func (m *Matrix) Reserve(rows int) {
+func (m *Mat[T]) Reserve(rows int) {
 	if m.Cols <= 0 || rows <= 0 {
 		return
 	}
@@ -96,13 +111,13 @@ func (m *Matrix) Reserve(rows int) {
 	if cap(m.Data) >= need {
 		return
 	}
-	buf := make([]float64, len(m.Data), need)
+	buf := make([]T, len(m.Data), need)
 	copy(buf, m.Data)
 	m.Data = buf
 }
 
 // AppendRow grows the matrix by one row (copying p). Amortized O(Cols).
-func (m *Matrix) AppendRow(p []float64) {
+func (m *Mat[T]) AppendRow(p []T) {
 	if m.Rows == 0 && m.Cols == 0 {
 		m.Cols = len(p)
 	}
@@ -166,41 +181,42 @@ func SqDistBound(a, b []float64, bound float64) float64 {
 // Dist returns the Euclidean distance between a and b.
 func Dist(a, b []float64) float64 { return math.Sqrt(SqDist(a, b)) }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
+// Dot returns the inner product of a and c, accumulated in float64 (each
+// a[i] widened exactly).
+func Dot[T Float](a []T, c []float64) float64 {
+	if len(a) != len(c) {
 		panic("geom: Dot dimension mismatch")
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i]) * c[i]
 	}
 	return s
 }
 
-// SqNorm returns ‖a‖².
-func SqNorm(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v * v
-	}
-	return s
-}
+// SqNorm returns ‖a‖², accumulated in T in the summation order of T's
+// kernel table: one chain for float64, four for float32 — the order the
+// blocked kernels' cached norms use.
+func SqNorm[T Float](a []T) T { return kernelsFor[T]().sqNorm(a) }
 
-// AddScaled sets dst += scale * src.
-func AddScaled(dst []float64, scale float64, src []float64) {
+// AddScaled sets dst += scale·src, widening each source value — the
+// accumulation step of every center update, which keeps center sums in
+// float64 so cluster means do not drift with cluster size.
+func AddScaled[T Float](dst []float64, scale float64, src []T) {
 	if len(dst) != len(src) {
 		panic("geom: AddScaled dimension mismatch")
 	}
 	for i := range dst {
-		dst[i] += scale * src[i]
+		dst[i] += scale * float64(src[i])
 	}
 }
 
-// Scale multiplies every element of a by s in place.
-func Scale(a []float64, s float64) {
+// Scale multiplies every element of a by s in place. For float32 storage
+// the product is taken in float64 and rounded back.
+func Scale[T Float](a []T, s float64) {
 	for i := range a {
-		a[i] *= s
+		//kmlint:ignore precision Scale rounds its float64 product back to the storage type by design
+		a[i] = T(float64(a[i]) * s)
 	}
 }
 
@@ -218,25 +234,31 @@ func Centroid(m *Matrix, idx []int) []float64 {
 	return c
 }
 
-// Dataset is a set of points with optional per-point positive weights. A nil
+// Set is a set of points with optional per-point positive weights. A nil
 // Weight slice means every point has weight 1 (the common unweighted case);
-// this avoids allocating n floats for the large raw datasets.
-type Dataset struct {
-	X      *Matrix
+// this avoids allocating n floats for the large raw datasets. Weights stay
+// float64 for every storage type: they are O(n) rather than O(n·d) bytes,
+// and D² sampling sums them across the whole dataset, where float32
+// accumulation would lose mass.
+type Set[T Float] struct {
+	X      *Mat[T]
 	Weight []float64 // nil ⇒ all ones
 }
 
+// Dataset is the float64 point set.
+type Dataset = Set[float64]
+
 // NewDataset wraps a matrix as an unweighted dataset.
-func NewDataset(x *Matrix) *Dataset { return &Dataset{X: x} }
+func NewDataset[T Float](x *Mat[T]) *Set[T] { return &Set[T]{X: x} }
 
 // N returns the number of points.
-func (d *Dataset) N() int { return d.X.Rows }
+func (d *Set[T]) N() int { return d.X.Rows }
 
 // Dim returns the dimensionality.
-func (d *Dataset) Dim() int { return d.X.Cols }
+func (d *Set[T]) Dim() int { return d.X.Cols }
 
 // W returns the weight of point i.
-func (d *Dataset) W(i int) float64 {
+func (d *Set[T]) W(i int) float64 {
 	if d.Weight == nil {
 		return 1
 	}
@@ -244,7 +266,7 @@ func (d *Dataset) W(i int) float64 {
 }
 
 // TotalWeight returns the sum of all point weights.
-func (d *Dataset) TotalWeight() float64 {
+func (d *Set[T]) TotalWeight() float64 {
 	if d.Weight == nil {
 		return float64(d.N())
 	}
@@ -256,12 +278,12 @@ func (d *Dataset) TotalWeight() float64 {
 }
 
 // Point returns point i as a slice aliasing the dataset storage.
-func (d *Dataset) Point(i int) []float64 { return d.X.Row(i) }
+func (d *Set[T]) Point(i int) []T { return d.X.Row(i) }
 
 // Subset returns a new dataset containing the given rows (copied), carrying
 // weights along when present.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	m := NewMatrix(len(idx), d.Dim())
+func (d *Set[T]) Subset(idx []int) *Set[T] {
+	m := NewMat[T](len(idx), d.Dim())
 	var w []float64
 	if d.Weight != nil {
 		w = make([]float64, len(idx))
@@ -272,12 +294,12 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 			w[j] = d.Weight[i]
 		}
 	}
-	return &Dataset{X: m, Weight: w}
+	return &Set[T]{X: m, Weight: w}
 }
 
 // Validate checks structural invariants (weight length, finite values) and
 // returns a descriptive error. Generators and loaders call it in tests.
-func (d *Dataset) Validate() error {
+func (d *Set[T]) Validate() error {
 	if d.X == nil {
 		return fmt.Errorf("geom: dataset has nil matrix")
 	}
@@ -288,7 +310,7 @@ func (d *Dataset) Validate() error {
 		return fmt.Errorf("geom: %d weights for %d points", len(d.Weight), d.X.Rows)
 	}
 	for i, v := range d.X.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("geom: non-finite value at flat index %d", i)
 		}
 	}

@@ -12,6 +12,15 @@ import (
 // CostTrace for these methods records an UPPER BOUND on the cost per
 // iteration (computed from the maintained upper bounds, which are not always
 // tight); the final Cost is always recomputed exactly.
+//
+// Point-center distances come from the storage type's scalar pair and row
+// kernels (geom.SqDistPair, geom.SqDistRow) against a T snapshot of the
+// centers; the bound arithmetic — upper/lower bounds, center-center
+// geometry, movement deltas — stays float64, computed from the float64
+// master centers. Under float32 rounding a bound can be violated by a
+// hair, which may cost an extra distance evaluation or leave a point one
+// rounding step from the float64 fixed point; both are inside the tolerance
+// contract (docs/kernels.md), and iteration stays capped by MaxIter.
 
 // centerGeometry holds per-iteration center-center information shared by
 // Elkan and Hamerly.
@@ -52,7 +61,7 @@ func (g *centerGeometry) update(centers *geom.Matrix) {
 // moveCenters applies the accumulated sums to the centers and records each
 // center's movement in g.dist. Empty clusters are repaired and their movement
 // set to +Inf so callers invalidate bounds.
-func (g *centerGeometry) moveCenters(ds *geom.Dataset, centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) (maxMove float64, repaired bool) {
+func moveCenters[T geom.Float](g *centerGeometry, ds *geom.Set[T], centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) (maxMove float64, repaired bool) {
 	k, d := centers.Rows, centers.Cols
 	var empty []int
 	for c := 0; c < k; c++ {
@@ -85,37 +94,45 @@ func (g *centerGeometry) moveCenters(ds *geom.Dataset, centers *geom.Matrix, ass
 	return maxMove, false
 }
 
-func runElkan(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
+// pairDist returns the Euclidean distance from point p (squared norm pn) to
+// row c of the snapshot.
+func pairDist[T geom.Float](p []T, pn T, snap *geom.Mat[T], cNorms []T, c int) float64 {
+	return math.Sqrt(geom.SqDistPair(p, snap.Row(c), pn, cNorms[c]))
+}
+
+func runElkan[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Result {
 	k, d, n := init.Rows, init.Cols, ds.N()
 	centers := init.Clone()
+	snap := geom.NewMat[T](k, d)
+	var cNorms []T
+	pNorms := geom.RowSqNorms(ds.X, nil)
 	assign := make([]int32, n)
 	upper := make([]float64, n)   // upper bound on d(x, c_assign)
 	lower := make([]float64, n*k) // lower bounds on d(x, c) for every c
 	g := newCenterGeometry(k)
 	g.update(centers)
+	cNorms = snapshot(snap, centers, cNorms)
 
-	// Initial assignment with full bound setup.
+	// Initial assignment with full bound setup. Every distance of the full
+	// n×k pass goes through the row kernel (geom.SqDistRow) — computing all
+	// k distances batched beats a triangle-pruned scalar scan, and leaves
+	// every lower bound tight (an exact distance) instead of a cc-derived
+	// bound, so the first bounded iteration re-evaluates fewer points.
 	geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
+		row := make([]T, k)
 		for i := lo; i < hi; i++ {
-			p := ds.Point(i)
+			geom.SqDistRow(ds.Point(i), pNorms[i], snap, cNorms, row)
 			lb := lower[i*k : (i+1)*k]
-			best, bestD := 0, geom.Dist(p, centers.Row(0))
-			lb[0] = bestD
+			best, bestD2 := 0, row[0]
+			lb[0] = math.Sqrt(float64(row[0]))
 			for c := 1; c < k; c++ {
-				// Elkan's init-time pruning: if cc(best,c) ≥ 2·bestD then c
-				// cannot be closer.
-				if g.cc[best*k+c] >= 2*bestD {
-					lb[c] = g.cc[best*k+c] - bestD // valid lower bound
-					continue
-				}
-				dc := geom.Dist(p, centers.Row(c))
-				lb[c] = dc
-				if dc < bestD {
-					best, bestD = c, dc
+				lb[c] = math.Sqrt(float64(row[c]))
+				if row[c] < bestD2 {
+					best, bestD2 = c, row[c]
 				}
 			}
 			assign[i] = int32(best)
-			upper[i] = bestD
+			upper[i] = lb[best]
 		}
 	})
 
@@ -131,6 +148,7 @@ func runElkan(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 	limit := maxIter(cfg)
 	for it := 0; it < limit; it++ {
 		g.update(centers)
+		cNorms = snapshot(snap, centers, cNorms)
 		geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
 			acc := &accs[chunk]
 			for i := range acc.sum {
@@ -156,14 +174,14 @@ func runElkan(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 							continue
 						}
 						if !tight {
-							u = geom.Dist(p, centers.Row(a))
+							u = pairDist(p, pNorms[i], snap, cNorms, a)
 							lb[a] = u
 							tight = true
 							if u <= lb[c] || u <= g.cc[a*k+c]/2 {
 								continue
 							}
 						}
-						dc := geom.Dist(p, centers.Row(c))
+						dc := pairDist(p, pNorms[i], snap, cNorms, c)
 						lb[c] = dc
 						if dc < u {
 							a, u = c, dc
@@ -193,7 +211,7 @@ func runElkan(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 		res.CostTrace = append(res.CostTrace, costUB)
 
 		sum, weight := mergeAccs(accs)
-		_, repaired := g.moveCenters(ds, centers, assign, sum, weight, cfg.Parallelism)
+		_, repaired := moveCenters(g, ds, centers, assign, sum, weight, cfg.Parallelism)
 
 		if repaired {
 			// Bounds no longer valid for the repaired centers; loosen fully.
@@ -226,34 +244,40 @@ func runElkan(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 			break
 		}
 	}
-	res.Cost = Cost(ds, centers, cfg.Parallelism)
+	snapshot(snap, centers, cNorms)
+	res.Cost = Cost(ds, snap, cfg.Parallelism)
 	return res
 }
 
-func runHamerly(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
+func runHamerly[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Result {
 	k, d, n := init.Rows, init.Cols, ds.N()
 	centers := init.Clone()
+	snap := geom.NewMat[T](k, d)
+	var cNorms []T
+	pNorms := geom.RowSqNorms(ds.X, nil)
 	assign := make([]int32, n)
 	upper := make([]float64, n)
 	lower := make([]float64, n) // lower bound on distance to second-closest center
 	g := newCenterGeometry(k)
+	cNorms = snapshot(snap, centers, cNorms)
 
-	// Initial assignment: exact closest and second-closest.
+	// Initial assignment: exact closest and second-closest, the full k-scan
+	// batched through the row kernel.
 	geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
+		row := make([]T, k)
 		for i := lo; i < hi; i++ {
-			p := ds.Point(i)
-			best, second := -1, -1
+			geom.SqDistRow(ds.Point(i), pNorms[i], snap, cNorms, row)
+			best := -1
 			bestD, secondD := math.Inf(1), math.Inf(1)
 			for c := 0; c < k; c++ {
-				dc := geom.Dist(p, centers.Row(c))
+				dc := math.Sqrt(float64(row[c]))
 				if dc < bestD {
-					second, secondD = best, bestD
+					secondD = bestD
 					best, bestD = c, dc
 				} else if dc < secondD {
-					second, secondD = c, dc
+					secondD = dc
 				}
 			}
-			_ = second
 			assign[i] = int32(best)
 			upper[i] = bestD
 			lower[i] = secondD
@@ -272,6 +296,7 @@ func runHamerly(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 	limit := maxIter(cfg)
 	for it := 0; it < limit; it++ {
 		g.update(centers)
+		cNorms = snapshot(snap, centers, cNorms)
 		geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
 			acc := &accs[chunk]
 			for i := range acc.sum {
@@ -280,6 +305,7 @@ func runHamerly(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 			for i := range acc.weight {
 				acc.weight[i] = 0
 			}
+			row := make([]T, k)
 			var cost float64
 			var changed int64
 			for i := lo; i < hi; i++ {
@@ -291,15 +317,18 @@ func runHamerly(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 				}
 				if upper[i] > m {
 					// Tighten the upper bound and retest.
-					upper[i] = geom.Dist(p, centers.Row(a))
+					upper[i] = pairDist(p, pNorms[i], snap, cNorms, a)
 					if upper[i] > m {
-						// Full scan: find closest and second closest.
-						best, bestD, secondD := a, upper[i], math.Inf(1)
+						// Full scan: closest and second closest, batched
+						// through the row kernel (the scan touches every
+						// center anyway, so there is nothing to prune).
+						geom.SqDistRow(p, pNorms[i], snap, cNorms, row)
+						best, bestD, secondD := a, math.Sqrt(float64(row[a])), math.Inf(1)
 						for c := 0; c < k; c++ {
 							if c == a {
 								continue
 							}
-							dc := geom.Dist(p, centers.Row(c))
+							dc := math.Sqrt(float64(row[c]))
 							if dc < bestD {
 								secondD = bestD
 								best, bestD = c, dc
@@ -334,7 +363,7 @@ func runHamerly(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 		res.CostTrace = append(res.CostTrace, costUB)
 
 		sum, weight := mergeAccs(accs)
-		_, repaired := g.moveCenters(ds, centers, assign, sum, weight, cfg.Parallelism)
+		_, repaired := moveCenters(g, ds, centers, assign, sum, weight, cfg.Parallelism)
 
 		if repaired {
 			geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
@@ -378,7 +407,8 @@ func runHamerly(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 			break
 		}
 	}
-	res.Cost = Cost(ds, centers, cfg.Parallelism)
+	snapshot(snap, centers, cNorms)
+	res.Cost = Cost(ds, snap, cfg.Parallelism)
 	return res
 }
 

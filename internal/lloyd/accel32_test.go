@@ -42,7 +42,7 @@ func TestAccel32MatchesF64(t *testing.T) {
 			}
 			cfg := Config{MaxIter: 40, Method: method}
 			want := Run(ds64, init, cfg)
-			got := Run32(ds32, init, cfg)
+			got := Run(ds32, init, cfg)
 
 			if rel := math.Abs(got.Cost-want.Cost) / want.Cost; rel > 1e-5 {
 				t.Fatalf("%v weighted=%v: Run32 cost %v vs Run cost %v (rel %v)",
@@ -69,9 +69,9 @@ func TestAccel32MatchesNaive32(t *testing.T) {
 	for i := range init.Data {
 		init.Data[i] = float64(float32(10 * r.NormFloat64()))
 	}
-	base := Run32(ds32, init, Config{MaxIter: 60})
+	base := Run(ds32, init, Config{MaxIter: 60})
 	for _, method := range []Method{Elkan, Hamerly} {
-		got := Run32(ds32, init, Config{MaxIter: 60, Method: method})
+		got := Run(ds32, init, Config{MaxIter: 60, Method: method})
 		if rel := math.Abs(got.Cost-base.Cost) / base.Cost; rel > 1e-5 {
 			t.Fatalf("%v: cost %v vs naive32 %v (rel %v)", method, got.Cost, base.Cost, rel)
 		}
@@ -93,8 +93,8 @@ func TestAccel32Deterministic(t *testing.T) {
 	}
 	for _, method := range []Method{Elkan, Hamerly} {
 		cfg := Config{MaxIter: 25, Method: method, Parallelism: 3}
-		a := Run32(ds32, init, cfg)
-		b := Run32(ds32, init, cfg)
+		a := Run(ds32, init, cfg)
+		b := Run(ds32, init, cfg)
 		if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
 			t.Fatalf("%v: costs differ across identical runs: %v vs %v", method, a.Cost, b.Cost)
 		}
@@ -118,7 +118,7 @@ func TestAccel32RepairsEmptyClusters(t *testing.T) {
 		}
 	}
 	for _, method := range []Method{Elkan, Hamerly} {
-		res := Run32(ds32, init, Config{MaxIter: 30, Method: method})
+		res := Run(ds32, init, Config{MaxIter: 30, Method: method})
 		seen := map[int32]bool{}
 		for _, a := range res.Assign {
 			seen[a] = true
@@ -135,10 +135,10 @@ func TestAccel32RepairsEmptyClusters(t *testing.T) {
 func TestMiniBatch32MatchesMiniBatch(t *testing.T) {
 	raw, truth := blobs(t, 6, 400, 10, 9, 43)
 	ds64, ds32 := f32Pair(raw)
-	init := geom.ToMatrix32(truth).ToMatrix()
+	init := geom.Widen(geom.Convert[float32](truth))
 	cfg := MiniBatchConfig{BatchSize: 64, Iters: 50, Seed: 11}
 	want := MiniBatch(ds64, init, cfg)
-	got := MiniBatch32(ds32, init, cfg)
+	got := MiniBatch(ds32, init, cfg)
 	if rel := math.Abs(got.Cost-want.Cost) / want.Cost; rel > 1e-4 {
 		t.Fatalf("MiniBatch32 cost %v vs MiniBatch cost %v (rel %v)", got.Cost, want.Cost, rel)
 	}
@@ -150,27 +150,28 @@ func TestMiniBatch32MatchesMiniBatch(t *testing.T) {
 	}
 }
 
-// TestRefine32Variants exercises the float32 optimizer entry point for the
-// two supported kinds and its panic on unsupported kinds.
+// TestRefine32Variants exercises the optimizer entry point over float32
+// storage for every kind: all of them run in float32 now, Spherical over
+// its Prepare-normalized copy.
 func TestRefine32Variants(t *testing.T) {
 	raw, truth := blobs(t, 4, 120, 8, 7, 47)
 	_, ds32 := f32Pair(raw)
-	init := geom.ToMatrix32(truth).ToMatrix()
+	init := geom.Widen(geom.Convert[float32](truth))
 	for _, o := range []Opt{
 		{Kind: OptLloyd, Kernel: Naive},
 		{Kind: OptLloyd, Kernel: Elkan},
 		{Kind: OptLloyd, Kernel: Hamerly},
 		{Kind: OptMiniBatch, BatchSize: 32, Batches: 20},
+		{Kind: OptTrimmed, TrimFraction: 0.05},
+		{Kind: OptSpherical},
 	} {
-		res := o.Refine32(ds32, init, Config{MaxIter: 20}, 7)
+		ds, err := Prepare(o, ds32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Refine(o, ds, init, Config{MaxIter: 20}, 7)
 		if res.Cost <= 0 || len(res.Assign) != ds32.N() {
-			t.Fatalf("Refine32(%+v): malformed result cost=%v", o, res.Cost)
+			t.Fatalf("Refine(%+v): malformed result cost=%v", o, res.Cost)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Refine32 with OptTrimmed must panic")
-		}
-	}()
-	Opt{Kind: OptTrimmed}.Refine32(ds32, init, Config{MaxIter: 5}, 7)
 }

@@ -7,6 +7,13 @@
 // methods referenced by the paper's related work (Elkan and Hamerly
 // triangle-inequality pruning, Sculley mini-batch), which the benchmark
 // harness uses for ablations.
+//
+// Every algorithm is written once over the point storage type T (float64 or
+// float32, see geom.Float). Centers are mastered in float64 and narrowed to
+// a T snapshot the scans read; sums, weights, costs and bounds stay float64,
+// so cluster means do not drift with cluster size. float64 runs are the
+// bit-reproducible reference; float32 runs follow the tolerance contract in
+// docs/kernels.md.
 package lloyd
 
 import (
@@ -75,67 +82,37 @@ type Result struct {
 }
 
 // Cost computes φ_X(C) in parallel, using the blocked engine when the
-// workload is above the measured crossover.
-func Cost(ds *geom.Dataset, centers *geom.Matrix, parallelism int) float64 {
-	n := ds.N()
-	chunks := geom.ChunkCount(n, parallelism)
-	partial := make([]float64, chunks)
-	blocked := geom.UseBlocked(centers.Rows, centers.Cols)
-	var cNorms []float64
-	if blocked {
-		cNorms = geom.RowSqNorms(centers, nil)
-	}
-	geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
-		var s float64
-		if blocked {
-			sc := geom.GetScratch()
-			geom.VisitNearest(ds.X, centers, cNorms, lo, hi, sc, false, func(i int, _ int32, d2 float64) {
-				s += ds.W(i) * d2
-			})
-			sc.Release()
-		} else {
-			for i := lo; i < hi; i++ {
-				_, d := geom.Nearest(ds.Point(i), centers)
-				s += ds.W(i) * d
-			}
-		}
-		partial[chunk] = s
-	})
-	var total float64
-	for _, s := range partial {
-		total += s
-	}
-	return total
+// workload is above the measured crossover (always, for float32 storage).
+// Distances come from the storage type's kernels; the weighted sum is
+// accumulated in float64.
+func Cost[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int) float64 {
+	_, cost := scan(ds, centers, parallelism, nil)
+	return cost
 }
 
 // Assign computes the nearest center of every point in parallel and the
 // resulting cost.
-func Assign(ds *geom.Dataset, centers *geom.Matrix, parallelism int) ([]int32, float64) {
+func Assign[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int) ([]int32, float64) {
+	assign := make([]int32, ds.N())
+	_, cost := scan(ds, centers, parallelism, assign)
+	return assign, cost
+}
+
+// scan is Cost and Assign: one parallel nearest-center pass, writing
+// assign[i] when assign is non-nil.
+func scan[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int, assign []int32) ([]int32, float64) {
 	n := ds.N()
-	assign := make([]int32, n)
-	chunks := geom.ChunkCount(n, parallelism)
-	partial := make([]float64, chunks)
+	partial := make([]float64, geom.ChunkCount(n, parallelism))
 	blocked := geom.UseBlocked(centers.Rows, centers.Cols)
-	var cNorms []float64
-	if blocked {
-		cNorms = geom.RowSqNorms(centers, nil)
-	}
+	cNorms := geom.RowSqNorms(centers, nil)
 	geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
 		var s float64
-		if blocked {
-			sc := geom.GetScratch()
-			geom.VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, d2 float64) {
+		geom.VisitAssign(ds.X, centers, cNorms, lo, hi, blocked, func(i int, idx int32, d2 float64) {
+			if assign != nil {
 				assign[i] = idx
-				s += ds.W(i) * d2
-			})
-			sc.Release()
-		} else {
-			for i := lo; i < hi; i++ {
-				idx, d := geom.Nearest(ds.Point(i), centers)
-				assign[i] = int32(idx)
-				s += ds.W(i) * d
 			}
-		}
+			s += ds.W(i) * d2
+		})
 		partial[chunk] = s
 	})
 	var total float64
@@ -151,10 +128,14 @@ type accumulator struct {
 	weight []float64 // k weighted counts
 }
 
-// Run executes Lloyd's iteration starting from the given centers (which are
-// not modified; a copy is made). It panics if centers is empty or wider than
-// the data.
-func Run(ds *geom.Dataset, centers *geom.Matrix, cfg Config) Result {
+// Run executes Lloyd's iteration starting from the given float64 centers
+// (which are not modified; a copy is made). Points are scanned in their
+// storage type T, against a T snapshot of the centers refreshed once per
+// iteration; everything that accumulates across points (center sums,
+// weights, costs) stays float64, and the returned centers are the float64
+// masters the update step maintains. It panics if centers is empty or
+// wider than the data.
+func Run[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, cfg Config) Result {
 	if centers.Rows == 0 {
 		panic("lloyd: no initial centers")
 	}
@@ -177,9 +158,20 @@ func maxIter(cfg Config) int {
 	return DefaultMaxIter
 }
 
-func runNaive(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
+// snapshot copies the float64 master centers into snap as T and returns the
+// refreshed row norms.
+func snapshot[T geom.Float](snap *geom.Mat[T], centers *geom.Matrix, cNorms []T) []T {
+	for c := 0; c < centers.Rows; c++ {
+		geom.ConvertRow(snap.Row(c), centers.Row(c))
+	}
+	return geom.RowSqNorms(snap, cNorms)
+}
+
+func runNaive[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Result {
 	k, d, n := init.Rows, init.Cols, ds.N()
 	centers := init.Clone()
+	snap := geom.NewMat[T](k, d)
+	var cNorms []T
 	assign := make([]int32, n)
 	for i := range assign {
 		assign[i] = -1
@@ -191,16 +183,12 @@ func runNaive(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 	}
 	costPartial := make([]float64, chunks)
 	changedPartial := make([]int64, chunks)
-
 	blocked := geom.UseBlocked(k, d)
-	var cNorms []float64
 
 	res := Result{Centers: centers, Assign: assign}
 	limit := maxIter(cfg)
 	for it := 0; it < limit; it++ {
-		if blocked {
-			cNorms = geom.RowSqNorms(centers, cNorms)
-		}
+		cNorms = snapshot(snap, centers, cNorms)
 		// Assignment step (fused with accumulation so the data is scanned
 		// exactly once per iteration — this is the "one MapReduce pass"
 		// structure of §3.5). The blocked path runs the nearest-center
@@ -216,34 +204,17 @@ func runNaive(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 			}
 			var cost float64
 			var changed int64
-			if blocked {
-				sc := geom.GetScratch()
-				geom.VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, func(i int, idx32 int32, dist float64) {
-					if idx32 != assign[i] {
-						changed++
-						assign[i] = idx32
-					}
-					idx := int(idx32)
-					w := ds.W(i)
-					cost += w * dist
-					geom.AddScaled(acc.sum[idx*d:(idx+1)*d], w, ds.Point(i))
-					acc.weight[idx] += w
-				})
-				sc.Release()
-			} else {
-				for i := lo; i < hi; i++ {
-					p := ds.Point(i)
-					idx, dist := geom.Nearest(p, centers)
-					if int32(idx) != assign[i] {
-						changed++
-						assign[i] = int32(idx)
-					}
-					w := ds.W(i)
-					cost += w * dist
-					geom.AddScaled(acc.sum[idx*d:(idx+1)*d], w, p)
-					acc.weight[idx] += w
+			geom.VisitAssign(ds.X, snap, cNorms, lo, hi, blocked, func(i int, idx32 int32, dist float64) {
+				if idx32 != assign[i] {
+					changed++
+					assign[i] = idx32
 				}
-			}
+				idx := int(idx32)
+				w := ds.W(i)
+				cost += w * dist
+				geom.AddScaled(acc.sum[idx*d:(idx+1)*d], w, ds.Point(i))
+				acc.weight[idx] += w
+			})
 			costPartial[chunk] = cost
 			changedPartial[chunk] = changed
 		})
@@ -257,23 +228,10 @@ func runNaive(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 		res.Cost = cost
 		res.CostTrace = append(res.CostTrace, cost)
 
-		// Merge per-chunk accumulators (deterministic order).
-		sum := accs[0].sum
-		weight := accs[0].weight
-		if chunks > 1 {
-			for c := 1; c < chunks; c++ {
-				for i := range sum {
-					sum[i] += accs[c].sum[i]
-				}
-				for i := range weight {
-					weight[i] += accs[c].weight[i]
-				}
-			}
-		}
-
 		// Update step: move each center to the weighted centroid of its
 		// cluster; repair empty clusters by reseeding to the point with the
 		// largest cost contribution.
+		sum, weight := mergeAccs(accs)
 		maxMove := updateCenters(ds, centers, assign, sum, weight, cfg.Parallelism)
 
 		if changed == 0 {
@@ -290,7 +248,7 @@ func runNaive(ds *geom.Dataset, init *geom.Matrix, cfg Config) Result {
 
 // updateCenters recomputes centers from the accumulated sums, repairing empty
 // clusters, and returns the largest Euclidean movement of any center.
-func updateCenters(ds *geom.Dataset, centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) float64 {
+func updateCenters[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) float64 {
 	k, d := centers.Rows, centers.Cols
 	maxMove2 := 0.0
 	var empty []int
@@ -321,23 +279,25 @@ func updateCenters(ds *geom.Dataset, centers *geom.Matrix, assign []int32, sum, 
 
 // repairEmpty reseeds each empty cluster to the point currently paying the
 // highest weighted cost, breaking ties by lowest index (deterministic). The
-// chosen point's cluster keeps its remaining members.
-func repairEmpty(ds *geom.Dataset, centers *geom.Matrix, assign []int32, empty []int, parallelism int) {
+// chosen point's cluster keeps its remaining members. The scan is the exact
+// pair scan where T has one (float64) and the blocked engine otherwise; the
+// T snapshot is rebuilt per reseed because each one moves a center.
+func repairEmpty[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign []int32, empty []int, parallelism int) {
 	n := ds.N()
+	snap := geom.NewMat[T](centers.Rows, centers.Cols)
+	var cNorms []T
 	for _, c := range empty {
-		// Find the worst-served point in parallel.
+		cNorms = snapshot(snap, centers, cNorms)
 		chunks := geom.ChunkCount(n, parallelism)
 		bestIdx := make([]int, chunks)
 		bestVal := make([]float64, chunks)
 		geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
 			bi, bv := -1, -1.0
-			for i := lo; i < hi; i++ {
-				_, dist := geom.Nearest(ds.Point(i), centers)
-				v := ds.W(i) * dist
-				if v > bv {
+			geom.VisitAssign(ds.X, snap, cNorms, lo, hi, false, func(i int, _ int32, dist float64) {
+				if v := ds.W(i) * dist; v > bv {
 					bv, bi = v, i
 				}
-			}
+			})
 			bestIdx[chunk], bestVal[chunk] = bi, bv
 		})
 		worst, worstVal := -1, -1.0
@@ -349,7 +309,7 @@ func repairEmpty(ds *geom.Dataset, centers *geom.Matrix, assign []int32, empty [
 		if worst < 0 {
 			return // n == 0; nothing to do
 		}
-		copy(centers.Row(c), ds.Point(worst))
+		geom.WidenRow(centers.Row(c), ds.Point(worst))
 		assign[worst] = int32(c)
 	}
 }

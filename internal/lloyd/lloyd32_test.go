@@ -12,17 +12,17 @@ import (
 // SAME values — the float64 dataset holds exact widenings of the float32
 // one, so any difference between Run and Run32 on the pair is arithmetic,
 // not input rounding.
-func f32Pair(ds *geom.Dataset) (*geom.Dataset, *geom.Dataset32) {
-	ds32 := geom.ToDataset32(ds)
-	return ds32.ToDataset(), ds32
+func f32Pair(ds *geom.Dataset) (*geom.Dataset, *geom.Set[float32]) {
+	ds32 := geom.ConvertSet[float32](ds)
+	return geom.WidenSet(ds32), ds32
 }
 
 func TestCost32MatchesCost(t *testing.T) {
 	raw, truth := blobs(t, 8, 200, 16, 10, 21)
 	ds64, ds32 := f32Pair(raw)
-	centers := geom.ToMatrix32(truth).ToMatrix() // f32-representable centers
+	centers := geom.Widen(geom.Convert[float32](truth)) // f32-representable centers
 	want := Cost(ds64, centers, 0)
-	got := Cost32(ds32, geom.ToMatrix32(centers), 0)
+	got := Cost(ds32, geom.Convert[float32](centers), 0)
 	if rel := math.Abs(got-want) / want; rel > 1e-5 {
 		t.Fatalf("Cost32 = %v, Cost = %v (rel %v)", got, want, rel)
 	}
@@ -46,7 +46,7 @@ func TestRun32MatchesRunOnF32Data(t *testing.T) {
 		}
 		cfg := Config{MaxIter: 40}
 		want := Run(ds64, init, cfg)
-		got := Run32(ds32, init, cfg)
+		got := Run(ds32, init, cfg)
 
 		if rel := math.Abs(got.Cost-want.Cost) / want.Cost; rel > 1e-5 {
 			t.Fatalf("weighted=%v: Run32 cost %v vs Run cost %v (rel %v)", weighted, got.Cost, want.Cost, rel)
@@ -80,7 +80,7 @@ func TestRun32RepairsEmptyClusters(t *testing.T) {
 	for j := range init.Row(0) {
 		init.Row(0)[j] = 1e6 // no point is nearest to this center
 	}
-	res := Run32(ds32, init, Config{MaxIter: 30})
+	res := Run(ds32, init, Config{MaxIter: 30})
 	seen := make(map[int32]bool)
 	for _, a := range res.Assign {
 		seen[a] = true
@@ -98,8 +98,8 @@ func TestRun32RepairsEmptyClusters(t *testing.T) {
 func TestRun32Deterministic(t *testing.T) {
 	raw, truth := blobs(t, 5, 150, 9, 10, 41)
 	_, ds32 := f32Pair(raw)
-	a := Run32(ds32, truth, Config{MaxIter: 15, Parallelism: 4})
-	b := Run32(ds32, truth, Config{MaxIter: 15, Parallelism: 4})
+	a := Run(ds32, truth, Config{MaxIter: 15, Parallelism: 4})
+	b := Run(ds32, truth, Config{MaxIter: 15, Parallelism: 4})
 	if a.Cost != b.Cost || a.Iters != b.Iters {
 		t.Fatalf("two identical runs diverged: cost %v vs %v, iters %d vs %d", a.Cost, b.Cost, a.Iters, b.Iters)
 	}

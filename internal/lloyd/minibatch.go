@@ -30,9 +30,11 @@ type MiniBatchConfig struct {
 // workloads below the engine's measured crossover (or under a naive-kernel
 // pin) keep the early-exit scan. Result.Converged is always false: the
 // variant runs a fixed step budget and tests no fixed point.
-func MiniBatch(ds *geom.Dataset, init *geom.Matrix, cfg MiniBatchConfig) Result {
+func MiniBatch[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg MiniBatchConfig) Result {
 	k, d := init.Rows, init.Cols
 	centers := init.Clone()
+	snap := geom.NewMat[T](k, d)
+	var cNorms []T
 	b := cfg.BatchSize
 	if b <= 0 {
 		b = 10 * k
@@ -46,46 +48,32 @@ func MiniBatch(ds *geom.Dataset, init *geom.Matrix, cfg MiniBatchConfig) Result 
 	}
 	r := rng.New(cfg.Seed)
 	counts := make([]float64, k)
-	batchIdx := make([]int, b)
-	batchRows := make([][]float64, b)
-
-	// The batch-assignment kernel is chosen once: center count and dimension
-	// do not change across steps, and the rng draws happen before assignment
-	// either way, so the blocked and naive paths sample identical batches.
+	batchIdx := make([]int32, b)
+	gather := geom.NewMat[T](b, d)
 	blocked := geom.UseBlocked(k, d)
-	var cNorms []float64
-	var sc *geom.Scratch
-	if blocked {
-		sc = geom.GetScratch()
-		defer sc.Release()
-	}
 
 	for it := 0; it < iters; it++ {
 		batch := r.SampleWithoutReplacement(ds.N(), b)
 		for j, i := range batch {
-			batchRows[j] = ds.Point(i)
+			copy(gather.Row(j), ds.Point(i))
 		}
-		if blocked {
-			cNorms = geom.RowSqNorms(centers, cNorms)
-			geom.NearestBlockedRows(batchRows, centers, cNorms, batchIdx, sc)
-		} else {
-			for j, p := range batchRows {
-				idx, _ := geom.Nearest(p, centers)
-				batchIdx[j] = idx
-			}
-		}
+		cNorms = snapshot(snap, centers, cNorms)
+		geom.VisitAssign(gather, snap, cNorms, 0, b, blocked, func(j int, idx int32, _ float64) {
+			batchIdx[j] = idx
+		})
 		for j, i := range batch {
-			c := batchIdx[j]
+			c := int(batchIdx[j])
 			w := ds.W(i)
 			counts[c] += w
 			eta := w / counts[c]
 			row := centers.Row(c)
-			p := batchRows[j]
+			p := gather.Row(j)
 			for t := range row {
-				row[t] = (1-eta)*row[t] + eta*p[t]
+				row[t] = (1-eta)*row[t] + eta*float64(p[t])
 			}
 		}
 	}
-	assign, cost := Assign(ds, centers, cfg.Parallelism)
+	snapshot(snap, centers, cNorms)
+	assign, cost := Assign(ds, snap, cfg.Parallelism)
 	return Result{Centers: centers, Assign: assign, Cost: cost, Iters: iters, Converged: false}
 }

@@ -88,7 +88,7 @@ func (o Opt) Validate() error {
 // private copy (the input — which may be a read-only mmap — is never
 // mutated), and rejects datasets containing zero rows, which have no
 // direction to cluster.
-func (o Opt) Prepare(ds *geom.Dataset) (*geom.Dataset, error) {
+func Prepare[T geom.Float](o Opt, ds *geom.Set[T]) (*geom.Set[T], error) {
 	if o.Kind != OptSpherical {
 		return ds, nil
 	}
@@ -96,7 +96,7 @@ func (o Opt) Prepare(ds *geom.Dataset) (*geom.Dataset, error) {
 	if w != nil {
 		w = append([]float64(nil), w...)
 	}
-	norm := &geom.Dataset{X: ds.X.Clone(), Weight: w}
+	norm := &geom.Set[T]{X: ds.X.Clone(), Weight: w}
 	if zeros := NormalizeRows(norm); zeros > 0 {
 		return nil, fmt.Errorf("spherical optimizer: %d zero-norm row(s) cannot be normalized", zeros)
 	}
@@ -107,7 +107,7 @@ func (o Opt) Prepare(ds *geom.Dataset) (*geom.Dataset, error) {
 // already passed through Prepare. cfg carries the shared run parameters
 // (cfg.Method is ignored — the variant and Opt.Kernel decide); seed drives
 // OptMiniBatch's batch sampling.
-func (o Opt) Refine(ds *geom.Dataset, init *geom.Matrix, cfg Config, seed uint64) RefineResult {
+func Refine[T geom.Float](o Opt, ds *geom.Set[T], init *geom.Matrix, cfg Config, seed uint64) RefineResult {
 	switch o.Kind {
 	case OptMiniBatch:
 		iters := o.Batches
@@ -132,7 +132,7 @@ func (o Opt) Refine(ds *geom.Dataset, init *geom.Matrix, cfg Config, seed uint64
 		// The spherical objective is cohesion; Cost is still reported as the
 		// Euclidean k-means cost on the normalized data (= 2·(W − Cohesion)
 		// up to center normalization) so callers can compare models.
-		cost := Cost(ds, res.Centers, cfg.Parallelism)
+		cost := Cost(ds, geom.Convert[T](res.Centers), cfg.Parallelism)
 		return RefineResult{
 			Result: Result{
 				Centers: res.Centers, Assign: res.Assign, Cost: cost,
@@ -143,31 +143,5 @@ func (o Opt) Refine(ds *geom.Dataset, init *geom.Matrix, cfg Config, seed uint64
 	default:
 		cfg.Method = o.Kernel
 		return RefineResult{Result: Run(ds, init, cfg)}
-	}
-}
-
-// Refine32 runs the selected refinement variant over float32 points — the
-// float32 counterpart of Refine. Only OptLloyd (any kernel: naive, Elkan,
-// Hamerly) and OptMiniBatch have float32 implementations; the engine's
-// precision gate (kmeansll.float32Supported) routes OptTrimmed and
-// OptSpherical to the float64 path before this is reached, so those kinds
-// panic here.
-func (o Opt) Refine32(ds *geom.Dataset32, init *geom.Matrix, cfg Config, seed uint64) RefineResult {
-	switch o.Kind {
-	case OptMiniBatch:
-		iters := o.Batches
-		if iters == 0 && cfg.MaxIter > 0 {
-			iters = cfg.MaxIter
-		}
-		res := MiniBatch32(ds, init, MiniBatchConfig{
-			BatchSize: o.BatchSize, Iters: iters,
-			Seed: seed, Parallelism: cfg.Parallelism,
-		})
-		return RefineResult{Result: res}
-	case OptLloyd:
-		cfg.Method = o.Kernel
-		return RefineResult{Result: Run32(ds, init, cfg)}
-	default:
-		panic(fmt.Sprintf("lloyd: optimizer kind %d has no float32 path", int(o.Kind)))
 	}
 }

@@ -19,11 +19,11 @@ import (
 // NormalizeRows scales every row of the dataset to unit L2 norm in place.
 // Zero rows are left untouched (they cannot be normalized). Returns the
 // number of zero rows encountered.
-func NormalizeRows(ds *geom.Dataset) int {
+func NormalizeRows[T geom.Float](ds *geom.Set[T]) int {
 	zeros := 0
 	for i := 0; i < ds.N(); i++ {
 		row := ds.Point(i)
-		n := math.Sqrt(geom.SqNorm(row))
+		n := math.Sqrt(float64(geom.SqNorm(row)))
 		if n == 0 {
 			zeros++
 			continue
@@ -48,7 +48,7 @@ type SphericalResult struct {
 // normalized copies; the input is not modified). The dataset must already be
 // row-normalized — call NormalizeRows first; rows with zero norm are not
 // supported and cause a panic.
-func Spherical(ds *geom.Dataset, init *geom.Matrix, cfg Config) SphericalResult {
+func Spherical[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) SphericalResult {
 	k, d, n := init.Rows, init.Cols, ds.N()
 	centers := init.Clone()
 	for c := 0; c < k; c++ {

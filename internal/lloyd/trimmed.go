@@ -36,12 +36,14 @@ type TrimmedResult struct {
 // Trimmed runs trimmed k-means from the given initial centers. The reported
 // Result.Cost is the cost over ALL points (comparable to plain Lloyd);
 // TrimmedCost excludes the outliers.
-func Trimmed(ds *geom.Dataset, init *geom.Matrix, cfg TrimmedConfig) TrimmedResult {
+func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig) TrimmedResult {
 	if !(cfg.TrimFraction >= 0 && cfg.TrimFraction < 1) { // negated: NaN too
 		panic("lloyd: TrimFraction must be in [0, 1)")
 	}
 	k, d, n := init.Rows, init.Cols, ds.N()
 	centers := init.Clone()
+	snap := geom.NewMat[T](k, d)
+	var cNorms []T
 	assign := make([]int32, n)
 	costs := make([]float64, n)
 	order := make([]int, n)
@@ -61,12 +63,12 @@ func Trimmed(ds *geom.Dataset, init *geom.Matrix, cfg TrimmedConfig) TrimmedResu
 
 	for it := 0; it < limit; it++ {
 		// Assignment + per-point cost (parallel).
+		cNorms = snapshot(snap, centers, cNorms)
 		geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				idx, dist := geom.Nearest(ds.Point(i), centers)
-				assign[i] = int32(idx)
+			geom.VisitAssign(ds.X, snap, cNorms, lo, hi, false, func(i int, idx int32, dist float64) {
+				assign[i] = idx
 				costs[i] = ds.W(i) * dist
-			}
+			})
 		})
 		// Rank points by cost; the top trimCount are this iteration's
 		// outliers.
@@ -133,19 +135,19 @@ func Trimmed(ds *geom.Dataset, init *geom.Matrix, cfg TrimmedConfig) TrimmedResu
 		// (never an outlier), matching plain Lloyd's repair policy.
 		for _, c := range empty {
 			worst, worstVal := -1, -1.0
-			for i := 0; i < n; i++ {
+			cNorms = snapshot(snap, centers, cNorms)
+			geom.VisitAssign(ds.X, snap, cNorms, 0, n, false, func(i int, _ int32, dist float64) {
 				if excluded[i] {
-					continue
+					return
 				}
-				_, dist := geom.Nearest(ds.Point(i), centers)
 				if v := ds.W(i) * dist; v > worstVal {
 					worst, worstVal = i, v
 				}
-			}
+			})
 			if worst < 0 {
 				break
 			}
-			copy(centers.Row(c), ds.Point(worst))
+			geom.WidenRow(centers.Row(c), ds.Point(worst))
 			assign[worst] = int32(c)
 			moved = true
 		}

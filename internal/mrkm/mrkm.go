@@ -70,29 +70,110 @@ func Defaults(cfg core.Config) (ell float64, rounds int) {
 	return ell, rounds
 }
 
+// The span bodies below are the per-partition mapper functions of the
+// dataflow, written once over the point storage type T. The networked
+// realization (internal/distkm) runs the same functions on its workers, so
+// for equal spans and seed (and, for float32, kernel tier) a distributed fit
+// is bit-identical to Init+Lloyd here. Each body runs the blocked engine
+// when its center count clears geom.UseBlocked and the scalar pair scan
+// below it, exactly as core.Init chooses. All cross-point reductions stay
+// float64 in point order.
+
 // UpdateSpan folds centers[from:] into the weighted D² cache of points
 // [lo, hi) and returns the span's φ partial — the cache-update mapper body
-// of Algorithm 2's per-round pass. Both the in-process mapper below and the
-// distkm worker run this exact loop, which keeps their partials bit-equal.
-func UpdateSpan(ds *geom.Dataset, d2 []float64, lo, hi int, centers *geom.Matrix, from int) float64 {
+// of Algorithm 2's per-round pass.
+func UpdateSpan[T geom.Float](ds *geom.Set[T], d2 []float64, lo, hi int, centers *geom.Mat[T], from int) float64 {
+	newView := centers.RowRange(from, centers.Rows)
 	var part float64
-	for i := lo; i < hi; i++ {
-		if d2[i] > 0 {
-			w := ds.W(i)
-			p := ds.Point(i)
-			best := d2[i]
-			if !math.IsInf(best, 1) {
-				best /= w
-			}
-			for c := from; c < centers.Rows; c++ {
-				if nd := geom.SqDistBound(p, centers.Row(c), best); nd < best {
-					best = nd
-				}
-			}
-			d2[i] = w * best
+	if newView.Rows == 0 {
+		for i := lo; i < hi; i++ {
+			part += d2[i]
 		}
+		return part
+	}
+	cNorms := geom.RowSqNorms(&newView, nil)
+	if geom.UseBlocked(newView.Rows, ds.Dim()) {
+		sc := geom.GetScratch[T]()
+		geom.VisitNearest(ds.X, &newView, cNorms, lo, hi, sc, false, func(i int, _ int32, dNew float64) {
+			if nd := ds.W(i) * dNew; nd < d2[i] {
+				d2[i] = nd
+			}
+			part += d2[i]
+		})
+		sc.Release()
+		return part
+	}
+	for i := lo; i < hi; i++ {
+		d2[i] = geom.FoldPair(ds.Point(i), ds.W(i), d2[i], &newView, cNorms)
 		part += d2[i]
 	}
+	return part
+}
+
+// visitSpan runs the nearest-center scan of points [lo, hi) against
+// centers: the blocked engine above the crossover, the scalar pair scan
+// below it.
+func visitSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], visit func(i int, idx int32, d2 float64)) {
+	cNorms := geom.RowSqNorms(centers, nil)
+	if geom.UseBlocked(centers.Rows, centers.Cols) {
+		sc := geom.GetScratch[T]()
+		geom.VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, visit)
+		sc.Release()
+		return
+	}
+	for i := lo; i < hi; i++ {
+		idx, d := geom.NearestPair(ds.Point(i), centers, cNorms)
+		visit(i, int32(idx), d)
+	}
+}
+
+// WeightSpan is the Step 7 mapper body: the total input weight of the
+// span's points served by each candidate, accumulated in point order.
+func WeightSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) []float64 {
+	w := make([]float64, centers.Rows)
+	visitSpan(ds, lo, hi, centers, func(i int, idx int32, _ float64) {
+		w[idx] += ds.W(i)
+	})
+	return w
+}
+
+// LloydSpan is one Lloyd iteration's mapper body: per-center Σw·x ⧺ Σw (a
+// k×(d+1) float64 matrix, widened accumulation) plus the span's
+// assignment-cost partial.
+func LloydSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) (*geom.Matrix, float64) {
+	d := centers.Cols
+	sums := geom.NewMatrix(centers.Rows, d+1)
+	var phi float64
+	visitSpan(ds, lo, hi, centers, func(i int, idx int32, dist float64) {
+		w := ds.W(i)
+		row := sums.Row(int(idx))
+		geom.AddScaled(row[:d], w, ds.Point(i))
+		row[d] += w
+		phi += w * dist
+	})
+	return sums, phi
+}
+
+// CostSpan is the φ partial of points [lo, hi) against an arbitrary center
+// set — the evaluation-pass mapper body.
+func CostSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) float64 {
+	var part float64
+	visitSpan(ds, lo, hi, centers, func(i int, _ int32, dist float64) {
+		part += ds.W(i) * dist
+	})
+	return part
+}
+
+// AssignSpan writes the nearest-center index of every point in [lo, hi)
+// into assign (indexed globally, like d2 in UpdateSpan) and returns the
+// span's cost partial — the final-assignment mapper body (a distkm worker
+// passes its local slice with lo = 0).
+func AssignSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], assign []int32) float64 {
+	var part float64
+	visitSpan(ds, lo, hi, centers, func(i int, idx int32, dist float64) {
+		assign[i] = idx
+		part += ds.W(i) * dist
+	})
 	return part
 }
 
@@ -128,8 +209,11 @@ func (c Config) engine() mr.Config { return mr.Config{Mappers: c.Mappers, Reduce
 // The algorithmic parameters are taken from cfg (K, L, Rounds, Seed); the
 // sampling is Bernoulli with the same counter-based per-point randomness as
 // core.Init, so for equal parameters the candidate sets agree with the
-// in-process implementation.
-func Init(ds *geom.Dataset, cfg core.Config, cluster Config) (*geom.Matrix, Stats) {
+// in-process implementation. The driver-side structure (first-center draw,
+// sampling on the float64 D² cache, Step 8 reclustering the widened
+// candidates in float64) is shared by both storage types; only the mapper
+// bodies run in T.
+func Init[T geom.Float](ds *geom.Set[T], cfg core.Config, cluster Config) (*geom.Matrix, Stats) {
 	if cfg.K <= 0 {
 		panic("mrkm: Config.K must be positive")
 	}
@@ -150,8 +234,7 @@ func Init(ds *geom.Dataset, cfg core.Config, cluster Config) (*geom.Matrix, Stat
 	} else {
 		first = r.WeightedIndex(ds.Weight)
 	}
-	centers := geom.NewMatrix(0, ds.Dim())
-	centers.Cols = ds.Dim()
+	centers := &geom.Mat[T]{Cols: ds.Dim()}
 	centers.AppendRow(ds.Point(first))
 
 	// d2 is the data-local distance cache (one entry per point, owned by the
@@ -199,15 +282,16 @@ func Init(ds *geom.Dataset, cfg core.Config, cluster Config) (*geom.Matrix, Stat
 	}
 	stats.Candidates = centers.Rows
 
-	// Step 7: weighting job.
+	// Step 7: weighting job; per-span weight vectors are reduced in span
+	// order, matching the coordinator's fixed shard-order reduction.
 	weights := weightJob(spans, ds, centers, engine, &stats)
 
 	// Step 8: sequential reclustering on the driver.
-	cds := WeightedCandidates(centers, weights)
+	cds := WeightedCandidates(geom.Widen(centers), weights)
 	final := seed.KMeansPP(cds, cfg.K, r, 1)
 
 	// Final cost pass (also an MR job, like the evaluation step in §3.5).
-	stats.SeedCost = costJob(spans, ds, final, engine, &stats)
+	stats.SeedCost = costJob(spans, ds, geom.Convert[T](final), engine, &stats)
 	return final, stats
 }
 
@@ -245,39 +329,35 @@ func sampleOnly(spans []Span, d2 []float64, phi, ell float64, seedVal uint64, ro
 	return out[0]
 }
 
-// weightJob is Step 7 as map + combine + reduce over (centerIdx, weight).
-func weightJob(spans []Span, ds *geom.Dataset, centers *geom.Matrix, engine mr.Config, stats *Stats) []float64 {
-	mapper := func(s Span, emit func(int, float64)) {
-		for i := s.Lo; i < s.Hi; i++ {
-			idx, _ := geom.Nearest(ds.Point(i), centers)
-			emit(idx, ds.W(i))
+// weightJob is Step 7: one WeightSpan per span, summed per candidate in
+// span order.
+func weightJob[T geom.Float](spans []Span, ds *geom.Set[T], centers *geom.Mat[T], engine mr.Config, stats *Stats) []float64 {
+	mapper := func(s Span, emit func(int, []float64)) {
+		emit(0, WeightSpan(ds, s.Lo, s.Hi, centers))
+	}
+	k := centers.Rows
+	reducer := func(_ int, vs [][]float64, emit func([]float64)) {
+		out := make([]float64, k)
+		for _, v := range vs {
+			for c := range out {
+				out[c] += v[c]
+			}
 		}
+		emit(out)
 	}
-	combiner := func(_ int, vs []float64) float64 { return sum(vs) }
-	type cw struct {
-		C int
-		W float64
-	}
-	reducer := func(c int, vs []float64, emit func(cw)) { emit(cw{c, sum(vs)}) }
-	out, counters := mr.Run(spans, mapper, combiner, reducer, engine)
+	out, counters := mr.Run(spans, mapper, nil, reducer, engine)
 	stats.MRRounds++
 	stats.Counters.Add(counters)
-	weights := make([]float64, centers.Rows)
-	for _, o := range out {
-		weights[o.C] = o.W
+	if len(out) == 0 {
+		return make([]float64, k)
 	}
-	return weights
+	return out[0]
 }
 
 // costJob computes φ_X(C) as one MR job.
-func costJob(spans []Span, ds *geom.Dataset, centers *geom.Matrix, engine mr.Config, stats *Stats) float64 {
+func costJob[T geom.Float](spans []Span, ds *geom.Set[T], centers *geom.Mat[T], engine mr.Config, stats *Stats) float64 {
 	mapper := func(s Span, emit func(int, float64)) {
-		var part float64
-		for i := s.Lo; i < s.Hi; i++ {
-			_, d := geom.Nearest(ds.Point(i), centers)
-			part += ds.W(i) * d
-		}
-		emit(0, part)
+		emit(0, CostSpan(ds, s.Lo, s.Hi, centers))
 	}
 	reducer := func(_ int, vs []float64, emit func(float64)) { emit(sum(vs)) }
 	out, counters := mr.Run(spans, mapper, nil, reducer, engine)
@@ -314,9 +394,14 @@ func WeightedCandidates(centers *geom.Matrix, weights []float64) *geom.Dataset {
 }
 
 // Lloyd runs Lloyd's iteration where each iteration is one MapReduce job
-// (the standard parallel k-means the paper cites from Mahout). Empty clusters
-// keep their previous position, as in the textbook MR implementation.
-func Lloyd(ds *geom.Dataset, init *geom.Matrix, maxIter int, cluster Config) (lloyd.Result, Stats) {
+// (the standard parallel k-means the paper cites from Mahout). Centers are
+// mastered in float64 and narrowed to a T snapshot the mappers scan; the
+// per-center Σw·x ⧺ Σw reduction and the center update itself stay float64,
+// folded in span order. Empty clusters keep their previous position, as in
+// the textbook MR implementation. The final assignment and cost come from a
+// dedicated span job so they reduce in the same fixed order a distkm
+// coordinator uses.
+func Lloyd[T geom.Float](ds *geom.Set[T], init *geom.Matrix, maxIter int, cluster Config) (lloyd.Result, Stats) {
 	if maxIter <= 0 {
 		maxIter = 20 // the paper bounds parallel Lloyd at 20 iterations (§4.2)
 	}
@@ -325,82 +410,60 @@ func Lloyd(ds *geom.Dataset, init *geom.Matrix, maxIter int, cluster Config) (ll
 	engine := cluster.engine()
 	centers := init.Clone()
 	k, d := centers.Rows, centers.Cols
+	snap := geom.NewMat[T](k, d)
+	narrow := func() {
+		for c := 0; c < k; c++ {
+			geom.ConvertRow(snap.Row(c), centers.Row(c))
+		}
+	}
 	stats := Stats{}
 	res := lloyd.Result{Centers: centers}
 
-	type acc struct {
-		Vec []float64 // Σ w·x followed by Σ w, length d+1
-		Phi float64
+	type part struct {
+		Sums []float64 // k rows of Σw·x ⧺ Σw, k×(d+1), span-local
+		Phi  float64
 	}
 	for it := 0; it < maxIter; it++ {
-		mapper := func(s Span, emit func(int, acc)) {
-			local := make([]acc, k)
-			for i := s.Lo; i < s.Hi; i++ {
-				p := ds.Point(i)
-				idx, dist := geom.Nearest(p, centers)
-				w := ds.W(i)
-				a := &local[idx]
-				if a.Vec == nil {
-					a.Vec = make([]float64, d+1)
-				}
-				for j, v := range p {
-					a.Vec[j] += w * v
-				}
-				a.Vec[d] += w
-				a.Phi += w * dist
-			}
-			for c := range local {
-				if local[c].Vec != nil {
-					emit(c, local[c])
-				}
-			}
+		narrow()
+		mapper := func(s Span, emit func(int, part)) {
+			sums, phi := LloydSpan(ds, s.Lo, s.Hi, snap)
+			emit(0, part{Sums: sums.Data, Phi: phi})
 		}
-		combiner := func(_ int, vs []acc) acc {
-			out := acc{Vec: make([]float64, d+1)}
-			for _, v := range vs {
-				for j := range out.Vec {
-					out.Vec[j] += v.Vec[j]
-				}
-				out.Phi += v.Phi
-			}
-			return out
-		}
-		type cu struct {
-			C   int
-			Row []float64
-			Phi float64
-		}
-		reducer := func(c int, vs []acc, emit func(cu)) {
-			total := make([]float64, d+1)
+		reducer := func(_ int, vs []part, emit func(part)) {
+			total := make([]float64, k*(d+1))
 			var phi float64
 			for _, v := range vs {
 				for j := range total {
-					total[j] += v.Vec[j]
+					total[j] += v.Sums[j]
 				}
 				phi += v.Phi
 			}
-			row := make([]float64, d)
-			if total[d] > 0 {
-				for j := 0; j < d; j++ {
-					row[j] = total[j] / total[d]
-				}
-			}
-			emit(cu{C: c, Row: row, Phi: phi})
+			emit(part{Sums: total, Phi: phi})
 		}
-		out, counters := mr.Run(spans, mapper, combiner, reducer, engine)
+		out, counters := mr.Run(spans, mapper, nil, reducer, engine)
 		stats.MRRounds++
 		stats.Counters.Add(counters)
+		if len(out) == 0 {
+			break
+		}
+		total, phi := out[0].Sums, out[0].Phi
 
-		var phi float64
 		maxMove := 0.0
-		for _, o := range out {
-			phi += o.Phi
-			if len(o.Row) == d {
-				move := geom.SqDist(o.Row, centers.Row(o.C))
-				if move > maxMove {
-					maxMove = move
-				}
-				copy(centers.Row(o.C), o.Row)
+		for c := 0; c < k; c++ {
+			row := total[c*(d+1) : (c+1)*(d+1)]
+			if row[d] <= 0 {
+				continue // empty cluster keeps its previous position
+			}
+			cRow := centers.Row(c)
+			var move float64
+			for j := 0; j < d; j++ {
+				v := row[j] / row[d]
+				diff := v - cRow[j]
+				move += diff * diff
+				cRow[j] = v
+			}
+			if move > maxMove {
+				maxMove = move
 			}
 		}
 		res.Iters = it + 1
@@ -411,9 +474,22 @@ func Lloyd(ds *geom.Dataset, init *geom.Matrix, maxIter int, cluster Config) (ll
 			break
 		}
 	}
-	// res.Cost above is the cost w.r.t. the PREVIOUS centers (assignment
-	// cost); report the final cost against the final centers.
-	res.Assign, res.Cost = lloyd.Assign(ds, centers, 0)
+
+	// res.Cost above is w.r.t. the previous centers; report the final
+	// assignment and cost against the final centers, reduced in span order.
+	// This report pass is not an iteration, so it is not counted as one of
+	// the run's MR jobs.
+	narrow()
+	assign := make([]int32, n)
+	mapper := func(s Span, emit func(int, float64)) {
+		emit(0, AssignSpan(ds, s.Lo, s.Hi, snap, assign))
+	}
+	reducer := func(_ int, vs []float64, emit func(float64)) { emit(sum(vs)) }
+	out, _ := mr.Run(spans, mapper, nil, reducer, engine)
+	res.Assign = assign
+	if len(out) > 0 {
+		res.Cost = out[0]
+	}
 	stats.SeedCost = res.Cost
 	return res, stats
 }

@@ -11,10 +11,10 @@ import (
 
 // blobs32 narrows a blobs dataset to float32 and re-widens, so the float64
 // and float32 realizations see exactly the same values.
-func blobs32(t testing.TB, k, m, dim int, sep float64, seedVal uint64) (*geom.Dataset, *geom.Dataset32) {
+func blobs32(t testing.TB, k, m, dim int, sep float64, seedVal uint64) (*geom.Dataset, *geom.Set[float32]) {
 	t.Helper()
-	ds32 := geom.ToDataset32(blobs(t, k, m, dim, sep, seedVal))
-	return ds32.ToDataset(), ds32
+	ds32 := geom.ConvertSet[float32](blobs(t, k, m, dim, sep, seedVal))
+	return geom.WidenSet(ds32), ds32
 }
 
 // TestInit32MatchesInit compares the float32 MR realization against the
@@ -24,7 +24,7 @@ func TestInit32MatchesInit(t *testing.T) {
 	ds64, ds32 := blobs32(t, 5, 120, 6, 25, 11)
 	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 7}
 	_, s64 := Init(ds64, cfg, Config{Mappers: 4})
-	c32, s32 := Init32(ds32, cfg, Config{Mappers: 4})
+	c32, s32 := Init(ds32, cfg, Config{Mappers: 4})
 	if c32.Rows != 5 {
 		t.Fatalf("Init32 returned %d centers", c32.Rows)
 	}
@@ -46,9 +46,9 @@ func TestLloyd32MatchesLloyd(t *testing.T) {
 	ds64, ds32 := blobs32(t, 6, 150, 8, 10, 13)
 	init, _ := Init(ds64, core.Config{K: 6, Seed: 3}, Config{Mappers: 4})
 	// Narrow the start so both precisions refine from identical values.
-	init = geom.ToMatrix32(init).ToMatrix()
+	init = geom.Widen(geom.Convert[float32](init))
 	r64, _ := Lloyd(ds64, init, 15, Config{Mappers: 4})
-	r32, _ := Lloyd32(ds32, init, 15, Config{Mappers: 4})
+	r32, _ := Lloyd(ds32, init, 15, Config{Mappers: 4})
 	if rel := math.Abs(r32.Cost-r64.Cost) / r64.Cost; rel > 1e-5 {
 		t.Fatalf("cost differs: f64 %v vs f32 %v (rel %v)", r64.Cost, r32.Cost, rel)
 	}
@@ -70,10 +70,10 @@ func TestLloyd32MatchesLloyd(t *testing.T) {
 func TestLloyd32AssignMatchesAssign32(t *testing.T) {
 	ds64, ds32 := blobs32(t, 4, 100, 5, 20, 17)
 	init, _ := Init(ds64, core.Config{K: 4, Seed: 9}, Config{Mappers: 3})
-	init = geom.ToMatrix32(init).ToMatrix()
-	res, _ := Lloyd32(ds32, init, 10, Config{Mappers: 3})
-	snap := geom.ToMatrix32(res.Centers)
-	want, _ := lloyd.Assign32(ds32, snap, 2)
+	init = geom.Widen(geom.Convert[float32](init))
+	res, _ := Lloyd(ds32, init, 10, Config{Mappers: 3})
+	snap := geom.Convert[float32](res.Centers)
+	want, _ := lloyd.Assign(ds32, snap, 2)
 	for i := range want {
 		if want[i] != res.Assign[i] {
 			t.Fatalf("assignment %d differs: Lloyd32 %d vs Assign32 %d", i, res.Assign[i], want[i])
@@ -87,8 +87,7 @@ func TestLloyd32AssignMatchesAssign32(t *testing.T) {
 func TestUpdateSpan32SpanInvariance(t *testing.T) {
 	_, ds32 := blobs32(t, 4, 90, 7, 15, 19)
 	n := ds32.N()
-	pNorms := geom.RowSqNorms32(ds32.X, nil)
-	centers := &geom.Matrix32{Cols: ds32.Dim()}
+	centers := &geom.Mat[float32]{Cols: ds32.Dim()}
 	for _, i := range []int{0, 57, 200} {
 		centers.AppendRow(ds32.Point(i))
 	}
@@ -98,7 +97,7 @@ func TestUpdateSpan32SpanInvariance(t *testing.T) {
 			d2[i] = math.Inf(1)
 		}
 		for _, s := range spans {
-			UpdateSpan32(ds32, pNorms, d2, s.Lo, s.Hi, centers, 0)
+			UpdateSpan(ds32, d2, s.Lo, s.Hi, centers, 0)
 		}
 		return d2
 	}

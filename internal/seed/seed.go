@@ -3,9 +3,13 @@
 // SODA 2007 — Algorithm 1 in the paper), including the weighted variant that
 // k-means|| and Partition use to recluster their candidate sets.
 //
-// All functions return a k×d matrix of centers and never modify the dataset.
-// When the dataset has fewer than k points, all points are returned (callers
-// asking for k ≥ n get the trivially optimal seeding).
+// All functions are generic over the point storage type, return a k×d
+// float64 matrix of centers (exact widenings of chosen points) and never
+// modify the dataset. When the dataset has fewer than k points, all points
+// are returned (callers asking for k ≥ n get the trivially optimal
+// seeding). The index draws depend only on the rng state and, for
+// k-means++, on the D² weights, so float32 storage changes a seeding only
+// where its rounding perturbs a weight (docs/kernels.md).
 package seed
 
 import (
@@ -18,7 +22,7 @@ import (
 // Random selects min(k, n) distinct points uniformly at random. Point weights
 // are ignored, matching the paper's Random baseline ("selects k points
 // uniformly at random from the dataset", §4.2).
-func Random(ds *geom.Dataset, k int, r *rng.Rng) *geom.Matrix {
+func Random[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng) *geom.Matrix {
 	n := ds.N()
 	if k > n {
 		k = n
@@ -32,7 +36,7 @@ func Random(ds *geom.Dataset, k int, r *rng.Rng) *geom.Matrix {
 
 // WeightedRandom selects min(k, n) distinct points with probability
 // proportional to their weights (without replacement).
-func WeightedRandom(ds *geom.Dataset, k int, r *rng.Rng) *geom.Matrix {
+func WeightedRandom[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng) *geom.Matrix {
 	n := ds.N()
 	if k > n {
 		k = n
@@ -59,7 +63,7 @@ func WeightedRandom(ds *geom.Dataset, k int, r *rng.Rng) *geom.Matrix {
 // O(n·k·d) — the cost of a single Lloyd iteration, as the paper notes.
 //
 // parallelism controls the distance-update passes; <1 means all CPUs.
-func KMeansPP(ds *geom.Dataset, k int, r *rng.Rng, parallelism int) *geom.Matrix {
+func KMeansPP[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng, parallelism int) *geom.Matrix {
 	n := ds.N()
 	if k <= 0 {
 		panic("seed: k must be positive")
@@ -72,8 +76,7 @@ func KMeansPP(ds *geom.Dataset, k int, r *rng.Rng, parallelism int) *geom.Matrix
 		return gather(ds, all)
 	}
 
-	centers := geom.NewMatrix(0, ds.Dim())
-	centers.Cols = ds.Dim()
+	centers := &geom.Mat[T]{Cols: ds.Dim()}
 
 	// First center: weight-proportional (uniform when unweighted).
 	var first int
@@ -83,27 +86,24 @@ func KMeansPP(ds *geom.Dataset, k int, r *rng.Rng, parallelism int) *geom.Matrix
 		first = r.WeightedIndex(ds.Weight)
 	}
 	centers.AppendRow(ds.Point(first))
-
 	centers.Reserve(k)
 
-	// d2[i] = w_i · d²(x_i, C), maintained incrementally. Point norms are
-	// cached once so every subsequent D² update runs the norm-expansion
-	// kernel (SqDistNorm: ‖x‖²+‖c‖²−2⟨x,c⟩, 2/3 of SqDist's flops) — k−1
-	// passes reuse one norm pass. Pinning geom.KernelNaive keeps the exact
-	// (a−b)² kernel instead (the baseline path, and the precise one for
-	// data offset far from the origin).
+	// d2[i] = w_i · d²(x_i, C) in float64, maintained incrementally. Point
+	// norms are cached once so every subsequent D² update runs the
+	// norm-expansion kernel (SqDistNorm: ‖x‖²+‖c‖²−2⟨x,c⟩, 2/3 of SqDist's
+	// flops) — k−1 passes reuse one norm pass. Pinning geom.KernelNaive
+	// falls back to the scalar pair kernel instead (exact (a−b)² for
+	// float64: the baseline path, and the precise one for data offset far
+	// from the origin).
 	useNorms := geom.PinnedKernel() != geom.KernelNaive
-	d2 := make([]float64, n)
-	var pNorms []float64
-	if useNorms {
-		pNorms = geom.RowSqNorms(ds.X, nil)
-	}
-	pairD2 := func(i int, c []float64, cNorm float64) float64 {
+	pNorms := geom.RowSqNorms(ds.X, nil)
+	pairD2 := func(i int, c []T, cNorm T) float64 {
 		if useNorms {
 			return geom.SqDistNorm(ds.Point(i), c, pNorms[i], cNorm)
 		}
-		return geom.SqDist(ds.Point(i), c)
+		return geom.SqDistPair(ds.Point(i), c, pNorms[i], cNorm)
 	}
+	d2 := make([]float64, n)
 	chunks := geom.ChunkCount(n, parallelism)
 	partial := make([]float64, chunks)
 	geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
@@ -143,7 +143,7 @@ func KMeansPP(ds *geom.Dataset, k int, r *rng.Rng, parallelism int) *geom.Matrix
 		})
 		phi = sum(partial)
 	}
-	return centers
+	return geom.Widen(centers)
 }
 
 // sampleIndex draws an index proportionally to d2 given its precomputed sum.
@@ -176,10 +176,11 @@ func sum(xs []float64) float64 {
 	return s
 }
 
-func gather(ds *geom.Dataset, idx []int) *geom.Matrix {
+// gather copies the indexed points into a fresh float64 matrix.
+func gather[T geom.Float](ds *geom.Set[T], idx []int) *geom.Matrix {
 	m := geom.NewMatrix(len(idx), ds.Dim())
 	for j, i := range idx {
-		copy(m.Row(j), ds.Point(i))
+		geom.WidenRow(m.Row(j), ds.Point(i))
 	}
 	return m
 }

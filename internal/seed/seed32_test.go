@@ -8,15 +8,15 @@ import (
 )
 
 // testData32 builds clustered float32-representable data in both precisions.
-func testData32(t *testing.T, n, dim int, seed uint64) (*geom.Dataset, *geom.Dataset32) {
+func testData32(t *testing.T, n, dim int, seed uint64) (*geom.Dataset, *geom.Set[float32]) {
 	t.Helper()
 	r := rng.New(seed)
 	x := geom.NewMatrix(n, dim)
 	for i := range x.Data {
 		x.Data[i] = 10 * r.NormFloat64()
 	}
-	ds32 := geom.ToDataset32(geom.NewDataset(x))
-	return ds32.ToDataset(), ds32
+	ds32 := geom.ConvertSet[float32](geom.NewDataset(x))
+	return geom.WidenSet(ds32), ds32
 }
 
 // TestKMeansPP32Quality checks the float32 k-means++ seeds as well as the
@@ -26,7 +26,7 @@ func TestKMeansPP32Quality(t *testing.T) {
 	ds64, ds32 := testData32(t, 1500, 12, 5)
 	k := 10
 	c64 := KMeansPP(ds64, k, rng.New(3), 0)
-	c32 := KMeansPP32(ds32, k, rng.New(3), 0)
+	c32 := KMeansPP(ds32, k, rng.New(3), 0)
 	if c32.Rows != k || c32.Cols != 12 {
 		t.Fatalf("KMeansPP32 returned %dx%d", c32.Rows, c32.Cols)
 	}
@@ -57,8 +57,8 @@ func TestKMeansPP32Quality(t *testing.T) {
 // TestKMeansPP32Deterministic pins bit-exact repeatability.
 func TestKMeansPP32Deterministic(t *testing.T) {
 	_, ds32 := testData32(t, 600, 7, 9)
-	a := KMeansPP32(ds32, 6, rng.New(17), 4)
-	b := KMeansPP32(ds32, 6, rng.New(17), 4)
+	a := KMeansPP(ds32, 6, rng.New(17), 4)
+	b := KMeansPP(ds32, 6, rng.New(17), 4)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("centers diverged at flat index %d", i)
@@ -69,7 +69,7 @@ func TestKMeansPP32Deterministic(t *testing.T) {
 // TestKMeansPP32SmallDataset covers k ≥ n: all points returned, widened.
 func TestKMeansPP32SmallDataset(t *testing.T) {
 	ds64, ds32 := testData32(t, 4, 3, 2)
-	c := KMeansPP32(ds32, 9, rng.New(1), 0)
+	c := KMeansPP(ds32, 9, rng.New(1), 0)
 	if c.Rows != 4 {
 		t.Fatalf("k ≥ n should return all 4 points, got %d", c.Rows)
 	}
@@ -89,7 +89,7 @@ func TestKMeansPP32Weighted(t *testing.T) {
 	for i := range ds32.Weight {
 		ds32.Weight[i] = 0.1 + r.Float64()
 	}
-	c := KMeansPP32(ds32, 8, rng.New(2), 0)
+	c := KMeansPP(ds32, 8, rng.New(2), 0)
 	if c.Rows != 8 {
 		t.Fatalf("got %d centers, want 8", c.Rows)
 	}

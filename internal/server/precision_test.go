@@ -147,10 +147,10 @@ func TestDistBackendFitPrecisionF32(t *testing.T) {
 	}
 }
 
-// TestFitPrecisionWidenedFallback pins the observability of the transparent
-// f64 widening: a float32 request with the Trimmed optimizer (outside the
-// float32 fast path) must fit fine, but report requested=f32 effective=f64
-// in the job status and model metadata.
+// TestFitPrecisionWidenedFallback pins the precision reporting of a float32
+// request with the Trimmed optimizer. It once widened to f64; every
+// optimizer now runs in float32, so the job status and model metadata
+// report requested=f32 effective=f32.
 func TestFitPrecisionWidenedFallback(t *testing.T) {
 	s := newTestServer(t, Config{})
 	points := blobPoints(200, 3, 2, 6)
@@ -170,8 +170,8 @@ func TestFitPrecisionWidenedFallback(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("widened fit ended %q (%s)", st.State, st.Error)
 	}
-	if st.PrecisionRequested != "f32" || st.PrecisionEffective != "f64" {
-		t.Fatalf("widened job precision requested=%q effective=%q, want f32/f64",
+	if st.PrecisionRequested != "f32" || st.PrecisionEffective != "f32" {
+		t.Fatalf("trimmed job precision requested=%q effective=%q, want f32/f32",
 			st.PrecisionRequested, st.PrecisionEffective)
 	}
 
@@ -179,8 +179,8 @@ func TestFitPrecisionWidenedFallback(t *testing.T) {
 	if code := do(t, s, "GET", "/v1/models/widened", nil, &meta); code != http.StatusOK {
 		t.Fatalf("GET model: status %d", code)
 	}
-	if meta.Precision != "f64" || meta.PrecisionRequested != "f32" || meta.PrecisionEffective != "f64" {
-		t.Fatalf("widened model precision=%q requested=%q effective=%q, want f64/f32/f64",
+	if meta.Precision != "f32" || meta.PrecisionRequested != "f32" || meta.PrecisionEffective != "f32" {
+		t.Fatalf("trimmed model precision=%q requested=%q effective=%q, want f32/f32/f32",
 			meta.Precision, meta.PrecisionRequested, meta.PrecisionEffective)
 	}
 }

@@ -69,7 +69,7 @@ func DefaultM(n, k int) int {
 }
 
 // Partition runs the baseline and returns k centers plus run statistics.
-func Partition(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
+func Partition[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) {
 	if cfg.K <= 0 {
 		panic("stream: Config.K must be positive")
 	}
@@ -106,7 +106,7 @@ func Partition(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 	// Cluster each group with k-means#, in parallel across groups. Each
 	// group gets a deterministic RNG stream keyed by its index.
 	type groupResult struct {
-		centers *geom.Matrix
+		centers *geom.Mat[T]
 		weights []float64
 	}
 	results := make([]groupResult, m)
@@ -130,7 +130,7 @@ func Partition(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 			if r.weights[i] <= 0 {
 				continue
 			}
-			union.AppendRow(r.centers.Row(i))
+			union.AppendRow(geom.WidenRow(make([]float64, ds.Dim()), r.centers.Row(i)))
 			weights = append(weights, r.weights[i])
 		}
 	}
@@ -140,7 +140,7 @@ func Partition(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 	// second round of the paper's parallel realization).
 	cds := &geom.Dataset{X: union, Weight: weights}
 	final := seed.KMeansPP(cds, cfg.K, root.Split(0), cfg.Parallelism)
-	stats.SeedCost = lloyd.Cost(ds, final, cfg.Parallelism)
+	stats.SeedCost = lloyd.Cost(ds, geom.Convert[T](final), cfg.Parallelism)
 	return final, stats
 }
 
@@ -149,7 +149,7 @@ func Partition(ds *geom.Dataset, cfg Config) (*geom.Matrix, Stats) {
 // iterations. The first iteration draws uniformly. batch ≤ 0 selects the
 // paper's 3·⌈ln k⌉. The MapReduce realization (mrkm.Partition) reuses it as
 // the per-group mapper body.
-func KMeansSharp(ds *geom.Dataset, k, batch int, r *rng.Rng) *geom.Matrix {
+func KMeansSharp[T geom.Float](ds *geom.Set[T], k, batch int, r *rng.Rng) *geom.Mat[T] {
 	if batch <= 0 {
 		batch = 3 * int(math.Ceil(math.Log(float64(k))))
 		if batch < 1 {
@@ -157,8 +157,7 @@ func KMeansSharp(ds *geom.Dataset, k, batch int, r *rng.Rng) *geom.Matrix {
 		}
 	}
 	n := ds.N()
-	centers := geom.NewMatrix(0, ds.Dim())
-	centers.Cols = ds.Dim()
+	centers := &geom.Mat[T]{Cols: ds.Dim()}
 	cap := k * batch
 	if cap > n {
 		cap = n
@@ -173,8 +172,9 @@ func KMeansSharp(ds *geom.Dataset, k, batch int, r *rng.Rng) *geom.Matrix {
 	// Maintain w_i·d²(x_i, C) incrementally.
 	d2 := make([]float64, n)
 	var phi float64
+	cNorms := geom.RowSqNorms(centers, nil)
 	for i := 0; i < n; i++ {
-		_, d := geom.Nearest(ds.Point(i), centers)
+		_, d := geom.NearestPair(ds.Point(i), centers, cNorms)
 		d2[i] = ds.W(i) * d
 		phi += d2[i]
 	}
@@ -198,18 +198,10 @@ func KMeansSharp(ds *geom.Dataset, k, batch int, r *rng.Rng) *geom.Matrix {
 			break
 		}
 		phi = 0
+		newView := centers.RowRange(from, centers.Rows)
+		cNorms := geom.RowSqNorms(&newView, nil)
 		for i := 0; i < n; i++ {
-			if d2[i] > 0 {
-				w := ds.W(i)
-				best := d2[i] / w
-				p := ds.Point(i)
-				for c := from; c < centers.Rows; c++ {
-					if nd := geom.SqDistBound(p, centers.Row(c), best); nd < best {
-						best = nd
-					}
-				}
-				d2[i] = w * best
-			}
+			d2[i] = geom.FoldPair(ds.Point(i), ds.W(i), d2[i], &newView, cNorms)
 			phi += d2[i]
 		}
 	}
@@ -218,10 +210,11 @@ func KMeansSharp(ds *geom.Dataset, k, batch int, r *rng.Rng) *geom.Matrix {
 
 // groupWeights assigns each group point to its nearest group center and
 // returns the per-center weight totals.
-func groupWeights(ds *geom.Dataset, centers *geom.Matrix) []float64 {
+func groupWeights[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T]) []float64 {
 	w := make([]float64, centers.Rows)
+	cNorms := geom.RowSqNorms(centers, nil)
 	for i := 0; i < ds.N(); i++ {
-		idx, _ := geom.Nearest(ds.Point(i), centers)
+		idx, _ := geom.NearestPair(ds.Point(i), centers, cNorms)
 		w[idx] += ds.W(i)
 	}
 	return w

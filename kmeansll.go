@@ -194,22 +194,12 @@ type Model struct {
 		tree *kdtree.Tree
 	}
 
-	// linearIndex lazily caches the contiguous center matrix and center
-	// norms the blocked linear-scan regime of PredictBatch uses. Like the
-	// kd-tree, it is built once, so Centers must not be mutated after the
+	// linear64 and linear32 lazily cache the contiguous center matrix and
+	// norms of the blocked linear-scan regime, one per precision. Like the
+	// kd-tree, each is built once, so Centers must not be mutated after the
 	// first PredictBatch call.
-	linearIndex struct {
-		once  sync.Once
-		mat   *geom.Matrix
-		norms []float64
-	}
-
-	// linearIndex32 is linearIndex for the float32 linear-scan regime.
-	linearIndex32 struct {
-		once  sync.Once
-		mat   *geom.Matrix32
-		norms []float32
-	}
+	linear64 linearIndex[float64]
+	linear32 linearIndex[float32]
 
 	// precision selects PredictBatch's linear-scan arithmetic; see
 	// SetPredictPrecision.
@@ -256,13 +246,16 @@ func Cluster(points [][]float64, cfg Config) (*Model, error) {
 	return clusterDataset(ds, cfg)
 }
 
-// ClusterDataset is Cluster over an already-materialized geom.Dataset — the
-// out-of-core entry point: an mmap-backed dataset opened from a .kmd file
-// flows straight into the fit without ever being copied into [][]float64
-// rows. Config.Weights is ignored; weights come from the dataset. Intended
-// for in-repo consumers (kmserved path-based fit jobs, the CLI tools) —
-// external importers cannot construct a geom.Dataset and should use Cluster.
-func ClusterDataset(ds *geom.Dataset, cfg Config) (*Model, error) {
+// ClusterDataset is Cluster over an already-materialized dataset of either
+// precision — the out-of-core entry point: an mmap-backed dataset opened
+// from a .kmd file flows straight into the fit without ever being copied
+// into [][]float64 rows. A float32 dataset fits in float32 (its precision
+// implies Config.Precision); a float64 dataset with Config.Precision =
+// Float32 is narrowed once. Config.Weights is ignored; weights come from
+// the dataset. Intended for in-repo consumers (kmserved path-based fit
+// jobs, the CLI tools) — external importers cannot construct a geom.Set
+// and should use Cluster.
+func ClusterDataset[T geom.Float](ds *geom.Set[T], cfg Config) (*Model, error) {
 	if cfg.K < 1 {
 		return nil, errors.New("kmeansll: Config.K must be ≥ 1")
 	}
@@ -279,18 +272,19 @@ func ClusterDataset(ds *geom.Dataset, cfg Config) (*Model, error) {
 }
 
 // clusterDataset runs the seeding + refinement pipeline over a validated
-// dataset: lower the optimizer, let it prepare the dataset (Spherical
-// normalizes a private copy — seeding must see the same geometry the
-// refinement optimizes), seed, refine.
-func clusterDataset(ds *geom.Dataset, cfg Config) (*Model, error) {
-	if cfg.Precision == Float32 {
-		return clusterDataset32(geom.ToDataset32(ds), cfg)
+// dataset, in the precision of the data (a float64 dataset narrowed once
+// when Config.Precision asks for Float32): lower the optimizer, let it
+// prepare the dataset (Spherical normalizes a private copy — seeding must
+// see the same geometry the refinement optimizes), seed, refine.
+func clusterDataset[T geom.Float](ds *geom.Set[T], cfg Config) (*Model, error) {
+	if cfg.Precision == Float32 && precisionOf[T]() == Float64 {
+		return clusterDataset(geom.ConvertSet[float32](ds), cfg)
 	}
 	opt, err := cfg.OptimizerOrDefault().lower()
 	if err != nil {
 		return nil, err
 	}
-	ds, err = opt.Prepare(ds)
+	ds, err = lloyd.Prepare(opt, ds)
 	if err != nil {
 		return nil, fmt.Errorf("kmeansll: %w", err)
 	}
@@ -311,10 +305,10 @@ func clusterDataset(ds *geom.Dataset, cfg Config) (*Model, error) {
 		seedCost = stats.SeedCost
 	case KMeansPlusPlus:
 		centers = seed.KMeansPP(ds, cfg.K, rng.New(cfg.Seed), cfg.Parallelism)
-		seedCost = lloyd.Cost(ds, centers, cfg.Parallelism)
+		seedCost = lloyd.Cost(ds, geom.Convert[T](centers), cfg.Parallelism)
 	case RandomInit:
 		centers = seed.Random(ds, cfg.K, rng.New(cfg.Seed))
-		seedCost = lloyd.Cost(ds, centers, cfg.Parallelism)
+		seedCost = lloyd.Cost(ds, geom.Convert[T](centers), cfg.Parallelism)
 	case PartitionInit:
 		var stats stream.Stats
 		centers, stats = stream.Partition(ds, stream.Config{
@@ -325,7 +319,7 @@ func clusterDataset(ds *geom.Dataset, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("kmeansll: unknown InitMethod %d", cfg.Init)
 	}
 
-	res := opt.Refine(ds, centers, lloyd.Config{
+	res := lloyd.Refine(opt, ds, centers, lloyd.Config{
 		MaxIter: cfg.MaxIter, Parallelism: cfg.Parallelism,
 	}, cfg.Seed)
 
@@ -339,6 +333,7 @@ func clusterDataset(ds *geom.Dataset, cfg Config) (*Model, error) {
 		Cohesion:    res.Cohesion,
 		dim:         dim,
 	}
+	out.MarkFitPrecision(precisionOf[T]())
 	out.Centers = make([][]float64, res.Centers.Rows)
 	for c := range out.Centers {
 		row := make([]float64, dim)
@@ -489,57 +484,23 @@ func (m *Model) predictBatch(points [][]float64, out []int, parallelism int, use
 		})
 		return
 	}
-	if m.precision == Float32 {
-		if c32, n32 := m.linearScanIndex32(); geom.UseBlocked(c32.Rows, c32.Cols) {
-			if geom.ChunkCount(len(points), parallelism) == 1 {
-				sc := geom.GetScratch32()
-				geom.NearestBlockedRows32(points, c32, n32, out, sc)
-				sc.Release()
-				return
-			}
-			geom.ParallelFor(len(points), parallelism, func(_, lo, hi int) {
-				sc := geom.GetScratch32()
-				geom.NearestBlockedRows32(points[lo:hi], c32, n32, out[lo:hi], sc)
-				sc.Release()
-			})
-			return
+	if geom.UseBlocked(len(m.Centers), m.dim) {
+		if m.precision == Float32 {
+			predictBlocked(&m.linear32, m.Centers, points, out, parallelism)
+		} else {
+			predictBlocked(&m.linear64, m.Centers, points, out, parallelism)
 		}
-		// Below the blocked crossover the float64 scalar scan is both exact
-		// and as fast; fall through to it.
-	}
-	centers, norms := m.linearScanIndex()
-	if geom.UseBlocked(centers.Rows, centers.Cols) {
-		if geom.ChunkCount(len(points), parallelism) == 1 {
-			// Serial fast path: no ParallelFor closure, so a warm scratch
-			// pool makes the whole call allocation-free.
-			sc := geom.GetScratch()
-			geom.NearestBlockedRows(points, centers, norms, out, sc)
-			sc.Release()
-			return
-		}
-		geom.ParallelFor(len(points), parallelism, func(_, lo, hi int) {
-			sc := geom.GetScratch()
-			geom.NearestBlockedRows(points[lo:hi], centers, norms, out[lo:hi], sc)
-			sc.Release()
-		})
 		return
 	}
+	// Below the blocked crossover the float64 scalar scan is both exact
+	// and as fast, in either precision.
+	centers, _ := m.linear64.get(m.Centers)
 	geom.ParallelFor(len(points), parallelism, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c, _ := geom.Nearest(points[i], centers)
 			out[i] = c
 		}
 	})
-}
-
-// linearScanIndex returns the cached contiguous center matrix and center
-// norms for the linear-scan regime, building them on first use.
-func (m *Model) linearScanIndex() (*geom.Matrix, []float64) {
-	m.linearIndex.once.Do(func() {
-		m.linearIndex.mat = geom.FromRows(m.Centers)
-		m.linearIndex.norms = geom.RowSqNorms(m.linearIndex.mat, nil)
-	})
-	return m.linearIndex.mat, m.linearIndex.norms
 }
 
 // centerTree returns the cached kd-tree over the centers, building it on

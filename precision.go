@@ -1,24 +1,20 @@
 package kmeansll
 
 import (
-	"errors"
 	"fmt"
+	"sync"
 
-	"kmeansll/internal/core"
 	"kmeansll/internal/geom"
-	"kmeansll/internal/lloyd"
-	"kmeansll/internal/rng"
-	"kmeansll/internal/seed"
 )
 
 // Precision selects the arithmetic of the fit's distance-heavy passes.
 //
 // Float64 is the reference: bit-identical results for a given seed, the
-// contract every equivalence test in this repo pins. Float32 streams points
-// through the single-precision blocked engine (internal/geom's *32 kernels)
-// — half the memory bandwidth and, on amd64, SIMD dot products — while
-// keeping every cross-point accumulation (center sums, weights, costs, D²
-// sampling) in float64. Float32 results are not bit-comparable to Float64;
+// contract every equivalence test in this repo pins. Float32 stores the
+// points as float32 and runs the same generic engine over them
+// (internal/geom's float32 kernel table) — half the memory bandwidth and,
+// on amd64, SIMD dot products — while keeping every cross-point
+// accumulation (center sums, weights, costs, D² sampling) in float64. Float32 results are not bit-comparable to Float64;
 // they follow the tolerance contract in docs/kernels.md (≥99.9% assignment
 // agreement and ~1e-6 relative cost error on unit-scale data up to 128
 // dims). Seeding under Float32 draws from the same distributions but may
@@ -29,13 +25,9 @@ type Precision int
 const (
 	// Float64 runs every pass in double precision (default).
 	Float64 Precision = iota
-	// Float32 runs distance passes in single precision where supported:
-	// k-means||, k-means++ and random seeding, Lloyd refinement under every
-	// kernel (naive, Elkan, Hamerly), the MiniBatch optimizer, and batch
-	// prediction. The remaining unsupported combinations — Partition seeding
-	// and the Trimmed/Spherical optimizers — transparently fall back to the
-	// Float64 pipeline on widened data; Model.PrecisionEffective reports
-	// which arithmetic actually ran.
+	// Float32 runs every seeding, every optimizer and batch prediction in
+	// single precision. Model.PrecisionEffective reports which arithmetic
+	// actually ran.
 	Float32
 )
 
@@ -63,116 +55,12 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// ClusterDataset32 is ClusterDataset over float32 points — the zero-copy
-// entry for float32 .kmd files: a Dataset32 opened with dsio.Reader.Dataset32
-// flows into the fit without widening the payload. Config.Precision is
-// implied (the data already is float32); configurations outside the float32
-// fast path fall back to the Float64 pipeline on a widened copy, exactly as
-// Config.Precision = Float32 does. Config.Weights is ignored; weights come
-// from the dataset.
-func ClusterDataset32(ds *geom.Dataset32, cfg Config) (*Model, error) {
-	if cfg.K < 1 {
-		return nil, errors.New("kmeansll: Config.K must be ≥ 1")
+// precisionOf reports the Precision of storage type T.
+func precisionOf[T geom.Float]() Precision {
+	if geom.Bits[T]() == 32 {
+		return Float32
 	}
-	if ds == nil || ds.N() == 0 {
-		return nil, errors.New("kmeansll: no points")
-	}
-	if ds.Dim() == 0 {
-		return nil, errors.New("kmeansll: zero-dimensional points")
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, fmt.Errorf("kmeansll: %w", err)
-	}
-	return clusterDataset32(ds, cfg)
-}
-
-// float32Supported reports whether the configuration stays on the float32
-// fast path: the seedings and the refinements that have *32 engine
-// implementations — every Lloyd kernel and MiniBatch, under k-means||,
-// k-means++ or random seeding. The remaining denylist is Partition seeding
-// (the streaming baseline has no float32 engine) and the Trimmed/Spherical
-// optimizers (their per-iteration exclusion/normalization passes only exist
-// in double precision); those widen and run the Float64 pipeline, which
-// Model.PrecisionEffective surfaces.
-func float32Supported(cfg Config) bool {
-	switch cfg.OptimizerOrDefault().(type) {
-	case Lloyd, MiniBatch:
-	default:
-		return false
-	}
-	switch cfg.Init {
-	case KMeansParallel, KMeansPlusPlus, RandomInit:
-		return true
-	default:
-		return false
-	}
-}
-
-// clusterDataset32 runs the float32 seeding + refinement pipeline, or falls
-// back to the float64 one (on widened data) when the configuration needs
-// passes that only exist in double precision.
-func clusterDataset32(ds *geom.Dataset32, cfg Config) (*Model, error) {
-	if !float32Supported(cfg) {
-		c := cfg
-		c.Precision = Float64 // widened fallback must not loop back here
-		m, err := clusterDataset(ds.ToDataset(), c)
-		if m != nil {
-			m.precisionRequested = Float32 // effective stays Float64
-		}
-		return m, err
-	}
-	opt, err := cfg.OptimizerOrDefault().lower()
-	if err != nil {
-		return nil, err
-	}
-	dim := ds.Dim()
-	var centers *geom.Matrix
-	var seedCost float64
-	switch cfg.Init {
-	case KMeansParallel:
-		over := cfg.Oversampling
-		if over <= 0 {
-			over = 2
-		}
-		var stats core.Stats
-		centers, stats = core.Init32(ds, core.Config{
-			K: cfg.K, L: over * float64(cfg.K), Rounds: cfg.Rounds,
-			Parallelism: cfg.Parallelism, Seed: cfg.Seed,
-		})
-		seedCost = stats.SeedCost
-	case KMeansPlusPlus:
-		centers = seed.KMeansPP32(ds, cfg.K, rng.New(cfg.Seed), cfg.Parallelism)
-		seedCost = lloyd.Cost32(ds, geom.ToMatrix32(centers), cfg.Parallelism)
-	default: // RandomInit, by float32Supported
-		centers = seed.Random32(ds, cfg.K, rng.New(cfg.Seed))
-		seedCost = lloyd.Cost32(ds, geom.ToMatrix32(centers), cfg.Parallelism)
-	}
-
-	res := opt.Refine32(ds, centers, lloyd.Config{
-		MaxIter: cfg.MaxIter, Parallelism: cfg.Parallelism,
-	}, cfg.Seed)
-
-	out := &Model{
-		Cost:               res.Cost,
-		SeedCost:           seedCost,
-		Iters:              res.Iters,
-		Converged:          res.Converged,
-		dim:                dim,
-		precision:          Float32,
-		precisionRequested: Float32,
-		precisionEffective: Float32,
-	}
-	out.Centers = make([][]float64, res.Centers.Rows)
-	for c := range out.Centers {
-		row := make([]float64, dim)
-		copy(row, res.Centers.Row(c))
-		out.Centers[c] = row
-	}
-	out.Assign = make([]int, len(res.Assign))
-	for i, a := range res.Assign {
-		out.Assign[i] = int(a)
-	}
-	return out, nil
+	return Float64
 }
 
 // SetPredictPrecision selects the arithmetic PredictBatch uses: Float32
@@ -200,22 +88,51 @@ func (m *Model) MarkFitPrecision(p Precision) {
 }
 
 // PrecisionRequested reports the precision the fit was asked for
-// (Config.Precision, or Float32 for ClusterDataset32). Float64 for models
-// built outside the fit pipeline (NewModel, Load).
+// (Config.Precision, or Float32 for a float32 dataset passed to
+// ClusterDataset). Float64 for models built outside the fit pipeline
+// (NewModel, Load).
 func (m *Model) PrecisionRequested() Precision { return m.precisionRequested }
 
-// PrecisionEffective reports the precision the fit actually ran at. It
-// differs from PrecisionRequested exactly when a Float32 request hit the
-// float64-only denylist (Partition seeding, Trimmed/Spherical optimizers)
-// and the fit transparently widened — the observable form of that fallback.
+// PrecisionEffective reports the precision the fit actually ran at. Every
+// configuration runs at the requested precision today; the field stays so a
+// fit that has to widen (float32 cancellation far from the origin, see
+// docs/kernels.md) can say so.
 func (m *Model) PrecisionEffective() Precision { return m.precisionEffective }
 
-// linearScanIndex32 returns the cached float32 center matrix and norms for
-// the single-precision linear-scan regime, building them on first use.
-func (m *Model) linearScanIndex32() (*geom.Matrix32, []float32) {
-	m.linearIndex32.once.Do(func() {
-		m.linearIndex32.mat = geom.ToMatrix32(geom.FromRows(m.Centers))
-		m.linearIndex32.norms = geom.RowSqNorms32(m.linearIndex32.mat, nil)
+// linearIndex lazily caches the contiguous center matrix of one precision
+// and its norms, for PredictBatch's blocked linear-scan regime and
+// TransformBatch. Built at most once, so Centers must not be mutated after
+// the first call that uses it.
+type linearIndex[T geom.Float] struct {
+	once  sync.Once
+	mat   *geom.Mat[T]
+	norms []T
+}
+
+// get returns the cached matrix and norms, building them from centers on
+// first use.
+func (x *linearIndex[T]) get(centers [][]float64) (*geom.Mat[T], []T) {
+	x.once.Do(func() {
+		x.mat = geom.Convert[T](geom.FromRows(centers))
+		x.norms = geom.RowSqNorms(x.mat, nil)
 	})
-	return m.linearIndex32.mat, m.linearIndex32.norms
+	return x.mat, x.norms
+}
+
+// predictBlocked is PredictBatch's blocked linear scan in precision T.
+func predictBlocked[T geom.Float](idx *linearIndex[T], centers [][]float64, points [][]float64, out []int, parallelism int) {
+	mat, norms := idx.get(centers)
+	if geom.ChunkCount(len(points), parallelism) == 1 {
+		// Serial fast path: no ParallelFor closure, so a warm scratch
+		// pool makes the whole call allocation-free.
+		sc := geom.GetScratch[T]()
+		geom.NearestBlockedRows(points, mat, norms, out, sc)
+		sc.Release()
+		return
+	}
+	geom.ParallelFor(len(points), parallelism, func(_, lo, hi int) {
+		sc := geom.GetScratch[T]()
+		geom.NearestBlockedRows(points[lo:hi], mat, norms, out[lo:hi], sc)
+		sc.Release()
+	})
 }

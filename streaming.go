@@ -184,7 +184,7 @@ func (m *Model) TransformBatch(points [][]float64, parallelism int) [][]float64 
 	if len(points) == 0 {
 		return out
 	}
-	centers, norms := m.linearScanIndex()
+	centers, norms := m.linear64.get(m.Centers)
 	if !geom.UseBlocked(k, m.dim) {
 		// Small models — or an UseExactDistances pin — keep Transform's
 		// exact (a−b)² arithmetic.
@@ -199,7 +199,7 @@ func (m *Model) TransformBatch(points [][]float64, parallelism int) [][]float64 
 		return out
 	}
 	geom.ParallelFor(len(points), parallelism, func(_, lo, hi int) {
-		sc := geom.GetScratch()
+		sc := geom.GetScratch[float64]()
 		geom.PairwiseSqDistRows(points[lo:hi], centers, norms, flat[lo*k:hi*k], sc)
 		sc.Release()
 	})
