@@ -11,9 +11,10 @@ import (
 const dsioReaderPath = "kmeansll/internal/dsio"
 
 // aliasingMethods are Dataset/Matrix accessors whose results alias the
-// backing storage; taint flows through them. Clone, ToDataset, CopyRow and
-// Subset allocate fresh storage and launder the taint — the "private copy"
-// idiom lloyd.Opt.Prepare uses for Spherical is exactly such a copy.
+// backing storage; taint flows through them. Clone, ConvertSet, WidenSet,
+// CopyRow and Subset allocate fresh storage and launder the taint — the
+// "private copy" idiom lloyd.Prepare uses for Spherical is exactly such a
+// copy.
 var aliasingMethods = map[string]bool{
 	"Row": true, "Point": true, "RowRange": true,
 }
@@ -34,8 +35,8 @@ var knownMutators = map[[2]string]bool{
 // each function it taints the Reader-derived values (through assignment,
 // field selection, slicing, and the aliasing accessors Row/Point/RowRange)
 // and reports element writes, copy-into, field mutation, and calls to known
-// in-place mutators. Explicit copies (Clone, ToDataset, Subset, CopyRow)
-// clear the taint.
+// in-place mutators. Explicit copies (Clone, ConvertSet, WidenSet, Subset,
+// CopyRow) clear the taint.
 var MmapWriteAnalyzer = &Analyzer{
 	Name: "mmapwrite",
 	Doc: "no writes through datasets derived from a dsio.Reader — .kmd mmaps " +
@@ -181,7 +182,7 @@ func reportTaintedWrite(pass *Pass, tainted map[types.Object]bool, lhs ast.Expr)
 	case *ast.IndexExpr:
 		if exprTainted(pass, tainted, lhs.X) {
 			pass.Reportf(lhs.Pos(),
-				"write into a dataset derived from a dsio.Reader: .kmd mmaps are read-only — take a private copy (Clone/ToDataset) first")
+				"write into a dataset derived from a dsio.Reader: .kmd mmaps are read-only — take a private copy (Clone/ConvertSet) first")
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := pass.TypesInfo.Selections[lhs]; ok && sel.Kind() == types.FieldVal &&

@@ -30,3 +30,24 @@ func F64Accumulate(xs []float32) float64 {
 	}
 	return acc
 }
+
+// WidenGeneric widens a type-parameter value — exact for either type.
+func WidenGeneric[T ~float32 | ~float64](x T) float64 {
+	return float64(x)
+}
+
+// GenericInf seeds a generic sentinel with +Inf, exact in either type.
+func GenericInf[T ~float32 | ~float64]() T {
+	return T(math.Inf(1))
+}
+
+// GenericConst converts an untyped constant into a type parameter.
+func GenericConst[T ~float32 | ~float64]() T {
+	return T(0.5)
+}
+
+// Float64Only converts into a type parameter whose type set holds only
+// float64: nothing can narrow.
+func Float64Only[T ~float64](v float64) T {
+	return T(v)
+}
