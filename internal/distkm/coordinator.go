@@ -74,9 +74,9 @@ type Coordinator struct {
 	manPrefix string
 
 	// float32 selects the float32 shard form: workers store narrowed points
-	// and answer every distance pass with mrkm's *Span32 bodies, making the
-	// fit bit-identical to mrkm.Init32+Lloyd32 at Mappers = Workers. Set by
-	// SetFloat32 before Distribute.
+	// and answer every distance pass with mrkm's span bodies over them,
+	// making the fit bit-identical to mrkm.Init+Lloyd over float32 points at
+	// Mappers = Workers. Set by SetFloat32 before Distribute.
 	float32 bool
 
 	mu       sync.Mutex
@@ -138,7 +138,7 @@ func (c *Coordinator) ref(shardID int) ShardRef { return ShardRef{Fit: c.fit, Sh
 
 // SetFloat32 selects the precision of the workers' distance passes: with on,
 // shards are stored as float32 and every per-shard primitive runs the same
-// float32 span bodies as mrkm.Init32/Lloyd32, so the fit is bit-identical to
+// float32 span bodies as mrkm.Init/Lloyd, so the fit is bit-identical to
 // the in-process float32 realization at Mappers = Workers (all workers must
 // resolve the same float32 kernel tier — see geom.ActiveF32Tier). Reductions,
 // sampling and Step 8 stay float64 on the coordinator either way. Call before

@@ -14,8 +14,8 @@ import (
 )
 
 // The float32 counterpart of the headline property: a float32 fit over W
-// shard workers is bit-identical to mrkm.Init32 + mrkm.Lloyd32 with
-// Mappers: W. Every worker runs the same *Span32 bodies the in-process
+// shard workers is bit-identical to mrkm.Init + mrkm.Lloyd over float32 points with
+// Mappers: W. Every worker runs the same span bodies the in-process
 // mappers run, candidates cross the wire as exact float64 widenings, and all
 // reductions stay float64 in shard order.
 
@@ -205,7 +205,7 @@ func partName(p int) string {
 
 // TestTwoProcessFloat32BitIdentical is the float32 acceptance test for the
 // networked tier: a float32 fit over two real kmworker OS processes (TCP +
-// gob) lands on the bits of mrkm.Init32 + mrkm.Lloyd32 with two mappers.
+// gob) lands on the bits of mrkm.Init + mrkm.Lloyd over float32 points with two mappers.
 // Both processes run the same binary on the same host, so they resolve the
 // same float32 kernel tier — the homogeneity the bit-parity contract needs.
 // Skipped under -short because it shells out to `go build`.
@@ -214,7 +214,7 @@ func TestTwoProcessFloat32BitIdentical(t *testing.T) {
 		t.Skip("skipping two-process integration test in -short mode")
 	}
 	bin := filepath.Join(t.TempDir(), "kmworker")
-	build := exec.Command("go", "build", "-o", bin, "kmeansll/cmd/kmworker")
+	build := exec.Command("go", "build", "-tags", workerBuildTags, "-o", bin, "kmeansll/cmd/kmworker")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building kmworker: %v\n%s", err, out)
 	}

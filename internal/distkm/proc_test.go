@@ -59,7 +59,7 @@ func TestTwoProcessFitBitIdentical(t *testing.T) {
 		t.Skip("skipping two-process integration test in -short mode")
 	}
 	bin := filepath.Join(t.TempDir(), "kmworker")
-	build := exec.Command("go", "build", "-o", bin, "kmeansll/cmd/kmworker")
+	build := exec.Command("go", "build", "-tags", workerBuildTags, "-o", bin, "kmeansll/cmd/kmworker")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building kmworker: %v\n%s", err, out)
 	}
@@ -127,7 +127,7 @@ func TestTwoProcessWorkerKill(t *testing.T) {
 		t.Skip("skipping two-process integration test in -short mode")
 	}
 	bin := filepath.Join(t.TempDir(), "kmworker")
-	build := exec.Command("go", "build", "-o", bin, "kmeansll/cmd/kmworker")
+	build := exec.Command("go", "build", "-tags", workerBuildTags, "-o", bin, "kmeansll/cmd/kmworker")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building kmworker: %v\n%s", err, out)
 	}

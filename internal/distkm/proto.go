@@ -19,17 +19,18 @@
 // mrkm.Init + mrkm.Lloyd with Mappers: W in one process (gob encodes float64
 // exactly). Tests assert this over the in-memory loopback transport and over
 // real worker processes. The same holds for float32 fits: shards loaded with
-// Float32 answer every distance pass through mrkm's shared *Span32 bodies, so
-// a float32 distkm fit is bit-identical to mrkm.Init32 + mrkm.Lloyd32 with
+// Float32 answer every distance pass through mrkm's shared span bodies, so
+// a float32 distkm fit is bit-identical to mrkm.Init + mrkm.Lloyd over float32 points with
 // Mappers: W — provided every worker resolves the same float32 kernel tier
 // (geom.ActiveF32Tier; mixed AVX2/NEON/pure-Go fleets round differently).
 //
 // Transport is net/rpc over gob: Dial connects to a cmd/kmworker process over
 // TCP, NewLoopback serves a Worker over an in-memory pipe through the same
 // RPC stack. Worker failure is handled by the coordinator: the dead worker's
-// shards are re-pushed to a surviving worker, the D² cache is rebuilt from
-// the current center set (exact, since the cache holds true minima), and the
-// failed call is retried — deterministic sampling makes the retry safe.
+// shards are re-pushed to a surviving worker, the D² cache is rebuilt by
+// replaying the Update groups folded so far in order (bit-exact: each group
+// runs the same kernel it ran the first time), and the failed call is
+// retried — deterministic sampling makes the retry safe.
 package distkm
 
 // Mat is the gob wire form of a dense row-major matrix (geom.Matrix without
@@ -53,9 +54,9 @@ type ShardRef struct {
 // index of the shard's first point; sampling uses it so candidate selection
 // matches the single-process run point for point. Float32 asks the worker to
 // store the shard narrowed to float32 and answer every distance pass with the
-// float32 span bodies (mrkm's *Span32 functions) — the wire format stays
+// float32 span bodies (mrkm's span functions) — the wire format stays
 // float64 (gob-exact), so a float32 fit over W workers is bit-identical to
-// mrkm.Init32 + mrkm.Lloyd32 with Mappers: W.
+// mrkm.Init + mrkm.Lloyd over float32 points with Mappers: W.
 type LoadArgs struct {
 	Ref     ShardRef
 	Lo      int
