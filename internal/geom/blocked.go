@@ -19,14 +19,19 @@ import (
 // flops per coordinate instead of SqDist's 3, with each point row loaded once
 // per 4 centers and each center tile resident in L1 across the point tile.
 //
-// Determinism: every micro-kernel (dot2x4, dot1x4, and the scalar tails)
-// accumulates each (point, center) inner product strictly sequentially in
-// coordinate order, so the value computed for a given pair is bit-identical
-// no matter where the pair lands in the tiling or how many workers share the
-// scan. Results therefore do not depend on Parallelism. The expansion itself
-// rounds differently from SqDist's (a−b)² sum — equivalence tests bound the
-// difference (costs agree to ~1e-9 relative) and assert identical nearest
-// assignments on all exercised datasets.
+// The engine is one body for both storage types; the
+// arithmetic that differs (which dot kernels, which summation order) comes
+// from the kernel table in kernels.go.
+//
+// Determinism: each (point, center) inner product is accumulated in a fixed
+// order that depends only on the dimension and the center's position in the
+// 4-wide center ladder — never on where the point lands in the tiling or how
+// many workers share the scan — so results do not depend on Parallelism.
+// For float64 every micro-kernel accumulates strictly sequentially in
+// coordinate order. The expansion rounds differently from SqDist's (a−b)²
+// sum — equivalence tests bound the difference (costs agree to ~1e-9
+// relative) and assert identical nearest assignments on all exercised
+// datasets.
 //
 // Cancellation: for x ≈ c the expansion can go slightly negative; the
 // kernels clamp at 0 so downstream D² sampling weights stay valid.
@@ -249,6 +254,7 @@ func VisitAssign[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked 
 func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Mat[T], cNorms []T, idxTile []int32, d2Tile []T, sc *Scratch[T]) {
 	m := pHi - pLo
 	k := centers.Rows
+	dot2x4, dot1x4, dot2x1, dot1 := kt.dot2x4, kt.dot1x4, kt.dot2x1, kt.dot1
 	pn := grow(&sc.pn, m)
 	for i := 0; i < m; i++ {
 		pn[i] = kt.sqNorm(pts.Row(pLo + i))
@@ -274,7 +280,7 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 			}
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
-				a0, a1, a2, a3, b0, b1, b2, b3 := kt.dot2x4(pa, pb,
+				a0, a1, a2, a3, b0, b1, b2, b3 := dot2x4(pa, pb,
 					centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
 				n0, n1, n2, n3 := cNorms[c], cNorms[c+1], cNorms[c+2], cNorms[c+3]
 				if v := clamp0(na + n0 - 2*a0); v < ba {
@@ -303,7 +309,7 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 				}
 			}
 			for ; c < cHi; c++ {
-				da, db := kt.dot2x1(pa, pb, centers.Row(c))
+				da, db := dot2x1(pa, pb, centers.Row(c))
 				if v := clamp0(na + cNorms[c] - 2*da); v < ba {
 					ba, ia = v, int32(c)
 				}
@@ -326,7 +332,7 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 			}
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
-				a0, a1, a2, a3 := kt.dot1x4(p,
+				a0, a1, a2, a3 := dot1x4(p,
 					centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
 				if v := clamp0(np + cNorms[c] - 2*a0); v < best {
 					best, bi = v, int32(c)
@@ -342,7 +348,7 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 				}
 			}
 			for ; c < cHi; c++ {
-				if v := clamp0(np + cNorms[c] - 2*kt.dot1(p, centers.Row(c))); v < best {
+				if v := clamp0(np + cNorms[c] - 2*dot1(p, centers.Row(c))); v < best {
 					best, bi = v, int32(c)
 				}
 			}

@@ -1,7 +1,10 @@
 // Package geom provides the dense vector and matrix primitives that every
 // other package builds on: row-major matrices, squared Euclidean distance
-// kernels, centroids, and the Dataset container (points plus optional
-// per-point weights).
+// kernels, centroids, and the point-set container (points plus optional
+// per-point weights). Matrices and point sets are generic over the storage
+// type (Mat[T], Set[T] for T float32 or float64; Matrix and Dataset are the
+// float64 forms), and the per-precision arithmetic is one kernel table
+// (kernels.go).
 //
 // Distance-heavy inner loops funnel through two kernel families so the
 // k-means cost model is defined in exactly one place:
