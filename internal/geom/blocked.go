@@ -222,19 +222,11 @@ func VisitNearest[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, sc *Scr
 	}
 }
 
-// ScanBlocked reports whether an assignment scan of k centers in d
-// dimensions over T storage runs on the blocked engine: above UseBlocked's
-// crossover, and always where T has no exact scalar kernel (float32), whose
-// blocked kernels are the arithmetic its tolerance contract is stated
-// against.
-func ScanBlocked[T Float](k, d int) bool {
-	return UseBlocked(k, d) || !kernelsFor[T]().exact
-}
-
 // VisitAssign is the assignment scan of the Lloyd family: VisitNearest when
-// blocked is set or T has no exact scalar kernel, and otherwise the exact
-// early-exit scan (NearestPair) per row. The visitor contract is
-// VisitNearest's; idx is always reported.
+// blocked is set or T has no exact scalar kernel (float32, whose blocked
+// kernels are the arithmetic its tolerance contract is stated against), and
+// otherwise the exact early-exit scan (NearestPair) per row. The visitor
+// contract is VisitNearest's; idx is always reported.
 func VisitAssign[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bool, visit func(i int, idx int32, d2 float64)) {
 	if blocked || !kernelsFor[T]().exact {
 		sc := GetScratch[T]()
