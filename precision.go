@@ -14,12 +14,12 @@ import (
 // points as float32 and runs the same generic engine over them
 // (internal/geom's float32 kernel table) — half the memory bandwidth and,
 // on amd64, SIMD dot products — while keeping every cross-point
-// accumulation (center sums, weights, costs, D² sampling) in float64. Float32 results are not bit-comparable to Float64;
-// they follow the tolerance contract in docs/kernels.md (≥99.9% assignment
-// agreement and ~1e-6 relative cost error on unit-scale data up to 128
-// dims). Seeding under Float32 draws from the same distributions but may
-// make different sampling choices where float32 rounding perturbs a D²
-// weight.
+// accumulation (center sums, weights, costs, D² sampling) in float64.
+// Float32 results are not bit-comparable to Float64; they follow the
+// tolerance contract in docs/kernels.md (≥99.9% assignment agreement and
+// ~1e-6 relative cost error on unit-scale data up to 128 dims). Seeding
+// under Float32 draws from the same distributions but may make different
+// sampling choices where float32 rounding perturbs a D² weight.
 type Precision int
 
 const (
