@@ -247,36 +247,14 @@ func Init[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) {
 		for _, i := range chosen {
 			centers.AppendRow(ds.Point(i))
 		}
-		// Update cached distances against only the new centers — one pass.
-		// Above the crossover the pass runs through the blocked engine:
-		// per-point min over the round's centers, folded into the weighted
-		// cache (min(d2, w·d²new) ≡ the scalar fold's result); below it,
-		// the scalar pair fold.
+		// Update cached distances against only the new centers — one pass,
+		// blocked above the crossover (per-point min over the round's
+		// centers folded into the weighted cache), the scalar pair fold
+		// below it.
 		newView := centers.RowRange(from, centers.Rows)
-		cNorms := geom.RowSqNorms(&newView, nil)
-		if geom.UseBlocked(newView.Rows, ds.Dim()) {
-			geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
-				sc := geom.GetScratch[T]()
-				var s float64
-				geom.VisitNearest(ds.X, &newView, cNorms, lo, hi, sc, false, func(i int, _ int32, dNew float64) {
-					if nd := ds.W(i) * dNew; nd < d2[i] {
-						d2[i] = nd
-					}
-					s += d2[i]
-				})
-				sc.Release()
-				partial[chunk] = s
-			})
-		} else {
-			geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
-				var s float64
-				for i := lo; i < hi; i++ {
-					d2[i] = geom.FoldPair(ds.Point(i), ds.W(i), d2[i], &newView, cNorms)
-					s += d2[i]
-				}
-				partial[chunk] = s
-			})
-		}
+		geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
+			partial[chunk] = geom.FoldNearest(ds, d2, lo, hi, &newView)
+		})
 		phi = sum(partial)
 		stats.Passes++
 		stats.PhiTrace = append(stats.PhiTrace, phi)
@@ -353,22 +331,12 @@ func candidateWeights[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], paral
 	n, k := ds.N(), centers.Rows
 	chunks := geom.ChunkCount(n, parallelism)
 	perChunk := make([][]float64, chunks)
-	blocked := geom.UseBlocked(k, centers.Cols)
 	cNorms := geom.RowSqNorms(centers, nil)
 	geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
 		w := make([]float64, k)
-		if blocked {
-			sc := geom.GetScratch[T]()
-			geom.VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, _ float64) {
-				w[idx] += ds.W(i)
-			})
-			sc.Release()
-		} else {
-			for i := lo; i < hi; i++ {
-				idx, _ := geom.NearestPair(ds.Point(i), centers, cNorms)
-				w[idx] += ds.W(i)
-			}
-		}
+		geom.Visit(ds.X, centers, cNorms, lo, hi, func(i int, idx int32, _ float64) {
+			w[idx] += ds.W(i)
+		})
 		perChunk[chunk] = w
 	})
 	weights := make([]float64, k)

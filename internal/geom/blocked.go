@@ -222,13 +222,25 @@ func VisitNearest[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, sc *Scr
 	}
 }
 
-// VisitAssign is the assignment scan of the Lloyd family: VisitNearest when
-// blocked is set or T has no exact scalar kernel (float32, whose blocked
-// kernels are the arithmetic its tolerance contract is stated against), and
-// otherwise the exact early-exit scan (NearestPair) per row. The visitor
-// contract is VisitNearest's; idx is always reported.
+// Visit runs the nearest-center scan of rows [lo, hi) of pts, calling
+// visit(i, idx, d2) for every row in ascending order: the blocked engine
+// above UseBlocked's crossover, the scalar pair scan (NearestPair) below it.
+// This is the policy of the k-means|| passes and the MapReduce span bodies.
+func Visit[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, visit func(i int, idx int32, d2 float64)) {
+	visitScan(pts, centers, cNorms, lo, hi, UseBlocked(centers.Rows, centers.Cols), visit)
+}
+
+// VisitAssign is the assignment scan of the Lloyd family: Visit's scan,
+// except that the caller decides blocked, and that float32 — which has no
+// exact scalar kernel, and whose blocked kernels are the arithmetic its
+// tolerance contract is stated against — always takes the blocked engine.
 func VisitAssign[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bool, visit func(i int, idx int32, d2 float64)) {
-	if blocked || !kernelsFor[T]().exact {
+	visitScan(pts, centers, cNorms, lo, hi, blocked || !kernelsFor[T]().exact, visit)
+}
+
+// visitScan is Visit with the engine chosen by the caller.
+func visitScan[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bool, visit func(i int, idx int32, d2 float64)) {
+	if blocked {
 		sc := GetScratch[T]()
 		VisitNearest(pts, centers, cNorms, lo, hi, sc, true, visit)
 		sc.Release()
@@ -486,6 +498,31 @@ func FoldPair[T Float](p []T, w, d2 float64, centers *Mat[T], cNorms []T) float6
 		}
 	}
 	return w * best
+}
+
+// FoldNearest folds centers into the weighted D² cache of rows [lo, hi) of
+// ds — d2[i] = min(d2[i], w_i·d²(x_i, centers)), +Inf before any center —
+// and returns the span's Σ d2: a k-means|| round update. It runs the
+// blocked engine above UseBlocked's crossover and FoldPair below it.
+func FoldNearest[T Float](ds *Set[T], d2 []float64, lo, hi int, centers *Mat[T]) float64 {
+	cNorms := RowSqNorms(centers, nil)
+	var part float64
+	if UseBlocked(centers.Rows, centers.Cols) {
+		sc := GetScratch[T]()
+		VisitNearest(ds.X, centers, cNorms, lo, hi, sc, false, func(i int, _ int32, dNew float64) {
+			if nd := ds.W(i) * dNew; nd < d2[i] {
+				d2[i] = nd
+			}
+			part += d2[i]
+		})
+		sc.Release()
+		return part
+	}
+	for i := lo; i < hi; i++ {
+		d2[i] = FoldPair(ds.Point(i), ds.W(i), d2[i], centers, cNorms)
+		part += d2[i]
+	}
+	return part
 }
 
 // SqDistNorm returns d²(a, b) via the norm expansion given precomputed

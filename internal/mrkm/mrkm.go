@@ -84,54 +84,21 @@ func Defaults(cfg core.Config) (ell float64, rounds int) {
 // of Algorithm 2's per-round pass.
 func UpdateSpan[T geom.Float](ds *geom.Set[T], d2 []float64, lo, hi int, centers *geom.Mat[T], from int) float64 {
 	newView := centers.RowRange(from, centers.Rows)
-	var part float64
 	if newView.Rows == 0 {
+		var part float64
 		for i := lo; i < hi; i++ {
 			part += d2[i]
 		}
 		return part
 	}
-	cNorms := geom.RowSqNorms(&newView, nil)
-	if geom.UseBlocked(newView.Rows, ds.Dim()) {
-		sc := geom.GetScratch[T]()
-		geom.VisitNearest(ds.X, &newView, cNorms, lo, hi, sc, false, func(i int, _ int32, dNew float64) {
-			if nd := ds.W(i) * dNew; nd < d2[i] {
-				d2[i] = nd
-			}
-			part += d2[i]
-		})
-		sc.Release()
-		return part
-	}
-	for i := lo; i < hi; i++ {
-		d2[i] = geom.FoldPair(ds.Point(i), ds.W(i), d2[i], &newView, cNorms)
-		part += d2[i]
-	}
-	return part
-}
-
-// visitSpan runs the nearest-center scan of points [lo, hi) against
-// centers: the blocked engine above the crossover, the scalar pair scan
-// below it.
-func visitSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], visit func(i int, idx int32, d2 float64)) {
-	cNorms := geom.RowSqNorms(centers, nil)
-	if geom.UseBlocked(centers.Rows, centers.Cols) {
-		sc := geom.GetScratch[T]()
-		geom.VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, visit)
-		sc.Release()
-		return
-	}
-	for i := lo; i < hi; i++ {
-		idx, d := geom.NearestPair(ds.Point(i), centers, cNorms)
-		visit(i, int32(idx), d)
-	}
+	return geom.FoldNearest(ds, d2, lo, hi, &newView)
 }
 
 // WeightSpan is the Step 7 mapper body: the total input weight of the
 // span's points served by each candidate, accumulated in point order.
 func WeightSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) []float64 {
 	w := make([]float64, centers.Rows)
-	visitSpan(ds, lo, hi, centers, func(i int, idx int32, _ float64) {
+	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, _ float64) {
 		w[idx] += ds.W(i)
 	})
 	return w
@@ -144,7 +111,7 @@ func LloydSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) 
 	d := centers.Cols
 	sums := geom.NewMatrix(centers.Rows, d+1)
 	var phi float64
-	visitSpan(ds, lo, hi, centers, func(i int, idx int32, dist float64) {
+	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, dist float64) {
 		w := ds.W(i)
 		row := sums.Row(int(idx))
 		geom.AddScaled(row[:d], w, ds.Point(i))
@@ -158,7 +125,7 @@ func LloydSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) 
 // set — the evaluation-pass mapper body.
 func CostSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) float64 {
 	var part float64
-	visitSpan(ds, lo, hi, centers, func(i int, _ int32, dist float64) {
+	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, _ int32, dist float64) {
 		part += ds.W(i) * dist
 	})
 	return part
@@ -170,7 +137,7 @@ func CostSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) f
 // passes its local slice with lo = 0).
 func AssignSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], assign []int32) float64 {
 	var part float64
-	visitSpan(ds, lo, hi, centers, func(i int, idx int32, dist float64) {
+	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, dist float64) {
 		assign[i] = idx
 		part += ds.W(i) * dist
 	})
