@@ -17,8 +17,8 @@ import "sync"
 //     the norm expansion for float32, which has no exact scalar kernel;
 //   - narrowing float64 rows into the storage type.
 //
-// Each table reproduces, bit for bit at a fixed tier, the arithmetic its
-// precision ran when each precision had its own copy of the engine.
+// The tables' bits are pinned: golden_test.go holds the float64 table and
+// the pure-Go float32 one, and the tier tests hold every float32 rung.
 type kernels[T Float] struct {
 	dot2x4 func(a, b, c0, c1, c2, c3 []T) (a0, a1, a2, a3, b0, b1, b2, b3 T)
 	dot1x4 func(a, c0, c1, c2, c3 []T) (a0, a1, a2, a3 T)
