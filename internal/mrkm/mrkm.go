@@ -176,8 +176,8 @@ func (c Config) engine() mr.Config { return mr.Config{Mappers: c.Mappers, Reduce
 // The algorithmic parameters are taken from cfg (K, L, Rounds, Seed); the
 // sampling is Bernoulli with the same counter-based per-point randomness as
 // core.Init, so for equal parameters the candidate sets agree with the
-// in-process implementation. The driver-side structure (first-center draw,
-// sampling on the float64 D² cache, Step 8 reclustering the widened
+// in-process implementation. Everything outside the mappers (first-center
+// draw, sampling on the float64 D² cache, Step 8 reclustering the widened
 // candidates in float64) is shared by both storage types; only the mapper
 // bodies run in T.
 func Init[T geom.Float](ds *geom.Set[T], cfg core.Config, cluster Config) (*geom.Matrix, Stats) {
