@@ -258,7 +258,8 @@ func visitScan[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bo
 func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Mat[T], cNorms []T, idxTile []int32, d2Tile []T, sc *Scratch[T]) {
 	m := pHi - pLo
 	k := centers.Rows
-	dot2x4, dot1x4, dot2x1, dot1 := kt.dot2x4, kt.dot1x4, kt.dot2x1, kt.dot1
+	d2x4, d1x4, d2x1, d1 := kt.dot2x4, kt.dot1x4, kt.dot2x1, kt.dot1
+	goDots := kt.goDots
 	pn := grow(&sc.pn, m)
 	for i := 0; i < m; i++ {
 		pn[i] = kt.sqNorm(pts.Row(pLo + i))
@@ -284,8 +285,14 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 			}
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
-				a0, a1, a2, a3, b0, b1, b2, b3 := dot2x4(pa, pb,
-					centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
+				var a0, a1, a2, a3, b0, b1, b2, b3 T
+				if goDots {
+					a0, a1, a2, a3, b0, b1, b2, b3 = dot2x4(pa, pb,
+						centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
+				} else {
+					a0, a1, a2, a3, b0, b1, b2, b3 = d2x4(pa, pb,
+						centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
+				}
 				n0, n1, n2, n3 := cNorms[c], cNorms[c+1], cNorms[c+2], cNorms[c+3]
 				if v := clamp0(na + n0 - 2*a0); v < ba {
 					ba, ia = v, int32(c)
@@ -313,7 +320,7 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 				}
 			}
 			for ; c < cHi; c++ {
-				da, db := dot2x1(pa, pb, centers.Row(c))
+				da, db := d2x1(pa, pb, centers.Row(c))
 				if v := clamp0(na + cNorms[c] - 2*da); v < ba {
 					ba, ia = v, int32(c)
 				}
@@ -336,8 +343,14 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 			}
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
-				a0, a1, a2, a3 := dot1x4(p,
-					centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
+				var a0, a1, a2, a3 T
+				if goDots {
+					a0, a1, a2, a3 = dot1x4(p,
+						centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
+				} else {
+					a0, a1, a2, a3 = d1x4(p,
+						centers.Row(c), centers.Row(c+1), centers.Row(c+2), centers.Row(c+3))
+				}
 				if v := clamp0(np + cNorms[c] - 2*a0); v < best {
 					best, bi = v, int32(c)
 				}
@@ -352,7 +365,7 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 				}
 			}
 			for ; c < cHi; c++ {
-				if v := clamp0(np + cNorms[c] - 2*dot1(p, centers.Row(c))); v < best {
+				if v := clamp0(np + cNorms[c] - 2*d1(p, centers.Row(c))); v < best {
 					best, bi = v, int32(c)
 				}
 			}

@@ -22,6 +22,10 @@ import "sync"
 type kernels[T Float] struct {
 	dot2x4 func(a, b, c0, c1, c2, c3 []T) (a0, a1, a2, a3, b0, b1, b2, b3 T)
 	dot1x4 func(a, c0, c1, c2, c3 []T) (a0, a1, a2, a3 T)
+	// goDots marks dot2x4/dot1x4 as the pure-Go kernels, which the tile
+	// loop then calls directly: at low dimensions an indirect call per
+	// 2×4 block costs a measurable share of a fit.
+	goDots bool
 	dot2x1 func(a, b, c []T) (da, db T) // a center tile's tail, two points
 	dot1   func(a, b []T) T             // a center tile's tail, one point
 	sqNorm func(a []T) T
@@ -45,6 +49,7 @@ type kernels[T Float] struct {
 var kernels64 = kernels[float64]{
 	dot2x4:    dot2x4[float64],
 	dot1x4:    dot1x4[float64],
+	goDots:    true,
 	dot2x1:    dot2x1[float64],
 	dot1:      dot1[float64],
 	sqNorm:    sqNormSeq[float64],
@@ -62,17 +67,18 @@ var scratch32Pool = &sync.Pool{New: func() any { return new(Scratch[float32]) }}
 // SSE2 and NEON rungs share the baseline assembly symbol; only the one the
 // build's architecture guarantees is ever selected.
 var kernels32 = [...]*kernels[float32]{
-	F32TierPureGo: newKernels32(dot2x4[float32], dot1x4[float32]),
-	F32TierSSE2:   newKernels32(dot2x4f32asm, dot1x4f32asm),
-	F32TierNEON:   newKernels32(dot2x4f32asm, dot1x4f32asm),
-	F32TierAVX2:   newKernels32(dot2x4f32avx, dot1x4f32avx),
+	F32TierPureGo: newKernels32(dot2x4[float32], dot1x4[float32], true),
+	F32TierSSE2:   newKernels32(dot2x4f32asm, dot1x4f32asm, false),
+	F32TierNEON:   newKernels32(dot2x4f32asm, dot1x4f32asm, false),
+	F32TierAVX2:   newKernels32(dot2x4f32avx, dot1x4f32avx, false),
 }
 
 func newKernels32(d2x4 func(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32),
-	d1x4 func(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32)) *kernels[float32] {
+	d1x4 func(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32), goDots bool) *kernels[float32] {
 	k := &kernels[float32]{
 		dot2x4:    d2x4,
 		dot1x4:    d1x4,
+		goDots:    goDots,
 		dot2x1:    dot2x1Wide[float32],
 		dot1:      dotWide[float32],
 		sqNorm:    sqNormWide[float32],
