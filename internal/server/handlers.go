@@ -701,7 +701,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		spec.Points, spec.NumPoints = points, len(points)
 	}
 
-	job, err := s.jobs.SubmitSpec(spec)
+	job, submitted, err := s.jobs.SubmitSpec(spec)
 	if err != nil {
 		// The dist breaker knows when the worker pool is worth re-probing;
 		// plain queue-full keeps the header-less 503.
@@ -716,7 +716,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Logf("fit %s enqueued: model=%q n=%d k=%d init=%s optimizer=%s backend=%s dataset=%q",
 		job.ID, req.Model, spec.NumPoints, cfg.K, cfg.Init, job.optimizer, job.backend, spec.DataName)
-	writeJSON(w, http.StatusAccepted, job.Status())
+	writeJSON(w, http.StatusAccepted, submitted)
 }
 
 // resolveDataset validates a fit request's dataset path against the

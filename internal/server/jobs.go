@@ -237,11 +237,14 @@ type FitSpec struct {
 // Submit enqueues a fit of cfg over points, publishing the result as
 // modelName. restarts ≤ 1 runs Cluster once; otherwise ClusterBest.
 func (m *JobManager) Submit(modelName string, points [][]float64, cfg kmeansll.Config, restarts int) (*Job, error) {
-	return m.SubmitSpec(FitSpec{Model: modelName, Points: points, Config: cfg, Restarts: restarts})
+	j, _, err := m.SubmitSpec(FitSpec{Model: modelName, Points: points, Config: cfg, Restarts: restarts})
+	return j, err
 }
 
-// SubmitSpec enqueues the described fit.
-func (m *JobManager) SubmitSpec(spec FitSpec) (*Job, error) {
+// SubmitSpec enqueues the described fit. It returns the job and its status
+// as submitted — taken before the job reaches a worker, so it always says
+// queued, however fast the fit finishes.
+func (m *JobManager) SubmitSpec(spec FitSpec) (*Job, JobStatus, error) {
 	if spec.Restarts < 1 {
 		spec.Restarts = 1
 	}
@@ -254,10 +257,10 @@ func (m *JobManager) SubmitSpec(spec FitSpec) (*Job, error) {
 	// Lloyd is the plain MR assignment pass).
 	if backend == "dist" {
 		if opt := spec.Config.OptimizerOrDefault(); opt != (kmeansll.Lloyd{}) {
-			return nil, fmt.Errorf(`backend "dist" supports only optimizer "lloyd:naive", not %q`, opt)
+			return nil, JobStatus{}, fmt.Errorf(`backend "dist" supports only optimizer "lloyd:naive", not %q`, opt)
 		}
 		if err := m.distAvailable(); err != nil {
-			return nil, err
+			return nil, JobStatus{}, err
 		}
 	}
 	nPoints := spec.NumPoints
@@ -276,11 +279,14 @@ func (m *JobManager) SubmitSpec(spec FitSpec) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.stopped {
-		return nil, errors.New("job manager is shut down")
+		return nil, JobStatus{}, errors.New("job manager is shut down")
 	}
 	m.nextID++
 	j.ID = fmt.Sprintf("job-%d", m.nextID)
 	m.retainLocked(j)
+	// The caller's answer is snapshotted before the send too: once a worker
+	// holds the job it can settle before the caller writes that answer.
+	submitted := j.Status()
 
 	// The enqueue stays under m.mu so it cannot interleave with Stop: once
 	// Stop has set stopped (also under m.mu) and drained the queue, no send
@@ -290,7 +296,7 @@ func (m *JobManager) SubmitSpec(spec FitSpec) (*Job, error) {
 	m.persistJob(j, JobQueued)
 	select {
 	case m.queue <- j:
-		return j, nil
+		return j, submitted, nil
 	default:
 		m.unpersistJob(j.ID)
 		j.mu.Lock()
@@ -299,7 +305,7 @@ func (m *JobManager) SubmitSpec(spec FitSpec) (*Job, error) {
 		j.finished = time.Now().UTC()
 		j.mu.Unlock()
 		m.noteErrorLocked(j.ID, "fit queue full")
-		return nil, errors.New("fit queue full")
+		return nil, JobStatus{}, errors.New("fit queue full")
 	}
 }
 

@@ -1,12 +1,57 @@
 package server
 
 import (
+	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"kmeansll"
 )
+
+// TestFitSubmitAnswersQueued is the regression test for the fit-submit
+// response race: POST /v1/fit used to read the job's status after the job
+// was queued, so a fit that finished before the handler answered made the
+// 202 say "done". Here the executor always settles first: the handler's
+// "enqueued" log line, written between the submit and the answer, waits
+// until the real fit has run and published. The answer must still say
+// queued.
+func TestFitSubmitAnswersQueued(t *testing.T) {
+	settled := make(chan struct{})
+	s := newTestServer(t, Config{Logf: func(format string, _ ...any) {
+		if strings.HasPrefix(format, "fit %s enqueued") {
+			<-settled
+		}
+	}})
+	s.jobs.Stop()
+	var m *JobManager
+	m = newJobManager(s.registry, 1, 0, func(j *Job) {
+		m.run(j)
+		close(settled)
+	})
+	s.jobs = m
+
+	var job JobStatus
+	code := do(t, s, "POST", "/v1/fit", fitRequest{
+		Model:  "fast",
+		Points: blobPoints(40, 2, 2, 1),
+		Config: fitConfig{K: 2, Seed: 3},
+	}, &job)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/fit: status %d", code)
+	}
+	if job.State != JobQueued || job.StartedAt != "" || job.Version != 0 {
+		t.Fatalf("submit answered state %q started %q version %d, want a queued job", job.State, job.StartedAt, job.Version)
+	}
+	j, ok := m.Get(job.ID)
+	if !ok {
+		t.Fatalf("job %s not retained", job.ID)
+	}
+	if st := j.Status(); st.State != JobDone {
+		t.Fatalf("job settled as %q (err %q) before the answer, want done", st.State, st.Error)
+	}
+}
 
 // TestStopPriorityOverQueuedJobs is the regression test for the worker
 // select race: with the stop channel closed AND the queue non-empty, select

@@ -183,7 +183,7 @@ func TestFitOptimizerValidation(t *testing.T) {
 	}
 	// The same restriction holds at the JobManager level, so a programmatic
 	// dist submit cannot record an optimizer the dist path never runs.
-	if _, err := s.jobs.SubmitSpec(FitSpec{
+	if _, _, err := s.jobs.SubmitSpec(FitSpec{
 		Model: "direct", Points: points, Backend: "dist",
 		Config: kmeansll.Config{K: 2, Optimizer: kmeansll.MiniBatch{}},
 	}); err == nil || !strings.Contains(err.Error(), "lloyd:naive") {
