@@ -16,8 +16,19 @@ import (
 //
 // with the norms cached (centers once per round/iteration, points once per
 // tile), so the inner loop is a fused multi-accumulator inner product — 2
-// flops per coordinate instead of SqDist's 3, with each point row loaded once
-// per 4 centers and each center tile resident in L1 across the point tile.
+// flops per coordinate instead of SqDist's 3, with each center tile resident
+// in L1 across the point tile.
+//
+// The nearest-center tile has two paths. Where the CPUID probe finds
+// AVX2+FMA (amd64 without km_purego), float64 and the float32 AVX2 rung
+// copy each 128-point tile into panels — lane-width groups of points stored
+// coordinate-major (4 float64 or 8 float32 per YMM register), packed in one
+// pass that also computes the point norms — and make one assembly call per
+// (panel, center tile) that keeps the dots, the clamped expansion and the
+// running min/argmin in registers (panel_amd64.s). Everywhere else the tile
+// runs a 2-point × 4-center loop over the table's dot kernels, each point
+// row loaded once per 4 centers. The two paths compute every pair's value
+// in the same order, so they agree bit for bit.
 //
 // The engine is one body for both storage types; the
 // arithmetic that differs (which dot kernels, which summation order) comes
@@ -28,7 +39,8 @@ import (
 // 4-wide center ladder — never on where the point lands in the tiling or how
 // many workers share the scan — so results do not depend on Parallelism.
 // For float64 every micro-kernel accumulates strictly sequentially in
-// coordinate order. The expansion rounds differently from SqDist's (a−b)²
+// coordinate order, multiplying then adding (the panel kernel never fuses).
+// The expansion rounds differently from SqDist's (a−b)²
 // sum — equivalence tests bound the difference (costs agree to ~1e-9
 // relative) and assert identical nearest assignments on all exercised
 // datasets.
@@ -105,10 +117,16 @@ func UseBlocked(k, d int) bool {
 // so no per-batch allocations happen once the pool is warm. A Scratch is not
 // safe for concurrent use; parallel scans take one per worker.
 type Scratch[T Float] struct {
-	pn     []T     // point-tile squared norms
+	pn     []T     // point-tile squared norms (padded to the lane width on the panel path)
 	gather []T     // contiguous copy of a point tile (slice-of-rows inputs)
 	d2     []T     // tile nearest distances
 	idx    []int32 // tile nearest indices
+
+	// The panel path's tile: the points in panels, and the running
+	// nearest distance and index of every lane, padded lanes included.
+	panels  []T
+	best    []T
+	bestIdx []int32
 }
 
 // GetScratch returns a Scratch from the shared pool of storage type T.
@@ -167,18 +185,30 @@ func NearestBlocked[T Float](pts, centers *Mat[T], cNorms []T, idx []int32, d2 [
 }
 
 // NearestBlockedRows is NearestBlocked for float64 points held as one slice
-// per row (the public API's representation). Each tile is gathered into
-// contiguous scratch storage of type T first (one rounding per coordinate
-// for float32, amortized over the k-center scan), so the inner kernels run
-// at full speed; out[i] receives the nearest-center index of points[i].
+// per row (the public API's representation), each of centers.Cols
+// coordinates. Each tile is gathered into contiguous scratch storage of
+// type T first — on the panel path straight into the panels — with one
+// rounding per coordinate for float32, amortized over the k-center scan,
+// so the inner kernels run at full speed; out[i] receives the
+// nearest-center index of points[i].
 func NearestBlockedRows[T Float](points [][]float64, centers *Mat[T], cNorms []T, out []int, sc *Scratch[T]) {
+	for i, p := range points {
+		if len(p) != centers.Cols {
+			panic(fmt.Sprintf("geom: NearestBlockedRows point %d has %d coordinates, centers %d", i, len(p), centers.Cols))
+		}
+	}
 	kt := kernelsFor[T]()
 	for lo := 0; lo < len(points); lo += tilePoints {
 		hi := min(lo+tilePoints, len(points))
 		m := hi - lo
-		view := gatherRows(kt, points[lo:hi], centers.Cols, sc)
-		tIdx := grow(&sc.idx, m)
-		nearestTile(kt, &view, 0, m, centers, cNorms, tIdx, grow(&sc.d2, m), sc)
+		tIdx, tD2 := grow(&sc.idx, m), grow(&sc.d2, m)
+		if kt.panel != nil {
+			panels, pn := packRows(kt, points[lo:hi], centers.Cols, sc)
+			panelTile(kt, panels, pn, m, centers, cNorms, tIdx, tD2, sc)
+		} else {
+			view := gatherRows(kt, points[lo:hi], centers.Cols, sc)
+			nearestTile(kt, &view, 0, m, centers, cNorms, tIdx, tD2, sc)
+		}
 		for i := 0; i < m; i++ {
 			out[lo+i] = int(tIdx[i])
 		}
@@ -256,6 +286,11 @@ func visitScan[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bo
 // [pLo, pHi) of pts. idxTile (optional) and d2Tile are tile-local views
 // (length pHi−pLo).
 func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Mat[T], cNorms []T, idxTile []int32, d2Tile []T, sc *Scratch[T]) {
+	if kt.panel != nil {
+		panels, pn := packTile(kt, pts, pLo, pHi, sc)
+		panelTile(kt, panels, pn, pHi-pLo, centers, cNorms, idxTile, d2Tile, sc)
+		return
+	}
 	m := pHi - pLo
 	k := centers.Rows
 	d2x4, d1x4, d2x1, d1 := kt.dot2x4, kt.dot1x4, kt.dot2x1, kt.dot1
@@ -375,6 +410,61 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 			}
 		}
 	}
+}
+
+// panelTile is nearestTile's panel path over m points packed by packTile
+// or packRows (panels, with norms pn): for every center tile, one kernel
+// call per panel. The kernel replays the Go tile's per-pair arithmetic
+// lane by lane, so the results are the Go tile's bit for bit; padded
+// lanes stay in sc.
+func panelTile[T Float](kt *kernels[T], panels, pn []T, m int, centers *Mat[T], cNorms []T, idxTile []int32, d2Tile []T, sc *Scratch[T]) {
+	d, k, lanes := centers.Cols, centers.Rows, kt.lanes
+	n := len(pn)
+	best, bestIdx := grow(&sc.best, n), grow(&sc.bestIdx, n)
+	inf := T(math.Inf(1))
+	for i := range best {
+		best[i], bestIdx[i] = inf, 0
+	}
+	for cLo := 0; cLo < k; cLo += tileCenters {
+		cHi := min(cLo+tileCenters, k)
+		tile, tNorms := centers.Data[cLo*d:cHi*d], cNorms[cLo:cHi]
+		for p := 0; p < n; p += lanes {
+			kt.panel(panels[p*d:(p+lanes)*d], pn[p:p+lanes], tile, tNorms,
+				best[p:p+lanes], bestIdx[p:p+lanes], d, cLo)
+		}
+	}
+	copy(d2Tile, best[:m])
+	if idxTile != nil {
+		copy(idxTile, bestIdx[:m])
+	}
+}
+
+// packTile packs point rows [lo, hi) of pts into sc's panels — lane-width
+// groups of points stored coordinate-major, so coordinate j of point i
+// lands at panels[(i/lanes)*lanes*d + j*lanes + i%lanes], zero-padded to a
+// whole panel — and their squared norms, in the precision's order, into
+// pn: one pass over the rows.
+func packTile[T Float](kt *kernels[T], pts *Mat[T], lo, hi int, sc *Scratch[T]) (panels, pn []T) {
+	d := pts.Cols
+	panels, pn = panelBufs(kt, hi-lo, d, sc)
+	kt.pack(panels, pn, pts.Data[lo*d:hi*d], hi-lo, d)
+	return panels, pn
+}
+
+// packRows is packTile for float64 points held as one slice per row, each
+// of d coordinates (NearestBlockedRows checks), gathered (and, for
+// float32, narrowed) straight into the panels.
+func packRows[T Float](kt *kernels[T], rows [][]float64, d int, sc *Scratch[T]) (panels, pn []T) {
+	panels, pn = panelBufs(kt, len(rows), d, sc)
+	kt.packRows(panels, pn, rows, d)
+	return panels, pn
+}
+
+// panelBufs sizes sc's panel buffers for m points of d coordinates,
+// padded to whole panels.
+func panelBufs[T Float](kt *kernels[T], m, d int, sc *Scratch[T]) (panels, pn []T) {
+	n := (m + kt.lanes - 1) / kt.lanes * kt.lanes
+	return grow(&sc.panels, n*d), grow(&sc.pn, n)
 }
 
 // PairwiseSqDist fills out with the full pts.Rows×centers.Rows block of

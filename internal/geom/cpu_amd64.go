@@ -2,11 +2,12 @@
 
 package geom
 
-// Zero-dependency CPUID feature detection for the AVX2+FMA kernel tier.
+// Zero-dependency CPUID feature detection for the AVX2+FMA kernels.
 // The module is dependency-free by policy, so instead of x/sys/cpu the two
 // privileged-instruction wrappers live in cpu_amd64.s and the decode logic
-// here. Detection runs once at package init; the result only ever gates the
-// dotf32_avx2_amd64.s kernels.
+// here. Detection runs once at package init; the result gates the float32
+// AVX2 tier (dotf32_avx2_amd64.s) and the panel kernels of both
+// precisions (panel_amd64.s).
 
 // cpuidAsm executes CPUID with the given leaf/subleaf.
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -14,11 +15,11 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbvAsm() (eax, edx uint32)
 
-// hasAVX2F32 reports whether the CPU and OS support the AVX2+FMA float32
-// dot kernels: AVX2 and FMA in CPUID, plus OS-managed XMM+YMM state.
-var hasAVX2F32 = detectAVX2F32()
+// hasAVX2FMA reports whether the CPU and OS support the AVX2+FMA kernels:
+// AVX2 and FMA in CPUID, plus OS-managed XMM+YMM state.
+var hasAVX2FMA = detectAVX2FMA()
 
-func detectAVX2F32() bool {
+func detectAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
 		return false

@@ -6,17 +6,14 @@ package geom
 // feature detection: SSE2 on amd64 (GOAMD64=v1 baseline).
 const baselineF32Tier = F32TierSSE2
 
-// dot2x4f32avx computes the 8 float32 inner products of points {a, b}
-// against centers {c0..c3} with 8-wide AVX2 fused multiply-adds
-// (dotf32_avx2_amd64.s). Accumulation order is 8-lane strided with a
-// high-half fold and a fused scalar tail into lane 0 — a different fixed
-// order than the SSE2 and pure-Go kernels, covered by the cross-tier
-// tolerance contract. Only called when hasAVX2F32 is true.
-//
-//go:noescape
-func dot2x4f32avx(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32)
-
-// dot1x4f32avx is dot2x4f32avx for a single point.
+// dot1x4f32avx computes the 4 float32 inner products of point a against
+// centers {c0..c3} with 8-wide AVX2 fused multiply-adds
+// (dotf32_avx2_amd64.s): the AVX2 rung's row kernel (expandRow), whose
+// per-pair order panelNearestF32 replays for the tile. Accumulation order
+// is 8-lane strided with a high-half fold and a fused scalar tail into
+// lane 0 — a different fixed order than the SSE2 and pure-Go kernels,
+// covered by the cross-tier tolerance contract. Only called when
+// hasAVX2FMA is true.
 //
 //go:noescape
 func dot1x4f32avx(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32)

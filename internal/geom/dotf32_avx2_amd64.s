@@ -2,176 +2,17 @@
 
 #include "textflag.h"
 
-// AVX2+FMA float32 dot kernels for the blocked32 engine — the top rung of
-// the kernel tier ladder (f32tier.go), used only when cpu_amd64.go detects
-// AVX2, FMA, and OS-enabled YMM state. Both functions process 8 coordinates
-// per iteration with fused multiply-adds, keep one 8-lane accumulator per
-// (point, center) pair, fold the high 128-bit half onto the low half, feed
-// the scalar tail into lane 0 (also fused), and reduce the 4 remaining
-// lanes as [1,0,3,2] fold then [2,3,0,1] fold — so each result is a fixed
-// function of the dimension, independent of tiling and worker count.
-
-// func dot2x4f32avx(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32)
-TEXT ·dot2x4f32avx(SB), NOSPLIT, $0-176
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	MOVQ c0_base+48(FP), R8
-	MOVQ c1_base+72(FP), R9
-	MOVQ c2_base+96(FP), R10
-	MOVQ c3_base+120(FP), R11
-
-	VXORPS Y0, Y0, Y0 // Σ a·c0
-	VXORPS Y1, Y1, Y1 // Σ a·c1
-	VXORPS Y2, Y2, Y2 // Σ a·c2
-	VXORPS Y3, Y3, Y3 // Σ a·c3
-	VXORPS Y4, Y4, Y4 // Σ b·c0
-	VXORPS Y5, Y5, Y5 // Σ b·c1
-	VXORPS Y6, Y6, Y6 // Σ b·c2
-	VXORPS Y7, Y7, Y7 // Σ b·c3
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	CMPQ DX, $0
-	JE   fold2avx
-
-loop2x4avx:
-	VMOVUPS (SI)(AX*4), Y8 // a[i:i+8]
-	VMOVUPS (DI)(AX*4), Y9 // b[i:i+8]
-
-	VMOVUPS     (R8)(AX*4), Y10
-	VFMADD231PS Y10, Y8, Y0
-	VFMADD231PS Y10, Y9, Y4
-
-	VMOVUPS     (R9)(AX*4), Y10
-	VFMADD231PS Y10, Y8, Y1
-	VFMADD231PS Y10, Y9, Y5
-
-	VMOVUPS     (R10)(AX*4), Y10
-	VFMADD231PS Y10, Y8, Y2
-	VFMADD231PS Y10, Y9, Y6
-
-	VMOVUPS     (R11)(AX*4), Y10
-	VFMADD231PS Y10, Y8, Y3
-	VFMADD231PS Y10, Y9, Y7
-
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JL   loop2x4avx
-
-fold2avx:
-	// Fold each 8-lane accumulator to 4 lanes: low xmm += high xmm.
-	VEXTRACTF128 $1, Y0, X10
-	VADDPS       X10, X0, X0
-	VEXTRACTF128 $1, Y1, X10
-	VADDPS       X10, X1, X1
-	VEXTRACTF128 $1, Y2, X10
-	VADDPS       X10, X2, X2
-	VEXTRACTF128 $1, Y3, X10
-	VADDPS       X10, X3, X3
-	VEXTRACTF128 $1, Y4, X10
-	VADDPS       X10, X4, X4
-	VEXTRACTF128 $1, Y5, X10
-	VADDPS       X10, X5, X5
-	VEXTRACTF128 $1, Y6, X10
-	VADDPS       X10, X6, X6
-	VEXTRACTF128 $1, Y7, X10
-	VADDPS       X10, X7, X7
-	VZEROUPPER
-
-	CMPQ AX, CX
-	JGE  reduce2avx
-
-tail2avx:
-	VMOVSS (SI)(AX*4), X8
-	VMOVSS (DI)(AX*4), X9
-
-	VMOVSS      (R8)(AX*4), X10
-	VFMADD231SS X10, X8, X0
-	VFMADD231SS X10, X9, X4
-
-	VMOVSS      (R9)(AX*4), X10
-	VFMADD231SS X10, X8, X1
-	VFMADD231SS X10, X9, X5
-
-	VMOVSS      (R10)(AX*4), X10
-	VFMADD231SS X10, X8, X2
-	VFMADD231SS X10, X9, X6
-
-	VMOVSS      (R11)(AX*4), X10
-	VFMADD231SS X10, X8, X3
-	VFMADD231SS X10, X9, X7
-
-	INCQ AX
-	CMPQ AX, CX
-	JL   tail2avx
-
-reduce2avx:
-	MOVAPS X0, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X0
-	MOVAPS X0, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X0
-	MOVSS  X0, a0+144(FP)
-
-	MOVAPS X1, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X1
-	MOVAPS X1, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X1
-	MOVSS  X1, a1+148(FP)
-
-	MOVAPS X2, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X2
-	MOVAPS X2, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X2
-	MOVSS  X2, a2+152(FP)
-
-	MOVAPS X3, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X3
-	MOVAPS X3, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X3
-	MOVSS  X3, a3+156(FP)
-
-	MOVAPS X4, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X4
-	MOVAPS X4, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X4
-	MOVSS  X4, b0+160(FP)
-
-	MOVAPS X5, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X5
-	MOVAPS X5, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X5
-	MOVSS  X5, b1+164(FP)
-
-	MOVAPS X6, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X6
-	MOVAPS X6, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X6
-	MOVSS  X6, b2+168(FP)
-
-	MOVAPS X7, X12
-	SHUFPS $0xB1, X12, X12
-	ADDPS  X12, X7
-	MOVAPS X7, X12
-	SHUFPS $0x4E, X12, X12
-	ADDSS  X12, X7
-	MOVSS  X7, b3+172(FP)
-	RET
+// AVX2+FMA float32 row dot kernel — the top rung of the kernel tier
+// ladder (f32tier.go), used only when cpu_amd64.go detects AVX2, FMA, and
+// OS-enabled YMM state. The rung's tile runs panelNearestF32
+// (panel_amd64.s); this kernel serves its row distances (expandRow), and
+// its per-pair order is the one the panel kernel replays. It processes 8
+// coordinates per iteration with fused multiply-adds, keeps one 8-lane
+// accumulator per (point, center) pair, folds the high 128-bit half onto
+// the low half, feeds the scalar tail into lane 0 (also fused), and
+// reduces the 4 remaining lanes as [1,0,3,2] fold then [2,3,0,1] fold — so
+// each result is a fixed function of the dimension, independent of tiling
+// and worker count.
 
 // func dot1x4f32avx(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32)
 TEXT ·dot1x4f32avx(SB), NOSPLIT, $0-136

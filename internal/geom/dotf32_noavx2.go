@@ -2,17 +2,38 @@
 
 package geom
 
-// hasAVX2F32 is false on builds without the AVX2 kernels (non-amd64, or
+// hasAVX2FMA is false on builds without the AVX2 kernels (non-amd64, or
 // the km_purego tag); the tier ladder then tops out at the baseline SIMD
-// tier (or pure Go) and SetF32Tier(F32TierAVX2) reports failure.
-const hasAVX2F32 = false
+// tier (or pure Go), SetF32Tier(F32TierAVX2) reports failure, and both
+// precisions tile through the 2×4 Go loop.
+const hasAVX2FMA = false
 
-// The AVX2 entry points alias the pure-Go kernels so the dispatch sites in
-// kernels.go compile unconditionally; hasAVX2F32 keeps them unreached.
-func dot2x4f32avx(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32) {
-	return dot2x4(a, b, c0, c1, c2, c3)
-}
-
+// The AVX2 entry points stand in for the assembly so the dispatch sites in
+// kernels.go compile unconditionally; hasAVX2FMA keeps them unreached.
 func dot1x4f32avx(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32) {
 	return dot1x4(a, c0, c1, c2, c3)
+}
+
+func panelNearestF64(panel, pn, centers, cNorms, best []float64, idx []int32, d, c0 int) {
+	panic("geom: panel kernel without AVX2")
+}
+
+func panelNearestF32(panel, pn, centers, cNorms, best []float32, idx []int32, d, c0 int) {
+	panic("geom: panel kernel without AVX2")
+}
+
+func packPanelsF64(dst, pn, src []float64, rows, d int) {
+	panic("geom: panel kernel without AVX2")
+}
+
+func packPanelsF32(dst, pn, src []float32, rows, d int) {
+	panic("geom: panel kernel without AVX2")
+}
+
+func packRowsF64(dst, pn []float64, rows [][]float64, d int) {
+	panic("geom: panel kernel without AVX2")
+}
+
+func packRowsF32(dst, pn []float32, rows [][]float64, d int) {
+	panic("geom: panel kernel without AVX2")
 }

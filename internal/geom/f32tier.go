@@ -60,7 +60,7 @@ func init() { f32Tier.Store(int32(bestF32Tier())) }
 
 // bestF32Tier returns the fastest tier available in this binary on this CPU.
 func bestF32Tier() F32Tier {
-	if hasAVX2F32 {
+	if hasAVX2FMA {
 		return F32TierAVX2
 	}
 	if hasDotF32Asm {
@@ -76,7 +76,7 @@ func f32TierAvailable(t F32Tier) bool {
 	case F32TierPureGo:
 		return true
 	case F32TierAVX2:
-		return bool(hasAVX2F32)
+		return bool(hasAVX2FMA)
 	default:
 		return hasDotF32Asm && t == baselineF32Tier
 	}
@@ -107,7 +107,7 @@ func F32Tiers() []F32Tier {
 	if hasDotF32Asm {
 		tiers = append(tiers, baselineF32Tier)
 	}
-	if hasAVX2F32 {
+	if hasAVX2FMA {
 		tiers = append(tiers, F32TierAVX2)
 	}
 	return tiers

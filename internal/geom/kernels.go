@@ -8,9 +8,11 @@ import "sync"
 // lloyd, mrkm, stream and distkm) runs one control flow for both storage
 // types and calls into the table for:
 //
-//   - the tile dot products: dot2x4/dot1x4 for full groups of four centers,
-//     pure Go for float64 and the runtime tier ladder (pure Go, SSE2/NEON,
-//     AVX2+FMA; f32tier.go) for float32;
+//   - the nearest-center tile: the AVX2 panel kernel (panel_amd64.s) for
+//     float64 and the float32 AVX2 rung wherever the CPUID probe finds
+//     AVX2+FMA, else the 2×4 Go tile over dot2x4/dot1x4 for full groups of
+//     four centers — pure Go for float64, the active tier's kernels (pure
+//     Go, SSE2/NEON; f32tier.go) for float32;
 //   - the summation order of the tail dots and of norms: one sequential
 //     chain for float64, four interleaved chains for float32;
 //   - the scalar pair and row distances: the exact (a−b)² sums for float64,
@@ -20,6 +22,15 @@ import "sync"
 // The tables' bits are pinned: golden_test.go holds the float64 table and
 // the pure-Go float32 one, and the tier tests hold every float32 rung.
 type kernels[T Float] struct {
+	// panel runs one panel of lanes points against a center tile
+	// (blocked.go's panelTile); pack and packRows fill a tile's panels and
+	// point norms from a matrix or from float64 rows. nil tiles through
+	// the 2×4 Go loop below.
+	panel    func(panel, pn, centers, cNorms, best []T, idx []int32, d, c0 int)
+	pack     func(dst, pn, src []T, rows, d int)
+	packRows func(dst, pn []T, rows [][]float64, d int)
+	lanes    int
+
 	dot2x4 func(a, b, c0, c1, c2, c3 []T) (a0, a1, a2, a3, b0, b1, b2, b3 T)
 	dot1x4 func(a, c0, c1, c2, c3 []T) (a0, a1, a2, a3 T)
 	// goDots marks dot2x4/dot1x4 as the pure-Go kernels, which the tile
@@ -47,6 +58,10 @@ type kernels[T Float] struct {
 }
 
 var kernels64 = kernels[float64]{
+	panel:     ifAVX2(panelNearestF64),
+	pack:      packPanelsF64,
+	packRows:  packRowsF64,
+	lanes:     4,
 	dot2x4:    dot2x4[float64],
 	dot1x4:    dot1x4[float64],
 	goDots:    true,
@@ -65,17 +80,24 @@ var scratch32Pool = &sync.Pool{New: func() any { return new(Scratch[float32]) }}
 
 // kernels32 holds one float32 table per tier, indexed by F32Tier. The
 // SSE2 and NEON rungs share the baseline assembly symbol; only the one the
-// build's architecture guarantees is ever selected.
+// build's architecture guarantees is ever selected. The AVX2 rung tiles
+// through panelNearestF32 only, so it has no dot2x4; its dot1x4 serves the
+// row kernel.
 var kernels32 = [...]*kernels[float32]{
-	F32TierPureGo: newKernels32(dot2x4[float32], dot1x4[float32], true),
-	F32TierSSE2:   newKernels32(dot2x4f32asm, dot1x4f32asm, false),
-	F32TierNEON:   newKernels32(dot2x4f32asm, dot1x4f32asm, false),
-	F32TierAVX2:   newKernels32(dot2x4f32avx, dot1x4f32avx, false),
+	F32TierPureGo: newKernels32(dot2x4[float32], dot1x4[float32], true, nil),
+	F32TierSSE2:   newKernels32(dot2x4f32asm, dot1x4f32asm, false, nil),
+	F32TierNEON:   newKernels32(dot2x4f32asm, dot1x4f32asm, false, nil),
+	F32TierAVX2:   newKernels32(nil, dot1x4f32avx, false, panelNearestF32),
 }
 
 func newKernels32(d2x4 func(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32),
-	d1x4 func(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32), goDots bool) *kernels[float32] {
+	d1x4 func(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32), goDots bool,
+	panel func(panel, pn, centers, cNorms, best []float32, idx []int32, d, c0 int)) *kernels[float32] {
 	k := &kernels[float32]{
+		panel:     panel,
+		pack:      packPanelsF32,
+		packRows:  packRowsF32,
+		lanes:     8,
 		dot2x4:    d2x4,
 		dot1x4:    d1x4,
 		goDots:    goDots,
@@ -91,6 +113,16 @@ func newKernels32(d2x4 func(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0,
 		expandRow(k, p, pn, centers, cNorms, out)
 	}
 	return k
+}
+
+// ifAVX2 returns the panel kernel f where the CPUID probe found AVX2+FMA
+// (amd64 builds without km_purego), and nil — the Go tile — elsewhere.
+func ifAVX2[F any](f F) F {
+	if hasAVX2FMA {
+		return f
+	}
+	var none F
+	return none
 }
 
 // kernelsFor returns the kernel table of storage type T (for float32, the
