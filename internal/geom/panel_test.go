@@ -11,14 +11,16 @@ import (
 // distinct centers tie; far offsets every coordinate by 1e3, so the
 // expansion cancels and often clamps; dup repeats every other center;
 // onPoints copies points into centers, so those pairs are at distance 0
-// (or clamp to it).
+// (or clamp to it); nonFinite plants NaN and +Inf coordinates, whose NaN
+// expansions must pass the clamp and lose every comparison.
 type tileCase struct {
-	n, k, d                  int
-	grid, far, dup, onPoints bool
+	n, k, d                             int
+	grid, far, dup, onPoints, nonFinite bool
 }
 
 func (c tileCase) String() string {
-	return fmt.Sprintf("n=%d_k=%d_d=%d_grid=%v_far=%v_dup=%v_on=%v", c.n, c.k, c.d, c.grid, c.far, c.dup, c.onPoints)
+	return fmt.Sprintf("n=%d_k=%d_d=%d_grid=%v_far=%v_dup=%v_on=%v_nonfinite=%v",
+		c.n, c.k, c.d, c.grid, c.far, c.dup, c.onPoints, c.nonFinite)
 }
 
 // tileCases covers n off every multiple of 4, 8 and 128, k off every
@@ -40,7 +42,8 @@ func tileCases() []tileCase {
 			tileCase{n: 137, k: 21, d: d, onPoints: true},
 			tileCase{n: 137, k: 21, d: d, grid: true, dup: true, onPoints: true},
 			tileCase{n: 45, k: 7, d: d, grid: true},
-			tileCase{n: 133, k: 23, d: d, far: true, onPoints: true})
+			tileCase{n: 133, k: 23, d: d, far: true, onPoints: true},
+			tileCase{n: 21, k: 19, d: d, nonFinite: true})
 	}
 	return cases
 }
@@ -73,31 +76,39 @@ func (c tileCase) data() (pts, centers *Matrix) {
 			copy(centers.Row(q), centers.Row(q-1))
 		}
 	}
+	if c.nonFinite {
+		pts.Row(1)[0], pts.Row(4)[c.d-1], pts.Row(9)[0] = math.NaN(), math.Inf(1), math.Inf(-1)
+		centers.Row(2)[0], centers.Row(c.k - 1)[c.d-1] = math.NaN(), math.Inf(1)
+	}
 	return pts, centers
 }
 
 // pairwiseArgmin is the reference of the bit-level check: the lowest-index
-// argmin of every PairwiseSqDist row and its distance.
+// argmin of every PairwiseSqDist row and its distance, found the way the
+// tile finds it (from +Inf, strict less-than, so a row of NaNs gives
+// center 0 at +Inf).
 func pairwiseArgmin[T Float](pts, centers *Mat[T], cNorms []T) ([]int32, []T) {
 	n, k := pts.Rows, centers.Rows
 	out := make([]T, n*k)
 	PairwiseSqDist(pts, centers, nil, cNorms, out)
 	idx, d2 := make([]int32, n), make([]T, n)
 	for i := 0; i < n; i++ {
-		row := out[i*k : (i+1)*k]
-		best := 0
-		for c := 1; c < k; c++ {
-			if row[c] < row[best] {
-				best = c
+		best, bestD := 0, T(math.Inf(1))
+		for c, v := range out[i*k : (i+1)*k] {
+			if v < bestD {
+				best, bestD = c, v
 			}
 		}
-		idx[i], d2[i] = int32(best), row[best]
+		idx[i], d2[i] = int32(best), bestD
 	}
 	return idx, d2
 }
 
+// sameBits reports whether a and b have the same bits, counting any two
+// NaNs as equal: a NaN's payload carries no result.
 func sameBits[T Float](a, b T) bool {
-	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+	x, y := float64(a), float64(b)
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
 // checkTileBits asserts that NearestBlocked, VisitNearest and
