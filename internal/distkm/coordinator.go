@@ -240,10 +240,15 @@ func (c *Coordinator) Close() {
 }
 
 // Distribute splits ds into one contiguous shard per worker (fewer when
-// n < workers, matching mrkm's mapper clamp) and pushes each shard to its
-// worker. The spans come from mrkm.MakeSpans — the same function the
+// n < workers, matching mrkm's mapper clamp) and pushes every shard to its
+// worker at once. The spans come from mrkm.MakeSpans — the same function the
 // in-process realization partitions with — so per-shard partial sums line up
 // with its mapper partials term for term.
+//
+// Each push encodes its shard twice, into the codec's float64 block and
+// then into gob's message buffer, so while the pushes are in flight the
+// coordinator holds about twice the dataset on top of ds, which it retains
+// for failover re-pushes.
 func (c *Coordinator) Distribute(ds *geom.Dataset) error {
 	n := ds.N()
 	if n == 0 {
@@ -329,9 +334,12 @@ func (c *Coordinator) reshard(shards int) {
 	c.spans = spans
 }
 
-// loadAll initializes the shard→worker assignment and loads every shard.
-// Shards are dealt round-robin: normally one per worker, wrapping when a
-// resume re-sharded to more spans than there are connected workers.
+// loadAll initializes the shard→worker assignment and loads every shard,
+// all at once. Shards are dealt round-robin: normally one per worker,
+// wrapping when a resume re-sharded to more spans than there are connected
+// workers. It returns the first error in shard order. Unlike fanOut, a load
+// is not an RPC round and admits no joiners; a worker that joins meanwhile
+// is admitted, and steals shards, at the first fan-out.
 func (c *Coordinator) loadAll() error {
 	c.mu.Lock()
 	c.assign = make([]int, len(c.spans))
@@ -339,10 +347,10 @@ func (c *Coordinator) loadAll() error {
 		c.assign[i] = i % len(c.clients)
 	}
 	c.mu.Unlock()
-	for s := range c.spans {
-		if err := c.withFailover(s, func(shardID int, cl Client) error {
-			return c.loadShard(cl, shardID)
-		}); err != nil {
+	for _, err := range c.eachShard(func(shardID int, cl Client) error {
+		return c.loadShard(cl, shardID)
+	}) {
+		if err != nil {
 			return err
 		}
 	}
@@ -539,6 +547,12 @@ func (c *Coordinator) fanOut(call func(shardID int, cl Client) error) error {
 	}
 	c.admitJoiners()
 	c.rpcRounds.Add(1)
+	return errors.Join(c.eachShard(call)...)
+}
+
+// eachShard runs call for every shard concurrently, each under
+// withFailover, and returns the per-shard errors in shard order.
+func (c *Coordinator) eachShard(call func(shardID int, cl Client) error) []error {
 	errs := make([]error, len(c.spans))
 	var wg sync.WaitGroup
 	wg.Add(len(c.spans))
@@ -549,7 +563,7 @@ func (c *Coordinator) fanOut(call func(shardID int, cl Client) error) error {
 		}(s)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errs
 }
 
 // snapshot copies the network counters accumulated since the given baseline

@@ -3,7 +3,10 @@ package distkm
 import (
 	"errors"
 	"math"
+	"net"
+	"net/rpc"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,6 +274,9 @@ func TestConcurrentFitsShareWorkers(t *testing.T) {
 	}
 }
 
+// wrapRows·4 overflows int to exactly 0: 1<<62 on 64-bit platforms.
+const wrapRows = math.MaxInt>>1 + 1
+
 // Malformed requests (inconsistent shapes, wrong dimensionality, empty
 // center sets) must come back as RPC errors, not panics: a panic in a method
 // goroutine would kill a shared worker process and every fit on it.
@@ -304,10 +310,28 @@ func TestMalformedRequestsDoNotKillWorker(t *testing.T) {
 		{"negative rows", func() error {
 			return cl.Call("Worker.Weights", CentersArgs{Ref: ref, Centers: Mat{Rows: -1, Cols: 3}}, &WeightsReply{})
 		}},
+		// Both Load shapes below pass a bare Rows*Cols == len(Data) check
+		// with no data, then ask install for an impossible allocation.
+		{"load negative rows", func() error {
+			return cl.Call("Worker.Load", LoadArgs{Ref: ref, Points: Mat{Rows: -1, Cols: 0}}, &Ack{})
+		}},
+		{"load rows×cols wraps to zero", func() error {
+			return cl.Call("Worker.Load", LoadArgs{Ref: ref, Points: Mat{Rows: wrapRows, Cols: 4}}, &Ack{})
+		}},
+		{"load zero-width rows", func() error {
+			return cl.Call("Worker.Load", LoadArgs{Ref: ref, Points: Mat{Rows: wrapRows, Cols: 0}}, &Ack{})
+		}},
 	}
 	for _, tc := range bad {
 		if err := tc.call(); err == nil {
 			t.Fatalf("%s: accepted a malformed request", tc.name)
+		}
+	}
+	// In-process callers reach Load without the wire codec's shape check;
+	// the handler must reject the same shapes itself.
+	for _, p := range []Mat{{Rows: -1}, {Rows: wrapRows, Cols: 4}, {Rows: wrapRows}} {
+		if err := w.Load(LoadArgs{Ref: ref, Points: p}, &Ack{}); err == nil {
+			t.Fatalf("direct Load accepted %d×%d points with no values", p.Rows, p.Cols)
 		}
 	}
 
@@ -319,6 +343,52 @@ func TestMalformedRequestsDoNotKillWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, "post-malformed-request fit", got, want)
+}
+
+// corruptSampler answers Sample with a Mat whose shape does not match its
+// values: bytes no correct worker sends.
+type corruptSampler struct{ *Worker }
+
+func (corruptSampler) Sample(_ SampleArgs, reply *SampleReply) error {
+	reply.Points = Mat{Rows: 2, Cols: 5, Data: []float64{1}}
+	return nil
+}
+
+// A reply that fails to decode is the sending worker's fault: the
+// coordinator fails that worker over, as after a transport error, and the
+// fit is unchanged.
+func TestCorruptReplyFailsWorkerOver(t *testing.T) {
+	ds := blobs(t, 4, 100, 5, 20, 17)
+	cfg := core.Config{K: 4, L: 8, Rounds: 4, Seed: 5}
+	want, _ := mrkm.Init(ds, cfg, mrkm.Config{Mappers: 2})
+
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Worker", corruptSampler{NewWorker()}); err != nil {
+		t.Fatal(err)
+	}
+	cliConn, srvConn := net.Pipe()
+	go srv.ServeConn(srvConn)
+	bad := rpc.NewClient(cliConn)
+	good := NewLoopback(NewWorker())
+	t.Cleanup(func() {
+		_ = good.Close()
+		_ = bad.Close()
+	})
+	c, err := NewCoordinator([]Client{good, bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Distribute(ds); err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := c.Init(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Failovers != 1 {
+		t.Fatalf("%d failovers, want the corrupt worker's shard failed over once", stats.Failovers)
+	}
+	requireBitIdentical(t, "Init after a corrupt reply", got, want)
 }
 
 // A coordinator that dies without Release leaves its shards behind; the
@@ -410,6 +480,94 @@ func TestWorkerFailoverPreservesBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, "post-failover Lloyd centers", gotRes.Centers, wantRes.Centers)
+}
+
+// loadOverlap holds each client's first call until every client has made
+// one, so those calls provably run at the same time; missed records a wait
+// that timed out instead.
+type loadOverlap struct {
+	arrive sync.WaitGroup
+	all    chan struct{}
+	missed atomic.Bool
+}
+
+func newLoadOverlap(n int) *loadOverlap {
+	o := &loadOverlap{all: make(chan struct{})}
+	o.arrive.Add(n)
+	go func() {
+		o.arrive.Wait()
+		close(o.all)
+	}()
+	return o
+}
+
+// overlapClient joins its first call to a loadOverlap, then passes every
+// call through.
+type overlapClient struct {
+	inner Client
+	o     *loadOverlap
+	first sync.Once
+}
+
+func (c *overlapClient) Call(method string, args, reply any) error {
+	c.first.Do(func() {
+		c.o.arrive.Done()
+		select {
+		case <-c.o.all:
+		case <-time.After(10 * time.Second):
+			c.o.missed.Store(true)
+		}
+	})
+	return c.inner.Call(method, args, reply)
+}
+
+func (c *overlapClient) Close() error { return c.inner.Close() }
+
+// A worker that dies on its own Load is failed over while the other shards'
+// pushes are in flight, and the fit that follows is unchanged.
+func TestWorkerDiesDuringDistribute(t *testing.T) {
+	const workers = 3
+	ds := blobs(t, 5, 120, 6, 25, 13)
+	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 3}
+	wantCenters, wantStats := mrkm.Init(ds, cfg, mrkm.Config{Mappers: workers})
+	wantRes, _ := mrkm.Lloyd(ds, wantCenters, 20, mrkm.Config{Mappers: workers})
+
+	clients, closeAll := LoopbackCluster(workers)
+	t.Cleanup(closeAll)
+	o := newLoadOverlap(workers)
+	for i, cl := range clients {
+		if i == 1 {
+			cl = &flakyClient{inner: cl} // dies at its first call: its own Load
+		}
+		clients[i] = &overlapClient{inner: cl, o: o}
+	}
+	c, err := NewCoordinator(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Distribute(ds); err != nil {
+		t.Fatal(err)
+	}
+	if o.missed.Load() {
+		t.Fatal("the shard loads did not overlap: Distribute pushed them one at a time")
+	}
+	snap := c.Snapshot()
+	if snap.Failovers != 1 || snap.Workers[1].Alive || len(snap.Workers[1].Shards) != 0 {
+		t.Fatalf("after Distribute: %d failovers, worker 1 %+v; want worker 1's shard failed over",
+			snap.Failovers, snap.Workers[1])
+	}
+
+	gotCenters, stats, err := c.Init(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, "Init centers after a failed load", gotCenters, wantCenters)
+	requireSameTrace(t, "PhiTrace after a failed load", stats.PhiTrace, wantStats.PhiTrace)
+	gotRes, _, err := c.Lloyd(gotCenters, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, "Lloyd centers after a failed load", gotRes.Centers, wantRes.Centers)
 }
 
 // requireSameTrace fails unless got and want hold the same float64 bits.

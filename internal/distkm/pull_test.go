@@ -1,6 +1,7 @@
 package distkm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -104,6 +105,37 @@ func TestManifestPullFailover(t *testing.T) {
 		t.Fatal("expected at least one failover")
 	}
 	requireBitIdentical(t, "post-failover pull Init centers", gotCenters, wantCenters)
+}
+
+// A pull load reads its rows straight from the part files, so it must run
+// the finiteness check every push and in-process path runs before fitting:
+// one NaN in a part fails the load, in either shard precision, with an
+// error naming the file and the row — not a fit whose cost is NaN.
+func TestManifestPullRejectsNonFinitePart(t *testing.T) {
+	ds := blobs(t, 3, 40, 4, 20, 8)
+	ds.X.Row(75)[2] = math.NaN() // 3 parts of 40 rows: part-0001.kmd row 35
+	dir := t.TempDir()
+	m, err := dsio.Split(ds, dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f32 := range []bool{false, true} {
+		coord, err := NewCoordinator(pullCluster(t, 2, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close)
+		coord.SetFloat32(f32)
+		err = coord.DistributeManifest(m)
+		if err == nil {
+			_, res, st, err := coord.Fit(core.Config{K: 3, Seed: 2}, 5)
+			t.Fatalf("float32=%v: a NaN part loaded; the fit ended with cost %v, seed cost %v, err %v",
+				f32, res.Cost, st.SeedCost, err)
+		}
+		if !strings.Contains(err.Error(), "part-0001.kmd row 35") {
+			t.Fatalf("float32=%v: error %q does not name the part file and row", f32, err)
+		}
+	}
 }
 
 // A zero-row part file (legal in externally produced manifests) must be

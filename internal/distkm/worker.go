@@ -161,17 +161,21 @@ func dropLocked(s *shard) (closeNow bool) {
 
 // Load installs (or replaces) a shard. The D² cache starts at +Inf, i.e.
 // "no centers seen yet"; an Update with Reset rebuilds it after failover.
+// The shape is checked here even though decoding a Mat off the wire already
+// rejects a bad one: in-process callers reach Load without the codec.
 func (w *Worker) Load(args LoadArgs, _ *Ack) error {
-	if args.Points.Rows*args.Points.Cols != len(args.Points.Data) {
+	p := args.Points
+	// At least one column, so the values sent bound the rows install
+	// allocates for: a zero-width shape fits any row count.
+	if !shapeFits(p.Rows, p.Cols, len(p.Data)) || p.Cols < 1 {
 		return fmt.Errorf("distkm: Load shard %d: %d×%d points but %d values",
-			args.Ref.Shard, args.Points.Rows, args.Points.Cols, len(args.Points.Data))
+			args.Ref.Shard, p.Rows, p.Cols, len(p.Data))
 	}
-	if args.Weights != nil && len(args.Weights) != args.Points.Rows {
+	if args.Weights != nil && len(args.Weights) != p.Rows {
 		return fmt.Errorf("distkm: Load shard %d: %d weights for %d points",
-			args.Ref.Shard, len(args.Weights), args.Points.Rows)
+			args.Ref.Shard, len(args.Weights), p.Rows)
 	}
-	x := &geom.Matrix{Rows: args.Points.Rows, Cols: args.Points.Cols, Data: args.Points.Data}
-	ds := &geom.Dataset{X: x, Weight: args.Weights}
+	ds := &geom.Dataset{X: p.matrix(), Weight: args.Weights}
 	if args.Float32 {
 		w.install(args.Ref, args.Lo, points[float32]{geom.ConvertSet[float32](ds)}, nil)
 		return nil
@@ -211,7 +215,9 @@ func (w *Worker) installShard(ref ShardRef, s *shard) {
 // multi-segment shards copy the rows into one contiguous matrix so the
 // kernels see the same layout either way. A float32 shard over a float32
 // .kmd file aliases the mapped pages too; float64 files narrow into a
-// private copy on open.
+// private copy on open. Before anything is installed every row is checked
+// finite (and every weight positive) in the precision the shard stores, and
+// the error names the part file and the row.
 func (w *Worker) LoadPath(args LoadPathArgs, _ *Ack) error {
 	if w.dataDir == "" {
 		return fmt.Errorf("distkm: worker was not started with a data dir; path loads are disabled")
@@ -264,6 +270,9 @@ func loadPath[T geom.Float](w *Worker, args LoadPathArgs, view func(*dsio.Reader
 		if ds.Weight != nil {
 			part.Weight = ds.Weight[seg.Lo:seg.Hi]
 		}
+		if err := checkRows(part, seg); err != nil {
+			return fail(fmt.Errorf("distkm: LoadPath shard %d: %v", args.Ref.Shard, err))
+		}
 		parts[i] = part
 		total += seg.Hi - seg.Lo
 	}
@@ -289,6 +298,25 @@ func loadPath[T geom.Float](w *Worker, args LoadPathArgs, view func(*dsio.Reader
 		_ = r.Close() // rows are copied; the mappings can go
 	}
 	w.install(args.Ref, args.Lo, points[T]{&geom.Set[T]{X: x, Weight: ww}}, nil)
+	return nil
+}
+
+// checkRows applies geom.Set.Validate's value rule — finite coordinates,
+// positive weights — to one segment's rows, naming the part file and the
+// row within it. Every push and in-process path validates its dataset before
+// fitting; a pull load reads its rows straight from disk, so it checks them
+// here, one pass over the segment, before they are installed.
+func checkRows[T geom.Float](part *geom.Set[T], seg PathSeg) error {
+	for i := 0; i < part.N(); i++ {
+		for _, v := range part.Point(i) {
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("%s row %d: non-finite value %v", seg.Path, seg.Lo+i, f)
+			}
+		}
+		if part.Weight != nil && !(part.Weight[i] > 0) {
+			return fmt.Errorf("%s row %d: non-positive weight %v", seg.Path, seg.Lo+i, part.Weight[i])
+		}
+	}
 	return nil
 }
 
@@ -512,7 +540,7 @@ func (m Mat) matrix() *geom.Matrix {
 // inside the RPC goroutine and take down a shared worker process — along
 // with every other fit's shards it holds.
 func (m Mat) checked(dim, minRows int) (*geom.Matrix, error) {
-	if m.Rows < 0 || m.Cols < 0 || m.Rows*m.Cols != len(m.Data) {
+	if !shapeFits(m.Rows, m.Cols, len(m.Data)) {
 		return nil, fmt.Errorf("distkm: malformed matrix: %d×%d with %d values", m.Rows, m.Cols, len(m.Data))
 	}
 	if m.Rows < minRows {

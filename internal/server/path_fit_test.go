@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kmeansll/internal/dsio"
@@ -123,6 +124,36 @@ func TestManifestDistFitMatchesPush(t *testing.T) {
 
 	requireSameCenters(t, "manifest pull vs push",
 		fetchCenters(t, s, "pulled"), fetchCenters(t, s, "pushed"))
+}
+
+// A manifest dist job over a part file holding a NaN must fail, naming the
+// file, and publish nothing: the workers validate what they pull, as every
+// push and local path validates what it loads.
+func TestManifestDistFitRejectsNonFinitePart(t *testing.T) {
+	points := blobPoints(90, 3, 3, 4)
+	points[50][1] = math.NaN() // 3 parts of 30 rows: part-0001.kmd row 20
+	dataDir := t.TempDir()
+	if _, err := dsio.Split(geom.NewDataset(geom.FromRows(points)), filepath.Join(dataDir, "bad"), 3); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Config{FitWorkers: 1, DataDir: dataDir})
+	var job JobStatus
+	if code := do(t, s, "POST", "/v1/fit", fitRequest{
+		Model:   "nan",
+		Dataset: &DatasetSpec{Path: "bad/manifest.json"},
+		Config:  fitConfig{K: 3, Seed: 1},
+		Backend: "dist", Shards: 2,
+	}, &job); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/fit (manifest dist): status %d", code)
+	}
+	st := waitForJob(t, s, job.ID)
+	if st.State != JobFailed || !strings.Contains(st.Error, "part-0001.kmd row 20") {
+		t.Fatalf("NaN manifest fit ended %q (err %q), want failed naming the part and row", st.State, st.Error)
+	}
+	if code := do(t, s, "GET", "/v1/models/nan", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET the failed fit's model: status %d, want 404", code)
+	}
 }
 
 // Dataset paths are strictly validated at submission time.
