@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -15,9 +17,9 @@ import (
 
 // Points bodies — {"points": [[...], ...]}, the body of predict, transform
 // and stream ingest — are decoded here without reflection. One pass over
-// the request bytes parses every coordinate with strconv.ParseFloat, as
-// encoding/json does, straight into one flat row-major []float64, and the
-// kernels get [][]float64 row views over it. The body, the coordinates, the
+// the request bytes checks every coordinate's grammar and computes its value
+// straight into one flat row-major []float64, and the kernels get
+// [][]float64 row views over it. The body, the coordinates, the
 // row views and predict's assignments share one pooled pointsBody that goes
 // back to the pool after the response is written. Nothing downstream keeps
 // them: PredictBatchInto writes into its out slice, TransformBatch
@@ -39,6 +41,26 @@ import (
 //     stopped first at an error in the bytes before the cap: a syntax
 //     error, or a complete value that fails to decode or is followed by
 //     more than whitespace.
+//
+// A number's value is the one strconv.ParseFloat gives its token, as in
+// encoding/json. While number checks the grammar it accumulates up to 19
+// significant digits into a uint64 mantissa m and counts the decimal
+// exponent e (fraction digits plus the exponent part). Inside an exact
+// window, m·10^e is computed with integer arithmetic that is exact up to one
+// final rounding to nearest-even, so it cannot differ from strconv's:
+//   - e = 0: float64(m), which Go rounds correctly;
+//   - m ≤ 2^53 and |e| ≤ 22: float64(m) times or divided by an exactly
+//     representable power of ten (Clinger's fast path);
+//   - 0 < e ≤ 19: the 128-bit product m·10^e, whose bits below the top 64
+//     only break ties;
+//   - −19 ≤ e < 0: the 64-bit quotient of m and 10^|e|, both normalized,
+//     whose remainder only breaks ties.
+//
+// Nothing in the window can overflow or underflow. Everything else — more
+// than 19 significant digits, or an exponent outside the window — goes to
+// strconv.ParseFloat on the token, which also gives the range verdict (1e400
+// is out of range). A 17-digit coordinate as encoding/json writes it is
+// inside the window unless it is below 1e-6 in magnitude.
 
 // pointsBody is one request's decode buffers, recycled through pointsPool.
 type pointsBody struct {
@@ -92,14 +114,20 @@ func (s *Server) decodePoints(r *http.Request, dim int) (*pointsBody, int, error
 	return b, 0, nil
 }
 
+// maxPresize bounds how much of a declared Content-Length readBody
+// allocates before any byte arrives. serve-bulk's ~600 KB bodies fit.
+const maxPresize = 1 << 20
+
 // readBody reads r's body into buf's storage, presized from Content-Length
-// (the cap installed by limitBody bounds both). A body over the cap comes
-// back as its first limit bytes with the *http.MaxBytesError.
+// up to maxPresize; past that the buffer grows with the bytes that arrive,
+// so a client cannot make the server allocate a body it never sends. The
+// cap installed by limitBody bounds the body; one over it comes back as its
+// first limit bytes with the *http.MaxBytesError.
 func readBody(r *http.Request, buf []byte, limit int64) ([]byte, error) {
 	buf = buf[:0]
 	if r.ContentLength > 0 {
 		// One byte spare, so the read that reports EOF needs no growth.
-		buf = slices.Grow(buf, int(min(r.ContentLength, limit))+1)
+		buf = slices.Grow(buf, int(min(r.ContentLength, limit, maxPresize))+1)
 	}
 	for {
 		if len(buf) == cap(buf) {
@@ -286,11 +314,11 @@ func (s *pointsScanner) point(i int, row []float64, fresh bool) error {
 		switch c := s.data[s.pos]; {
 		case c == '-' || isDigit(c):
 			start := s.pos
-			if err := s.number(); err != nil {
+			x, err := s.number()
+			if err != nil {
 				return err
 			}
-			v, err := strconv.ParseFloat(string(s.data[start:s.pos]), 64)
-			if err != nil {
+			if v, ok := s.value(start, x); !ok {
 				s.setDecodeErr(fmt.Errorf("point %d: number %s out of range", i, s.data[start:s.pos]))
 			} else if j < len(row) {
 				row[j] = v
@@ -384,7 +412,8 @@ func (s *pointsScanner) skip(depth int) error {
 	case c == '"':
 		return s.str()
 	case c == '-' || isDigit(c):
-		return s.number()
+		_, err := s.number()
+		return err
 	case c == 't':
 		return s.literal("true")
 	case c == 'f':
@@ -455,51 +484,204 @@ func (s *pointsScanner) more(end byte) (bool, error) {
 	return false, s.syntaxError("after array element")
 }
 
-// number scans an RFC 8259 number.
-func (s *pointsScanner) number() error {
+// A decimal is a number as number scans it: ±m·10^exp, where m holds its
+// significant digits. long marks a number that m and exp do not hold: one
+// with more than 19 significant digits, or with an exponent part too large
+// to count.
+type decimal struct {
+	m    uint64
+	exp  int
+	neg  bool
+	long bool
+}
+
+// maxExpPart bounds the exponent part that number counts; past it the
+// number is long. Any exponent near it is far outside the exact window.
+const maxExpPart = 1 << 16
+
+// number scans an RFC 8259 number and returns it as a decimal, accumulated
+// in the same pass that checks its grammar. It is the one implementation of
+// the number grammar: skip calls it too, and ignores the decimal.
+func (s *pointsScanner) number() (decimal, error) {
 	d, p := s.data, s.pos
-	if d[p] == '-' {
+	var (
+		m        uint64 // wraps past 19 digits, when nd marks the number long
+		nd, exp  int    // significant digits; the exponent of m's last digit
+		neg, big bool   // big: the exponent part passed maxExpPart
+	)
+	if p < len(d) && d[p] == '-' {
+		neg = true
 		p++
 	}
 	switch {
 	case p == len(d):
-		return errEnd
+		return decimal{}, errEnd
 	case d[p] == '0':
 		p++
 	case '1' <= d[p] && d[p] <= '9':
-		p = skipDigits(d, p+1)
+		q := p
+		p, m = digits(d, p, 0)
+		nd = p - q
 	default:
 		s.pos = p
-		return s.syntaxError("in numeric literal")
+		return decimal{}, s.syntaxError("in numeric literal")
 	}
 	if p < len(d) && d[p] == '.' {
 		p++
 		if p == len(d) {
-			return errEnd
+			return decimal{}, errEnd
 		}
 		if !isDigit(d[p]) {
 			s.pos = p
-			return s.syntaxError("after decimal point in numeric literal")
+			return decimal{}, s.syntaxError("after decimal point in numeric literal")
 		}
-		p = skipDigits(d, p+1)
+		q := p
+		if m == 0 {
+			// The zeros after "0." are not significant.
+			for p < len(d) && d[p] == '0' {
+				p++
+			}
+		}
+		r := p
+		p, m = digits(d, p, m)
+		nd += p - r
+		exp = q - p
 	}
 	if p < len(d) && (d[p] == 'e' || d[p] == 'E') {
 		p++
+		eneg := p < len(d) && d[p] == '-'
 		if p < len(d) && (d[p] == '+' || d[p] == '-') {
 			p++
 		}
 		if p == len(d) {
-			return errEnd
+			return decimal{}, errEnd
 		}
 		if !isDigit(d[p]) {
 			s.pos = p
-			return s.syntaxError("in exponent of numeric literal")
+			return decimal{}, s.syntaxError("in exponent of numeric literal")
 		}
-		p = skipDigits(d, p+1)
+		e := 0
+		for ; p < len(d) && isDigit(d[p]); p++ {
+			if e < maxExpPart {
+				e = e*10 + int(d[p]-'0')
+			} else {
+				big = true
+			}
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
 	s.pos = p
-	return s.endOfScalar()
+	return decimal{m: m, exp: exp, neg: neg, long: nd > 19 || big}, s.endOfScalar()
 }
+
+// digits scans the run of digits at p, accumulating them onto m, and
+// returns the position past the run and the new m.
+func digits(d []byte, p int, m uint64) (int, uint64) {
+	for ; p < len(d) && isDigit(d[p]); p++ {
+		m = m*10 + uint64(d[p]-'0')
+	}
+	return p, m
+}
+
+// value returns the number scanned from start to pos, which number returned
+// as x: computed in the exact window when it covers x, else by
+// strconv.ParseFloat on the token. ok is false when strconv reports the
+// number out of range.
+func (s *pointsScanner) value(start int, x decimal) (v float64, ok bool) {
+	if v, ok := x.float(); ok {
+		return v, true
+	}
+	v, err := strconv.ParseFloat(string(s.data[start:s.pos]), 64)
+	return v, err == nil
+}
+
+// float returns x's value, correctly rounded, if x is inside the exact
+// window described at the top of this file; ok is false if it is not.
+func (x decimal) float() (v float64, ok bool) {
+	if x.long {
+		return 0, false
+	}
+	switch e := x.exp; {
+	case x.m == 0: // ±0, whatever the exponent
+	case e == 0:
+		v = float64(x.m)
+	case x.m <= 1<<53 && 0 < e && e <= 22:
+		v = float64(x.m) * pow10f[e]
+	case x.m <= 1<<53 && -22 <= e && e < 0:
+		v = float64(x.m) / pow10f[-e]
+	case 0 < e && e <= 19:
+		v = mulPow10(x.m, e)
+	case -19 <= e && e < 0:
+		v = divPow10(x.m, -e)
+	default:
+		return 0, false
+	}
+	if x.neg {
+		v = -v
+	}
+	return v, true
+}
+
+// mulPow10 returns m·10^e for m > 0 and 0 < e ≤ 19, correctly rounded. The
+// 128-bit product is exact; its top 64 bits are rounded and the bits below
+// them only break a tie.
+func mulPow10(m uint64, e int) float64 {
+	hi, lo := bits.Mul64(m, pow10u[e])
+	if hi == 0 {
+		return float64(lo)
+	}
+	z := bits.LeadingZeros64(hi)
+	return roundTop(hi<<z|lo>>(64-z), lo<<z != 0, 64-z)
+}
+
+// divPow10 returns m/10^e for m > 0 and 0 < e ≤ 19, correctly rounded. With
+// both operands normalized, the 64-bit quotient has its top bit set and is
+// rounded; a nonzero remainder only breaks a tie.
+func divPow10(m uint64, e int) float64 {
+	d := pow10u[e]
+	zm, zd := bits.LeadingZeros64(m), bits.LeadingZeros64(d)
+	m, d = m<<zm, d<<zd
+	exp := zd - zm - 64
+	hi, lo := m, uint64(0)
+	if m >= d {
+		hi, lo = m>>1, m<<63
+		exp++
+	}
+	q, r := bits.Div64(hi, lo, d)
+	return roundTop(q, r != 0, exp)
+}
+
+// roundTop returns (top+δ)·2^exp rounded to the nearest float64, ties to
+// even, where top has its high bit set, 0 ≤ δ < 1, and sticky reports
+// δ > 0. The callers' values are far inside float64's normal range.
+func roundTop(top uint64, sticky bool, exp int) float64 {
+	const half = 1 << 10 // half an ulp, in the 11 bits below the mantissa
+	mant, rest := top>>11, top&(2*half-1)
+	if rest > half || rest == half && (sticky || mant&1 != 0) {
+		mant++
+		if mant == 1<<53 {
+			mant >>= 1
+			exp++
+		}
+	}
+	return math.Float64frombits(uint64(exp+11+52+1023)<<52 | mant&(1<<52-1))
+}
+
+// pow10u and pow10f are the powers of ten the exact window multiplies and
+// divides by; each is exact in its type.
+var (
+	pow10u = [20]uint64{
+		1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+	}
+	pow10f = [23]float64{
+		1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+	}
+)
 
 // literal scans the literal word (true, false or null).
 func (s *pointsScanner) literal(word string) error {
@@ -630,13 +812,6 @@ func foldRune(r rune) rune {
 		}
 		r = next
 	}
-}
-
-func skipDigits(d []byte, p int) int {
-	for p < len(d) && isDigit(d[p]) {
-		p++
-	}
-	return p
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }

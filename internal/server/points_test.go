@@ -7,11 +7,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"kmeansll"
+	"kmeansll/internal/rng"
 )
 
 // pointsRequest is the points body as encoding/json decodes it.
@@ -142,6 +145,11 @@ var pointsSeeds = []string{
 	`{"points":[[0x10,1]]}`,
 	`{"points":[[123456789012345678901234567890,1.7976931348623157e308]]}`,
 	`{"points":[[0.1000000000000000055511151231257827,2]]}`,
+	// Numbers at the edges of the exact window (see numberRows).
+	`{"points":[[1.2345678901234567891,18446744073709551615]]}`,
+	`{"points":[[973846796.8583890796,-1.2345678901234567e-08]]}`,
+	`{"points":[[12345678901234567e19,9007199254740993.0]]}`,
+	`{"points":[[-0.0e5,1e99999999999999999999]]}`,
 	// Wrong types.
 	`{"points":[["1",2]]}`,
 	`{"points":[[true,false]]}`,
@@ -175,6 +183,128 @@ var pointsSeeds = []string{
 	``,
 	"   \n",
 	"\xef\xbb\xbf{\"points\":[[1,2]]}",
+}
+
+// numberRows are TestNumberExactWindow's rows and FuzzParseNumber's seeds:
+// a number token and whether the exact window converts it (false: strconv
+// does).
+var numberRows = []struct {
+	in     string
+	window bool
+}{
+	// 15, 16, 17, 19 and 20 significant digits.
+	{"123456789012345", true},
+	{"1.234567890123456", true},
+	{"-1.2345678901234567", true},
+	{"0.1234567890123456789", true},
+	{"1.2345678901234567891", false},
+	// 2^53, 2^53+1, 2^64−1 and 10^19.
+	{"9007199254740992", true},
+	{"9007199254740993", true},
+	{"18446744073709551615", false},
+	{"10000000000000000000", false},
+	{"1e19", true},
+	{"1E+19", true},
+	// Exponents ±19, ±20, ±22 and ±23: Clinger's fast path covers m ≤ 2^53 up
+	// to ±22, the 128-bit product and quotient cover larger m up to ±19.
+	{"1e-19", true},
+	{"1e20", true},
+	{"1e-20", true},
+	{"1e22", true},
+	{"1e-22", true},
+	{"1e23", false},
+	{"1e-23", false},
+	{"12345678901234567e19", true},
+	{"12345678901234567e-19", true},
+	{"12345678901234567e20", false},
+	{"12345678901234567e-20", false},
+	{"0.000000000000000001234", true},
+	{"0.00000000000000000001234", false},
+	// Exact halfway cases, which round to even: 2^53+1 down, 2^53+3 up, then
+	// the same two through the quotient, then two through the product.
+	{"9007199254740995", true},
+	{"9007199254740993.0", true},
+	{"9007199254740995.0", true},
+	{"9007199254740996e1", true},
+	{"9007199254741004e1", true},
+	// A nonzero remainder rounds up, in the quotient and in the product; in
+	// the last four the rounding bits are exactly half an ulp and only the
+	// remainder, or the product's low bits, lift them over it.
+	{"9007199254740993.1", true},
+	{"973846796.8583890796", true},
+	{"9.334649039031245544", true},
+	{"2226909525724839847e5", true},
+	{"995973876412181516e17", true},
+	// Zeros.
+	{"0", true},
+	{"-0", true},
+	{"-0.0e5", true},
+	{"0e400", true},
+	// Out of range, underflow, subnormals and the smallest normal.
+	{"1e400", false},
+	{"-1e400", false},
+	{"1e-400", false},
+	{"4.9e-324", false},
+	{"2.2250738585072011e-308", false},
+	{"2.2250738585072014e-308", false},
+	// An exponent part too long to count, and encoding/json's form for
+	// |x| < 1e-6.
+	{"1e99999999999999999999", false},
+	{"0e-99999999999999999999", false},
+	{"1.2345678901234567e-08", false},
+}
+
+// checkNumber fails t unless the value the scanner gives the number token
+// in, scanned into s as x, has strconv.ParseFloat's bits and range verdict.
+func checkNumber(t *testing.T, in []byte, s *pointsScanner, x decimal) {
+	t.Helper()
+	got, ok := s.value(0, x)
+	want, err := strconv.ParseFloat(string(in), 64)
+	if ok != (err == nil) {
+		t.Fatalf("%s: in range %v, strconv.ParseFloat error %v", in, ok, err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: %v (%#x), strconv.ParseFloat %v (%#x)", in, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestNumberExactWindow pins the exact window row by row: each number's bits
+// and range verdict are strconv.ParseFloat's, and the rows inside the window
+// are converted there, not by the fallback.
+func TestNumberExactWindow(t *testing.T) {
+	for _, row := range numberRows {
+		s := pointsScanner{data: []byte(row.in)}
+		x, err := s.number()
+		if err != nil || s.pos != len(row.in) {
+			t.Fatalf("%s: scanned %d of %d bytes, error %v", row.in, s.pos, len(row.in), err)
+		}
+		if _, ok := x.float(); ok != row.window {
+			t.Errorf("%s: in the exact window %v, want %v", row.in, ok, row.window)
+		}
+		checkNumber(t, s.data, &s, x)
+	}
+}
+
+// FuzzParseNumber holds the number routine to encoding/json and strconv: it
+// consumes a whole input without error exactly when encoding/json accepts
+// the input as one number, and then gives strconv.ParseFloat's bits and
+// range verdict.
+func FuzzParseNumber(f *testing.F) {
+	for _, row := range numberRows {
+		f.Add([]byte(row.in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := pointsScanner{data: in}
+		x, err := s.number()
+		whole := err == nil && s.pos == len(in)
+		accepted := json.Valid(in) && (in[0] == '-' || isDigit(in[0])) && !isSpace(in[len(in)-1])
+		if whole != accepted {
+			t.Fatalf("%q: scanned %d of %d bytes with error %v; encoding/json accepts it as a number: %v", in, s.pos, len(in), err, accepted)
+		}
+		if accepted {
+			checkNumber(t, in, &s, x)
+		}
+	})
 }
 
 // decodeCase is a body and the status both decoders must give it (0 for
@@ -265,6 +395,30 @@ func TestDecodePointsLargeBodies(t *testing.T) {
 		if got := checkDecodeAgrees(t, s, []byte(tc.body), 2); got != tc.want {
 			t.Errorf("body %.40q…: status %d, want %d", tc.body, got, tc.want)
 		}
+	}
+}
+
+// TestDecodePointsDeclaredLength sends a short body that declares the whole
+// request cap as its Content-Length: it must decode as usual, with the
+// buffer sized by the bytes that arrive, not by the declaration.
+func TestDecodePointsDeclaredLength(t *testing.T) {
+	s := newTestServer(t, Config{})
+	body := []byte(`{"points":[[1,2]]}`)
+	r := limitedRequest(s, body)
+	r.ContentLength = s.cfg.MaxRequestBytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, status, err := s.decodePoints(r, 2)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("status %d: %v", status, err)
+	}
+	defer got.release()
+	if len(got.rows) != 1 || got.rows[0][0] != 1 || got.rows[0][1] != 2 {
+		t.Fatalf("decoded %v, want [[1 2]]", got.rows)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Fatalf("decoding an %d-byte body that declared %d bytes allocated %d bytes", len(body), r.ContentLength, alloc)
 	}
 }
 
@@ -418,25 +572,14 @@ func TestIngestMatchesInProcessStream(t *testing.T) {
 
 // BenchmarkDecodePoints decodes serve-bulk's body shape (512 points of the
 // paper's 58 dims) with the points scanner and with the reflective path it
-// replaced.
+// replaced, then two other shapes with the scanner: serve-quantize's 4096
+// integer RGB pixels, and a 512×58 body whose every coordinate is outside
+// the exact window, so strconv.ParseFloat converts it.
 func BenchmarkDecodePoints(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(s.Close)
-	body, err := json.Marshal(pointsRequest{Points: blobPoints(512, 58, 32, 1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for range b.N {
-			got, _, err := s.decodePoints(limitedRequest(s, body), 58)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got.release()
-		}
-	})
+	body := marshalPoints(b, blobPoints(512, 58, 32, 1))
+	b.Run("scanner", func(b *testing.B) { benchDecode(b, s, body, 58) })
 	b.Run("encoding-json", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -446,4 +589,58 @@ func BenchmarkDecodePoints(b *testing.B) {
 			}
 		}
 	})
+
+	r := rng.New(2)
+	pixels := make([][]float64, 4096)
+	for i := range pixels {
+		pixels[i] = []float64{float64(r.Intn(256)), float64(r.Intn(256)), float64(r.Intn(256))}
+	}
+	pixelBody := marshalPoints(b, pixels)
+	b.Run("pixels", func(b *testing.B) { benchDecode(b, s, pixelBody, 3) })
+
+	// Values in [1e-8, 2e-8), which encoding/json writes as d.ddd…e-08. With
+	// 16 or more significant digits the decimal exponent is -23 or below,
+	// outside the window; the rare value whose shortest form is shorter is
+	// moved to the next float up until it is not.
+	tiny := make([][]float64, 512)
+	for i := range tiny {
+		tiny[i] = make([]float64, 58)
+		for j := range tiny[i] {
+			v := (1 + r.Float64()) * 1e-8
+			for sigDigits(v) < 16 {
+				v = math.Nextafter(v, 1)
+			}
+			tiny[i][j] = v
+		}
+	}
+	tinyBody := marshalPoints(b, tiny)
+	b.Run("fallback", func(b *testing.B) { benchDecode(b, s, tinyBody, 58) })
+}
+
+// sigDigits counts the significant digits of v's shortest decimal form.
+func sigDigits(v float64) int {
+	e := strconv.FormatFloat(v, 'e', -1, 64) // d.ddd…e±xx
+	return len(strings.Replace(e[:strings.IndexByte(e, 'e')], ".", "", 1))
+}
+
+// marshalPoints encodes pts as a points body.
+func marshalPoints(b *testing.B, pts [][]float64) []byte {
+	body, err := json.Marshal(pointsRequest{Points: pts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// benchDecode times decodePoints on body, a batch of dim-wide points.
+func benchDecode(b *testing.B, s *Server, body []byte, dim int) {
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for range b.N {
+		got, _, err := s.decodePoints(limitedRequest(s, body), dim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got.release()
+	}
 }
