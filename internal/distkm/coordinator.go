@@ -422,6 +422,16 @@ func (c *Coordinator) withFailover(shardID int, call func(int, Client) error) er
 	}
 }
 
+// badReply reports a shard reply that decoded but does not fit the call
+// that asked for it. Each call decodes into a fresh reply and keeps it only
+// once it fits, so nothing of a rejected reply survives into a retry. The
+// error is a plain one, not an rpc.ServerError: withFailover retries the
+// call and then fails the worker over, as it does a reply that does not
+// decode.
+func badReply(shardID int, method, format string, args ...any) error {
+	return fmt.Errorf("distkm: shard %d: misshapen %s reply: %s", shardID, method, fmt.Sprintf(format, args...))
+}
+
 // callRetry attempts call up to the retry policy's budget against one
 // worker, sleeping a jittered exponential backoff between attempts. A
 // worker-side rpc.ServerError aborts immediately (retrying a deterministic
@@ -718,8 +728,17 @@ func (c *Coordinator) initFrom(cfg core.Config, res *initResume) (*geom.Matrix, 
 		from := centers.Rows
 		replies := make([]SampleReply, len(c.spans))
 		err := c.fanOut(func(s int, cl Client) error {
-			return cl.Call("Worker.Sample",
-				SampleArgs{Ref: c.ref(s), Round: round, Phi: phi, Ell: ell, Seed: cfg.Seed}, &replies[s])
+			var rep SampleReply
+			err := cl.Call("Worker.Sample",
+				SampleArgs{Ref: c.ref(s), Round: round, Phi: phi, Ell: ell, Seed: cfg.Seed}, &rep)
+			if err != nil {
+				return err
+			}
+			if pts, rows := rep.Points, c.spans[s].Hi-c.spans[s].Lo; pts.Cols != c.dim || pts.Rows > rows {
+				return badReply(s, "Sample", "%d×%d points from a %d-row shard of dim %d", pts.Rows, pts.Cols, rows, c.dim)
+			}
+			replies[s] = rep
+			return nil
 		})
 		if err != nil {
 			return nil, stats, err
@@ -771,11 +790,19 @@ func (c *Coordinator) fetch(index int) ([]float64, error) {
 	if shardID < 0 {
 		return nil, fmt.Errorf("distkm: no shard owns global index %d", index)
 	}
-	var rep FetchReply
+	var point []float64
 	err := c.withFailover(shardID, func(s int, cl Client) error {
-		return cl.Call("Worker.Fetch", FetchArgs{Ref: c.ref(s), Index: index}, &rep)
+		var rep FetchReply
+		if err := cl.Call("Worker.Fetch", FetchArgs{Ref: c.ref(s), Index: index}, &rep); err != nil {
+			return err
+		}
+		if len(rep.Point) != c.dim {
+			return badReply(s, "Fetch", "a point of dim %d, want %d", len(rep.Point), c.dim)
+		}
+		point = rep.Point
+		return nil
 	})
-	return rep.Point, err
+	return point, err
 }
 
 // weightPass is Step 7: per-candidate weight partials reduced in shard order.
@@ -783,7 +810,15 @@ func (c *Coordinator) weightPass(centers *geom.Matrix) ([]float64, error) {
 	args := matOf(centers.Rows, centers.Cols, centers.Data)
 	replies := make([]WeightsReply, len(c.spans))
 	err := c.fanOut(func(s int, cl Client) error {
-		return cl.Call("Worker.Weights", CentersArgs{Ref: c.ref(s), Centers: args}, &replies[s])
+		var rep WeightsReply
+		if err := cl.Call("Worker.Weights", CentersArgs{Ref: c.ref(s), Centers: args}, &rep); err != nil {
+			return err
+		}
+		if len(rep.W) != centers.Rows {
+			return badReply(s, "Weights", "%d weights for %d candidates", len(rep.W), centers.Rows)
+		}
+		replies[s] = rep
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -853,7 +888,15 @@ func (c *Coordinator) lloydFrom(cur *geom.Matrix, maxIter, startIter int, costTr
 		args := matOf(centers.Rows, centers.Cols, centers.Data)
 		replies := make([]LloydReply, len(c.spans))
 		err := c.fanOut(func(s int, cl Client) error {
-			return cl.Call("Worker.LloydStep", CentersArgs{Ref: c.ref(s), Centers: args}, &replies[s])
+			var rep LloydReply
+			if err := cl.Call("Worker.LloydStep", CentersArgs{Ref: c.ref(s), Centers: args}, &rep); err != nil {
+				return err
+			}
+			if sums := rep.Sums; sums.Rows != k || sums.Cols != d+1 {
+				return badReply(s, "LloydStep", "%d×%d sums, want %d×%d", sums.Rows, sums.Cols, k, d+1)
+			}
+			replies[s] = rep
+			return nil
 		})
 		if err != nil {
 			return res, stats, err
@@ -905,7 +948,20 @@ func (c *Coordinator) lloydFrom(cur *geom.Matrix, maxIter, startIter int, costTr
 	args := matOf(centers.Rows, centers.Cols, centers.Data)
 	replies := make([]AssignReply, len(c.spans))
 	err := c.fanOut(func(s int, cl Client) error {
-		return cl.Call("Worker.Assign", CentersArgs{Ref: c.ref(s), Centers: args}, &replies[s])
+		var rep AssignReply
+		if err := cl.Call("Worker.Assign", CentersArgs{Ref: c.ref(s), Centers: args}, &rep); err != nil {
+			return err
+		}
+		if rows := c.spans[s].Hi - c.spans[s].Lo; len(rep.Assign) != rows {
+			return badReply(s, "Assign", "%d assignments for %d rows", len(rep.Assign), rows)
+		}
+		for i, a := range rep.Assign {
+			if a < 0 || int(a) >= k {
+				return badReply(s, "Assign", "row %d assigned to center %d of %d", i, a, k)
+			}
+		}
+		replies[s] = rep
+		return nil
 	})
 	if err != nil {
 		return res, stats, err

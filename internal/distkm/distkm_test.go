@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,22 +363,7 @@ func TestCorruptReplyFailsWorkerOver(t *testing.T) {
 	cfg := core.Config{K: 4, L: 8, Rounds: 4, Seed: 5}
 	want, _ := mrkm.Init(ds, cfg, mrkm.Config{Mappers: 2})
 
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", corruptSampler{NewWorker()}); err != nil {
-		t.Fatal(err)
-	}
-	cliConn, srvConn := net.Pipe()
-	go srv.ServeConn(srvConn)
-	bad := rpc.NewClient(cliConn)
-	good := NewLoopback(NewWorker())
-	t.Cleanup(func() {
-		_ = good.Close()
-		_ = bad.Close()
-	})
-	c, err := NewCoordinator([]Client{good, bad})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := withBadWorker(t, corruptSampler{NewWorker()}, 1)
 	if err := c.Distribute(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +375,138 @@ func TestCorruptReplyFailsWorkerOver(t *testing.T) {
 		t.Fatalf("%d failovers, want the corrupt worker's shard failed over once", stats.Failovers)
 	}
 	requireBitIdentical(t, "Init after a corrupt reply", got, want)
+}
+
+// withBadWorker builds a coordinator over two workers, a healthy loopback
+// one and bad, which serves shard badShard (0 or 1) once the dataset is
+// distributed. bad is served over a pipe through net/rpc, like a real
+// worker.
+func withBadWorker(t *testing.T, bad any, badShard int) *Coordinator {
+	t.Helper()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Worker", bad); err != nil {
+		t.Fatal(err)
+	}
+	cliConn, srvConn := net.Pipe()
+	go srv.ServeConn(srvConn)
+	badCl := rpc.NewClient(cliConn)
+	good := NewLoopback(NewWorker())
+	t.Cleanup(func() {
+		_ = good.Close()
+		_ = badCl.Close()
+	})
+	clients := []Client{good, badCl}
+	if badShard == 0 {
+		clients = []Client{badCl, good}
+	}
+	c, err := NewCoordinator(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// The misshapen workers answer one method with a reply that decodes but
+// does not fit the request.
+type (
+	misshapenFetch   struct{ *Worker } // a point one coordinate too wide
+	misshapenSample  struct{ *Worker } // rows one column too wide
+	misshapenWeights struct{ *Worker } // one weight too many
+	misshapenLloyd   struct{ *Worker } // one row of sums
+	misshapenAssign  struct{ *Worker } // a center index out of range
+)
+
+func (w misshapenFetch) Fetch(args FetchArgs, reply *FetchReply) error {
+	if err := w.Worker.Fetch(args, reply); err != nil {
+		return err
+	}
+	reply.Point = append(reply.Point, 0)
+	return nil
+}
+
+func (w misshapenSample) Sample(args SampleArgs, reply *SampleReply) error {
+	if err := w.Worker.Sample(args, reply); err != nil {
+		return err
+	}
+	p := reply.Points
+	reply.Points = Mat{Rows: p.Rows, Cols: p.Cols + 1, Data: append(p.Data, make([]float64, p.Rows)...)}
+	return nil
+}
+
+func (w misshapenWeights) Weights(args CentersArgs, reply *WeightsReply) error {
+	if err := w.Worker.Weights(args, reply); err != nil {
+		return err
+	}
+	reply.W = append(reply.W, 1)
+	return nil
+}
+
+func (w misshapenLloyd) LloydStep(args CentersArgs, reply *LloydReply) error {
+	if err := w.Worker.LloydStep(args, reply); err != nil {
+		return err
+	}
+	s := reply.Sums
+	reply.Sums = Mat{Rows: 1, Cols: s.Cols, Data: s.Data[:s.Cols]}
+	return nil
+}
+
+func (w misshapenAssign) Assign(args CentersArgs, reply *AssignReply) error {
+	if err := w.Worker.Assign(args, reply); err != nil {
+		return err
+	}
+	reply.Assign[0] = int32(args.Centers.Rows)
+	return nil
+}
+
+// A reply that decodes but does not fit its request — a wrong count of
+// weights, sums, rows, columns or assignments, or an assignment to no
+// center — is the sending worker's fault too: the coordinator fails that
+// worker over once, and the fit stays bit-identical to mrkm.
+func TestMisshapenReplyFailsWorkerOver(t *testing.T) {
+	ds := blobs(t, 4, 100, 5, 20, 17)
+	cfg := core.Config{K: 4, L: 8, Rounds: 4, Seed: 5}
+	wantInit, _ := mrkm.Init(ds, cfg, mrkm.Config{Mappers: 2})
+	wantRes, _ := mrkm.Lloyd(ds, wantInit, 20, mrkm.Config{Mappers: 2})
+	// Step 1 fetches the first center from the shard that owns it, so the
+	// misshapen Fetch worker serves that shard.
+	firstShard := 0
+	if first := rng.New(cfg.Seed).Intn(ds.N()); first >= mrkm.MakeSpans(ds.N(), 2)[1].Lo {
+		firstShard = 1
+	}
+	for _, tc := range []struct {
+		name     string
+		bad      any
+		badShard int
+	}{
+		{"Fetch", misshapenFetch{NewWorker()}, firstShard},
+		{"Sample", misshapenSample{NewWorker()}, 1},
+		{"Weights", misshapenWeights{NewWorker()}, 1},
+		{"LloydStep", misshapenLloyd{NewWorker()}, 1},
+		{"Assign", misshapenAssign{NewWorker()}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := withBadWorker(t, tc.bad, tc.badShard)
+			if err := c.Distribute(ds); err != nil {
+				t.Fatal(err)
+			}
+			gotInit, initStats, err := c.Init(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRes, lloydStats, err := c.Lloyd(gotInit, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := initStats.Failovers + lloydStats.Failovers; n != 1 {
+				t.Fatalf("%d failovers, want the misshapen worker's shard failed over once", n)
+			}
+			requireBitIdentical(t, "Init", gotInit, wantInit)
+			requireBitIdentical(t, "Lloyd centers", gotRes.Centers, wantRes.Centers)
+			if !slices.Equal(gotRes.Assign, wantRes.Assign) {
+				t.Fatal("assignments differ from mrkm's")
+			}
+		})
+	}
 }
 
 // A coordinator that dies without Release leaves its shards behind; the
