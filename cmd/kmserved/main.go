@@ -1,6 +1,6 @@
 // Command kmserved serves kmeansll models over HTTP: a versioned model
 // registry, parallel batch prediction, async fit jobs and online streaming
-// ingest, with per-endpoint stats at /v1/stats.
+// ingest, with per-endpoint stats at /v1/sys/endpoints.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	curl -s -X POST localhost:8080/v1/fit -d '{"model":"fast","generate":{"n":10000,"d":15,"k":20},"config":{"k":20,"optimizer":{"type":"minibatch"}}}'
 //	curl -s localhost:8080/v1/jobs/job-1
 //	curl -s -X POST localhost:8080/v1/models/demo/predict -d '{"points":[[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]]}'
-//	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/v1/sys/endpoints
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, waits for running
 // fit jobs, and (with -model-dir) persists the current model versions so a

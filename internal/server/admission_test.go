@@ -53,8 +53,8 @@ func TestAdmissionShedsAtBound(t *testing.T) {
 		t.Errorf("shed response missing Retry-After")
 	}
 
-	var stats statsResponse
-	do(t, s, "GET", "/v1/stats", nil, &stats)
+	var stats sysEndpointsResponse
+	do(t, s, "GET", "/v1/sys/endpoints", nil, &stats)
 	var row *EndpointStats
 	for i := range stats.Endpoints {
 		if stats.Endpoints[i].Endpoint == "POST /v1/models/{name}/predict" {
@@ -62,7 +62,7 @@ func TestAdmissionShedsAtBound(t *testing.T) {
 		}
 	}
 	if row == nil {
-		t.Fatalf("no predict row in /v1/stats")
+		t.Fatalf("no predict row in /v1/sys/endpoints")
 	}
 	if row.Sheds < 2 {
 		t.Errorf("sheds = %d, want ≥ 2", row.Sheds)

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,7 +119,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Close() { s.jobs.Stop() }
 
 // routes registers every endpoint, each wrapped in the stats middleware
-// under its route pattern so /v1/stats shows one row per endpoint.
+// under its route pattern so /v1/sys/endpoints shows one row per endpoint.
 func (s *Server) routes() {
 	handle := func(pattern string, h http.HandlerFunc) {
 		s.mux.HandleFunc(pattern, s.stats.instrument(pattern, s.limitBody(h)))
@@ -133,7 +132,6 @@ func (s *Server) routes() {
 		s.mux.HandleFunc(pattern, s.stats.instrument(pattern, s.gated(pattern, s.limitBody(h))))
 	}
 	handle("GET /healthz", s.handleHealth)
-	handle("GET /v1/stats", s.handleStats)
 
 	// The V$-style virtual tables (read-only, one GET per subsystem).
 	handle("GET /v1/sys", s.handleSysIndex)
@@ -326,33 +324,10 @@ func summarize(mv *ModelVersion, withCenters bool) modelSummary {
 	return out
 }
 
-// ---- health and stats ---------------------------------------------------
+// ---- health -------------------------------------------------------------
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-type statsResponse struct {
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Goroutines    int              `json:"goroutines"`
-	Endpoints     []EndpointStats  `json:"endpoints"`
-	Models        int              `json:"models"`
-	Versions      int              `json:"versions"`
-	Jobs          map[JobState]int `json:"jobs"`
-	Streams       []StreamStatus   `json:"streams"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	models, versions := s.registry.Counts()
-	writeJSON(w, http.StatusOK, statsResponse{
-		UptimeSeconds: time.Since(s.stats.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		Endpoints:     s.stats.snapshot(),
-		Models:        models,
-		Versions:      versions,
-		Jobs:          s.jobs.Counts(),
-		Streams:       s.streams.List(),
-	})
 }
 
 // ---- model registry endpoints -------------------------------------------

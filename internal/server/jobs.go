@@ -351,7 +351,7 @@ func (m *JobManager) List() []*Job {
 	return out
 }
 
-// Counts tallies retained jobs by state for the stats endpoint.
+// Counts tallies retained jobs by state for the /v1/sys/jobs table.
 func (m *JobManager) Counts() map[JobState]int {
 	out := make(map[JobState]int)
 	for _, j := range m.List() {

@@ -312,22 +312,3 @@ func (r *Registry) sysRows() []RegistrySysRow {
 	}
 	return out
 }
-
-// Counts returns (models, retained versions) for the stats endpoint.
-func (r *Registry) Counts() (models, versions int) {
-	r.mu.RLock()
-	entries := make([]*regEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.RUnlock()
-	for _, e := range entries {
-		e.mu.Lock()
-		if e.current.Load() != nil {
-			models++
-		}
-		versions += len(e.history)
-		e.mu.Unlock()
-	}
-	return models, versions
-}

@@ -480,8 +480,8 @@ func TestStatsEndpoint(t *testing.T) {
 	do(t, s, "POST", "/v1/models/st/predict", `{"points": [[1,2]]}`, nil) // a 400
 	do(t, s, "GET", "/healthz", nil, nil)
 
-	var stats statsResponse
-	if code := do(t, s, "GET", "/v1/stats", nil, &stats); code != http.StatusOK {
+	var stats sysEndpointsResponse
+	if code := do(t, s, "GET", "/v1/sys/endpoints", nil, &stats); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
 	rows := map[string]EndpointStats{}
@@ -498,8 +498,14 @@ func TestStatsEndpoint(t *testing.T) {
 	if rows["GET /healthz"].Requests != 1 {
 		t.Fatalf("healthz row: %+v", rows["GET /healthz"])
 	}
-	if stats.Models != 1 || stats.Versions != 1 {
-		t.Fatalf("registry counts: models=%d versions=%d", stats.Models, stats.Versions)
+	var reg struct {
+		Models []RegistrySysRow `json:"models"`
+	}
+	if code := do(t, s, "GET", "/v1/sys/registry", nil, &reg); code != http.StatusOK {
+		t.Fatalf("registry: %d", code)
+	}
+	if len(reg.Models) != 1 || reg.Models[0].Versions != 1 {
+		t.Fatalf("registry rows: %+v", reg.Models)
 	}
 }
 

@@ -223,7 +223,7 @@ func (c *endpointCounters) retryAfterSeconds() int {
 
 // statsTable aggregates per-endpoint request counters, in the spirit of the
 // V$ virtual tables of production data servers: every registered route gets
-// a row, GET /v1/stats and GET /v1/sys/endpoints render the table. Rows are
+// a row, and GET /v1/sys/endpoints renders the table. Rows are
 // created at route registration time, so the request path is a map read plus
 // atomic updates.
 type statsTable struct {

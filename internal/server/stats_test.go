@@ -137,7 +137,7 @@ func TestStatsConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotSorted verifies /v1/stats row order is deterministic:
+// TestStatsSnapshotSorted verifies /v1/sys/endpoints row order is deterministic:
 // sorted by endpoint key regardless of observation order.
 func TestStatsSnapshotSorted(t *testing.T) {
 	table := newStatsTable()

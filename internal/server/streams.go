@@ -37,7 +37,7 @@ type StreamSpec struct {
 // streamEntry is one live stream. The coreset update is inherently
 // sequential, so a per-stream mutex serializes ingest batches (and is held
 // across refits); distinct streams ingest concurrently. Status counters are
-// atomics so GET /v1/streams and /v1/stats never block behind a refit in
+// atomics so GET /v1/streams and /v1/sys/streams never block behind a refit in
 // progress.
 type streamEntry struct {
 	name    string
