@@ -207,20 +207,17 @@ func Init[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) {
 	centers.Reserve(est)
 	centers.AppendRow(ds.Point(first))
 
-	// Step 2: ψ ← φ_X(C), cached per point. d2 holds w_i·d²(x_i, C)
-	// throughout; φ is its sum.
+	// Step 2: ψ ← φ_X(C), cached per point: the first center folded into
+	// an empty cache. d2 holds w_i·d²(x_i, C) throughout (+Inf before the
+	// first fold); φ is its sum.
 	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	chunks := geom.ChunkCount(n, cfg.Parallelism)
 	partial := make([]float64, chunks)
-	n0 := geom.RowSqNorms(centers, nil)
 	geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			_, d := geom.NearestPair(ds.Point(i), centers, n0)
-			d2[i] = ds.W(i) * d
-			s += d2[i]
-		}
-		partial[chunk] = s
+		partial[chunk] = geom.FoldNearest(ds, d2, lo, hi, centers)
 	})
 	phi := sum(partial)
 	stats := Stats{Psi: phi, PhiTrace: []float64{phi}, Passes: 1}

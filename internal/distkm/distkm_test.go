@@ -2,6 +2,7 @@ package distkm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"net/rpc"
@@ -133,9 +134,10 @@ func TestLloydBitIdenticalToMRKM(t *testing.T) {
 	}
 }
 
-// The full pipeline also agrees with the in-process core implementation on
-// everything core guarantees to be chunking-independent (candidate counts,
-// cost to within float tolerance).
+// The full pipeline also agrees with the in-process core implementation. At
+// as many chunks as shards, core.Init, mrkm.Init and a distributed Init sum
+// the same partials in the same order, so they agree bit for bit: ψ, the φ
+// trace, the candidates, the centers and the seed cost.
 func TestFitAgreesWithCore(t *testing.T) {
 	const workers = 2
 	ds := blobs(t, 6, 80, 7, 30, 3)
@@ -158,6 +160,85 @@ func TestFitAgreesWithCore(t *testing.T) {
 	}
 	if stats.RPCRounds == 0 || stats.Calls == 0 {
 		t.Fatalf("network counters not populated: %+v", stats)
+	}
+
+	// 1500 points, K = 12: every dimension below and from 4 up (where a
+	// pair distance sums in more than one chain), weighted and not, at 1–3
+	// partitions, 4 seeds each.
+	for _, d := range []int{2, 7, 16, 58} {
+		for _, weighted := range []bool{false, true} {
+			ds := blobs(t, 12, 125, d, 20, uint64(d))
+			if weighted {
+				r := rng.New(uint64(d) + 100)
+				ds.Weight = make([]float64, ds.N())
+				for i := range ds.Weight {
+					ds.Weight[i] = 0.5 + 2*r.Float64()
+				}
+			}
+			for w := 1; w <= 3; w++ {
+				c := loopbackCoordinator(t, ds, w)
+				for s := uint64(0); s < 4; s++ {
+					cfg := core.Config{K: 12, Seed: s, Parallelism: w}
+					requireThreeAgree(t, fmt.Sprintf("d=%d/w=%v/W=%d/seed=%d", d, weighted, w, s), ds, c, cfg)
+				}
+			}
+		}
+	}
+
+	// ℓ = 0.3: most rounds sample nothing, and fold nothing either.
+	ds = blobs(t, 12, 125, 16, 20, 5)
+	c = loopbackCoordinator(t, ds, 2)
+	empty := 0
+	for s := uint64(0); s < 4; s++ {
+		cfg := core.Config{K: 12, L: 0.3, Rounds: 6, Seed: s, Parallelism: 2}
+		_, st := core.Init(ds, cfg)
+		for _, picks := range st.RoundCandidates {
+			if picks == 0 {
+				empty++
+			}
+		}
+		requireThreeAgree(t, fmt.Sprintf("small-ell/seed=%d", s), ds, c, cfg)
+	}
+	if empty == 0 {
+		t.Fatal("no ℓ = 0.3 round sampled nothing; the row tests nothing")
+	}
+}
+
+// initRun is what TestFitAgreesWithCore compares across realizations.
+type initRun struct {
+	centers       *geom.Matrix
+	psi, seedCost float64
+	trace         []float64
+	candidates    int
+}
+
+// requireThreeAgree runs cfg through core.Init, mrkm.Init and c's
+// distributed Init, at cfg.Parallelism partitions each, and requires every
+// bit to agree.
+func requireThreeAgree(t *testing.T, what string, ds *geom.Dataset, c *Coordinator, cfg core.Config) {
+	t.Helper()
+	cc, cs := core.Init(ds, cfg)
+	mc, ms := mrkm.Init(ds, cfg, mrkm.Config{Mappers: cfg.Parallelism})
+	dc, dst, err := c.Init(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want := initRun{cc, cs.Psi, cs.SeedCost, cs.PhiTrace, cs.Candidates}
+	for _, got := range []struct {
+		name string
+		run  initRun
+	}{
+		{"mrkm", initRun{mc, ms.Psi, ms.SeedCost, ms.PhiTrace, ms.Candidates}},
+		{"distkm", initRun{dc, dst.Psi, dst.SeedCost, dst.PhiTrace, dst.Candidates}},
+	} {
+		name := what + ": " + got.name
+		if got.run.candidates != want.candidates {
+			t.Fatalf("%s: %d candidates, core %d", name, got.run.candidates, want.candidates)
+		}
+		requireSameTrace(t, name+" ψ", []float64{got.run.psi}, []float64{want.psi})
+		requireSameTrace(t, name+" φ trace", got.run.trace, want.trace)
+		requireBitIdentical(t, name+" centers", got.run.centers, want.centers)
+		requireSameTrace(t, name+" seed cost", []float64{got.run.seedCost}, []float64{want.seedCost})
 	}
 }
 

@@ -584,17 +584,20 @@ func NearestPair[T Float](p []T, centers *Mat[T], cNorms []T) (int, float64) {
 // FoldPair folds centers into a point's weighted D² cache entry d2 (weight
 // w, +Inf before any center), one pair at a time with SqDistPair's
 // arithmetic: the scalar form of a k-means|| round update, for rounds below
-// the blocked crossover. An entry already at 0 stays 0.
+// the blocked crossover. An entry at +Inf becomes w times NearestPair's
+// distance, so a first fold rounds exactly like a nearest-center scan. An
+// entry already at 0 stays 0.
 func FoldPair[T Float](p []T, w, d2 float64, centers *Mat[T], cNorms []T) float64 {
 	if !(d2 > 0) {
 		return d2
 	}
+	if math.IsInf(d2, 1) {
+		_, d := NearestPair(p, centers, cNorms)
+		return w * d
+	}
 	kt := kernelsFor[T]()
 	pn := kt.pairNorm(p)
-	best := d2
-	if !math.IsInf(best, 1) {
-		best /= w
-	}
+	best := d2 / w
 	for c := 0; c < centers.Rows; c++ {
 		if nd := kt.pairBound(p, centers.Row(c), pn, cNorms[c], best); nd < best {
 			best = nd

@@ -31,24 +31,39 @@ func blobs(t testing.TB, k, m, dim int, sep float64, seedVal uint64) *geom.Datas
 }
 
 func TestInitMatchesInProcessCandidates(t *testing.T) {
-	// Same seed + Bernoulli sampling with counter-based randomness ⇒ the MR
-	// realization selects the same candidate set as core.Init.
+	// Same seed + Bernoulli sampling with counter-based randomness, and as
+	// many mappers as core.Init has chunks ⇒ the MR realization reproduces
+	// core.Init bit for bit: the same partials summed in the same order.
 	ds := blobs(t, 5, 100, 6, 25, 1)
-	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 7}
-	_, coreStats := core.Init(ds, cfg)
-	_, mrStats := Init(ds, cfg, Config{Mappers: 4})
+	cfg := core.Config{K: 5, L: 10, Rounds: 5, Seed: 7, Parallelism: 4}
+	coreCenters, coreStats := core.Init(ds, cfg)
+	mrCenters, mrStats := Init(ds, cfg, Config{Mappers: 4})
 	if coreStats.Candidates != mrStats.Candidates {
 		t.Fatalf("candidate counts differ: core %d vs mr %d",
 			coreStats.Candidates, mrStats.Candidates)
 	}
-	if math.Abs(coreStats.Psi-mrStats.Psi) > 1e-6*(1+coreStats.Psi) {
+	if math.Float64bits(coreStats.Psi) != math.Float64bits(mrStats.Psi) {
 		t.Fatalf("ψ differs: %v vs %v", coreStats.Psi, mrStats.Psi)
 	}
+	if len(coreStats.PhiTrace) != len(mrStats.PhiTrace) {
+		t.Fatalf("φ trace lengths differ: %d vs %d", len(coreStats.PhiTrace), len(mrStats.PhiTrace))
+	}
 	for i := range coreStats.PhiTrace {
-		if math.Abs(coreStats.PhiTrace[i]-mrStats.PhiTrace[i]) > 1e-6*(1+coreStats.PhiTrace[i]) {
+		if math.Float64bits(coreStats.PhiTrace[i]) != math.Float64bits(mrStats.PhiTrace[i]) {
 			t.Fatalf("φ trace differs at %d: %v vs %v", i,
 				coreStats.PhiTrace[i], mrStats.PhiTrace[i])
 		}
+	}
+	if coreCenters.Rows != mrCenters.Rows {
+		t.Fatalf("center counts differ: %d vs %d", coreCenters.Rows, mrCenters.Rows)
+	}
+	for i := range coreCenters.Data {
+		if math.Float64bits(coreCenters.Data[i]) != math.Float64bits(mrCenters.Data[i]) {
+			t.Fatalf("centers differ at flat index %d: %v vs %v", i, coreCenters.Data[i], mrCenters.Data[i])
+		}
+	}
+	if math.Float64bits(coreStats.SeedCost) != math.Float64bits(mrStats.SeedCost) {
+		t.Fatalf("seed cost differs: %v vs %v", coreStats.SeedCost, mrStats.SeedCost)
 	}
 }
 
