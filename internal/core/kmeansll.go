@@ -19,9 +19,19 @@
 //     ("we begin by sampling exactly ℓ points from the joint distribution in
 //     every round", §5.3, used for Figure 5.1 to reduce variance).
 //
+// The round loop (Steps 1–8) is written once, in Drive, over a Passes
+// interface with three realizations: the in-process ParallelFor chunks
+// behind Init, MapReduce jobs (internal/mrkm) and RPC fan-outs to shard
+// workers (internal/distkm). Each keeps its own partition and sums partials
+// in partition order; Algorithm 2's per-partition bodies (geom.FoldNearest,
+// SampleSpan, WeightSpan, CostSpan) are shared by all three.
+//
 // Per-point randomness in Bernoulli mode is derived from a counter-based hash
-// of (seed, round, point index), so results are bit-identical for a given
-// seed regardless of the worker count.
+// of (seed, round, point index). The same seed and Parallelism give
+// bit-identical results. Across Parallelism values the coin flips are the
+// same, so the candidates and seed centers match unless a flip lands within
+// rounding of its threshold; φ values and the seed cost differ in the last
+// bits, because partials are summed per chunk.
 //
 // The two distance-heavy passes — the per-round D² cache update and the
 // Step 7 weighting — run on geom's blocked pairwise-distance engine (cached
@@ -32,11 +42,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
 	"kmeansll/internal/rng"
-	"kmeansll/internal/seed"
 )
 
 // SampleMode selects how each round draws candidates.
@@ -116,10 +126,15 @@ type Config struct {
 	// Parallelism is the worker count for the per-round passes; <1 = all
 	// CPUs.
 	Parallelism int
-	// Seed makes the run deterministic. Runs with the same seed and config
-	// produce identical output for any Parallelism.
+	// Seed makes the run deterministic: the same seed, config and
+	// Parallelism give bit-identical output. Across Parallelism values the
+	// candidates and centers match unless a coin flip lands within rounding
+	// of its threshold; φ values differ in the last bits.
 	Seed uint64
 }
+
+// Schedule resolves the oversampling factor ℓ and the round count r.
+func (c *Config) Schedule() (ell float64, rounds int) { return c.ell(), c.rounds() }
 
 func (c *Config) ell() float64 {
 	if c.L > 0 {
@@ -157,146 +172,85 @@ type Stats struct {
 	// SeedCost is φ_X of the final k centers (the "seed" columns of
 	// Tables 1–2), computed with one extra pass.
 	SeedCost float64
-	// Passes counts full passes over the input: 1 to seed ψ, 1 per round to
-	// update distances, 1 for weighting, 1 for SeedCost.
+	// Passes counts full passes over the input: 1 to seed ψ, 1 per round
+	// that sampled anything to update distances, 1 for weighting, 1 for
+	// SeedCost.
 	Passes int
 }
 
-// Init runs k-means|| and returns the k initial centers plus run statistics.
-// The dataset may be weighted; weights flow through sampling, Step 7 and the
-// reclustering exactly as if each point were replicated.
+// Init runs k-means|| in process and returns the k initial centers plus run
+// statistics. The dataset may be weighted; weights flow through sampling,
+// Step 7 and the reclustering exactly as if each point were replicated.
 //
 // The points may be stored as float64 or float32. The sampling decisions
 // (Bernoulli coin flips, ExactL draws, reclustering) only ever see the
 // float64 D² cache, so a run is deterministic for a given seed and
-// parallelism-independent in both; float32 storage rounds the cached
-// distances, making its chosen centers equivalent in distribution rather
-// than bit-identical to the float64 run on the widened data
-// (docs/kernels.md). Step 8 reclusters the (tiny) weighted candidate set in
-// float64 either way.
+// Parallelism in both; float32 storage rounds the cached distances, making
+// its chosen centers equivalent in distribution rather than bit-identical to
+// the float64 run on the widened data (docs/kernels.md). Step 8 reclusters
+// the (tiny) weighted candidate set in float64 either way.
 func Init[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) {
-	if cfg.K <= 0 {
-		panic("core: Config.K must be positive")
+	l := &local[T]{ds: ds, cfg: cfg, d2: make([]float64, ds.N())}
+	for i := range l.d2 {
+		l.d2[i] = math.Inf(1)
 	}
-	n := ds.N()
-	if n == 0 {
-		panic("core: empty dataset")
+	centers, stats, err := Drive(l, cfg, ds.N(), ds.Weight, nil, nil)
+	if err != nil {
+		panic(err)
 	}
-	if cfg.K >= n {
-		return geom.Widen(ds.X), Stats{Candidates: n, Passes: 0}
-	}
-
-	r := rng.New(cfg.Seed)
-	ell := cfg.ell()
-	rounds := cfg.rounds()
-
-	// Step 1: first center, uniform (weight-proportional when weighted).
-	var first int
-	if ds.Weight == nil {
-		first = r.Intn(n)
-	} else {
-		first = r.WeightedIndex(ds.Weight)
-	}
-	centers := &geom.Mat[T]{Cols: ds.Dim()}
-	// The candidate set grows to ~1 + r·ℓ rows; reserve once so the
-	// per-round AppendRow loop never reallocates mid-run.
-	est := 1 + rounds*int(math.Ceil(ell))
-	if est > n {
-		est = n
-	}
-	centers.Reserve(est)
-	centers.AppendRow(ds.Point(first))
-
-	// Step 2: ψ ← φ_X(C), cached per point: the first center folded into
-	// an empty cache. d2 holds w_i·d²(x_i, C) throughout (+Inf before the
-	// first fold); φ is its sum.
-	d2 := make([]float64, n)
-	for i := range d2 {
-		d2[i] = math.Inf(1)
-	}
-	chunks := geom.ChunkCount(n, cfg.Parallelism)
-	partial := make([]float64, chunks)
-	geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
-		partial[chunk] = geom.FoldNearest(ds, d2, lo, hi, centers)
-	})
-	phi := sum(partial)
-	stats := Stats{Psi: phi, PhiTrace: []float64{phi}, Passes: 1}
-
-	// Steps 3–6: sampling rounds.
-	for round := 0; round < rounds; round++ {
-		if !(phi > 0) {
-			break // every point coincides with a center; nothing to sample
-		}
-		var chosen []int
-		switch cfg.Mode {
-		case ExactL:
-			chosen = sampleExactL(r, d2, int(math.Round(ell)))
-		default:
-			chosen = sampleBernoulli(cfg.Seed, round, d2, phi, ell, cfg.Parallelism)
-		}
-		stats.Rounds++
-		stats.RoundCandidates = append(stats.RoundCandidates, len(chosen))
-		if len(chosen) == 0 {
-			stats.PhiTrace = append(stats.PhiTrace, phi)
-			continue
-		}
-		from := centers.Rows
-		for _, i := range chosen {
-			centers.AppendRow(ds.Point(i))
-		}
-		// Update cached distances against only the new centers — one pass,
-		// blocked above the crossover (per-point min over the round's
-		// centers folded into the weighted cache), the scalar pair fold
-		// below it.
-		newView := centers.RowRange(from, centers.Rows)
-		geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
-			partial[chunk] = geom.FoldNearest(ds, d2, lo, hi, &newView)
-		})
-		phi = sum(partial)
-		stats.Passes++
-		stats.PhiTrace = append(stats.PhiTrace, phi)
-	}
-	stats.Candidates = centers.Rows
-
-	// Step 7: weight each candidate by the total weight of the points it
-	// serves. One parallel pass with per-chunk accumulators.
-	weights := candidateWeights(ds, centers, cfg.Parallelism)
-	stats.Passes++
-
-	// Step 8: recluster the weighted candidates down to k, in float64.
-	final := recluster(geom.Widen(centers), weights, cfg, r)
-
-	stats.SeedCost = lloyd.Cost(ds, geom.Convert[T](final), cfg.Parallelism)
-	stats.Passes++
-	return final, stats
+	return centers, stats
 }
 
-// sampleBernoulli implements Step 4: each point independently with
-// probability min(1, ℓ·d²(x,C)/φ). The uniform variate for point i in a given
-// round is a pure function of (seed, round, i) — rng.PointRand — making the
-// selection independent of the parallel chunking.
-func sampleBernoulli(seedVal uint64, round int, d2 []float64, phi, ell float64, parallelism int) []int {
-	n := len(d2)
-	chunks := geom.ChunkCount(n, parallelism)
-	perChunk := make([][]int, chunks)
-	geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
-		var sel []int
-		for i := lo; i < hi; i++ {
-			if d2[i] <= 0 {
-				continue
-			}
-			p := ell * d2[i] / phi
-			if p >= 1 || rng.PointRand(seedVal, round, i) < p {
-				sel = append(sel, i)
-			}
-		}
-		perChunk[chunk] = sel
-	})
-	var out []int
-	for _, sel := range perChunk {
-		out = append(out, sel...)
-	}
+// local is the in-process realization of Passes: geom.ParallelFor chunks
+// over a dataset in memory, partials summed in chunk order.
+type local[T geom.Float] struct {
+	ds  *geom.Set[T]
+	cfg Config
+	d2  []float64 // w_i·d²(x_i, C), +Inf before the first fold
+}
+
+// chunks runs body on every chunk concurrently and returns the chunks'
+// values in chunk order.
+func chunks[T geom.Float, V any](l *local[T], body func(lo, hi int) V) []V {
+	out := make([]V, geom.ChunkCount(l.ds.N(), l.cfg.Parallelism))
+	geom.ParallelFor(l.ds.N(), l.cfg.Parallelism, func(chunk, lo, hi int) { out[chunk] = body(lo, hi) })
 	return out
+}
+
+func (l *local[T]) Point(i int) ([]float64, error) {
+	return geom.WidenRow(make([]float64, l.ds.Dim()), l.ds.Point(i)), nil
+}
+
+func (l *local[T]) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
+	view := cands.RowRange(lo, hi)
+	c := geom.Convert[T](&view)
+	var phi float64
+	for _, p := range chunks(l, func(lo, hi int) float64 { return geom.FoldNearest(l.ds, l.d2, lo, hi, c) }) {
+		phi += p
+	}
+	return phi, nil
+}
+
+func (l *local[T]) Sample(round int, phi float64, r *rng.Rng) (*geom.Matrix, error) {
+	ell := l.cfg.ell()
+	if l.cfg.Mode == ExactL {
+		return geom.WidenRows(l.ds.X, sampleExactL(r, l.d2, int(math.Round(ell)))), nil
+	}
+	picks := chunks(l, func(lo, hi int) []int { return SampleSpan(l.d2[lo:hi], lo, phi, ell, l.cfg.Seed, round) })
+	return geom.WidenRows(l.ds.X, slices.Concat(picks...)), nil
+}
+
+func (l *local[T]) Weights(cands *geom.Matrix) ([]float64, error) {
+	c := geom.Convert[T](cands)
+	weights := make([]float64, cands.Rows)
+	for _, w := range chunks(l, func(lo, hi int) []float64 { return WeightSpan(l.ds, lo, hi, c) }) {
+		geom.AddScaled(weights, 1, w)
+	}
+	return weights, nil
+}
+
+func (l *local[T]) Cost(centers *geom.Matrix) (float64, error) {
+	return lloyd.Cost(l.ds, geom.Convert[T](centers), l.cfg.Parallelism), nil
 }
 
 // sampleExactL draws m indices from the joint distribution proportional to
@@ -318,74 +272,4 @@ func sampleExactL(r *rng.Rng, d2 []float64, m int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// candidateWeights performs Step 7: w_x = Σ of input weights of the points
-// whose nearest candidate is x. The candidate set is the largest center set
-// the algorithm ever scans (~1 + r·ℓ rows), so this pass benefits most from
-// the blocked engine.
-func candidateWeights[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int) []float64 {
-	n, k := ds.N(), centers.Rows
-	chunks := geom.ChunkCount(n, parallelism)
-	perChunk := make([][]float64, chunks)
-	cNorms := geom.RowSqNorms(centers, nil)
-	geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
-		w := make([]float64, k)
-		geom.Visit(ds.X, centers, cNorms, lo, hi, func(i int, idx int32, _ float64) {
-			w[idx] += ds.W(i)
-		})
-		perChunk[chunk] = w
-	})
-	weights := make([]float64, k)
-	for _, w := range perChunk {
-		for c := range weights {
-			weights[c] += w[c]
-		}
-	}
-	return weights
-}
-
-// recluster implements Step 8 on the weighted candidate set.
-func recluster(candidates *geom.Matrix, weights []float64, cfg Config, r *rng.Rng) *geom.Matrix {
-	// Candidates that serve no point (weight 0) can still be valid centers,
-	// but weighted k-means++ would never pick them; drop them. Keep at least
-	// one candidate so the degenerate 1-candidate case works.
-	keep := make([]int, 0, candidates.Rows)
-	for i, w := range weights {
-		if w > 0 {
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == 0 {
-		keep = append(keep, 0)
-		weights[0] = 1
-	}
-	cds := &geom.Dataset{X: geom.NewMatrix(len(keep), candidates.Cols), Weight: make([]float64, len(keep))}
-	for j, i := range keep {
-		copy(cds.X.Row(j), candidates.Row(i))
-		cds.Weight[j] = weights[i]
-	}
-
-	switch cfg.Recluster {
-	case ReclusterRandom:
-		return seed.WeightedRandom(cds, cfg.K, r)
-	case ReclusterKMeansPPLloyd:
-		init := seed.KMeansPP(cds, cfg.K, r, cfg.Parallelism)
-		iters := cfg.RefineIters
-		if iters <= 0 {
-			iters = 20
-		}
-		res := lloyd.Run(cds, init, lloyd.Config{MaxIter: iters, Parallelism: cfg.Parallelism})
-		return res.Centers
-	default:
-		return seed.KMeansPP(cds, cfg.K, r, cfg.Parallelism)
-	}
-}
-
-func sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

@@ -269,7 +269,7 @@ func TestCandidateWeightsSumProperty(t *testing.T) {
 		ds := geom.NewDataset(x)
 		k := 2 + r.Intn(6)
 		cand := seed.Random(ds, k, r.Split(1))
-		w := candidateWeights(ds, cand, 1)
+		w := WeightSpan(ds, 0, ds.N(), cand)
 		var s float64
 		for _, v := range w {
 			s += v
@@ -300,7 +300,7 @@ func TestBernoulliSamplingProperty(t *testing.T) {
 		if phi == 0 {
 			return true
 		}
-		chosen := sampleBernoulli(sv, 0, d2, phi, 5, 1)
+		chosen := SampleSpan(d2, 0, phi, 5, sv, 0)
 		for _, i := range chosen {
 			if d2[i] <= 0 {
 				return false

@@ -1,0 +1,55 @@
+package core
+
+import (
+	"kmeansll/internal/geom"
+	"kmeansll/internal/rng"
+)
+
+// The span bodies below and geom.FoldNearest, the per-round cache update,
+// are Algorithm 2's per-partition work, written once over the point storage
+// type T: the in-process chunks, the MapReduce mappers (internal/mrkm) and
+// the networked shard workers (internal/distkm) all call them. Each body
+// runs the blocked engine when its center count clears geom.UseBlocked and
+// the scalar pair scan below it. All cross-point reductions stay float64 in
+// point order, so for equal partitions and seed (and, for float32, kernel
+// tier) every realization's partials agree bit for bit.
+
+// SampleSpan is Step 4's body: the global indices of the points that
+// round's Bernoulli trials select, in point order. d2 is a span's slice of
+// the weighted D² cache and lo the global index of its first point. Point i
+// is selected with probability min(1, ℓ·d2_i/φ); its uniform variate is
+// rng.PointRand(seed, round, i), so the selection does not depend on how
+// the points are partitioned.
+func SampleSpan(d2 []float64, lo int, phi, ell float64, seed uint64, round int) []int {
+	var sel []int
+	for j, d := range d2 {
+		if d <= 0 {
+			continue
+		}
+		p := ell * d / phi
+		if i := lo + j; p >= 1 || rng.PointRand(seed, round, i) < p {
+			sel = append(sel, i)
+		}
+	}
+	return sel
+}
+
+// WeightSpan is Step 7's body: the total input weight of the span's points
+// served by each candidate, accumulated in point order.
+func WeightSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) []float64 {
+	w := make([]float64, centers.Rows)
+	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, _ float64) {
+		w[idx] += ds.W(i)
+	})
+	return w
+}
+
+// CostSpan is the φ partial of points [lo, hi) against an arbitrary center
+// set: the evaluation pass's body.
+func CostSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) float64 {
+	var part float64
+	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, _ int32, dist float64) {
+		part += ds.W(i) * dist
+	})
+	return part
+}

@@ -12,6 +12,7 @@ import (
 	"kmeansll/internal/core"
 	"kmeansll/internal/dsio"
 	"kmeansll/internal/geom"
+	"kmeansll/internal/lloyd"
 	"kmeansll/internal/mrkm"
 	"kmeansll/internal/rng"
 )
@@ -258,10 +259,7 @@ func RemoveCheckpoint(dir string) error {
 // validate checks that the checkpoint was taken by a fit with the same
 // configuration and dataset shape as the resuming one.
 func (cp *Checkpoint) validate(cfg core.Config, maxIter, n, dim int) error {
-	ell := cfg.L
-	if ell <= 0 {
-		ell = 2 * float64(cfg.K)
-	}
+	ell, _ := cfg.Schedule()
 	switch {
 	case cp.K != cfg.K:
 		return fmt.Errorf("distkm: checkpoint k=%d, config k=%d", cp.K, cfg.K)
@@ -272,10 +270,7 @@ func (cp *Checkpoint) validate(cfg core.Config, maxIter, n, dim int) error {
 	case cp.N != n || cp.Dim != dim:
 		return fmt.Errorf("distkm: checkpoint dataset %dx%d, distributed dataset %dx%d", cp.N, cp.Dim, n, dim)
 	}
-	if maxIter <= 0 {
-		maxIter = 20
-	}
-	if cp.MaxIter != 0 && cp.MaxIter != maxIter {
+	if maxIter = mrkm.MaxIter(maxIter); cp.MaxIter != 0 && cp.MaxIter != maxIter {
 		return fmt.Errorf("distkm: checkpoint max_iter=%d, config max_iter=%d", cp.MaxIter, maxIter)
 	}
 	return nil
@@ -289,20 +284,6 @@ type CheckpointInfo struct {
 	SavedAt string `json:"saved_at"`
 }
 
-func (c *Coordinator) noteCkpt(cp *Checkpoint) {
-	c.mu.Lock()
-	c.lastCkpt = &CheckpointInfo{Phase: cp.Phase, Round: cp.Round, Iter: cp.Iter, SavedAt: cp.SavedAt}
-	c.mu.Unlock()
-}
-
-// foldedStarts snapshots the first candidate row of every Update group
-// folded into the shards' D² caches so far.
-func (c *Coordinator) foldedStarts() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), c.folded.starts...)
-}
-
 // owners snapshots the shard→worker map.
 func (c *Coordinator) owners() []int {
 	c.mu.Lock()
@@ -310,49 +291,47 @@ func (c *Coordinator) owners() []int {
 	return append([]int(nil), c.assign...)
 }
 
-// saveInit checkpoints after a completed sampling round (round = rounds
-// completed so far; round 0 is "ψ computed, no sampling yet").
-func (c *Coordinator) saveInit(cfg core.Config, round int, centers *geom.Matrix, r *rng.Rng, phi, psi float64, phiTrace []float64) error {
-	if c.ckpt == nil {
-		return nil
-	}
-	ell, rounds := mrkm.Defaults(cfg)
-	cp := &Checkpoint{
-		Phase: PhaseInit,
+// checkpoint starts a Checkpoint of the given phase with the fit's
+// configuration, dataset shape and owners filled in.
+func (c *Coordinator) checkpoint(phase string, cfg core.Config) *Checkpoint {
+	ell, rounds := cfg.Schedule()
+	return &Checkpoint{
+		Phase: phase,
 		K:     cfg.K, Ell: ell, Rounds: rounds, Seed: cfg.Seed,
 		N: c.n, Dim: c.dim, Shards: len(c.spans),
-		Round: round,
-		Phi:   phi, Psi: psi, PhiTrace: append([]float64(nil), phiTrace...),
-		RoundStarts: c.foldedStarts(),
-		Rng:         r.State(),
-		Owners:      c.owners(),
+		Owners: c.owners(),
 	}
-	if err := c.ckpt.save(cp, centers, nil); err != nil {
-		return fmt.Errorf("distkm: checkpoint: %w", err)
-	}
-	c.noteCkpt(cp)
-	return nil
 }
 
-// saveLloyd checkpoints after a completed Lloyd iteration.
-func (c *Coordinator) saveLloyd(cfg core.Config, maxIter int, seedC, centers *geom.Matrix, iter int, costTrace []float64, initStats Stats) error {
-	if c.ckpt == nil {
-		return nil
-	}
-	ell, rounds := mrkm.Defaults(cfg)
-	cp := &Checkpoint{
-		Phase: PhaseLloyd,
-		K:     cfg.K, Ell: ell, Rounds: rounds, MaxIter: maxIter, Seed: cfg.Seed,
-		N: c.n, Dim: c.dim, Shards: len(c.spans),
-		Round: rounds, Iter: iter,
-		Psi: initStats.Psi, PhiTrace: append([]float64(nil), initStats.PhiTrace...),
-		Candidates: initStats.Candidates, SeedCost: initStats.SeedCost,
-		CostTrace: append([]float64(nil), costTrace...),
-		Owners:    c.owners(),
-	}
+// saveInit checkpoints the driver's state after Step 2 (round 0) or after a
+// completed sampling round.
+func (c *Coordinator) saveInit(cfg core.Config, st *core.Round) error {
+	cp := c.checkpoint(PhaseInit, cfg)
+	cp.Round, cp.Phi, cp.Psi = st.Round, st.Phi, st.Psi
+	cp.PhiTrace = append([]float64(nil), st.PhiTrace...)
+	cp.RoundStarts = append([]int(nil), st.Starts...)
+	cp.Rng = st.Rng.State()
+	return c.save(cp, st.Cands, nil)
+}
+
+// saveLloyd checkpoints the Lloyd phase: res.Centers after res.Iters
+// completed iterations.
+func (c *Coordinator) saveLloyd(cfg core.Config, maxIter int, seedC *geom.Matrix, res lloyd.Result, initStats Stats) error {
+	cp := c.checkpoint(PhaseLloyd, cfg)
+	cp.MaxIter, cp.Round, cp.Iter = maxIter, cp.Rounds, res.Iters
+	cp.Psi, cp.PhiTrace = initStats.Psi, append([]float64(nil), initStats.PhiTrace...)
+	cp.Candidates, cp.SeedCost = initStats.Candidates, initStats.SeedCost
+	cp.CostTrace = append([]float64(nil), res.CostTrace...)
+	return c.save(cp, res.Centers, seedC)
+}
+
+// save writes cp through the checkpointer and records it for Snapshot.
+func (c *Coordinator) save(cp *Checkpoint, centers, seedC *geom.Matrix) error {
 	if err := c.ckpt.save(cp, centers, seedC); err != nil {
 		return fmt.Errorf("distkm: checkpoint: %w", err)
 	}
-	c.noteCkpt(cp)
+	c.mu.Lock()
+	c.lastCkpt = &CheckpointInfo{Phase: cp.Phase, Round: cp.Round, Iter: cp.Iter, SavedAt: cp.SavedAt}
+	c.mu.Unlock()
 	return nil
 }

@@ -3,7 +3,6 @@ package distkm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/rpc"
 	"path"
 	"sync"
@@ -16,14 +15,14 @@ import (
 	"kmeansll/internal/lloyd"
 	"kmeansll/internal/mrkm"
 	"kmeansll/internal/rng"
-	"kmeansll/internal/seed"
 )
 
-// Stats describes a distributed run, mirroring mrkm.Stats with the network
-// quantities added.
+// Stats describes a distributed run: the driver's statistics (Init only,
+// except SeedCost, which Lloyd sets to its final cost) plus the network's.
 type Stats struct {
-	// RPCRounds counts barrier-synchronized fan-outs (one per "MR job" of the
-	// mrkm realization: cost pass, sampling pass, weighting, Lloyd iteration).
+	core.Stats
+	// RPCRounds counts barrier-synchronized fan-outs, one per pass: fold,
+	// sampling, weighting, cost, Lloyd iteration and final assignment.
 	RPCRounds int
 	// Calls counts individual shard RPCs issued, including failover retries.
 	Calls int64
@@ -32,14 +31,6 @@ type Stats struct {
 	// Retries counts shard RPC attempts repeated after a transient fault —
 	// faults absorbed by backoff without costing a failover.
 	Retries int64
-	// Candidates is |C| before reclustering (Init only).
-	Candidates int
-	// Psi is φ after the first center (Init only).
-	Psi float64
-	// PhiTrace is φ after each sampling round (Init only).
-	PhiTrace []float64
-	// SeedCost is φ_X of the k centers Init produced.
-	SeedCost float64
 }
 
 // Coordinator drives k-means|| rounds and Lloyd iterations over remote shard
@@ -61,8 +52,7 @@ type Coordinator struct {
 	// Dataset metadata shared by both load modes. In push mode it mirrors
 	// ds; in pull (manifest) mode it is all the coordinator ever holds — the
 	// points live exclusively on the workers.
-	n, dim   int
-	weighted bool
+	n, dim int
 	// segs, in pull mode, maps each shard to the file row ranges that
 	// compose it, so failover can re-issue the LoadPath instead of re-pushing
 	// data the coordinator never had.
@@ -74,7 +64,7 @@ type Coordinator struct {
 	manPrefix string
 
 	// float32 selects the float32 shard form: workers store narrowed points
-	// and answer every distance pass with mrkm's span bodies over them,
+	// and answer every distance pass with the shared span bodies over them,
 	// making the fit bit-identical to mrkm.Init+Lloyd over float32 points at
 	// Mappers = Workers. Set by SetFloat32 before Distribute.
 	float32 bool
@@ -256,7 +246,7 @@ func (c *Coordinator) Distribute(ds *geom.Dataset) error {
 	}
 	c.ds = ds
 	c.man, c.manPrefix = nil, ""
-	c.n, c.dim, c.weighted = n, ds.Dim(), ds.Weight != nil
+	c.n, c.dim = n, ds.Dim()
 	c.spans = mrkm.MakeSpans(n, c.Workers())
 	c.segs = nil
 	return c.loadAll()
@@ -293,7 +283,7 @@ func (c *Coordinator) DistributeManifestAt(m *dsio.Manifest, prefix string) erro
 	}
 	c.ds = nil
 	c.man, c.manPrefix = m, prefix
-	c.n, c.dim, c.weighted = m.Rows, m.Cols, false
+	c.n, c.dim = m.Rows, m.Cols
 	c.reshard(c.Workers())
 	return c.loadAll()
 }
@@ -459,7 +449,7 @@ func (c *Coordinator) callRetry(shardID int, cl Client, call func(int, Client) e
 
 // reassign moves shardID to the least-loaded live worker — original or
 // joined mid-fit alike — re-pushes its data, and rebuilds its distance cache
-// against the currently-broadcast center set.
+// by replaying the logged fold groups.
 func (c *Coordinator) reassign(shardID int, tried []int) error {
 	c.mu.Lock()
 	next := c.leastLoadedLocked()
@@ -502,20 +492,6 @@ type cacheLog struct {
 	rows    int
 }
 
-// validate checks a checkpointed log before it is replayed: the first group
-// starts at row 0 and the starts never decrease or pass the last row.
-func (l cacheLog) validate() error {
-	if len(l.starts) == 0 || l.starts[0] != 0 {
-		return errors.New("distkm: checkpoint has no Update groups starting at row 0")
-	}
-	for j := 1; j < len(l.starts); j++ {
-		if l.starts[j] < l.starts[j-1] || l.starts[j] > l.rows {
-			return fmt.Errorf("distkm: checkpoint Update group %d starts at row %d", j, l.starts[j])
-		}
-	}
-	return nil
-}
-
 // clone copies the log so it can be replayed outside the coordinator lock.
 func (l cacheLog) clone() cacheLog {
 	l.starts = append([]int(nil), l.starts...)
@@ -546,18 +522,50 @@ func (c *Coordinator) replay(cl Client, ref ShardRef, l cacheLog) error {
 	return nil
 }
 
-// fanOut runs one barrier-synchronized pass: call for every shard
+// fanOut runs one barrier-synchronized pass: method for every shard
 // concurrently, with per-shard retry and failover. It is the network
-// analogue of one MapReduce job. Between fan-outs no shard RPC is in flight,
-// which makes the top of this function the safe admission point for workers
-// that joined since the last pass.
-func (c *Coordinator) fanOut(call func(shardID int, cl Client) error) error {
+// analogue of one MapReduce job. Shard s sends args(its ref) and decodes
+// into a fresh reply, which is kept once check (when non-nil) accepts it; a
+// reply that does not fit is the sending worker's fault, retried and failed
+// over like a transport error. The replies come back in shard order. Between
+// fan-outs no shard RPC is in flight, which makes the top of this function
+// the safe admission point for workers that joined since the last pass.
+func fanOut[R any](c *Coordinator, method string, args func(ShardRef) any, check func(s int, rep *R) error) ([]R, error) {
 	if len(c.spans) == 0 {
-		return errors.New("distkm: no shards distributed; call Distribute first")
+		return nil, errors.New("distkm: no shards distributed; call Distribute first")
 	}
 	c.admitJoiners()
 	c.rpcRounds.Add(1)
-	return errors.Join(c.eachShard(call)...)
+	replies := make([]R, len(c.spans))
+	errs := c.eachShard(func(s int, cl Client) error {
+		var rep R
+		if err := cl.Call(method, args(c.ref(s)), &rep); err != nil {
+			return err
+		}
+		if check != nil {
+			if err := check(s, &rep); err != nil {
+				return err
+			}
+		}
+		replies[s] = rep
+		return nil
+	})
+	return replies, errors.Join(errs...)
+}
+
+// centersArgs broadcasts centers to every shard.
+func centersArgs(centers *geom.Matrix) func(ShardRef) any {
+	m := matOf(centers.Rows, centers.Cols, centers.Data)
+	return func(ref ShardRef) any { return CentersArgs{Ref: ref, Centers: m} }
+}
+
+// sumPhi reduces the replies' φ partials in shard order.
+func sumPhi(replies []CostReply) float64 {
+	var phi float64
+	for _, rep := range replies {
+		phi += rep.Phi
+	}
+	return phi
 }
 
 // eachShard runs call for every shard concurrently, each under
@@ -585,201 +593,208 @@ func (c *Coordinator) snapshot(st *Stats, rounds0, calls0, fail0, retry0 int64) 
 	st.Retries = c.retries.Load() - retry0
 }
 
-// initResume carries the state a PhaseInit checkpoint restored: the fit
-// continues from completed round `round` with the driver RNG mid-stream.
-type initResume struct {
-	round    int
-	centers  *geom.Matrix
-	starts   []int // first candidate row of each Update group
-	phi, psi float64
-	phiTrace []float64
-	r        *rng.Rng
+// bernoulliOnly rejects what only an in-process fit can run: ExactL draws
+// from the whole D² cache at once, which no shard holds.
+func bernoulliOnly(cfg core.Config) error {
+	if cfg.Mode != core.Bernoulli {
+		return fmt.Errorf("distkm: %v sampling needs the whole D² cache in one place", cfg.Mode)
+	}
+	return nil
 }
 
-// Init runs Algorithm 2 with every per-round primitive answered by the
-// remote shards, following mrkm.Init step for step: one Update fan-out is
-// one cost/cache job, one Sample fan-out is one sampling job, Step 7 is a
-// Weights fan-out, and Step 8 (tiny) runs on the coordinator.
+// Init runs Algorithm 2 (core.Drive) with every pass answered by the remote
+// shards: a fold is an Update fan-out, a sampling round a Sample fan-out,
+// Step 7 a Weights fan-out and the seed cost a Cost fan-out; Step 8 (tiny)
+// runs on the coordinator. It rejects ExactL sampling before any pass.
 func (c *Coordinator) Init(cfg core.Config) (*geom.Matrix, Stats, error) {
-	return c.initFrom(cfg, nil)
+	return c.seed(cfg, nil)
 }
 
-// initFrom is Init, optionally continuing from a checkpointed round instead
-// of Step 1. Either way the result is bit-identical to an uninterrupted run:
-// on resume the D² caches rebuild exactly from the checkpointed candidate
-// set (min-folds are idempotent) and the driver RNG continues mid-stream.
-func (c *Coordinator) initFrom(cfg core.Config, res *initResume) (*geom.Matrix, Stats, error) {
-	stats := Stats{}
-	if cfg.K <= 0 {
-		return nil, stats, errors.New("distkm: Config.K must be positive")
+// seed is Init, continuing from a checkpointed round when from is non-nil.
+// With a checkpointer set, it checkpoints after Step 2 and after every
+// round.
+func (c *Coordinator) seed(cfg core.Config, from *core.Round) (*geom.Matrix, Stats, error) {
+	var stats Stats
+	if err := bernoulliOnly(cfg); err != nil {
+		return nil, stats, err
 	}
 	if len(c.spans) == 0 {
 		return nil, stats, errors.New("distkm: call Distribute before Init")
 	}
 	rounds0, calls0, fail0, retry0 := c.rpcRounds.Load(), c.calls.Load(), c.failovers.Load(), c.retries.Load()
-	n := c.n
-	ell, rounds := mrkm.Defaults(cfg)
-
-	var r *rng.Rng
-	var centers *geom.Matrix
-	startRound := 0
-	if res == nil {
-		r = rng.New(cfg.Seed)
-		// Step 1: the driver picks the first center uniformly (weight-
-		// proportionally when weighted — push mode only, since a path-loaded
-		// coordinator never holds the weight vector) and fetches it from the
-		// owning shard.
-		var first int
-		if !c.weighted {
-			first = r.Intn(n)
-		} else {
-			first = r.WeightedIndex(c.ds.Weight)
-		}
-		firstPoint, err := c.fetch(first)
-		if err != nil {
-			return nil, stats, err
-		}
-		centers = geom.NewMatrix(0, c.dim)
-		centers.Cols = c.dim
-		centers.AppendRow(firstPoint)
-	} else {
-		r = res.r
-		centers = res.centers
-		startRound = res.round
-		stats.Psi = res.psi
-		stats.PhiTrace = append(stats.PhiTrace, res.phiTrace...)
-	}
-
-	c.mu.Lock()
-	c.folded = cacheLog{centers: centers}
-	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
 		c.folded = cacheLog{}
 		c.mu.Unlock()
 	}()
-
-	// fold broadcasts centers[lo:hi], folds them into every shard's D²
-	// cache, logs the group for failover replay, and reduces the φ partials
-	// in shard order.
-	fold := func(lo, hi int) (float64, error) {
-		view := centers.RowRange(lo, hi)
-		args := matOf(view.Rows, view.Cols, view.Data)
-		phis := make([]float64, len(c.spans))
-		err := c.fanOut(func(s int, cl Client) error {
-			var rep CostReply
-			if err := cl.Call("Worker.Update", UpdateArgs{Ref: c.ref(s), New: args, Reset: lo == 0}, &rep); err != nil {
-				return err
-			}
-			phis[s] = rep.Phi
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		c.mu.Lock()
-		c.folded.centers = centers
-		c.folded.starts = append(c.folded.starts, lo)
-		c.folded.rows = hi
-		c.mu.Unlock()
-		var phi float64
-		for _, p := range phis {
-			phi += p
-		}
-		return phi, nil
+	// Step 1's weight-proportional draw needs the weight vector, which only
+	// a push-mode coordinator holds; pull mode rejects weighted manifests.
+	var weight []float64
+	if c.ds != nil {
+		weight = c.ds.Weight
 	}
-
-	var phi float64
-	var err error
-	if res == nil {
-		// Step 2: ψ.
-		if phi, err = fold(0, 1); err != nil {
-			return nil, stats, err
-		}
-		stats.Psi = phi
-		stats.PhiTrace = append(stats.PhiTrace, phi)
-		if err := c.saveInit(cfg, 0, centers, r, phi, stats.Psi, stats.PhiTrace); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		// Rebuild every shard's D² cache by replaying the checkpointed
-		// Update groups in order. The reduced φ must land bit-exactly on the
-		// checkpointed value — anything else means the distributed dataset
-		// is not the one the checkpoint was taken against.
-		replayed := cacheLog{centers: centers, starts: res.starts, rows: centers.Rows}
-		if err := replayed.validate(); err != nil {
-			return nil, stats, err
-		}
-		for j := range replayed.starts {
-			g := replayed.group(j)
-			lo := replayed.starts[j]
-			if phi, err = fold(lo, lo+g.Rows); err != nil {
-				return nil, stats, err
-			}
-		}
-		if math.Float64bits(phi) != math.Float64bits(res.phi) {
-			return nil, stats, fmt.Errorf("distkm: checkpoint does not match the distributed dataset (phi %v, checkpointed %v)", phi, res.phi)
-		}
+	var after func(*core.Round) error
+	if c.ckpt != nil {
+		after = func(st *core.Round) error { return c.saveInit(cfg, st) }
 	}
-
-	// Steps 3–6: sample (needs last job's φ), then update+cost against the
-	// new centers — two fan-outs per round, like the Hadoop driver.
-	for round := startRound; round < rounds && phi > 0; round++ {
-		from := centers.Rows
-		replies := make([]SampleReply, len(c.spans))
-		err := c.fanOut(func(s int, cl Client) error {
-			var rep SampleReply
-			err := cl.Call("Worker.Sample",
-				SampleArgs{Ref: c.ref(s), Round: round, Phi: phi, Ell: ell, Seed: cfg.Seed}, &rep)
-			if err != nil {
-				return err
-			}
-			if pts, rows := rep.Points, c.spans[s].Hi-c.spans[s].Lo; pts.Cols != c.dim || pts.Rows > rows {
-				return badReply(s, "Sample", "%d×%d points from a %d-row shard of dim %d", pts.Rows, pts.Cols, rows, c.dim)
-			}
-			replies[s] = rep
-			return nil
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		for s := range replies {
-			pts := replies[s].Points.matrix()
-			for i := 0; i < pts.Rows; i++ {
-				centers.AppendRow(pts.Row(i))
-			}
-		}
-		if phi, err = fold(from, centers.Rows); err != nil {
-			return nil, stats, err
-		}
-		stats.PhiTrace = append(stats.PhiTrace, phi)
-		if err := c.saveInit(cfg, round+1, centers, r, phi, stats.Psi, stats.PhiTrace); err != nil {
-			return nil, stats, err
-		}
-	}
-	stats.Candidates = centers.Rows
-
-	// Step 7: weighting fan-out, reduced per candidate in shard order.
-	weights, err := c.weightPass(centers)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	// Step 8: sequential reclustering on the coordinator (the candidate set
-	// is tiny). Same RNG stream position and inputs as mrkm ⇒ same centers.
-	cds := mrkm.WeightedCandidates(centers, weights)
-	final := seed.KMeansPP(cds, cfg.K, r, 1)
-
-	stats.SeedCost, err = c.costPass(final)
-	if err != nil {
-		return nil, stats, err
-	}
+	ell, _ := cfg.Schedule()
+	centers, cs, err := core.Drive(passes{c, ell, cfg.Seed}, cfg, c.n, weight, from, after)
+	stats.Stats = cs
 	c.snapshot(&stats, rounds0, calls0, fail0, retry0)
-	return final, stats, nil
+	return centers, stats, err
 }
 
-// fetch retrieves one point by global index from its owning shard.
-func (c *Coordinator) fetch(index int) ([]float64, error) {
+// Lloyd runs distributed Lloyd iterations (mrkm.Iterate): each iteration is
+// one LloydStep fan-out whose per-shard (Σw·x, Σw) partials are reduced at
+// the coordinator in shard order, then the updated centers are
+// re-broadcast. Empty clusters keep their previous position, as in
+// mrkm.Lloyd.
+func (c *Coordinator) Lloyd(init *geom.Matrix, maxIter int) (lloyd.Result, Stats, error) {
+	return c.lloyd(lloyd.Result{Centers: init}, maxIter, nil)
+}
+
+// lloyd is Lloyd continuing from a checkpointed iteration (from.Iters and
+// from.CostTrace; both zero for a fresh run), calling after after every
+// iteration.
+func (c *Coordinator) lloyd(from lloyd.Result, maxIter int, after func(lloyd.Result) error) (lloyd.Result, Stats, error) {
+	var stats Stats
+	rounds0, calls0, fail0, retry0 := c.rpcRounds.Load(), c.calls.Load(), c.failovers.Load(), c.retries.Load()
+	res, err := mrkm.Iterate(passes{c: c}, from, maxIter, after)
+	stats.SeedCost = res.Cost
+	c.snapshot(&stats, rounds0, calls0, fail0, retry0)
+	return res, stats, err
+}
+
+// runLloydPhase runs Lloyd with the checkpoint hook: an immediate
+// checkpoint marking the init phase complete (so a crash inside the first
+// iteration resumes as Lloyd, not by re-seeding), then one every EveryLloyd
+// completed iterations and one after the last.
+func (c *Coordinator) runLloydPhase(cfg core.Config, seedC *geom.Matrix, from lloyd.Result, maxIter int, initStats Stats) (lloyd.Result, Stats, error) {
+	maxIter = mrkm.MaxIter(maxIter)
+	var after func(lloyd.Result) error
+	if c.ckpt != nil {
+		if err := c.saveLloyd(cfg, maxIter, seedC, from, initStats); err != nil {
+			return lloyd.Result{}, Stats{}, err
+		}
+		every := c.ckpt.every()
+		after = func(res lloyd.Result) error {
+			if res.Iters%every != 0 && res.Iters != maxIter {
+				return nil
+			}
+			return c.saveLloyd(cfg, maxIter, seedC, res, initStats)
+		}
+	}
+	return c.lloyd(from, maxIter, after)
+}
+
+func mergeStats(initStats, lloydStats Stats) Stats {
+	merged := initStats
+	merged.RPCRounds += lloydStats.RPCRounds
+	merged.Calls += lloydStats.Calls
+	merged.Failovers += lloydStats.Failovers
+	merged.Retries += lloydStats.Retries
+	return merged
+}
+
+// Fit is the full pipeline: k-means|| seeding then Lloyd refinement, both
+// distributed. The merged Stats sums the network counters of both phases.
+func (c *Coordinator) Fit(cfg core.Config, maxIter int) (*geom.Matrix, lloyd.Result, Stats, error) {
+	initCenters, initStats, err := c.Init(cfg)
+	if err != nil {
+		return nil, lloyd.Result{}, initStats, err
+	}
+	res, lloydStats, err := c.runLloydPhase(cfg, initCenters, lloyd.Result{Centers: initCenters}, maxIter, initStats)
+	return initCenters, res, mergeStats(initStats, lloydStats), err
+}
+
+// ResumeFit continues a fit from the checkpoint in the configured
+// checkpointer's directory, bit-identically to the uninterrupted run: the
+// checkpointed shard count is restored first (span boundaries, not worker
+// count, enter the arithmetic), then the interrupted phase picks up from its
+// last completed round or iteration. An init-phase resume hands the round
+// state to core.Drive, which replays the logged fold groups and checks φ bit
+// for bit. Stats count only the work done after the resume.
+func (c *Coordinator) ResumeFit(cfg core.Config, maxIter int) (*geom.Matrix, lloyd.Result, Stats, error) {
+	if err := bernoulliOnly(cfg); err != nil {
+		return nil, lloyd.Result{}, Stats{}, err
+	}
+	if c.ckpt == nil {
+		return nil, lloyd.Result{}, Stats{}, errors.New("distkm: ResumeFit requires SetCheckpointer")
+	}
+	if len(c.spans) == 0 {
+		return nil, lloyd.Result{}, Stats{}, errors.New("distkm: call Distribute before ResumeFit")
+	}
+	cp, centers, seedC, err := LoadCheckpoint(c.ckpt.Dir)
+	if err != nil {
+		return nil, lloyd.Result{}, Stats{}, err
+	}
+	if err := cp.validate(cfg, maxIter, c.n, c.dim); err != nil {
+		return nil, lloyd.Result{}, Stats{}, err
+	}
+	if cp.Shards != len(c.spans) {
+		if err := c.redistribute(cp.Shards); err != nil {
+			return nil, lloyd.Result{}, Stats{}, err
+		}
+	}
+	// A Lloyd-phase checkpoint continues from its iteration; an init-phase
+	// one seeds first, from its round.
+	from := lloyd.Result{Centers: centers, Iters: cp.Iter, CostTrace: cp.CostTrace}
+	initStats := Stats{Stats: core.Stats{
+		Candidates: cp.Candidates,
+		Psi:        cp.Psi,
+		PhiTrace:   append([]float64(nil), cp.PhiTrace...),
+		SeedCost:   cp.SeedCost,
+	}}
+	if cp.Phase == PhaseInit {
+		seedC, initStats, err = c.seed(cfg, &core.Round{
+			Round:    cp.Round,
+			Cands:    centers,
+			Starts:   cp.RoundStarts,
+			Phi:      cp.Phi,
+			Psi:      cp.Psi,
+			PhiTrace: cp.PhiTrace,
+			Rng:      rng.FromState(cp.Rng),
+		})
+		if err != nil {
+			return nil, lloyd.Result{}, initStats, err
+		}
+		from = lloyd.Result{Centers: seedC}
+	} else if seedC == nil {
+		seedC = centers // pre-first-iteration checkpoint: centers are the seeds
+	}
+	res, lloydStats, err := c.runLloydPhase(cfg, seedC, from, maxIter, initStats)
+	return seedC, res, mergeStats(initStats, lloydStats), err
+}
+
+// redistribute re-shards the retained dataset into the given span count and
+// reloads every shard over the connected workers — ResumeFit's path to the
+// checkpoint's shard geometry when the worker set changed across the crash.
+func (c *Coordinator) redistribute(shards int) error {
+	switch {
+	case c.man != nil:
+		c.reshard(shards)
+	case c.ds != nil:
+		c.spans = mrkm.MakeSpans(c.n, shards)
+		c.segs = nil
+	default:
+		return errors.New("distkm: cannot re-shard without the retained dataset")
+	}
+	return c.loadAll()
+}
+
+// passes is the networked realization of core.Passes and
+// mrkm.LloydPasses: every pass is one fan-out over the shards, with
+// per-shard retry and failover, and the replies are reduced in shard order.
+// ell and seed are Init's sampling parameters.
+type passes struct {
+	c    *Coordinator
+	ell  float64
+	seed uint64
+}
+
+// Point fetches one point by global index from its owning shard.
+func (p passes) Point(index int) ([]float64, error) {
+	c := p.c
 	shardID := -1
 	for s, sp := range c.spans {
 		if index >= sp.Lo && index < sp.Hi {
@@ -805,153 +820,93 @@ func (c *Coordinator) fetch(index int) ([]float64, error) {
 	return point, err
 }
 
-// weightPass is Step 7: per-candidate weight partials reduced in shard order.
-func (c *Coordinator) weightPass(centers *geom.Matrix) ([]float64, error) {
-	args := matOf(centers.Rows, centers.Cols, centers.Data)
-	replies := make([]WeightsReply, len(c.spans))
-	err := c.fanOut(func(s int, cl Client) error {
-		var rep WeightsReply
-		if err := cl.Call("Worker.Weights", CentersArgs{Ref: c.ref(s), Centers: args}, &rep); err != nil {
-			return err
+// Fold broadcasts cands[lo:hi], folds it into every shard's D² cache (the
+// first fold, lo = 0, resets the caches), and logs the group for failover
+// replay.
+func (p passes) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
+	c := p.c
+	view := cands.RowRange(lo, hi)
+	group := matOf(view.Rows, view.Cols, view.Data)
+	replies, err := fanOut[CostReply](c, "Worker.Update", func(ref ShardRef) any {
+		return UpdateArgs{Ref: ref, New: group, Reset: lo == 0}
+	}, nil)
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	c.folded.centers = cands
+	c.folded.starts = append(c.folded.starts, lo)
+	c.folded.rows = hi
+	c.mu.Unlock()
+	return sumPhi(replies), nil
+}
+
+func (p passes) Sample(round int, phi float64, _ *rng.Rng) (*geom.Matrix, error) {
+	c := p.c
+	replies, err := fanOut(c, "Worker.Sample", func(ref ShardRef) any {
+		return SampleArgs{Ref: ref, Round: round, Phi: phi, Ell: p.ell, Seed: p.seed}
+	}, func(s int, rep *SampleReply) error {
+		if pts, rows := rep.Points, c.spans[s].Hi-c.spans[s].Lo; pts.Cols != c.dim || pts.Rows > rows {
+			return badReply(s, "Sample", "%d×%d points from a %d-row shard of dim %d", pts.Rows, pts.Cols, rows, c.dim)
 		}
-		if len(rep.W) != centers.Rows {
-			return badReply(s, "Weights", "%d weights for %d candidates", len(rep.W), centers.Rows)
-		}
-		replies[s] = rep
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	weights := make([]float64, centers.Rows)
-	for s := range replies {
-		for i, w := range replies[s].W {
-			weights[i] += w
+	picks := &geom.Matrix{Cols: c.dim}
+	for _, rep := range replies {
+		picks.Rows += rep.Points.Rows
+		picks.Data = append(picks.Data, rep.Points.Data...)
+	}
+	return picks, nil
+}
+
+func (p passes) Weights(cands *geom.Matrix) ([]float64, error) {
+	replies, err := fanOut(p.c, "Worker.Weights", centersArgs(cands), func(s int, rep *WeightsReply) error {
+		if len(rep.W) != cands.Rows {
+			return badReply(s, "Weights", "%d weights for %d candidates", len(rep.W), cands.Rows)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	weights := make([]float64, cands.Rows)
+	for _, rep := range replies {
+		geom.AddScaled(weights, 1, rep.W)
 	}
 	return weights, nil
 }
 
-// costPass reduces φ_X(centers) over the shards in shard order.
-func (c *Coordinator) costPass(centers *geom.Matrix) (float64, error) {
-	args := matOf(centers.Rows, centers.Cols, centers.Data)
-	phis := make([]float64, len(c.spans))
-	err := c.fanOut(func(s int, cl Client) error {
-		var rep CostReply
-		if err := cl.Call("Worker.Cost", CentersArgs{Ref: c.ref(s), Centers: args}, &rep); err != nil {
-			return err
+func (p passes) Cost(centers *geom.Matrix) (float64, error) {
+	replies, err := fanOut[CostReply](p.c, "Worker.Cost", centersArgs(centers), nil)
+	return sumPhi(replies), err
+}
+
+func (p passes) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error) {
+	k, d := centers.Rows, centers.Cols
+	replies, err := fanOut(p.c, "Worker.LloydStep", centersArgs(centers), func(s int, rep *LloydReply) error {
+		if sums := rep.Sums; sums.Rows != k || sums.Cols != d+1 {
+			return badReply(s, "LloydStep", "%d×%d sums, want %d×%d", sums.Rows, sums.Cols, k, d+1)
 		}
-		phis[s] = rep.Phi
 		return nil
 	})
+	if err != nil {
+		return nil, 0, err
+	}
+	sums := geom.NewMatrix(k, d+1)
 	var phi float64
-	for _, p := range phis {
-		phi += p
+	for _, rep := range replies {
+		geom.AddScaled(sums.Data, 1, rep.Sums.Data)
+		phi += rep.Phi
 	}
-	return phi, err
+	return sums, phi, nil
 }
 
-// Lloyd runs distributed Lloyd iterations: each iteration is one LloydStep
-// fan-out whose per-shard (Σw·x, Σw) partials are reduced at the coordinator
-// in shard order, then the updated centers are re-broadcast. Empty clusters
-// keep their previous position, as in mrkm.Lloyd.
-func (c *Coordinator) Lloyd(init *geom.Matrix, maxIter int) (lloyd.Result, Stats, error) {
-	return c.lloydFrom(init, maxIter, 0, nil, nil)
-}
-
-// lloydFrom is Lloyd starting from completed iteration startIter with the
-// given cost trace so far (both zero/nil for a fresh run). save, when
-// non-nil, is called after each completed iteration with the iteration
-// count, current centers, and cumulative trace — the checkpoint hook.
-func (c *Coordinator) lloydFrom(cur *geom.Matrix, maxIter, startIter int, costTrace []float64, save func(iter int, centers *geom.Matrix, trace []float64) error) (lloyd.Result, Stats, error) {
-	stats := Stats{}
-	res := lloyd.Result{}
-	if len(c.spans) == 0 {
-		return res, stats, errors.New("distkm: call Distribute before Lloyd")
-	}
-	if maxIter <= 0 {
-		maxIter = 20 // the paper bounds parallel Lloyd at 20 iterations (§4.2)
-	}
-	rounds0, calls0, fail0, retry0 := c.rpcRounds.Load(), c.calls.Load(), c.failovers.Load(), c.retries.Load()
-	centers := cur.Clone()
-	k, d := centers.Rows, centers.Cols
-	res.Centers = centers
-	res.Iters = startIter
-	res.CostTrace = append(res.CostTrace, costTrace...)
-	if len(res.CostTrace) > 0 {
-		res.Cost = res.CostTrace[len(res.CostTrace)-1]
-	}
-
-	total := make([]float64, d+1)
-	row := make([]float64, d)
-	for it := startIter; it < maxIter; it++ {
-		args := matOf(centers.Rows, centers.Cols, centers.Data)
-		replies := make([]LloydReply, len(c.spans))
-		err := c.fanOut(func(s int, cl Client) error {
-			var rep LloydReply
-			if err := cl.Call("Worker.LloydStep", CentersArgs{Ref: c.ref(s), Centers: args}, &rep); err != nil {
-				return err
-			}
-			if sums := rep.Sums; sums.Rows != k || sums.Cols != d+1 {
-				return badReply(s, "LloydStep", "%d×%d sums, want %d×%d", sums.Rows, sums.Cols, k, d+1)
-			}
-			replies[s] = rep
-			return nil
-		})
-		if err != nil {
-			return res, stats, err
-		}
-
-		var phi float64
-		maxMove := 0.0
-		for cIdx := 0; cIdx < k; cIdx++ {
-			for j := range total {
-				total[j] = 0
-			}
-			for s := range replies {
-				part := replies[s].Sums.matrix().Row(cIdx)
-				for j := range total {
-					total[j] += part[j]
-				}
-			}
-			if total[d] > 0 {
-				for j := 0; j < d; j++ {
-					row[j] = total[j] / total[d]
-				}
-				move := geom.SqDist(row, centers.Row(cIdx))
-				if move > maxMove {
-					maxMove = move
-				}
-				copy(centers.Row(cIdx), row)
-			}
-		}
-		for s := range replies {
-			phi += replies[s].Phi
-		}
-		res.Iters = it + 1
-		res.Cost = phi
-		res.CostTrace = append(res.CostTrace, phi)
-		if save != nil {
-			if err := save(it+1, centers, res.CostTrace); err != nil {
-				return res, stats, err
-			}
-		}
-		if maxMove == 0 {
-			res.Converged = true
-			break
-		}
-	}
-
-	// Final pass: assignments and cost against the final centers, reduced in
-	// shard order (mrkm uses an in-process lloyd.Assign here; the values
-	// agree, the cost may differ in the last ulp from the different chunking).
-	args := matOf(centers.Rows, centers.Cols, centers.Data)
-	replies := make([]AssignReply, len(c.spans))
-	err := c.fanOut(func(s int, cl Client) error {
-		var rep AssignReply
-		if err := cl.Call("Worker.Assign", CentersArgs{Ref: c.ref(s), Centers: args}, &rep); err != nil {
-			return err
-		}
+func (p passes) Assign(centers *geom.Matrix) ([]int32, float64, error) {
+	c, k := p.c, centers.Rows
+	replies, err := fanOut(c, "Worker.Assign", centersArgs(centers), func(s int, rep *AssignReply) error {
 		if rows := c.spans[s].Hi - c.spans[s].Lo; len(rep.Assign) != rows {
 			return badReply(s, "Assign", "%d assignments for %d rows", len(rep.Assign), rows)
 		}
@@ -960,136 +915,16 @@ func (c *Coordinator) lloydFrom(cur *geom.Matrix, maxIter, startIter int, costTr
 				return badReply(s, "Assign", "row %d assigned to center %d of %d", i, a, k)
 			}
 		}
-		replies[s] = rep
 		return nil
 	})
 	if err != nil {
-		return res, stats, err
+		return nil, 0, err
 	}
-	res.Assign = res.Assign[:0]
+	assign := make([]int32, 0, c.n)
 	var phi float64
-	for s := range replies {
-		res.Assign = append(res.Assign, replies[s].Assign...)
-		phi += replies[s].Phi
+	for _, rep := range replies {
+		assign = append(assign, rep.Assign...)
+		phi += rep.Phi
 	}
-	res.Cost = phi
-	stats.SeedCost = phi
-	c.snapshot(&stats, rounds0, calls0, fail0, retry0)
-	return res, stats, nil
-}
-
-// runLloydPhase wraps lloydFrom with the checkpoint hook: an immediate
-// checkpoint marking the init phase complete (so a crash inside the first
-// iteration resumes as Lloyd, not by re-seeding), then one every EveryLloyd
-// completed iterations.
-func (c *Coordinator) runLloydPhase(cfg core.Config, seedC, cur *geom.Matrix, maxIter, startIter int, costTrace []float64, initStats Stats) (lloyd.Result, Stats, error) {
-	if maxIter <= 0 {
-		maxIter = 20
-	}
-	var save func(int, *geom.Matrix, []float64) error
-	if c.ckpt != nil {
-		if err := c.saveLloyd(cfg, maxIter, seedC, cur, startIter, costTrace, initStats); err != nil {
-			return lloyd.Result{}, Stats{}, err
-		}
-		every := c.ckpt.every()
-		save = func(iter int, centers *geom.Matrix, trace []float64) error {
-			if iter%every != 0 && iter != maxIter {
-				return nil
-			}
-			return c.saveLloyd(cfg, maxIter, seedC, centers, iter, trace, initStats)
-		}
-	}
-	return c.lloydFrom(cur, maxIter, startIter, costTrace, save)
-}
-
-func mergeStats(initStats, lloydStats Stats) Stats {
-	merged := initStats
-	merged.RPCRounds += lloydStats.RPCRounds
-	merged.Calls += lloydStats.Calls
-	merged.Failovers += lloydStats.Failovers
-	merged.Retries += lloydStats.Retries
-	return merged
-}
-
-// Fit is the full pipeline: k-means|| seeding then Lloyd refinement, both
-// distributed. The merged Stats sums the network counters of both phases.
-func (c *Coordinator) Fit(cfg core.Config, maxIter int) (*geom.Matrix, lloyd.Result, Stats, error) {
-	initCenters, initStats, err := c.Init(cfg)
-	if err != nil {
-		return nil, lloyd.Result{}, initStats, err
-	}
-	res, lloydStats, err := c.runLloydPhase(cfg, initCenters, initCenters, maxIter, 0, nil, initStats)
-	return initCenters, res, mergeStats(initStats, lloydStats), err
-}
-
-// ResumeFit continues a fit from the checkpoint in the configured
-// checkpointer's directory, bit-identically to the uninterrupted run: the
-// checkpointed shard count is restored first (span boundaries, not worker
-// count, enter the arithmetic), then the interrupted phase picks up from its
-// last completed round or iteration. Stats count only the work done after
-// the resume.
-func (c *Coordinator) ResumeFit(cfg core.Config, maxIter int) (*geom.Matrix, lloyd.Result, Stats, error) {
-	if c.ckpt == nil {
-		return nil, lloyd.Result{}, Stats{}, errors.New("distkm: ResumeFit requires SetCheckpointer")
-	}
-	if len(c.spans) == 0 {
-		return nil, lloyd.Result{}, Stats{}, errors.New("distkm: call Distribute before ResumeFit")
-	}
-	cp, centers, seedC, err := LoadCheckpoint(c.ckpt.Dir)
-	if err != nil {
-		return nil, lloyd.Result{}, Stats{}, err
-	}
-	if err := cp.validate(cfg, maxIter, c.n, c.dim); err != nil {
-		return nil, lloyd.Result{}, Stats{}, err
-	}
-	if cp.Shards != len(c.spans) {
-		if err := c.redistribute(cp.Shards); err != nil {
-			return nil, lloyd.Result{}, Stats{}, err
-		}
-	}
-	switch cp.Phase {
-	case PhaseInit:
-		initCenters, initStats, err := c.initFrom(cfg, &initResume{
-			round:    cp.Round,
-			centers:  centers,
-			starts:   cp.RoundStarts,
-			phi:      cp.Phi,
-			psi:      cp.Psi,
-			phiTrace: cp.PhiTrace,
-			r:        rng.FromState(cp.Rng),
-		})
-		if err != nil {
-			return nil, lloyd.Result{}, initStats, err
-		}
-		res, lloydStats, err := c.runLloydPhase(cfg, initCenters, initCenters, maxIter, 0, nil, initStats)
-		return initCenters, res, mergeStats(initStats, lloydStats), err
-	default: // PhaseLloyd; LoadCheckpoint rejected anything else
-		initStats := Stats{
-			Candidates: cp.Candidates,
-			Psi:        cp.Psi,
-			PhiTrace:   append([]float64(nil), cp.PhiTrace...),
-			SeedCost:   cp.SeedCost,
-		}
-		if seedC == nil {
-			seedC = centers // pre-first-iteration checkpoint: centers are the seeds
-		}
-		res, lloydStats, err := c.runLloydPhase(cfg, seedC, centers, maxIter, cp.Iter, cp.CostTrace, initStats)
-		return seedC, res, mergeStats(initStats, lloydStats), err
-	}
-}
-
-// redistribute re-shards the retained dataset into the given span count and
-// reloads every shard over the connected workers — ResumeFit's path to the
-// checkpoint's shard geometry when the worker set changed across the crash.
-func (c *Coordinator) redistribute(shards int) error {
-	switch {
-	case c.man != nil:
-		c.reshard(shards)
-	case c.ds != nil:
-		c.spans = mrkm.MakeSpans(c.n, shards)
-		c.segs = nil
-	default:
-		return errors.New("distkm: cannot re-shard without the retained dataset")
-	}
-	return c.loadAll()
+	return assign, phi, nil
 }

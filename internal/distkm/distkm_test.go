@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/rpc"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,42 +205,91 @@ func TestFitAgreesWithCore(t *testing.T) {
 	}
 }
 
-// initRun is what TestFitAgreesWithCore compares across realizations.
-type initRun struct {
-	centers       *geom.Matrix
-	psi, seedCost float64
-	trace         []float64
-	candidates    int
-}
-
 // requireThreeAgree runs cfg through core.Init, mrkm.Init and c's
 // distributed Init, at cfg.Parallelism partitions each, and requires every
 // bit to agree.
 func requireThreeAgree(t *testing.T, what string, ds *geom.Dataset, c *Coordinator, cfg core.Config) {
 	t.Helper()
-	cc, cs := core.Init(ds, cfg)
+	want, ws := core.Init(ds, cfg)
 	mc, ms := mrkm.Init(ds, cfg, mrkm.Config{Mappers: cfg.Parallelism})
 	dc, dst, err := c.Init(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	want := initRun{cc, cs.Psi, cs.SeedCost, cs.PhiTrace, cs.Candidates}
 	for _, got := range []struct {
-		name string
-		run  initRun
+		name    string
+		centers *geom.Matrix
+		stats   core.Stats
 	}{
-		{"mrkm", initRun{mc, ms.Psi, ms.SeedCost, ms.PhiTrace, ms.Candidates}},
-		{"distkm", initRun{dc, dst.Psi, dst.SeedCost, dst.PhiTrace, dst.Candidates}},
+		{"mrkm", mc, ms.Stats},
+		{"distkm", dc, dst.Stats},
 	} {
-		name := what + ": " + got.name
-		if got.run.candidates != want.candidates {
-			t.Fatalf("%s: %d candidates, core %d", name, got.run.candidates, want.candidates)
+		name, gs := what+": "+got.name, got.stats
+		if gs.Candidates != ws.Candidates || !slices.Equal(gs.RoundCandidates, ws.RoundCandidates) {
+			t.Fatalf("%s: %d candidates by round %v, core %d by round %v",
+				name, gs.Candidates, gs.RoundCandidates, ws.Candidates, ws.RoundCandidates)
 		}
-		requireSameTrace(t, name+" ψ", []float64{got.run.psi}, []float64{want.psi})
-		requireSameTrace(t, name+" φ trace", got.run.trace, want.trace)
-		requireBitIdentical(t, name+" centers", got.run.centers, want.centers)
-		requireSameTrace(t, name+" seed cost", []float64{got.run.seedCost}, []float64{want.seedCost})
+		requireSameTrace(t, name+" ψ", []float64{gs.Psi}, []float64{ws.Psi})
+		requireSameTrace(t, name+" φ trace", gs.PhiTrace, ws.PhiTrace)
+		requireBitIdentical(t, name+" centers", got.centers, want)
+		requireSameTrace(t, name+" seed cost", []float64{gs.SeedCost}, []float64{ws.SeedCost})
 	}
+}
+
+// Step 8 runs on the driver, so every Recluster method gives the same bits
+// in all three realizations.
+func TestReclusterMethodsAgreeAcrossRealizations(t *testing.T) {
+	ds := blobs(t, 6, 120, 5, 40, 18)
+	c := loopbackCoordinator(t, ds, 3)
+	for _, m := range []core.ReclusterMethod{core.ReclusterKMeansPP, core.ReclusterKMeansPPLloyd, core.ReclusterRandom} {
+		requireThreeAgree(t, m.String(), ds, c, core.Config{K: 6, Seed: 19, Recluster: m, Parallelism: 3})
+	}
+}
+
+// ExactL draws from the whole D² cache at once, which no shard holds: every
+// entry point refuses it before any pass.
+func TestExactLRefused(t *testing.T) {
+	ds := blobs(t, 4, 60, 4, 20, 23)
+	clients, closeAll := LoopbackCluster(2)
+	t.Cleanup(closeAll)
+	counted := make([]Client, len(clients))
+	var calls atomic.Int64
+	for i, cl := range clients {
+		counted[i] = countingClient{cl, &calls}
+	}
+	c, err := NewCoordinator(counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Distribute(ds); err != nil {
+		t.Fatal(err)
+	}
+	c.SetCheckpointer(&Checkpointer{Dir: t.TempDir()})
+	loads := calls.Load()
+	cfg := core.Config{K: 4, Seed: 3, Mode: core.ExactL}
+	if _, _, err := c.Init(cfg); err == nil {
+		t.Fatal("Init accepted ExactL")
+	}
+	if _, _, _, err := c.Fit(cfg, 5); err == nil {
+		t.Fatal("Fit accepted ExactL")
+	}
+	if _, _, _, err := c.ResumeFit(cfg, 5); err == nil || !strings.Contains(err.Error(), "exact-l") {
+		t.Fatalf("ResumeFit with ExactL: %v, want the sampling mode refused", err)
+	}
+	if n := calls.Load() - loads; n != 0 {
+		t.Fatalf("%d shard calls made before refusing ExactL", n)
+	}
+}
+
+// countingClient counts the calls it passes through.
+type countingClient struct {
+	Client
+	n *atomic.Int64
+}
+
+func (c countingClient) Call(method string, args, reply any) error {
+	c.n.Add(1)
+	return c.Client.Call(method, args, reply)
 }
 
 func TestWeightedDatasetBitIdenticalToMRKM(t *testing.T) {

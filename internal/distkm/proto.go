@@ -3,27 +3,31 @@
 // rounds is exactly what makes the algorithm practical when every round is a
 // network round-trip instead of an in-process pass.
 //
-// The package splits the mrkm dataflow across processes:
+// The package is the third pass backend of the drivers core.Drive
+// (Algorithm 2's round loop) and mrkm.Iterate (the MapReduce-style Lloyd
+// loop), next to core's in-process chunks and mrkm's MapReduce jobs:
 //
 //   - a Worker owns one or more data shards (contiguous global index spans)
-//     and answers the three per-round primitives of Algorithm 2 — D² cache
-//     update + cost partial, threshold-sample candidates, and per-candidate
-//     weight counts — plus per-shard Lloyd partial sums;
-//   - the Coordinator drives the rounds, broadcasts new centers, reduces the
-//     per-shard partials in fixed shard order, and runs Step 8 (the tiny
-//     sequential reclustering) locally, exactly like mrkm's driver.
+//     and answers each pass with the shared span bodies — D² cache fold +
+//     cost partial, Bernoulli picks, per-candidate weight counts, cost,
+//     per-shard Lloyd partial sums and assignments;
+//   - the Coordinator turns each pass into one fan-out, broadcasting the
+//     centers and reducing the per-shard partials in fixed shard order, with
+//     retry, failover and checkpoints; the drivers run everything else,
+//     Step 8's reclustering included, on the coordinator.
 //
 // Because the sampling randomness is the counter-based rng.PointRand and all
-// floating-point reductions happen in shard order with the same inner loops
+// floating-point reductions happen in shard order with the same span bodies
 // as mrkm, a distkm fit over W workers is bit-identical to
 // mrkm.Init + mrkm.Lloyd with Mappers: W in one process (every float64
-// crosses the wire as its exact IEEE-754 bits). Tests assert this over the
-// in-memory loopback transport and over real worker processes. The same
-// holds for float32 fits: shards loaded with Float32 answer every distance
-// pass through mrkm's shared span bodies, so a float32 distkm fit is
-// bit-identical to mrkm.Init + mrkm.Lloyd over float32 points with
-// Mappers: W — provided every worker resolves the same float32 kernel tier
-// (geom.ActiveF32Tier; mixed AVX2/NEON/pure-Go fleets round differently).
+// crosses the wire as its exact IEEE-754 bits), and its seeding to core.Init
+// at Parallelism W. Tests assert this over the in-memory loopback transport
+// and over real worker processes. The same holds for float32 fits: shards
+// loaded with Float32 answer every distance pass through the shared span
+// bodies, so a float32 distkm fit is bit-identical to mrkm.Init +
+// mrkm.Lloyd over float32 points with Mappers: W — provided every worker
+// resolves the same float32 kernel tier (geom.ActiveF32Tier; mixed
+// AVX2/NEON/pure-Go fleets round differently).
 //
 // Transport is net/rpc over gob: Dial connects to a cmd/kmworker process over
 // TCP, NewLoopback serves a Worker over an in-memory pipe through the same
@@ -35,7 +39,7 @@
 //
 // Worker failure is handled by the coordinator: the dead worker's shards
 // are re-pushed to a surviving worker, the D² cache is rebuilt by replaying
-// the Update groups folded so far in order (bit-exact: each group runs the
+// the fold groups logged so far in order (bit-exact: each group runs the
 // same kernel it ran the first time), and the failed call is retried —
 // deterministic sampling makes the retry safe.
 package distkm

@@ -11,10 +11,10 @@ import (
 	"sync"
 	"time"
 
+	"kmeansll/internal/core"
 	"kmeansll/internal/dsio"
 	"kmeansll/internal/geom"
 	"kmeansll/internal/mrkm"
-	"kmeansll/internal/rng"
 )
 
 // shard is one contiguous span of the global dataset living on this worker,
@@ -45,11 +45,11 @@ type shard struct {
 }
 
 // shardData is a shard's points in either storage precision. Every method
-// runs the shared mrkm span body over the whole shard, so a worker's
-// partials are bit-identical to the in-process mapper's over the matching
-// span. Centers arrive as float64 off the wire and are narrowed once per
-// call; candidates are data points, so narrowing recovers their exact
-// storage bits.
+// runs a shared span body (geom's, core's or mrkm's) over the whole shard,
+// so a worker's partials are bit-identical to the in-process mapper's over
+// the matching span. Centers arrive as float64 off the wire and are
+// narrowed once per call; candidates are data points, so narrowing recovers
+// their exact storage bits.
 type shardData interface {
 	n() int
 	dim() int
@@ -72,11 +72,11 @@ func (p points[T]) point(i int) []float64 {
 }
 
 func (p points[T]) update(d2 []float64, centers *geom.Matrix) float64 {
-	return mrkm.UpdateSpan(p.ds, d2, 0, p.ds.N(), geom.Convert[T](centers), 0)
+	return geom.FoldNearest(p.ds, d2, 0, p.ds.N(), geom.Convert[T](centers))
 }
 
 func (p points[T]) weights(centers *geom.Matrix) []float64 {
-	return mrkm.WeightSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+	return core.WeightSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
 }
 
 func (p points[T]) lloyd(centers *geom.Matrix) (*geom.Matrix, float64) {
@@ -84,7 +84,7 @@ func (p points[T]) lloyd(centers *geom.Matrix) (*geom.Matrix, float64) {
 }
 
 func (p points[T]) cost(centers *geom.Matrix) float64 {
-	return mrkm.CostSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+	return core.CostSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
 }
 
 func (p points[T]) assign(centers *geom.Matrix, out []int32) float64 {
@@ -320,17 +320,17 @@ func checkRows[T geom.Float](part *geom.Set[T], seg PathSeg) error {
 	return nil
 }
 
-// Update folds the broadcast centers into the shard's D² cache and returns
-// the shard's φ partial. The loop is mrkm.UpdateSpan — the literally shared
-// mapper body — so the partial is bit-identical to the in-process
-// realization.
+// Update folds the broadcast centers (at least one) into the shard's D²
+// cache and returns the shard's φ partial. The loop is geom.FoldNearest —
+// the literally shared span body — so the partial is bit-identical to the
+// in-process realizations.
 func (w *Worker) Update(args UpdateArgs, reply *CostReply) error {
 	s, err := w.shardByRef(args.Ref)
 	if err != nil {
 		return err
 	}
 	defer w.done(s)
-	centers, err := args.New.checked(s.data.dim(), 0)
+	centers, err := args.New.checked(s.data.dim(), 1)
 	if err != nil {
 		return err
 	}
@@ -343,26 +343,19 @@ func (w *Worker) Update(args UpdateArgs, reply *CostReply) error {
 	return nil
 }
 
-// Sample is the Bernoulli selection over the cached D² weights: point i is
-// chosen iff min(1, ℓ·d²/φ) exceeds rng.PointRand(seed, round, globalIndex).
-// No distance work happens — the cache is current after the last Update.
+// Sample is the Bernoulli selection over the cached D² weights
+// (core.SampleSpan): the selected global indices and their points. No
+// distance work happens — the cache is current after the last Update.
 func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 	s, err := w.shardByRef(args.Ref)
 	if err != nil {
 		return err
 	}
 	defer w.done(s)
-	pts := geom.NewMatrix(0, s.data.dim())
-	pts.Cols = s.data.dim()
-	for i := range s.d2 {
-		if s.d2[i] <= 0 {
-			continue
-		}
-		p := args.Ell * s.d2[i] / args.Phi
-		if p >= 1 || rng.PointRand(args.Seed, args.Round, s.lo+i) < p {
-			reply.Indices = append(reply.Indices, s.lo+i)
-			pts.AppendRow(s.data.point(i)) // float32 rows widen exactly
-		}
+	reply.Indices = core.SampleSpan(s.d2, s.lo, args.Phi, args.Ell, args.Seed, args.Round)
+	pts := geom.NewMatrix(len(reply.Indices), s.data.dim())
+	for j, i := range reply.Indices {
+		copy(pts.Row(j), s.data.point(i-s.lo)) // float32 rows widen exactly
 	}
 	reply.Points = matOf(pts.Rows, pts.Cols, pts.Data)
 	return nil
@@ -385,7 +378,7 @@ func (w *Worker) centersCall(args CentersArgs, call func(s *shard, centers *geom
 }
 
 // Weights is the Step 7 partial: for each candidate, the total weight of the
-// shard's points whose nearest candidate it is (mrkm.WeightSpan).
+// shard's points whose nearest candidate it is (core.WeightSpan).
 func (w *Worker) Weights(args CentersArgs, reply *WeightsReply) error {
 	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
 		reply.W = s.data.weights(centers)
@@ -405,7 +398,7 @@ func (w *Worker) LloydStep(args CentersArgs, reply *LloydReply) error {
 }
 
 // Cost returns the shard's φ partial against an arbitrary center set
-// (the final evaluation pass, mrkm.CostSpan).
+// (the final evaluation pass, core.CostSpan).
 func (w *Worker) Cost(args CentersArgs, reply *CostReply) error {
 	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
 		reply.Phi = s.data.cost(centers)

@@ -64,3 +64,13 @@ func WidenSet[T Float](ds *Set[T]) *Dataset {
 	}
 	return out
 }
+
+// WidenRows returns rows idx of m, in that order, as a float64 matrix
+// (exact).
+func WidenRows[T Float](m *Mat[T], idx []int) *Matrix {
+	out := NewMatrix(len(idx), m.Cols)
+	for j, i := range idx {
+		WidenRow(out.Row(j), m.Row(i))
+	}
+	return out
+}

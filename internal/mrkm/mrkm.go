@@ -1,17 +1,22 @@
 // Package mrkm realizes k-means|| and Lloyd's iteration as MapReduce jobs on
-// the engine in internal/mr, following §3.5 of the paper:
+// the engine in internal/mr, following §3.5 of the paper. The (small) current
+// center set is broadcast to every mapper, and every pass over the data is
+// one job: each mapper runs one of Algorithm 2's span bodies over its input
+// split, and the reducer adds the partials in span order.
 //
-//   - the (small) current center set C is broadcast to every mapper;
-//   - one sampling round of Algorithm 2 is ONE map pass: each mapper updates
-//     its points' cached distances against the newly added centers, computes
-//     its partition's contribution to φ_X(C), and independently samples
-//     candidates; the reducer sums φ and collects the candidates;
-//   - Step 7 (weighting) is one map pass emitting (center, weight) pairs
-//     through a summing combiner;
-//   - Step 8 (reclustering) runs on "a single machine" — sequential weighted
-//     k-means++ — because the candidate set is tiny;
-//   - one Lloyd iteration is one map pass emitting (center, Σw·x ⧺ Σw)
-//     through a vector-summing combiner.
+// Init is core.Drive over these jobs, one of core's three pass backends:
+//
+//   - a fold job updates each split's cached distances against the newly
+//     added centers and sums φ;
+//   - a sampling job reads the caches, needs the φ the previous job
+//     produced, and collects each split's Bernoulli picks;
+//   - Step 7 is one weighting job, and the seed cost one cost job;
+//   - Step 8 (reclustering) runs on "a single machine", the driver, because
+//     the candidate set is tiny.
+//
+// Lloyd's iteration is one job per iteration, reducing Σw·x ⧺ Σw per center.
+// Its loop, Iterate, is written once, here, over the LloydPasses interface,
+// for Lloyd and for the networked coordinator (internal/distkm).
 //
 // The per-point distance cache lives with the input partition, mirroring the
 // data-local state a Hadoop implementation would persist alongside its split
@@ -19,14 +24,15 @@
 package mrkm
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"kmeansll/internal/core"
 	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
 	"kmeansll/internal/mr"
 	"kmeansll/internal/rng"
-	"kmeansll/internal/seed"
 )
 
 // Span is one input partition: points [Lo, Hi) of the dataset. The
@@ -52,58 +58,6 @@ func MakeSpans(n, mappers int) []Span {
 	return out
 }
 
-// Defaults resolves the oversampling factor ℓ and round count of Algorithm 2
-// exactly as Init does: ℓ = 2k when unset, rounds = max(5, ⌈k/ℓ⌉) when
-// unset. Shared with distkm so both drivers run identical schedules.
-func Defaults(cfg core.Config) (ell float64, rounds int) {
-	ell = cfg.L
-	if ell <= 0 {
-		ell = 2 * float64(cfg.K)
-	}
-	rounds = cfg.Rounds
-	if rounds <= 0 {
-		rounds = 5
-		if need := int(math.Ceil(float64(cfg.K) / ell)); need > rounds {
-			rounds = need
-		}
-	}
-	return ell, rounds
-}
-
-// The span bodies below are the per-partition mapper functions of the
-// dataflow, written once over the point storage type T. The networked
-// realization (internal/distkm) runs the same functions on its workers, so
-// for equal spans and seed (and, for float32, kernel tier) a distributed fit
-// is bit-identical to Init+Lloyd here. Each body runs the blocked engine
-// when its center count clears geom.UseBlocked and the scalar pair scan
-// below it, exactly as core.Init chooses. All cross-point reductions stay
-// float64 in point order.
-
-// UpdateSpan folds centers[from:] into the weighted D² cache of points
-// [lo, hi) and returns the span's φ partial — the cache-update mapper body
-// of Algorithm 2's per-round pass.
-func UpdateSpan[T geom.Float](ds *geom.Set[T], d2 []float64, lo, hi int, centers *geom.Mat[T], from int) float64 {
-	newView := centers.RowRange(from, centers.Rows)
-	if newView.Rows == 0 {
-		var part float64
-		for i := lo; i < hi; i++ {
-			part += d2[i]
-		}
-		return part
-	}
-	return geom.FoldNearest(ds, d2, lo, hi, &newView)
-}
-
-// WeightSpan is the Step 7 mapper body: the total input weight of the
-// span's points served by each candidate, accumulated in point order.
-func WeightSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) []float64 {
-	w := make([]float64, centers.Rows)
-	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, _ float64) {
-		w[idx] += ds.W(i)
-	})
-	return w
-}
-
 // LloydSpan is one Lloyd iteration's mapper body: per-center Σw·x ⧺ Σw (a
 // k×(d+1) float64 matrix, widened accumulation) plus the span's
 // assignment-cost partial.
@@ -121,20 +75,10 @@ func LloydSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) 
 	return sums, phi
 }
 
-// CostSpan is the φ partial of points [lo, hi) against an arbitrary center
-// set — the evaluation-pass mapper body.
-func CostSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) float64 {
-	var part float64
-	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, _ int32, dist float64) {
-		part += ds.W(i) * dist
-	})
-	return part
-}
-
 // AssignSpan writes the nearest-center index of every point in [lo, hi)
-// into assign (indexed globally, like d2 in UpdateSpan) and returns the
-// span's cost partial — the final-assignment mapper body (a distkm worker
-// passes its local slice with lo = 0).
+// into assign (indexed globally, like the D² cache in geom.FoldNearest) and
+// returns the span's cost partial — the final-assignment mapper body (a
+// distkm worker passes its local slice with lo = 0).
 func AssignSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], assign []int32) float64 {
 	var part float64
 	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, dist float64) {
@@ -144,21 +88,15 @@ func AssignSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T],
 	return part
 }
 
-// Stats describes an MR-realized run.
+// Stats describes an MR-realized run: the driver's statistics plus the
+// engine's.
 type Stats struct {
+	core.Stats
 	// MRRounds is the number of MapReduce jobs executed (each job is one
 	// full pass over the input).
 	MRRounds int
-	// Candidates is |C| before reclustering.
-	Candidates int
-	// SeedCost is φ_X of the k centers produced by Init.
-	SeedCost float64
 	// Counters aggregates engine counters over all jobs.
 	Counters mr.Counters
-	// Psi is φ after the first center (Init only).
-	Psi float64
-	// PhiTrace is φ after each sampling round (Init only).
-	PhiTrace []float64
 }
 
 // Config parameterizes the simulated cluster.
@@ -173,251 +111,89 @@ type Config struct {
 func (c Config) engine() mr.Config { return mr.Config{Mappers: c.Mappers, Reducers: c.Reducers} }
 
 // Init runs Algorithm 2 with the MapReduce dataflow and returns k centers.
-// The algorithmic parameters are taken from cfg (K, L, Rounds, Seed); the
-// sampling is Bernoulli with the same counter-based per-point randomness as
-// core.Init, so for equal parameters the candidate sets agree with the
-// in-process implementation. Everything outside the mappers (first-center
-// draw, sampling on the float64 D² cache, Step 8 reclustering the widened
-// candidates in float64) is shared by both storage types; only the mapper
-// bodies run in T.
+// The sampling is Bernoulli with the same counter-based per-point
+// randomness as core.Init, so at Mappers equal to core's Parallelism the
+// result is core.Init's, bit for bit; every Recluster method runs. Only the
+// mappers run in T; sampling reads the float64 D² cache and Step 8
+// reclusters the widened candidates in float64. Init panics on ExactL
+// sampling, which needs the whole D² cache in one place.
 func Init[T geom.Float](ds *geom.Set[T], cfg core.Config, cluster Config) (*geom.Matrix, Stats) {
-	if cfg.K <= 0 {
-		panic("mrkm: Config.K must be positive")
+	if cfg.Mode != core.Bernoulli {
+		panic(fmt.Sprintf("mrkm: %v sampling needs the whole D² cache in one place", cfg.Mode))
 	}
-	n := ds.N()
-	if n == 0 {
-		panic("mrkm: empty dataset")
+	ell, _ := cfg.Schedule()
+	j := newJobs(ds, cluster)
+	j.ell, j.seed = ell, cfg.Seed
+	j.d2 = make([]float64, ds.N())
+	for i := range j.d2 {
+		j.d2[i] = math.Inf(1)
 	}
-	spans := MakeSpans(n, cluster.Mappers)
-	engine := cluster.engine()
-	r := rng.New(cfg.Seed)
-	stats := Stats{}
-	ell, rounds := Defaults(cfg)
-
-	// Step 1: first center, chosen by the driver.
-	var first int
-	if ds.Weight == nil {
-		first = r.Intn(n)
-	} else {
-		first = r.WeightedIndex(ds.Weight)
+	centers, st, err := core.Drive(j, cfg, ds.N(), ds.Weight, nil, nil)
+	if err != nil {
+		panic(err)
 	}
-	centers := &geom.Mat[T]{Cols: ds.Dim()}
-	centers.AppendRow(ds.Point(first))
-
-	// d2 is the data-local distance cache (one entry per point, owned by the
-	// mapper that owns the point's span).
-	d2 := make([]float64, n)
-	for i := range d2 {
-		d2[i] = math.Inf(1)
-	}
-
-	// Job: update caches against centers[from:] and return the new φ. One
-	// full pass over the data, like the cost computation described in §3.5
-	// ("each mapper ... can compute φ_{X'}(C) and the reducer can simply add
-	// these values").
-	updateAndCost := func(from int) float64 {
-		mapper := func(s Span, emit func(int, float64)) {
-			emit(0, UpdateSpan(ds, d2, s.Lo, s.Hi, centers, from))
-		}
-		reducer := func(_ int, vs []float64, emit func(float64)) { emit(sum(vs)) }
-		out, counters := mr.Run(spans, mapper, nil, reducer, engine)
-		stats.MRRounds++
-		stats.Counters.Add(counters)
-		if len(out) == 0 {
-			return 0
-		}
-		return out[0]
-	}
-
-	// Step 2: ψ (pure cost pass).
-	phi := updateAndCost(0)
-	stats.Psi = phi
-	stats.PhiTrace = append(stats.PhiTrace, phi)
-
-	// Steps 3–6: each round is a sampling job (reads the cache, needs the φ
-	// the previous job produced) followed by an update+cost job against the
-	// newly added centers — two full passes per round, which is exactly what
-	// a Hadoop driver threading φ between jobs does.
-	for round := 0; round < rounds && phi > 0; round++ {
-		from := centers.Rows
-		cand := sampleOnly(spans, d2, phi, ell, cfg.Seed, round, engine, &stats)
-		for _, i := range cand {
-			centers.AppendRow(ds.Point(i))
-		}
-		phi = updateAndCost(from)
-		stats.PhiTrace = append(stats.PhiTrace, phi)
-	}
-	stats.Candidates = centers.Rows
-
-	// Step 7: weighting job; per-span weight vectors are reduced in span
-	// order, matching the coordinator's fixed shard-order reduction.
-	weights := weightJob(spans, ds, centers, engine, &stats)
-
-	// Step 8: sequential reclustering on the driver.
-	cds := WeightedCandidates(geom.Widen(centers), weights)
-	final := seed.KMeansPP(cds, cfg.K, r, 1)
-
-	// Final cost pass (also an MR job, like the evaluation step in §3.5).
-	stats.SeedCost = costJob(spans, ds, geom.Convert[T](final), engine, &stats)
-	return final, stats
-}
-
-// sampleOnly is the Bernoulli selection over cached distances. It reads the
-// caches but performs no distance work (the cache is current); it is merged
-// with the update pass in runRound when possible, but the very first sampling
-// of a round needs φ from the previous pass, hence this dedicated job.
-func sampleOnly(spans []Span, d2 []float64, phi, ell float64, seedVal uint64, round int, engine mr.Config, stats *Stats) []int {
-	mapper := func(s Span, emit func(int, []int)) {
-		var sel []int
-		for i := s.Lo; i < s.Hi; i++ {
-			if d2[i] <= 0 {
-				continue
-			}
-			p := ell * d2[i] / phi
-			if p >= 1 || rng.PointRand(seedVal, round, i) < p {
-				sel = append(sel, i)
-			}
-		}
-		emit(0, sel)
-	}
-	reducer := func(_ int, vs [][]int, emit func([]int)) {
-		var all []int
-		for _, v := range vs {
-			all = append(all, v...)
-		}
-		emit(all)
-	}
-	out, counters := mr.Run(spans, mapper, nil, reducer, engine)
-	stats.MRRounds++
-	stats.Counters.Add(counters)
-	if len(out) == 0 {
-		return nil
-	}
-	return out[0]
-}
-
-// weightJob is Step 7: one WeightSpan per span, summed per candidate in
-// span order.
-func weightJob[T geom.Float](spans []Span, ds *geom.Set[T], centers *geom.Mat[T], engine mr.Config, stats *Stats) []float64 {
-	mapper := func(s Span, emit func(int, []float64)) {
-		emit(0, WeightSpan(ds, s.Lo, s.Hi, centers))
-	}
-	k := centers.Rows
-	reducer := func(_ int, vs [][]float64, emit func([]float64)) {
-		out := make([]float64, k)
-		for _, v := range vs {
-			for c := range out {
-				out[c] += v[c]
-			}
-		}
-		emit(out)
-	}
-	out, counters := mr.Run(spans, mapper, nil, reducer, engine)
-	stats.MRRounds++
-	stats.Counters.Add(counters)
-	if len(out) == 0 {
-		return make([]float64, k)
-	}
-	return out[0]
-}
-
-// costJob computes φ_X(C) as one MR job.
-func costJob[T geom.Float](spans []Span, ds *geom.Set[T], centers *geom.Mat[T], engine mr.Config, stats *Stats) float64 {
-	mapper := func(s Span, emit func(int, float64)) {
-		emit(0, CostSpan(ds, s.Lo, s.Hi, centers))
-	}
-	reducer := func(_ int, vs []float64, emit func(float64)) { emit(sum(vs)) }
-	out, counters := mr.Run(spans, mapper, nil, reducer, engine)
-	stats.MRRounds++
-	stats.Counters.Add(counters)
-	if len(out) == 0 {
-		return 0
-	}
-	return out[0]
-}
-
-// WeightedCandidates packages the Step 7 output as the weighted dataset that
-// Step 8 reclusters: candidates with positive weight, in center order. The
-// networked realization (internal/distkm) shares it so both drivers hand
-// k-means++ the exact same input.
-func WeightedCandidates(centers *geom.Matrix, weights []float64) *geom.Dataset {
-	keep := make([]int, 0, centers.Rows)
-	for i, w := range weights {
-		if w > 0 {
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == 0 {
-		keep = append(keep, 0)
-		weights[0] = 1
-	}
-	x := geom.NewMatrix(len(keep), centers.Cols)
-	w := make([]float64, len(keep))
-	for j, i := range keep {
-		copy(x.Row(j), centers.Row(i))
-		w[j] = weights[i]
-	}
-	return &geom.Dataset{X: x, Weight: w}
+	j.stats.Stats = st
+	return centers, j.stats
 }
 
 // Lloyd runs Lloyd's iteration where each iteration is one MapReduce job
-// (the standard parallel k-means the paper cites from Mahout). Centers are
-// mastered in float64 and narrowed to a T snapshot the mappers scan; the
-// per-center Σw·x ⧺ Σw reduction and the center update itself stay float64,
-// folded in span order. Empty clusters keep their previous position, as in
-// the textbook MR implementation. The final assignment and cost come from a
-// dedicated span job so they reduce in the same fixed order a distkm
-// coordinator uses.
+// (the standard parallel k-means the paper cites from Mahout), with
+// Iterate's loop. Centers are mastered in float64 and narrowed to a T
+// snapshot the mappers scan; the per-center reduction and the center update
+// stay float64, folded in span order. The final assignment and cost come
+// from one more span job, which is not an iteration and is not counted as
+// one of the run's MR jobs.
 func Lloyd[T geom.Float](ds *geom.Set[T], init *geom.Matrix, maxIter int, cluster Config) (lloyd.Result, Stats) {
-	if maxIter <= 0 {
-		maxIter = 20 // the paper bounds parallel Lloyd at 20 iterations (§4.2)
+	j := newJobs(ds, cluster)
+	res, _ := Iterate(j, lloyd.Result{Centers: init}, maxIter, nil)
+	j.stats.SeedCost = res.Cost
+	return res, j.stats
+}
+
+// LloydPasses is what Iterate needs from a realization: the passes of one
+// MapReduce-style Lloyd iteration and of the final assignment. Only the
+// networked realization's methods can fail.
+type LloydPasses interface {
+	// LloydStep returns each center's Σw·x ⧺ Σw over the points nearest to
+	// it (k×(d+1)) and φ_X(centers).
+	LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error)
+	// Assign returns every point's nearest center and φ_X(centers).
+	Assign(centers *geom.Matrix) ([]int32, float64, error)
+}
+
+// MaxIter resolves a Lloyd iteration budget: n ≤ 0 means 20, the paper's
+// bound on parallel Lloyd (§4.2).
+func MaxIter(n int) int {
+	if n <= 0 {
+		return 20
 	}
-	n := ds.N()
-	spans := MakeSpans(n, cluster.Mappers)
-	engine := cluster.engine()
-	centers := init.Clone()
+	return n
+}
+
+// Iterate runs MapReduce-style Lloyd iterations: each moves every center to
+// the weighted mean of its points, an empty cluster keeps its center, and
+// the loop stops once no center moves or after MaxIter(maxIter)
+// iterations. It continues from `from`: its centers, its completed
+// iterations and their cost trace (zero for a fresh run). after, when
+// non-nil, is called after every iteration with the result so far. The
+// final pass assigns every point to the final centers and reports their
+// cost.
+func Iterate(p LloydPasses, from lloyd.Result, maxIter int, after func(lloyd.Result) error) (lloyd.Result, error) {
+	maxIter = MaxIter(maxIter)
+	res := lloyd.Result{Centers: from.Centers.Clone(), Iters: from.Iters, CostTrace: slices.Clone(from.CostTrace)}
+	if n := len(res.CostTrace); n > 0 {
+		res.Cost = res.CostTrace[n-1]
+	}
+	centers := res.Centers
 	k, d := centers.Rows, centers.Cols
-	snap := geom.NewMat[T](k, d)
-	narrow := func() {
-		for c := 0; c < k; c++ {
-			geom.ConvertRow(snap.Row(c), centers.Row(c))
+	for res.Iters < maxIter {
+		sums, phi, err := p.LloydStep(centers)
+		if err != nil {
+			return res, err
 		}
-	}
-	stats := Stats{}
-	res := lloyd.Result{Centers: centers}
-
-	type part struct {
-		Sums []float64 // k rows of Σw·x ⧺ Σw, k×(d+1), span-local
-		Phi  float64
-	}
-	for it := 0; it < maxIter; it++ {
-		narrow()
-		mapper := func(s Span, emit func(int, part)) {
-			sums, phi := LloydSpan(ds, s.Lo, s.Hi, snap)
-			emit(0, part{Sums: sums.Data, Phi: phi})
-		}
-		reducer := func(_ int, vs []part, emit func(part)) {
-			total := make([]float64, k*(d+1))
-			var phi float64
-			for _, v := range vs {
-				for j := range total {
-					total[j] += v.Sums[j]
-				}
-				phi += v.Phi
-			}
-			emit(part{Sums: total, Phi: phi})
-		}
-		out, counters := mr.Run(spans, mapper, nil, reducer, engine)
-		stats.MRRounds++
-		stats.Counters.Add(counters)
-		if len(out) == 0 {
-			break
-		}
-		total, phi := out[0].Sums, out[0].Phi
-
 		maxMove := 0.0
 		for c := 0; c < k; c++ {
-			row := total[c*(d+1) : (c+1)*(d+1)]
+			row := sums.Row(c)
 			if row[d] <= 0 {
 				continue // empty cluster keeps its previous position
 			}
@@ -433,9 +209,14 @@ func Lloyd[T geom.Float](ds *geom.Set[T], init *geom.Matrix, maxIter int, cluste
 				maxMove = move
 			}
 		}
-		res.Iters = it + 1
+		res.Iters++
 		res.Cost = phi
 		res.CostTrace = append(res.CostTrace, phi)
+		if after != nil {
+			if err := after(res); err != nil {
+				return res, err
+			}
+		}
 		if maxMove == 0 {
 			res.Converged = true
 			break
@@ -443,22 +224,51 @@ func Lloyd[T geom.Float](ds *geom.Set[T], init *geom.Matrix, maxIter int, cluste
 	}
 
 	// res.Cost above is w.r.t. the previous centers; report the final
-	// assignment and cost against the final centers, reduced in span order.
-	// This report pass is not an iteration, so it is not counted as one of
-	// the run's MR jobs.
-	narrow()
-	assign := make([]int32, n)
-	mapper := func(s Span, emit func(int, float64)) {
-		emit(0, AssignSpan(ds, s.Lo, s.Hi, snap, assign))
+	// assignment and cost against the final centers.
+	assign, cost, err := p.Assign(centers)
+	if err != nil {
+		return res, err
 	}
-	reducer := func(_ int, vs []float64, emit func(float64)) { emit(sum(vs)) }
-	out, _ := mr.Run(spans, mapper, nil, reducer, engine)
-	res.Assign = assign
-	if len(out) > 0 {
-		res.Cost = out[0]
+	res.Assign, res.Cost = assign, cost
+	return res, nil
+}
+
+// jobs is the MapReduce realization of core.Passes and LloydPasses: one
+// mr.Run job per pass over the spans.
+type jobs[T geom.Float] struct {
+	ds     *geom.Set[T]
+	spans  []Span
+	engine mr.Config
+	stats  Stats
+
+	// Init only: the data-local distance cache (one entry per point, owned
+	// by the mapper that owns the point's span, +Inf before the first fold)
+	// and the sampling parameters.
+	d2   []float64
+	ell  float64
+	seed uint64
+}
+
+func newJobs[T geom.Float](ds *geom.Set[T], cluster Config) *jobs[T] {
+	return &jobs[T]{
+		ds:     ds,
+		spans:  MakeSpans(ds.N(), cluster.Mappers),
+		engine: cluster.engine(),
 	}
-	stats.SeedCost = res.Cost
-	return res, stats
+}
+
+// job runs one MapReduce job: every span's mapper emits body(span) under
+// one key, and the reducer hands the values, in span order, to reduce. A
+// counted job adds to MRRounds and Counters.
+func job[T geom.Float, V, O any](j *jobs[T], counted bool, body func(Span) V, reduce func([]V) O) O {
+	mapper := func(s Span, emit func(int, V)) { emit(0, body(s)) }
+	reducer := func(_ int, vs []V, emit func(O)) { emit(reduce(vs)) }
+	out, counters := mr.Run(j.spans, mapper, nil, reducer, j.engine)
+	if counted {
+		j.stats.MRRounds++
+		j.stats.Counters.Add(counters)
+	}
+	return out[0]
 }
 
 func sum(vs []float64) float64 {
@@ -467,4 +277,67 @@ func sum(vs []float64) float64 {
 		s += v
 	}
 	return s
+}
+
+// sumRows adds equal-length vectors element by element, in order.
+func sumRows(vs [][]float64) []float64 {
+	out := make([]float64, len(vs[0]))
+	for _, v := range vs {
+		geom.AddScaled(out, 1, v)
+	}
+	return out
+}
+
+func (j *jobs[T]) Point(i int) ([]float64, error) {
+	return geom.WidenRow(make([]float64, j.ds.Dim()), j.ds.Point(i)), nil
+}
+
+func (j *jobs[T]) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
+	view := cands.RowRange(lo, hi)
+	c := geom.Convert[T](&view)
+	return job(j, true, func(s Span) float64 {
+		return geom.FoldNearest(j.ds, j.d2, s.Lo, s.Hi, c)
+	}, sum), nil
+}
+
+func (j *jobs[T]) Sample(round int, phi float64, _ *rng.Rng) (*geom.Matrix, error) {
+	picks := job(j, true, func(s Span) []int {
+		return core.SampleSpan(j.d2[s.Lo:s.Hi], s.Lo, phi, j.ell, j.seed, round)
+	}, func(vs [][]int) []int { return slices.Concat(vs...) })
+	return geom.WidenRows(j.ds.X, picks), nil
+}
+
+func (j *jobs[T]) Weights(cands *geom.Matrix) ([]float64, error) {
+	c := geom.Convert[T](cands)
+	return job(j, true, func(s Span) []float64 {
+		return core.WeightSpan(j.ds, s.Lo, s.Hi, c)
+	}, sumRows), nil
+}
+
+func (j *jobs[T]) Cost(centers *geom.Matrix) (float64, error) {
+	c := geom.Convert[T](centers)
+	return job(j, true, func(s Span) float64 {
+		return core.CostSpan(j.ds, s.Lo, s.Hi, c)
+	}, sum), nil
+}
+
+func (j *jobs[T]) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error) {
+	c := geom.Convert[T](centers)
+	// Each span emits its k×(d+1) sums with its φ partial appended, so one
+	// element-wise reduction adds both.
+	total := job(j, true, func(s Span) []float64 {
+		sums, phi := LloydSpan(j.ds, s.Lo, s.Hi, c)
+		return append(sums.Data, phi)
+	}, sumRows)
+	n := len(total) - 1
+	return &geom.Matrix{Rows: centers.Rows, Cols: centers.Cols + 1, Data: total[:n]}, total[n], nil
+}
+
+func (j *jobs[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
+	c := geom.Convert[T](centers)
+	assign := make([]int32, j.ds.N())
+	cost := job(j, false, func(s Span) float64 {
+		return AssignSpan(j.ds, s.Lo, s.Hi, c, assign)
+	}, sum)
+	return assign, cost, nil
 }

@@ -97,7 +97,7 @@ func TestUpdateSpan32SpanInvariance(t *testing.T) {
 			d2[i] = math.Inf(1)
 		}
 		for _, s := range spans {
-			UpdateSpan(ds32, d2, s.Lo, s.Hi, centers, 0)
+			geom.FoldNearest(ds32, d2, s.Lo, s.Hi, centers)
 		}
 		return d2
 	}

@@ -2,6 +2,7 @@ package mrkm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kmeansll/internal/core"
@@ -42,6 +43,10 @@ func TestInitMatchesInProcessCandidates(t *testing.T) {
 		t.Fatalf("candidate counts differ: core %d vs mr %d",
 			coreStats.Candidates, mrStats.Candidates)
 	}
+	if !slices.Equal(coreStats.RoundCandidates, mrStats.RoundCandidates) {
+		t.Fatalf("per-round candidates differ: core %v vs mr %v",
+			coreStats.RoundCandidates, mrStats.RoundCandidates)
+	}
 	if math.Float64bits(coreStats.Psi) != math.Float64bits(mrStats.Psi) {
 		t.Fatalf("ψ differs: %v vs %v", coreStats.Psi, mrStats.Psi)
 	}
@@ -65,6 +70,16 @@ func TestInitMatchesInProcessCandidates(t *testing.T) {
 	if math.Float64bits(coreStats.SeedCost) != math.Float64bits(mrStats.SeedCost) {
 		t.Fatalf("seed cost differs: %v vs %v", coreStats.SeedCost, mrStats.SeedCost)
 	}
+}
+
+// ExactL draws from the whole D² cache at once, which no mapper holds.
+func TestInitRefusesExactL(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Init accepted ExactL")
+		}
+	}()
+	Init(blobs(t, 3, 40, 4, 20, 2), core.Config{K: 3, Mode: core.ExactL, Seed: 1}, Config{Mappers: 2})
 }
 
 func TestInitQuality(t *testing.T) {
@@ -148,9 +163,7 @@ func TestLloydConvergesAndStops(t *testing.T) {
 func TestWeightJobSumsToN(t *testing.T) {
 	ds := blobs(t, 4, 50, 3, 20, 15)
 	centers := seed.Random(ds, 6, rng.New(16))
-	spans := MakeSpans(ds.N(), 4)
-	var stats Stats
-	w := weightJob(spans, ds, centers, Config{Mappers: 4}.engine(), &stats)
+	w, _ := newJobs(ds, Config{Mappers: 4}).Weights(centers)
 	var total float64
 	for _, v := range w {
 		total += v

@@ -27,7 +27,7 @@ func GreedyKMeansPP(ds *geom.Dataset, k, tries int, r *rng.Rng, parallelism int)
 		for i := range all {
 			all[i] = i
 		}
-		return gather(ds, all)
+		return geom.WidenRows(ds.X, all)
 	}
 
 	centers := geom.NewMatrix(0, ds.Dim())

@@ -31,7 +31,7 @@ func Random[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng) *geom.Matrix {
 		panic("seed: k must be positive")
 	}
 	idx := r.SampleWithoutReplacement(n, k)
-	return gather(ds, idx)
+	return geom.WidenRows(ds.X, idx)
 }
 
 // WeightedRandom selects min(k, n) distinct points with probability
@@ -51,9 +51,9 @@ func WeightedRandom[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng) *geom.Matr
 	if len(idx) < k {
 		// Fewer than k positive-weight points: impossible for valid datasets
 		// (Validate enforces positive weights), but degrade gracefully.
-		return gather(ds, idx)
+		return geom.WidenRows(ds.X, idx)
 	}
-	return gather(ds, idx)
+	return geom.WidenRows(ds.X, idx)
 }
 
 // KMeansPP is Algorithm 1 of the paper: the first center is drawn
@@ -73,7 +73,7 @@ func KMeansPP[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng, parallelism int)
 		for i := range all {
 			all[i] = i
 		}
-		return gather(ds, all)
+		return geom.WidenRows(ds.X, all)
 	}
 
 	centers := &geom.Mat[T]{Cols: ds.Dim()}
@@ -174,13 +174,4 @@ func sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// gather copies the indexed points into a fresh float64 matrix.
-func gather[T geom.Float](ds *geom.Set[T], idx []int) *geom.Matrix {
-	m := geom.NewMatrix(len(idx), ds.Dim())
-	for j, i := range idx {
-		geom.WidenRow(m.Row(j), ds.Point(i))
-	}
-	return m
 }
