@@ -149,8 +149,12 @@ type Config struct {
 	Weights []float64
 	// Parallelism bounds worker goroutines; 0 means all CPUs.
 	Parallelism int
-	// Seed makes the run deterministic; runs with equal seeds and configs
-	// return identical models regardless of Parallelism.
+	// Seed makes the run deterministic: equal seeds, configs and
+	// Parallelism return bit-identical models. Across Parallelism values the
+	// seeding's coin flips are the same, so the candidates and seed centers
+	// match unless a flip lands within rounding of its threshold; costs and
+	// Lloyd centers differ in the last bits, because partials are summed
+	// per chunk.
 	Seed uint64
 	// Precision selects the distance arithmetic: Float64 (default, the
 	// bit-reproducible reference) or Float32 (the single-precision blocked
