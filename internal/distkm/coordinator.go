@@ -668,13 +668,14 @@ func (c *Coordinator) lloyd(from lloyd.Result, maxIter int, after func(lloyd.Res
 // runLloydPhase runs Lloyd with the checkpoint hook: an immediate
 // checkpoint marking the init phase complete (so a crash inside the first
 // iteration resumes as Lloyd, not by re-seeding), then one every EveryLloyd
-// completed iterations and one after the last.
+// completed iterations and one after the last. It returns the fit's Stats:
+// initStats with the Lloyd phase's network counters added.
 func (c *Coordinator) runLloydPhase(cfg core.Config, seedC *geom.Matrix, from lloyd.Result, maxIter int, initStats Stats) (lloyd.Result, Stats, error) {
 	maxIter = mrkm.MaxIter(maxIter)
 	var after func(lloyd.Result) error
 	if c.ckpt != nil {
 		if err := c.saveLloyd(cfg, maxIter, seedC, from, initStats); err != nil {
-			return lloyd.Result{}, Stats{}, err
+			return lloyd.Result{}, initStats, err
 		}
 		every := c.ckpt.every()
 		after = func(res lloyd.Result) error {
@@ -684,27 +685,24 @@ func (c *Coordinator) runLloydPhase(cfg core.Config, seedC *geom.Matrix, from ll
 			return c.saveLloyd(cfg, maxIter, seedC, res, initStats)
 		}
 	}
-	return c.lloyd(from, maxIter, after)
-}
-
-func mergeStats(initStats, lloydStats Stats) Stats {
-	merged := initStats
-	merged.RPCRounds += lloydStats.RPCRounds
-	merged.Calls += lloydStats.Calls
-	merged.Failovers += lloydStats.Failovers
-	merged.Retries += lloydStats.Retries
-	return merged
+	res, lloydStats, err := c.lloyd(from, maxIter, after)
+	fit := initStats
+	fit.RPCRounds += lloydStats.RPCRounds
+	fit.Calls += lloydStats.Calls
+	fit.Failovers += lloydStats.Failovers
+	fit.Retries += lloydStats.Retries
+	return res, fit, err
 }
 
 // Fit is the full pipeline: k-means|| seeding then Lloyd refinement, both
-// distributed. The merged Stats sums the network counters of both phases.
+// distributed. The Stats sum the network counters of both phases.
 func (c *Coordinator) Fit(cfg core.Config, maxIter int) (*geom.Matrix, lloyd.Result, Stats, error) {
 	initCenters, initStats, err := c.Init(cfg)
 	if err != nil {
 		return nil, lloyd.Result{}, initStats, err
 	}
-	res, lloydStats, err := c.runLloydPhase(cfg, initCenters, lloyd.Result{Centers: initCenters}, maxIter, initStats)
-	return initCenters, res, mergeStats(initStats, lloydStats), err
+	res, stats, err := c.runLloydPhase(cfg, initCenters, lloyd.Result{Centers: initCenters}, maxIter, initStats)
+	return initCenters, res, stats, err
 }
 
 // ResumeFit continues a fit from the checkpoint in the configured
@@ -762,8 +760,8 @@ func (c *Coordinator) ResumeFit(cfg core.Config, maxIter int) (*geom.Matrix, llo
 	} else if seedC == nil {
 		seedC = centers // pre-first-iteration checkpoint: centers are the seeds
 	}
-	res, lloydStats, err := c.runLloydPhase(cfg, seedC, from, maxIter, initStats)
-	return seedC, res, mergeStats(initStats, lloydStats), err
+	res, stats, err := c.runLloydPhase(cfg, seedC, from, maxIter, initStats)
+	return seedC, res, stats, err
 }
 
 // redistribute re-shards the retained dataset into the given span count and
