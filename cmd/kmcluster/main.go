@@ -18,9 +18,9 @@
 // trimmed:FRACTION | spherical. Fits run through kmeansll.ClusterDataset, so
 // a given (-init, -optimizer, -seed) triple produces bit-identical centers
 // to the library and to a kmserved fit job with the same spec.
-// -mr runs the MapReduce realization of k-means|| and Lloyd (engine in
-// internal/mr) instead of the in-process implementation; it supports only
-// the default lloyd optimizer.
+// -mr runs the MapReduce realization of k-means|| and Lloyd
+// (internal/mrkm) instead of the in-process implementation; it supports
+// only the default lloyd optimizer.
 // -precision f32 runs the distance passes in single precision (see
 // docs/kernels.md for the tolerance contract); over a float32 .kmd file the
 // fit is zero-copy — the mmap'd payload is used directly. -mr -precision f32

@@ -1,11 +1,18 @@
-// MapReduce: run k-means|| and Lloyd as actual MapReduce jobs on the
-// in-process engine (§3.5 of the paper), printing the job/pass accounting the
-// paper's scalability argument is stated in: a constant number of passes for
-// k-means|| vs the k passes k-means++ would need.
+// MapReduce: run k-means|| and Lloyd as MapReduce jobs (§3.5 of the paper),
+// printing the job/pass accounting the paper's scalability argument is
+// stated in: a constant number of passes for k-means|| vs the k passes
+// k-means++ would need. It then checks that the MapReduce seeding is the
+// in-process core.Init's at as many chunks as mappers, bit for bit, and
+// exits non-zero if it is not.
+//
+// Run with: go run ./examples/mapreduce
 package main
 
 import (
 	"fmt"
+	"log"
+	"math"
+	"slices"
 
 	"kmeansll/internal/core"
 	"kmeansll/internal/data"
@@ -16,27 +23,38 @@ func main() {
 	ds := data.KDDLike(data.KDDLikeConfig{N: 20000, Seed: 5})
 	fmt.Printf("input: %d records x %d features\n", ds.N(), ds.Dim())
 
-	const k = 50
-	cluster := mrkm.Config{Mappers: 8, Reducers: 2}
+	const k, mappers = 50, 8
+	cluster := mrkm.Config{Mappers: mappers}
+	cfg := core.Config{K: k, L: 2 * k, Rounds: 5, Seed: 9, Parallelism: mappers}
 
 	// Initialization: each sampling round is a sample job plus an
 	// update-cost job; weighting is one more job; reclustering runs on the
 	// driver because the candidate set is tiny.
-	centers, stats := mrkm.Init(ds, core.Config{K: k, L: 2 * k, Rounds: 5, Seed: 9}, cluster)
+	centers, stats := mrkm.Init(ds, cfg, cluster)
 	fmt.Printf("\nk-means|| on MapReduce:\n")
 	fmt.Printf("  MR jobs:          %d\n", stats.MRRounds)
 	fmt.Printf("  candidates:       %d (vs %d passes k-means++ would need)\n", stats.Candidates, k)
 	fmt.Printf("  psi (initial):    %.4g\n", stats.Psi)
 	fmt.Printf("  phi after rounds: %.4g\n", stats.PhiTrace[len(stats.PhiTrace)-1])
 	fmt.Printf("  seed cost:        %.4g\n", stats.SeedCost)
-	fmt.Printf("  shuffle pairs:    %d (input records scanned: %d)\n",
-		stats.Counters.ShufflePairs, stats.Counters.InputRecords)
 
-	// Lloyd: one MR job per iteration, combiner-compressed shuffle.
+	// The mappers sum the same partials as core.Init's chunks, in the same
+	// order, so the seeding must match it bit for bit.
+	want, wantStats := core.Init(ds, cfg)
+	if !bitsEqual(centers.Data, want.Data) || !bitsEqual(stats.PhiTrace, wantStats.PhiTrace) ||
+		!bitsEqual([]float64{stats.SeedCost}, []float64{wantStats.SeedCost}) {
+		log.Fatalf("MapReduce seeding diverged from core.Init at Parallelism %d: centers, phi trace or seed cost differ", mappers)
+	}
+	fmt.Printf("  verified: centers, phi trace and seed cost bit-identical to core.Init at Parallelism %d\n", mappers)
+
+	// Lloyd: one MR job per iteration.
 	res, lstats := mrkm.Lloyd(ds, centers, 20, cluster)
 	fmt.Printf("\nLloyd on MapReduce:\n")
-	fmt.Printf("  iterations (jobs): %d, converged=%v\n", res.Iters, res.Converged)
-	fmt.Printf("  final cost:        %.4g\n", res.Cost)
-	fmt.Printf("  shuffle pairs:     %d (combiner keeps it ~k per mapper per iter)\n",
-		lstats.Counters.ShufflePairs)
+	fmt.Printf("  MR jobs (iterations): %d, converged=%v\n", lstats.MRRounds, res.Converged)
+	fmt.Printf("  final cost:           %.4g\n", res.Cost)
+}
+
+// bitsEqual reports whether a and b hold the same float64s, bit for bit.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

@@ -236,11 +236,7 @@ func recluster(cands *geom.Matrix, weights []float64, cfg Config, r *rng.Rng) *g
 		return seed.WeightedRandom(cds, cfg.K, r)
 	case ReclusterKMeansPPLloyd:
 		init := seed.KMeansPP(cds, cfg.K, r, 1)
-		iters := cfg.RefineIters
-		if iters <= 0 {
-			iters = 20
-		}
-		return lloyd.Run(cds, init, lloyd.Config{MaxIter: iters, Parallelism: 1}).Centers
+		return lloyd.Run(cds, init, lloyd.Config{MaxIter: 20, Parallelism: 1}).Centers
 	default:
 		return seed.KMeansPP(cds, cfg.K, r, 1)
 	}

@@ -80,9 +80,9 @@ const (
 	// ReclusterKMeansPP runs weighted k-means++ on the candidates (the
 	// paper's choice: "we use k-means++ for reclustering in Step 8", §4.2).
 	ReclusterKMeansPP ReclusterMethod = iota
-	// ReclusterKMeansPPLloyd additionally refines with weighted Lloyd
-	// iterations on the (tiny) candidate set. Cheap and usually better;
-	// kept out of the paper-faithful default, used by ablations.
+	// ReclusterKMeansPPLloyd additionally refines with up to 20 weighted
+	// Lloyd iterations on the (tiny) candidate set. Cheap and usually
+	// better; kept out of the paper-faithful default, used by ablations.
 	ReclusterKMeansPPLloyd
 	// ReclusterRandom picks k candidates weight-proportionally. Ablation
 	// baseline demonstrating that Step 8 needs a provable algorithm.
@@ -120,9 +120,6 @@ type Config struct {
 	Mode SampleMode
 	// Recluster selects the Step 8 algorithm (default weighted k-means++).
 	Recluster ReclusterMethod
-	// RefineIters is the Lloyd iteration budget on the candidate set when
-	// Recluster == ReclusterKMeansPPLloyd. 0 means 20.
-	RefineIters int
 	// Parallelism is the worker count for the per-round passes; <1 = all
 	// CPUs.
 	Parallelism int

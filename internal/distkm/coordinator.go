@@ -17,8 +17,8 @@ import (
 	"kmeansll/internal/rng"
 )
 
-// Stats describes a distributed run: the driver's statistics (Init only,
-// except SeedCost, which Lloyd sets to its final cost) plus the network's.
+// Stats describes a distributed run: the driver's statistics (Init only)
+// plus the network's.
 type Stats struct {
 	core.Stats
 	// RPCRounds counts barrier-synchronized fan-outs, one per pass: fold,
@@ -660,7 +660,6 @@ func (c *Coordinator) lloyd(from lloyd.Result, maxIter int, after func(lloyd.Res
 	var stats Stats
 	rounds0, calls0, fail0, retry0 := c.rpcRounds.Load(), c.calls.Load(), c.failovers.Load(), c.retries.Load()
 	res, err := mrkm.Iterate(passes{c: c}, from, maxIter, after)
-	stats.SeedCost = res.Cost
 	c.snapshot(&stats, rounds0, calls0, fail0, retry0)
 	return res, stats, err
 }

@@ -113,11 +113,15 @@ func TestLloydBitIdenticalToMRKM(t *testing.T) {
 	wantRes, _ := mrkm.Lloyd(ds, init, 30, mrkm.Config{Mappers: workers})
 
 	c := loopbackCoordinator(t, ds, workers)
-	gotRes, _, err := c.Lloyd(init, 30)
+	gotRes, gotStats, err := c.Lloyd(init, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, "Lloyd centers", gotRes.Centers, wantRes.Centers)
+	// SeedCost is the seeding's cost; Lloyd does no seeding.
+	if gotStats.SeedCost != 0 {
+		t.Fatalf("Lloyd reported seed cost %v; its final cost belongs in Result.Cost", gotStats.SeedCost)
+	}
 	if gotRes.Iters != wantRes.Iters || gotRes.Converged != wantRes.Converged {
 		t.Fatalf("iters/converged: %d/%v vs %d/%v",
 			gotRes.Iters, gotRes.Converged, wantRes.Iters, wantRes.Converged)
@@ -138,7 +142,8 @@ func TestLloydBitIdenticalToMRKM(t *testing.T) {
 // The full pipeline also agrees with the in-process core implementation. At
 // as many chunks as shards, core.Init, mrkm.Init and a distributed Init sum
 // the same partials in the same order, so they agree bit for bit: ψ, the φ
-// trace, the candidates, the centers and the seed cost.
+// trace, the candidates, the centers and the seed cost. Over float32 points
+// mrkm.Init and a float32 distributed Init agree the same way.
 func TestFitAgreesWithCore(t *testing.T) {
 	const workers = 2
 	ds := blobs(t, 6, 80, 7, 30, 3)
@@ -165,7 +170,7 @@ func TestFitAgreesWithCore(t *testing.T) {
 
 	// 1500 points, K = 12: every dimension below and from 4 up (where a
 	// pair distance sums in more than one chain), weighted and not, at 1–3
-	// partitions, 4 seeds each.
+	// partitions, 4 seeds each, in both precisions.
 	for _, d := range []int{2, 7, 16, 58} {
 		for _, weighted := range []bool{false, true} {
 			ds := blobs(t, 12, 125, d, 20, uint64(d))
@@ -176,11 +181,15 @@ func TestFitAgreesWithCore(t *testing.T) {
 					ds.Weight[i] = 0.5 + 2*r.Float64()
 				}
 			}
+			ds32 := geom.ConvertSet[float32](ds)
 			for w := 1; w <= 3; w++ {
 				c := loopbackCoordinator(t, ds, w)
+				c32 := loopbackCoordinator32(t, ds, w)
 				for s := uint64(0); s < 4; s++ {
 					cfg := core.Config{K: 12, Seed: s, Parallelism: w}
-					requireThreeAgree(t, fmt.Sprintf("d=%d/w=%v/W=%d/seed=%d", d, weighted, w, s), ds, c, cfg)
+					what := fmt.Sprintf("d=%d/w=%v/W=%d/seed=%d", d, weighted, w, s)
+					requireThreeAgree(t, what, ds, c, cfg)
+					requireFloat32Agrees(t, what, ds32, c32, cfg)
 				}
 			}
 		}
@@ -216,24 +225,37 @@ func requireThreeAgree(t *testing.T, what string, ds *geom.Dataset, c *Coordinat
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	for _, got := range []struct {
-		name    string
-		centers *geom.Matrix
-		stats   core.Stats
-	}{
-		{"mrkm", mc, ms.Stats},
-		{"distkm", dc, dst.Stats},
-	} {
-		name, gs := what+": "+got.name, got.stats
-		if gs.Candidates != ws.Candidates || !slices.Equal(gs.RoundCandidates, ws.RoundCandidates) {
-			t.Fatalf("%s: %d candidates by round %v, core %d by round %v",
-				name, gs.Candidates, gs.RoundCandidates, ws.Candidates, ws.RoundCandidates)
-		}
-		requireSameTrace(t, name+" ψ", []float64{gs.Psi}, []float64{ws.Psi})
-		requireSameTrace(t, name+" φ trace", gs.PhiTrace, ws.PhiTrace)
-		requireBitIdentical(t, name+" centers", got.centers, want)
-		requireSameTrace(t, name+" seed cost", []float64{gs.SeedCost}, []float64{ws.SeedCost})
+	requireSameInit(t, what+": mrkm", mc, ms.Stats, want, ws)
+	requireSameInit(t, what+": distkm", dc, dst.Stats, want, ws)
+}
+
+// requireFloat32Agrees runs cfg through mrkm.Init over ds32 and c32's
+// float32 distributed Init, at cfg.Parallelism partitions each, and requires
+// every bit to agree. core.Init is left out: its seed cost comes from
+// lloyd.Cost, which below geom.UseBlocked's crossover rounds float32
+// distances differently from core.CostSpan.
+func requireFloat32Agrees(t *testing.T, what string, ds32 *geom.Set[float32], c32 *Coordinator, cfg core.Config) {
+	t.Helper()
+	want, ws := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: cfg.Parallelism})
+	dc, dst, err := c32.Init(cfg)
+	if err != nil {
+		t.Fatalf("%s: float32: %v", what, err)
 	}
+	requireSameInit(t, what+": float32 distkm", dc, dst.Stats, want, ws.Stats)
+}
+
+// requireSameInit requires an Init's candidates by round, ψ, φ trace,
+// centers and seed cost to equal want's, bit for bit.
+func requireSameInit(t *testing.T, name string, got *geom.Matrix, gs core.Stats, want *geom.Matrix, ws core.Stats) {
+	t.Helper()
+	if gs.Candidates != ws.Candidates || !slices.Equal(gs.RoundCandidates, ws.RoundCandidates) {
+		t.Fatalf("%s: %d candidates by round %v, want %d by round %v",
+			name, gs.Candidates, gs.RoundCandidates, ws.Candidates, ws.RoundCandidates)
+	}
+	requireSameTrace(t, name+" ψ", []float64{gs.Psi}, []float64{ws.Psi})
+	requireSameTrace(t, name+" φ trace", gs.PhiTrace, ws.PhiTrace)
+	requireBitIdentical(t, name+" centers", got, want)
+	requireSameTrace(t, name+" seed cost", []float64{gs.SeedCost}, []float64{ws.SeedCost})
 }
 
 // Step 8 runs on the driver, so every Recluster method gives the same bits

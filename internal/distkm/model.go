@@ -6,7 +6,7 @@ import (
 )
 
 // Model packages a distributed fit's outcome (Coordinator.Fit or
-// Coordinator.Lloyd output) as a servable kmeansll.Model carrying the
+// Coordinator.ResumeFit output) as a servable kmeansll.Model carrying the
 // training statistics, for the kmserved registry and the kmcoord CLI alike.
 func Model(res lloyd.Result, stats Stats) (*kmeansll.Model, error) {
 	rows := make([][]float64, res.Centers.Rows)

@@ -434,11 +434,27 @@ func (w *Worker) Fetch(args FetchArgs, reply *FetchReply) error {
 // Release drops every shard belonging to the given fit. Coordinators call
 // it on Close so shared long-lived workers do not accumulate dead datasets.
 func (w *Worker) Release(args ReleaseArgs, _ *Ack) error {
+	w.dropShards(func(ref ShardRef, _ *shard) bool { return ref.Fit == args.Fit })
+	return nil
+}
+
+// Drop removes one shard, if present (a no-op otherwise — the coordinator's
+// rebalancing treats it as best effort). Used after a steal so the donor does
+// not keep serving memory for a shard it no longer owns.
+func (w *Worker) Drop(args DropArgs, _ *Ack) error {
+	w.dropShards(func(ref ShardRef, _ *shard) bool { return ref == args.Ref })
+	return nil
+}
+
+// dropShards removes every shard drop selects, calling drop under w.mu, and
+// unmaps those no RPC is reading; done unmaps the rest when their last
+// reader finishes.
+func (w *Worker) dropShards(drop func(ShardRef, *shard) bool) {
 	w.mu.Lock()
 	var closeNow []*shard
-	//kmlint:ignore determinism release order does not feed any reduced output; shards are independent
+	//kmlint:ignore determinism drop order does not feed any reduced output; shards are independent
 	for ref, s := range w.shards {
-		if ref.Fit == args.Fit {
+		if drop(ref, s) {
 			if dropLocked(s) {
 				closeNow = append(closeNow, s)
 			}
@@ -449,24 +465,6 @@ func (w *Worker) Release(args ReleaseArgs, _ *Ack) error {
 	for _, s := range closeNow {
 		s.closeMaps()
 	}
-	return nil
-}
-
-// Drop removes one shard, if present (a no-op otherwise — the coordinator's
-// rebalancing treats it as best effort). Used after a steal so the donor does
-// not keep serving memory for a shard it no longer owns.
-func (w *Worker) Drop(args DropArgs, _ *Ack) error {
-	w.mu.Lock()
-	s, ok := w.shards[args.Ref]
-	closeNow := ok && dropLocked(s)
-	if ok {
-		delete(w.shards, args.Ref)
-	}
-	w.mu.Unlock()
-	if closeNow {
-		s.closeMaps()
-	}
-	return nil
 }
 
 // StartJanitor expires shards that no RPC has touched for ttl, sweeping
@@ -489,21 +487,7 @@ func (w *Worker) StartJanitor(ttl time.Duration) (stop func()) {
 			case <-done:
 				return
 			case now := <-ticker.C:
-				w.mu.Lock()
-				var closeNow []*shard
-				//kmlint:ignore determinism janitor eviction order does not feed any reduced output
-				for ref, s := range w.shards {
-					if now.Sub(s.lastUsed) > ttl {
-						if dropLocked(s) {
-							closeNow = append(closeNow, s)
-						}
-						delete(w.shards, ref)
-					}
-				}
-				w.mu.Unlock()
-				for _, s := range closeNow {
-					s.closeMaps()
-				}
+				w.dropShards(func(_ ShardRef, s *shard) bool { return now.Sub(s.lastUsed) > ttl })
 			}
 		}
 	}()

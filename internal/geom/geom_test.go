@@ -149,28 +149,6 @@ func TestNearest(t *testing.T) {
 	}
 }
 
-func TestNearestFromMatchesNearest(t *testing.T) {
-	r := rng.New(3)
-	centers := NewMatrix(8, 5)
-	for i := range centers.Data {
-		centers.Data[i] = r.NormFloat64()
-	}
-	for trial := 0; trial < 100; trial++ {
-		p := make([]float64, 5)
-		for i := range p {
-			p[i] = r.NormFloat64()
-		}
-		wantIdx, wantD := Nearest(p, centers)
-		// Incremental: first 3 centers, then the rest.
-		first := &Matrix{Rows: 3, Cols: 5, Data: centers.Data[:15]}
-		i0, d0 := Nearest(p, first)
-		gotIdx, gotD := NearestFrom(p, centers, 3, i0, d0)
-		if gotIdx != wantIdx || math.Abs(gotD-wantD) > 1e-12 {
-			t.Fatalf("incremental nearest (%d,%v) != full (%d,%v)", gotIdx, gotD, wantIdx, wantD)
-		}
-	}
-}
-
 func TestCostWeighted(t *testing.T) {
 	x := FromRows([][]float64{{0}, {4}})
 	ds := &Dataset{X: x, Weight: []float64{1, 3}}

@@ -17,19 +17,6 @@ func Nearest(p []float64, centers *Matrix) (int, float64) {
 	return best, bestD
 }
 
-// NearestFrom is Nearest restricted to center rows in [from, centers.Rows),
-// starting from a known (bestIdx, bestD) pair. k-means|| uses it to update
-// cached distances against only the centers added in the current round.
-func NearestFrom(p []float64, centers *Matrix, from, bestIdx int, bestD float64) (int, float64) {
-	for c := from; c < centers.Rows; c++ {
-		if d := SqDistBound(p, centers.Row(c), bestD); d < bestD {
-			bestD = d
-			bestIdx = c
-		}
-	}
-	return bestIdx, bestD
-}
-
 // Cost returns φ_X(C) = Σ_i w_i · d²(x_i, C), the weighted k-means cost of
 // the dataset against the given centers, computed serially. For the parallel
 // version see lloyd.Cost.

@@ -15,7 +15,6 @@ var determinismScope = map[string]bool{
 	"kmeansll/internal/core":   true,
 	"kmeansll/internal/seed":   true,
 	"kmeansll/internal/lloyd":  true,
-	"kmeansll/internal/mr":     true,
 	"kmeansll/internal/mrkm":   true,
 	"kmeansll/internal/distkm": true,
 	"kmeansll/internal/rng":    true,

@@ -18,7 +18,6 @@ package lloyd
 
 import (
 	"fmt"
-	"math"
 
 	"kmeansll/internal/geom"
 )
@@ -54,12 +53,9 @@ func (m Method) String() string {
 // Config controls a Lloyd run.
 type Config struct {
 	// MaxIter bounds the number of iterations; 0 means DefaultMaxIter.
+	// Iteration stops earlier once no assignment changes, matching "until
+	// the solution does not change between two consecutive rounds" (§1).
 	MaxIter int
-	// Tol stops iteration when every center moves less than Tol (Euclidean).
-	// Iteration also stops when no assignment changes. 0 means exact
-	// assignment-stability only, matching "until the solution does not
-	// change between two consecutive rounds" (§1).
-	Tol float64
 	// Parallelism is the worker count for the assignment step; <1 = all CPUs.
 	Parallelism int
 	// Method selects the assignment algorithm.
@@ -77,7 +73,7 @@ type Result struct {
 	Assign    []int32      // nearest-center index per point
 	Cost      float64      // final φ_X(Centers)
 	Iters     int          // iterations executed
-	Converged bool         // true if stopped by stability/tolerance, not MaxIter
+	Converged bool         // true if stopped by stability, not MaxIter
 	CostTrace []float64    // cost after each iteration (monotone non-increasing)
 }
 
@@ -232,13 +228,9 @@ func runNaive[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Resu
 		// cluster; repair empty clusters by reseeding to the point with the
 		// largest cost contribution.
 		sum, weight := mergeAccs(accs)
-		maxMove := updateCenters(ds, centers, assign, sum, weight, cfg.Parallelism)
+		updateCenters(ds, centers, assign, sum, weight, cfg.Parallelism)
 
 		if changed == 0 {
-			res.Converged = true
-			break
-		}
-		if cfg.Tol > 0 && maxMove <= cfg.Tol {
 			res.Converged = true
 			break
 		}
@@ -247,10 +239,9 @@ func runNaive[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Resu
 }
 
 // updateCenters recomputes centers from the accumulated sums, repairing empty
-// clusters, and returns the largest Euclidean movement of any center.
-func updateCenters[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) float64 {
+// clusters.
+func updateCenters[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) {
 	k, d := centers.Rows, centers.Cols
-	maxMove2 := 0.0
 	var empty []int
 	for c := 0; c < k; c++ {
 		if weight[c] <= 0 {
@@ -259,22 +250,13 @@ func updateCenters[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign [
 		}
 		row := centers.Row(c)
 		inv := 1 / weight[c]
-		var move2 float64
 		for j := 0; j < d; j++ {
-			v := sum[c*d+j] * inv
-			diff := v - row[j]
-			move2 += diff * diff
-			row[j] = v
-		}
-		if move2 > maxMove2 {
-			maxMove2 = move2
+			row[j] = sum[c*d+j] * inv
 		}
 	}
 	if len(empty) > 0 {
 		repairEmpty(ds, centers, assign, empty, parallelism)
-		maxMove2 = math.Inf(1) // force another iteration
 	}
-	return math.Sqrt(maxMove2)
 }
 
 // repairEmpty reseeds each empty cluster to the point currently paying the

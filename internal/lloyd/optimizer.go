@@ -26,8 +26,8 @@ const (
 
 // Opt is the engine-level optimizer description: which refinement variant to
 // run and its variant-specific knobs. The shared run parameters (MaxIter,
-// Tol, Parallelism) travel separately in Config so one Opt value can be
-// reused across runs. The public kmeansll.Optimizer types lower to this.
+// Parallelism) travel separately in Config so one Opt value can be reused
+// across runs. The public kmeansll.Optimizer types lower to this.
 type Opt struct {
 	Kind OptKind
 	// Kernel is the assignment implementation for OptLloyd (and the final

@@ -7,7 +7,6 @@ import (
 	"kmeansll/internal/core"
 	"kmeansll/internal/rng"
 	"kmeansll/internal/seed"
-	"kmeansll/internal/stream"
 )
 
 // Fewer points than mappers: spans clamp to one point each and the result
@@ -27,38 +26,6 @@ func TestInitFewerPointsThanMappers(t *testing.T) {
 	}
 }
 
-// A single reduce task must not change any result: the shuffle bucketing is
-// an execution detail, not part of the answer.
-func TestInitSingleReducer(t *testing.T) {
-	ds := blobs(t, 5, 80, 5, 25, 33)
-	cfg := core.Config{K: 5, L: 10, Rounds: 4, Seed: 9}
-	cDefault, sDefault := Init(ds, cfg, Config{Mappers: 4})
-	cSingle, sSingle := Init(ds, cfg, Config{Mappers: 4, Reducers: 1})
-	if sDefault.Candidates != sSingle.Candidates {
-		t.Fatalf("candidates differ: %d vs %d", sDefault.Candidates, sSingle.Candidates)
-	}
-	for i := range cDefault.Data {
-		if math.Float64bits(cDefault.Data[i]) != math.Float64bits(cSingle.Data[i]) {
-			t.Fatal("Init result depends on reducer count")
-		}
-	}
-}
-
-func TestLloydSingleReducer(t *testing.T) {
-	ds := blobs(t, 4, 60, 4, 30, 35)
-	init := seed.KMeansPP(ds, 4, rng.New(36), 0)
-	rMany, _ := Lloyd(ds, init, 15, Config{Mappers: 4, Reducers: 5})
-	rOne, _ := Lloyd(ds, init, 15, Config{Mappers: 4, Reducers: 1})
-	if rMany.Iters != rOne.Iters {
-		t.Fatalf("iterations differ: %d vs %d", rMany.Iters, rOne.Iters)
-	}
-	for i := range rMany.Centers.Data {
-		if math.Float64bits(rMany.Centers.Data[i]) != math.Float64bits(rOne.Centers.Data[i]) {
-			t.Fatal("Lloyd centers depend on reducer count")
-		}
-	}
-}
-
 // Lloyd with a degenerate single-point-per-mapper split (n == mappers).
 func TestLloydOnePointPerMapper(t *testing.T) {
 	ds := blobs(t, 2, 3, 3, 50, 37) // 6 points
@@ -69,38 +36,5 @@ func TestLloydOnePointPerMapper(t *testing.T) {
 	}
 	if res.Cost < 0 {
 		t.Fatalf("negative cost %v", res.Cost)
-	}
-}
-
-// Partition with more groups than the mapper count and with a single
-// reducer: group results must be identical — the MR layout only changes
-// where the per-group work runs.
-func TestPartitionSingleReducerAndManyGroups(t *testing.T) {
-	ds := blobs(t, 4, 60, 4, 20, 39)
-	cfg := stream.Config{K: 4, M: 12, Seed: 7}
-	c1, s1, _ := Partition(ds, cfg, Config{Mappers: 3, Reducers: 1})
-	c2, s2, _ := Partition(ds, cfg, Config{Mappers: 12, Reducers: 4})
-	if s1.Intermediate != s2.Intermediate || s1.Groups != s2.Groups {
-		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
-	}
-	for i := range c1.Data {
-		if math.Float64bits(c1.Data[i]) != math.Float64bits(c2.Data[i]) {
-			t.Fatal("Partition result depends on the MR layout")
-		}
-	}
-}
-
-// Partition where m exceeds n: groups clamp to n, some of size one.
-func TestPartitionMoreGroupsThanPoints(t *testing.T) {
-	ds := blobs(t, 2, 3, 3, 30, 41) // 6 points
-	centers, stats, counters := Partition(ds, stream.Config{K: 2, M: 100, Seed: 3}, Config{})
-	if centers.Rows != 2 {
-		t.Fatalf("got %d centers", centers.Rows)
-	}
-	if stats.Groups != 6 {
-		t.Fatalf("groups = %d, want clamp to n=6", stats.Groups)
-	}
-	if counters.InputRecords != 6 {
-		t.Fatalf("one input record per group expected, got %d", counters.InputRecords)
 	}
 }

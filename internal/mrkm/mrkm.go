@@ -1,8 +1,8 @@
-// Package mrkm realizes k-means|| and Lloyd's iteration as MapReduce jobs on
-// the engine in internal/mr, following §3.5 of the paper. The (small) current
-// center set is broadcast to every mapper, and every pass over the data is
-// one job: each mapper runs one of Algorithm 2's span bodies over its input
-// split, and the reducer adds the partials in span order.
+// Package mrkm realizes k-means|| and Lloyd's iteration as MapReduce jobs,
+// following §3.5 of the paper. The (small) current center set is broadcast
+// to every mapper, and every pass over the data is one job: the mappers run
+// one of Algorithm 2's span bodies over their input splits in parallel, and
+// one reducer adds the partials in span order.
 //
 // Init is core.Drive over these jobs, one of core's three pass backends:
 //
@@ -31,7 +31,6 @@ import (
 	"kmeansll/internal/core"
 	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
-	"kmeansll/internal/mr"
 	"kmeansll/internal/rng"
 )
 
@@ -88,27 +87,22 @@ func AssignSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T],
 	return part
 }
 
-// Stats describes an MR-realized run: the driver's statistics plus the
-// engine's.
+// Stats describes an MR-realized run: the driver's statistics (Init only)
+// plus the job count.
 type Stats struct {
 	core.Stats
-	// MRRounds is the number of MapReduce jobs executed (each job is one
-	// full pass over the input).
+	// MRRounds is the number of MapReduce jobs executed, each one full pass
+	// over the input: Init runs one per pass counted in Passes (folds, Step
+	// 7, seed cost) and one per sampling round, Lloyd one per iteration.
 	MRRounds int
-	// Counters aggregates engine counters over all jobs.
-	Counters mr.Counters
 }
 
-// Config parameterizes the simulated cluster.
+// Config sizes the cluster the jobs run on.
 type Config struct {
 	// Mappers is the number of map tasks (the paper's "machines"); <1 = all
 	// CPUs.
 	Mappers int
-	// Reducers is the number of reduce tasks; <1 = Mappers.
-	Reducers int
 }
-
-func (c Config) engine() mr.Config { return mr.Config{Mappers: c.Mappers, Reducers: c.Reducers} }
 
 // Init runs Algorithm 2 with the MapReduce dataflow and returns k centers.
 // The sampling is Bernoulli with the same counter-based per-point
@@ -132,8 +126,7 @@ func Init[T geom.Float](ds *geom.Set[T], cfg core.Config, cluster Config) (*geom
 	if err != nil {
 		panic(err)
 	}
-	j.stats.Stats = st
-	return centers, j.stats
+	return centers, Stats{Stats: st, MRRounds: st.Passes + st.Rounds}
 }
 
 // Lloyd runs Lloyd's iteration where each iteration is one MapReduce job
@@ -144,10 +137,8 @@ func Init[T geom.Float](ds *geom.Set[T], cfg core.Config, cluster Config) (*geom
 // from one more span job, which is not an iteration and is not counted as
 // one of the run's MR jobs.
 func Lloyd[T geom.Float](ds *geom.Set[T], init *geom.Matrix, maxIter int, cluster Config) (lloyd.Result, Stats) {
-	j := newJobs(ds, cluster)
-	res, _ := Iterate(j, lloyd.Result{Centers: init}, maxIter, nil)
-	j.stats.SeedCost = res.Cost
-	return res, j.stats
+	res, _ := Iterate(newJobs(ds, cluster), lloyd.Result{Centers: init}, maxIter, nil)
+	return res, Stats{MRRounds: res.Iters}
 }
 
 // LloydPasses is what Iterate needs from a realization: the passes of one
@@ -233,13 +224,11 @@ func Iterate(p LloydPasses, from lloyd.Result, maxIter int, after func(lloyd.Res
 	return res, nil
 }
 
-// jobs is the MapReduce realization of core.Passes and LloydPasses: one
-// mr.Run job per pass over the spans.
+// jobs is the MapReduce realization of core.Passes and LloydPasses: one job
+// per pass over the spans.
 type jobs[T geom.Float] struct {
-	ds     *geom.Set[T]
-	spans  []Span
-	engine mr.Config
-	stats  Stats
+	ds    *geom.Set[T]
+	spans []Span
 
 	// Init only: the data-local distance cache (one entry per point, owned
 	// by the mapper that owns the point's span, +Inf before the first fold)
@@ -250,25 +239,16 @@ type jobs[T geom.Float] struct {
 }
 
 func newJobs[T geom.Float](ds *geom.Set[T], cluster Config) *jobs[T] {
-	return &jobs[T]{
-		ds:     ds,
-		spans:  MakeSpans(ds.N(), cluster.Mappers),
-		engine: cluster.engine(),
-	}
+	return &jobs[T]{ds: ds, spans: MakeSpans(ds.N(), cluster.Mappers)}
 }
 
-// job runs one MapReduce job: every span's mapper emits body(span) under
-// one key, and the reducer hands the values, in span order, to reduce. A
-// counted job adds to MRRounds and Counters.
-func job[T geom.Float, V, O any](j *jobs[T], counted bool, body func(Span) V, reduce func([]V) O) O {
-	mapper := func(s Span, emit func(int, V)) { emit(0, body(s)) }
-	reducer := func(_ int, vs []V, emit func(O)) { emit(reduce(vs)) }
-	out, counters := mr.Run(j.spans, mapper, nil, reducer, j.engine)
-	if counted {
-		j.stats.MRRounds++
-		j.stats.Counters.Add(counters)
-	}
-	return out[0]
+// job runs one MapReduce job: one mapper per span runs body over it, all
+// in parallel, and the reducer hands their outputs, in span order, to
+// reduce.
+func job[V, O any](spans []Span, body func(Span) V, reduce func([]V) O) O {
+	vs := make([]V, len(spans))
+	geom.ParallelFor(len(spans), len(spans), func(s, _, _ int) { vs[s] = body(spans[s]) })
+	return reduce(vs)
 }
 
 func sum(vs []float64) float64 {
@@ -295,13 +275,13 @@ func (j *jobs[T]) Point(i int) ([]float64, error) {
 func (j *jobs[T]) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
 	view := cands.RowRange(lo, hi)
 	c := geom.Convert[T](&view)
-	return job(j, true, func(s Span) float64 {
+	return job(j.spans, func(s Span) float64 {
 		return geom.FoldNearest(j.ds, j.d2, s.Lo, s.Hi, c)
 	}, sum), nil
 }
 
 func (j *jobs[T]) Sample(round int, phi float64, _ *rng.Rng) (*geom.Matrix, error) {
-	picks := job(j, true, func(s Span) []int {
+	picks := job(j.spans, func(s Span) []int {
 		return core.SampleSpan(j.d2[s.Lo:s.Hi], s.Lo, phi, j.ell, j.seed, round)
 	}, func(vs [][]int) []int { return slices.Concat(vs...) })
 	return geom.WidenRows(j.ds.X, picks), nil
@@ -309,14 +289,14 @@ func (j *jobs[T]) Sample(round int, phi float64, _ *rng.Rng) (*geom.Matrix, erro
 
 func (j *jobs[T]) Weights(cands *geom.Matrix) ([]float64, error) {
 	c := geom.Convert[T](cands)
-	return job(j, true, func(s Span) []float64 {
+	return job(j.spans, func(s Span) []float64 {
 		return core.WeightSpan(j.ds, s.Lo, s.Hi, c)
 	}, sumRows), nil
 }
 
 func (j *jobs[T]) Cost(centers *geom.Matrix) (float64, error) {
 	c := geom.Convert[T](centers)
-	return job(j, true, func(s Span) float64 {
+	return job(j.spans, func(s Span) float64 {
 		return core.CostSpan(j.ds, s.Lo, s.Hi, c)
 	}, sum), nil
 }
@@ -325,7 +305,7 @@ func (j *jobs[T]) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error)
 	c := geom.Convert[T](centers)
 	// Each span emits its k×(d+1) sums with its φ partial appended, so one
 	// element-wise reduction adds both.
-	total := job(j, true, func(s Span) []float64 {
+	total := job(j.spans, func(s Span) []float64 {
 		sums, phi := LloydSpan(j.ds, s.Lo, s.Hi, c)
 		return append(sums.Data, phi)
 	}, sumRows)
@@ -336,7 +316,7 @@ func (j *jobs[T]) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error)
 func (j *jobs[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
 	c := geom.Convert[T](centers)
 	assign := make([]int32, j.ds.N())
-	cost := job(j, false, func(s Span) float64 {
+	cost := job(j.spans, func(s Span) float64 {
 		return AssignSpan(j.ds, s.Lo, s.Hi, c, assign)
 	}, sum)
 	return assign, cost, nil

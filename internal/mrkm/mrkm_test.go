@@ -102,8 +102,9 @@ func TestMRRoundAccounting(t *testing.T) {
 	if stats.MRRounds != 9 {
 		t.Fatalf("MR rounds = %d, want 9", stats.MRRounds)
 	}
-	if stats.Counters.InputRecords == 0 || stats.Counters.ShufflePairs == 0 {
-		t.Fatalf("counters not populated: %+v", stats.Counters)
+	if stats.MRRounds != stats.Passes+stats.Rounds {
+		t.Fatalf("MR rounds = %d, want passes %d + sampling rounds %d",
+			stats.MRRounds, stats.Passes, stats.Rounds)
 	}
 }
 
@@ -133,6 +134,10 @@ func TestLloydMatchesInProcess(t *testing.T) {
 	if stats.MRRounds != mrRes.Iters {
 		t.Fatalf("one MR job per iteration expected: %d jobs, %d iters",
 			stats.MRRounds, mrRes.Iters)
+	}
+	// SeedCost is the seeding's cost; Lloyd does no seeding.
+	if stats.SeedCost != 0 {
+		t.Fatalf("Lloyd reported seed cost %v; its final cost belongs in Result.Cost", stats.SeedCost)
 	}
 }
 

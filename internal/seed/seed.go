@@ -35,7 +35,8 @@ func Random[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng) *geom.Matrix {
 }
 
 // WeightedRandom selects min(k, n) distinct points with probability
-// proportional to their weights (without replacement).
+// proportional to their weights (without replacement). Zero-weight points
+// are never selected, so fewer come back when fewer have positive weight.
 func WeightedRandom[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng) *geom.Matrix {
 	n := ds.N()
 	if k > n {
@@ -48,11 +49,6 @@ func WeightedRandom[T geom.Float](ds *geom.Set[T], k int, r *rng.Rng) *geom.Matr
 		return Random(ds, k, r)
 	}
 	idx := r.WeightedSampleWithoutReplacement(ds.Weight, k)
-	if len(idx) < k {
-		// Fewer than k positive-weight points: impossible for valid datasets
-		// (Validate enforces positive weights), but degrade gracefully.
-		return geom.WidenRows(ds.X, idx)
-	}
 	return geom.WidenRows(ds.X, idx)
 }
 

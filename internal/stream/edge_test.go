@@ -50,8 +50,8 @@ func TestPartitionKOne(t *testing.T) {
 	}
 }
 
-// BatchPerRound = 1 (the minimum): k-means# still produces at least one
-// center per group and at most k·batch.
+// A batch of 1 (the minimum): k-means# still produces at least one center
+// per group and at most k·batch.
 func TestKMeansSharpUnitBatch(t *testing.T) {
 	ds := tinyBlobs(3, 20, 3, 5)
 	centers := KMeansSharp(ds, 3, 1, rng.New(6))

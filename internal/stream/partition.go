@@ -32,9 +32,6 @@ type Config struct {
 	K int
 	// M is the number of groups; 0 means round(√(n/K)), the paper's setting.
 	M int
-	// BatchPerRound overrides the 3·⌈ln K⌉ centers drawn per k-means#
-	// iteration. 0 means the default.
-	BatchPerRound int
 	// Parallelism bounds how many groups are clustered concurrently
 	// (the paper's "m machines"); <1 = all CPUs.
 	Parallelism int
@@ -84,13 +81,6 @@ func Partition[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) 
 	if m > n {
 		m = n
 	}
-	batch := cfg.BatchPerRound
-	if batch <= 0 {
-		batch = 3 * int(math.Ceil(math.Log(float64(cfg.K))))
-		if batch < 1 {
-			batch = 1
-		}
-	}
 
 	// Shuffle point indices so groups are random (the stream order of the
 	// original algorithm), then slice into m equal groups.
@@ -115,7 +105,7 @@ func Partition[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) 
 		for g := lo; g < hi; g++ {
 			gr := rng.New(baseSeed).Split(uint64(g) + 1)
 			sub := ds.Subset(groups[g])
-			centers := KMeansSharp(sub, cfg.K, batch, gr)
+			centers := KMeansSharp(sub, cfg.K, 0, gr)
 			w := groupWeights(sub, centers)
 			results[g] = groupResult{centers: centers, weights: w}
 		}
@@ -147,8 +137,7 @@ func Partition[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) 
 // KMeansSharp is k-means# (Ailon et al., Algorithm 3): like k-means++, but
 // every iteration draws `batch` points from the joint D² distribution, for k
 // iterations. The first iteration draws uniformly. batch ≤ 0 selects the
-// paper's 3·⌈ln k⌉. The MapReduce realization (mrkm.Partition) reuses it as
-// the per-group mapper body.
+// paper's 3·⌈ln k⌉.
 func KMeansSharp[T geom.Float](ds *geom.Set[T], k, batch int, r *rng.Rng) *geom.Mat[T] {
 	if batch <= 0 {
 		batch = 3 * int(math.Ceil(math.Log(float64(k))))

@@ -21,9 +21,10 @@
 // candidates; it keeps k-means++'s quality guarantees (Theorem 1 of the
 // paper) while being embarrassingly parallel. The lower-level packages under
 // internal/ expose every building block — the initializers, exact
-// accelerated Lloyd kernels, the Partition streaming baseline, a MapReduce
-// engine and the paper's experiment harness — and are exercised by the
-// benches in bench_test.go, one per table and figure of the paper.
+// accelerated Lloyd kernels, the Partition streaming baseline, the MapReduce
+// and networked realizations of k-means|| and the paper's experiment
+// harness — and are exercised by the benches in bench_test.go, one per
+// table and figure of the paper.
 //
 // Beyond the library there is a serving layer: cmd/kmserved (built on
 // internal/server) exposes fitted models over HTTP with a versioned model
