@@ -38,8 +38,9 @@ func main() {
 	fmt.Printf("  phi after rounds: %.4g\n", stats.PhiTrace[len(stats.PhiTrace)-1])
 	fmt.Printf("  seed cost:        %.4g\n", stats.SeedCost)
 
-	// The mappers sum the same partials as core.Init's chunks, in the same
-	// order, so the seeding must match it bit for bit.
+	// mrkm.Init is core.Init with one chunk per mapper, so the seeding must
+	// match core.Init at Parallelism = mappers bit for bit: this guards the
+	// Mappers → Parallelism mapping.
 	want, wantStats := core.Init(ds, cfg)
 	if !bitsEqual(centers.Data, want.Data) || !bitsEqual(stats.PhiTrace, wantStats.PhiTrace) ||
 		!bitsEqual([]float64{stats.SeedCost}, []float64{wantStats.SeedCost}) {

@@ -13,9 +13,9 @@ import (
 
 // Passes is the part of Algorithm 2 that touches the points: every pass
 // over them, in one realization's partition, transport and reduction order.
-// Drive calls it for the in-process chunks (Init), the MapReduce jobs
-// (mrkm.Init) and the RPC fan-outs (distkm's Coordinator). Only the
-// networked realization's methods can fail.
+// Drive calls it for the in-process chunks (Init, and mrkm.Init through it)
+// and the RPC fan-outs (distkm's Coordinator). Only the networked
+// realization's methods can fail.
 type Passes interface {
 	// Point returns point i widened to float64: Step 1's first center.
 	Point(i int) ([]float64, error)

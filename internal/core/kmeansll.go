@@ -20,11 +20,13 @@
 //     every round", §5.3, used for Figure 5.1 to reduce variance).
 //
 // The round loop (Steps 1–8) is written once, in Drive, over a Passes
-// interface with three realizations: the in-process ParallelFor chunks
-// behind Init, MapReduce jobs (internal/mrkm) and RPC fan-outs to shard
-// workers (internal/distkm). Each keeps its own partition and sums partials
-// in partition order; Algorithm 2's per-partition bodies (geom.FoldNearest,
-// SampleSpan, WeightSpan, CostSpan) are shared by all three.
+// interface with two realizations: the in-process ParallelFor chunks behind
+// Init (mrkm.Init is Init with one chunk per mapper) and RPC fan-outs to
+// shard workers (internal/distkm). Each keeps its own partition and sums
+// partials in partition order. Both run the same per-partition bodies
+// (geom.FoldNearest, SampleSpan, WeightSpan) and the same seed-cost scan
+// (lloyd.Cost), so at as many chunks as shards they agree bit for bit, in
+// float64 and in float32.
 //
 // Per-point randomness in Bernoulli mode is derived from a counter-based hash
 // of (seed, round, point index). The same seed and Parallelism give
@@ -36,7 +38,9 @@
 // The two distance-heavy passes — the per-round D² cache update and the
 // Step 7 weighting — run on geom's blocked pairwise-distance engine (cached
 // center norms, tiled inner-product kernels) whenever the round's center
-// count clears geom.UseBlocked; tiny rounds keep the scalar pair scan.
+// count clears geom.UseBlocked; tiny rounds keep the scalar pair scan. The
+// seed cost scans as lloyd.Cost does, which for float32 always takes the
+// blocked engine.
 package core
 
 import (

@@ -281,6 +281,22 @@ func TestCandidateWeightsSumProperty(t *testing.T) {
 	}
 }
 
+// Step 7 over four chunks: the in-process backend's weights, reduced in
+// chunk order, add up to the number of points.
+func TestLocalWeightsSumToN(t *testing.T) {
+	ds := blobs(t, 4, 50, 3, 20, 15)
+	centers := seed.Random(ds, 6, rng.New(16))
+	l := &local[float64]{ds: ds, cfg: Config{Parallelism: 4}}
+	w, _ := l.Weights(centers)
+	var total float64
+	for _, v := range w {
+		total += v
+	}
+	if math.Abs(total-float64(ds.N())) > 1e-9 {
+		t.Fatalf("weights sum to %v, want %d", total, ds.N())
+	}
+}
+
 // Property: Bernoulli sampling never selects zero-distance points and
 // selection probability honors the clamp.
 func TestBernoulliSamplingProperty(t *testing.T) {

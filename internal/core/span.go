@@ -6,13 +6,14 @@ import (
 )
 
 // The span bodies below and geom.FoldNearest, the per-round cache update,
-// are Algorithm 2's per-partition work, written once over the point storage
-// type T: the in-process chunks, the MapReduce mappers (internal/mrkm) and
-// the networked shard workers (internal/distkm) all call them. Each body
-// runs the blocked engine when its center count clears geom.UseBlocked and
-// the scalar pair scan below it. All cross-point reductions stay float64 in
+// are Algorithm 2's sampling-side per-partition work, written once over the
+// point storage type T: the in-process chunks (Init, and mrkm.Init through
+// it) and the networked shard workers (internal/distkm) both call them.
+// Each body runs the blocked engine when its center count clears
+// geom.UseBlocked and the scalar pair scan below it. The seed-cost pass is
+// lloyd.Cost in both backends. All cross-point reductions stay float64 in
 // point order, so for equal partitions and seed (and, for float32, kernel
-// tier) every realization's partials agree bit for bit.
+// tier) both backends' partials agree bit for bit.
 
 // SampleSpan is Step 4's body: the global indices of the points that
 // round's Bernoulli trials select, in point order. d2 is a span's slice of
@@ -42,14 +43,4 @@ func WeightSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T])
 		w[idx] += ds.W(i)
 	})
 	return w
-}
-
-// CostSpan is the φ partial of points [lo, hi) against an arbitrary center
-// set: the evaluation pass's body.
-func CostSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) float64 {
-	var part float64
-	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, _ int32, dist float64) {
-		part += ds.W(i) * dist
-	})
-	return part
 }

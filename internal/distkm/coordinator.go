@@ -41,7 +41,7 @@ type Stats struct {
 //
 // All floating-point reductions run in fixed shard order, so for W workers
 // the results are bit-identical to mrkm.Init/mrkm.Lloyd with Mappers: W
-// (which reduce in mapper order over the same spans), regardless of which
+// (which reduce in chunk order over the same spans), regardless of which
 // physical worker computed which partial and of any mid-run failovers.
 type Coordinator struct {
 	fit     uint64 // unique id namespacing this coordinator's shards on shared workers
@@ -64,9 +64,9 @@ type Coordinator struct {
 	manPrefix string
 
 	// float32 selects the float32 shard form: workers store narrowed points
-	// and answer every distance pass with the shared span bodies over them,
-	// making the fit bit-identical to mrkm.Init+Lloyd over float32 points at
-	// Mappers = Workers. Set by SetFloat32 before Distribute.
+	// and answer every distance pass over them, making the fit bit-identical
+	// to mrkm.Init+Lloyd over float32 points at Mappers = Workers. Set by
+	// SetFloat32 before Distribute.
 	float32 bool
 
 	mu       sync.Mutex
@@ -128,8 +128,8 @@ func (c *Coordinator) ref(shardID int) ShardRef { return ShardRef{Fit: c.fit, Sh
 
 // SetFloat32 selects the precision of the workers' distance passes: with on,
 // shards are stored as float32 and every per-shard primitive runs the same
-// float32 span bodies as mrkm.Init/Lloyd, so the fit is bit-identical to
-// the in-process float32 realization at Mappers = Workers (all workers must
+// float32 code as an in-process chunk, so the fit is bit-identical to the
+// in-process float32 realization at Mappers = Workers (all workers must
 // resolve the same float32 kernel tier — see geom.ActiveF32Tier). Reductions,
 // sampling and Step 8 stay float64 on the coordinator either way. Call before
 // Distribute/DistributeManifest; the flag applies to every shard load,

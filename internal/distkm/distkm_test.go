@@ -142,8 +142,8 @@ func TestLloydBitIdenticalToMRKM(t *testing.T) {
 // The full pipeline also agrees with the in-process core implementation. At
 // as many chunks as shards, core.Init, mrkm.Init and a distributed Init sum
 // the same partials in the same order, so they agree bit for bit: ψ, the φ
-// trace, the candidates, the centers and the seed cost. Over float32 points
-// mrkm.Init and a float32 distributed Init agree the same way.
+// trace, the candidates, the centers and the seed cost, over float64 and
+// over float32 points alike.
 func TestFitAgreesWithCore(t *testing.T) {
 	const workers = 2
 	ds := blobs(t, 6, 80, 7, 30, 3)
@@ -168,9 +168,9 @@ func TestFitAgreesWithCore(t *testing.T) {
 		t.Fatalf("network counters not populated: %+v", stats)
 	}
 
-	// 1500 points, K = 12: every dimension below and from 4 up (where a
-	// pair distance sums in more than one chain), weighted and not, at 1–3
-	// partitions, 4 seeds each, in both precisions.
+	// 1500 points, K ∈ {12, 2, 3}: every dimension below and from 4 up
+	// (where a pair distance sums in more than one chain), weighted and not,
+	// at 1–3 partitions, 4 seeds each, in both precisions.
 	for _, d := range []int{2, 7, 16, 58} {
 		for _, weighted := range []bool{false, true} {
 			ds := blobs(t, 12, 125, d, 20, uint64(d))
@@ -186,10 +186,14 @@ func TestFitAgreesWithCore(t *testing.T) {
 				c := loopbackCoordinator(t, ds, w)
 				c32 := loopbackCoordinator32(t, ds, w)
 				for s := uint64(0); s < 4; s++ {
-					cfg := core.Config{K: 12, Seed: s, Parallelism: w}
-					what := fmt.Sprintf("d=%d/w=%v/W=%d/seed=%d", d, weighted, w, s)
-					requireThreeAgree(t, what, ds, c, cfg)
-					requireFloat32Agrees(t, what, ds32, c32, cfg)
+					// K = 12 clears geom.UseBlocked's crossover at every d;
+					// K ∈ {2, 3} stays below it.
+					for _, k := range []int{12, 2, 3} {
+						cfg := core.Config{K: k, Seed: s, Parallelism: w}
+						what := fmt.Sprintf("d=%d/w=%v/W=%d/seed=%d/K=%d", d, weighted, w, s, k)
+						requireThreeAgree(t, what, ds, c, cfg)
+						requireFloat32Agrees(t, what, ds32, c32, cfg)
+					}
 				}
 			}
 		}
@@ -229,19 +233,18 @@ func requireThreeAgree(t *testing.T, what string, ds *geom.Dataset, c *Coordinat
 	requireSameInit(t, what+": distkm", dc, dst.Stats, want, ws)
 }
 
-// requireFloat32Agrees runs cfg through mrkm.Init over ds32 and c32's
-// float32 distributed Init, at cfg.Parallelism partitions each, and requires
-// every bit to agree. core.Init is left out: its seed cost comes from
-// lloyd.Cost, which below geom.UseBlocked's crossover rounds float32
-// distances differently from core.CostSpan.
+// requireFloat32Agrees is requireThreeAgree over float32 points: core.Init
+// and mrkm.Init over ds32 and c32's float32 distributed Init.
 func requireFloat32Agrees(t *testing.T, what string, ds32 *geom.Set[float32], c32 *Coordinator, cfg core.Config) {
 	t.Helper()
-	want, ws := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: cfg.Parallelism})
+	want, ws := core.Init(ds32, cfg)
+	mc, ms := mrkm.Init(ds32, cfg, mrkm.Config{Mappers: cfg.Parallelism})
 	dc, dst, err := c32.Init(cfg)
 	if err != nil {
 		t.Fatalf("%s: float32: %v", what, err)
 	}
-	requireSameInit(t, what+": float32 distkm", dc, dst.Stats, want, ws.Stats)
+	requireSameInit(t, what+": float32 mrkm", mc, ms.Stats, want, ws)
+	requireSameInit(t, what+": float32 distkm", dc, dst.Stats, want, ws)
 }
 
 // requireSameInit requires an Init's candidates by round, ψ, φ trace,

@@ -3,29 +3,31 @@
 // rounds is exactly what makes the algorithm practical when every round is a
 // network round-trip instead of an in-process pass.
 //
-// The package is the third pass backend of the drivers core.Drive
+// The package is the networked pass backend of the drivers core.Drive
 // (Algorithm 2's round loop) and mrkm.Iterate (the MapReduce-style Lloyd
-// loop), next to core's in-process chunks and mrkm's MapReduce jobs:
+// loop); the other backend is the in-process one, ParallelFor chunks
+// (core.Init, which mrkm.Init runs, and mrkm.Lloyd's jobs):
 //
 //   - a Worker owns one or more data shards (contiguous global index spans)
-//     and answers each pass with the shared span bodies — D² cache fold +
-//     cost partial, Bernoulli picks, per-candidate weight counts, cost,
-//     per-shard Lloyd partial sums and assignments;
+//     and answers each pass with the code an in-process chunk runs — D²
+//     cache fold + cost partial, Bernoulli picks, per-candidate weight
+//     counts, cost (lloyd.Cost), per-shard Lloyd partial sums and
+//     assignments (lloyd.Assign);
 //   - the Coordinator turns each pass into one fan-out, broadcasting the
 //     centers and reducing the per-shard partials in fixed shard order, with
 //     retry, failover and checkpoints; the drivers run everything else,
 //     Step 8's reclustering included, on the coordinator.
 //
 // Because the sampling randomness is the counter-based rng.PointRand and all
-// floating-point reductions happen in shard order with the same span bodies
-// as mrkm, a distkm fit over W workers is bit-identical to
-// mrkm.Init + mrkm.Lloyd with Mappers: W in one process (every float64
-// crosses the wire as its exact IEEE-754 bits), and its seeding to core.Init
-// at Parallelism W. Tests assert this over the in-memory loopback transport
-// and over real worker processes. The same holds for float32 fits: shards
-// loaded with Float32 answer every distance pass through the shared span
-// bodies, so a float32 distkm fit is bit-identical to mrkm.Init +
-// mrkm.Lloyd over float32 points with Mappers: W — provided every worker
+// floating-point reductions happen in shard order over the same per-span
+// code, a distkm fit over W workers is bit-identical to core.Init at
+// Parallelism W, and to mrkm.Init + mrkm.Lloyd with Mappers: W, in one
+// process (every float64 crosses the wire as its exact IEEE-754 bits).
+// Tests assert this over the in-memory loopback transport and over real
+// worker processes. The same holds for float32 fits: shards loaded with
+// Float32 answer every distance pass with that code over float32 points, so
+// a float32 distkm fit is bit-identical to core.Init, mrkm.Init and
+// mrkm.Lloyd over float32 points at W partitions — provided every worker
 // resolves the same float32 kernel tier (geom.ActiveF32Tier; mixed
 // AVX2/NEON/pure-Go fleets round differently).
 //
@@ -169,10 +171,9 @@ type ShardRef struct {
 // matches the single-process run point for point. Points and Weights cross
 // as raw float64 blocks (Mat, Floats), 8 bytes per value whatever the
 // shard's precision. Float32 asks the worker to store the shard narrowed to
-// float32 and answer every distance pass with the float32 span bodies
-// (mrkm's span functions); the narrowing happens on the worker, so a float32
-// fit over W workers is bit-identical to mrkm.Init + mrkm.Lloyd over float32
-// points with Mappers: W.
+// float32 and answer every distance pass over float32 points; the narrowing
+// happens on the worker, so a float32 fit over W workers is bit-identical to
+// mrkm.Init + mrkm.Lloyd over float32 points with Mappers: W.
 type LoadArgs struct {
 	Ref     ShardRef
 	Lo      int

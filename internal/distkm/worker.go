@@ -14,6 +14,7 @@ import (
 	"kmeansll/internal/core"
 	"kmeansll/internal/dsio"
 	"kmeansll/internal/geom"
+	"kmeansll/internal/lloyd"
 	"kmeansll/internal/mrkm"
 )
 
@@ -45,11 +46,12 @@ type shard struct {
 }
 
 // shardData is a shard's points in either storage precision. Every method
-// runs a shared span body (geom's, core's or mrkm's) over the whole shard,
-// so a worker's partials are bit-identical to the in-process mapper's over
-// the matching span. Centers arrive as float64 off the wire and are
-// narrowed once per call; candidates are data points, so narrowing recovers
-// their exact storage bits.
+// runs over the whole shard the code an in-process chunk runs over the
+// matching span (geom.FoldNearest, core.WeightSpan, mrkm.LloydSpan, and
+// lloyd.Cost and lloyd.Assign at parallelism 1), so a worker's partials are
+// bit-identical to the in-process ones. Centers arrive as float64 off the
+// wire and are narrowed once per call; candidates are data points, so
+// narrowing recovers their exact storage bits.
 type shardData interface {
 	n() int
 	dim() int
@@ -58,7 +60,7 @@ type shardData interface {
 	weights(centers *geom.Matrix) []float64
 	lloyd(centers *geom.Matrix) (*geom.Matrix, float64)
 	cost(centers *geom.Matrix) float64
-	assign(centers *geom.Matrix, out []int32) float64
+	assign(centers *geom.Matrix) ([]int32, float64)
 }
 
 // points is shardData over storage type T.
@@ -84,11 +86,11 @@ func (p points[T]) lloyd(centers *geom.Matrix) (*geom.Matrix, float64) {
 }
 
 func (p points[T]) cost(centers *geom.Matrix) float64 {
-	return core.CostSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+	return lloyd.Cost(p.ds, geom.Convert[T](centers), 1)
 }
 
-func (p points[T]) assign(centers *geom.Matrix, out []int32) float64 {
-	return mrkm.AssignSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers), out)
+func (p points[T]) assign(centers *geom.Matrix) ([]int32, float64) {
+	return lloyd.Assign(p.ds, geom.Convert[T](centers), 1)
 }
 
 // closeMaps unmaps the shard's backing files. Callers must guarantee no
@@ -323,7 +325,7 @@ func checkRows[T geom.Float](part *geom.Set[T], seg PathSeg) error {
 // Update folds the broadcast centers (at least one) into the shard's D²
 // cache and returns the shard's φ partial. The loop is geom.FoldNearest —
 // the literally shared span body — so the partial is bit-identical to the
-// in-process realizations.
+// in-process backend's.
 func (w *Worker) Update(args UpdateArgs, reply *CostReply) error {
 	s, err := w.shardByRef(args.Ref)
 	if err != nil {
@@ -398,7 +400,7 @@ func (w *Worker) LloydStep(args CentersArgs, reply *LloydReply) error {
 }
 
 // Cost returns the shard's φ partial against an arbitrary center set
-// (the final evaluation pass, core.CostSpan).
+// (the seed-cost pass, lloyd.Cost).
 func (w *Worker) Cost(args CentersArgs, reply *CostReply) error {
 	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
 		reply.Phi = s.data.cost(centers)
@@ -407,11 +409,10 @@ func (w *Worker) Cost(args CentersArgs, reply *CostReply) error {
 
 // Assign returns the shard's nearest-center assignment (shard order) and its
 // cost partial — the final pass a fit uses to report per-point clusters
-// (mrkm.AssignSpan).
+// (lloyd.Assign).
 func (w *Worker) Assign(args CentersArgs, reply *AssignReply) error {
 	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
-		reply.Assign = make([]int32, s.data.n())
-		reply.Phi = s.data.assign(centers, reply.Assign)
+		reply.Assign, reply.Phi = s.data.assign(centers)
 	})
 }
 

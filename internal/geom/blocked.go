@@ -254,8 +254,10 @@ func VisitNearest[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, sc *Scr
 
 // Visit runs the nearest-center scan of rows [lo, hi) of pts, calling
 // visit(i, idx, d2) for every row in ascending order: the blocked engine
-// above UseBlocked's crossover, the scalar pair scan (NearestPair) below it.
-// This is the policy of the k-means|| passes and the MapReduce span bodies.
+// above UseBlocked's crossover, the scalar pair scan (NearestPair) below it,
+// in either precision. This is the policy of the k-means|| D² passes (Step
+// 7's weighting; FoldNearest applies it to the cache update). Lloyd steps,
+// costs and assignments scan with VisitAssign.
 func Visit[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, visit func(i int, idx int32, d2 float64)) {
 	visitScan(pts, centers, cNorms, lo, hi, UseBlocked(centers.Rows, centers.Cols), visit)
 }

@@ -1,47 +1,43 @@
 // Package mrkm realizes k-means|| and Lloyd's iteration as MapReduce jobs,
 // following §3.5 of the paper. The (small) current center set is broadcast
 // to every mapper, and every pass over the data is one job: the mappers run
-// one of Algorithm 2's span bodies over their input splits in parallel, and
-// one reducer adds the partials in span order.
+// over their input splits in parallel, and one reducer adds the partials in
+// split order.
 //
-// Init is core.Drive over these jobs, one of core's three pass backends:
+// In one process a job is one geom.ParallelFor over Mappers chunks, which
+// is exactly core.Init's pass backend at Parallelism = Mappers, so Init is
+// core.Init run at that parallelism: a fold job per round updates each
+// split's cached distances and sums φ, a sampling job collects each split's
+// Bernoulli picks, Step 7 is one weighting job and the seed cost one cost
+// job; Step 8 (reclustering) runs on "a single machine", the driver,
+// because the candidate set is tiny. The networked coordinator
+// (internal/distkm) shards with MakeSpans, the same partition, so its fits
+// agree with Init bit for bit in both precisions.
 //
-//   - a fold job updates each split's cached distances against the newly
-//     added centers and sums φ;
-//   - a sampling job reads the caches, needs the φ the previous job
-//     produced, and collects each split's Bernoulli picks;
-//   - Step 7 is one weighting job, and the seed cost one cost job;
-//   - Step 8 (reclustering) runs on "a single machine", the driver, because
-//     the candidate set is tiny.
-//
-// Lloyd's iteration is one job per iteration, reducing Σw·x ⧺ Σw per center.
-// Its loop, Iterate, is written once, here, over the LloydPasses interface,
-// for Lloyd and for the networked coordinator (internal/distkm).
-//
-// The per-point distance cache lives with the input partition, mirroring the
-// data-local state a Hadoop implementation would persist alongside its split
-// between rounds (or recompute; the pass count is identical either way).
+// Lloyd's iteration is one job per iteration, reducing Σw·x ⧺ Σw per center
+// (LloydSpan). Its loop, Iterate, is written once, here, over the
+// LloydPasses interface, for Lloyd and for the networked coordinator.
 package mrkm
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"kmeansll/internal/core"
 	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
-	"kmeansll/internal/rng"
 )
 
 // Span is one input partition: points [Lo, Hi) of the dataset. The
-// networked realization (internal/distkm) shards with the same function, so
-// its per-shard partial sums line up with the mapper partials here term for
-// term — the foundation of the bit-identical-parity guarantee.
+// networked realization (internal/distkm) shards with MakeSpans, whose
+// spans are geom.ParallelFor's chunks, so its per-shard partial sums line
+// up with the mapper partials here term for term — the foundation of the
+// bit-identical-parity guarantee.
 type Span struct{ Lo, Hi int }
 
 // MakeSpans splits n points into min(mappers, n) contiguous spans
-// (mappers < 1 means all CPUs).
+// (mappers < 1 means all CPUs): the chunks geom.ParallelFor(n, mappers)
+// runs.
 func MakeSpans(n, mappers int) []Span {
 	m := geom.Workers(mappers)
 	if m > n {
@@ -59,12 +55,14 @@ func MakeSpans(n, mappers int) []Span {
 
 // LloydSpan is one Lloyd iteration's mapper body: per-center Σw·x ⧺ Σw (a
 // k×(d+1) float64 matrix, widened accumulation) plus the span's
-// assignment-cost partial.
+// assignment-cost partial. It scans as lloyd.Run does: the blocked engine
+// above geom.UseBlocked's crossover, and always for float32.
 func LloydSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) (*geom.Matrix, float64) {
-	d := centers.Cols
-	sums := geom.NewMatrix(centers.Rows, d+1)
+	k, d := centers.Rows, centers.Cols
+	sums := geom.NewMatrix(k, d+1)
 	var phi float64
-	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, dist float64) {
+	cNorms := geom.RowSqNorms(centers, nil)
+	geom.VisitAssign(ds.X, centers, cNorms, lo, hi, geom.UseBlocked(k, d), func(i int, idx int32, dist float64) {
 		w := ds.W(i)
 		row := sums.Row(int(idx))
 		geom.AddScaled(row[:d], w, ds.Point(i))
@@ -72,19 +70,6 @@ func LloydSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) 
 		phi += w * dist
 	})
 	return sums, phi
-}
-
-// AssignSpan writes the nearest-center index of every point in [lo, hi)
-// into assign (indexed globally, like the D² cache in geom.FoldNearest) and
-// returns the span's cost partial — the final-assignment mapper body (a
-// distkm worker passes its local slice with lo = 0).
-func AssignSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], assign []int32) float64 {
-	var part float64
-	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, dist float64) {
-		assign[i] = idx
-		part += ds.W(i) * dist
-	})
-	return part
 }
 
 // Stats describes an MR-realized run: the driver's statistics (Init only)
@@ -104,28 +89,17 @@ type Config struct {
 	Mappers int
 }
 
-// Init runs Algorithm 2 with the MapReduce dataflow and returns k centers.
-// The sampling is Bernoulli with the same counter-based per-point
-// randomness as core.Init, so at Mappers equal to core's Parallelism the
-// result is core.Init's, bit for bit; every Recluster method runs. Only the
-// mappers run in T; sampling reads the float64 D² cache and Step 8
-// reclusters the widened candidates in float64. Init panics on ExactL
-// sampling, which needs the whole D² cache in one place.
+// Init runs Algorithm 2 with the MapReduce dataflow and returns k centers:
+// core.Init with one chunk per mapper (Parallelism = Mappers, overriding
+// cfg's), so the result is core.Init's at that parallelism, bit for bit, in
+// either storage precision; every Recluster method runs. Init panics on
+// ExactL sampling, which needs the whole D² cache in one place.
 func Init[T geom.Float](ds *geom.Set[T], cfg core.Config, cluster Config) (*geom.Matrix, Stats) {
 	if cfg.Mode != core.Bernoulli {
 		panic(fmt.Sprintf("mrkm: %v sampling needs the whole D² cache in one place", cfg.Mode))
 	}
-	ell, _ := cfg.Schedule()
-	j := newJobs(ds, cluster)
-	j.ell, j.seed = ell, cfg.Seed
-	j.d2 = make([]float64, ds.N())
-	for i := range j.d2 {
-		j.d2[i] = math.Inf(1)
-	}
-	centers, st, err := core.Drive(j, cfg, ds.N(), ds.Weight, nil, nil)
-	if err != nil {
-		panic(err)
-	}
+	cfg.Parallelism = cluster.Mappers
+	centers, st := core.Init(ds, cfg)
 	return centers, Stats{Stats: st, MRRounds: st.Passes + st.Rounds}
 }
 
@@ -133,11 +107,11 @@ func Init[T geom.Float](ds *geom.Set[T], cfg core.Config, cluster Config) (*geom
 // (the standard parallel k-means the paper cites from Mahout), with
 // Iterate's loop. Centers are mastered in float64 and narrowed to a T
 // snapshot the mappers scan; the per-center reduction and the center update
-// stay float64, folded in span order. The final assignment and cost come
-// from one more span job, which is not an iteration and is not counted as
-// one of the run's MR jobs.
+// stay float64, folded in mapper order. The final assignment and cost come
+// from lloyd.Assign over the same chunks, which is not an iteration and is
+// not counted as one of the run's MR jobs.
 func Lloyd[T geom.Float](ds *geom.Set[T], init *geom.Matrix, maxIter int, cluster Config) (lloyd.Result, Stats) {
-	res, _ := Iterate(newJobs(ds, cluster), lloyd.Result{Centers: init}, maxIter, nil)
+	res, _ := Iterate(jobs[T]{ds: ds, mappers: cluster.Mappers}, lloyd.Result{Centers: init}, maxIter, nil)
 	return res, Stats{MRRounds: res.Iters}
 }
 
@@ -224,100 +198,28 @@ func Iterate(p LloydPasses, from lloyd.Result, maxIter int, after func(lloyd.Res
 	return res, nil
 }
 
-// jobs is the MapReduce realization of core.Passes and LloydPasses: one job
-// per pass over the spans.
+// jobs is the MapReduce realization of LloydPasses: one job per pass, a
+// mapper per geom.ParallelFor chunk.
 type jobs[T geom.Float] struct {
-	ds    *geom.Set[T]
-	spans []Span
-
-	// Init only: the data-local distance cache (one entry per point, owned
-	// by the mapper that owns the point's span, +Inf before the first fold)
-	// and the sampling parameters.
-	d2   []float64
-	ell  float64
-	seed uint64
+	ds      *geom.Set[T]
+	mappers int
 }
 
-func newJobs[T geom.Float](ds *geom.Set[T], cluster Config) *jobs[T] {
-	return &jobs[T]{ds: ds, spans: MakeSpans(ds.N(), cluster.Mappers)}
-}
-
-// job runs one MapReduce job: one mapper per span runs body over it, all
-// in parallel, and the reducer hands their outputs, in span order, to
-// reduce.
-func job[V, O any](spans []Span, body func(Span) V, reduce func([]V) O) O {
-	vs := make([]V, len(spans))
-	geom.ParallelFor(len(spans), len(spans), func(s, _, _ int) { vs[s] = body(spans[s]) })
-	return reduce(vs)
-}
-
-func sum(vs []float64) float64 {
-	var s float64
-	for _, v := range vs {
-		s += v
+func (j jobs[T]) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error) {
+	c := geom.Convert[T](centers)
+	parts := make([]*geom.Matrix, geom.ChunkCount(j.ds.N(), j.mappers))
+	phis := make([]float64, len(parts))
+	geom.ParallelFor(j.ds.N(), j.mappers, func(s, lo, hi int) { parts[s], phis[s] = LloydSpan(j.ds, lo, hi, c) })
+	sums := geom.NewMatrix(centers.Rows, centers.Cols+1)
+	var phi float64
+	for s, part := range parts {
+		geom.AddScaled(sums.Data, 1, part.Data)
+		phi += phis[s]
 	}
-	return s
+	return sums, phi, nil
 }
 
-// sumRows adds equal-length vectors element by element, in order.
-func sumRows(vs [][]float64) []float64 {
-	out := make([]float64, len(vs[0]))
-	for _, v := range vs {
-		geom.AddScaled(out, 1, v)
-	}
-	return out
-}
-
-func (j *jobs[T]) Point(i int) ([]float64, error) {
-	return geom.WidenRow(make([]float64, j.ds.Dim()), j.ds.Point(i)), nil
-}
-
-func (j *jobs[T]) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
-	view := cands.RowRange(lo, hi)
-	c := geom.Convert[T](&view)
-	return job(j.spans, func(s Span) float64 {
-		return geom.FoldNearest(j.ds, j.d2, s.Lo, s.Hi, c)
-	}, sum), nil
-}
-
-func (j *jobs[T]) Sample(round int, phi float64, _ *rng.Rng) (*geom.Matrix, error) {
-	picks := job(j.spans, func(s Span) []int {
-		return core.SampleSpan(j.d2[s.Lo:s.Hi], s.Lo, phi, j.ell, j.seed, round)
-	}, func(vs [][]int) []int { return slices.Concat(vs...) })
-	return geom.WidenRows(j.ds.X, picks), nil
-}
-
-func (j *jobs[T]) Weights(cands *geom.Matrix) ([]float64, error) {
-	c := geom.Convert[T](cands)
-	return job(j.spans, func(s Span) []float64 {
-		return core.WeightSpan(j.ds, s.Lo, s.Hi, c)
-	}, sumRows), nil
-}
-
-func (j *jobs[T]) Cost(centers *geom.Matrix) (float64, error) {
-	c := geom.Convert[T](centers)
-	return job(j.spans, func(s Span) float64 {
-		return core.CostSpan(j.ds, s.Lo, s.Hi, c)
-	}, sum), nil
-}
-
-func (j *jobs[T]) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error) {
-	c := geom.Convert[T](centers)
-	// Each span emits its k×(d+1) sums with its φ partial appended, so one
-	// element-wise reduction adds both.
-	total := job(j.spans, func(s Span) []float64 {
-		sums, phi := LloydSpan(j.ds, s.Lo, s.Hi, c)
-		return append(sums.Data, phi)
-	}, sumRows)
-	n := len(total) - 1
-	return &geom.Matrix{Rows: centers.Rows, Cols: centers.Cols + 1, Data: total[:n]}, total[n], nil
-}
-
-func (j *jobs[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
-	c := geom.Convert[T](centers)
-	assign := make([]int32, j.ds.N())
-	cost := job(j.spans, func(s Span) float64 {
-		return AssignSpan(j.ds, s.Lo, s.Hi, c, assign)
-	}, sum)
+func (j jobs[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
+	assign, cost := lloyd.Assign(j.ds, geom.Convert[T](centers), j.mappers)
 	return assign, cost, nil
 }

@@ -165,19 +165,6 @@ func TestLloydConvergesAndStops(t *testing.T) {
 	}
 }
 
-func TestWeightJobSumsToN(t *testing.T) {
-	ds := blobs(t, 4, 50, 3, 20, 15)
-	centers := seed.Random(ds, 6, rng.New(16))
-	w, _ := newJobs(ds, Config{Mappers: 4}).Weights(centers)
-	var total float64
-	for _, v := range w {
-		total += v
-	}
-	if math.Abs(total-float64(ds.N())) > 1e-9 {
-		t.Fatalf("weights sum to %v, want %d", total, ds.N())
-	}
-}
-
 func TestMakeSpans(t *testing.T) {
 	spans := MakeSpans(10, 3)
 	if len(spans) != 3 {

@@ -199,7 +199,7 @@ func FromState(st State) *Rng {
 // (seed, round, i). The k-means|| Bernoulli sampling step uses it so that
 // whether point i is selected in a given round depends only on the run seed —
 // not on worker count, chunking, or which machine owns the point. The
-// in-process (core), MapReduce (mrkm) and networked (distkm) realizations all
+// in-process (core, and mrkm through it) and networked (distkm) backends
 // share it, which is what makes their candidate sets identical for equal
 // seeds.
 func PointRand(seed uint64, round, i int) float64 {
