@@ -3,8 +3,10 @@ package distkm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/rpc"
 	"path"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -413,13 +415,42 @@ func (c *Coordinator) withFailover(shardID int, call func(int, Client) error) er
 }
 
 // badReply reports a shard reply that decoded but does not fit the call
-// that asked for it. Each call decodes into a fresh reply and keeps it only
-// once it fits, so nothing of a rejected reply survives into a retry. The
-// error is a plain one, not an rpc.ServerError: withFailover retries the
-// call and then fails the worker over, as it does a reply that does not
-// decode.
+// that asked for it, by its shape or by its values. Each call decodes into a
+// fresh reply and keeps it only once it fits, so nothing of a rejected reply
+// survives into a retry. The error is a plain one, not an rpc.ServerError:
+// withFailover retries the call and then fails the worker over, as it does a
+// reply that does not decode.
 func badReply(shardID int, method, format string, args ...any) error {
-	return fmt.Errorf("distkm: shard %d: misshapen %s reply: %s", shardID, method, fmt.Sprintf(format, args...))
+	return fmt.Errorf("distkm: shard %d: bad %s reply: %s", shardID, method, fmt.Sprintf(format, args...))
+}
+
+// badSum reports a value no sum of non-negative terms (a φ partial, a
+// weight) can take: NaN or negative. +Inf is legal, because finite data can
+// overflow in process too.
+func badSum(v float64) bool { return !(v >= 0) }
+
+// checkPhi rejects a reply's φ partial if badSum.
+func checkPhi(shardID int, method string, phi float64) error {
+	if badSum(phi) {
+		return badReply(shardID, method, "φ partial %v", phi)
+	}
+	return nil
+}
+
+// checkPoints rejects points with a NaN or infinite coordinate, which no
+// worker holds: every point was checked finite before it was installed.
+func checkPoints(shardID int, method string, xs []float64) error {
+	for i, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return badReply(shardID, method, "coordinate %v at flat index %d", v, i)
+		}
+	}
+	return nil
+}
+
+// phiOnly is fanOut's check for a reply that is only a φ partial.
+func phiOnly(method string) func(int, *CostReply) error {
+	return func(s int, rep *CostReply) error { return checkPhi(s, method, rep.Phi) }
 }
 
 // callRetry attempts call up to the retry policy's budget against one
@@ -811,6 +842,9 @@ func (p passes) Point(index int) ([]float64, error) {
 		if len(rep.Point) != c.dim {
 			return badReply(s, "Fetch", "a point of dim %d, want %d", len(rep.Point), c.dim)
 		}
+		if err := checkPoints(s, "Fetch", rep.Point); err != nil {
+			return err
+		}
 		point = rep.Point
 		return nil
 	})
@@ -824,9 +858,9 @@ func (p passes) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
 	c := p.c
 	view := cands.RowRange(lo, hi)
 	group := matOf(view.Rows, view.Cols, view.Data)
-	replies, err := fanOut[CostReply](c, "Worker.Update", func(ref ShardRef) any {
+	replies, err := fanOut(c, "Worker.Update", func(ref ShardRef) any {
 		return UpdateArgs{Ref: ref, New: group, Reset: lo == 0}
-	}, nil)
+	}, phiOnly("Update"))
 	if err != nil {
 		return 0, err
 	}
@@ -846,7 +880,7 @@ func (p passes) Sample(round int, phi float64, _ *rng.Rng) (*geom.Matrix, error)
 		if pts, rows := rep.Points, c.spans[s].Hi-c.spans[s].Lo; pts.Cols != c.dim || pts.Rows > rows {
 			return badReply(s, "Sample", "%d×%d points from a %d-row shard of dim %d", pts.Rows, pts.Cols, rows, c.dim)
 		}
-		return nil
+		return checkPoints(s, "Sample", rep.Points.Data)
 	})
 	if err != nil {
 		return nil, err
@@ -864,6 +898,9 @@ func (p passes) Weights(cands *geom.Matrix) ([]float64, error) {
 		if len(rep.W) != cands.Rows {
 			return badReply(s, "Weights", "%d weights for %d candidates", len(rep.W), cands.Rows)
 		}
+		if i := slices.IndexFunc(rep.W, badSum); i >= 0 {
+			return badReply(s, "Weights", "candidate %d has weight %v", i, rep.W[i])
+		}
 		return nil
 	})
 	if err != nil {
@@ -877,7 +914,7 @@ func (p passes) Weights(cands *geom.Matrix) ([]float64, error) {
 }
 
 func (p passes) Cost(centers *geom.Matrix) (float64, error) {
-	replies, err := fanOut[CostReply](p.c, "Worker.Cost", centersArgs(centers), nil)
+	replies, err := fanOut(p.c, "Worker.Cost", centersArgs(centers), phiOnly("Cost"))
 	return sumPhi(replies), err
 }
 
@@ -887,7 +924,16 @@ func (p passes) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 		if sums := rep.Sums; sums.Rows != k || sums.Cols != d+1 {
 			return badReply(s, "LloydStep", "%d×%d sums, want %d×%d", sums.Rows, sums.Cols, k, d+1)
 		}
-		return nil
+		for i := 0; i < k; i++ {
+			row := rep.Sums.Data[i*(d+1) : (i+1)*(d+1)]
+			if slices.ContainsFunc(row[:d], math.IsNaN) {
+				return badReply(s, "LloydStep", "NaN in the sums of center %d", i)
+			}
+			if badSum(row[d]) {
+				return badReply(s, "LloydStep", "center %d has weight %v", i, row[d])
+			}
+		}
+		return checkPhi(s, "LloydStep", rep.Phi)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -912,7 +958,7 @@ func (p passes) Assign(centers *geom.Matrix) ([]int32, float64, error) {
 				return badReply(s, "Assign", "row %d assigned to center %d of %d", i, a, k)
 			}
 		}
-		return nil
+		return checkPhi(s, "Assign", rep.Phi)
 	})
 	if err != nil {
 		return nil, 0, err

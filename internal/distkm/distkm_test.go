@@ -614,14 +614,95 @@ func (w misshapenAssign) Assign(args CentersArgs, reply *AssignReply) error {
 	return nil
 }
 
+// The poisoned workers answer one method with a reply of the right shape
+// whose values no correct worker sends.
+type (
+	poisonedFetch   struct{ *Worker } // a NaN coordinate
+	poisonedUpdate  struct{ *Worker } // a NaN φ partial
+	poisonedSample  struct{ *Worker } // an infinite coordinate
+	poisonedWeights struct{ *Worker } // a negative weight
+	poisonedCost    struct{ *Worker } // a negative φ partial
+	poisonedLloyd   struct{ *Worker } // a negative weight column
+	poisonedSums    struct{ *Worker } // a NaN coordinate sum
+	poisonedAssign  struct{ *Worker } // a NaN φ partial
+)
+
+func (w poisonedFetch) Fetch(args FetchArgs, reply *FetchReply) error {
+	if err := w.Worker.Fetch(args, reply); err != nil {
+		return err
+	}
+	reply.Point[0] = math.NaN()
+	return nil
+}
+
+func (w poisonedUpdate) Update(args UpdateArgs, reply *CostReply) error {
+	if err := w.Worker.Update(args, reply); err != nil {
+		return err
+	}
+	reply.Phi = math.NaN()
+	return nil
+}
+
+func (w poisonedSample) Sample(args SampleArgs, reply *SampleReply) error {
+	if err := w.Worker.Sample(args, reply); err != nil {
+		return err
+	}
+	if len(reply.Points.Data) > 0 {
+		reply.Points.Data[0] = math.Inf(1)
+	}
+	return nil
+}
+
+func (w poisonedWeights) Weights(args CentersArgs, reply *WeightsReply) error {
+	if err := w.Worker.Weights(args, reply); err != nil {
+		return err
+	}
+	reply.W[0] = -1
+	return nil
+}
+
+func (w poisonedCost) Cost(args CentersArgs, reply *CostReply) error {
+	if err := w.Worker.Cost(args, reply); err != nil {
+		return err
+	}
+	reply.Phi = -1
+	return nil
+}
+
+func (w poisonedLloyd) LloydStep(args CentersArgs, reply *LloydReply) error {
+	if err := w.Worker.LloydStep(args, reply); err != nil {
+		return err
+	}
+	reply.Sums.Data[reply.Sums.Cols-1] = -1
+	return nil
+}
+
+func (w poisonedSums) LloydStep(args CentersArgs, reply *LloydReply) error {
+	if err := w.Worker.LloydStep(args, reply); err != nil {
+		return err
+	}
+	reply.Sums.Data[0] = math.NaN()
+	return nil
+}
+
+func (w poisonedAssign) Assign(args CentersArgs, reply *AssignReply) error {
+	if err := w.Worker.Assign(args, reply); err != nil {
+		return err
+	}
+	reply.Phi = math.NaN()
+	return nil
+}
+
 // A reply that decodes but does not fit its request — a wrong count of
-// weights, sums, rows, columns or assignments, or an assignment to no
-// center — is the sending worker's fault too: the coordinator fails that
-// worker over once, and the fit stays bit-identical to mrkm.
+// weights, sums, rows, columns or assignments, an assignment to no center,
+// a NaN or negative φ partial, weight or weight column, a NaN coordinate
+// sum, or a non-finite point coordinate — is the sending worker's fault
+// too: the coordinator fails that worker over once, and the fit stays
+// bit-identical to mrkm.
 func TestMisshapenReplyFailsWorkerOver(t *testing.T) {
 	ds := blobs(t, 4, 100, 5, 20, 17)
 	cfg := core.Config{K: 4, L: 8, Rounds: 4, Seed: 5}
-	wantInit, _ := mrkm.Init(ds, cfg, mrkm.Config{Mappers: 2})
+	wantInit, wantStats := mrkm.Init(ds, cfg, mrkm.Config{Mappers: 2})
 	wantRes, _ := mrkm.Lloyd(ds, wantInit, 20, mrkm.Config{Mappers: 2})
 	// Step 1 fetches the first center from the shard that owns it, so the
 	// misshapen Fetch worker serves that shard.
@@ -639,6 +720,14 @@ func TestMisshapenReplyFailsWorkerOver(t *testing.T) {
 		{"Weights", misshapenWeights{NewWorker()}, 1},
 		{"LloydStep", misshapenLloyd{NewWorker()}, 1},
 		{"Assign", misshapenAssign{NewWorker()}, 1},
+		{"PoisonedFetch", poisonedFetch{NewWorker()}, firstShard},
+		{"PoisonedUpdate", poisonedUpdate{NewWorker()}, 1},
+		{"PoisonedSample", poisonedSample{NewWorker()}, 1},
+		{"PoisonedWeights", poisonedWeights{NewWorker()}, 1},
+		{"PoisonedCost", poisonedCost{NewWorker()}, 1},
+		{"PoisonedLloydStep", poisonedLloyd{NewWorker()}, 1},
+		{"PoisonedSums", poisonedSums{NewWorker()}, 1},
+		{"PoisonedAssign", poisonedAssign{NewWorker()}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := withBadWorker(t, tc.bad, tc.badShard)
@@ -657,10 +746,12 @@ func TestMisshapenReplyFailsWorkerOver(t *testing.T) {
 				t.Fatalf("%d failovers, want the misshapen worker's shard failed over once", n)
 			}
 			requireBitIdentical(t, "Init", gotInit, wantInit)
+			requireSameInit(t, "Init", gotInit, initStats.Stats, wantInit, wantStats.Stats)
 			requireBitIdentical(t, "Lloyd centers", gotRes.Centers, wantRes.Centers)
 			if !slices.Equal(gotRes.Assign, wantRes.Assign) {
 				t.Fatal("assignments differ from mrkm's")
 			}
+			requireSameTrace(t, "Lloyd cost", []float64{gotRes.Cost}, []float64{wantRes.Cost})
 		})
 	}
 }
