@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"unicode"
@@ -126,8 +125,12 @@ const maxPresize = 1 << 20
 func readBody(r *http.Request, buf []byte, limit int64) ([]byte, error) {
 	buf = buf[:0]
 	if r.ContentLength > 0 {
-		// One byte spare, so the read that reports EOF needs no growth.
-		buf = slices.Grow(buf, int(min(r.ContentLength, limit, maxPresize))+1)
+		// One byte spare, so the read that reports EOF needs no growth. One
+		// make, not slices.Grow: without the compiler's append-of-make
+		// rewrite, which -race builds do not apply, Grow allocates twice.
+		if n := int(min(r.ContentLength, limit, maxPresize)) + 1; cap(buf) < n {
+			buf = make([]byte, 0, n)
+		}
 	}
 	for {
 		if len(buf) == cap(buf) {
