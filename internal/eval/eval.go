@@ -40,21 +40,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation (n-1 denominator); 0 for
-// fewer than two values.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Timed runs f and returns its wall-clock duration.
 func Timed(f func()) time.Duration {
 	start := time.Now()

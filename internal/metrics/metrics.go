@@ -2,9 +2,9 @@
 // cost the paper reports: silhouette (sampled for large n), Davies–Bouldin,
 // and the external measures purity and normalized mutual information against
 // ground-truth labels (available for the GaussMixture generator, whose true
-// mixture components are known). The examples and ablation benches use these
-// to show that the cheaper seedings do not just minimize cost but recover
-// the underlying structure.
+// mixture components are known). Only the root package's integration tests
+// use them, to check that the D²-based seedings recover a mixture's
+// structure and not just a low cost.
 package metrics
 
 import (

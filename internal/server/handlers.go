@@ -295,8 +295,8 @@ type modelSummary struct {
 	Optimizer string  `json:"optimizer,omitempty"`
 	// Precision is the arithmetic this version's batch predictions run at.
 	// PrecisionRequested/PrecisionEffective appear when the fit asked for
-	// "f32": effective "f64" means the configuration was outside the float32
-	// fast path and the fit transparently widened.
+	// "f32". Every configuration runs at the requested precision today, so
+	// the two are equal (kmeansll.Model.PrecisionEffective).
 	Precision          string      `json:"precision"`
 	PrecisionRequested string      `json:"precision_requested,omitempty"`
 	PrecisionEffective string      `json:"precision_effective,omitempty"`

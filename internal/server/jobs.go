@@ -73,8 +73,9 @@ type JobStatus struct {
 	Converged  bool     `json:"converged,omitempty"`
 	// PrecisionRequested is set when the fit config asked for a non-default
 	// precision; PrecisionEffective then reports, once the job finishes, the
-	// arithmetic that actually ran ("f64" = the config was outside the
-	// float32 fast path and the fit transparently widened).
+	// arithmetic that actually ran. Every configuration runs at the
+	// requested precision today, so the two are equal
+	// (kmeansll.Model.PrecisionEffective).
 	PrecisionRequested string `json:"precision_requested,omitempty"`
 	PrecisionEffective string `json:"precision_effective,omitempty"`
 }
@@ -213,9 +214,10 @@ func newJobManager(reg *Registry, workers, depth int, runJob func(*Job)) *JobMan
 
 // FitSpec fully describes one fit submission.
 type FitSpec struct {
-	Model    string
-	Points   [][]float64
-	Config   kmeansll.Config
+	Model  string
+	Points [][]float64
+	Config kmeansll.Config
+	// Restarts ≤ 1 runs Cluster once; more runs ClusterBest.
 	Restarts int
 	// Backend selects where the fit runs: "" or "local" is the in-process
 	// kmeansll.Cluster path, "dist" shards the points across distkm workers
@@ -232,13 +234,6 @@ type FitSpec struct {
 	DataPath  string
 	DataName  string
 	NumPoints int
-}
-
-// Submit enqueues a fit of cfg over points, publishing the result as
-// modelName. restarts ≤ 1 runs Cluster once; otherwise ClusterBest.
-func (m *JobManager) Submit(modelName string, points [][]float64, cfg kmeansll.Config, restarts int) (*Job, error) {
-	j, _, err := m.SubmitSpec(FitSpec{Model: modelName, Points: points, Config: cfg, Restarts: restarts})
-	return j, err
 }
 
 // SubmitSpec enqueues the described fit. It returns the job and its status

@@ -42,7 +42,7 @@ func TestJobsPersistRecoverQueuedAndRunning(t *testing.T) {
 		m1.Stop()
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := m1.Submit("crashy", points, kmeansll.Config{K: 3, Seed: 5}, 1); err != nil {
+		if _, _, err := m1.SubmitSpec(FitSpec{Model: "crashy", Points: points, Config: kmeansll.Config{K: 3, Seed: 5}}); err != nil {
 			t.Fatal(err)
 		}
 	}

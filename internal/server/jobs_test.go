@@ -78,7 +78,7 @@ func TestStopPriorityOverQueuedJobs(t *testing.T) {
 		}
 		m := newJobManager(NewRegistry(0), 1, 16, stub)
 
-		first, err := m.Submit("m", points, testFitConfig(), 1)
+		first, _, err := m.SubmitSpec(FitSpec{Model: "m", Points: points, Config: testFitConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestStopPriorityOverQueuedJobs(t *testing.T) {
 
 		queued := make([]*Job, 0, 5)
 		for i := 0; i < 5; i++ {
-			j, err := m.Submit("m", points, testFitConfig(), 1)
+			j, _, err := m.SubmitSpec(FitSpec{Model: "m", Points: points, Config: testFitConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}

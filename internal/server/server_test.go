@@ -544,18 +544,19 @@ func TestRegistryPersistence(t *testing.T) {
 	}
 }
 
-// TestJobManagerShutdown verifies Stop is clean and Submit-after-Stop fails.
+// TestJobManagerShutdown verifies Stop is clean and SubmitSpec-after-Stop
+// fails.
 func TestJobManagerShutdown(t *testing.T) {
 	reg := NewRegistry(0)
 	jm := NewJobManager(reg, 1, 2)
-	j, err := jm.Submit("shut", blobPoints(50, 2, 2, 1), kmeansll.Config{K: 2}, 1)
+	j, _, err := jm.SubmitSpec(FitSpec{Model: "shut", Points: blobPoints(50, 2, 2, 1), Config: kmeansll.Config{K: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	jm.Stop()
 	jm.Stop() // idempotent
-	if _, err := jm.Submit("late", blobPoints(10, 2, 2, 1), kmeansll.Config{K: 2}, 1); err == nil {
-		t.Fatal("Submit after Stop succeeded")
+	if _, _, err := jm.SubmitSpec(FitSpec{Model: "late", Points: blobPoints(10, 2, 2, 1), Config: kmeansll.Config{K: 2}}); err == nil {
+		t.Fatal("SubmitSpec after Stop succeeded")
 	}
 	st := j.Status()
 	if st.State != JobDone && st.State != JobCanceled {
