@@ -349,9 +349,7 @@ func boxSqDist(q, boxMin, boxMax []float64) float64 {
 // movement) or maxIter, mirroring lloyd.Run semantics. It returns the final
 // centers, exact final cost, iterations and total distance evaluations.
 func (t *Tree) Run(centers *geom.Matrix, maxIter int) (*geom.Matrix, float64, int, int64) {
-	if maxIter <= 0 {
-		maxIter = lloyd.DefaultMaxIter
-	}
+	maxIter = lloyd.MaxIter(maxIter)
 	cur := centers.Clone()
 	var evals int64
 	iters := 0

@@ -2,6 +2,7 @@ package lloyd
 
 import (
 	"math"
+	"slices"
 
 	"kmeansll/internal/geom"
 )
@@ -9,9 +10,11 @@ import (
 // The accelerated assignment methods produce exactly the same fixed point as
 // naive Lloyd (they are exact algorithms, not approximations); they only skip
 // distance computations that triangle-inequality bounds prove irrelevant.
-// CostTrace for these methods records an UPPER BOUND on the cost per
-// iteration (computed from the maintained upper bounds, which are not always
-// tight); the final Cost is always recomputed exactly.
+// They stop by Drive's rule — once an iteration moves no center — and end
+// with Drive's final pass, Assign over the returned centers, so Cost and
+// Assign are exact and agree with the naive method's. CostTrace for these
+// methods records an UPPER BOUND on the cost per iteration (computed from
+// the maintained upper bounds, which are not always tight).
 //
 // Point-center distances come from the storage type's scalar pair and row
 // kernels (geom.SqDistPair, geom.SqDistRow) against a T snapshot of the
@@ -58,16 +61,22 @@ func (g *centerGeometry) update(centers *geom.Matrix) {
 	}
 }
 
-// moveCenters applies the accumulated sums to the centers and records each
-// center's movement in g.dist. Empty clusters are repaired and their movement
-// set to +Inf so callers invalidate bounds.
-func moveCenters[T geom.Float](g *centerGeometry, ds *geom.Set[T], centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) (maxMove float64, repaired bool) {
+// accumulator holds per-chunk weighted sums for the update step.
+type accumulator struct {
+	sum    []float64 // k*d weighted coordinate sums
+	weight []float64 // k weighted counts
+}
+
+// moveCenters applies the accumulated sums to the centers, as Drive does,
+// and records each center's movement in g.dist. It reports whether any
+// center coordinate changed, and whether an empty cluster was reseeded, in
+// which case g.dist is stale and callers loosen every bound.
+func moveCenters[T geom.Float](g *centerGeometry, ds *geom.Set[T], centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) (moved, repaired bool) {
 	k, d := centers.Rows, centers.Cols
 	var empty []int
 	for c := 0; c < k; c++ {
 		if weight[c] <= 0 {
 			empty = append(empty, c)
-			g.dist[c] = 0
 			continue
 		}
 		row := centers.Row(c)
@@ -75,23 +84,34 @@ func moveCenters[T geom.Float](g *centerGeometry, ds *geom.Set[T], centers *geom
 		var move2 float64
 		for j := 0; j < d; j++ {
 			v := sum[c*d+j] * inv
+			moved = moved || v != row[j]
 			diff := v - row[j]
 			move2 += diff * diff
 			row[j] = v
 		}
 		g.dist[c] = math.Sqrt(move2)
-		if g.dist[c] > maxMove {
-			maxMove = g.dist[c]
-		}
 	}
-	if len(empty) > 0 {
-		repairEmpty(ds, centers, assign, empty, parallelism)
-		for _, c := range empty {
-			g.dist[c] = math.Inf(1)
-		}
-		return math.Inf(1), true
+	if len(empty) == 0 {
+		return moved, false
 	}
-	return maxMove, false
+	reseeded := repairEmpty(ds, centers, assign, empty, parallelism)
+	return moved || reseeded, true
+}
+
+// repairEmpty is Drive's reseed: each empty cluster, in order, moves to the
+// point paying the highest weighted cost against the centers as they stand
+// (farthest), and that point is assigned to it. It reports whether any
+// reseeded center moved.
+func repairEmpty[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign []int32, empty []int, parallelism int) (moved bool) {
+	for _, c := range empty {
+		i := farthest(ds, geom.Convert[T](centers), parallelism)
+		row := centers.Row(c)
+		x := geom.WidenRow(make([]float64, len(row)), ds.Point(i))
+		moved = moved || !slices.Equal(x, row)
+		copy(row, x)
+		assign[i] = int32(c)
+	}
+	return moved
 }
 
 // pairDist returns the Euclidean distance from point p (squared norm pn) to
@@ -136,16 +156,15 @@ func runElkan[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Resu
 		}
 	})
 
-	res := Result{Centers: centers, Assign: assign}
+	res := Result{Centers: centers}
 	chunks := geom.ChunkCount(n, cfg.Parallelism)
 	accs := make([]accumulator, chunks)
 	for c := range accs {
 		accs[c] = accumulator{sum: make([]float64, k*d), weight: make([]float64, k)}
 	}
 	costPartial := make([]float64, chunks)
-	changedPartial := make([]int64, chunks)
 
-	limit := maxIter(cfg)
+	limit := MaxIter(cfg.MaxIter)
 	for it := 0; it < limit; it++ {
 		g.update(centers)
 		cNorms = snapshot(snap, centers, cNorms)
@@ -158,7 +177,6 @@ func runElkan[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Resu
 				acc.weight[i] = 0
 			}
 			var cost float64
-			var changed int64
 			for i := lo; i < hi; i++ {
 				p := ds.Point(i)
 				a := int(assign[i])
@@ -187,10 +205,7 @@ func runElkan[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Resu
 							a, u = c, dc
 						}
 					}
-					if int32(a) != assign[i] {
-						changed++
-						assign[i] = int32(a)
-					}
+					assign[i] = int32(a)
 					upper[i] = u
 				}
 				w := ds.W(i)
@@ -199,20 +214,20 @@ func runElkan[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Resu
 				acc.weight[a] += w
 			}
 			costPartial[chunk] = cost
-			changedPartial[chunk] = changed
 		})
-		var changed int64
 		var costUB float64
 		for c := 0; c < chunks; c++ {
-			changed += changedPartial[c]
 			costUB += costPartial[c]
 		}
 		res.Iters = it + 1
 		res.CostTrace = append(res.CostTrace, costUB)
 
 		sum, weight := mergeAccs(accs)
-		_, repaired := moveCenters(g, ds, centers, assign, sum, weight, cfg.Parallelism)
-
+		moved, repaired := moveCenters(g, ds, centers, assign, sum, weight, cfg.Parallelism)
+		res.Converged = !moved
+		if !moved {
+			break
+		}
 		if repaired {
 			// Bounds no longer valid for the repaired centers; loosen fully.
 			geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
@@ -239,13 +254,8 @@ func runElkan[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Resu
 				}
 			}
 		})
-		if changed == 0 && it > 0 {
-			res.Converged = true
-			break
-		}
 	}
-	snapshot(snap, centers, cNorms)
-	res.Cost = Cost(ds, snap, cfg.Parallelism)
+	res.Assign, res.Cost = Assign(ds, geom.Convert[T](centers), cfg.Parallelism)
 	return res
 }
 
@@ -284,16 +294,15 @@ func runHamerly[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Re
 		}
 	})
 
-	res := Result{Centers: centers, Assign: assign}
+	res := Result{Centers: centers}
 	chunks := geom.ChunkCount(n, cfg.Parallelism)
 	accs := make([]accumulator, chunks)
 	for c := range accs {
 		accs[c] = accumulator{sum: make([]float64, k*d), weight: make([]float64, k)}
 	}
 	costPartial := make([]float64, chunks)
-	changedPartial := make([]int64, chunks)
 
-	limit := maxIter(cfg)
+	limit := MaxIter(cfg.MaxIter)
 	for it := 0; it < limit; it++ {
 		g.update(centers)
 		cNorms = snapshot(snap, centers, cNorms)
@@ -307,7 +316,6 @@ func runHamerly[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Re
 			}
 			row := make([]T, k)
 			var cost float64
-			var changed int64
 			for i := lo; i < hi; i++ {
 				p := ds.Point(i)
 				a := int(assign[i])
@@ -336,11 +344,8 @@ func runHamerly[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Re
 								secondD = dc
 							}
 						}
-						if best != a {
-							changed++
-							assign[i] = int32(best)
-							a = best
-						}
+						a = best
+						assign[i] = int32(a)
 						upper[i] = bestD
 						lower[i] = secondD
 					}
@@ -351,20 +356,20 @@ func runHamerly[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Re
 				acc.weight[a] += w
 			}
 			costPartial[chunk] = cost
-			changedPartial[chunk] = changed
 		})
-		var changed int64
 		var costUB float64
 		for c := 0; c < chunks; c++ {
-			changed += changedPartial[c]
 			costUB += costPartial[c]
 		}
 		res.Iters = it + 1
 		res.CostTrace = append(res.CostTrace, costUB)
 
 		sum, weight := mergeAccs(accs)
-		_, repaired := moveCenters(g, ds, centers, assign, sum, weight, cfg.Parallelism)
-
+		moved, repaired := moveCenters(g, ds, centers, assign, sum, weight, cfg.Parallelism)
+		res.Converged = !moved
+		if !moved {
+			break
+		}
 		if repaired {
 			geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -402,13 +407,8 @@ func runHamerly[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Re
 				}
 			}
 		})
-		if changed == 0 && it > 0 {
-			res.Converged = true
-			break
-		}
 	}
-	snapshot(snap, centers, cNorms)
-	res.Cost = Cost(ds, snap, cfg.Parallelism)
+	res.Assign, res.Cost = Assign(ds, geom.Convert[T](centers), cfg.Parallelism)
 	return res
 }
 

@@ -3,6 +3,13 @@
 // unweighted and weighted datasets (weighted is needed to recluster the
 // candidate set in Step 8 of k-means||).
 //
+// The iteration is written once, Drive, over a Passes backend — a step, an
+// empty-cluster reseed and a final assignment — so that it is the paper's
+// one MapReduce job per iteration (§3.5) wherever it runs: Run's naive
+// method drives it over in-process chunks, and internal/distkm over RPC
+// fan-outs to shard workers, both running the same span bodies (StepSpan,
+// FarthestSpan) and reducing in partition order.
+//
 // Beyond the textbook algorithm it provides the accelerated assignment
 // methods referenced by the paper's related work (Elkan and Hamerly
 // triangle-inequality pruning, Sculley mini-batch), which the benchmark
@@ -53,8 +60,9 @@ func (m Method) String() string {
 // Config controls a Lloyd run.
 type Config struct {
 	// MaxIter bounds the number of iterations; 0 means DefaultMaxIter.
-	// Iteration stops earlier once no assignment changes, matching "until
-	// the solution does not change between two consecutive rounds" (§1).
+	// Iteration stops earlier once an iteration moves no center (every
+	// coordinate compared exactly), matching "until the solution does not
+	// change between two consecutive rounds" (§1).
 	MaxIter int
 	// Parallelism is the worker count for the assignment step; <1 = all CPUs.
 	Parallelism int
@@ -67,14 +75,27 @@ type Config struct {
 // every convergence point observed in Table 6 (max ≈ 176).
 const DefaultMaxIter = 1000
 
-// Result reports the outcome of a Lloyd run.
+// MaxIter resolves an iteration budget: n ≤ 0 means DefaultMaxIter.
+func MaxIter(n int) int {
+	if n > 0 {
+		return n
+	}
+	return DefaultMaxIter
+}
+
+// Result reports the outcome of a Lloyd run. Every run ends with one
+// assignment pass over the returned centers, so Cost and Assign describe
+// Centers whether the run converged or stopped at MaxIter.
 type Result struct {
 	Centers   *geom.Matrix // final centers (k rows)
-	Assign    []int32      // nearest-center index per point
-	Cost      float64      // final φ_X(Centers)
+	Assign    []int32      // nearest center of every point among Centers
+	Cost      float64      // φ_X(Centers)
 	Iters     int          // iterations executed
-	Converged bool         // true if stopped by stability, not MaxIter
-	CostTrace []float64    // cost after each iteration (monotone non-increasing)
+	Converged bool         // true if the last iteration moved no center
+	// CostTrace[i] is φ of the centers iteration i+1 assigned against
+	// (monotone non-increasing), so after a converged run its last entry
+	// equals Cost. Elkan and Hamerly record upper bounds instead (accel.go).
+	CostTrace []float64
 }
 
 // Cost computes φ_X(C) in parallel, using the blocked engine when the
@@ -118,19 +139,15 @@ func scan[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int, 
 	return assign, total
 }
 
-// accumulator holds per-chunk weighted sums for the update step.
-type accumulator struct {
-	sum    []float64 // k*d weighted coordinate sums
-	weight []float64 // k weighted counts
-}
-
 // Run executes Lloyd's iteration starting from the given float64 centers
 // (which are not modified; a copy is made). Points are scanned in their
 // storage type T, against a T snapshot of the centers refreshed once per
 // iteration; everything that accumulates across points (center sums,
 // weights, costs) stays float64, and the returned centers are the float64
-// masters the update step maintains. It panics if centers is empty or
-// wider than the data.
+// masters the update step maintains. The naive method is Drive over
+// Parallelism chunks; Elkan and Hamerly keep per-point bounds, stop by the
+// same rule and end with the same assignment pass. It panics if centers is
+// empty or wider than the data.
 func Run[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, cfg Config) Result {
 	if centers.Rows == 0 {
 		panic("lloyd: no initial centers")
@@ -144,14 +161,8 @@ func Run[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, cfg Config) Result
 	case Hamerly:
 		return runHamerly(ds, centers, cfg)
 	}
-	return runNaive(ds, centers, cfg)
-}
-
-func maxIter(cfg Config) int {
-	if cfg.MaxIter > 0 {
-		return cfg.MaxIter
-	}
-	return DefaultMaxIter
+	res, _ := Drive(chunks[T]{ds, cfg.Parallelism}, Result{Centers: centers}, cfg.MaxIter, nil)
+	return res
 }
 
 // snapshot copies the float64 master centers into snap as T and returns the
@@ -161,137 +172,4 @@ func snapshot[T geom.Float](snap *geom.Mat[T], centers *geom.Matrix, cNorms []T)
 		geom.ConvertRow(snap.Row(c), centers.Row(c))
 	}
 	return geom.RowSqNorms(snap, cNorms)
-}
-
-func runNaive[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Result {
-	k, d, n := init.Rows, init.Cols, ds.N()
-	centers := init.Clone()
-	snap := geom.NewMat[T](k, d)
-	var cNorms []T
-	assign := make([]int32, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	chunks := geom.ChunkCount(n, cfg.Parallelism)
-	accs := make([]accumulator, chunks)
-	for c := range accs {
-		accs[c] = accumulator{sum: make([]float64, k*d), weight: make([]float64, k)}
-	}
-	costPartial := make([]float64, chunks)
-	changedPartial := make([]int64, chunks)
-	blocked := geom.UseBlocked(k, d)
-
-	res := Result{Centers: centers, Assign: assign}
-	limit := maxIter(cfg)
-	for it := 0; it < limit; it++ {
-		cNorms = snapshot(snap, centers, cNorms)
-		// Assignment step (fused with accumulation so the data is scanned
-		// exactly once per iteration — this is the "one MapReduce pass"
-		// structure of §3.5). The blocked path runs the nearest-center
-		// kernel and the accumulation tile by tile over the same rows, so
-		// each point tile is consumed while still cache-resident.
-		geom.ParallelFor(n, cfg.Parallelism, func(chunk, lo, hi int) {
-			acc := &accs[chunk]
-			for i := range acc.sum {
-				acc.sum[i] = 0
-			}
-			for i := range acc.weight {
-				acc.weight[i] = 0
-			}
-			var cost float64
-			var changed int64
-			geom.VisitAssign(ds.X, snap, cNorms, lo, hi, blocked, func(i int, idx32 int32, dist float64) {
-				if idx32 != assign[i] {
-					changed++
-					assign[i] = idx32
-				}
-				idx := int(idx32)
-				w := ds.W(i)
-				cost += w * dist
-				geom.AddScaled(acc.sum[idx*d:(idx+1)*d], w, ds.Point(i))
-				acc.weight[idx] += w
-			})
-			costPartial[chunk] = cost
-			changedPartial[chunk] = changed
-		})
-		var cost float64
-		var changed int64
-		for c := 0; c < chunks; c++ {
-			cost += costPartial[c]
-			changed += changedPartial[c]
-		}
-		res.Iters = it + 1
-		res.Cost = cost
-		res.CostTrace = append(res.CostTrace, cost)
-
-		// Update step: move each center to the weighted centroid of its
-		// cluster; repair empty clusters by reseeding to the point with the
-		// largest cost contribution.
-		sum, weight := mergeAccs(accs)
-		updateCenters(ds, centers, assign, sum, weight, cfg.Parallelism)
-
-		if changed == 0 {
-			res.Converged = true
-			break
-		}
-	}
-	return res
-}
-
-// updateCenters recomputes centers from the accumulated sums, repairing empty
-// clusters.
-func updateCenters[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign []int32, sum, weight []float64, parallelism int) {
-	k, d := centers.Rows, centers.Cols
-	var empty []int
-	for c := 0; c < k; c++ {
-		if weight[c] <= 0 {
-			empty = append(empty, c)
-			continue
-		}
-		row := centers.Row(c)
-		inv := 1 / weight[c]
-		for j := 0; j < d; j++ {
-			row[j] = sum[c*d+j] * inv
-		}
-	}
-	if len(empty) > 0 {
-		repairEmpty(ds, centers, assign, empty, parallelism)
-	}
-}
-
-// repairEmpty reseeds each empty cluster to the point currently paying the
-// highest weighted cost, breaking ties by lowest index (deterministic). The
-// chosen point's cluster keeps its remaining members. The scan is the exact
-// pair scan where T has one (float64) and the blocked engine otherwise; the
-// T snapshot is rebuilt per reseed because each one moves a center.
-func repairEmpty[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, assign []int32, empty []int, parallelism int) {
-	n := ds.N()
-	snap := geom.NewMat[T](centers.Rows, centers.Cols)
-	var cNorms []T
-	for _, c := range empty {
-		cNorms = snapshot(snap, centers, cNorms)
-		chunks := geom.ChunkCount(n, parallelism)
-		bestIdx := make([]int, chunks)
-		bestVal := make([]float64, chunks)
-		geom.ParallelFor(n, parallelism, func(chunk, lo, hi int) {
-			bi, bv := -1, -1.0
-			geom.VisitAssign(ds.X, snap, cNorms, lo, hi, false, func(i int, _ int32, dist float64) {
-				if v := ds.W(i) * dist; v > bv {
-					bv, bi = v, i
-				}
-			})
-			bestIdx[chunk], bestVal[chunk] = bi, bv
-		})
-		worst, worstVal := -1, -1.0
-		for ch := range bestIdx {
-			if bestVal[ch] > worstVal || (bestVal[ch] == worstVal && bestIdx[ch] < worst) {
-				worst, worstVal = bestIdx[ch], bestVal[ch]
-			}
-		}
-		if worst < 0 {
-			return // n == 0; nothing to do
-		}
-		geom.WidenRow(centers.Row(c), ds.Point(worst))
-		assign[worst] = int32(c)
-	}
 }

@@ -69,7 +69,7 @@ func Spherical[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Sph
 	for i := range assign {
 		assign[i] = -1
 	}
-	limit := maxIter(cfg)
+	limit := MaxIter(cfg.MaxIter)
 	out := SphericalResult{Centers: centers, Assign: assign}
 
 	sum := make([]float64, k*d)

@@ -47,10 +47,7 @@ func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig
 	assign := make([]int32, n)
 	costs := make([]float64, n)
 	order := make([]int, n)
-	limit := cfg.MaxIter
-	if limit <= 0 {
-		limit = DefaultMaxIter
-	}
+	limit := MaxIter(cfg.MaxIter)
 	trimCount := int(cfg.TrimFraction * float64(n))
 
 	out := TrimmedResult{}
