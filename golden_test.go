@@ -144,10 +144,10 @@ var goldenWant = map[string]uint64{
 	"cluster/d=2/w=false/kmeans++/naive":              0xef93f0131a502882,
 	"cluster/d=2/w=false/kmeans++/spherical":          0x218740d4c1d8a2db,
 	"cluster/d=2/w=false/kmeans++/trimmed":            0x7a78b62add198727,
-	"cluster/d=2/w=false/kmeans||/elkan":              0xca0fe68bbb911b01,
-	"cluster/d=2/w=false/kmeans||/hamerly":            0xca0fe68bbb911b01,
+	"cluster/d=2/w=false/kmeans||/elkan":              0xa8e9cf298aeb1cc6,
+	"cluster/d=2/w=false/kmeans||/hamerly":            0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/minibatch":          0xba267d67d495457c,
-	"cluster/d=2/w=false/kmeans||/naive":              0x36a9c2100010d5f2,
+	"cluster/d=2/w=false/kmeans||/naive":              0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/spherical":          0x76b2dfc46cd87ffc,
 	"cluster/d=2/w=false/kmeans||/trimmed":            0x90c68b8d568df37b,
 	"cluster/d=2/w=false/partition/elkan":             0x48157e497d148ca4,
@@ -156,10 +156,10 @@ var goldenWant = map[string]uint64{
 	"cluster/d=2/w=false/partition/naive":             0x48157e497d148ca4,
 	"cluster/d=2/w=false/partition/spherical":         0x45de732f07dc58d7,
 	"cluster/d=2/w=false/partition/trimmed":           0x86a041005fa09f09,
-	"cluster/d=2/w=false/random/elkan":                0x8008478fc020cba2,
-	"cluster/d=2/w=false/random/hamerly":              0x8008478fc020cba2,
+	"cluster/d=2/w=false/random/elkan":                0x821be6828d488536,
+	"cluster/d=2/w=false/random/hamerly":              0x821be6828d488536,
 	"cluster/d=2/w=false/random/minibatch":            0xf1a18c5548f9fd0,
-	"cluster/d=2/w=false/random/naive":                0x760083fffb2f1b34,
+	"cluster/d=2/w=false/random/naive":                0x821be6828d488536,
 	"cluster/d=2/w=false/random/spherical":            0x8297231a2f9710be,
 	"cluster/d=2/w=false/random/trimmed":              0x71deb6cc082bd6b1,
 	"cluster/d=2/w=true/kmeans++/elkan":               0x90be03be7c1ae6a7,
@@ -168,10 +168,10 @@ var goldenWant = map[string]uint64{
 	"cluster/d=2/w=true/kmeans++/naive":               0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/spherical":           0xc07d04b086e43c2b,
 	"cluster/d=2/w=true/kmeans++/trimmed":             0xf8b615c1cff3e934,
-	"cluster/d=2/w=true/kmeans||/elkan":               0xec16cdf6728bcfdd,
-	"cluster/d=2/w=true/kmeans||/hamerly":             0xec16cdf6728bcfdd,
+	"cluster/d=2/w=true/kmeans||/elkan":               0x77f054cc3412d6a9,
+	"cluster/d=2/w=true/kmeans||/hamerly":             0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/minibatch":           0x1b3cd1b9e12a6aeb,
-	"cluster/d=2/w=true/kmeans||/naive":               0xefccbd4ced452876,
+	"cluster/d=2/w=true/kmeans||/naive":               0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/spherical":           0xc63a1d6af0905fb1,
 	"cluster/d=2/w=true/kmeans||/trimmed":             0x79d39caabbff8deb,
 	"cluster/d=2/w=true/partition/elkan":              0x9705234c3a161564,
@@ -180,10 +180,10 @@ var goldenWant = map[string]uint64{
 	"cluster/d=2/w=true/partition/naive":              0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/spherical":          0xa7eb9b40e32b5904,
 	"cluster/d=2/w=true/partition/trimmed":            0xb574f6d8c989bcc5,
-	"cluster/d=2/w=true/random/elkan":                 0x4f95d8f16c12eddf,
-	"cluster/d=2/w=true/random/hamerly":               0x4f95d8f16c12eddf,
+	"cluster/d=2/w=true/random/elkan":                 0x9f8be25b93ea770b,
+	"cluster/d=2/w=true/random/hamerly":               0x9f8be25b93ea770b,
 	"cluster/d=2/w=true/random/minibatch":             0x1b9eff0a8a2e9261,
-	"cluster/d=2/w=true/random/naive":                 0xf3857bdb4d97b999,
+	"cluster/d=2/w=true/random/naive":                 0x9f8be25b93ea770b,
 	"cluster/d=2/w=true/random/spherical":             0xaba84471912ec398,
 	"cluster/d=2/w=true/random/trimmed":               0xa83dda3696312c78,
 	"cluster/d=58/w=false/kmeans++/elkan":             0x8ec641936613b073,
