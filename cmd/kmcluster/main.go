@@ -19,8 +19,10 @@
 // a given (-init, -optimizer, -seed) triple produces bit-identical centers
 // to the library and to a kmserved fit job with the same spec.
 // -mr runs the MapReduce realization of k-means|| and Lloyd
-// (internal/mrkm) instead of the in-process implementation; it supports
-// only the default lloyd optimizer.
+// (internal/mrkm: core.Init and lloyd.Run at one chunk per mapper) instead
+// of the in-process implementation; it supports only the default lloyd
+// optimizer, and -max-iter 0 means the library's default cap, as without
+// -mr.
 // -precision f32 runs the distance passes in single precision (see
 // docs/kernels.md for the tolerance contract); over a float32 .kmd file the
 // fit is zero-copy — the mmap'd payload is used directly. -mr -precision f32
@@ -160,10 +162,6 @@ func main() {
 			fatal(fmt.Errorf("-mr supports only -init kmeansll"))
 		}
 		cfg := core.Config{K: *k, L: *l * float64(*k), Rounds: *rounds, Seed: *seedVal}
-		iters := *maxIter
-		if iters == 0 {
-			iters = 100
-		}
 		if precision == kmeansll.Float32 {
 			// The float32 MapReduce realization: the same span bodies a
 			// distributed float32 fit (kmcoord -precision f32) reproduces
@@ -173,9 +171,9 @@ func main() {
 			if mds == nil {
 				mds = geom.ConvertSet[float32](ds)
 			}
-			centers, assignOut = fitMR(mds, cfg, iters, logf)
+			centers, assignOut = fitMR(mds, cfg, *maxIter, logf)
 		} else {
-			centers, assignOut = fitMR(ds, cfg, iters, logf)
+			centers, assignOut = fitMR(ds, cfg, *maxIter, logf)
 		}
 	} else {
 		// The shared pipeline: exactly kmeansll.ClusterDataset, so the same

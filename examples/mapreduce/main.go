@@ -1,9 +1,9 @@
 // MapReduce: run k-means|| and Lloyd as MapReduce jobs (§3.5 of the paper),
 // printing the job/pass accounting the paper's scalability argument is
 // stated in: a constant number of passes for k-means|| vs the k passes
-// k-means++ would need. It then checks that the MapReduce seeding is the
-// in-process core.Init's at as many chunks as mappers, bit for bit, and
-// exits non-zero if it is not.
+// k-means++ would need. It then checks that the MapReduce seeding and Lloyd
+// are the in-process core.Init's and lloyd.Run's at as many chunks as
+// mappers, bit for bit, and exits non-zero if they are not.
 //
 // Run with: go run ./examples/mapreduce
 package main
@@ -16,6 +16,7 @@ import (
 
 	"kmeansll/internal/core"
 	"kmeansll/internal/data"
+	"kmeansll/internal/lloyd"
 	"kmeansll/internal/mrkm"
 )
 
@@ -53,6 +54,14 @@ func main() {
 	fmt.Printf("\nLloyd on MapReduce:\n")
 	fmt.Printf("  MR jobs (iterations): %d, converged=%v\n", lstats.MRRounds, res.Converged)
 	fmt.Printf("  final cost:           %.4g\n", res.Cost)
+
+	// mrkm.Lloyd is lloyd.Run with one chunk per mapper: the same check.
+	wantRes := lloyd.Run(ds, centers, lloyd.Config{MaxIter: 20, Parallelism: mappers})
+	if !bitsEqual(res.Centers.Data, wantRes.Centers.Data) || !bitsEqual(res.CostTrace, wantRes.CostTrace) ||
+		!bitsEqual([]float64{res.Cost}, []float64{wantRes.Cost}) || !slices.Equal(res.Assign, wantRes.Assign) {
+		log.Fatalf("MapReduce Lloyd diverged from lloyd.Run at Parallelism %d: centers, cost trace, cost or assignments differ", mappers)
+	}
+	fmt.Printf("  verified: centers, cost trace, cost and assignments bit-identical to lloyd.Run at Parallelism %d\n", mappers)
 }
 
 // bitsEqual reports whether a and b hold the same float64s, bit for bit.

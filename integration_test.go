@@ -130,24 +130,27 @@ func TestStreamingMatchesBatchOnKDD(t *testing.T) {
 }
 
 // TestMapReduceEndToEnd runs the full §3.5 pipeline (MR init + MR Lloyd) and
-// cross-checks against the in-process pipeline with the same seed.
+// cross-checks it against the in-process pipeline with the same seed at as
+// many chunks as mappers, which runs the same drivers over the same
+// partition: the centers and the cost must be bit-identical.
 func TestMapReduceEndToEnd(t *testing.T) {
 	ds := data.KDDLike(data.KDDLikeConfig{N: 5000, Seed: 13})
-	cfg := core.Config{K: 15, L: 30, Rounds: 5, Seed: 14}
+	cfg := core.Config{K: 15, L: 30, Rounds: 5, Seed: 14, Parallelism: 4}
 	mrInit, mrStats := mrkm.Init(ds, cfg, mrkm.Config{Mappers: 4})
 	mrRes, _ := mrkm.Lloyd(ds, mrInit, 20, mrkm.Config{Mappers: 4})
 
 	inInit, inStats := core.Init(ds, cfg)
-	inRes := lloyd.Run(ds, inInit, lloyd.Config{MaxIter: 20})
+	inRes := lloyd.Run(ds, inInit, lloyd.Config{MaxIter: 20, Parallelism: 4})
 
 	if mrStats.Candidates != inStats.Candidates {
 		t.Fatalf("candidate sets diverged: %d vs %d", mrStats.Candidates, inStats.Candidates)
 	}
-	// Same seed → same init centers. The Lloyd trajectories may diverge
-	// slightly: mrkm keeps empty clusters in place (textbook MR behaviour)
-	// while lloyd.Run reseeds them, and FP summation order differs. Costs
-	// must still agree closely.
-	if math.Abs(mrRes.Cost-inRes.Cost) > 1e-2*(1+inRes.Cost) {
+	for i, v := range inRes.Centers.Data {
+		if math.Float64bits(mrRes.Centers.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("MR pipeline center value %d is %v, in-process %v", i, mrRes.Centers.Data[i], v)
+		}
+	}
+	if math.Float64bits(mrRes.Cost) != math.Float64bits(inRes.Cost) {
 		t.Fatalf("MR pipeline cost %v != in-process %v", mrRes.Cost, inRes.Cost)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"kmeansll/internal/dsio"
 	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
-	"kmeansll/internal/mrkm"
 	"kmeansll/internal/rng"
 )
 
@@ -270,7 +269,7 @@ func (cp *Checkpoint) validate(cfg core.Config, maxIter, n, dim int) error {
 	case cp.N != n || cp.Dim != dim:
 		return fmt.Errorf("distkm: checkpoint dataset %dx%d, distributed dataset %dx%d", cp.N, cp.Dim, n, dim)
 	}
-	if maxIter = mrkm.MaxIter(maxIter); cp.MaxIter != 0 && cp.MaxIter != maxIter {
+	if maxIter = lloyd.MaxIter(maxIter); cp.MaxIter != 0 && cp.MaxIter != maxIter {
 		return fmt.Errorf("distkm: checkpoint max_iter=%d, config max_iter=%d", cp.MaxIter, maxIter)
 	}
 	return nil

@@ -15,7 +15,6 @@ import (
 	"kmeansll/internal/dsio"
 	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
-	"kmeansll/internal/mrkm"
 	"kmeansll/internal/rng"
 )
 
@@ -24,7 +23,8 @@ import (
 type Stats struct {
 	core.Stats
 	// RPCRounds counts barrier-synchronized fan-outs, one per pass: fold,
-	// sampling, weighting, cost, Lloyd iteration and final assignment.
+	// sampling, weighting, cost, Lloyd iteration, empty-cluster reseed and
+	// final assignment.
 	RPCRounds int
 	// Calls counts individual shard RPCs issued, including failover retries.
 	Calls int64
@@ -42,14 +42,14 @@ type Stats struct {
 // dataset it distributed so it can re-push a shard when a worker dies.
 //
 // All floating-point reductions run in fixed shard order, so for W workers
-// the results are bit-identical to mrkm.Init/mrkm.Lloyd with Mappers: W
+// the results are bit-identical to core.Init and lloyd.Run at Parallelism W
 // (which reduce in chunk order over the same spans), regardless of which
 // physical worker computed which partial and of any mid-run failovers.
 type Coordinator struct {
 	fit     uint64 // unique id namespacing this coordinator's shards on shared workers
 	clients []Client
 	ds      *geom.Dataset // push mode only; nil when shards were loaded by path
-	spans   []mrkm.Span
+	spans   []Span
 
 	// Dataset metadata shared by both load modes. In push mode it mirrors
 	// ds; in pull (manifest) mode it is all the coordinator ever holds — the
@@ -67,8 +67,8 @@ type Coordinator struct {
 
 	// float32 selects the float32 shard form: workers store narrowed points
 	// and answer every distance pass over them, making the fit bit-identical
-	// to mrkm.Init+Lloyd over float32 points at Mappers = Workers. Set by
-	// SetFloat32 before Distribute.
+	// to core.Init + lloyd.Run over float32 points at Parallelism = Workers.
+	// Set by SetFloat32 before Distribute.
 	float32 bool
 
 	mu       sync.Mutex
@@ -231,11 +231,27 @@ func (c *Coordinator) Close() {
 	}
 }
 
+// Span is one shard: points [Lo, Hi) of the dataset.
+type Span struct{ Lo, Hi int }
+
+// MakeSpans splits n points into min(shards, n) contiguous spans (shards <
+// 1 means all CPUs): the chunks geom.ParallelFor(n, shards) runs, so each
+// shard's partial sums line up with an in-process chunk's term for term —
+// the foundation of the bit-identical-parity guarantee.
+func MakeSpans(n, shards int) []Span {
+	m := min(geom.Workers(shards), n)
+	if m < 1 {
+		m = 1
+	}
+	out := make([]Span, m)
+	for i := 0; i < m; i++ {
+		out[i] = Span{Lo: i * n / m, Hi: (i + 1) * n / m}
+	}
+	return out
+}
+
 // Distribute splits ds into one contiguous shard per worker (fewer when
-// n < workers, matching mrkm's mapper clamp) and pushes every shard to its
-// worker at once. The spans come from mrkm.MakeSpans — the same function the
-// in-process realization partitions with — so per-shard partial sums line up
-// with its mapper partials term for term.
+// n < workers) with MakeSpans and pushes every shard to its worker at once.
 //
 // Each push encodes its shard twice, into the codec's float64 block and
 // then into gob's message buffer, so while the pushes are in flight the
@@ -249,7 +265,7 @@ func (c *Coordinator) Distribute(ds *geom.Dataset) error {
 	c.ds = ds
 	c.man, c.manPrefix = nil, ""
 	c.n, c.dim = n, ds.Dim()
-	c.spans = mrkm.MakeSpans(n, c.Workers())
+	c.spans = MakeSpans(n, c.Workers())
 	c.segs = nil
 	return c.loadAll()
 }
@@ -257,9 +273,9 @@ func (c *Coordinator) Distribute(ds *geom.Dataset) error {
 // DistributeManifest is the pull counterpart of Distribute: the dataset
 // lives as .kmd part files that every worker can reach under its own
 // -data-dir, and only file paths and row ranges cross the network. Shard
-// spans still come from mrkm.MakeSpans over the manifest's total row count,
-// so a pull fit is bit-identical to a push fit (and to mrkm) at the same
-// worker count — the part-file boundaries never influence the math.
+// spans still come from MakeSpans over the manifest's total row count, so a
+// pull fit is bit-identical to a push fit (and to an in-process fit) at the
+// same worker count — the part-file boundaries never influence the math.
 //
 // Part paths go out exactly as the manifest records them (manifest-dir-
 // relative), so each worker's -data-dir must be (a mirror of) the
@@ -318,7 +334,7 @@ func manifestSegs(m *dsio.Manifest, prefix string, lo, hi int) []PathSeg {
 // recomputes each shard's file segments. Distribute uses it with the worker
 // count; ResumeFit with the checkpoint's shard count, which may differ.
 func (c *Coordinator) reshard(shards int) {
-	spans := mrkm.MakeSpans(c.n, shards)
+	spans := MakeSpans(c.n, shards)
 	c.segs = make([][]PathSeg, len(spans))
 	for s, sp := range spans {
 		c.segs[s] = manifestSegs(c.man, c.manPrefix, sp.Lo, sp.Hi)
@@ -675,11 +691,11 @@ func (c *Coordinator) seed(cfg core.Config, from *core.Round) (*geom.Matrix, Sta
 	return centers, stats, err
 }
 
-// Lloyd runs distributed Lloyd iterations (mrkm.Iterate): each iteration is
+// Lloyd runs distributed Lloyd iterations (lloyd.Drive): each iteration is
 // one LloydStep fan-out whose per-shard (Σw·x, Σw) partials are reduced at
-// the coordinator in shard order, then the updated centers are
-// re-broadcast. Empty clusters keep their previous position, as in
-// mrkm.Lloyd.
+// the coordinator in shard order, an empty cluster is reseeded by a
+// Farthest fan-out, and a final Assign fan-out reports the returned
+// centers' assignment and cost. maxIter ≤ 0 means lloyd.DefaultMaxIter.
 func (c *Coordinator) Lloyd(init *geom.Matrix, maxIter int) (lloyd.Result, Stats, error) {
 	return c.lloyd(lloyd.Result{Centers: init}, maxIter, nil)
 }
@@ -690,7 +706,7 @@ func (c *Coordinator) Lloyd(init *geom.Matrix, maxIter int) (lloyd.Result, Stats
 func (c *Coordinator) lloyd(from lloyd.Result, maxIter int, after func(lloyd.Result) error) (lloyd.Result, Stats, error) {
 	var stats Stats
 	rounds0, calls0, fail0, retry0 := c.rpcRounds.Load(), c.calls.Load(), c.failovers.Load(), c.retries.Load()
-	res, err := mrkm.Iterate(passes{c: c}, from, maxIter, after)
+	res, err := lloyd.Drive(passes{c: c}, from, maxIter, after)
 	c.snapshot(&stats, rounds0, calls0, fail0, retry0)
 	return res, stats, err
 }
@@ -701,7 +717,7 @@ func (c *Coordinator) lloyd(from lloyd.Result, maxIter int, after func(lloyd.Res
 // completed iterations and one after the last. It returns the fit's Stats:
 // initStats with the Lloyd phase's network counters added.
 func (c *Coordinator) runLloydPhase(cfg core.Config, seedC *geom.Matrix, from lloyd.Result, maxIter int, initStats Stats) (lloyd.Result, Stats, error) {
-	maxIter = mrkm.MaxIter(maxIter)
+	maxIter = lloyd.MaxIter(maxIter)
 	var after func(lloyd.Result) error
 	if c.ckpt != nil {
 		if err := c.saveLloyd(cfg, maxIter, seedC, from, initStats); err != nil {
@@ -802,7 +818,7 @@ func (c *Coordinator) redistribute(shards int) error {
 	case c.man != nil:
 		c.reshard(shards)
 	case c.ds != nil:
-		c.spans = mrkm.MakeSpans(c.n, shards)
+		c.spans = MakeSpans(c.n, shards)
 		c.segs = nil
 	default:
 		return errors.New("distkm: cannot re-shard without the retained dataset")
@@ -810,10 +826,10 @@ func (c *Coordinator) redistribute(shards int) error {
 	return c.loadAll()
 }
 
-// passes is the networked realization of core.Passes and
-// mrkm.LloydPasses: every pass is one fan-out over the shards, with
-// per-shard retry and failover, and the replies are reduced in shard order.
-// ell and seed are Init's sampling parameters.
+// passes is the networked backend of core.Passes and lloyd.Passes: every
+// pass is one fan-out over the shards, with per-shard retry and failover,
+// and the replies are reduced in shard order. ell and seed are Init's
+// sampling parameters.
 type passes struct {
 	c    *Coordinator
 	ell  float64
@@ -918,7 +934,7 @@ func (p passes) Cost(centers *geom.Matrix) (float64, error) {
 	return sumPhi(replies), err
 }
 
-func (p passes) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error) {
+func (p passes) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 	k, d := centers.Rows, centers.Cols
 	replies, err := fanOut(p.c, "Worker.LloydStep", centersArgs(centers), func(s int, rep *LloydReply) error {
 		if sums := rep.Sums; sums.Rows != k || sums.Cols != d+1 {
@@ -945,6 +961,32 @@ func (p passes) LloydStep(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 		phi += rep.Phi
 	}
 	return sums, phi, nil
+}
+
+// Farthest takes each shard's costliest point and keeps the costliest, the
+// first shard's on ties (shards ascend, so that is the lowest index), then
+// fetches its row from the shard that owns it.
+func (p passes) Farthest(centers *geom.Matrix) ([]float64, error) {
+	c := p.c
+	replies, err := fanOut(c, "Worker.Farthest", centersArgs(centers), func(s int, rep *FarthestReply) error {
+		if sp := c.spans[s]; rep.Index < sp.Lo || rep.Index >= sp.Hi {
+			return badReply(s, "Farthest", "index %d outside the shard's rows [%d, %d)", rep.Index, sp.Lo, sp.Hi)
+		}
+		if badSum(rep.Cost) {
+			return badReply(s, "Farthest", "cost %v", rep.Cost)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	best := replies[0]
+	for _, rep := range replies[1:] {
+		if rep.Cost > best.Cost {
+			best = rep
+		}
+	}
+	return p.Point(best.Index)
 }
 
 func (p passes) Assign(centers *geom.Matrix) ([]int32, float64, error) {

@@ -617,14 +617,16 @@ func (w misshapenAssign) Assign(args CentersArgs, reply *AssignReply) error {
 // The poisoned workers answer one method with a reply of the right shape
 // whose values no correct worker sends.
 type (
-	poisonedFetch   struct{ *Worker } // a NaN coordinate
-	poisonedUpdate  struct{ *Worker } // a NaN φ partial
-	poisonedSample  struct{ *Worker } // an infinite coordinate
-	poisonedWeights struct{ *Worker } // a negative weight
-	poisonedCost    struct{ *Worker } // a negative φ partial
-	poisonedLloyd   struct{ *Worker } // a negative weight column
-	poisonedSums    struct{ *Worker } // a NaN coordinate sum
-	poisonedAssign  struct{ *Worker } // a NaN φ partial
+	poisonedFetch    struct{ *Worker } // a NaN coordinate
+	poisonedUpdate   struct{ *Worker } // a NaN φ partial
+	poisonedSample   struct{ *Worker } // an infinite coordinate
+	poisonedWeights  struct{ *Worker } // a negative weight
+	poisonedCost     struct{ *Worker } // a negative φ partial
+	poisonedLloyd    struct{ *Worker } // a negative weight column
+	poisonedSums     struct{ *Worker } // a NaN coordinate sum
+	poisonedAssign   struct{ *Worker } // a NaN φ partial
+	farthestOutside  struct{ *Worker } // an index outside the shard
+	poisonedFarthest struct{ *Worker } // a NaN cost
 )
 
 func (w poisonedFetch) Fetch(args FetchArgs, reply *FetchReply) error {
@@ -693,21 +695,44 @@ func (w poisonedAssign) Assign(args CentersArgs, reply *AssignReply) error {
 	return nil
 }
 
+func (w farthestOutside) Farthest(args CentersArgs, reply *FarthestReply) error {
+	if err := w.Worker.Farthest(args, reply); err != nil {
+		return err
+	}
+	reply.Index = 0 // shard 1 starts after row 0
+	return nil
+}
+
+func (w poisonedFarthest) Farthest(args CentersArgs, reply *FarthestReply) error {
+	if err := w.Worker.Farthest(args, reply); err != nil {
+		return err
+	}
+	reply.Cost = math.NaN()
+	return nil
+}
+
 // A reply that decodes but does not fit its request — a wrong count of
 // weights, sums, rows, columns or assignments, an assignment to no center,
 // a NaN or negative φ partial, weight or weight column, a NaN coordinate
-// sum, or a non-finite point coordinate — is the sending worker's fault
-// too: the coordinator fails that worker over once, and the fit stays
-// bit-identical to mrkm.
+// sum, a non-finite point coordinate, or a reseed candidate outside the
+// shard or with a NaN cost — is the sending worker's fault too: the
+// coordinator fails that worker over once, and the fit stays bit-identical
+// to mrkm. Lloyd starts from the seeds with one row duplicated, so its
+// first iteration empties a cluster and the reseed's Farthest pass runs.
 func TestMisshapenReplyFailsWorkerOver(t *testing.T) {
 	ds := blobs(t, 4, 100, 5, 20, 17)
 	cfg := core.Config{K: 4, L: 8, Rounds: 4, Seed: 5}
 	wantInit, wantStats := mrkm.Init(ds, cfg, mrkm.Config{Mappers: 2})
-	wantRes, _ := mrkm.Lloyd(ds, wantInit, 20, mrkm.Config{Mappers: 2})
+	dupRow := func(m *geom.Matrix) *geom.Matrix {
+		m = m.Clone()
+		copy(m.Row(3), m.Row(0))
+		return m
+	}
+	wantRes, _ := mrkm.Lloyd(ds, dupRow(wantInit), 20, mrkm.Config{Mappers: 2})
 	// Step 1 fetches the first center from the shard that owns it, so the
 	// misshapen Fetch worker serves that shard.
 	firstShard := 0
-	if first := rng.New(cfg.Seed).Intn(ds.N()); first >= mrkm.MakeSpans(ds.N(), 2)[1].Lo {
+	if first := rng.New(cfg.Seed).Intn(ds.N()); first >= MakeSpans(ds.N(), 2)[1].Lo {
 		firstShard = 1
 	}
 	for _, tc := range []struct {
@@ -728,6 +753,8 @@ func TestMisshapenReplyFailsWorkerOver(t *testing.T) {
 		{"PoisonedLloydStep", poisonedLloyd{NewWorker()}, 1},
 		{"PoisonedSums", poisonedSums{NewWorker()}, 1},
 		{"PoisonedAssign", poisonedAssign{NewWorker()}, 1},
+		{"FarthestOutside", farthestOutside{NewWorker()}, 1},
+		{"PoisonedFarthest", poisonedFarthest{NewWorker()}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := withBadWorker(t, tc.bad, tc.badShard)
@@ -738,7 +765,7 @@ func TestMisshapenReplyFailsWorkerOver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRes, lloydStats, err := c.Lloyd(gotInit, 20)
+			gotRes, lloydStats, err := c.Lloyd(dupRow(gotInit), 20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1021,5 +1048,25 @@ func TestReuseAndMonotoneTrace(t *testing.T) {
 		if res.CostTrace[i] > res.CostTrace[i-1]*(1+1e-9) {
 			t.Fatalf("cost increased at %d: %v -> %v", i, res.CostTrace[i-1], res.CostTrace[i])
 		}
+	}
+}
+
+func TestMakeSpans(t *testing.T) {
+	spans := MakeSpans(10, 3)
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans", len(spans))
+	}
+	covered := 0
+	for i, s := range spans {
+		covered += s.Hi - s.Lo
+		if i > 0 && spans[i-1].Hi != s.Lo {
+			t.Fatalf("spans not contiguous: %+v", spans)
+		}
+	}
+	if covered != 10 {
+		t.Fatalf("spans cover %d of 10", covered)
+	}
+	if got := MakeSpans(2, 100); len(got) != 2 {
+		t.Fatalf("shards should clamp to n: %d", len(got))
 	}
 }

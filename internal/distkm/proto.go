@@ -4,15 +4,16 @@
 // network round-trip instead of an in-process pass.
 //
 // The package is the networked pass backend of the drivers core.Drive
-// (Algorithm 2's round loop) and mrkm.Iterate (the MapReduce-style Lloyd
-// loop); the other backend is the in-process one, ParallelFor chunks
-// (core.Init, which mrkm.Init runs, and mrkm.Lloyd's jobs):
+// (Algorithm 2's round loop) and lloyd.Drive (Lloyd's iteration); the other
+// backend is the in-process one, ParallelFor chunks (core.Init and
+// lloyd.Run, and so mrkm.Init and mrkm.Lloyd):
 //
 //   - a Worker owns one or more data shards (contiguous global index spans)
 //     and answers each pass with the code an in-process chunk runs — D²
 //     cache fold + cost partial, Bernoulli picks, per-candidate weight
-//     counts, cost (lloyd.Cost), per-shard Lloyd partial sums and
-//     assignments (lloyd.Assign);
+//     counts, cost (lloyd.Cost), per-shard Lloyd partial sums
+//     (lloyd.StepSpan), the costliest point for an empty cluster's reseed
+//     (lloyd.FarthestSpan) and assignments (lloyd.Assign);
 //   - the Coordinator turns each pass into one fan-out, broadcasting the
 //     centers and reducing the per-shard partials in fixed shard order, with
 //     retry, failover and checkpoints; the drivers run everything else,
@@ -20,14 +21,14 @@
 //
 // Because the sampling randomness is the counter-based rng.PointRand and all
 // floating-point reductions happen in shard order over the same per-span
-// code, a distkm fit over W workers is bit-identical to core.Init at
-// Parallelism W, and to mrkm.Init + mrkm.Lloyd with Mappers: W, in one
-// process (every float64 crosses the wire as its exact IEEE-754 bits).
-// Tests assert this over the in-memory loopback transport and over real
-// worker processes. The same holds for float32 fits: shards loaded with
-// Float32 answer every distance pass with that code over float32 points, so
-// a float32 distkm fit is bit-identical to core.Init, mrkm.Init and
-// mrkm.Lloyd over float32 points at W partitions — provided every worker
+// code, a distkm fit over W workers is bit-identical to core.Init and
+// lloyd.Run at Parallelism W, and so to mrkm.Init + mrkm.Lloyd with Mappers:
+// W, in one process (every float64 crosses the wire as its exact IEEE-754
+// bits). Tests assert this over the in-memory loopback transport and over
+// real worker processes. The same holds for float32 fits: shards loaded
+// with Float32 answer every distance pass with that code over float32
+// points, so a float32 distkm fit is bit-identical to core.Init and
+// lloyd.Run over float32 points at W partitions — provided every worker
 // resolves the same float32 kernel tier (geom.ActiveF32Tier; mixed
 // AVX2/NEON/pure-Go fleets round differently).
 //
@@ -173,7 +174,7 @@ type ShardRef struct {
 // shard's precision. Float32 asks the worker to store the shard narrowed to
 // float32 and answer every distance pass over float32 points; the narrowing
 // happens on the worker, so a float32 fit over W workers is bit-identical to
-// mrkm.Init + mrkm.Lloyd over float32 points with Mappers: W.
+// core.Init + lloyd.Run over float32 points at Parallelism W.
 type LoadArgs struct {
 	Ref     ShardRef
 	Lo      int
@@ -242,7 +243,7 @@ type SampleReply struct {
 }
 
 // CentersArgs broadcasts a full center set for the stateless passes
-// (weights, Lloyd partials, cost, assignment).
+// (weights, Lloyd partials, reseed candidates, cost, assignment).
 type CentersArgs struct {
 	Ref     ShardRef
 	Centers Mat
@@ -259,6 +260,14 @@ type WeightsReply struct {
 type LloydReply struct {
 	Sums Mat
 	Phi  float64
+}
+
+// FarthestReply is the shard's candidate for an empty cluster's reseed: the
+// global index of its costliest point against the broadcast centers and
+// that point's weighted cost w·d².
+type FarthestReply struct {
+	Index int
+	Cost  float64
 }
 
 // AssignReply is the shard's final assignment: nearest-center index per

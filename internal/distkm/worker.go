@@ -15,7 +15,6 @@ import (
 	"kmeansll/internal/dsio"
 	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
-	"kmeansll/internal/mrkm"
 )
 
 // shard is one contiguous span of the global dataset living on this worker,
@@ -47,11 +46,11 @@ type shard struct {
 
 // shardData is a shard's points in either storage precision. Every method
 // runs over the whole shard the code an in-process chunk runs over the
-// matching span (geom.FoldNearest, core.WeightSpan, mrkm.LloydSpan, and
-// lloyd.Cost and lloyd.Assign at parallelism 1), so a worker's partials are
-// bit-identical to the in-process ones. Centers arrive as float64 off the
-// wire and are narrowed once per call; candidates are data points, so
-// narrowing recovers their exact storage bits.
+// matching span (geom.FoldNearest, core.WeightSpan, lloyd.StepSpan,
+// lloyd.FarthestSpan, and lloyd.Cost and lloyd.Assign at parallelism 1), so
+// a worker's partials are bit-identical to the in-process ones. Centers
+// arrive as float64 off the wire and are narrowed once per call; candidates
+// are data points, so narrowing recovers their exact storage bits.
 type shardData interface {
 	n() int
 	dim() int
@@ -59,6 +58,7 @@ type shardData interface {
 	update(d2 []float64, centers *geom.Matrix) float64
 	weights(centers *geom.Matrix) []float64
 	lloyd(centers *geom.Matrix) (*geom.Matrix, float64)
+	farthest(centers *geom.Matrix) (int, float64)
 	cost(centers *geom.Matrix) float64
 	assign(centers *geom.Matrix) ([]int32, float64)
 }
@@ -82,7 +82,11 @@ func (p points[T]) weights(centers *geom.Matrix) []float64 {
 }
 
 func (p points[T]) lloyd(centers *geom.Matrix) (*geom.Matrix, float64) {
-	return mrkm.LloydSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+	return lloyd.StepSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+}
+
+func (p points[T]) farthest(centers *geom.Matrix) (int, float64) {
+	return lloyd.FarthestSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
 }
 
 func (p points[T]) cost(centers *geom.Matrix) float64 {
@@ -388,14 +392,25 @@ func (w *Worker) Weights(args CentersArgs, reply *WeightsReply) error {
 }
 
 // LloydStep is one Lloyd iteration's map side: per-center Σw·x and Σw over
-// the shard, plus the assignment-cost partial (mrkm.LloydSpan). Centers the
-// shard never assigns to keep all-zero rows; the coordinator's reduction
-// skips them by the zero total weight.
+// the shard, plus the assignment-cost partial (lloyd.StepSpan). Centers the
+// shard never assigns to keep all-zero rows; a center whose total weight is
+// zero over every shard is an empty cluster, which the driver reseeds.
 func (w *Worker) LloydStep(args CentersArgs, reply *LloydReply) error {
 	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
 		sums, phi := s.data.lloyd(centers)
 		reply.Sums = matOf(sums.Rows, sums.Cols, sums.Data)
 		reply.Phi = phi
+	})
+}
+
+// Farthest returns the global index and the weighted cost w·d²(x, centers)
+// of the shard's costliest point, the lowest index on ties
+// (lloyd.FarthestSpan): the shard's candidate for an empty cluster's
+// reseed.
+func (w *Worker) Farthest(args CentersArgs, reply *FarthestReply) error {
+	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
+		i, cost := s.data.farthest(centers)
+		reply.Index, reply.Cost = s.lo+i, cost
 	})
 }
 

@@ -99,7 +99,7 @@ func LoadManifest(path string) (*Manifest, error) {
 
 // Split writes ds into `parts` .kmd part files plus a manifest under dir
 // (created if missing) and returns the manifest. Part boundaries follow the
-// same even split mrkm.MakeSpans uses, so a manifest split for W workers
+// same even split distkm.MakeSpans uses, so a manifest split for W workers
 // usually maps each worker span onto exactly one file.
 func Split(ds *geom.Dataset, dir string, parts int) (*Manifest, error) {
 	n := ds.N()

@@ -81,7 +81,7 @@ func TestLloyd32AssignMatchesAssign32(t *testing.T) {
 	}
 }
 
-// TestInit32InvariantToMapperCountAssignments checks the span bodies give
+// TestUpdateSpan32SpanInvariance checks the fold body gives
 // span-structure-independent per-point results: two mapper counts must yield
 // bit-identical candidate D² caches after the first update pass.
 func TestUpdateSpan32SpanInvariance(t *testing.T) {
@@ -91,18 +91,18 @@ func TestUpdateSpan32SpanInvariance(t *testing.T) {
 	for _, i := range []int{0, 57, 200} {
 		centers.AppendRow(ds32.Point(i))
 	}
-	run := func(spans []Span) []float64 {
+	run := func(mappers int) []float64 {
 		d2 := make([]float64, n)
 		for i := range d2 {
 			d2[i] = math.Inf(1)
 		}
-		for _, s := range spans {
-			geom.FoldNearest(ds32, d2, s.Lo, s.Hi, centers)
-		}
+		geom.ParallelFor(n, mappers, func(_, lo, hi int) {
+			geom.FoldNearest(ds32, d2, lo, hi, centers)
+		})
 		return d2
 	}
-	a := run(MakeSpans(n, 1))
-	b := run(MakeSpans(n, 7))
+	a := run(1)
+	b := run(7)
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("d2[%d] differs across span structures: %v vs %v", i, a[i], b[i])

@@ -164,23 +164,3 @@ func TestLloydConvergesAndStops(t *testing.T) {
 		t.Fatalf("MR Lloyd ran all %d iterations", stats.MRRounds)
 	}
 }
-
-func TestMakeSpans(t *testing.T) {
-	spans := MakeSpans(10, 3)
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	covered := 0
-	for i, s := range spans {
-		covered += s.Hi - s.Lo
-		if i > 0 && spans[i-1].Hi != s.Lo {
-			t.Fatalf("spans not contiguous: %+v", spans)
-		}
-	}
-	if covered != 10 {
-		t.Fatalf("spans cover %d of 10", covered)
-	}
-	if got := MakeSpans(2, 100); len(got) != 2 {
-		t.Fatalf("mappers should clamp to n: %d", len(got))
-	}
-}
