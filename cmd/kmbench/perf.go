@@ -185,9 +185,11 @@ func runPerfSuite(outDir string) error {
 		initFile.Results = append(initFile.Results, r)
 		byKernel[k.name]["init"] = r.NsPerOp
 
+		// One Lloyd iteration: the pass each iteration of lloyd.Run's naive
+		// method runs (a whole Run also ends with an assignment pass).
 		r = measure("LloydIter/kernel="+k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lloyd.Run(ds, initCenters, lloyd.Config{MaxIter: 1, Parallelism: 1})
+				lloyd.Step(ds, initCenters, 1)
 			}
 		})
 		initFile.Results = append(initFile.Results, r)

@@ -122,12 +122,18 @@ func benchVariant[T geom.Float](env *f32Env, ds *geom.Set[T], variant string, pr
 	initCenters := env.initCenters
 
 	// lloydIter measures one refinement pass under the given assignment
-	// method — for Elkan/Hamerly that is the bound-building first iteration,
-	// the distance-dominated part the float32 kernels accelerate.
+	// method — for naive that is lloyd.Step, the pass each iteration runs;
+	// for Elkan/Hamerly it is a one-iteration run, whose bound-building
+	// first assignment is the distance-dominated part the float32 kernels
+	// accelerate.
 	lloydIter := func(method lloyd.Method) perfResult {
 		return measure("LloydIter"+methodTag(method)+"/precision="+variant, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lloyd.Run(ds, initCenters, lloyd.Config{MaxIter: 1, Parallelism: 1, Method: method})
+				if method == lloyd.Naive {
+					lloyd.Step(ds, initCenters, 1)
+				} else {
+					lloyd.Run(ds, initCenters, lloyd.Config{MaxIter: 1, Parallelism: 1, Method: method})
+				}
 			}
 		})
 	}

@@ -125,6 +125,24 @@ func FarthestSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T
 	return best, bestCost
 }
 
+// Step is one Lloyd iteration's pass in process, as Run's naive method runs
+// it: StepSpan over parallelism chunks, the chunk rows summed in chunk
+// order. It returns each center's Σw·x ⧺ Σw (k×(d+1)) and φ_X(centers).
+func Step[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, parallelism int) (*geom.Matrix, float64) {
+	snap := geom.Convert[T](centers)
+	n := ds.N()
+	parts := make([]*geom.Matrix, geom.ChunkCount(n, parallelism))
+	phis := make([]float64, len(parts))
+	geom.ParallelFor(n, parallelism, func(ch, lo, hi int) { parts[ch], phis[ch] = StepSpan(ds, lo, hi, snap) })
+	sums := geom.NewMatrix(centers.Rows, centers.Cols+1)
+	var phi float64
+	for ch, part := range parts {
+		geom.AddScaled(sums.Data, 1, part.Data)
+		phi += phis[ch]
+	}
+	return sums, phi
+}
+
 // chunks is the in-process Passes backend: every pass is one
 // geom.ParallelFor over parallelism chunks, and the chunk partials are
 // reduced in chunk order.
@@ -134,17 +152,7 @@ type chunks[T geom.Float] struct {
 }
 
 func (p chunks[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
-	snap := geom.Convert[T](centers)
-	n := p.ds.N()
-	parts := make([]*geom.Matrix, geom.ChunkCount(n, p.parallelism))
-	phis := make([]float64, len(parts))
-	geom.ParallelFor(n, p.parallelism, func(ch, lo, hi int) { parts[ch], phis[ch] = StepSpan(p.ds, lo, hi, snap) })
-	sums := geom.NewMatrix(centers.Rows, centers.Cols+1)
-	var phi float64
-	for ch, part := range parts {
-		geom.AddScaled(sums.Data, 1, part.Data)
-		phi += phis[ch]
-	}
+	sums, phi := Step(p.ds, centers, p.parallelism)
 	return sums, phi, nil
 }
 
