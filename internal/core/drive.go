@@ -21,15 +21,18 @@ type Passes interface {
 	Point(i int) ([]float64, error)
 	// Fold folds candidate rows [lo, hi) into every point's weighted D²
 	// cache (+Inf before the first fold, which has lo = 0) and returns φ,
-	// the cache's sum.
+	// the cache's sum. Beside each entry it keeps the candidate row that
+	// last lowered it (geom.FoldNearest), so after the last fold every
+	// point knows its nearest candidate.
 	Fold(cands *geom.Matrix, lo, hi int) (float64, error)
 	// Sample returns the round's picks as rows: Bernoulli picks in point
 	// order, ExactL picks in draw order. r is the driver's RNG; only the
 	// in-process ExactL draws from it.
 	Sample(round int, phi float64, r *rng.Rng) (*geom.Matrix, error)
 	// Weights is Step 7: each candidate's total weight of the points it is
-	// nearest to.
-	Weights(cands *geom.Matrix) ([]float64, error)
+	// nearest to, for the first candidates rows, all of them folded. It
+	// reads the nearest rows the folds recorded and computes no distance.
+	Weights(candidates int) ([]float64, error)
 	// Cost returns φ_X(centers).
 	Cost(centers *geom.Matrix) (float64, error)
 }
@@ -41,8 +44,8 @@ type Round struct {
 	Round int
 	// Cands is the candidate set C. Starts[j] is the first row of the j-th
 	// group folded into the D² caches; replaying the groups in order rebuilds
-	// the caches bit for bit, because the kernel a fold runs depends on how
-	// many rows arrive together.
+	// the caches and their nearest rows bit for bit, because the kernel a
+	// fold runs depends on how many rows arrive together.
 	Cands  *geom.Matrix
 	Starts []int
 	// Phi is φ_X(C); Psi and PhiTrace are as in Stats.
@@ -56,8 +59,9 @@ type Round struct {
 // Drive runs Algorithm 2 over the n points p passes over; weight is their
 // weight vector, nil when unweighted. It starts at Step 1, or, when from is
 // non-nil, continues from that checkpointed round: the logged fold groups
-// are replayed through Fold, and φ must come back with the checkpointed
-// bits. after, when non-nil, is called after Step 2 and after every round.
+// are replayed through Fold, which rebuilds the caches and their nearest
+// rows, and φ must come back with the checkpointed bits. after, when
+// non-nil, is called after Step 2 and after every round.
 //
 // A round that samples nothing folds nothing, and φ keeps its bits: a fold
 // of no rows would only re-sum the same cache in the same order as the fold
@@ -175,7 +179,7 @@ func Drive(p Passes, cfg Config, n int, weight []float64, from *Round, after fun
 	stats.Psi, stats.PhiTrace, stats.Candidates = st.Psi, st.PhiTrace, st.Cands.Rows
 
 	// Step 7: weight each candidate by the points it serves.
-	weights, err := p.Weights(st.Cands)
+	weights, err := p.Weights(st.Cands.Rows)
 	if err != nil {
 		return nil, stats, err
 	}

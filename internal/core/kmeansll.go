@@ -24,7 +24,7 @@
 // Init (mrkm.Init is Init with one chunk per mapper) and RPC fan-outs to
 // shard workers (internal/distkm). Each keeps its own partition and sums
 // partials in partition order. Both run the same per-partition bodies
-// (geom.FoldNearest, SampleSpan, WeightSpan) and the same seed-cost scan
+// (geom.FoldNearest, SampleSpan, NearWeights) and the same seed-cost scan
 // (lloyd.Cost), so at as many chunks as shards they agree bit for bit, in
 // float64 and in float32.
 //
@@ -35,12 +35,15 @@
 // rounding of its threshold; φ values and the seed cost differ in the last
 // bits, because partials are summed per chunk.
 //
-// The two distance-heavy passes — the per-round D² cache update and the
-// Step 7 weighting — run on geom's blocked pairwise-distance engine (cached
-// center norms, tiled inner-product kernels) whenever the round's center
-// count clears geom.UseBlocked; tiny rounds keep the scalar pair scan. The
-// seed cost scans as lloyd.Cost does, which for float32 always takes the
-// blocked engine.
+// The per-round D² cache update is the only distance pass of Steps 2–7. It
+// runs on geom's blocked pairwise-distance engine (cached center norms,
+// tiled inner-product kernels) whenever the round's center count clears
+// geom.UseBlocked; tiny rounds keep the scalar pair scan. Each fold also
+// records, beside a point's cache entry, the candidate row that lowered it,
+// so after the last round every point knows its nearest candidate, and
+// Step 7 is a weighted histogram of those rows: no distance is computed.
+// The seed cost scans as lloyd.Cost does, which for float32 always takes
+// the blocked engine.
 package core
 
 import (
@@ -174,8 +177,9 @@ type Stats struct {
 	// Tables 1–2), computed with one extra pass.
 	SeedCost float64
 	// Passes counts full passes over the input: 1 to seed ψ, 1 per round
-	// that sampled anything to update distances, 1 for weighting, 1 for
-	// SeedCost.
+	// that sampled anything to update distances, 1 for weighting (a
+	// histogram of the nearest candidates the updates recorded, with no
+	// distance computed), 1 for SeedCost.
 	Passes int
 }
 
@@ -191,10 +195,7 @@ type Stats struct {
 // the float64 run on the widened data (docs/kernels.md). Step 8 reclusters
 // the (tiny) weighted candidate set in float64 either way.
 func Init[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) {
-	l := &local[T]{ds: ds, cfg: cfg, d2: make([]float64, ds.N())}
-	for i := range l.d2 {
-		l.d2[i] = math.Inf(1)
-	}
+	l := newLocal(ds, cfg)
 	centers, stats, err := Drive(l, cfg, ds.N(), ds.Weight, nil, nil)
 	if err != nil {
 		panic(err)
@@ -205,9 +206,19 @@ func Init[T geom.Float](ds *geom.Set[T], cfg Config) (*geom.Matrix, Stats) {
 // local is the in-process realization of Passes: geom.ParallelFor chunks
 // over a dataset in memory, partials summed in chunk order.
 type local[T geom.Float] struct {
-	ds  *geom.Set[T]
-	cfg Config
-	d2  []float64 // w_i·d²(x_i, C), +Inf before the first fold
+	ds   *geom.Set[T]
+	cfg  Config
+	d2   []float64 // w_i·d²(x_i, C), +Inf before the first fold
+	near []int32   // the candidate row d2[i] was last lowered by: x_i's nearest
+}
+
+// newLocal returns the in-process passes over ds with an empty cache.
+func newLocal[T geom.Float](ds *geom.Set[T], cfg Config) *local[T] {
+	l := &local[T]{ds: ds, cfg: cfg, d2: make([]float64, ds.N()), near: make([]int32, ds.N())}
+	for i := range l.d2 {
+		l.d2[i] = math.Inf(1)
+	}
+	return l
 }
 
 // chunks runs body on every chunk concurrently and returns the chunks'
@@ -222,11 +233,11 @@ func (l *local[T]) Point(i int) ([]float64, error) {
 	return geom.WidenRow(make([]float64, l.ds.Dim()), l.ds.Point(i)), nil
 }
 
-func (l *local[T]) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
-	view := cands.RowRange(lo, hi)
+func (l *local[T]) Fold(cands *geom.Matrix, first, end int) (float64, error) {
+	view := cands.RowRange(first, end)
 	c := geom.Convert[T](&view)
 	var phi float64
-	for _, p := range chunks(l, func(lo, hi int) float64 { return geom.FoldNearest(l.ds, l.d2, lo, hi, c) }) {
+	for _, p := range chunks(l, func(lo, hi int) float64 { return geom.FoldNearest(l.ds, l.d2, l.near, lo, hi, c, first) }) {
 		phi += p
 	}
 	return phi, nil
@@ -241,10 +252,9 @@ func (l *local[T]) Sample(round int, phi float64, r *rng.Rng) (*geom.Matrix, err
 	return geom.WidenRows(l.ds.X, slices.Concat(picks...)), nil
 }
 
-func (l *local[T]) Weights(cands *geom.Matrix) ([]float64, error) {
-	c := geom.Convert[T](cands)
-	weights := make([]float64, cands.Rows)
-	for _, w := range chunks(l, func(lo, hi int) []float64 { return WeightSpan(l.ds, lo, hi, c) }) {
+func (l *local[T]) Weights(candidates int) ([]float64, error) {
+	weights := make([]float64, candidates)
+	for _, w := range chunks(l, func(lo, hi int) []float64 { return NearWeights(l.ds, l.near[lo:hi], lo, candidates) }) {
 		geom.AddScaled(weights, 1, w)
 	}
 	return weights, nil

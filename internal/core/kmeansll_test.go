@@ -281,13 +281,16 @@ func TestCandidateWeightsSumProperty(t *testing.T) {
 	}
 }
 
-// Step 7 over four chunks: the in-process backend's weights, reduced in
-// chunk order, add up to the number of points.
+// Step 7 over four chunks: after a fold of the candidates, the in-process
+// backend's weights, reduced in chunk order, add up to the number of points.
 func TestLocalWeightsSumToN(t *testing.T) {
 	ds := blobs(t, 4, 50, 3, 20, 15)
 	centers := seed.Random(ds, 6, rng.New(16))
-	l := &local[float64]{ds: ds, cfg: Config{Parallelism: 4}}
-	w, _ := l.Weights(centers)
+	l := newLocal(ds, Config{Parallelism: 4})
+	if _, err := l.Fold(centers, 0, centers.Rows); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := l.Weights(centers.Rows)
 	var total float64
 	for _, v := range w {
 		total += v

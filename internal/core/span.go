@@ -9,11 +9,12 @@ import (
 // are Algorithm 2's sampling-side per-partition work, written once over the
 // point storage type T: the in-process chunks (Init, and mrkm.Init through
 // it) and the networked shard workers (internal/distkm) both call them.
-// Each body runs the blocked engine when its center count clears
-// geom.UseBlocked and the scalar pair scan below it. The seed-cost pass is
-// lloyd.Cost in both backends. All cross-point reductions stay float64 in
-// point order, so for equal partitions and seed (and, for float32, kernel
-// tier) both backends' partials agree bit for bit.
+// The fold runs the blocked engine when its group's center count clears
+// geom.UseBlocked and the scalar pair scan below it; sampling and Step 7
+// read the cache the folds leave and compute no distance. The seed-cost
+// pass is lloyd.Cost in both backends. All cross-point reductions stay
+// float64 in point order, so for equal partitions and seed (and, for
+// float32, kernel tier) both backends' partials agree bit for bit.
 
 // SampleSpan is Step 4's body: the global indices of the points that
 // round's Bernoulli trials select, in point order. d2 is a span's slice of
@@ -35,8 +36,22 @@ func SampleSpan(d2 []float64, lo int, phi, ell float64, seed uint64, round int) 
 	return sel
 }
 
-// WeightSpan is Step 7's body: the total input weight of the span's points
-// served by each candidate, accumulated in point order.
+// NearWeights is Step 7's body: for each of the k candidates, the total
+// input weight of the span's points whose nearest candidate it is, summed
+// in point order. near is the span's slice of the nearest-candidate rows
+// the folds recorded (geom.FoldNearest) and lo the global index of its
+// first point; no distance is computed.
+func NearWeights[T geom.Float](ds *geom.Set[T], near []int32, lo, k int) []float64 {
+	w := make([]float64, k)
+	for j, c := range near {
+		w[c] += ds.W(lo + j)
+	}
+	return w
+}
+
+// WeightSpan is Step 7 as a full nearest scan of the span's points against
+// every candidate, accumulated in point order: the oracle the tests hold
+// NearWeights to.
 func WeightSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) []float64 {
 	w := make([]float64, centers.Rows)
 	geom.Visit(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, func(i int, idx int32, _ float64) {

@@ -25,9 +25,9 @@ import (
 // A resumed fit is bit-identical to an uninterrupted one because everything
 // the arithmetic depends on is either in the checkpoint (driver RNG state,
 // candidate set, φ traces) or deterministic given it: per-point sampling is
-// counter-based in (seed, round, i), D² caches rebuild exactly by replaying
-// the recorded Update groups in order, and reductions run in fixed shard
-// order. The shard count is
+// counter-based in (seed, round, i), D² caches and their nearest rows
+// rebuild exactly by replaying the recorded Update groups in order, and
+// reductions run in fixed shard order. The shard count is
 // part of the checkpoint so a resume with a different worker count re-shards
 // to the original spans — worker count never was part of the math; span
 // boundaries are.

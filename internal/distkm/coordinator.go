@@ -530,9 +530,9 @@ func (c *Coordinator) reassign(shardID int, tried []int) error {
 
 // cacheLog records how the shards' D² caches were built: Update group j
 // folded centers[starts[j]:starts[j+1]], and the last group ends at rows.
-// Replaying the groups in order rebuilds a cache bit-identically. One
-// Update over all the rows would not: the distance kernel a group runs
-// depends on how many centers arrive together.
+// Replaying the groups in order rebuilds a cache and its nearest rows
+// bit-identically. One Update over all the rows would not: the distance
+// kernel a group runs depends on how many centers arrive together.
 type cacheLog struct {
 	centers *geom.Matrix
 	starts  []int
@@ -554,14 +554,15 @@ func (l cacheLog) group(j int) geom.Matrix {
 	return l.centers.RowRange(l.starts[j], hi)
 }
 
-// replay rebuilds shard ref's D² cache on cl from the logged groups, in
-// order, the first with Reset.
+// replay rebuilds shard ref's D² cache and its nearest rows on cl from the
+// logged groups, in order; the first starts at row 0 and so resets the
+// cache.
 func (c *Coordinator) replay(cl Client, ref ShardRef, l cacheLog) error {
-	for j := range l.starts {
+	for j, first := range l.starts {
 		g := l.group(j)
 		c.calls.Add(1)
 		if err := cl.Call("Worker.Update", UpdateArgs{
-			Ref: ref, New: matOf(g.Rows, g.Cols, g.Data), Reset: j == 0,
+			Ref: ref, New: matOf(g.Rows, g.Cols, g.Data), First: first,
 		}, &CostReply{}); err != nil {
 			return err
 		}
@@ -867,15 +868,15 @@ func (p passes) Point(index int) ([]float64, error) {
 	return point, err
 }
 
-// Fold broadcasts cands[lo:hi], folds it into every shard's D² cache (the
-// first fold, lo = 0, resets the caches), and logs the group for failover
-// replay.
+// Fold broadcasts cands[lo:hi], folds it into every shard's D² cache and
+// nearest rows (the first fold, lo = 0, resets the caches), and logs the
+// group for failover replay.
 func (p passes) Fold(cands *geom.Matrix, lo, hi int) (float64, error) {
 	c := p.c
 	view := cands.RowRange(lo, hi)
 	group := matOf(view.Rows, view.Cols, view.Data)
 	replies, err := fanOut(c, "Worker.Update", func(ref ShardRef) any {
-		return UpdateArgs{Ref: ref, New: group, Reset: lo == 0}
+		return UpdateArgs{Ref: ref, New: group, First: lo}
 	}, phiOnly("Update"))
 	if err != nil {
 		return 0, err
@@ -909,10 +910,14 @@ func (p passes) Sample(round int, phi float64, _ *rng.Rng) (*geom.Matrix, error)
 	return picks, nil
 }
 
-func (p passes) Weights(cands *geom.Matrix) ([]float64, error) {
-	replies, err := fanOut(p.c, "Worker.Weights", centersArgs(cands), func(s int, rep *WeightsReply) error {
-		if len(rep.W) != cands.Rows {
-			return badReply(s, "Weights", "%d weights for %d candidates", len(rep.W), cands.Rows)
+// Weights asks every shard for its Step 7 partial over the folded
+// candidates; only the count crosses the wire.
+func (p passes) Weights(candidates int) ([]float64, error) {
+	replies, err := fanOut(p.c, "Worker.Weights", func(ref ShardRef) any {
+		return WeightsArgs{Ref: ref, Candidates: candidates}
+	}, func(s int, rep *WeightsReply) error {
+		if len(rep.W) != candidates {
+			return badReply(s, "Weights", "%d weights for %d candidates", len(rep.W), candidates)
 		}
 		if i := slices.IndexFunc(rep.W, badSum); i >= 0 {
 			return badReply(s, "Weights", "candidate %d has weight %v", i, rep.W[i])
@@ -922,7 +927,7 @@ func (p passes) Weights(cands *geom.Matrix) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights := make([]float64, cands.Rows)
+	weights := make([]float64, candidates)
 	for _, rep := range replies {
 		geom.AddScaled(weights, 1, rep.W)
 	}

@@ -465,7 +465,13 @@ func TestMalformedRequestsDoNotKillWorker(t *testing.T) {
 			return cl.Call("Worker.LloydStep", CentersArgs{Ref: ref, Centers: Mat{Cols: 3}}, &LloydReply{})
 		}},
 		{"negative rows", func() error {
-			return cl.Call("Worker.Weights", CentersArgs{Ref: ref, Centers: Mat{Rows: -1, Cols: 3}}, &WeightsReply{})
+			return cl.Call("Worker.Farthest", CentersArgs{Ref: ref, Centers: Mat{Rows: -1, Cols: 3}}, &FarthestReply{})
+		}},
+		{"weights before any fold", func() error {
+			return cl.Call("Worker.Weights", WeightsArgs{Ref: ref, Candidates: 1}, &WeightsReply{})
+		}},
+		{"fold group past the folded rows", func() error {
+			return cl.Call("Worker.Update", UpdateArgs{Ref: ref, New: Mat{Rows: 1, Cols: 3, Data: make([]float64, 3)}, First: 2}, &CostReply{})
 		}},
 		// Both Load shapes below pass a bare Rows*Cols == len(Data) check
 		// with no data, then ask install for an impossible allocation.
@@ -589,7 +595,7 @@ func (w misshapenSample) Sample(args SampleArgs, reply *SampleReply) error {
 	return nil
 }
 
-func (w misshapenWeights) Weights(args CentersArgs, reply *WeightsReply) error {
+func (w misshapenWeights) Weights(args WeightsArgs, reply *WeightsReply) error {
 	if err := w.Worker.Weights(args, reply); err != nil {
 		return err
 	}
@@ -655,7 +661,7 @@ func (w poisonedSample) Sample(args SampleArgs, reply *SampleReply) error {
 	return nil
 }
 
-func (w poisonedWeights) Weights(args CentersArgs, reply *WeightsReply) error {
+func (w poisonedWeights) Weights(args WeightsArgs, reply *WeightsReply) error {
 	if err := w.Worker.Weights(args, reply); err != nil {
 		return err
 	}

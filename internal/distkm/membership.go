@@ -83,8 +83,8 @@ func (c *Coordinator) leastLoadedLocked() int {
 // every pass is a linear scan. With one shard per worker and balanced spans
 // it is a no-op; after deaths piled several shards onto one survivor it
 // spreads them back out. Stolen shards are re-loaded on w (the cheap
-// LoadPath in manifest mode) and their D² cache rebuilt from the currently
-// broadcast centers, exactly like a failover re-load.
+// LoadPath in manifest mode) and their D² cache and nearest rows rebuilt by
+// replaying the logged fold groups, exactly like a failover re-load.
 func (c *Coordinator) steal(w int) {
 	if c.ds == nil && c.segs == nil {
 		return // nothing distributed yet; loadAll will use the grown client set

@@ -11,7 +11,8 @@
 //   - a Worker owns one or more data shards (contiguous global index spans)
 //     and answers each pass with the code an in-process chunk runs — D²
 //     cache fold + cost partial, Bernoulli picks, per-candidate weight
-//     counts, cost (lloyd.Cost), per-shard Lloyd partial sums
+//     sums from the nearest rows the folds recorded, cost (lloyd.Cost),
+//     per-shard Lloyd partial sums
 //     (lloyd.StepSpan), the costliest point for an empty cluster's reseed
 //     (lloyd.FarthestSpan) and assignments (lloyd.Assign);
 //   - the Coordinator turns each pass into one fan-out, broadcasting the
@@ -41,10 +42,11 @@
 // never with wrong numbers.
 //
 // Worker failure is handled by the coordinator: the dead worker's shards
-// are re-pushed to a surviving worker, the D² cache is rebuilt by replaying
-// the fold groups logged so far in order (bit-exact: each group runs the
-// same kernel it ran the first time), and the failed call is retried —
-// deterministic sampling makes the retry safe.
+// are re-pushed to a surviving worker, the D² cache and its nearest rows
+// are rebuilt by replaying the fold groups logged so far in order
+// (bit-exact: each group runs the same kernel it ran the first time), and
+// the failed call is retried — deterministic sampling makes the retry
+// safe.
 package distkm
 
 import (
@@ -209,14 +211,17 @@ type LoadPathArgs struct {
 	Float32 bool
 }
 
-// UpdateArgs is one D² cache-update pass: fold the new centers into the
-// shard's per-point cache and return the shard's φ partial. Reset
-// reinitializes the cache to +Inf first (first pass, or a failover rebuild
-// with the full center set).
+// UpdateArgs is one D² cache-update pass: fold one group of candidates,
+// rows [First, First+New.Rows) of the candidate set, into the shard's
+// per-point cache, recording beside each entry it lowers the candidate row
+// it came from, and return the shard's φ partial. A group at First 0 resets
+// the cache to +Inf first (Step 2, or the first group a failover or joiner
+// replay sends; replays send the logged groups in order). A group may not
+// start past the rows the shard has folded since that reset.
 type UpdateArgs struct {
 	Ref   ShardRef
-	New   Mat // centers added since the previous update (all centers if Reset)
-	Reset bool
+	New   Mat // the group's candidate rows
+	First int // the candidate row of New's first row
 }
 
 // CostReply carries one shard's φ partial.
@@ -243,10 +248,19 @@ type SampleReply struct {
 }
 
 // CentersArgs broadcasts a full center set for the stateless passes
-// (weights, Lloyd partials, reseed candidates, cost, assignment).
+// (Lloyd partials, reseed candidates, cost, assignment).
 type CentersArgs struct {
 	Ref     ShardRef
 	Centers Mat
+}
+
+// WeightsArgs asks for the shard's Step 7 partial over the first
+// Candidates candidate rows. No centers cross the wire: the folds recorded
+// each point's nearest candidate, and the worker rejects a count that
+// differs from the rows it has folded since its cache was reset.
+type WeightsArgs struct {
+	Ref        ShardRef
+	Candidates int
 }
 
 // WeightsReply is the shard's Step 7 partial: per-candidate weight sums.

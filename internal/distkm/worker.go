@@ -18,12 +18,17 @@ import (
 )
 
 // shard is one contiguous span of the global dataset living on this worker,
-// together with the data-local D² cache the sampling rounds maintain — the
-// state a Hadoop implementation persists alongside its split between jobs.
+// together with the data-local D² cache the sampling rounds maintain and
+// each point's nearest candidate beside it — the state a Hadoop
+// implementation persists alongside its split between jobs.
 type shard struct {
 	lo   int       // global index of point 0
 	data shardData // the points, in the precision LoadArgs.Float32 chose
 	d2   []float64 // w_i · d²(x_i, C), +Inf before the first update pass
+	near []int32   // the candidate row d2[i] was last lowered by: x_i's nearest
+	// folded counts the candidate rows folded into d2 since the cache was
+	// last reset; Weights must ask for exactly that many.
+	folded int
 
 	// lastUsed (guarded by the worker mutex) feeds the janitor: a fit whose
 	// coordinator died without a clean Release would otherwise strand its
@@ -46,7 +51,7 @@ type shard struct {
 
 // shardData is a shard's points in either storage precision. Every method
 // runs over the whole shard the code an in-process chunk runs over the
-// matching span (geom.FoldNearest, core.WeightSpan, lloyd.StepSpan,
+// matching span (geom.FoldNearest, core.NearWeights, lloyd.StepSpan,
 // lloyd.FarthestSpan, and lloyd.Cost and lloyd.Assign at parallelism 1), so
 // a worker's partials are bit-identical to the in-process ones. Centers
 // arrive as float64 off the wire and are narrowed once per call; candidates
@@ -55,8 +60,8 @@ type shardData interface {
 	n() int
 	dim() int
 	point(i int) []float64 // widened to float64 (exact)
-	update(d2 []float64, centers *geom.Matrix) float64
-	weights(centers *geom.Matrix) []float64
+	update(d2 []float64, near []int32, centers *geom.Matrix, first int) float64
+	weights(near []int32, candidates int) []float64
 	lloyd(centers *geom.Matrix) (*geom.Matrix, float64)
 	farthest(centers *geom.Matrix) (int, float64)
 	cost(centers *geom.Matrix) float64
@@ -73,12 +78,12 @@ func (p points[T]) point(i int) []float64 {
 	return geom.WidenRow(make([]float64, p.ds.Dim()), p.ds.Point(i))
 }
 
-func (p points[T]) update(d2 []float64, centers *geom.Matrix) float64 {
-	return geom.FoldNearest(p.ds, d2, 0, p.ds.N(), geom.Convert[T](centers))
+func (p points[T]) update(d2 []float64, near []int32, centers *geom.Matrix, first int) float64 {
+	return geom.FoldNearest(p.ds, d2, near, 0, p.ds.N(), geom.Convert[T](centers), first)
 }
 
-func (p points[T]) weights(centers *geom.Matrix) []float64 {
-	return core.WeightSpan(p.ds, 0, p.ds.N(), geom.Convert[T](centers))
+func (p points[T]) weights(near []int32, candidates int) []float64 {
+	return core.NearWeights(p.ds, near, 0, candidates)
 }
 
 func (p points[T]) lloyd(centers *geom.Matrix) (*geom.Matrix, float64) {
@@ -166,7 +171,8 @@ func dropLocked(s *shard) (closeNow bool) {
 }
 
 // Load installs (or replaces) a shard. The D² cache starts at +Inf, i.e.
-// "no centers seen yet"; an Update with Reset rebuilds it after failover.
+// "no centers seen yet"; after a failover the coordinator rebuilds it by
+// replaying its fold groups, the first of which resets it.
 // The shape is checked here even though decoding a Mat off the wire already
 // rejects a bad one: in-process callers reach Load without the codec.
 func (w *Worker) Load(args LoadArgs, _ *Ack) error {
@@ -198,7 +204,7 @@ func (w *Worker) install(ref ShardRef, lo int, data shardData, closers []io.Clos
 		d2[i] = math.Inf(1)
 	}
 	//kmlint:ignore determinism lastUsed only feeds the shard-TTL janitor, never the fit
-	s := &shard{lo: lo, data: data, d2: d2, lastUsed: time.Now(), closers: closers}
+	s := &shard{lo: lo, data: data, d2: d2, near: make([]int32, data.n()), lastUsed: time.Now(), closers: closers}
 	w.installShard(ref, s)
 }
 
@@ -326,10 +332,12 @@ func checkRows[T geom.Float](part *geom.Set[T], seg PathSeg) error {
 	return nil
 }
 
-// Update folds the broadcast centers (at least one) into the shard's D²
-// cache and returns the shard's φ partial. The loop is geom.FoldNearest —
-// the literally shared span body — so the partial is bit-identical to the
-// in-process backend's.
+// Update folds the broadcast group of candidates (at least one) into the
+// shard's D² cache and its nearest rows, and returns the shard's φ
+// partial. The loop is geom.FoldNearest — the literally shared span body —
+// so the partial is bit-identical to the in-process backend's. A group at
+// row 0 resets the cache first. Folding a group again leaves the cache as
+// it was, so a repeated Update is harmless.
 func (w *Worker) Update(args UpdateArgs, reply *CostReply) error {
 	s, err := w.shardByRef(args.Ref)
 	if err != nil {
@@ -340,12 +348,17 @@ func (w *Worker) Update(args UpdateArgs, reply *CostReply) error {
 	if err != nil {
 		return err
 	}
-	if args.Reset {
+	switch {
+	case args.First == 0:
 		for i := range s.d2 {
-			s.d2[i] = math.Inf(1)
+			s.d2[i], s.near[i] = math.Inf(1), 0
 		}
+	case args.First < 0 || args.First > s.folded:
+		return fmt.Errorf("distkm: shard %d: fold group starts at candidate %d, but %d are folded",
+			args.Ref.Shard, args.First, s.folded)
 	}
-	reply.Phi = s.data.update(s.d2, centers)
+	reply.Phi = s.data.update(s.d2, s.near, centers, args.First)
+	s.folded = args.First + centers.Rows
 	return nil
 }
 
@@ -384,11 +397,21 @@ func (w *Worker) centersCall(args CentersArgs, call func(s *shard, centers *geom
 }
 
 // Weights is the Step 7 partial: for each candidate, the total weight of the
-// shard's points whose nearest candidate it is (core.WeightSpan).
-func (w *Worker) Weights(args CentersArgs, reply *WeightsReply) error {
-	return w.centersCall(args, func(s *shard, centers *geom.Matrix) {
-		reply.W = s.data.weights(centers)
-	})
+// shard's points whose nearest candidate it is (core.NearWeights over the
+// rows the folds recorded). It rejects a candidate count other than the
+// rows folded since the cache was reset.
+func (w *Worker) Weights(args WeightsArgs, reply *WeightsReply) error {
+	s, err := w.shardByRef(args.Ref)
+	if err != nil {
+		return err
+	}
+	defer w.done(s)
+	if args.Candidates < 1 || args.Candidates != s.folded {
+		return fmt.Errorf("distkm: shard %d: Weights over %d candidates, but %d are folded",
+			args.Ref.Shard, args.Candidates, s.folded)
+	}
+	reply.W = s.data.weights(s.near, args.Candidates)
+	return nil
 }
 
 // LloydStep is one Lloyd iteration's map side: per-center Σw·x and Σw over

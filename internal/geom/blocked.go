@@ -227,8 +227,8 @@ func gatherRows[T Float](kt *kernels[T], rows [][]float64, d int, sc *Scratch[T]
 // VisitNearest runs the blocked nearest-center search over rows [lo, hi) of
 // pts in engine-tile steps, invoking visit(i, idx, d2) for every row in
 // ascending order — the building block consumers tile their fused scan
-// passes on (Lloyd assignment+accumulate, k-means|| round updates and
-// Step 7), keeping each point tile cache-resident while it is consumed.
+// passes on (Lloyd assignment+accumulate and the k-means|| round updates),
+// keeping each point tile cache-resident while it is consumed.
 // The distance is widened to float64 for the visitor, so downstream sums
 // accumulate in double precision. When withIdx is false the index argument
 // is always 0 and per-tile index tracking is skipped. Tile buffers come from
@@ -255,8 +255,10 @@ func VisitNearest[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, sc *Scr
 // Visit runs the nearest-center scan of rows [lo, hi) of pts, calling
 // visit(i, idx, d2) for every row in ascending order: the blocked engine
 // above UseBlocked's crossover, the scalar pair scan (NearestPair) below it,
-// in either precision. This is the policy of the k-means|| D² passes (Step
-// 7's weighting; FoldNearest applies it to the cache update). Lloyd steps,
+// in either precision. This is the policy of the k-means|| D² passes:
+// FoldNearest applies it to each candidate group it folds, and Visit over
+// all the candidates at once is the full nearest scan its recorded rows are
+// checked against (core.WeightSpan, Step 7's test oracle). Lloyd steps,
 // costs and assignments scan with VisitAssign.
 func Visit[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, visit func(i int, idx int32, d2 float64)) {
 	visitScan(pts, centers, cNorms, lo, hi, UseBlocked(centers.Rows, centers.Cols), visit)
@@ -586,40 +588,50 @@ func NearestPair[T Float](p []T, centers *Mat[T], cNorms []T) (int, float64) {
 // FoldPair folds centers into a point's weighted D² cache entry d2 (weight
 // w, +Inf before any center), one pair at a time with SqDistPair's
 // arithmetic: the scalar form of a k-means|| round update, for rounds below
-// the blocked crossover. An entry at +Inf becomes w times NearestPair's
-// distance, so a first fold rounds exactly like a nearest-center scan. An
-// entry already at 0 stays 0.
-func FoldPair[T Float](p []T, w, d2 float64, centers *Mat[T], cNorms []T) float64 {
+// the blocked crossover. It returns the new entry and the row of centers
+// the entry now comes from, or -1 when no center is nearer than the entry
+// (ties keep the entry, and within centers the lower row). An entry at +Inf
+// becomes w times NearestPair's distance, with NearestPair's index, so a
+// first fold rounds exactly like a nearest-center scan. An entry already at
+// 0 stays 0.
+func FoldPair[T Float](p []T, w, d2 float64, centers *Mat[T], cNorms []T) (float64, int) {
 	if !(d2 > 0) {
-		return d2
+		return d2, -1
 	}
 	if math.IsInf(d2, 1) {
-		_, d := NearestPair(p, centers, cNorms)
-		return w * d
+		c, d := NearestPair(p, centers, cNorms)
+		return w * d, c
 	}
 	kt := kernelsFor[T]()
 	pn := kt.pairNorm(p)
-	best := d2 / w
+	best, row := d2/w, -1
 	for c := 0; c < centers.Rows; c++ {
 		if nd := kt.pairBound(p, centers.Row(c), pn, cNorms[c], best); nd < best {
-			best = nd
+			best, row = nd, c
 		}
 	}
-	return w * best
+	return w * best, row
 }
 
-// FoldNearest folds centers into the weighted D² cache of rows [lo, hi) of
-// ds — d2[i] = min(d2[i], w_i·d²(x_i, centers)), +Inf before any center —
-// and returns the span's Σ d2: a k-means|| round update. It runs the
-// blocked engine above UseBlocked's crossover and FoldPair below it.
-func FoldNearest[T Float](ds *Set[T], d2 []float64, lo, hi int, centers *Mat[T]) float64 {
+// FoldNearest folds centers, rows [first, first+centers.Rows) of the
+// candidate set, into the weighted D² cache of rows [lo, hi) of ds —
+// d2[i] = min(d2[i], w_i·d²(x_i, centers)), +Inf before any center — and
+// returns the span's Σ d2: a k-means|| round update. near is the cache's
+// other half: wherever the fold lowers d2[i] it sets near[i] to the
+// candidate row it came from. A tie keeps the entry and so the earlier,
+// lower row, which is a full nearest scan's tie rule; after folding every
+// candidate group in order, near[i] is point i's nearest candidate. It
+// runs the blocked engine above UseBlocked's crossover and FoldPair below
+// it.
+func FoldNearest[T Float](ds *Set[T], d2 []float64, near []int32, lo, hi int, centers *Mat[T], first int) float64 {
 	cNorms := RowSqNorms(centers, nil)
+	base := int32(first)
 	var part float64
 	if UseBlocked(centers.Rows, centers.Cols) {
 		sc := GetScratch[T]()
-		VisitNearest(ds.X, centers, cNorms, lo, hi, sc, false, func(i int, _ int32, dNew float64) {
+		VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, dNew float64) {
 			if nd := ds.W(i) * dNew; nd < d2[i] {
-				d2[i] = nd
+				d2[i], near[i] = nd, base+idx
 			}
 			part += d2[i]
 		})
@@ -627,7 +639,10 @@ func FoldNearest[T Float](ds *Set[T], d2 []float64, lo, hi int, centers *Mat[T])
 		return part
 	}
 	for i := lo; i < hi; i++ {
-		d2[i] = FoldPair(ds.Point(i), ds.W(i), d2[i], centers, cNorms)
+		var c int
+		if d2[i], c = FoldPair(ds.Point(i), ds.W(i), d2[i], centers, cNorms); c >= 0 {
+			near[i] = base + int32(c)
+		}
 		part += d2[i]
 	}
 	return part

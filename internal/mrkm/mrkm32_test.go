@@ -83,7 +83,8 @@ func TestLloyd32AssignMatchesAssign32(t *testing.T) {
 
 // TestUpdateSpan32SpanInvariance checks the fold body gives
 // span-structure-independent per-point results: two mapper counts must yield
-// bit-identical candidate D² caches after the first update pass.
+// bit-identical candidate D² caches, and the same nearest rows, after the
+// first update pass.
 func TestUpdateSpan32SpanInvariance(t *testing.T) {
 	_, ds32 := blobs32(t, 4, 90, 7, 15, 19)
 	n := ds32.N()
@@ -91,21 +92,24 @@ func TestUpdateSpan32SpanInvariance(t *testing.T) {
 	for _, i := range []int{0, 57, 200} {
 		centers.AppendRow(ds32.Point(i))
 	}
-	run := func(mappers int) []float64 {
-		d2 := make([]float64, n)
+	run := func(mappers int) ([]float64, []int32) {
+		d2, near := make([]float64, n), make([]int32, n)
 		for i := range d2 {
 			d2[i] = math.Inf(1)
 		}
 		geom.ParallelFor(n, mappers, func(_, lo, hi int) {
-			geom.FoldNearest(ds32, d2, lo, hi, centers)
+			geom.FoldNearest(ds32, d2, near, lo, hi, centers, 0)
 		})
-		return d2
+		return d2, near
 	}
-	a := run(1)
-	b := run(7)
+	a, aNear := run(1)
+	b, bNear := run(7)
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("d2[%d] differs across span structures: %v vs %v", i, a[i], b[i])
+		}
+		if aNear[i] != bNear[i] {
+			t.Fatalf("near[%d] differs across span structures: %d vs %d", i, aNear[i], bNear[i])
 		}
 	}
 }

@@ -190,7 +190,7 @@ func KMeansSharp[T geom.Float](ds *geom.Set[T], k, batch int, r *rng.Rng) *geom.
 		newView := centers.RowRange(from, centers.Rows)
 		cNorms := geom.RowSqNorms(&newView, nil)
 		for i := 0; i < n; i++ {
-			d2[i] = geom.FoldPair(ds.Point(i), ds.W(i), d2[i], &newView, cNorms)
+			d2[i], _ = geom.FoldPair(ds.Point(i), ds.W(i), d2[i], &newView, cNorms)
 			phi += d2[i]
 		}
 	}
