@@ -86,8 +86,11 @@ type Checkpoint struct {
 	Candidates  int     `json:"candidates,omitempty"`
 	SeedCost    float64 `json:"seed_cost,omitempty"`
 
-	// Lloyd-phase running state.
+	// Lloyd-phase running state. Converged marks a checkpoint saved on the
+	// iteration that moved no center, so a resume runs no more iterations
+	// (files written without the field read false).
 	CostTrace []float64 `json:"cost_trace,omitempty"`
+	Converged bool      `json:"converged,omitempty"`
 
 	// Driver RNG mid-stream (Step 1 consumed, Step 8 not yet). JSON
 	// round-trips the words exactly.
@@ -314,13 +317,13 @@ func (c *Coordinator) saveInit(cfg core.Config, st *core.Round) error {
 }
 
 // saveLloyd checkpoints the Lloyd phase: res.Centers after res.Iters
-// completed iterations.
+// completed iterations, and whether the last of them converged.
 func (c *Coordinator) saveLloyd(cfg core.Config, maxIter int, seedC *geom.Matrix, res lloyd.Result, initStats Stats) error {
 	cp := c.checkpoint(PhaseLloyd, cfg)
 	cp.MaxIter, cp.Round, cp.Iter = maxIter, cp.Rounds, res.Iters
 	cp.Psi, cp.PhiTrace = initStats.Psi, append([]float64(nil), initStats.PhiTrace...)
 	cp.Candidates, cp.SeedCost = initStats.Candidates, initStats.SeedCost
-	cp.CostTrace = append([]float64(nil), res.CostTrace...)
+	cp.CostTrace, cp.Converged = append([]float64(nil), res.CostTrace...), res.Converged
 	return c.save(cp, res.Centers, seedC)
 }
 

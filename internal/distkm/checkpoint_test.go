@@ -154,6 +154,45 @@ func TestResumeMidLloydBitIdentical(t *testing.T) {
 	requireBitIdentical(t, "resumed Lloyd centers", gotCenters, wantRes.Centers)
 }
 
+// A fit whose last checkpoint was saved on the iteration that converged
+// resumes to the finished result: the same Iters, CostTrace, centers and
+// cost as the uninterrupted run, with no further iteration.
+func TestResumeFromConvergedCheckpoint(t *testing.T) {
+	ds := blobs(t, 4, 100, 5, 25, 43)
+	cfg := core.Config{K: 4, Seed: 33}
+	dir := t.TempDir()
+	c := loopbackCoordinator(t, ds, 2)
+	c.SetCheckpointer(&Checkpointer{Dir: dir, EveryLloyd: 1})
+	_, want, _, err := c.Fit(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _, _, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Converged || cp.Phase != PhaseLloyd || cp.Iter != want.Iters || !cp.Converged {
+		t.Fatalf("fit converged=%v in %d iterations, checkpoint phase %q iter %d converged=%v",
+			want.Converged, want.Iters, cp.Phase, cp.Iter, cp.Converged)
+	}
+
+	r := loopbackCoordinator(t, ds, 2)
+	r.SetCheckpointer(&Checkpointer{Dir: dir, EveryLloyd: 1})
+	_, got, stats, err := r.ResumeFit(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iters != want.Iters || !got.Converged {
+		t.Fatalf("resumed fit reports %d iterations (converged=%v), the fit took %d", got.Iters, got.Converged, want.Iters)
+	}
+	requireSameTrace(t, "resumed CostTrace", got.CostTrace, want.CostTrace)
+	requireBitIdentical(t, "resumed centers", got.Centers, want.Centers)
+	requireSameTrace(t, "resumed cost", []float64{got.Cost}, []float64{want.Cost})
+	if stats.RPCRounds != 1 {
+		t.Fatalf("resume ran %d fan-outs, want only the final Assign", stats.RPCRounds)
+	}
+}
+
 // A checkpoint from a different fit configuration (or dataset) must be
 // rejected, not silently blended into the wrong run.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {

@@ -701,9 +701,9 @@ func (c *Coordinator) Lloyd(init *geom.Matrix, maxIter int) (lloyd.Result, Stats
 	return c.lloyd(lloyd.Result{Centers: init}, maxIter, nil)
 }
 
-// lloyd is Lloyd continuing from a checkpointed iteration (from.Iters and
-// from.CostTrace; both zero for a fresh run), calling after after every
-// iteration.
+// lloyd is Lloyd continuing from a checkpointed iteration (from.Iters,
+// from.CostTrace and from.Converged; all zero for a fresh run), calling
+// after after every iteration.
 func (c *Coordinator) lloyd(from lloyd.Result, maxIter int, after func(lloyd.Result) error) (lloyd.Result, Stats, error) {
 	var stats Stats
 	rounds0, calls0, fail0, retry0 := c.rpcRounds.Load(), c.calls.Load(), c.failovers.Load(), c.retries.Load()
@@ -783,7 +783,7 @@ func (c *Coordinator) ResumeFit(cfg core.Config, maxIter int) (*geom.Matrix, llo
 	}
 	// A Lloyd-phase checkpoint continues from its iteration; an init-phase
 	// one seeds first, from its round.
-	from := lloyd.Result{Centers: centers, Iters: cp.Iter, CostTrace: cp.CostTrace}
+	from := lloyd.Result{Centers: centers, Iters: cp.Iter, CostTrace: cp.CostTrace, Converged: cp.Converged}
 	initStats := Stats{Stats: core.Stats{
 		Candidates: cp.Candidates,
 		Psi:        cp.Psi,

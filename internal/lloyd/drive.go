@@ -33,15 +33,16 @@ type Passes interface {
 // and Assign describe the centers it returns.
 //
 // Drive continues from `from`: its centers (not modified), its completed
-// iterations and their cost trace (zero for a fresh run). after, when
+// iterations and their cost trace (zero for a fresh run), and whether they
+// converged, in which case it runs only the final Assign pass. after, when
 // non-nil, is called after every iteration with the result so far: its
 // centers, Iters, CostTrace and Converged, but no Assign or Cost yet.
 func Drive(p Passes, from Result, maxIter int, after func(Result) error) (Result, error) {
 	limit := MaxIter(maxIter)
-	res := Result{Centers: from.Centers.Clone(), Iters: from.Iters, CostTrace: slices.Clone(from.CostTrace)}
+	res := Result{Centers: from.Centers.Clone(), Iters: from.Iters, CostTrace: slices.Clone(from.CostTrace), Converged: from.Converged}
 	centers := res.Centers
 	k, d := centers.Rows, centers.Cols
-	for res.Iters < limit {
+	for !res.Converged && res.Iters < limit {
 		sums, phi, err := p.Step(centers)
 		if err != nil {
 			return res, err
@@ -77,9 +78,6 @@ func Drive(p Passes, from Result, maxIter int, after func(Result) error) (Result
 			if err := after(res); err != nil {
 				return res, err
 			}
-		}
-		if !moved {
-			break
 		}
 	}
 	assign, cost, err := p.Assign(centers)
