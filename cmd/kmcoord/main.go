@@ -71,7 +71,7 @@ func main() {
 		k        = flag.Int("k", 10, "clusters to fit")
 		ell      = flag.Float64("l", 0, "oversampling factor ℓ (0 = 2k)")
 		rounds   = flag.Int("rounds", 0, "sampling rounds (0 = auto)")
-		maxIter  = flag.Int("max-iter", 20, "Lloyd iteration cap (0 = lloyd.DefaultMaxIter, as for local fits)")
+		maxIter  = flag.Int("max-iter", 0, "Lloyd iteration cap (0 = lloyd.DefaultMaxIter, 1000, as in kmserved, kmcluster and the library)")
 		seedVal  = flag.Uint64("seed", 1, "run seed")
 		precStr  = flag.String("precision", "", `distance arithmetic: "f64" (default) or "f32" — workers store float32 shards and run the float32 kernels; requires a homogeneous kernel tier across the fleet for reproducible bits`)
 		out      = flag.String("out", "", "write the fitted model here (kmeansll text format)")
