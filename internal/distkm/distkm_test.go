@@ -823,19 +823,27 @@ func TestJanitorExpiresAbandonedShards(t *testing.T) {
 }
 
 // flakyClient passes through `healthy` calls, then fails everything —
-// simulating a worker that dies mid-run.
+// simulating a worker that dies mid-run. died, when set, runs once, on the
+// first failed call.
 type flakyClient struct {
 	inner   Client
 	mu      sync.Mutex
 	healthy int
+	died    func()
 }
 
 func (f *flakyClient) Call(method string, args, reply any) error {
 	f.mu.Lock()
 	f.healthy--
-	dead := f.healthy < 0
+	dead, died := f.healthy < 0, f.died
+	if dead {
+		f.died = nil
+	}
 	f.mu.Unlock()
 	if dead {
+		if died != nil {
+			died()
+		}
 		return errors.New("injected: connection reset by peer")
 	}
 	return f.inner.Call(method, args, reply)

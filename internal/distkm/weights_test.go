@@ -1,9 +1,7 @@
 package distkm
 
 import (
-	"errors"
 	"math"
-	"sync"
 	"testing"
 
 	"kmeansll/internal/core"
@@ -34,36 +32,6 @@ func requireSameWeights(t *testing.T, what string, got, want []float64) {
 		}
 	}
 }
-
-// joinOnDeath passes healthy calls through and then fails every call; its
-// first failure hands join's worker to the coordinator, which admits it at
-// the next fan-out, where it steals the shard the death piled onto a
-// survivor.
-type joinOnDeath struct {
-	inner   Client
-	mu      sync.Mutex
-	healthy int
-	join    func()
-}
-
-func (j *joinOnDeath) Call(method string, args, reply any) error {
-	j.mu.Lock()
-	j.healthy--
-	dead, join := j.healthy < 0, j.join
-	if dead {
-		j.join = nil
-	}
-	j.mu.Unlock()
-	if !dead {
-		return j.inner.Call(method, args, reply)
-	}
-	if join != nil {
-		join()
-	}
-	return errors.New("injected: connection reset by peer")
-}
-
-func (j *joinOnDeath) Close() error { return j.inner.Close() }
 
 // Step 7 reads the nearest rows the folds left on the workers, so every path
 // that rebuilds a shard's cache by replaying the fold groups rebuilds the
@@ -120,13 +88,15 @@ func TestStepSevenWeightsSurviveReplays(t *testing.T) {
 		t.Cleanup(closeAll)
 		joiner := NewLoopback(NewWorker())
 		t.Cleanup(func() { _ = joiner.Close() })
-		victim := &joinOnDeath{inner: clients[1], healthy: 4}
+		// The victim's death piles its shard onto a survivor; the joiner
+		// it hands over is admitted at the next fan-out and steals it.
+		victim := &flakyClient{inner: clients[1], healthy: 4}
 		clients[1] = victim
 		c, err := NewCoordinator(clients)
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim.join = func() { c.AddWorker(joiner) }
+		victim.died = func() { c.AddWorker(joiner) }
 		c.SetRetryPolicy(fastRetry)
 		if err := c.Distribute(ds); err != nil {
 			t.Fatal(err)
