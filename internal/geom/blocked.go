@@ -230,24 +230,16 @@ func gatherRows[T Float](kt *kernels[T], rows [][]float64, d int, sc *Scratch[T]
 // passes on (Lloyd assignment+accumulate and the k-means|| round updates),
 // keeping each point tile cache-resident while it is consumed.
 // The distance is widened to float64 for the visitor, so downstream sums
-// accumulate in double precision. When withIdx is false the index argument
-// is always 0 and per-tile index tracking is skipped. Tile buffers come from
-// sc, so the caller must not also use NearestBlockedRows on sc.
-func VisitNearest[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, sc *Scratch[T], withIdx bool, visit func(i int, idx int32, d2 float64)) {
+// accumulate in double precision. Tile buffers come from sc, so the caller
+// must not also use NearestBlockedRows on sc.
+func VisitNearest[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, sc *Scratch[T], visit func(i int, idx int32, d2 float64)) {
 	idxT, d2T := grow(&sc.idx, tilePoints), grow(&sc.d2, tilePoints)
-	if !withIdx {
-		idxT = nil
-	}
 	for tLo := lo; tLo < hi; tLo += tilePoints {
 		tHi := min(tLo+tilePoints, hi)
 		view := pts.RowRange(tLo, tHi)
 		NearestBlocked(&view, centers, cNorms, idxT, d2T, sc)
 		for i := tLo; i < tHi; i++ {
-			var ix int32
-			if idxT != nil {
-				ix = idxT[i-tLo]
-			}
-			visit(i, ix, float64(d2T[i-tLo]))
+			visit(i, idxT[i-tLo], float64(d2T[i-tLo]))
 		}
 	}
 }
@@ -276,7 +268,7 @@ func VisitAssign[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked 
 func visitScan[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bool, visit func(i int, idx int32, d2 float64)) {
 	if blocked {
 		sc := GetScratch[T]()
-		VisitNearest(pts, centers, cNorms, lo, hi, sc, true, visit)
+		VisitNearest(pts, centers, cNorms, lo, hi, sc, visit)
 		sc.Release()
 		return
 	}
@@ -629,7 +621,7 @@ func FoldNearest[T Float](ds *Set[T], d2 []float64, near []int32, lo, hi int, ce
 	var part float64
 	if UseBlocked(centers.Rows, centers.Cols) {
 		sc := GetScratch[T]()
-		VisitNearest(ds.X, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, dNew float64) {
+		VisitNearest(ds.X, centers, cNorms, lo, hi, sc, func(i int, idx int32, dNew float64) {
 			if nd := ds.W(i) * dNew; nd < d2[i] {
 				d2[i], near[i] = nd, base+idx
 			}

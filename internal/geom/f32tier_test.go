@@ -87,7 +87,7 @@ func TestF32TierMatrix(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						sc := GetScratch[float32]()
-						VisitNearest(pts, centers, cNorms, lo, hi, sc, true, func(i int, idx int32, d2 float64) {
+						VisitNearest(pts, centers, cNorms, lo, hi, sc, func(i int, idx int32, d2 float64) {
 							got[i] = float32(d2)
 							gotIdx[i] = idx
 						})

@@ -17,8 +17,8 @@
 //     ‖x‖² + ‖c‖² − 2⟨x,c⟩ with cached norms, and point×center tiles are
 //     computed with a register-blocked inner-product kernel sized so the
 //     center tile stays in L1. Best from a handful of centers up, and the
-//     backbone of k-means|| round updates, Step 7 weighting, Lloyd
-//     assignment and batch serving.
+//     backbone of k-means|| round updates (which also record each point's
+//     nearest candidate for Step 7), Lloyd assignment and batch serving.
 //
 // UseBlocked picks between the two from a measured crossover; SetKernel
 // pins one for benchmarks and equivalence tests.

@@ -131,7 +131,7 @@ func checkTileBits[T Float](t *testing.T, label string, c tileCase) {
 				label, c, i, idx[i], d2[i], wantIdx[i], wantD2[i])
 		}
 	}
-	VisitNearest(pts, centers, cNorms, 0, c.n, sc, true, func(i int, ix int32, v float64) {
+	VisitNearest(pts, centers, cNorms, 0, c.n, sc, func(i int, ix int32, v float64) {
 		if ix != wantIdx[i] || math.Float64bits(v) != math.Float64bits(float64(wantD2[i])) {
 			t.Fatalf("%s %v: VisitNearest point %d = (%d, %v), PairwiseSqDist argmin (%d, %v)",
 				label, c, i, ix, v, wantIdx[i], wantD2[i])

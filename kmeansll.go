@@ -34,8 +34,9 @@
 //
 // # Performance
 //
-// Every distance-heavy loop — k-means|| round updates and Step 7 weighting,
-// Lloyd assignment, and batch prediction — runs on the blocked pairwise-
+// Every distance-heavy loop — k-means|| round updates (whose recorded
+// nearest candidates make Step 7's weighting a histogram), Lloyd
+// assignment, and batch prediction — runs on the blocked pairwise-
 // distance engine in internal/geom: squared distances are expanded as
 // ‖x‖² + ‖c‖² − 2⟨x,c⟩ with cached norms and computed tile-wise so center
 // tiles stay cache-resident. Small workloads fall back to the early-exit
