@@ -271,6 +271,7 @@ var goldenWant = map[string]uint64{
 	"f32/predict/d=58/k=21":                           0x5e8fa819883bfb93,
 	"f32/predict/d=58/k=5":                            0x735518691c2522d0,
 	"predict/blocked/k=20/d=16":                       0x464585c0f987242a,
+	"predict/blocked/k=300/d=3":                       0x6335a3fc0dc80638,
 	"predict/blocked/k=33/d=58":                       0x9d8483499cb47243,
 	"predict/kdtree/k=300/d=3":                        0x6335a3fc0dc80638,
 	"predict/scan/k=2/d=16":                           0xe1e6fdcfc78ee542,
@@ -421,6 +422,7 @@ func TestGoldenPredict(t *testing.T) {
 		{"blocked", 33, 58, false},
 		{"scan", 3, 2, false},
 		{"scan", 2, 16, false},
+		{"blocked", 300, 3, false},
 		{"kdtree", 300, 3, true},
 	}
 	for _, tc := range cases {
