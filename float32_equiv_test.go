@@ -127,7 +127,16 @@ func TestFloat32FitEquivalence(t *testing.T) {
 // including batch sizes that leave ragged tiles.
 func TestFloat32PredictEquivalence(t *testing.T) {
 	for _, dim := range []int{1, 2, 7, 16, 33, 58, 128} {
-		k := 37 // ragged: 2 full center tiles of 16 + 5
+		// Ragged: two float32 center tiles of the engine's 16 KiB budget
+		// (rows and their norms) and a partial one, more in float64. At
+		// d = 1 that many centers (4101) sit closer on their line than
+		// float32's norm expansion resolves, outside the contract's domain
+		// (agreement 0.93), so d = 1 keeps 37 centers, within one tile;
+		// tileCases holds d = 1 scans past a tile bit for bit.
+		k := 2*(16<<10/(4*(dim+1))) + 5
+		if dim == 1 {
+			k = 37
+		}
 		points, _ := f32Case(t, 1003, dim, k, false, uint64(dim))
 		centers := make([][]float64, k)
 		r := rng.New(uint64(dim) * 7)
@@ -147,8 +156,11 @@ func TestFloat32PredictEquivalence(t *testing.T) {
 		}
 		m32.SetPredictPrecision(Float32)
 
-		want := ref.PredictBatch(points, 0)
-		got := m32.PredictBatch(points, 0)
+		// The scan, forced: where no panel kernel runs, PredictBatch sends
+		// d ≤ 4 models of this many centers to the kd-tree.
+		want, got := make([]int, len(points)), make([]int, len(points))
+		ref.predictBatch(points, want, 0, false)
+		m32.predictBatch(points, got, 0, false)
 		if agr := agreement(got, want); agr < 0.999 {
 			t.Fatalf("dim=%d: predict agreement %.5f < 0.999", dim, agr)
 		}

@@ -17,7 +17,9 @@ import (
 // with the norms cached (centers once per round/iteration, points once per
 // tile), so the inner loop is a fused multi-accumulator inner product — 2
 // flops per coordinate instead of SqDist's 3, with each center tile resident
-// in L1 across the point tile.
+// in L1 across the point tile. A center tile is as many centers as fit in
+// 16 KiB with their norms (centerTile), so at low dimensions one tile
+// holds hundreds of centers.
 //
 // The nearest-center tile has two paths. Where the CPUID probe finds
 // AVX2+FMA (amd64 without km_purego), float64 and the float32 AVX2 rung
@@ -36,8 +38,9 @@ import (
 //
 // Determinism: each (point, center) inner product is accumulated in a fixed
 // order that depends only on the dimension and the center's position in the
-// 4-wide center ladder — never on where the point lands in the tiling or how
-// many workers share the scan — so results do not depend on Parallelism.
+// 4-wide center ladder — never on where the point lands in the tiling, on
+// the center tile's size or on how many workers share the scan — so results
+// do not depend on Parallelism.
 // For float64 every micro-kernel accumulates strictly sequentially in
 // coordinate order, multiplying then adding (the panel kernel never fuses).
 // The expansion rounds differently from SqDist's (a−b)²
@@ -53,10 +56,23 @@ const (
 	// paper's dimensionalities (≤ 128) a tile is ≤ 128 KiB and stays in L2
 	// while every center tile streams through it.
 	tilePoints = 128
-	// tileCenters is the number of center rows per tile: 16×128×8 B = 16 KiB
-	// keeps the tile L1-resident for dims up to 128.
-	tileCenters = 16
+	// centerTileBytes is the budget of one center tile, its rows and their
+	// norms: 16 KiB keeps it L1-resident while the point tile streams
+	// past it.
+	centerTileBytes = 16 << 10
 )
+
+// centerTile returns the number of center rows per tile at d coordinates
+// of storage type T: as many rows, each with its norm, as fit in
+// centerTileBytes, rounded down to a multiple of 4 and never below 16 (so
+// from d = 128 in float64 and d = 256 in float32 on, a tile outgrows the
+// budget). Tiles start at multiples of 4, so every center keeps its place
+// in the 4-center ladder — full group or tail — whatever the tile size,
+// and the tile size moves no bit. A larger tile means fewer kernel calls
+// per panel: one for a k = 256, d = 3 scan, where 16-center tiles took 16.
+func centerTile[T Float](d int) int {
+	return max(centerTileBytes/((d+1)*Bits[T]()/8)&^3, 16)
+}
 
 // KernelSelect overrides the automatic naive/blocked choice that UseBlocked
 // makes. Benchmarks and equivalence tests use it to pin a kernel; production
@@ -155,10 +171,10 @@ func RowSqNorms[T Float](m *Mat[T], dst []T) []T {
 }
 
 // NearestBlocked computes, for every row of pts, the index of the nearest
-// row of centers and the squared distance to it, writing d2[i] (and idx[i]
-// when idx is non-nil; pass nil when only distances are needed). cNorms must
-// be RowSqNorms(centers, ...). Ties go to the lowest center index. sc
-// provides the tile buffers; pass a pooled Scratch to avoid allocation.
+// row of centers and the squared distance to it, writing idx[i] and d2[i].
+// cNorms must be RowSqNorms(centers, ...). Ties go to the lowest center
+// index. sc provides the tile buffers; pass a pooled Scratch to avoid
+// allocation.
 func NearestBlocked[T Float](pts, centers *Mat[T], cNorms []T, idx []int32, d2 []T, sc *Scratch[T]) {
 	n, d, k := pts.Rows, pts.Cols, centers.Rows
 	if k == 0 {
@@ -170,17 +186,13 @@ func NearestBlocked[T Float](pts, centers *Mat[T], cNorms []T, idx []int32, d2 [
 	if len(cNorms) != k {
 		panic(fmt.Sprintf("geom: NearestBlocked got %d center norms for %d centers", len(cNorms), k))
 	}
-	if len(d2) < n || (idx != nil && len(idx) < n) {
+	if len(d2) < n || len(idx) < n {
 		panic("geom: NearestBlocked output shorter than points")
 	}
 	kt := kernelsFor[T]()
 	for lo := 0; lo < n; lo += tilePoints {
 		hi := min(lo+tilePoints, n)
-		var idxTile []int32
-		if idx != nil {
-			idxTile = idx[lo:hi]
-		}
-		nearestTile(kt, pts, lo, hi, centers, cNorms, idxTile, d2[lo:hi], sc)
+		nearestTile(kt, pts, lo, hi, centers, cNorms, idx[lo:hi], d2[lo:hi], sc)
 	}
 }
 
@@ -279,8 +291,8 @@ func visitScan[T Float](pts, centers *Mat[T], cNorms []T, lo, hi int, blocked bo
 }
 
 // nearestTile runs the blocked nearest-center search for point rows
-// [pLo, pHi) of pts. idxTile (optional) and d2Tile are tile-local views
-// (length pHi−pLo).
+// [pLo, pHi) of pts. idxTile and d2Tile are tile-local views (length
+// pHi−pLo).
 func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Mat[T], cNorms []T, idxTile []int32, d2Tile []T, sc *Scratch[T]) {
 	if kt.panel != nil {
 		panels, pn := packTile(kt, pts, pLo, pHi, sc)
@@ -297,23 +309,18 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 	}
 	inf := T(math.Inf(1))
 	for i := 0; i < m; i++ {
-		d2Tile[i] = inf
-		if idxTile != nil {
-			idxTile[i] = 0
-		}
+		d2Tile[i], idxTile[i] = inf, 0
 	}
-	for cLo := 0; cLo < k; cLo += tileCenters {
-		cHi := min(cLo+tileCenters, k)
+	rows := centerTile[T](centers.Cols)
+	for cLo := 0; cLo < k; cLo += rows {
+		cHi := min(cLo+rows, k)
 		// Two points at a time against the center tile.
 		i := 0
 		for ; i+2 <= m; i += 2 {
 			pa, pb := pts.Row(pLo+i), pts.Row(pLo+i+1)
 			na, nb := pn[i], pn[i+1]
 			ba, bb := d2Tile[i], d2Tile[i+1]
-			var ia, ib int32
-			if idxTile != nil {
-				ia, ib = idxTile[i], idxTile[i+1]
-			}
+			ia, ib := idxTile[i], idxTile[i+1]
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
 				var a0, a1, a2, a3, b0, b1, b2, b3 T
@@ -360,18 +367,12 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 				}
 			}
 			d2Tile[i], d2Tile[i+1] = ba, bb
-			if idxTile != nil {
-				idxTile[i], idxTile[i+1] = ia, ib
-			}
+			idxTile[i], idxTile[i+1] = ia, ib
 		}
 		if i < m { // odd tail point
 			p := pts.Row(pLo + i)
 			np := pn[i]
-			best := d2Tile[i]
-			var bi int32
-			if idxTile != nil {
-				bi = idxTile[i]
-			}
+			best, bi := d2Tile[i], idxTile[i]
 			c := cLo
 			for ; c+4 <= cHi; c += 4 {
 				var a0, a1, a2, a3 T
@@ -400,10 +401,7 @@ func nearestTile[T Float](kt *kernels[T], pts *Mat[T], pLo, pHi int, centers *Ma
 					best, bi = v, int32(c)
 				}
 			}
-			d2Tile[i] = best
-			if idxTile != nil {
-				idxTile[i] = bi
-			}
+			d2Tile[i], idxTile[i] = best, bi
 		}
 	}
 }
@@ -421,8 +419,9 @@ func panelTile[T Float](kt *kernels[T], panels, pn []T, m int, centers *Mat[T], 
 	for i := range best {
 		best[i], bestIdx[i] = inf, 0
 	}
-	for cLo := 0; cLo < k; cLo += tileCenters {
-		cHi := min(cLo+tileCenters, k)
+	rows := centerTile[T](d)
+	for cLo := 0; cLo < k; cLo += rows {
+		cHi := min(cLo+rows, k)
 		tile, tNorms := centers.Data[cLo*d:cHi*d], cNorms[cLo:cHi]
 		for p := 0; p < n; p += lanes {
 			kt.panel(panels[p*d:(p+lanes)*d], pn[p:p+lanes], tile, tNorms,
@@ -430,9 +429,7 @@ func panelTile[T Float](kt *kernels[T], panels, pn []T, m int, centers *Mat[T], 
 		}
 	}
 	copy(d2Tile, best[:m])
-	if idxTile != nil {
-		copy(idxTile, bestIdx[:m])
-	}
+	copy(idxTile, bestIdx[:m])
 }
 
 // packTile packs point rows [lo, hi) of pts into sc's panels — lane-width

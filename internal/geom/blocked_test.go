@@ -156,16 +156,17 @@ func TestSqDistNorm(t *testing.T) {
 }
 
 // TestNearestBlockedRagged fuzzes tile-boundary shapes: n and k straddling
-// multiples of the tile sizes and of the 2×4 micro-kernel, so every tail
-// path (odd point, <4 center group, partial tiles) is exercised.
+// multiples of the tile sizes (the center tile's at the trial's dimension)
+// and of the 2×4 micro-kernel, so every tail path (odd point, <4 center
+// group, partial tiles) is exercised.
 func TestNearestBlockedRagged(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sc := GetScratch[float64]()
 	defer sc.Release()
 	for trial := 0; trial < 60; trial++ {
-		n := 1 + r.Intn(2*tilePoints+3)
-		k := 1 + r.Intn(2*tileCenters+3)
 		dim := 1 + r.Intn(40)
+		n := 1 + r.Intn(2*tilePoints+3)
+		k := 1 + r.Intn(2*centerTile[float64](dim)+3)
 		pts := randMatrix(r, n, dim)
 		centers := randMatrix(r, k, dim)
 		wantIdx, wantD2 := naiveNearest(pts, centers)

@@ -43,12 +43,13 @@ func sqDistWide(a, b []float32) float64 {
 // tolerance contract of the exact float64-widened reference.
 func TestF32TierMatrix(t *testing.T) {
 	defer SetF32Tier(ActiveF32Tier())
-	const n, k = 137, 19 // ragged: 137 = 128 + 9 point rows, 19 = 16 + 3 centers
+	const n = 137 // ragged: 128 + 9 point rows
 	tiers := F32Tiers()
 	if testing.Short() && len(tiers) > 1 {
 		tiers = tiers[:2]
 	}
 	for d := 1; d <= 128; d++ {
+		k := centerTile[float32](d) + 3 // ragged: one center tile + 3
 		pts, centers := tierTestData(n, k, d)
 		cNorms := RowSqNorms(centers, nil)
 

@@ -79,19 +79,29 @@ func TestFoldNearestRecordsNearestRow(t *testing.T) {
 		}
 		return c
 	}
-	// d = 3: groups of 1, 2 and 5 rows scan pair by pair, 6 and 19 rows
-	// (past a 16-center tile) take the blocked engine. Row 9 repeats row 1
-	// (scalar, then blocked), row 20 repeats row 15 (one blocked group), and
-	// row 33 repeats row 30 (blocked, then scalar).
-	gridCands := pick(grid, 34)
+	// The long groups run past a float32 center tile at their dimension,
+	// the larger of the two precisions' tiles, so their blocked folds cross
+	// a center tile boundary in both and end in a ragged tile.
+	//
+	// d = 3: groups of 1, 2 and 5 rows scan pair by pair, 6 rows and the
+	// long group take the blocked engine, and the last row scans pair by
+	// pair again. Row 9 repeats row 1 (scalar, then blocked), row 20
+	// repeats row 15 (one blocked group), and the last row repeats the one
+	// three before it (blocked, then scalar).
+	gridLong := centerTile[float32](3) + 5
+	gridCands := pick(grid, 14+gridLong+1)
+	gridLast := gridCands.Rows - 1
 	copy(gridCands.Row(9), gridCands.Row(1))
 	copy(gridCands.Row(20), gridCands.Row(15))
-	copy(gridCands.Row(33), gridCands.Row(30))
-	gridStarts := []int{0, 1, 3, 8, 14, 33}
-	// d = 4: groups of 1 and 3 rows scan pair by pair, 4 and 18 rows take
-	// the blocked engine, and a last group of 2 scans pair by pair again.
-	gaussCands := pick(gauss, 28)
-	gaussStarts := []int{0, 1, 4, 8, 26}
+	copy(gridCands.Row(gridLast), gridCands.Row(gridLast-3))
+	gridStarts := []int{0, 1, 3, 8, 14, gridLast}
+	// d = 4: groups of 1 and 3 rows scan pair by pair, 4 rows and the long
+	// group take the blocked engine, and a last group of 2 scans pair by
+	// pair again. There are more candidates than points, so they are drawn
+	// from the same distribution instead of picked, and none repeats.
+	gaussLong := centerTile[float32](4) + 2
+	gaussCands := randMatrix(r, 8+gaussLong+2, 4)
+	gaussStarts := []int{0, 1, 4, 8, 8 + gaussLong}
 
 	weights := make([]float64, 517)
 	for i := range weights {

@@ -24,26 +24,30 @@ func (c tileCase) String() string {
 }
 
 // tileCases covers n off every multiple of 4, 8 and 128, k off every
-// multiple of 4 and 16, and d from 1 past 64 with d mod 8 ≠ 0, plus the
-// duplicate-center, zero-distance, exact-tie and clamping shapes.
+// multiple of 4 and of the center tile at d, and d from 1 past 64 with
+// d mod 8 ≠ 0, plus the duplicate-center, zero-distance, exact-tie and
+// clamping shapes. Every k past a tile is past the float32 tile, the
+// larger of the two precisions' at any d, so those scans cross a center
+// tile boundary in both and end in a ragged tile.
 func tileCases() []tileCase {
+	over := func(d, extra int) int { return centerTile[float32](d) + extra }
 	var cases []tileCase
 	for _, d := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 31, 33, 58, 63, 64, 65, 71, 130} {
-		cases = append(cases, tileCase{n: 131, k: 19, d: d})
+		cases = append(cases, tileCase{n: 131, k: over(d, 3), d: d})
 	}
 	for _, n := range []int{1, 3, 5, 9, 127, 129, 259} {
-		for _, k := range []int{1, 2, 3, 5, 17, 35} {
+		for _, k := range []int{1, 2, 3, 5, over(11, 1), 2*centerTile[float32](11) + 3} {
 			cases = append(cases, tileCase{n: n, k: k, d: 11})
 		}
 	}
 	for _, d := range []int{1, 4, 13, 67} {
 		cases = append(cases,
-			tileCase{n: 137, k: 21, d: d, dup: true},
-			tileCase{n: 137, k: 21, d: d, onPoints: true},
-			tileCase{n: 137, k: 21, d: d, grid: true, dup: true, onPoints: true},
+			tileCase{n: 137, k: over(d, 5), d: d, dup: true},
+			tileCase{n: 137, k: over(d, 5), d: d, onPoints: true},
+			tileCase{n: 137, k: over(d, 5), d: d, grid: true, dup: true, onPoints: true},
 			tileCase{n: 45, k: 7, d: d, grid: true},
-			tileCase{n: 133, k: 23, d: d, far: true, onPoints: true},
-			tileCase{n: 21, k: 19, d: d, nonFinite: true})
+			tileCase{n: 133, k: over(d, 7), d: d, far: true, onPoints: true},
+			tileCase{n: 21, k: over(d, 3), d: d, nonFinite: true})
 	}
 	return cases
 }
@@ -170,7 +174,7 @@ func TestTileMatchesPairwise(t *testing.T) {
 
 // TestPanelTileMatchesGoTile compares the float64 panel tile with the 2×4
 // Go tile directly, through nearestTile, on every shape of the bit-level
-// check, with and without index tracking.
+// check.
 func TestPanelTileMatchesGoTile(t *testing.T) {
 	if kernels64.panel == nil {
 		t.Skip("no panel kernel in this build or on this CPU")
@@ -188,12 +192,10 @@ func TestPanelTileMatchesGoTile(t *testing.T) {
 			nearestTile(&goTile, pts, lo, hi, centers, cNorms, wantIdx, wantD2, sc)
 			gotIdx, gotD2 := make([]int32, hi-lo), make([]float64, hi-lo)
 			nearestTile(&kernels64, pts, lo, hi, centers, cNorms, gotIdx, gotD2, sc)
-			noIdxD2 := make([]float64, hi-lo)
-			nearestTile(&kernels64, pts, lo, hi, centers, cNorms, nil, noIdxD2, sc)
 			for i := range wantIdx {
-				if gotIdx[i] != wantIdx[i] || !sameBits(gotD2[i], wantD2[i]) || !sameBits(noIdxD2[i], wantD2[i]) {
-					t.Fatalf("%v: point %d: panel (%d, %v / %v), Go tile (%d, %v)",
-						c, lo+i, gotIdx[i], gotD2[i], noIdxD2[i], wantIdx[i], wantD2[i])
+				if gotIdx[i] != wantIdx[i] || !sameBits(gotD2[i], wantD2[i]) {
+					t.Fatalf("%v: point %d: panel (%d, %v), Go tile (%d, %v)",
+						c, lo+i, gotIdx[i], gotD2[i], wantIdx[i], wantD2[i])
 				}
 			}
 		}
