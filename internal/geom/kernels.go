@@ -135,6 +135,14 @@ func kernelsFor[T Float]() *kernels[T] {
 	return any(&kernels64).(*kernels[T])
 }
 
+// PanelKernel reports whether the nearest-center tile of storage type T
+// runs a panel kernel: for float64 wherever the CPUID probe found AVX2+FMA,
+// for float32 while the active tier is the AVX2 rung. Everywhere else —
+// km_purego builds, arm64, amd64 without AVX2+FMA, the pure-Go and
+// SSE2/NEON float32 tiers — the tile is the 2×4 Go loop. Callers choosing
+// between the blocked scan and a structure that prunes centers read it.
+func PanelKernel[T Float]() bool { return kernelsFor[T]().panel != nil }
+
 // Bits returns the width of storage type T: 64 or 32.
 func Bits[T Float]() int {
 	var z T

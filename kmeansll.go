@@ -41,12 +41,12 @@
 // ‖x‖² + ‖c‖² − 2⟨x,c⟩ with cached norms and computed tile-wise so center
 // tiles stay cache-resident. Small workloads fall back to the early-exit
 // scan; the kd-tree handles Predict batches over many low-dimensional
-// centers (k ≥ 256, dim ≤ 4), the only regime where its pruning beats the
-// blocked scan. PredictBatchInto plus the engine's pooled scratch make
-// steady-state serving allocation-free, and TransformBatch fills whole
-// distance blocks with the same kernels. The expansion trades a little
-// absolute precision for speed; for data far from the origin see
-// UseExactDistances. `make bench` regenerates BENCH_init.json and
+// centers (k ≥ 256, dim ≤ 4) where the scan would run no panel kernel, or
+// where k is large enough that its pruning beats even the panel scan.
+// PredictBatchInto plus the engine's pooled scratch make steady-state
+// serving allocation-free, and TransformBatch fills whole distance blocks
+// with the same kernels. The expansion trades a little absolute precision
+// for speed; for data far from the origin see UseExactDistances. `make bench` regenerates BENCH_init.json and
 // BENCH_predict.json, which track ns/op and allocs/op for initialization,
 // one Lloyd iteration and batch prediction under both kernels.
 package kmeansll
@@ -192,18 +192,19 @@ type Model struct {
 
 	dim int
 
-	// centerIndex lazily caches a kd-tree over Centers for PredictBatch.
-	// Built at most once, so a served (immutable) model pays the build cost
-	// on its first large-k batch only.
+	// centerIndex lazily caches a kd-tree over Centers for PredictBatch's
+	// tree regime (predictTree). Built at most once, so a served
+	// (immutable) model pays the build cost on its first batch there only.
 	centerIndex struct {
 		once sync.Once
 		tree *kdtree.Tree
 	}
 
 	// linear64 and linear32 lazily cache the contiguous center matrix and
-	// norms of the blocked linear-scan regime, one per precision. Like the
-	// kd-tree, each is built once, so Centers must not be mutated after the
-	// first PredictBatch call.
+	// norms of the linear-scan regimes, one per precision: every batch
+	// outside the tree regime, including large-k, low-dimensional ones
+	// wherever a panel kernel runs. Like the kd-tree, each is built once,
+	// so Centers must not be mutated after the first PredictBatch call.
 	linear64 linearIndex[float64]
 	linear32 linearIndex[float32]
 
@@ -429,25 +430,55 @@ func (m *Model) Predict(point []float64) int {
 }
 
 // PredictBatch switches from the (blocked) linear center scan to a kd-tree
-// over the centers only when the centers are numerous AND low-dimensional.
-// Measured on linux/amd64 (BenchmarkPredictRegimes, both overlapping and
-// well-separated mixtures): the blocked scan beats the tree descent at every
-// (k ≤ 256, dim ≥ 4) grid point — tree pruning decays rapidly with
-// dimension — and the tree only trends ahead for dim ≤ 4 around k ≳ 256.
+// over the centers only for numerous, low-dimensional centers, and only
+// where the tree is the faster path (predictTree). BenchmarkPredictRegimes
+// on linux/amd64 (go1.24, a 2-vCPU AVX2 Xeon), ms per 512-point batch at
+// parallelism 1, medians of 5 runs, the range over its two query sets:
+//
+//	d   k      tree       scan, AVX2 panel   scan, km_purego Go tile
+//	1   256    0.14–0.17  0.14–0.15          0.44
+//	1   384    0.14       0.21               0.56–0.61
+//	1   1024   0.25–0.26  0.58–0.59          1.32–1.53
+//	2   256    0.26–0.28  0.15               0.47–0.60
+//	2   384    0.29–0.30  0.22–0.23          0.85–1.01
+//	2   1024   0.33–0.34  0.58–0.62          2.40–2.41
+//	3   256    0.47       0.15               0.76
+//	3   384    0.49–0.54  0.22–0.23          0.84–0.99
+//	3   1024   0.60–0.66  0.58–0.59          2.14–2.94
+//	4   256    0.74–0.80  0.16               0.54–0.84
+//	4   1024   1.26–1.44  0.60–0.61          2.82–3.18
+//	16  256    6.4–9.8    0.39–0.40          1.51–1.65
+//
+// Pruning decays rapidly with dimension, so above predictTreeMaxDim the
+// scan always wins. Without a panel kernel the Go tile loses to the tree
+// from predictTreeMinK centers on at d ≤ 4 (km_purego; likewise arm64,
+// amd64 without AVX2+FMA and the float32 tiers without panels). The panel
+// scan beats the tree at 256 centers for d ≥ 2 and ties it at d = 1, but
+// its cost grows linearly in k and the tree's barely, so the tree wins
+// again from about 330 centers at d = 1 and, for models whose centers are
+// data points queried near them, from about 450 at d = 2, 500 at d = 3 and
+// 550–700 at d = 4. predictPanelTreeK·(d+1) — 256, 384, 512 and 640
+// centers — sits at or below those crossovers (at d = 4 within their
+// range), giving up some of the scan's wins (d = 2, k = 384 and d = 4,
+// k = 1024 above) rather than send a model to the slower path.
 const (
 	predictTreeMinK   = 256
 	predictTreeMaxDim = 4
+	predictPanelTreeK = 128
 )
 
 // PredictBatch assigns every point to its nearest center and returns one
 // cluster index per point, in order. The batch is processed by up to
-// `parallelism` goroutines (≤ 0 means all CPUs). For models with many
-// low-dimensional centers (k ≥ 256, dim ≤ 4) the nearest-center search runs
-// against a kd-tree built once over the centers (internal/kdtree) instead
-// of scanning; everywhere else the scan runs through the blocked
-// pairwise-distance engine (internal/geom) with the center matrix and norms
-// cached on the model. Both caches are built once, so Centers must not be mutated after
-// the first PredictBatch call. Ties between equidistant centers may resolve
+// `parallelism` goroutines (≤ 0 means all CPUs). The nearest-center search
+// scans the centers through the blocked pairwise-distance engine
+// (internal/geom), with the center matrix and norms cached on the model,
+// except for models with many low-dimensional centers (k ≥ 256, dim ≤ 4)
+// whose scan would run no panel kernel — km_purego builds, CPUs without
+// AVX2+FMA, a Float32 model on a float32 tier without one, or
+// UseExactDistances(true) — or that have 128·(dim+1) centers or more:
+// those descend a kd-tree built once over the centers (internal/kdtree).
+// Both caches are built once, so Centers must not be mutated after the
+// first PredictBatch call. Ties between equidistant centers may resolve
 // differently between regimes; every answer is an exact nearest center.
 //
 // Like Predict, it panics if any point's dimensionality does not match the
@@ -470,8 +501,24 @@ func (m *Model) PredictBatchInto(points [][]float64, out []int, parallelism int)
 	if len(out) < len(points) {
 		panic(fmt.Sprintf("kmeansll: PredictBatchInto out len %d for %d points", len(out), len(points)))
 	}
-	useTree := len(m.Centers) >= predictTreeMinK && m.dim <= predictTreeMaxDim
-	m.predictBatch(points, out, parallelism, useTree)
+	m.predictBatch(points, out, parallelism, m.predictTree())
+}
+
+// predictTree is PredictBatch's regime rule: the kd-tree for at least
+// predictTreeMinK centers of at most predictTreeMaxDim dimensions, unless
+// the blocked scan would run a panel kernel — the model is above
+// UseBlocked's crossover and the kernel table of its predict precision has
+// one — on fewer than predictPanelTreeK·(dim+1) centers.
+func (m *Model) predictTree() bool {
+	k, d := len(m.Centers), m.dim
+	if k < predictTreeMinK || d > predictTreeMaxDim {
+		return false
+	}
+	panel := geom.PanelKernel[float64]()
+	if m.precision == Float32 {
+		panel = geom.PanelKernel[float32]()
+	}
+	return !panel || !geom.UseBlocked(k, d) || k >= predictPanelTreeK*(d+1)
 }
 
 // predictBatch is PredictBatchInto with the kd-tree decision forced, so

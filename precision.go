@@ -68,7 +68,10 @@ func precisionOf[T geom.Float]() Precision {
 // (models fitted via the float32 path default to it). Call before the first
 // PredictBatch — the per-precision center caches are built once — and not
 // concurrently with prediction. Predict (single point) and the kd-tree
-// regime always use float64; answers there are exact either way.
+// regime always use float64; answers there are exact either way. A Float32
+// model of 256 to 128·(dim+1) − 1 centers in dim ≤ 4 scans in float32 where
+// the float32 panel kernel runs (the AVX2 tier) and takes the kd-tree
+// elsewhere.
 func (m *Model) SetPredictPrecision(p Precision) { m.precision = p }
 
 // PredictPrecision reports the precision PredictBatch's linear-scan regime

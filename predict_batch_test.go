@@ -8,21 +8,23 @@ import (
 
 // TestPredictBatchMatchesPredict checks both PredictBatch regimes (linear
 // scan and kd-tree) against per-point Predict on well-separated blobs, where
-// the nearest center is unambiguous.
+// the nearest center is unambiguous. The d = 3, k = 300 shape is the one
+// whose public regime depends on the kernel table.
 func TestPredictBatchMatchesPredict(t *testing.T) {
-	for _, k := range []int{3, predictTreeMinK + 6} {
-		pts := makeBlobs(t, 40*k, 6, k, 60, uint64(k))
+	for _, sh := range []struct{ k, d int }{{3, 6}, {predictTreeMinK + 6, 6}, {300, 3}} {
+		k := sh.k
+		pts := makeBlobs(t, 40*k, sh.d, k, 60, uint64(k))
 		m, err := Cluster(pts, Config{K: k, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := makeBlobs(t, 500, 6, k, 60, uint64(k)+1)
+		queries := makeBlobs(t, 500, sh.d, k, 60, uint64(k)+1)
 		for _, useTree := range []bool{false, true} {
 			got := make([]int, len(queries))
 			m.predictBatch(queries, got, 3, useTree)
 			for i, p := range queries {
 				if want := m.Predict(p); got[i] != want {
-					t.Fatalf("k=%d tree=%v point %d: batch says %d, Predict says %d", k, useTree, i, got[i], want)
+					t.Fatalf("k=%d d=%d tree=%v point %d: batch says %d, Predict says %d", k, sh.d, useTree, i, got[i], want)
 				}
 			}
 		}
@@ -30,9 +32,62 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		got := m.PredictBatch(queries, 0)
 		for i, p := range queries {
 			if want := m.Predict(p); got[i] != want {
-				t.Fatalf("k=%d PredictBatch point %d: %d, want %d", k, i, got[i], want)
+				t.Fatalf("k=%d d=%d PredictBatch point %d: %d, want %d", k, sh.d, i, got[i], want)
 			}
 		}
+	}
+}
+
+// TestPredictBatchRegime pins PredictBatch's regime rule. At k = 300, d = 3
+// it takes the blocked scan where the kernel table of the model's predict
+// precision has a panel kernel (TestPanelKernelSelected ties that to the
+// CPUID probe), and the kd-tree where it has none — km_purego builds and
+// CPUs without AVX2+FMA, a Float32 model on the pure-Go tier — and under
+// UseExactDistances(true). From predictPanelTreeK·(d+1) centers on (512 at
+// d = 3, 256 at d = 1) it takes the tree in every setting, and below
+// predictTreeMinK (255 centers) the scan. The regime is read from the cache
+// the public call built, and every answer is checked against Predict.
+func TestPredictBatchRegime(t *testing.T) {
+	defer UseExactDistances(false)
+	defer geom.SetF32Tier(geom.ActiveF32Tier())
+	queries := map[int][][]float64{1: makeBlobs(t, 600, 1, 512, 60, 11), 3: makeBlobs(t, 600, 3, 512, 60, 11)}
+	run := func(setting string, k, d int, prec Precision, wantTree bool) {
+		t.Helper()
+		m, err := NewModel(makeBlobs(t, k, d, k, 60, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetPredictPrecision(prec)
+		got := m.PredictBatch(queries[d], 2)
+		if tree := m.centerIndex.tree != nil; tree != wantTree {
+			t.Fatalf("%s, k=%d d=%d %v: kd-tree regime = %v, want %v", setting, k, d, prec, tree, wantTree)
+		}
+		for i, p := range queries[d] {
+			if want := m.Predict(p); got[i] != want {
+				t.Fatalf("%s, k=%d d=%d %v: point %d: PredictBatch %d, Predict %d", setting, k, d, prec, i, got[i], want)
+			}
+		}
+	}
+	always := func(setting string) {
+		t.Helper()
+		for _, prec := range []Precision{Float64, Float32} {
+			run(setting, 255, 3, prec, false)
+			run(setting, 512, 3, prec, true)
+			run(setting, 300, 1, prec, true)
+		}
+	}
+	always("default")
+	run("default", 300, 3, Float64, !geom.PanelKernel[float64]())
+	run("default", 300, 3, Float32, !geom.PanelKernel[float32]())
+	if !geom.SetF32Tier(geom.F32TierPureGo) {
+		t.Fatal("pure-Go float32 tier unavailable")
+	}
+	run("pure-Go float32 tier", 300, 3, Float32, true)
+	run("pure-Go float32 tier", 300, 3, Float64, !geom.PanelKernel[float64]())
+	UseExactDistances(true)
+	always("exact distances")
+	for _, prec := range []Precision{Float64, Float32} {
+		run("exact distances", 300, 3, prec, true)
 	}
 }
 
