@@ -14,7 +14,7 @@ import (
 type Passes interface {
 	// Step returns each center's Σw·x ⧺ Σw over the points nearest to it
 	// (k×(d+1), StepSpan's rows summed in partition order) and
-	// φ_X(centers).
+	// φ_X(centers). The matrix may be reused by the next Step call.
 	Step(centers *geom.Matrix) (*geom.Matrix, float64, error)
 	// Farthest returns the point paying the largest w·d²(x, centers), the
 	// lowest index on ties (FarthestSpan's picks reduced in partition
@@ -94,10 +94,15 @@ func Drive(p Passes, from Result, maxIter int, after func(Result) error) (Result
 // geom.UseBlocked's crossover, and always for float32. A center no point of
 // the span is nearest to keeps an all-zero row.
 func StepSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) (*geom.Matrix, float64) {
+	sums := geom.NewMatrix(centers.Rows, centers.Cols+1)
+	return sums, stepInto(ds, lo, hi, centers, geom.RowSqNorms(centers, nil), sums)
+}
+
+// stepInto is StepSpan accumulating into sums, which must be all zero,
+// against centers with norms cNorms; it returns the cost partial.
+func stepInto[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], cNorms []T, sums *geom.Matrix) float64 {
 	k, d := centers.Rows, centers.Cols
-	sums := geom.NewMatrix(k, d+1)
 	var phi float64
-	cNorms := geom.RowSqNorms(centers, nil)
 	geom.VisitAssign(ds.X, centers, cNorms, lo, hi, geom.UseBlocked(k, d), func(i int, idx int32, dist float64) {
 		w := ds.W(i)
 		row := sums.Row(int(idx))
@@ -105,7 +110,7 @@ func StepSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) (
 		row[d] += w
 		phi += w * dist
 	})
-	return sums, phi
+	return phi
 }
 
 // FarthestSpan returns the point of [lo, hi) paying the largest
@@ -127,39 +132,58 @@ func FarthestSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T
 // it: StepSpan over parallelism chunks, the chunk rows summed in chunk
 // order. It returns each center's Σw·x ⧺ Σw (k×(d+1)) and φ_X(centers).
 func Step[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, parallelism int) (*geom.Matrix, float64) {
-	snap := geom.Convert[T](centers)
-	n := ds.N()
-	parts := make([]*geom.Matrix, geom.ChunkCount(n, parallelism))
-	phis := make([]float64, len(parts))
-	geom.ParallelFor(n, parallelism, func(ch, lo, hi int) { parts[ch], phis[ch] = StepSpan(ds, lo, hi, snap) })
-	sums := geom.NewMatrix(centers.Rows, centers.Cols+1)
-	var phi float64
-	for ch, part := range parts {
-		geom.AddScaled(sums.Data, 1, part.Data)
-		phi += phis[ch]
-	}
+	sums, phi, _ := (&chunks[T]{ds: ds, parallelism: parallelism}).Step(centers)
 	return sums, phi
 }
 
 // chunks is the in-process Passes backend: every pass is one
 // geom.ParallelFor over parallelism chunks, and the chunk partials are
-// reduced in chunk order.
+// reduced in chunk order. Step's buffers — the T snapshot of the centers
+// and its norms, each chunk's sums and cost partial, and the reduced sums —
+// are made by the first Step and zeroed and reused by every later one, so
+// a run allocates them once, not once per iteration.
 type chunks[T geom.Float] struct {
 	ds          *geom.Set[T]
 	parallelism int
+
+	snap  *geom.Mat[T]
+	norms []T
+	parts []*geom.Matrix
+	phis  []float64
+	sums  *geom.Matrix
 }
 
-func (p chunks[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
-	sums, phi := Step(p.ds, centers, p.parallelism)
-	return sums, phi, nil
+func (p *chunks[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
+	n, k, d := p.ds.N(), centers.Rows, centers.Cols
+	if p.sums == nil {
+		p.snap = geom.NewMat[T](k, d)
+		p.parts = make([]*geom.Matrix, geom.ChunkCount(n, p.parallelism))
+		for ch := range p.parts {
+			p.parts[ch] = geom.NewMatrix(k, d+1)
+		}
+		p.phis = make([]float64, len(p.parts))
+		p.sums = geom.NewMatrix(k, d+1)
+	}
+	p.norms = snapshot(p.snap, centers, p.norms)
+	geom.ParallelFor(n, p.parallelism, func(ch, lo, hi int) {
+		clear(p.parts[ch].Data)
+		p.phis[ch] = stepInto(p.ds, lo, hi, p.snap, p.norms, p.parts[ch])
+	})
+	clear(p.sums.Data)
+	var phi float64
+	for ch, part := range p.parts {
+		geom.AddScaled(p.sums.Data, 1, part.Data)
+		phi += p.phis[ch]
+	}
+	return p.sums, phi, nil
 }
 
-func (p chunks[T]) Farthest(centers *geom.Matrix) ([]float64, error) {
+func (p *chunks[T]) Farthest(centers *geom.Matrix) ([]float64, error) {
 	i := farthest(p.ds, geom.Convert[T](centers), p.parallelism)
 	return geom.WidenRow(make([]float64, p.ds.Dim()), p.ds.Point(i)), nil
 }
 
-func (p chunks[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
+func (p *chunks[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
 	assign, cost := Assign(p.ds, geom.Convert[T](centers), p.parallelism)
 	return assign, cost, nil
 }

@@ -52,3 +52,39 @@ func countDiff(a, b []int32) int {
 	}
 	return n
 }
+
+// The in-process backend keeps Step's buffers for the whole run: every
+// Step after the first returns the same sums matrix and fills the same
+// snapshot and per-chunk matrices, and each Step's sums and cost are a
+// fresh backend's first Step's, bit for bit, so the reused buffers start
+// every iteration from zero.
+func TestStepReusesBuffers(t *testing.T) {
+	raw, _ := blobs(t, 5, 120, 6, 2, 31)
+	ds64, ds32 := f32Pair(raw)
+	requireStepReuse(t, ds64)
+	requireStepReuse(t, ds32)
+}
+
+func requireStepReuse[T geom.Float](t *testing.T, ds *geom.Set[T]) {
+	t.Helper()
+	a, b := geom.NewMatrix(5, ds.Dim()), geom.NewMatrix(5, ds.Dim())
+	for c := 0; c < 5; c++ {
+		geom.WidenRow(a.Row(c), ds.Point(c))
+		geom.WidenRow(b.Row(c), ds.Point(100+c))
+	}
+	for _, par := range []int{1, 3} {
+		p := &chunks[T]{ds: ds, parallelism: par}
+		first, _, _ := p.Step(a)
+		snap, part := p.snap, p.parts[0]
+		for _, centers := range []*geom.Matrix{b, a, b} {
+			got, gotPhi, _ := p.Step(centers)
+			if got != first || p.snap != snap || p.parts[0] != part {
+				t.Fatalf("Bits %d, Parallelism %d: Step made new buffers", geom.Bits[T](), par)
+			}
+			want, wantPhi := Step(ds, centers, par)
+			if !slices.Equal(got.Data, want.Data) || math.Float64bits(gotPhi) != math.Float64bits(wantPhi) {
+				t.Fatalf("Bits %d, Parallelism %d: a reused Step differs from a fresh one", geom.Bits[T](), par)
+			}
+		}
+	}
+}

@@ -161,7 +161,7 @@ func Run[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, cfg Config) Result
 	case Hamerly:
 		return runHamerly(ds, centers, cfg)
 	}
-	res, _ := Drive(chunks[T]{ds, cfg.Parallelism}, Result{Centers: centers}, cfg.MaxIter, nil)
+	res, _ := Drive(&chunks[T]{ds: ds, parallelism: cfg.Parallelism}, Result{Centers: centers}, cfg.MaxIter, nil)
 	return res
 }
 
