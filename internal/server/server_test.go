@@ -412,6 +412,77 @@ func TestTransformRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPredictPaletteMatchesModel posts quantization bodies — 4096 integer
+// RGB pixels each, two at once — against a registered palette of 256
+// well-separated colours and checks every assignment against
+// Model.Predict. At this shape (k ≥ 256, d ≤ 4) PredictBatch runs the
+// blocked panel scan where the AVX2 panel kernel runs and the kd-tree
+// where none does (km_purego), so the pooled handler serves both regimes
+// across the build legs.
+func TestPredictPaletteMatchesModel(t *testing.T) {
+	var palette [][]float64
+	for r := 0; r < 8; r++ {
+		for g := 0; g < 8; g++ {
+			for b := 0; b < 4; b++ {
+				palette = append(palette, []float64{float64(16 + 32*r), float64(16 + 32*g), float64(32 + 64*b)})
+			}
+		}
+	}
+	model, err := kmeansll.NewModel(palette)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	if code := do(t, s, "PUT", "/v1/models/palette", putModelRequest{Centers: palette}, nil); code != http.StatusCreated {
+		t.Fatalf("PUT palette: status %d", code)
+	}
+	// Each pixel is a palette colour moved by at most 7 per channel, well
+	// inside its colour's half-spacing of 16, so its nearest colour is
+	// unambiguous.
+	r := rng.New(17)
+	bodies := make([][][]float64, 2)
+	for i := range bodies {
+		bodies[i] = make([][]float64, 4096)
+		for j := range bodies[i] {
+			c := palette[r.Intn(len(palette))]
+			bodies[i][j] = []float64{c[0] + float64(r.Intn(15)-7), c[1] + float64(r.Intn(15)-7), c[2] + float64(r.Intn(15)-7)}
+		}
+	}
+	var wg sync.WaitGroup
+	for i, pixels := range bodies {
+		body, err := json.Marshal(map[string]any{"points": pixels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/models/palette/predict", bytes.NewReader(body)))
+			var rep predictResponse
+			if rec.Code != http.StatusOK {
+				t.Errorf("body %d: predict status %d: %s", i, rec.Code, rec.Body)
+				return
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+				t.Errorf("body %d: decoding response: %v", i, err)
+				return
+			}
+			if len(rep.Assignments) != len(pixels) {
+				t.Errorf("body %d: %d assignments for %d pixels", i, len(rep.Assignments), len(pixels))
+				return
+			}
+			for j, p := range pixels {
+				if want := model.Predict(p); rep.Assignments[j] != want {
+					t.Errorf("body %d pixel %d %v: assigned %d, Predict says %d", i, j, p, rep.Assignments[j], want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestStreamingIngestRefreshesModel drives the online ingest loop: a stream
 // refits its registry model every RefitEvery points, so the served centers
 // track the stream.
