@@ -46,9 +46,10 @@
 // PredictBatchInto plus the engine's pooled scratch make steady-state
 // serving allocation-free, and TransformBatch fills whole distance blocks
 // with the same kernels. The expansion trades a little absolute precision
-// for speed; for data far from the origin see UseExactDistances. `make bench` regenerates BENCH_init.json and
-// BENCH_predict.json, which track ns/op and allocs/op for initialization,
-// one Lloyd iteration and batch prediction under both kernels.
+// for speed; for data far from the origin see UseExactDistances.
+// `make bench` regenerates BENCH_init.json and BENCH_predict.json, which
+// track ns/op and allocs/op for initialization, one Lloyd iteration and
+// batch prediction under both kernels.
 package kmeansll
 
 import (
