@@ -452,10 +452,11 @@ func (m *Model) Predict(point []float64) int {
 //
 // Pruning decays rapidly with dimension, so above predictTreeMaxDim the
 // scan always wins. Without a panel kernel the Go tile loses to the tree
-// from predictTreeMinK centers on at d ≤ 4 (km_purego; likewise arm64,
-// amd64 without AVX2+FMA and the float32 tiers without panels). The panel
-// scan beats the tree at 256 centers for d ≥ 2 and ties it at d = 1, but
-// its cost grows linearly in k and the tree's barely, so the tree wins
+// from predictTreeMinK centers on at d ≤ 3 and ties it at d = 4, k = 256
+// (km_purego; likewise arm64, amd64 without AVX2+FMA and the float32 tiers
+// without panels), so the tree keeps that regime. The panel scan beats the
+// tree at 256 centers for d ≥ 2 and ties it at d = 1, but its cost grows
+// linearly in k and the tree's barely, so the tree wins
 // again from about 330 centers at d = 1 and, for models whose centers are
 // data points queried near them, from about 450 at d = 2, 500 at d = 3 and
 // 550–700 at d = 4. predictPanelTreeK·(d+1) — 256, 384, 512 and 640
