@@ -21,8 +21,11 @@ import (
 
 // Config sizes a Server. Zero values select the documented defaults.
 type Config struct {
-	// Parallelism bounds the worker goroutines of one predict/transform
-	// batch and of each fit job (0 = all CPUs).
+	// Parallelism bounds the worker goroutines of one predict, transform
+	// or ingest request — the decode and scan of its points body, split
+	// across them when the body's points array is large (see points.go),
+	// and the predict/transform batch — and of each fit job (0 = all
+	// CPUs). At 1 every points body is decoded serially.
 	Parallelism int
 	// FitWorkers is the number of concurrent fit jobs (0 = 2).
 	FitWorkers int

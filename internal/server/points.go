@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -9,9 +10,12 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"kmeansll/internal/geom"
 )
 
 // Points bodies — {"points": [[...], ...]}, the body of predict, transform
@@ -41,6 +45,24 @@ import (
 //     error, or a complete value that fails to decode or is followed by
 //     more than whitespace.
 //
+// A large points array is scanned in parts on the request's workers (up to
+// Config.Parallelism of them), which write their rows straight into the
+// flat buffer. The array is cut at row openings found with bytes.IndexByte
+// from evenly spaced offsets, each part's rows are counted up front with
+// bytes.Count of '[', and so every part knows the index of its first row.
+// The parts' findings — the point count, the first point without dim
+// coordinates and the first decode error — merge in body order, so a body
+// with a short point or an out-of-range number gets its verdict from the
+// split scan. It is taken only when every row is fresh (no earlier
+// occurrence of the field has stored any), the body fits under the cap,
+// the counted rows fit under storeRows, and the array spans at least two
+// parts of splitPartBytes; otherwise, and whenever a part does not tile the
+// array exactly as the serial loop would — a syntax error or a cut body, or
+// a part whose elements are not its counted rows (a null point, a nested
+// array, a '[' in a string) — the array is scanned again serially from its
+// first element. Either way the body gets the serial scan's status, error
+// and coordinates: FuzzSplitPoints holds the split to that.
+//
 // A number's value is the one strconv.ParseFloat gives its token, as in
 // encoding/json. While number checks the grammar it accumulates up to 19
 // significant digits into a uint64 mantissa m and counts the decimal
@@ -67,6 +89,7 @@ type pointsBody struct {
 	flat   []float64   // the coordinates, row-major
 	rows   [][]float64 // the batch: one view over flat per point
 	assign []int       // predict's output
+	split  arraySplit  // the state of a split scan
 }
 
 var pointsPool = sync.Pool{New: func() any { return new(pointsBody) }}
@@ -91,7 +114,9 @@ func (s *Server) decodePoints(r *http.Request, dim int) (*pointsBody, int, error
 	b := pointsPool.Get().(*pointsBody)
 	var readErr error
 	b.raw, readErr = readBody(r, b.raw, s.cfg.MaxRequestBytes)
-	sc := pointsScanner{data: b.raw, dim: dim, maxPoints: s.cfg.MaxBatchPoints, flat: b.flat[:0]}
+	workers := geom.Workers(s.cfg.Parallelism)
+	b.split.workers, b.split.partBytes, b.split.maxParts = workers, splitPartBytes, partsPerWorker*workers
+	sc := pointsScanner{data: b.raw, dim: dim, maxPoints: s.cfg.MaxBatchPoints, flat: b.flat[:0], split: &b.split}
 	if readErr != nil {
 		status, err := bodyError(readErr)
 		if status != http.StatusRequestEntityTooLarge {
@@ -177,6 +202,8 @@ type pointsScanner struct {
 	n, bad, badLen int
 
 	decodeErr error // the first unknown field, wrong type or out-of-range number
+
+	split *arraySplit // how a large points array may be split
 }
 
 // decode scans the whole body and returns the request's verdict.
@@ -277,25 +304,15 @@ func (s *pointsScanner) points() error {
 		s.live = 0 // encoding/json swaps in a fresh empty slice
 		return nil
 	}
+	if s.live == 0 && s.scanSplit() {
+		return nil
+	}
 	for more := true; more; s.n++ {
 		if s.pos == len(s.data) {
 			return errEnd
 		}
 		row, fresh := s.row(s.n)
-		var err error
-		switch s.data[s.pos] {
-		case '[':
-			err = s.point(s.n, row, fresh)
-		case 'n':
-			// A null point is a nil slice: no coordinates, and its
-			// positions start over at 0.
-			clear(row)
-			s.badPoint(s.n, 0)
-			err = s.literal("null")
-		default:
-			s.setDecodeErr(fmt.Errorf("point %d must be an array of numbers", s.n))
-			err = s.skip(2)
-		}
+		err := s.element(s.n, row, fresh)
 		if err != nil {
 			return err
 		}
@@ -304,6 +321,184 @@ func (s *pointsScanner) points() error {
 		}
 	}
 	return nil
+}
+
+// element scans the array element at pos, point i, into row, its stored
+// coordinates (see row).
+func (s *pointsScanner) element(i int, row []float64, fresh bool) error {
+	switch s.data[s.pos] {
+	case '[':
+		return s.point(i, row, fresh)
+	case 'n':
+		// A null point is a nil slice: no coordinates, and its positions
+		// start over at 0.
+		clear(row)
+		s.badPoint(i, 0)
+		return s.literal("null")
+	}
+	s.setDecodeErr(fmt.Errorf("point %d must be an array of numbers", i))
+	return s.skip(2)
+}
+
+// splitPartBytes is the smallest part a points array is cut into for a
+// split scan, so only arrays of at least twice its size are split. Chosen
+// from a sweep from 4 to 64 KiB on a 2-vCPU Xeon container (CHANGES.md has
+// the figures): arrays of 24–34 KB scanned split about as fast as
+// serially, larger ones faster, and 16 KiB parts cut serve-quantize's 52 KB
+// body into three, which two workers share less evenly than four.
+const splitPartBytes = 12 << 10
+
+// partsPerWorker bounds the parts of one split, and so the pooled slice
+// that holds them. Parts are claimed one at a time, so the workers finish
+// within about one part of each other, even when a helper starts late.
+const partsPerWorker = 8
+
+// arraySplit is how a points array may be split — workers, partBytes and
+// maxParts — and the state of one split scan, shared by its goroutines.
+// It lives in the pooled pointsBody, so a split allocates only for the
+// helper goroutines it starts.
+type arraySplit struct {
+	workers   int // goroutines a split may run on; fewer than 2: no split
+	partBytes int // the smallest part
+	maxParts  int // the most parts one array is cut into
+
+	data  []byte
+	dim   int
+	flat  []float64 // the split's rows, which the parts fill
+	parts []arrayPart
+	next  atomic.Int32 // the next unclaimed part
+	wg    sync.WaitGroup
+}
+
+// arrayPart is one part of a split array: the elements from start up to
+// end, whose first element is point first and whose rows were counted as
+// rows, and what scanning them found.
+type arrayPart struct {
+	start, end  int
+	first, rows int
+
+	ok          bool // the part tiles the array as the serial loop would
+	pos         int  // where its scan ended
+	bad, badLen int  // its first point without dim coordinates (bad < 0: none)
+	decodeErr   error
+}
+
+// scanSplit scans the points array whose first element is at pos in parts
+// on up to split.workers goroutines, and reports whether it did: the array
+// is then scanned past its closing bracket, with its rows stored and n,
+// bad and decodeErr as the serial loop would leave them. When it reports
+// false, the scanner is as it was and the serial loop scans the array; see
+// the top of this file for when.
+func (s *pointsScanner) scanSplit() bool {
+	sp := s.split
+	if sp.workers < 2 || s.overCap != nil {
+		return false
+	}
+	start, end := s.pos, len(s.data)
+	n := min((end-start)/sp.partBytes, sp.maxParts)
+	if n < 2 {
+		return false
+	}
+	// Cut at the first row opening at or after each of n−1 evenly spaced
+	// offsets, skipping an offset the previous part already reaches past.
+	parts, total := sp.parts[:0], 0
+	cut := func(lo, hi int) {
+		rows := bytes.Count(s.data[lo:hi], []byte{'['})
+		parts = append(parts, arrayPart{start: lo, end: hi, first: total, rows: rows})
+		total += rows
+	}
+	lo := start
+	for k := 1; k < n; k++ {
+		o := start + k*(end-start)/n
+		if o <= lo {
+			continue
+		}
+		i := bytes.IndexByte(s.data[o:], '[')
+		if i < 0 {
+			break
+		}
+		cut(lo, o+i)
+		lo = o + i
+	}
+	cut(lo, end)
+	sp.parts = parts
+	if len(parts) < 2 || total > s.storeRows {
+		return false
+	}
+
+	if need := total * s.dim; cap(s.flat) < need {
+		s.flat = make([]float64, 0, need)
+	}
+	sp.data, sp.dim, sp.flat = s.data, s.dim, s.flat[:total*s.dim]
+	sp.next.Store(0)
+	helpers := min(sp.workers, len(parts)) - 1
+	sp.wg.Add(helpers)
+	for range helpers {
+		go func() {
+			defer sp.wg.Done()
+			sp.run()
+		}()
+	}
+	sp.run() // the handler's goroutine claims parts too
+	sp.wg.Wait()
+	sp.data, sp.flat = nil, nil
+
+	for _, pt := range parts {
+		if !pt.ok {
+			return false
+		}
+	}
+	for _, pt := range parts {
+		if pt.decodeErr != nil {
+			s.setDecodeErr(pt.decodeErr)
+		}
+		if s.bad < 0 && pt.bad >= 0 {
+			s.bad, s.badLen = pt.bad, pt.badLen
+		}
+	}
+	s.flat, s.live, s.n, s.pos = s.flat[:total*s.dim], total, total, parts[len(parts)-1].pos
+	return true
+}
+
+// run scans parts until none is left unclaimed. A part that does not tile
+// the array ends the split, since it will be scanned again serially.
+func (sp *arraySplit) run() {
+	for {
+		k := int(sp.next.Add(1)) - 1
+		if k >= len(sp.parts) {
+			return
+		}
+		pt := &sp.parts[k]
+		p := pointsScanner{data: sp.data, pos: pt.start, dim: sp.dim, bad: -1}
+		pt.ok = p.part(pt.first, pt.rows, pt.end, sp.flat, k == len(sp.parts)-1)
+		pt.pos, pt.bad, pt.badLen, pt.decodeErr = p.pos, p.bad, p.badLen, p.decodeErr
+		if !pt.ok {
+			sp.next.Store(int32(len(sp.parts)))
+		}
+	}
+}
+
+// part scans the elements of one part of a split array from pos, which is
+// before end, as points first to first+rows, into their fresh rows of flat.
+// It reports whether they tile the array as the serial loop would scan it:
+// exactly rows elements, the last followed by a comma that reaches end or,
+// in the last part, by the array's closing bracket.
+func (s *pointsScanner) part(first, rows, end int, flat []float64, last bool) bool {
+	for i := first; i < first+rows; i++ {
+		if s.element(i, flat[i*s.dim:(i+1)*s.dim], true) != nil {
+			return false
+		}
+		more, err := s.more(']')
+		switch {
+		case err != nil:
+			return false
+		case !more:
+			return last && i == first+rows-1
+		case s.pos >= end:
+			return !last && s.pos == end && i == first+rows-1
+		}
+	}
+	return false
 }
 
 // point scans point i's coordinate array into row, its stored coordinates

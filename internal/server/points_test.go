@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -367,6 +368,121 @@ func FuzzDecodePoints(f *testing.F) {
 	})
 }
 
+// scanBody decodes body as decodePoints does, into fresh buffers, with the
+// split scan configured by split (the zero arraySplit: the serial scan). It
+// returns the scanner as the scan left it, its verdict, and whether the
+// split scan was taken with no serial rescan.
+func scanBody(body []byte, dim, maxPoints int, split *arraySplit) (sc pointsScanner, status int, err error, took bool) {
+	sc = pointsScanner{data: body, dim: dim, maxPoints: maxPoints, split: split}
+	status, err = sc.decode()
+	took = len(split.parts) >= 2
+	for _, pt := range split.parts {
+		took = took && pt.ok
+	}
+	return sc, status, err, took
+}
+
+// tinySplit cuts an array into up to parts parts as small as one byte,
+// scanned on parts goroutines.
+func tinySplit(parts int) *arraySplit {
+	return &arraySplit{workers: parts, partBytes: 1, maxParts: parts}
+}
+
+// checkSplitAgrees fails t unless body, scanned with split, gets the serial
+// scan's status, error text and point count, and when accepted its
+// coordinates bit for bit. It reports whether the split scan was taken.
+func checkSplitAgrees(t *testing.T, body []byte, dim, maxPoints int, split *arraySplit) bool {
+	t.Helper()
+	serial, wantStatus, wantErr, _ := scanBody(body, dim, maxPoints, &arraySplit{})
+	got, gotStatus, gotErr, took := scanBody(body, dim, maxPoints, split)
+	if gotStatus != wantStatus || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.n != serial.n {
+		t.Fatalf("body %.80q, dim %d, %d parts: split scan gives status %d (%v) and %d points, serial %d (%v) and %d",
+			body, dim, len(split.parts), gotStatus, gotErr, got.n, wantStatus, wantErr, serial.n)
+	}
+	if wantStatus == 0 {
+		for i, v := range serial.flat[:serial.n*dim] {
+			if math.Float64bits(got.flat[i]) != math.Float64bits(v) {
+				t.Fatalf("body %.80q, dim %d: coordinate %d is %v, serial %v", body, dim, i, got.flat[i], v)
+			}
+		}
+	}
+	return took
+}
+
+// splitCases are bodies whose points array tinySplit(4) cuts into four
+// one-row parts at dim 2, and whether the split scan takes them with no
+// serial rescan.
+var splitCases = []struct {
+	body string
+	took bool
+}{
+	{`{"points":[[1,2],[3,4],[5,6],[7,8]]}`, true},
+	{` { "points" : [ [1,2] , [3,4] ,[5,6], [7,8] ] } `, true},
+	{`{"points":[[1,2],[3,4],[5,6],[7]]}`, true},                                   // a short last point
+	{`{"points":[[1,2],[3,4,5],[5,6],[]]}`, true},                                  // two bad points: the first counts
+	{`{"points":[[1,2],[1e400,4],[5,6],[1e400,8]]}`, true},                         // out of range
+	{`{"x":1,"points":[[1,2],[1e400,4],[5,6],[7,8]]}`, true},                       // an unknown field first
+	{`{"points":[[1,2],[3,"4"],[5,null],[7,8]]}`, true},                            // a string and a null coordinate
+	{`{"points":[[1,2],[[3],4],[5,6],[7,8]]}`, false},                              // a nested array
+	{`{"points":[[1,2],["[",4],[5,6],[7,8]]}`, false},                              // a bracket in a string
+	{`{"points":[[1,2],null,[5,6],[7,8]]}`, false},                                 // a null point
+	{`{"points":[[1,2],5,[5,6],[7,8]]}`, false},                                    // a number for a point
+	{`{"points":[[1,2],[3,4],[5,x],[7,8]]}`, false},                                // a syntax error
+	{`{"points":[[1,2],[3,4],[5,6],[7,8]`, false},                                  // a cut body
+	{`{"points":[[1,2],[3,4],[5,6],[7,8]],"x":[1]}`, false},                        // a bracket after the array
+	{`{"points":[[1,2]],"x":"[3,4]]"}`, false},                                     // the array closes before the last part
+	{`{"points":[[0,"[2]]x"],5]}`, false},                                          // a point runs past its part's end
+	{`{"points":[[1,2],[3,4],[5,6],[7,8]],"points":[[9]]}`, false},                 // a repeated field
+	{`{"points":[],"points":[[1,2],[3,4],[5,6],[7,8]]}`, true},                     // no stored rows yet
+	{`{"points":[[1,2],[3,4],[5,6],[7,8],[9,10],[1,2],[3,4],[5,6],[7,8]]}`, false}, // over maxPoints
+}
+
+// TestSplitScanPaths pins which bodies the split scan takes without a
+// serial rescan, and that each gets the serial scan's verdict either way.
+func TestSplitScanPaths(t *testing.T) {
+	for _, tc := range splitCases {
+		if took := checkSplitAgrees(t, []byte(tc.body), 2, 8, tinySplit(4)); took != tc.took {
+			t.Errorf("body %q: split scan taken %v, want %v", tc.body, took, tc.took)
+		}
+	}
+}
+
+// TestSplitScanLargeBodies decodes perfbench's serve-bulk body shape and
+// its twin, whose last point is one coordinate short, with the split
+// decodePoints configures at 2 workers: both take the split with no
+// rescan and get the serial scan's verdict.
+func TestSplitScanLargeBodies(t *testing.T) {
+	const dim = 58
+	pts := blobPoints(512, dim, 32, 1)
+	twin := append([][]float64(nil), pts...)
+	twin[len(twin)-1] = twin[len(twin)-1][:dim-1]
+	for _, p := range [][][]float64{pts, twin} {
+		body, err := json.Marshal(pointsRequest{Points: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := &arraySplit{workers: 2, partBytes: splitPartBytes, maxParts: 2 * partsPerWorker}
+		if !checkSplitAgrees(t, body, dim, 1000, split) {
+			t.Fatalf("%d points: the split scan fell back to the serial scan", len(p))
+		}
+	}
+}
+
+// FuzzSplitPoints holds the split scan to the serial scan: cut into two to
+// four tiny parts, every body gets the serial scan's status, error text and
+// point count, and an accepted body its coordinates bit for bit.
+func FuzzSplitPoints(f *testing.F) {
+	for _, body := range pointsSeeds {
+		f.Add([]byte(body), uint8(1), uint8(2))
+	}
+	for _, tc := range splitCases {
+		f.Add([]byte(tc.body), uint8(1), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, dim, parts uint8) {
+		checkSplitAgrees(t, body, 1+int(dim%4), 8, tinySplit(2+int(parts%3)))
+	})
+}
+
 // TestDecodePointsLargeBodies covers what the fuzz cap is too small to
 // reach: encoding/json's nesting limit, a body at the default cap's scale,
 // and a long run of points past MaxBatchPoints.
@@ -515,6 +631,91 @@ func TestPointsPoolConcurrentRequests(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSplitDecodeConcurrentPredicts posts bodies large enough to be split
+// across the request's workers to one server at once: a clean one, one
+// whose last point is a coordinate short, and one with a syntax error in
+// the middle of its array. Each clean answer must be Model.Predict's for
+// every point, and each rejection the one a serial server gives. A part
+// written by two scans, or a pooled buffer reused too early, shows up here
+// as a race or a wrong answer (run with -race -count=10).
+func TestSplitDecodeConcurrentPredicts(t *testing.T) {
+	const (
+		dim    = 8
+		rounds = 6
+	)
+	s := newTestServer(t, Config{Parallelism: 2})
+	serial := newTestServer(t, Config{Parallelism: 1})
+	centers := blobPoints(16, dim, 8, 3)
+	for _, srv := range []*Server{s, serial} {
+		if code := do(t, srv, "PUT", "/v1/models/m", putModelRequest{Centers: centers}, nil); code != http.StatusCreated {
+			t.Fatalf("PUT model: status %d", code)
+		}
+	}
+	mv, _ := s.registry.Get("m")
+
+	pts := blobPoints(600, dim, 8, 4)
+	clean, err := json.Marshal(pointsRequest{Points: pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := append([][]float64(nil), pts...)
+	short[len(short)-1] = short[len(short)-1][:dim-1]
+	shortBody, err := json.Marshal(pointsRequest{Points: short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := bytes.Clone(clean)
+	mid := len(broken) / 2
+	broken[mid+bytes.IndexByte(broken[mid:], ',')] = 'x'
+	if len(clean) < 4*splitPartBytes {
+		t.Fatalf("a %d-byte body is cut into fewer than 4 parts", len(clean))
+	}
+	want := make([]int, len(pts))
+	for i, p := range pts {
+		want[i] = mv.Model.Predict(p)
+	}
+
+	post := func(srv *Server, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/models/m/predict", bytes.NewReader(body)))
+		return rec
+	}
+	rejected := make(map[string]string) // body → the serial server's answer
+	for _, body := range [][]byte{shortBody, broken} {
+		rec := post(serial, body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("serial server: status %d: %s", rec.Code, rec.Body)
+		}
+		rejected[string(body)] = rec.Body.String()
+	}
+
+	var wg sync.WaitGroup
+	for r := range rounds {
+		for i, body := range [][]byte{clean, shortBody, broken} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := post(s, body)
+				if i > 0 {
+					if got := rec.Body.String(); rec.Code != http.StatusBadRequest || got != rejected[string(body)] {
+						t.Errorf("round %d body %d: status %d %s, serial server %s", r, i, rec.Code, got, rejected[string(body)])
+					}
+					return
+				}
+				var resp predictResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+					t.Errorf("round %d: status %d (%v): %s", r, rec.Code, err, rec.Body)
+					return
+				}
+				if !slices.Equal(resp.Assignments, want) {
+					t.Errorf("round %d: assignments differ from Model.Predict's", r)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
 // TestIngestMatchesInProcessStream ingests two batches over HTTP and
 // refits: the centers must be bit-identical to a StreamingClusterer fed
 // the same batches in-process. A pooled point kept past its request would
@@ -574,12 +775,17 @@ func TestIngestMatchesInProcessStream(t *testing.T) {
 // paper's 58 dims) with the points scanner and with the reflective path it
 // replaced, then two other shapes with the scanner: serve-quantize's 4096
 // integer RGB pixels, and a 512×58 body whose every coordinate is outside
-// the exact window, so strconv.ParseFloat converts it.
+// the exact window, so strconv.ParseFloat converts it. Those rows run at
+// Parallelism 1, the serial scan; the split rows decode the first two
+// bodies split across 2 workers.
 func BenchmarkDecodePoints(b *testing.B) {
-	s := New(Config{})
+	s := New(Config{Parallelism: 1})
 	b.Cleanup(s.Close)
+	split := New(Config{Parallelism: 2})
+	b.Cleanup(split.Close)
 	body := marshalPoints(b, blobPoints(512, 58, 32, 1))
 	b.Run("scanner", func(b *testing.B) { benchDecode(b, s, body, 58) })
+	b.Run("scanner-split2", func(b *testing.B) { benchDecode(b, split, body, 58) })
 	b.Run("encoding-json", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -597,6 +803,7 @@ func BenchmarkDecodePoints(b *testing.B) {
 	}
 	pixelBody := marshalPoints(b, pixels)
 	b.Run("pixels", func(b *testing.B) { benchDecode(b, s, pixelBody, 3) })
+	b.Run("pixels-split2", func(b *testing.B) { benchDecode(b, split, pixelBody, 3) })
 
 	// Values in [1e-8, 2e-8), which encoding/json writes as d.ddd…e-08. With
 	// 16 or more significant digits the decimal exponent is -23 or below,
