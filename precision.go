@@ -72,6 +72,14 @@ func precisionOf[T geom.Float]() Precision {
 // model of 256 to 128·(dim+1) − 1 centers in dim ≤ 4 scans in float32 where
 // the float32 panel kernel runs (the AVX2 tier) and takes the kd-tree
 // elsewhere.
+//
+// Float32 cannot separate centers packed closer than its rounding of the
+// norm expansion, ~1e-4·(‖x‖²+1): the tolerance contract's ≥ 99.9%
+// agreement with float64 does not hold for such models. With the scan
+// forced at d = 1 (centers 10·N(0,1)), agreement was 92.5% at 4101 centers
+// and 82.5% at 8197, every disagreement a near-tie, while
+// PrecisionEffective still reported Float32. See docs/kernels.md, "What
+// float32 cannot do".
 func (m *Model) SetPredictPrecision(p Precision) { m.precision = p }
 
 // PredictPrecision reports the precision PredictBatch's linear-scan regime
