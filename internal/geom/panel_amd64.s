@@ -10,7 +10,11 @@
 // the dots of each (point, center) pair, the clamped norm expansion
 // max(0, (pn + cn) − (dot + dot)) and the running min/argmin, all in
 // registers. Centers are visited in ascending order with an ordered
-// strict less-than, so ties keep the lowest index and NaN never wins.
+// strict less-than, so ties keep the lowest index and NaN never wins: the
+// running best is VMINPD/VMINPS of the new value (first source) and the
+// best (second), which keeps the best on ties, on −0 against +0 and on
+// NaN, and only the index is blended, under the VCMPPD/VCMPPS LT_OQ mask
+// of the same comparison.
 //
 // Each lane replays the arithmetic of the tile the kernel replaces, so
 // the results are bit for bit those of the 2-point/4-center loop:
@@ -31,7 +35,7 @@
 	VSUBPD       Y6, Y5, Y5;   \
 	VMAXPD       Y5, Y10, Y5;  \
 	VCMPPD       $0x11, Y14, Y5, Y6; \
-	VBLENDVPD    Y6, Y5, Y14, Y14;   \
+	VMINPD       Y14, Y5, Y14;       \
 	VBLENDVPD    Y6, Y12, Y13, Y13;  \
 	VPADDQ       Y11, Y12, Y12
 
@@ -43,7 +47,7 @@
 	VSUBPS       Y6, Y5, Y5;   \
 	VMAXPS       Y5, Y10, Y5;  \
 	VCMPPS       $0x11, Y14, Y5, Y6; \
-	VBLENDVPS    Y6, Y5, Y14, Y14;   \
+	VMINPS       Y14, Y5, Y14;       \
 	VBLENDVPS    Y6, Y12, Y13, Y13;  \
 	VPADDD       Y11, Y12, Y12
 
