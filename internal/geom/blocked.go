@@ -24,13 +24,15 @@ import (
 // The nearest-center tile has two paths. Where the CPUID probe finds
 // AVX2+FMA (amd64 without km_purego), float64 and the float32 AVX2 rung
 // copy each 128-point tile into panels — lane-width groups of points stored
-// coordinate-major (4 float64 or 8 float32 per YMM register), packed in one
-// pass that also computes the point norms — and make one assembly call per
+// coordinate-major (4 float64 or 8 float32 per YMM register; 8 or 16 per
+// ZMM register where the probe also finds AVX-512F), packed in one pass
+// that also computes the point norms — and make one assembly call per
 // (panel, center tile) that keeps the dots, the clamped expansion and the
-// running min/argmin in registers (panel_amd64.s). Everywhere else the tile
-// runs a 2-point × 4-center loop over the table's dot kernels, each point
-// row loaded once per 4 centers. The two paths compute every pair's value
-// in the same order, so they agree bit for bit.
+// running min/argmin in registers (panel_amd64.s, panel512_amd64.s).
+// Everywhere else the tile runs a 2-point × 4-center loop over the table's
+// dot kernels, each point row loaded once per 4 centers. Every path
+// computes every pair's value in the same order, so they agree bit for
+// bit.
 //
 // The engine is one body for both storage types; the
 // arithmetic that differs (which dot kernels, which summation order) comes
@@ -42,7 +44,7 @@ import (
 // the center tile's size or on how many workers share the scan — so results
 // do not depend on Parallelism.
 // For float64 every micro-kernel accumulates strictly sequentially in
-// coordinate order, multiplying then adding (the panel kernel never fuses).
+// coordinate order, multiplying then adding (the panel kernels never fuse).
 // The expansion rounds differently from SqDist's (a−b)²
 // sum — equivalence tests bound the difference (costs agree to ~1e-9
 // relative) and assert identical nearest assignments on all exercised
@@ -209,7 +211,12 @@ func NearestBlockedRows[T Float](points [][]float64, centers *Mat[T], cNorms []T
 			panic(fmt.Sprintf("geom: NearestBlockedRows point %d has %d coordinates, centers %d", i, len(p), centers.Cols))
 		}
 	}
-	kt := kernelsFor[T]()
+	nearestRows(kernelsFor[T](), points, centers, cNorms, out, sc)
+}
+
+// nearestRows is NearestBlockedRows on the kernel table kt, over points
+// already checked to have centers.Cols coordinates each.
+func nearestRows[T Float](kt *kernels[T], points [][]float64, centers *Mat[T], cNorms []T, out []int, sc *Scratch[T]) {
 	for lo := 0; lo < len(points); lo += tilePoints {
 		hi := min(lo+tilePoints, len(points))
 		m := hi - lo

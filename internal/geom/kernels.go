@@ -8,11 +8,13 @@ import "sync"
 // lloyd, mrkm, stream and distkm) runs one control flow for both storage
 // types and calls into the table for:
 //
-//   - the nearest-center tile: the AVX2 panel kernel (panel_amd64.s) for
-//     float64 and the float32 AVX2 rung wherever the CPUID probe finds
-//     AVX2+FMA, else the 2×4 Go tile over dot2x4/dot1x4 for full groups of
-//     four centers — pure Go for float64, the active tier's kernels (pure
-//     Go, SSE2/NEON; f32tier.go) for float32;
+//   - the nearest-center tile: for float64 and the float32 AVX2 rung, the
+//     panel rung the CPUID probe picks — AVX-512 (8 float64 or 16 float32
+//     points per panel, panel512_amd64.s) where it finds AVX-512F, AVX2
+//     (4 or 8 points, panel_amd64.s) where it finds AVX2+FMA — else the
+//     2×4 Go tile over dot2x4/dot1x4 for full groups of four centers: pure
+//     Go for float64, the active tier's kernels (pure Go, SSE2/NEON;
+//     f32tier.go) for float32;
 //   - the summation order of the tail dots and of norms: one sequential
 //     chain for float64, four interleaved chains for float32;
 //   - the scalar pair and row distances: the exact (a−b)² sums for float64,
@@ -22,14 +24,7 @@ import "sync"
 // The tables' bits are pinned: golden_test.go holds the float64 table and
 // the pure-Go float32 one, and the tier tests hold every float32 rung.
 type kernels[T Float] struct {
-	// panel runs one panel of lanes points against a center tile
-	// (blocked.go's panelTile); pack and packRows fill a tile's panels and
-	// point norms from a matrix or from float64 rows. nil tiles through
-	// the 2×4 Go loop below.
-	panel    func(panel, pn, centers, cNorms, best []T, idx []int32, d, c0 int)
-	pack     func(dst, pn, src []T, rows, d int)
-	packRows func(dst, pn []T, rows [][]float64, d int)
-	lanes    int
+	panelRung[T]
 
 	dot2x4 func(a, b, c0, c1, c2, c3 []T) (a0, a1, a2, a3, b0, b1, b2, b3 T)
 	dot1x4 func(a, c0, c1, c2, c3 []T) (a0, a1, a2, a3 T)
@@ -57,11 +52,54 @@ type kernels[T Float] struct {
 	pool *sync.Pool
 }
 
+// panelRung is one rung of the panel engine for storage type T: panel
+// runs one panel of lanes points against a center tile (blocked.go's
+// panelTile); pack and packRows fill a tile's panels and point norms from
+// a matrix or from float64 rows. treeK places the rung's crossover with
+// PredictBatch's kd-tree (PanelTreeK). A zero rung (nil panel) tiles
+// through the 2×4 Go loop.
+type panelRung[T Float] struct {
+	panel    func(panel, pn, centers, cNorms, best []T, idx []int32, d, c0 int)
+	pack     func(dst, pn, src []T, rows, d int)
+	packRows func(dst, pn []T, rows [][]float64, d int)
+	lanes    int
+	treeK    int
+}
+
+// The amd64 panel rungs. Both replay the same per-pair arithmetic, so the
+// rung a CPU gets moves no bit. Their treeK values come from
+// BenchmarkPredictRegimes (cited in kmeansll.go): the float64 AVX-512 scan
+// beats the kd-tree up to about 1600 centers at d = 1 and 2000 at d = 2,
+// and past 2048 at d = 3 and 4. The float32 AVX-512 scan is faster still,
+// but its treeK stays at the AVX2 rung's: a float32 scan over more
+// centers in so few dimensions would reach the dense-centers limit of
+// float32 (docs/kernels.md), where the exact tree answers right.
+var (
+	avx2Rung64 = panelRung[float64]{
+		panel: panelNearestF64, pack: packPanelsF64, packRows: packRowsF64, lanes: 4, treeK: 128}
+	avx512Rung64 = panelRung[float64]{
+		panel: panelNearestF64AVX512, pack: packPanelsF64AVX512, packRows: packRowsF64AVX512, lanes: 8, treeK: 640}
+	avx2Rung32 = panelRung[float32]{
+		panel: panelNearestF32, pack: packPanelsF32, packRows: packRowsF32, lanes: 8, treeK: 128}
+	avx512Rung32 = panelRung[float32]{
+		panel: panelNearestF32AVX512, pack: packPanelsF32AVX512, packRows: packRowsF32AVX512, lanes: 16, treeK: 128}
+)
+
+// bestRung returns the widest panel rung the CPUID probe allows: avx512
+// where it found AVX-512F, avx2 where it found AVX2+FMA, and none (the Go
+// tile) elsewhere — km_purego builds, other architectures, older CPUs.
+func bestRung[T Float](avx2, avx512 panelRung[T]) panelRung[T] {
+	switch {
+	case hasAVX512:
+		return avx512
+	case hasAVX2FMA:
+		return avx2
+	}
+	return panelRung[T]{}
+}
+
 var kernels64 = kernels[float64]{
-	panel:     ifAVX2(panelNearestF64),
-	pack:      packPanelsF64,
-	packRows:  packRowsF64,
-	lanes:     4,
+	panelRung: bestRung(avx2Rung64, avx512Rung64),
 	dot2x4:    dot2x4[float64],
 	dot1x4:    dot1x4[float64],
 	goDots:    true,
@@ -80,24 +118,22 @@ var scratch32Pool = &sync.Pool{New: func() any { return new(Scratch[float32]) }}
 
 // kernels32 holds one float32 table per tier, indexed by F32Tier. The
 // SSE2 and NEON rungs share the baseline assembly symbol; only the one the
-// build's architecture guarantees is ever selected. The AVX2 rung tiles
-// through panelNearestF32 only, so it has no dot2x4; its dot1x4 serves the
-// row kernel.
+// build's architecture guarantees is ever selected. The AVX2 tier tiles
+// through its panel rung only (16-point panels where the probe finds
+// AVX-512F, 8-point ones elsewhere, one per-pair order either way), so it
+// has no dot2x4; its dot1x4 serves the row kernel.
 var kernels32 = [...]*kernels[float32]{
-	F32TierPureGo: newKernels32(dot2x4[float32], dot1x4[float32], true, nil),
-	F32TierSSE2:   newKernels32(dot2x4f32asm, dot1x4f32asm, false, nil),
-	F32TierNEON:   newKernels32(dot2x4f32asm, dot1x4f32asm, false, nil),
-	F32TierAVX2:   newKernels32(nil, dot1x4f32avx, false, panelNearestF32),
+	F32TierPureGo: newKernels32(dot2x4[float32], dot1x4[float32], true, panelRung[float32]{}),
+	F32TierSSE2:   newKernels32(dot2x4f32asm, dot1x4f32asm, false, panelRung[float32]{}),
+	F32TierNEON:   newKernels32(dot2x4f32asm, dot1x4f32asm, false, panelRung[float32]{}),
+	F32TierAVX2:   newKernels32(nil, dot1x4f32avx, false, bestRung(avx2Rung32, avx512Rung32)),
 }
 
 func newKernels32(d2x4 func(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32),
 	d1x4 func(a, c0, c1, c2, c3 []float32) (a0, a1, a2, a3 float32), goDots bool,
-	panel func(panel, pn, centers, cNorms, best []float32, idx []int32, d, c0 int)) *kernels[float32] {
+	rung panelRung[float32]) *kernels[float32] {
 	k := &kernels[float32]{
-		panel:     panel,
-		pack:      packPanelsF32,
-		packRows:  packRowsF32,
-		lanes:     8,
+		panelRung: rung,
 		dot2x4:    d2x4,
 		dot1x4:    d1x4,
 		goDots:    goDots,
@@ -115,16 +151,6 @@ func newKernels32(d2x4 func(a, b, c0, c1, c2, c3 []float32) (a0, a1, a2, a3, b0,
 	return k
 }
 
-// ifAVX2 returns the panel kernel f where the CPUID probe found AVX2+FMA
-// (amd64 builds without km_purego), and nil — the Go tile — elsewhere.
-func ifAVX2[F any](f F) F {
-	if hasAVX2FMA {
-		return f
-	}
-	var none F
-	return none
-}
-
 // kernelsFor returns the kernel table of storage type T (for float32, the
 // table of the active tier).
 func kernelsFor[T Float]() *kernels[T] {
@@ -135,13 +161,14 @@ func kernelsFor[T Float]() *kernels[T] {
 	return any(&kernels64).(*kernels[T])
 }
 
-// PanelKernel reports whether the nearest-center tile of storage type T
-// runs a panel kernel: for float64 wherever the CPUID probe found AVX2+FMA,
-// for float32 while the active tier is the AVX2 rung. Everywhere else —
-// km_purego builds, arm64, amd64 without AVX2+FMA, the pure-Go and
-// SSE2/NEON float32 tiers — the tile is the 2×4 Go loop. Callers choosing
-// between the blocked scan and a structure that prunes centers read it.
-func PanelKernel[T Float]() bool { return kernelsFor[T]().panel != nil }
+// PanelTreeK reports where a nearest-center scan through the panel rung
+// of storage type T loses to a kd-tree over few-dimensional centers: from
+// PanelTreeK·(d+1) centers on (640 on the float64 AVX-512 rung, 128 on
+// the other rungs). It is 0 where the tile is the 2×4 Go loop and runs no panel
+// kernel: km_purego builds, arm64, amd64 without AVX2+FMA, and the pure-Go
+// and SSE2/NEON float32 tiers. PredictBatch reads it to choose between
+// the blocked scan and its kd-tree.
+func PanelTreeK[T Float]() int { return kernelsFor[T]().treeK }
 
 // Bits returns the width of storage type T: 64 or 32.
 func Bits[T Float]() int {

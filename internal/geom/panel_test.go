@@ -3,6 +3,8 @@ package geom
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -11,24 +13,26 @@ import (
 // distinct centers tie; far offsets every coordinate by 1e3, so the
 // expansion cancels and often clamps; dup repeats every other center;
 // onPoints copies points into centers, so those pairs are at distance 0
-// (or clamp to it); nonFinite plants NaN and +Inf coordinates, whose NaN
-// expansions must pass the clamp and lose every comparison.
+// (or clamp to it); nonFinite plants NaN, +Inf and −Inf coordinates, whose
+// NaN expansions must pass the clamp and lose every comparison; negZero
+// writes −0 over every fifth coordinate and over a whole point and a
+// whole center.
 type tileCase struct {
-	n, k, d                             int
-	grid, far, dup, onPoints, nonFinite bool
+	n, k, d                                      int
+	grid, far, dup, onPoints, nonFinite, negZero bool
 }
 
 func (c tileCase) String() string {
-	return fmt.Sprintf("n=%d_k=%d_d=%d_grid=%v_far=%v_dup=%v_on=%v_nonfinite=%v",
-		c.n, c.k, c.d, c.grid, c.far, c.dup, c.onPoints, c.nonFinite)
+	return fmt.Sprintf("n=%d_k=%d_d=%d_grid=%v_far=%v_dup=%v_on=%v_nonfinite=%v_negzero=%v",
+		c.n, c.k, c.d, c.grid, c.far, c.dup, c.onPoints, c.nonFinite, c.negZero)
 }
 
-// tileCases covers n off every multiple of 4, 8 and 128, k off every
+// tileCases covers n off every multiple of 4, 8, 16 and 128, k off every
 // multiple of 4 and of the center tile at d, and d from 1 past 64 with
-// d mod 8 ≠ 0, plus the duplicate-center, zero-distance, exact-tie and
-// clamping shapes. Every k past a tile is past the float32 tile, the
-// larger of the two precisions' at any d, so those scans cross a center
-// tile boundary in both and end in a ragged tile.
+// d mod 8 ≠ 0, plus the duplicate-center, zero-distance, exact-tie,
+// clamping, non-finite and −0 shapes. Every k past a tile is past the
+// float32 tile, the larger of the two precisions' at any d, so those scans
+// cross a center tile boundary in both and end in a ragged tile.
 func tileCases() []tileCase {
 	over := func(d, extra int) int { return centerTile[float32](d) + extra }
 	var cases []tileCase
@@ -47,7 +51,8 @@ func tileCases() []tileCase {
 			tileCase{n: 137, k: over(d, 5), d: d, grid: true, dup: true, onPoints: true},
 			tileCase{n: 45, k: 7, d: d, grid: true},
 			tileCase{n: 133, k: over(d, 7), d: d, far: true, onPoints: true},
-			tileCase{n: 21, k: over(d, 3), d: d, nonFinite: true})
+			tileCase{n: 21, k: over(d, 3), d: d, nonFinite: true},
+			tileCase{n: 45, k: over(d, 2), d: d, dup: true, negZero: true})
 	}
 	return cases
 }
@@ -83,6 +88,17 @@ func (c tileCase) data() (pts, centers *Matrix) {
 	if c.nonFinite {
 		pts.Row(1)[0], pts.Row(4)[c.d-1], pts.Row(9)[0] = math.NaN(), math.Inf(1), math.Inf(-1)
 		centers.Row(2)[0], centers.Row(c.k - 1)[c.d-1] = math.NaN(), math.Inf(1)
+	}
+	if c.negZero {
+		negZero := math.Copysign(0, -1)
+		for _, m := range []*Matrix{pts, centers} {
+			for i := 0; i < len(m.Data); i += 5 {
+				m.Data[i] = negZero
+			}
+			for j := range m.Row(1) {
+				m.Row(1)[j] = negZero
+			}
+		}
 	}
 	return pts, centers
 }
@@ -172,91 +188,180 @@ func TestTileMatchesPairwise(t *testing.T) {
 	}
 }
 
-// TestPanelTileMatchesGoTile compares the float64 panel tile with the 2×4
-// Go tile directly, through nearestTile, on every shape of the bit-level
-// check.
+// namedRung is a panel rung under test.
+type namedRung[T Float] struct {
+	name string
+	rung panelRung[T]
+}
+
+// runnableRungs returns every panel rung of T this runner can execute:
+// avx2 where the probe found AVX2+FMA, avx512 where it found AVX-512F.
+func runnableRungs[T Float](avx2, avx512 panelRung[T]) []namedRung[T] {
+	var rungs []namedRung[T]
+	if hasAVX2FMA {
+		rungs = append(rungs, namedRung[T]{"avx2", avx2})
+	}
+	if hasAVX512 {
+		rungs = append(rungs, namedRung[T]{"avx512", avx512})
+	}
+	return rungs
+}
+
+// withRung returns a copy of the table kt that tiles through rung.
+func withRung[T Float](kt *kernels[T], rung panelRung[T]) *kernels[T] {
+	c := *kt
+	c.panelRung = rung
+	return &c
+}
+
+// checkTablesAgree asserts that the tables got and want return the same
+// nearest indices and distance bits through nearestTile, tile by tile, and
+// the same indices through nearestRows.
+func checkTablesAgree[T Float](t *testing.T, label string, got, want *kernels[T], c tileCase) {
+	t.Helper()
+	pts64, ctr64 := c.data()
+	pts, centers := Convert[T](pts64), Convert[T](ctr64)
+	cNorms := make([]T, centers.Rows)
+	for i := range cNorms {
+		cNorms[i] = want.sqNorm(centers.Row(i))
+	}
+	sc := new(Scratch[T])
+	for lo := 0; lo < c.n; lo += tilePoints {
+		hi := min(lo+tilePoints, c.n)
+		wantIdx, wantD2 := make([]int32, hi-lo), make([]T, hi-lo)
+		nearestTile(want, pts, lo, hi, centers, cNorms, wantIdx, wantD2, sc)
+		gotIdx, gotD2 := make([]int32, hi-lo), make([]T, hi-lo)
+		nearestTile(got, pts, lo, hi, centers, cNorms, gotIdx, gotD2, sc)
+		for i := range wantIdx {
+			if gotIdx[i] != wantIdx[i] || !sameBits(gotD2[i], wantD2[i]) {
+				t.Fatalf("%s %v: nearestTile point %d = (%d, %v), want (%d, %v)",
+					label, c, lo+i, gotIdx[i], gotD2[i], wantIdx[i], wantD2[i])
+			}
+		}
+	}
+	rows := make([][]float64, c.n)
+	for i := range rows {
+		rows[i] = pts64.Row(i)
+	}
+	wantOut, gotOut := make([]int, c.n), make([]int, c.n)
+	nearestRows(want, rows, centers, cNorms, wantOut, sc)
+	nearestRows(got, rows, centers, cNorms, gotOut, sc)
+	for i := range wantOut {
+		if gotOut[i] != wantOut[i] {
+			t.Fatalf("%s %v: nearestRows point %d = %d, want %d", label, c, i, gotOut[i], wantOut[i])
+		}
+	}
+}
+
+// TestPanelTileMatchesGoTile holds every panel rung this runner can
+// execute to its reference, bit for bit, on every shape of the bit-level
+// check: each float64 rung to the 2×4 Go tile, whose order it replays, and
+// each float32 rung to the AVX2 panel, whose order the AVX-512 rung
+// replays (TestTileMatchesPairwise holds the selected rung to
+// dot1x4f32avx's row kernel). The test builds the tables it compares, so
+// a CPU with AVX-512 checks its AVX2 rung as well.
 func TestPanelTileMatchesGoTile(t *testing.T) {
-	if kernels64.panel == nil {
+	rungs64 := runnableRungs(avx2Rung64, avx512Rung64)
+	if len(rungs64) == 0 {
 		t.Skip("no panel kernel in this build or on this CPU")
 	}
-	goTile := kernels64
-	goTile.panel = nil
-	sc := GetScratch[float64]()
-	defer sc.Release()
+	goTile := withRung(&kernels64, panelRung[float64]{})
+	avx2Tile32 := withRung(kernels32[F32TierAVX2], avx2Rung32)
 	for _, c := range tileCases() {
-		pts, centers := c.data()
-		cNorms := RowSqNorms(centers, nil)
-		for lo := 0; lo < c.n; lo += tilePoints {
-			hi := min(lo+tilePoints, c.n)
-			wantIdx, wantD2 := make([]int32, hi-lo), make([]float64, hi-lo)
-			nearestTile(&goTile, pts, lo, hi, centers, cNorms, wantIdx, wantD2, sc)
-			gotIdx, gotD2 := make([]int32, hi-lo), make([]float64, hi-lo)
-			nearestTile(&kernels64, pts, lo, hi, centers, cNorms, gotIdx, gotD2, sc)
-			for i := range wantIdx {
-				if gotIdx[i] != wantIdx[i] || !sameBits(gotD2[i], wantD2[i]) {
-					t.Fatalf("%v: point %d: panel (%d, %v), Go tile (%d, %v)",
-						c, lo+i, gotIdx[i], gotD2[i], wantIdx[i], wantD2[i])
-				}
+		for _, r := range rungs64 {
+			checkTablesAgree(t, "f64/"+r.name, withRung(&kernels64, r.rung), goTile, c)
+		}
+		for _, r := range runnableRungs(avx2Rung32, avx512Rung32) {
+			if r.name != "avx2" {
+				checkTablesAgree(t, "f32/"+r.name, withRung(kernels32[F32TierAVX2], r.rung), avx2Tile32, c)
 			}
 		}
 	}
 }
 
-// checkPackBits asserts that both panel packers lay out every case's
-// points as documented (coordinate j of point i at
-// panels[(i/lanes)*lanes*d + j*lanes + i%lanes], padded lanes zero) and
-// write RowSqNorms' norm bits.
-func checkPackBits[T Float](t *testing.T, kt *kernels[T], c tileCase) {
+// packRef is the Go reference of a panel packer: the points of src (rows
+// of d coordinates) in lanes-point coordinate-major panels, coordinate j
+// of point i at panels[(i/lanes)*lanes*d + j*lanes + i%lanes], padded
+// lanes zero, and each point's squared norm in the table's order.
+func packRef[T Float](kt *kernels[T], src *Mat[T]) (panels, pn []T) {
+	d, lanes := src.Cols, kt.lanes
+	n := (src.Rows + lanes - 1) / lanes * lanes
+	panels, pn = make([]T, n*d), make([]T, n)
+	for i := 0; i < src.Rows; i++ {
+		pn[i] = kt.sqNorm(src.Row(i))
+		for j, v := range src.Row(i) {
+			panels[(i/lanes)*lanes*d+j*lanes+i%lanes] = v
+		}
+	}
+	return panels, pn
+}
+
+// checkPackBits asserts that both packers of the table kt write exactly
+// packRef's panels and norms, padding included: the buffers are filled
+// with a NaN of a payload no input carries first, so a lane or norm the
+// packer leaves unwritten fails.
+func checkPackBits[T Float](t *testing.T, label string, kt *kernels[T], c tileCase) {
 	t.Helper()
 	pts64, _ := c.data()
 	pts := Convert[T](pts64)
-	norms := RowSqNorms(pts, nil)
 	rows := make([][]float64, c.n)
 	for i := range rows {
 		rows[i] = pts64.Row(i)
 	}
+	pattern := T(math.Float32frombits(0x7fc0dead))
 	sc := new(Scratch[T])
 	for lo := 0; lo < c.n; lo += tilePoints {
 		hi := min(lo+tilePoints, c.n)
+		view := pts.RowRange(lo, hi)
+		wantPanels, wantPn := packRef(kt, &view)
 		for _, src := range []string{"packTile", "packRows"} {
+			sc.panels, sc.pn = make([]T, len(wantPanels)), make([]T, len(wantPn))
+			for i := range sc.panels {
+				sc.panels[i] = pattern
+			}
+			for i := range sc.pn {
+				sc.pn[i] = pattern
+			}
 			var panels, pn []T
 			if src == "packTile" {
 				panels, pn = packTile(kt, pts, lo, hi, sc)
 			} else {
 				panels, pn = packRows(kt, rows[lo:hi], c.d, sc)
 			}
-			lanes := kt.lanes
-			for i := 0; i < len(pn); i++ {
-				var wantN T
-				if lo+i < hi {
-					wantN = norms[lo+i]
+			for i := range wantPn {
+				if isPattern(pn[i], pattern) || !sameBits(pn[i], wantPn[i]) {
+					t.Fatalf("%s %s %v: point %d norm %v, want %v", label, src, c, lo+i, pn[i], wantPn[i])
 				}
-				if !sameBits(pn[i], wantN) {
-					t.Fatalf("%s %v: point %d norm %v, want %v", src, c, lo+i, pn[i], wantN)
-				}
-				for j := 0; j < c.d; j++ {
-					var want T
-					if lo+i < hi {
-						want = pts.Row(lo + i)[j]
-					}
-					if got := panels[(i/lanes)*lanes*c.d+j*lanes+i%lanes]; !sameBits(got, want) {
-						t.Fatalf("%s %v: point %d coordinate %d = %v, want %v", src, c, lo+i, j, got, want)
-					}
+			}
+			for i := range wantPanels {
+				if isPattern(panels[i], pattern) || !sameBits(panels[i], wantPanels[i]) {
+					t.Fatalf("%s %s %v: panel slot %d (tile point %d) = %v, want %v",
+						label, src, c, i, i/(c.d*kt.lanes)*kt.lanes+i%kt.lanes, panels[i], wantPanels[i])
 				}
 			}
 		}
 	}
 }
 
-// TestPanelPackers pins both panel packers of every panel kernel in this
-// binary to the layout and norms the kernels assume.
+// isPattern reports whether v carries the fill pattern's exact bits.
+func isPattern[T Float](v, pattern T) bool {
+	return math.Float64bits(float64(v)) == math.Float64bits(float64(pattern))
+}
+
+// TestPanelPackers pins both packers of every panel rung this runner can
+// execute to packRef's layout and norms.
 func TestPanelPackers(t *testing.T) {
-	if kernels64.panel == nil {
+	rungs64 := runnableRungs(avx2Rung64, avx512Rung64)
+	if len(rungs64) == 0 {
 		t.Skip("no panel kernel in this build or on this CPU")
 	}
 	for _, c := range tileCases() {
-		checkPackBits(t, &kernels64, c)
-		checkPackBits(t, kernels32[F32TierAVX2], c)
+		for _, r := range rungs64 {
+			checkPackBits(t, "f64/"+r.name, withRung(&kernels64, r.rung), c)
+		}
+		for _, r := range runnableRungs(avx2Rung32, avx512Rung32) {
+			checkPackBits(t, "f32/"+r.name, withRung(kernels32[F32TierAVX2], r.rung), c)
+		}
 	}
 }
 
@@ -290,17 +395,50 @@ func expectPanic(t *testing.T, label string, f func()) {
 	f()
 }
 
-// TestPanelKernelSelected fails when the probe reports AVX2+FMA but the
-// tile would not run the panel kernels — or when it runs them without the
-// probe (km_purego, other architectures): golden_test.go's default leg
-// must exercise the panel path and its km_purego leg the Go tile.
+// rungName names the panel rung a table tiles through: "avx512",
+// "avx2", or "none" for the 2×4 Go tile.
+func rungName[T Float](kt *kernels[T], avx2, avx512 panelRung[T]) string {
+	same := func(r panelRung[T]) bool {
+		ptr := func(f any) uintptr { return reflect.ValueOf(f).Pointer() }
+		return kt.panel != nil && kt.lanes == r.lanes && ptr(kt.panel) == ptr(r.panel) &&
+			ptr(kt.pack) == ptr(r.pack) && ptr(kt.packRows) == ptr(r.packRows)
+	}
+	switch {
+	case kt.panel == nil:
+		return "none"
+	case same(avx512):
+		return "avx512"
+	case same(avx2):
+		return "avx2"
+	}
+	return "mixed"
+}
+
+// TestPanelKernelSelected fails unless both precisions tile through the
+// widest panel rung the probe reports: the AVX-512 tables exactly when it
+// reports AVX-512F, the AVX2 tables when it reports AVX2+FMA alone, and
+// the Go tile without either (km_purego, other architectures), so
+// golden_test.go's default leg exercises the rung the runner has and its
+// km_purego leg the Go tile. It logs the rung, so a runner without
+// AVX-512 reads as such in the test output.
 func TestPanelKernelSelected(t *testing.T) {
-	if got := kernels64.panel != nil; got != hasAVX2FMA {
-		t.Fatalf("float64 panel kernel selected = %v, probe reports AVX2+FMA = %v", got, hasAVX2FMA)
+	want := "none"
+	switch {
+	case hasAVX512:
+		want = "avx512"
+	case hasAVX2FMA:
+		want = "avx2"
+	}
+	got64 := rungName(&kernels64, avx2Rung64, avx512Rung64)
+	got32 := rungName(kernels32[F32TierAVX2], avx2Rung32, avx512Rung32)
+	t.Logf("panel rung: float64 %s (%d-point panels), float32 avx2 tier %s (%d-point panels); probe: AVX2+FMA %v, AVX-512F %v",
+		got64, kernels64.lanes, got32, kernels32[F32TierAVX2].lanes, hasAVX2FMA, hasAVX512)
+	if got64 != want {
+		t.Fatalf("float64 panel rung %s, probe wants %s", got64, want)
 	}
 	if hasAVX2FMA {
-		if bestF32Tier() != F32TierAVX2 || kernels32[F32TierAVX2].panel == nil {
-			t.Fatalf("float32: best tier %v, AVX2 panel kernel set = %v", bestF32Tier(), kernels32[F32TierAVX2].panel != nil)
+		if bestF32Tier() != F32TierAVX2 || got32 != want {
+			t.Fatalf("float32: best tier %v, AVX2 tier's panel rung %s, probe wants %s", bestF32Tier(), got32, want)
 		}
 	}
 	for tier, kt := range kernels32 {
@@ -308,4 +446,51 @@ func TestPanelKernelSelected(t *testing.T) {
 			t.Fatalf("float32 tier %v has a panel kernel", F32Tier(tier))
 		}
 	}
+}
+
+// BenchmarkPanelRungs times the nearest-center tile of every panel rung
+// this runner can execute, through a table the benchmark builds, so a CPU
+// with AVX-512 measures its AVX2 rung as well, at the shapes of fit-local
+// (d = 16, k = 20), serve-quantize (d = 3, k = 256) and serve-bulk
+// (d = 58, k = 32). ps/pair-coord is the time per (point, center,
+// coordinate) triple, packing and argmin included. Run with:
+//
+//	go test ./internal/geom -run '^$' -bench PanelRungs -cpu 1
+func BenchmarkPanelRungs(b *testing.B) {
+	shapes := []struct{ d, k int }{{16, 20}, {3, 256}, {58, 32}}
+	const n = 2048
+	for _, s := range shapes {
+		r := rand.New(rand.NewSource(int64(s.d*1000 + s.k)))
+		pts, centers := randMatrix(r, n, s.d), randMatrix(r, s.k, s.d)
+		pts32, centers32 := Convert[float32](pts), Convert[float32](centers)
+		for _, rg := range runnableRungs(avx2Rung64, avx512Rung64) {
+			b.Run(fmt.Sprintf("f64/%s/d=%d/k=%d", rg.name, s.d, s.k), func(b *testing.B) {
+				benchTile(b, withRung(&kernels64, rg.rung), pts, centers)
+			})
+		}
+		for _, rg := range runnableRungs(avx2Rung32, avx512Rung32) {
+			b.Run(fmt.Sprintf("f32/%s/d=%d/k=%d", rg.name, s.d, s.k), func(b *testing.B) {
+				benchTile(b, withRung(kernels32[F32TierAVX2], rg.rung), pts32, centers32)
+			})
+		}
+	}
+}
+
+// benchTile runs nearestTile of kt over every point tile of pts.
+func benchTile[T Float](b *testing.B, kt *kernels[T], pts, centers *Mat[T]) {
+	cNorms := make([]T, centers.Rows)
+	for i := range cNorms {
+		cNorms[i] = kt.sqNorm(centers.Row(i))
+	}
+	idx, d2 := make([]int32, tilePoints), make([]T, tilePoints)
+	sc := new(Scratch[T])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < pts.Rows; lo += tilePoints {
+			hi := min(lo+tilePoints, pts.Rows)
+			nearestTile(kt, pts, lo, hi, centers, cNorms, idx, d2, sc)
+		}
+	}
+	pairs := float64(b.N) * float64(pts.Rows*centers.Rows*centers.Cols)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1e3/pairs, "ps/pair-coord")
 }

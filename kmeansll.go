@@ -433,40 +433,47 @@ func (m *Model) Predict(point []float64) int {
 // PredictBatch switches from the (blocked) linear center scan to a kd-tree
 // over the centers only for numerous, low-dimensional centers, and only
 // where the tree is the faster path (predictTree). BenchmarkPredictRegimes
-// on linux/amd64 (go1.24, a 2-vCPU AVX2 Xeon), ms per 512-point batch at
-// parallelism 1, medians of 5 runs, the range over its two query sets:
+// on linux/amd64 (go1.24, a 2-vCPU AVX-512F Xeon), ms per 512-point batch
+// at parallelism 1, medians of 5 runs (3 at k = 2048 and for the Go tile),
+// the range over its two query sets; the AVX2 column forces the AVX2 rung
+// on the same CPU:
 //
-//	d   k      tree       scan, AVX2 panel   scan, km_purego Go tile
-//	1   256    0.14–0.17  0.14–0.15          0.44
-//	1   384    0.14       0.21               0.56–0.61
-//	1   1024   0.25–0.26  0.58–0.59          1.32–1.53
-//	2   256    0.26–0.28  0.15               0.47–0.60
-//	2   384    0.29–0.30  0.22–0.23          0.85–1.01
-//	2   1024   0.33–0.34  0.58–0.62          2.40–2.41
-//	3   256    0.47       0.15               0.76
-//	3   384    0.49–0.54  0.22–0.23          0.84–0.99
-//	3   1024   0.60–0.66  0.58–0.59          2.14–2.94
-//	4   256    0.74–0.80  0.16               0.54–0.84
-//	4   1024   1.26–1.44  0.60–0.61          2.82–3.18
-//	16  256    6.4–9.8    0.39–0.40          1.51–1.65
+//	d   k      tree       scan, AVX-512  scan, AVX2  scan, km_purego Go tile
+//	1   256    0.11–0.15  0.04           0.08–0.09   0.48–0.59
+//	1   384    0.16–0.18  0.06           0.13        0.67–0.91
+//	1   1024   0.22–0.23  0.15           0.31–0.32   2.18–2.20
+//	1   2048   0.21–0.26  0.27–0.32      0.58–0.65   3.18–3.68
+//	2   256    0.18–0.24  0.05           0.08        0.38–0.67
+//	2   384    0.25–0.29  0.07           0.14        0.89–0.94
+//	2   1024   0.28–0.34  0.17–0.19      0.29–0.37   1.67–2.24
+//	2   2048   0.29–0.37  0.33–0.40      0.76–0.78   2.83–4.65
+//	3   256    0.37–0.44  0.06           0.11–0.12   0.71–0.72
+//	3   384    0.41–0.47  0.08–0.09      0.13–0.17   0.76–0.97
+//	3   1024   0.54–0.62  0.22           0.44        1.66–2.64
+//	3   2048   0.57–0.69  0.42–0.44      0.75–1.24   3.25–3.27
+//	4   256    0.62–0.73  0.07           0.13–0.14   0.72–0.83
+//	4   1024   1.14–1.36  0.25           0.50        1.88–2.94
+//	4   2048   1.12–1.42  0.52–0.54      0.70–0.89   5.17–5.30
+//	16  256    5.3–9.5    0.14–0.15      0.27–0.33   1.56–1.66
 //
 // Pruning decays rapidly with dimension, so above predictTreeMaxDim the
 // scan always wins. Without a panel kernel the Go tile loses to the tree
-// from predictTreeMinK centers on at d ≤ 3 and ties it at d = 4, k = 256
-// (km_purego; likewise arm64, amd64 without AVX2+FMA and the float32 tiers
-// without panels), so the tree keeps that regime. The panel scan beats the
-// tree at 256 centers for d ≥ 2 and ties it at d = 1, but its cost grows
-// linearly in k and the tree's barely, so the tree wins
-// again from about 330 centers at d = 1 and, for models whose centers are
-// data points queried near them, from about 450 at d = 2, 500 at d = 3 and
-// 550–700 at d = 4. predictPanelTreeK·(d+1) — 256, 384, 512 and 640
-// centers — sits at or below those crossovers (at d = 4 within their
-// range), giving up some of the scan's wins (d = 2, k = 384 and d = 4,
-// k = 1024 above) rather than send a model to the slower path.
+// from predictTreeMinK centers on at d ≤ 4 (km_purego; likewise arm64,
+// amd64 without AVX2+FMA and the float32 tiers without panels), so the
+// tree keeps that regime. A panel scan's cost grows linearly in k and the
+// tree's barely, so each rung has a crossover, geom.PanelTreeK·(d+1)
+// centers. The float64 AVX-512 scan beats the tree up to about 1600
+// centers at d = 1 and 2000 at d = 2, and at every measured k at d = 3
+// and 4; its 640·(d+1) — 1280, 1920, 2560 and 3200 centers — sits at or
+// below those crossovers. The AVX2 rung keeps 128·(d+1) (256, 384, 512
+// and 640 centers), measured before its argmin kept the best with VMINPD;
+// on this CPU it now gives up the scan's wins at d = 1, k = 256 and 384,
+// d = 2, k = 384, and d = 3 and 4, k = 1024, but the rung runs in
+// production on CPUs without AVX-512F, which this table does not cover.
+// Float32 models keep 128·(d+1) on both rungs (see geom.PanelTreeK).
 const (
 	predictTreeMinK   = 256
 	predictTreeMaxDim = 4
-	predictPanelTreeK = 128
 )
 
 // PredictBatch assigns every point to its nearest center and returns one
@@ -477,8 +484,9 @@ const (
 // except for models with many low-dimensional centers (k ≥ 256, dim ≤ 4)
 // whose scan would run no panel kernel — km_purego builds, CPUs without
 // AVX2+FMA, a Float32 model on a float32 tier without one, or
-// UseExactDistances(true) — or that have 128·(dim+1) centers or more:
-// those descend a kd-tree built once over the centers (internal/kdtree).
+// UseExactDistances(true) — or that have 128·(dim+1) centers or more
+// (640·(dim+1) for a Float64 model on a CPU with AVX-512F): those descend
+// a kd-tree built once over the centers (internal/kdtree).
 // Both caches are built once, so Centers must not be mutated after the
 // first PredictBatch call. Ties between equidistant centers may resolve
 // differently between regimes; every answer is an exact nearest center.
@@ -510,17 +518,18 @@ func (m *Model) PredictBatchInto(points [][]float64, out []int, parallelism int)
 // predictTreeMinK centers of at most predictTreeMaxDim dimensions, unless
 // the blocked scan would run a panel kernel — the model is above
 // UseBlocked's crossover and the kernel table of its predict precision has
-// one — on fewer than predictPanelTreeK·(dim+1) centers.
+// one — on fewer than geom.PanelTreeK·(dim+1) centers, the crossover of
+// that kernel's rung.
 func (m *Model) predictTree() bool {
 	k, d := len(m.Centers), m.dim
 	if k < predictTreeMinK || d > predictTreeMaxDim {
 		return false
 	}
-	panel := geom.PanelKernel[float64]()
+	treeK := geom.PanelTreeK[float64]()
 	if m.precision == Float32 {
-		panel = geom.PanelKernel[float32]()
+		treeK = geom.PanelTreeK[float32]()
 	}
-	return !panel || !geom.UseBlocked(k, d) || k >= predictPanelTreeK*(d+1)
+	return treeK == 0 || !geom.UseBlocked(k, d) || k >= treeK*(d+1)
 }
 
 // predictBatch is PredictBatchInto with the kd-tree decision forced, so

@@ -70,8 +70,8 @@ func precisionOf[T geom.Float]() Precision {
 // concurrently with prediction. Predict (single point) and the kd-tree
 // regime always use float64; answers there are exact either way. A Float32
 // model of 256 to 128·(dim+1) − 1 centers in dim ≤ 4 scans in float32 where
-// the float32 panel kernel runs (the AVX2 tier) and takes the kd-tree
-// elsewhere.
+// the float32 panel kernel runs (the AVX2 tier, on either panel width) and
+// takes the kd-tree elsewhere.
 //
 // Float32 cannot separate centers packed closer than its rounding of the
 // norm expansion, ~1e-4·(‖x‖²+1): the tolerance contract's ≥ 99.9%

@@ -7,7 +7,8 @@ import (
 
 // BenchmarkPredictRegimes compares PredictBatch's kd-tree descent against
 // the blocked linear scan across (dim, k), the measurement behind
-// predictTreeMinK, predictTreeMaxDim and predictPanelTreeK, and times
+// predictTreeMinK, predictTreeMaxDim and each panel rung's
+// geom.PanelTreeK, and times
 // the public entry point, whose regime depends on the build's kernel table
 // (predictTree). Each shape runs two query sets: the first 512 points the
 // model was fitted on (q=fit), and 512 points of an unrelated mixture
@@ -15,9 +16,10 @@ import (
 // its good case; pruning decays rapidly with dimension.
 func BenchmarkPredictRegimes(b *testing.B) {
 	for _, sh := range []struct{ dim, k int }{
-		{1, 256}, {1, 384}, {1, 1024}, {2, 256}, {2, 384}, {2, 1024},
-		{3, 64}, {3, 256}, {3, 384}, {3, 1024},
-		{4, 64}, {4, 256}, {4, 384}, {4, 1024},
+		{1, 256}, {1, 384}, {1, 1024}, {1, 2048},
+		{2, 256}, {2, 384}, {2, 1024}, {2, 2048},
+		{3, 64}, {3, 256}, {3, 384}, {3, 1024}, {3, 2048},
+		{4, 64}, {4, 256}, {4, 384}, {4, 1024}, {4, 2048},
 		{16, 64}, {16, 256}, {58, 64}, {58, 256},
 	} {
 		dim, k := sh.dim, sh.k
