@@ -312,9 +312,11 @@ func (d *Set[T]) Validate() error {
 	if d.Weight != nil && len(d.Weight) != d.X.Rows {
 		return fmt.Errorf("geom: %d weights for %d points", len(d.Weight), d.X.Rows)
 	}
-	for i, v := range d.X.Data {
-		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("geom: non-finite value at flat index %d", i)
+	if !allFinite(d.X.Data) {
+		for i, v := range d.X.Data {
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("geom: non-finite value at flat index %d", i)
+			}
 		}
 	}
 	for i, w := range d.Weight {
@@ -323,4 +325,23 @@ func (d *Set[T]) Validate() error {
 		}
 	}
 	return nil
+}
+
+// allFinite reports whether every value of vs is finite without a branch
+// per value: v − v is 0 for a finite v and NaN for ±Inf or NaN, so the
+// differences sum to 0 exactly when every value is finite. Four chains
+// keep the adds from waiting on one another.
+func allFinite[T Float](vs []T) bool {
+	var s0, s1, s2, s3 T
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		s0 += vs[i] - vs[i]
+		s1 += vs[i+1] - vs[i+1]
+		s2 += vs[i+2] - vs[i+2]
+		s3 += vs[i+3] - vs[i+3]
+	}
+	for ; i < len(vs); i++ {
+		s0 += vs[i] - vs[i]
+	}
+	return (s0+s1)+(s2+s3) == 0
 }

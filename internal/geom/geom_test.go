@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -189,6 +190,41 @@ func TestValidateCatchesBadData(t *testing.T) {
 	ds3 := &Dataset{X: FromRows([][]float64{{1}}), Weight: []float64{1, 2}}
 	if ds3.Validate() == nil {
 		t.Fatal("Validate accepted weight length mismatch")
+	}
+	checkValidateNonFinite[float64](t)
+	checkValidateNonFinite[float32](t)
+}
+
+// checkValidateNonFinite plants NaN, +Inf and −Inf at the first, a middle
+// and the last flat index of a matrix whose other values include ±Max of
+// T, and requires Validate to name that index, and to accept the matrix
+// without the plant.
+func checkValidateNonFinite[T Float](t *testing.T) {
+	t.Helper()
+	maxF := math.MaxFloat32
+	if Bits[T]() == 64 {
+		maxF = math.MaxFloat64
+	}
+	huge := T(maxF)
+	m := NewMat[T](7, 5) // 35 values: a 4-wide body and a tail of 3
+	for i := range m.Data {
+		m.Data[i] = T(i) - 17
+	}
+	m.Data[3], m.Data[20] = huge, -huge
+	ds := NewDataset(m)
+	if err := ds.Validate(); err != nil {
+		t.Fatalf("%d-bit: Validate rejected finite data: %v", Bits[T](), err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, 17, len(m.Data) - 1} {
+			keep := m.Data[at]
+			m.Data[at] = T(bad)
+			want := fmt.Sprintf("geom: non-finite value at flat index %d", at)
+			if err := ds.Validate(); err == nil || err.Error() != want {
+				t.Fatalf("%d-bit: %v at %d: Validate = %v, want %q", Bits[T](), bad, at, err, want)
+			}
+			m.Data[at] = keep
+		}
 	}
 }
 
