@@ -164,10 +164,10 @@ func kernelsFor[T Float]() *kernels[T] {
 // PanelTreeK reports where a nearest-center scan through the panel rung
 // of storage type T loses to a kd-tree over few-dimensional centers: from
 // PanelTreeK·(d+1) centers on (640 on the float64 AVX-512 rung, 128 on
-// the other rungs). It is 0 where the tile is the 2×4 Go loop and runs no panel
-// kernel: km_purego builds, arm64, amd64 without AVX2+FMA, and the pure-Go
-// and SSE2/NEON float32 tiers. PredictBatch reads it to choose between
-// the blocked scan and its kd-tree.
+// the other rungs). It is 0 where the tile is the 2×4 Go loop and runs no
+// panel kernel: km_purego builds, arm64, amd64 without AVX2+FMA, and the
+// pure-Go and SSE2/NEON float32 tiers. PredictBatch reads it to choose
+// between the blocked scan and its kd-tree.
 func PanelTreeK[T Float]() int { return kernelsFor[T]().treeK }
 
 // Bits returns the width of storage type T: 64 or 32.

@@ -374,55 +374,6 @@ done32:
 	VZEROUPPER
 	RET
 
-// Lane numbers 0–15 as dwords and as qwords: the gather row offsets
-// (times d) and the live-lane masks of a partial last panel.
-DATA lanes16D<>+0(SB)/4, $0
-DATA lanes16D<>+4(SB)/4, $1
-DATA lanes16D<>+8(SB)/4, $2
-DATA lanes16D<>+12(SB)/4, $3
-DATA lanes16D<>+16(SB)/4, $4
-DATA lanes16D<>+20(SB)/4, $5
-DATA lanes16D<>+24(SB)/4, $6
-DATA lanes16D<>+28(SB)/4, $7
-DATA lanes16D<>+32(SB)/4, $8
-DATA lanes16D<>+36(SB)/4, $9
-DATA lanes16D<>+40(SB)/4, $10
-DATA lanes16D<>+44(SB)/4, $11
-DATA lanes16D<>+48(SB)/4, $12
-DATA lanes16D<>+52(SB)/4, $13
-DATA lanes16D<>+56(SB)/4, $14
-DATA lanes16D<>+60(SB)/4, $15
-GLOBL lanes16D<>(SB), RODATA|NOPTR, $64
-
-DATA lanes16Q<>+0(SB)/8, $0
-DATA lanes16Q<>+8(SB)/8, $1
-DATA lanes16Q<>+16(SB)/8, $2
-DATA lanes16Q<>+24(SB)/8, $3
-DATA lanes16Q<>+32(SB)/8, $4
-DATA lanes16Q<>+40(SB)/8, $5
-DATA lanes16Q<>+48(SB)/8, $6
-DATA lanes16Q<>+56(SB)/8, $7
-DATA lanes16Q<>+64(SB)/8, $8
-DATA lanes16Q<>+72(SB)/8, $9
-DATA lanes16Q<>+80(SB)/8, $10
-DATA lanes16Q<>+88(SB)/8, $11
-DATA lanes16Q<>+96(SB)/8, $12
-DATA lanes16Q<>+104(SB)/8, $13
-DATA lanes16Q<>+112(SB)/8, $14
-DATA lanes16Q<>+120(SB)/8, $15
-GLOBL lanes16Q<>(SB), RODATA|NOPTR, $128
-
-// Byte offsets of eight consecutive slice headers' data pointers.
-DATA headers8<>+0(SB)/4, $0
-DATA headers8<>+4(SB)/4, $24
-DATA headers8<>+8(SB)/4, $48
-DATA headers8<>+12(SB)/4, $72
-DATA headers8<>+16(SB)/4, $96
-DATA headers8<>+20(SB)/4, $120
-DATA headers8<>+24(SB)/4, $144
-DATA headers8<>+28(SB)/4, $168
-GLOBL headers8<>(SB), RODATA|NOPTR, $32
-
 // func packPanelsF64AVX512(dst, pn, src []float64, rows, d int)
 //
 // packPanelsF64 for 8-point panels: one pass per panel gathers
@@ -437,14 +388,14 @@ TEXT ·packPanelsF64AVX512(SB), NOSPLIT, $0-88
 
 	VMOVQ        DX, X14
 	VPBROADCASTD X14, Y14
-	VMOVDQU      lanes16D<>(SB), Y15
+	VMOVDQU      ·panelLanesD(SB), Y15
 	VPMULLD      Y14, Y15, Y15 // row offsets l·d
 	MOVQ         DX, R10
 	SHLQ         $6, R10       // src bytes per panel: 8 rows × d × 8
 
 pack64:
 	VPBROADCASTQ CX, Z13
-	VPCMPGTQ     lanes16Q<>(SB), Z13, K2 // live lanes: l < rows left
+	VPCMPGTQ     ·panelLanesQ(SB), Z13, K2 // live lanes: l < rows left
 	VPXORQ       Z0, Z0, Z0
 	XORQ         AX, AX
 	MOVQ         SI, BX
@@ -498,7 +449,7 @@ TEXT ·packPanelsF32AVX512(SB), NOSPLIT, $0-88
 	MOVQ d+80(FP), DX
 
 	VPBROADCASTD DX, Z14
-	VMOVDQU32    lanes16D<>(SB), Z15
+	VMOVDQU32    ·panelLanesD(SB), Z15
 	VPMULLD      Z14, Z15, Z15 // row offsets l·d
 	MOVQ         DX, R9
 	ANDQ         $-4, R9       // coordinates covered by whole 4-blocks
@@ -507,7 +458,7 @@ TEXT ·packPanelsF32AVX512(SB), NOSPLIT, $0-88
 
 pack32:
 	VPBROADCASTD CX, Z13
-	VPCMPGTD     lanes16D<>(SB), Z13, K2 // live lanes: l < rows left
+	VPCMPGTD     ·panelLanesD(SB), Z13, K2 // live lanes: l < rows left
 	VPXORD       Z0, Z0, Z0
 	VPXORD       Z1, Z1, Z1
 	VPXORD       Z2, Z2, Z2
@@ -559,11 +510,11 @@ TEXT ·packRowsF64AVX512(SB), NOSPLIT, $0-80
 	MOVQ    rows_base+48(FP), SI
 	MOVQ    rows_len+56(FP), CX
 	MOVQ    d+72(FP), DX
-	VMOVDQU headers8<>(SB), Y14
+	VMOVDQU ·panelHeaders(SB), Y14
 
 rowsPanel64:
 	VPBROADCASTQ CX, Z13
-	VPCMPGTQ     lanes16Q<>(SB), Z13, K2 // live lanes: l < rows left
+	VPCMPGTQ     ·panelLanesQ(SB), Z13, K2 // live lanes: l < rows left
 	KMOVW        K2, K1
 	VPXORQ       Z15, Z15, Z15
 	VPGATHERDQ   (SI)(Y14*1), K1, Z15    // row data pointers
@@ -625,14 +576,14 @@ TEXT ·packRowsF32AVX512(SB), NOSPLIT, $0-80
 	MOVQ    rows_base+48(FP), SI
 	MOVQ    rows_len+56(FP), CX
 	MOVQ    d+72(FP), DX
-	VMOVDQU headers8<>(SB), Y13
+	VMOVDQU ·panelHeaders(SB), Y13
 	MOVQ    DX, R9
 	ANDQ    $-4, R9 // coordinates covered by whole 4-blocks
 
 rowsPanel32:
 	VPBROADCASTQ CX, Z11
-	VPCMPGTQ     lanes16Q<>(SB), Z11, K2    // live lanes 0–7
-	VPCMPGTQ     lanes16Q<>+64(SB), Z11, K3 // live lanes 8–15
+	VPCMPGTQ     ·panelLanesQ(SB), Z11, K2    // live lanes 0–7
+	VPCMPGTQ     ·panelLanesQ+64(SB), Z11, K3 // live lanes 8–15
 	KMOVW        K2, K1
 	VPXORQ       Z15, Z15, Z15
 	VPGATHERDQ   (SI)(Y13*1), K1, Z15       // row data pointers, lanes 0–7

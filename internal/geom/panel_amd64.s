@@ -479,34 +479,55 @@ done32:
 	VZEROUPPER
 	RET
 
-// Lane numbers 0–7 as dwords and as qwords: the gather row offsets
-// (times d) and the live-lane masks of a partial last panel.
-DATA lanesD<>+0(SB)/4, $0
-DATA lanesD<>+4(SB)/4, $1
-DATA lanesD<>+8(SB)/4, $2
-DATA lanesD<>+12(SB)/4, $3
-DATA lanesD<>+16(SB)/4, $4
-DATA lanesD<>+20(SB)/4, $5
-DATA lanesD<>+24(SB)/4, $6
-DATA lanesD<>+28(SB)/4, $7
-GLOBL lanesD<>(SB), RODATA|NOPTR, $32
+// Lane numbers 0–15 as dwords and as qwords: the gather row offsets
+// (times d) and the live-lane masks of a partial last panel, shared
+// with panel512_amd64.s.
+DATA ·panelLanesD+0(SB)/4, $0
+DATA ·panelLanesD+4(SB)/4, $1
+DATA ·panelLanesD+8(SB)/4, $2
+DATA ·panelLanesD+12(SB)/4, $3
+DATA ·panelLanesD+16(SB)/4, $4
+DATA ·panelLanesD+20(SB)/4, $5
+DATA ·panelLanesD+24(SB)/4, $6
+DATA ·panelLanesD+28(SB)/4, $7
+DATA ·panelLanesD+32(SB)/4, $8
+DATA ·panelLanesD+36(SB)/4, $9
+DATA ·panelLanesD+40(SB)/4, $10
+DATA ·panelLanesD+44(SB)/4, $11
+DATA ·panelLanesD+48(SB)/4, $12
+DATA ·panelLanesD+52(SB)/4, $13
+DATA ·panelLanesD+56(SB)/4, $14
+DATA ·panelLanesD+60(SB)/4, $15
+GLOBL ·panelLanesD(SB), RODATA|NOPTR, $64
 
-DATA lanesQ<>+0(SB)/8, $0
-DATA lanesQ<>+8(SB)/8, $1
-DATA lanesQ<>+16(SB)/8, $2
-DATA lanesQ<>+24(SB)/8, $3
-DATA lanesQ<>+32(SB)/8, $4
-DATA lanesQ<>+40(SB)/8, $5
-DATA lanesQ<>+48(SB)/8, $6
-DATA lanesQ<>+56(SB)/8, $7
-GLOBL lanesQ<>(SB), RODATA|NOPTR, $64
+DATA ·panelLanesQ+0(SB)/8, $0
+DATA ·panelLanesQ+8(SB)/8, $1
+DATA ·panelLanesQ+16(SB)/8, $2
+DATA ·panelLanesQ+24(SB)/8, $3
+DATA ·panelLanesQ+32(SB)/8, $4
+DATA ·panelLanesQ+40(SB)/8, $5
+DATA ·panelLanesQ+48(SB)/8, $6
+DATA ·panelLanesQ+56(SB)/8, $7
+DATA ·panelLanesQ+64(SB)/8, $8
+DATA ·panelLanesQ+72(SB)/8, $9
+DATA ·panelLanesQ+80(SB)/8, $10
+DATA ·panelLanesQ+88(SB)/8, $11
+DATA ·panelLanesQ+96(SB)/8, $12
+DATA ·panelLanesQ+104(SB)/8, $13
+DATA ·panelLanesQ+112(SB)/8, $14
+DATA ·panelLanesQ+120(SB)/8, $15
+GLOBL ·panelLanesQ(SB), RODATA|NOPTR, $128
 
-// Byte offsets of four consecutive slice headers' data pointers.
-DATA headers<>+0(SB)/4, $0
-DATA headers<>+4(SB)/4, $24
-DATA headers<>+8(SB)/4, $48
-DATA headers<>+12(SB)/4, $72
-GLOBL headers<>(SB), RODATA|NOPTR, $16
+// Byte offsets of eight consecutive slice headers' data pointers.
+DATA ·panelHeaders+0(SB)/4, $0
+DATA ·panelHeaders+4(SB)/4, $24
+DATA ·panelHeaders+8(SB)/4, $48
+DATA ·panelHeaders+12(SB)/4, $72
+DATA ·panelHeaders+16(SB)/4, $96
+DATA ·panelHeaders+20(SB)/4, $120
+DATA ·panelHeaders+24(SB)/4, $144
+DATA ·panelHeaders+28(SB)/4, $168
+GLOBL ·panelHeaders(SB), RODATA|NOPTR, $32
 
 // func packPanelsF64(dst, pn, src []float64, rows, d int)
 //
@@ -523,7 +544,7 @@ TEXT ·packPanelsF64(SB), NOSPLIT, $0-88
 
 	VMOVQ        DX, X14
 	VPBROADCASTD X14, X14
-	VMOVDQU      lanesD<>(SB), X15
+	VMOVDQU      ·panelLanesD(SB), X15
 	VPMULLD      X14, X15, X15 // row offsets l·d
 	MOVQ         DX, R10
 	SHLQ         $5, R10       // src bytes per panel: 4 rows × d × 8
@@ -531,7 +552,7 @@ TEXT ·packPanelsF64(SB), NOSPLIT, $0-88
 pack64:
 	VMOVQ        CX, X13
 	VPBROADCASTQ X13, Y13
-	VPCMPGTQ     lanesQ<>(SB), Y13, Y13 // live lanes: l < rows left
+	VPCMPGTQ     ·panelLanesQ(SB), Y13, Y13 // live lanes: l < rows left
 	VXORPD       Y0, Y0, Y0
 	XORQ         AX, AX
 	MOVQ         SI, BX
@@ -574,7 +595,7 @@ TEXT ·packPanelsF32(SB), NOSPLIT, $0-88
 
 	VMOVQ        DX, X14
 	VPBROADCASTD X14, Y14
-	VMOVDQU      lanesD<>(SB), Y15
+	VMOVDQU      ·panelLanesD(SB), Y15
 	VPMULLD      Y14, Y15, Y15 // row offsets l·d
 	MOVQ         DX, R9
 	ANDQ         $-4, R9       // coordinates covered by whole 4-blocks
@@ -584,7 +605,7 @@ TEXT ·packPanelsF32(SB), NOSPLIT, $0-88
 pack32:
 	VMOVQ        CX, X13
 	VPBROADCASTD X13, Y13
-	VPCMPGTD     lanesD<>(SB), Y13, Y13 // live lanes: l < rows left
+	VPCMPGTD     ·panelLanesD(SB), Y13, Y13 // live lanes: l < rows left
 	VXORPS       Y0, Y0, Y0
 	VXORPS       Y1, Y1, Y1
 	VXORPS       Y2, Y2, Y2
@@ -636,12 +657,12 @@ TEXT ·packRowsF64(SB), NOSPLIT, $0-80
 	MOVQ rows_base+48(FP), SI
 	MOVQ rows_len+56(FP), CX
 	MOVQ d+72(FP), DX
-	VMOVDQU headers<>(SB), X14
+	VMOVDQU ·panelHeaders(SB), X14
 
 rowsPanel64:
 	VMOVQ        CX, X13
 	VPBROADCASTQ X13, Y13
-	VPCMPGTQ     lanesQ<>(SB), Y13, Y13 // live lanes: l < rows left
+	VPCMPGTQ     ·panelLanesQ(SB), Y13, Y13 // live lanes: l < rows left
 	VMOVDQA      Y13, Y12
 	VPXOR        Y15, Y15, Y15
 	VPGATHERDQ   Y12, (SI)(X14*1), Y15  // row data pointers
@@ -684,7 +705,7 @@ TEXT ·packRowsF32(SB), NOSPLIT, $0-80
 	MOVQ rows_base+48(FP), SI
 	MOVQ rows_len+56(FP), CX
 	MOVQ d+72(FP), DX
-	VMOVDQU headers<>(SB), X13
+	VMOVDQU ·panelHeaders(SB), X13
 	MOVQ    DX, R9
 	ANDQ    $-4, R9 // coordinates covered by whole 4-blocks
 
@@ -692,8 +713,8 @@ rowsPanel32:
 	VMOVQ        CX, X11
 	VPBROADCASTQ X11, Y11
 	VMOVDQA      Y11, Y10
-	VPCMPGTQ     lanesQ<>(SB), Y11, Y11   // live lanes 0–3
-	VPCMPGTQ     lanesQ<>+32(SB), Y10, Y10 // live lanes 4–7
+	VPCMPGTQ     ·panelLanesQ(SB), Y11, Y11   // live lanes 0–3
+	VPCMPGTQ     ·panelLanesQ+32(SB), Y10, Y10 // live lanes 4–7
 	VMOVDQA      Y11, Y12
 	VPXOR        Y15, Y15, Y15
 	VPGATHERDQ   Y12, (SI)(X13*1), Y15     // row data pointers, lanes 0–3
