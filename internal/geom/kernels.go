@@ -55,34 +55,26 @@ type kernels[T Float] struct {
 // panelRung is one rung of the panel engine for storage type T: panel
 // runs one panel of lanes points against a center tile (blocked.go's
 // panelTile); pack and packRows fill a tile's panels and point norms from
-// a matrix or from float64 rows. treeK places the rung's crossover with
-// PredictBatch's kd-tree (PanelTreeK). A zero rung (nil panel) tiles
-// through the 2×4 Go loop.
+// a matrix or from float64 rows. A zero rung (nil panel) tiles through
+// the 2×4 Go loop.
 type panelRung[T Float] struct {
 	panel    func(panel, pn, centers, cNorms, best []T, idx []int32, d, c0 int)
 	pack     func(dst, pn, src []T, rows, d int)
 	packRows func(dst, pn []T, rows [][]float64, d int)
 	lanes    int
-	treeK    int
 }
 
 // The amd64 panel rungs. Both replay the same per-pair arithmetic, so the
-// rung a CPU gets moves no bit. Their treeK values come from
-// BenchmarkPredictRegimes (cited in kmeansll.go): the float64 AVX-512 scan
-// beats the kd-tree up to about 1600 centers at d = 1 and 2000 at d = 2,
-// and past 2048 at d = 3 and 4. The float32 AVX-512 scan is faster still,
-// but its treeK stays at the AVX2 rung's: a float32 scan over more
-// centers in so few dimensions would reach the dense-centers limit of
-// float32 (docs/kernels.md), where the exact tree answers right.
+// rung a CPU gets moves no bit.
 var (
 	avx2Rung64 = panelRung[float64]{
-		panel: panelNearestF64, pack: packPanelsF64, packRows: packRowsF64, lanes: 4, treeK: 128}
+		panel: panelNearestF64, pack: packPanelsF64, packRows: packRowsF64, lanes: 4}
 	avx512Rung64 = panelRung[float64]{
-		panel: panelNearestF64AVX512, pack: packPanelsF64AVX512, packRows: packRowsF64AVX512, lanes: 8, treeK: 640}
+		panel: panelNearestF64AVX512, pack: packPanelsF64AVX512, packRows: packRowsF64AVX512, lanes: 8}
 	avx2Rung32 = panelRung[float32]{
-		panel: panelNearestF32, pack: packPanelsF32, packRows: packRowsF32, lanes: 8, treeK: 128}
+		panel: panelNearestF32, pack: packPanelsF32, packRows: packRowsF32, lanes: 8}
 	avx512Rung32 = panelRung[float32]{
-		panel: panelNearestF32AVX512, pack: packPanelsF32AVX512, packRows: packRowsF32AVX512, lanes: 16, treeK: 128}
+		panel: panelNearestF32AVX512, pack: packPanelsF32AVX512, packRows: packRowsF32AVX512, lanes: 16}
 )
 
 // bestRung returns the widest panel rung the CPUID probe allows: avx512
@@ -161,14 +153,13 @@ func kernelsFor[T Float]() *kernels[T] {
 	return any(&kernels64).(*kernels[T])
 }
 
-// PanelTreeK reports where a nearest-center scan through the panel rung
-// of storage type T loses to a kd-tree over few-dimensional centers: from
-// PanelTreeK·(d+1) centers on (640 on the float64 AVX-512 rung, 128 on
-// the other rungs). It is 0 where the tile is the 2×4 Go loop and runs no
-// panel kernel: km_purego builds, arm64, amd64 without AVX2+FMA, and the
-// pure-Go and SSE2/NEON float32 tiers. PredictBatch reads it to choose
-// between the blocked scan and its kd-tree.
-func PanelTreeK[T Float]() int { return kernelsFor[T]().treeK }
+// PanelKernel reports whether the nearest-center tile of storage type T
+// runs a panel kernel: for float64 wherever the CPUID probe found AVX2+FMA,
+// for float32 while the active tier is the AVX2 rung. Everywhere else —
+// km_purego builds, arm64, amd64 without AVX2+FMA, the pure-Go and
+// SSE2/NEON float32 tiers — the tile is the 2×4 Go loop. Callers choosing
+// between the blocked scan and a structure that prunes centers read it.
+func PanelKernel[T Float]() bool { return kernelsFor[T]().panel != nil }
 
 // Bits returns the width of storage type T: 64 or 32.
 func Bits[T Float]() int {

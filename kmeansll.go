@@ -461,19 +461,20 @@ func (m *Model) Predict(point []float64) int {
 // from predictTreeMinK centers on at d ≤ 4 (km_purego; likewise arm64,
 // amd64 without AVX2+FMA and the float32 tiers without panels), so the
 // tree keeps that regime. A panel scan's cost grows linearly in k and the
-// tree's barely, so each rung has a crossover, geom.PanelTreeK·(d+1)
-// centers. The float64 AVX-512 scan beats the tree up to about 1600
-// centers at d = 1 and 2000 at d = 2, and at every measured k at d = 3
-// and 4; its 640·(d+1) — 1280, 1920, 2560 and 3200 centers — sits at or
-// below those crossovers. The AVX2 rung keeps 128·(d+1) (256, 384, 512
-// and 640 centers), measured before its argmin kept the best with VMINPD;
-// on this CPU it now gives up the scan's wins at d = 1, k = 256 and 384,
-// d = 2, k = 384, and d = 3 and 4, k = 1024, but the rung runs in
-// production on CPUs without AVX-512F, which this table does not cover.
-// Float32 models keep 128·(d+1) on both rungs (see geom.PanelTreeK).
+// tree's barely, so the tree takes over again from predictPanelTreeK·(d+1)
+// centers on (256, 384, 512 and 640), on either panel rung. That bound was
+// measured on a CPU without AVX-512F, before the AVX2 argmin kept its best
+// with VMINPD. On the CPU above both scans now beat the tree past it: the
+// AVX-512 one at every k up to 1024 and, at d = 3 and 4, at 2048; the AVX2
+// one at d = 1, k = 256 and 384, d = 2, k = 384, and d = 3 and 4, k = 1024.
+// The bound stays, as these rows place no new one. The AVX-512 scan ties
+// or loses at d = 1 and 2, k = 2048, with no row between 1024 and 2048;
+// at d = 3 and 4 its crossover lies past every row; and the AVX2 rung
+// runs on CPUs without AVX-512F, which this table does not cover.
 const (
 	predictTreeMinK   = 256
 	predictTreeMaxDim = 4
+	predictPanelTreeK = 128
 )
 
 // PredictBatch assigns every point to its nearest center and returns one
@@ -484,9 +485,8 @@ const (
 // except for models with many low-dimensional centers (k ≥ 256, dim ≤ 4)
 // whose scan would run no panel kernel — km_purego builds, CPUs without
 // AVX2+FMA, a Float32 model on a float32 tier without one, or
-// UseExactDistances(true) — or that have 128·(dim+1) centers or more
-// (640·(dim+1) for a Float64 model on a CPU with AVX-512F): those descend
-// a kd-tree built once over the centers (internal/kdtree).
+// UseExactDistances(true) — or that have 128·(dim+1) centers or more:
+// those descend a kd-tree built once over the centers (internal/kdtree).
 // Both caches are built once, so Centers must not be mutated after the
 // first PredictBatch call. Ties between equidistant centers may resolve
 // differently between regimes; every answer is an exact nearest center.
@@ -518,18 +518,17 @@ func (m *Model) PredictBatchInto(points [][]float64, out []int, parallelism int)
 // predictTreeMinK centers of at most predictTreeMaxDim dimensions, unless
 // the blocked scan would run a panel kernel — the model is above
 // UseBlocked's crossover and the kernel table of its predict precision has
-// one — on fewer than geom.PanelTreeK·(dim+1) centers, the crossover of
-// that kernel's rung.
+// one — on fewer than predictPanelTreeK·(dim+1) centers.
 func (m *Model) predictTree() bool {
 	k, d := len(m.Centers), m.dim
 	if k < predictTreeMinK || d > predictTreeMaxDim {
 		return false
 	}
-	treeK := geom.PanelTreeK[float64]()
+	panel := geom.PanelKernel[float64]()
 	if m.precision == Float32 {
-		treeK = geom.PanelTreeK[float32]()
+		panel = geom.PanelKernel[float32]()
 	}
-	return treeK == 0 || !geom.UseBlocked(k, d) || k >= treeK*(d+1)
+	return !panel || !geom.UseBlocked(k, d) || k >= predictPanelTreeK*(d+1)
 }
 
 // predictBatch is PredictBatchInto with the kd-tree decision forced, so

@@ -38,19 +38,16 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestPredictBatchRegime pins PredictBatch's regime rule. At k = 300, d = 3
-// it takes the blocked scan where the kernel table of the model's predict
-// precision has a panel kernel (TestPanelKernelSelected ties that to the
-// CPUID probe), and the kd-tree where it has none — km_purego builds and
-// CPUs without AVX2+FMA, a Float32 model on the pure-Go tier — and under
-// UseExactDistances(true). With a panel kernel it takes the tree from its
-// rung's geom.PanelTreeK·(d+1) centers on (512 at d = 3 and 256 at d = 1,
-// 2560 and 1280 for a Float64 model on the AVX-512 rung) and the scan one
-// center below; without one, from predictTreeMinK centers on at d = 1 and
-// 3 alike. Below predictTreeMinK (255 centers) it always takes the scan.
-// The regime is read from the cache the public call built, and every
-// answer is checked against Predict: exactly, except that a float32 scan
-// at d = 1 may resolve a near-tie the other way.
+// TestPredictBatchRegime pins PredictBatch's regime rule. At k = 300 and
+// 511, d = 3 it takes the blocked scan where the kernel table of the
+// model's predict precision has a panel kernel (TestPanelKernelSelected
+// ties that to the CPUID probe and its rung), and the kd-tree where it has
+// none — km_purego builds and CPUs without AVX2+FMA, a Float32 model on
+// the pure-Go tier — and under UseExactDistances(true). From
+// predictPanelTreeK·(d+1) centers on (512 at d = 3, 256 at d = 1) it takes
+// the tree in every setting and on every panel rung, and below
+// predictTreeMinK (255 centers) the scan. The regime is read from the cache
+// the public call built, and every answer is checked against Predict.
 func TestPredictBatchRegime(t *testing.T) {
 	defer UseExactDistances(false)
 	defer geom.SetF32Tier(geom.ActiveF32Tier())
@@ -67,50 +64,33 @@ func TestPredictBatchRegime(t *testing.T) {
 			t.Fatalf("%s, k=%d d=%d %v: kd-tree regime = %v, want %v", setting, k, d, prec, tree, wantTree)
 		}
 		for i, p := range queries[d] {
-			want := m.Predict(p)
-			if got[i] == want {
-				continue
+			if want := m.Predict(p); got[i] != want {
+				t.Fatalf("%s, k=%d d=%d %v: point %d: PredictBatch %d, Predict %d", setting, k, d, prec, i, got[i], want)
 			}
-			// A float32 scan over hundreds of centers on a line may take
-			// the other side of a near-tie (the dense-centers limit in
-			// docs/kernels.md); there the answer must be a nearest center
-			// within float32's rounding of the expansion.
-			if gd, wd := geom.SqDist(p, m.Centers[got[i]]), geom.SqDist(p, m.Centers[want]); d == 1 && prec == Float32 &&
-				!wantTree && gd-wd <= 1e-4*(geom.SqNorm(p)+1) {
-				continue
-			}
-			t.Fatalf("%s, k=%d d=%d %v: point %d: PredictBatch %d, Predict %d", setting, k, d, prec, i, got[i], want)
 		}
 	}
-	// rule runs a model of precision prec, whose kernel table has the
-	// tree crossover treeK (0: no panel kernel), on both sides of every
-	// bound the rule draws.
-	rule := func(setting string, prec Precision, treeK int) {
+	always := func(setting string) {
 		t.Helper()
-		run(setting, 255, 3, prec, false)
-		run(setting, 300, 3, prec, treeK == 0)
-		if treeK == 0 {
+		for _, prec := range []Precision{Float64, Float32} {
+			run(setting, 255, 3, prec, false)
+			run(setting, 512, 3, prec, true)
 			run(setting, 300, 1, prec, true)
-			return
-		}
-		for _, d := range []int{1, 3} {
-			run(setting, treeK*(d+1)-1, d, prec, false)
-			run(setting, treeK*(d+1), d, prec, true)
 		}
 	}
-	rule("default", Float64, geom.PanelTreeK[float64]())
-	rule("default", Float32, geom.PanelTreeK[float32]())
+	always("default")
+	for _, k := range []int{300, 511} {
+		run("default", k, 3, Float64, !geom.PanelKernel[float64]())
+		run("default", k, 3, Float32, !geom.PanelKernel[float32]())
+	}
 	if !geom.SetF32Tier(geom.F32TierPureGo) {
 		t.Fatal("pure-Go float32 tier unavailable")
 	}
-	if geom.PanelTreeK[float32]() != 0 {
-		t.Fatal("pure-Go float32 tier reports a panel kernel")
-	}
-	rule("pure-Go float32 tier", Float32, 0)
-	rule("pure-Go float32 tier", Float64, geom.PanelTreeK[float64]())
+	run("pure-Go float32 tier", 300, 3, Float32, true)
+	run("pure-Go float32 tier", 300, 3, Float64, !geom.PanelKernel[float64]())
 	UseExactDistances(true)
+	always("exact distances")
 	for _, prec := range []Precision{Float64, Float32} {
-		rule("exact distances", prec, 0)
+		run("exact distances", 300, 3, prec, true)
 	}
 }
 

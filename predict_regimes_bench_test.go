@@ -7,8 +7,7 @@ import (
 
 // BenchmarkPredictRegimes compares PredictBatch's kd-tree descent against
 // the blocked linear scan across (dim, k), the measurement behind
-// predictTreeMinK, predictTreeMaxDim and each panel rung's
-// geom.PanelTreeK, and times
+// predictTreeMinK, predictTreeMaxDim and predictPanelTreeK, and times
 // the public entry point, whose regime depends on the build's kernel table
 // (predictTree). Each shape runs two query sets: the first 512 points the
 // model was fitted on (q=fit), and 512 points of an unrelated mixture
