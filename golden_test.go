@@ -246,22 +246,40 @@ var goldenWant = map[string]uint64{
 	"core/d=58/w=false/exact-l":                       0x5023caa5f0f7427e,
 	"core/d=58/w=true/bernoulli":                      0xd90401e96d923e34,
 	"core/d=58/w=true/exact-l":                        0xfc362f9718def409,
+	"f32/cluster/d=16/init=0/lloyd:elkan":             0xc8b1aa34d5e76b41,
+	"f32/cluster/d=16/init=0/lloyd:hamerly":           0xc8b1aa34d5e76b41,
 	"f32/cluster/d=16/init=0/lloyd:naive":             0xc8b1aa34d5e76b41,
 	"f32/cluster/d=16/init=0/minibatch:b=64,iters=30": 0x751e828cc51a53d,
+	"f32/cluster/d=16/init=1/lloyd:elkan":             0xa28354f73f8efad6,
+	"f32/cluster/d=16/init=1/lloyd:hamerly":           0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/lloyd:naive":             0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/minibatch:b=64,iters=30": 0xd803be65f5a60e1,
+	"f32/cluster/d=16/init=2/lloyd:elkan":             0x6f27b4248e705350,
+	"f32/cluster/d=16/init=2/lloyd:hamerly":           0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/lloyd:naive":             0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/minibatch:b=64,iters=30": 0x2ebd05369814a2fe,
+	"f32/cluster/d=2/init=0/lloyd:elkan":              0x10f816861a08b39a,
+	"f32/cluster/d=2/init=0/lloyd:hamerly":            0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/lloyd:naive":              0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/minibatch:b=64,iters=30":  0x708584749a799406,
+	"f32/cluster/d=2/init=1/lloyd:elkan":              0x7bec80ec4aeec4ff,
+	"f32/cluster/d=2/init=1/lloyd:hamerly":            0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/lloyd:naive":              0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/minibatch:b=64,iters=30":  0x384f604f65caffea,
+	"f32/cluster/d=2/init=2/lloyd:elkan":              0xe99ac6d84efae69c,
+	"f32/cluster/d=2/init=2/lloyd:hamerly":            0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/lloyd:naive":              0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/minibatch:b=64,iters=30":  0x80de6ef429efec4b,
+	"f32/cluster/d=58/init=0/lloyd:elkan":             0x90bb472b47b09a09,
+	"f32/cluster/d=58/init=0/lloyd:hamerly":           0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/lloyd:naive":             0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/minibatch:b=64,iters=30": 0x55e390571747158d,
+	"f32/cluster/d=58/init=1/lloyd:elkan":             0xaed105131a231217,
+	"f32/cluster/d=58/init=1/lloyd:hamerly":           0xaed105131a231217,
 	"f32/cluster/d=58/init=1/lloyd:naive":             0xaed105131a231217,
 	"f32/cluster/d=58/init=1/minibatch:b=64,iters=30": 0xf144d8043bd3a3db,
+	"f32/cluster/d=58/init=2/lloyd:elkan":             0x298825cefb8ffcce,
+	"f32/cluster/d=58/init=2/lloyd:hamerly":           0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/lloyd:naive":             0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/minibatch:b=64,iters=30": 0xae44d8527a405d8,
 	"f32/predict/d=16/k=21":                           0xa4d3ae0c6891029d,
@@ -276,16 +294,28 @@ var goldenWant = map[string]uint64{
 	"predict/kdtree/k=300/d=3":                        0x6335a3fc0dc80638,
 	"predict/scan/k=2/d=16":                           0xe1e6fdcfc78ee542,
 	"predict/scan/k=3/d=2":                            0xfe4e9d48aa1e2700,
+	"trace/d=16/w=false/elkan":                        0x2812618cd47581d3,
+	"trace/d=16/w=false/hamerly":                      0x3bd9625746a92473,
 	"trace/d=16/w=false/naive":                        0x3d5c7c1fb7898489,
 	"trace/d=16/w=false/trimmed":                      0xd86707f578d5a6e4,
+	"trace/d=16/w=true/elkan":                         0xef684d6be955dd53,
+	"trace/d=16/w=true/hamerly":                       0xad93f899efd7ebe9,
 	"trace/d=16/w=true/naive":                         0x9621dd67a12a018b,
 	"trace/d=16/w=true/trimmed":                       0x6169cfc6dd1356e6,
+	"trace/d=2/w=false/elkan":                         0x6ea3ff98d30b03c6,
+	"trace/d=2/w=false/hamerly":                       0x818e902544eaefa9,
 	"trace/d=2/w=false/naive":                         0xc04f431d8e563de9,
 	"trace/d=2/w=false/trimmed":                       0x4ddbea199e495c08,
+	"trace/d=2/w=true/elkan":                          0x253fcc3ac08ceb7c,
+	"trace/d=2/w=true/hamerly":                        0x8a4caf95916e12ab,
 	"trace/d=2/w=true/naive":                          0x222ae851fb31bcf4,
 	"trace/d=2/w=true/trimmed":                        0xce01af4eb9d10021,
+	"trace/d=58/w=false/elkan":                        0xcfffdabc0e93866b,
+	"trace/d=58/w=false/hamerly":                      0x4206ec5ad1e4ab3a,
 	"trace/d=58/w=false/naive":                        0xa6f2e2b3cdba110d,
 	"trace/d=58/w=false/trimmed":                      0xa19ce37387469e97,
+	"trace/d=58/w=true/elkan":                         0xacdcfd5c4d616b5d,
+	"trace/d=58/w=true/hamerly":                       0x2c5d42c5380ad5c0,
 	"trace/d=58/w=true/naive":                         0x3476f9ed79285d32,
 	"trace/d=58/w=true/trimmed":                       0x6b77642b163b6158,
 }
@@ -385,8 +415,9 @@ func TestGoldenCoreInit(t *testing.T) {
 }
 
 // TestGoldenCostTrace pins the per-iteration cost traces, which Model does
-// not keep: naive Lloyd and Trimmed from k-means|| seeds. The Elkan and
-// Hamerly traces are upper bounds, not costs, and are left out.
+// not keep: the three exact Lloyd methods and Trimmed from k-means|| seeds.
+// Elkan's and Hamerly's traces are upper bounds on the cost, so their rows
+// differ from naive's.
 func TestGoldenCostTrace(t *testing.T) {
 	got := map[string]uint64{}
 	for _, d := range goldenDims {
@@ -394,13 +425,15 @@ func TestGoldenCostTrace(t *testing.T) {
 			pts, w := goldenData(777, d, weighted, uint64(500+d))
 			ds := &geom.Dataset{X: geom.FromRows(pts), Weight: w}
 			init, _ := core.Init(ds, core.Config{K: 8, Parallelism: 2, Seed: 9})
-			res := lloyd.Run(ds, init, lloyd.Config{MaxIter: 30, Parallelism: 2})
-			h := newGoldenHash()
-			h.f64s(res.Centers.Data)
-			h.f64s(res.CostTrace)
-			got[fmt.Sprintf("trace/d=%d/w=%v/naive", d, weighted)] = h.h
+			for _, m := range []lloyd.Method{lloyd.Naive, lloyd.Elkan, lloyd.Hamerly} {
+				res := lloyd.Run(ds, init, lloyd.Config{MaxIter: 30, Parallelism: 2, Method: m})
+				h := newGoldenHash()
+				h.f64s(res.Centers.Data)
+				h.f64s(res.CostTrace)
+				got[fmt.Sprintf("trace/d=%d/w=%v/%s", d, weighted, m)] = h.h
+			}
 			tr := lloyd.Trimmed(ds, init, lloyd.TrimmedConfig{TrimFraction: 0.05, MaxIter: 30, Parallelism: 2})
-			h = newGoldenHash()
+			h := newGoldenHash()
 			h.f64s(tr.Centers.Data)
 			h.f64s(tr.CostTrace)
 			h.ints(tr.Outliers)
@@ -480,7 +513,10 @@ func TestGoldenFloat32PureGo(t *testing.T) {
 			got[fmt.Sprintf("f32/predict/d=%d/k=%d", d, k)] = h.h
 		}
 		for _, in := range []InitMethod{KMeansParallel, KMeansPlusPlus, RandomInit} {
-			for _, op := range []Optimizer{Lloyd{Kernel: NaiveKernel}, MiniBatch{BatchSize: 64, Iters: 30}} {
+			for _, op := range []Optimizer{
+				Lloyd{Kernel: NaiveKernel}, Lloyd{Kernel: ElkanKernel}, Lloyd{Kernel: HamerlyKernel},
+				MiniBatch{BatchSize: 64, Iters: 30},
+			} {
 				m, err := Cluster(pts, Config{
 					K: 7, Init: in, MaxIter: 25, Optimizer: op,
 					Weights: w, Parallelism: 2, Seed: 23, Precision: Float32,
