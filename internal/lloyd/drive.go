@@ -8,9 +8,11 @@ import (
 
 // Passes is what Drive needs from a backend: the passes of one Lloyd
 // iteration, of an empty-cluster reseed and of the final assignment. The
-// in-process backend runs each pass as one geom.ParallelFor over chunks
-// (Run's naive method); the networked one (internal/distkm) as one RPC
-// fan-out over shards. Only the networked backend's methods can fail.
+// in-process backends run each pass as one geom.ParallelFor over chunks
+// (Run's naive method, and its Elkan and Hamerly methods, which keep
+// per-point bounds across Steps); the networked one (internal/distkm) as
+// one RPC fan-out over shards. Only the networked backend's methods can
+// fail.
 type Passes interface {
 	// Step returns each center's Σw·x ⧺ Σw over the points nearest to it
 	// (k×(d+1), StepSpan's rows summed in partition order) and
@@ -154,10 +156,22 @@ type chunks[T geom.Float] struct {
 }
 
 func (p *chunks[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
-	n, k, d := p.ds.N(), centers.Rows, centers.Cols
+	p.prepare(centers)
+	geom.ParallelFor(p.ds.N(), p.parallelism, func(ch, lo, hi int) {
+		clear(p.parts[ch].Data)
+		p.phis[ch] = stepInto(p.ds, lo, hi, p.snap, p.norms, p.parts[ch])
+	})
+	sums, phi := p.reduce()
+	return sums, phi, nil
+}
+
+// prepare makes Step's buffers on the first call and refreshes the T
+// snapshot of the centers and its norms.
+func (p *chunks[T]) prepare(centers *geom.Matrix) {
 	if p.sums == nil {
+		k, d := centers.Rows, centers.Cols
 		p.snap = geom.NewMat[T](k, d)
-		p.parts = make([]*geom.Matrix, geom.ChunkCount(n, p.parallelism))
+		p.parts = make([]*geom.Matrix, geom.ChunkCount(p.ds.N(), p.parallelism))
 		for ch := range p.parts {
 			p.parts[ch] = geom.NewMatrix(k, d+1)
 		}
@@ -165,17 +179,17 @@ func (p *chunks[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 		p.sums = geom.NewMatrix(k, d+1)
 	}
 	p.norms = snapshot(p.snap, centers, p.norms)
-	geom.ParallelFor(n, p.parallelism, func(ch, lo, hi int) {
-		clear(p.parts[ch].Data)
-		p.phis[ch] = stepInto(p.ds, lo, hi, p.snap, p.norms, p.parts[ch])
-	})
+}
+
+// reduce sums the chunks' rows and cost partials in chunk order.
+func (p *chunks[T]) reduce() (*geom.Matrix, float64) {
 	clear(p.sums.Data)
 	var phi float64
 	for ch, part := range p.parts {
 		geom.AddScaled(p.sums.Data, 1, part.Data)
 		phi += p.phis[ch]
 	}
-	return p.sums, phi, nil
+	return p.sums, phi
 }
 
 func (p *chunks[T]) Farthest(centers *geom.Matrix) ([]float64, error) {

@@ -12,8 +12,8 @@
 //
 // Beyond the textbook algorithm it provides the accelerated assignment
 // methods referenced by the paper's related work (Elkan and Hamerly
-// triangle-inequality pruning, Sculley mini-batch), which the benchmark
-// harness uses for ablations.
+// triangle-inequality pruning, whose Step is a third backend for Drive) and
+// Sculley's mini-batch.
 //
 // Every algorithm is written once over the point storage type T (float64 or
 // float32, see geom.Float). Centers are mastered in float64 and narrowed to
@@ -144,10 +144,10 @@ func scan[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int, 
 // storage type T, against a T snapshot of the centers refreshed once per
 // iteration; everything that accumulates across points (center sums,
 // weights, costs) stays float64, and the returned centers are the float64
-// masters the update step maintains. The naive method is Drive over
-// Parallelism chunks; Elkan and Hamerly keep per-point bounds, stop by the
-// same rule and end with the same assignment pass. It panics if centers is
-// empty or wider than the data.
+// masters the update step maintains. Every method is Drive over
+// Parallelism chunks; Elkan and Hamerly replace the chunks' Step with one
+// that keeps per-point bounds (accel.go). It panics if centers is empty or
+// wider than the data.
 func Run[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, cfg Config) Result {
 	if centers.Rows == 0 {
 		panic("lloyd: no initial centers")
@@ -155,13 +155,11 @@ func Run[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, cfg Config) Result
 	if centers.Cols != ds.Dim() {
 		panic(fmt.Sprintf("lloyd: center dim %d != data dim %d", centers.Cols, ds.Dim()))
 	}
-	switch cfg.Method {
-	case Elkan:
-		return runElkan(ds, centers, cfg)
-	case Hamerly:
-		return runHamerly(ds, centers, cfg)
+	var p Passes = &chunks[T]{ds: ds, parallelism: cfg.Parallelism}
+	if cfg.Method == Elkan || cfg.Method == Hamerly {
+		p = &bounded[T]{chunks: chunks[T]{ds: ds, parallelism: cfg.Parallelism}, elkan: cfg.Method == Elkan}
 	}
-	res, _ := Drive(&chunks[T]{ds: ds, parallelism: cfg.Parallelism}, Result{Centers: centers}, cfg.MaxIter, nil)
+	res, _ := Drive(p, Result{Centers: centers}, cfg.MaxIter, nil)
 	return res
 }
 
