@@ -218,8 +218,8 @@ func TestFloat32ClusterDataset32(t *testing.T) {
 func TestFloat32AccelConfigs(t *testing.T) {
 	points, _ := f32Case(t, 600, 12, 5, false, 9)
 	for _, cfg := range []Config{
-		{K: 5, Init: RandomInit, Kernel: ElkanKernel, Seed: 7, Precision: Float32, MaxIter: 25},
-		{K: 5, Init: RandomInit, Kernel: HamerlyKernel, Seed: 7, Precision: Float32, MaxIter: 25},
+		{K: 5, Init: RandomInit, Optimizer: Lloyd{Kernel: ElkanKernel}, Seed: 7, Precision: Float32, MaxIter: 25},
+		{K: 5, Init: RandomInit, Optimizer: Lloyd{Kernel: HamerlyKernel}, Seed: 7, Precision: Float32, MaxIter: 25},
 		{K: 5, Init: RandomInit, Optimizer: MiniBatch{BatchSize: 64, Iters: 30}, Seed: 7, Precision: Float32},
 		{K: 5, Init: PartitionInit, Seed: 7, Precision: Float32, MaxIter: 25},
 		{K: 5, Init: RandomInit, Optimizer: Trimmed{Fraction: 0.05}, Seed: 7, Precision: Float32, MaxIter: 25},

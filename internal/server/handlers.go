@@ -495,11 +495,9 @@ type GenerateSpec struct {
 type fitConfig struct {
 	K    int    `json:"k"`
 	Init string `json:"init,omitempty"` // kmeansll | kmeans++ | random | partition
-	// Kernel is the legacy shorthand for {"optimizer":{"type":"lloyd",
-	// "kernel":...}}; it conflicts with an explicit optimizer spec.
-	Kernel string `json:"kernel,omitempty"` // naive | elkan | hamerly
 	// Optimizer selects the refinement variant — the same spec the library
-	// and CLIs accept. Validated at submit, recorded in job status and
+	// and CLIs accept; {"type":"lloyd","kernel":"elkan"} picks Lloyd's
+	// assignment kernel. Validated at submit, recorded in job status and
 	// model metadata. Absent means lloyd:naive.
 	Optimizer    *kmeansll.OptimizerSpec `json:"optimizer,omitempty"`
 	Oversampling float64                 `json:"oversampling,omitempty"`
@@ -553,20 +551,7 @@ func (c fitConfig) toLibrary(parallelism int) (kmeansll.Config, error) {
 	default:
 		return out, fmt.Errorf("unknown init %q (want kmeansll, kmeans++, random or partition)", c.Init)
 	}
-	switch strings.ToLower(c.Kernel) {
-	case "", "naive":
-		out.Kernel = kmeansll.NaiveKernel
-	case "elkan":
-		out.Kernel = kmeansll.ElkanKernel
-	case "hamerly":
-		out.Kernel = kmeansll.HamerlyKernel
-	default:
-		return out, fmt.Errorf("unknown kernel %q (want naive, elkan or hamerly)", c.Kernel)
-	}
 	if c.Optimizer != nil {
-		if c.Kernel != "" {
-			return out, errors.New(`config.kernel conflicts with config.optimizer; put the kernel inside the optimizer spec`)
-		}
 		opt, err := c.Optimizer.Optimizer()
 		if err != nil {
 			return out, err
@@ -626,7 +611,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		// Distributed Lloyd is the plain MR assignment pass; silently
 		// downgrading a requested variant or accelerated kernel would
 		// misreport what ran.
-		if opt := cfg.OptimizerOrDefault(); opt != (kmeansll.Lloyd{Kernel: kmeansll.NaiveKernel}) {
+		if opt := cfg.OptimizerOrDefault(); opt != (kmeansll.Lloyd{}) {
 			writeError(w, http.StatusBadRequest, `backend "dist" supports only optimizer "lloyd:naive"`)
 			return
 		}

@@ -30,9 +30,9 @@ import (
 // always requeue.
 const maxPersistPoints = 65536
 
-// persistedJob is the on-disk form of one pending fit job. The Init/Kernel
-// enums are stored as their integer values: the file only needs to survive a
-// restart of the same binary, not a schema migration.
+// persistedJob is the on-disk form of one pending fit job. The Init and
+// Precision enums are stored as their integer values: the file only needs to
+// survive a restart of the same binary, not a schema migration.
 type persistedJob struct {
 	ID        string          `json:"id"`
 	Model     string          `json:"model"`
@@ -55,7 +55,6 @@ type persistedConfig struct {
 	Oversampling float64 `json:"oversampling,omitempty"`
 	Rounds       int     `json:"rounds,omitempty"`
 	MaxIter      int     `json:"max_iter,omitempty"`
-	Kernel       int     `json:"kernel,omitempty"`
 	Optimizer    string  `json:"optimizer,omitempty"`
 	Precision    int     `json:"precision,omitempty"`
 	Parallelism  int     `json:"parallelism,omitempty"`
@@ -65,8 +64,7 @@ type persistedConfig struct {
 func (p persistedConfig) config() (kmeansll.Config, error) {
 	cfg := kmeansll.Config{
 		K: p.K, Init: kmeansll.InitMethod(p.Init), Oversampling: p.Oversampling,
-		Rounds: p.Rounds, MaxIter: p.MaxIter, Kernel: kmeansll.Kernel(p.Kernel),
-		Precision:   kmeansll.Precision(p.Precision),
+		Rounds: p.Rounds, MaxIter: p.MaxIter, Precision: kmeansll.Precision(p.Precision),
 		Parallelism: p.Parallelism, Seed: p.Seed,
 	}
 	if p.Optimizer != "" {
@@ -103,8 +101,7 @@ func (m *JobManager) persistJob(j *Job, state JobState) {
 		DataPath: j.dataPath, DataName: j.dataName, NumPoints: j.nPoints,
 		Config: persistedConfig{
 			K: j.cfg.K, Init: int(j.cfg.Init), Oversampling: j.cfg.Oversampling,
-			Rounds: j.cfg.Rounds, MaxIter: j.cfg.MaxIter, Kernel: int(j.cfg.Kernel),
-			Precision:   int(j.cfg.Precision),
+			Rounds: j.cfg.Rounds, MaxIter: j.cfg.MaxIter, Precision: int(j.cfg.Precision),
 			Parallelism: j.cfg.Parallelism, Seed: j.cfg.Seed,
 		},
 	}

@@ -88,6 +88,25 @@ func TestJobsPersistRecoverQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// A queued job file that still carries the integer "kernel" of the removed
+// config field recovers as plain Lloyd, whose model bits equal the bound
+// kernels'.
+func TestRecoverJobFileWithKernelInteger(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"id": "job-1", "model": "old", "state": "queued", "points": [[0, 0], [0, 1], [9, 9], [9, 8]],
+		"config": {"k": 2, "kernel": 1, "seed": 5}}`
+	if err := os.WriteFile(filepath.Join(dir, "job-1.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{FitWorkers: 1, JobsDir: dir})
+	if requeued, failed, err := s.RecoverJobs(); err != nil || requeued != 1 || failed != 0 {
+		t.Fatalf("recovered (requeued=%d, failed=%d, err=%v), want (1, 0)", requeued, failed, err)
+	}
+	if st := waitForJob(t, s, "job-1"); st.State != JobDone || st.Optimizer != "lloyd:naive" {
+		t.Fatalf("recovered job ended %q with optimizer %q (err %q)", st.State, st.Optimizer, st.Error)
+	}
+}
+
 // A running dist job that left a coordinator checkpoint is requeued rather
 // than failed; an unreadable checkpoint must degrade to a fresh fit, not
 // wedge the job.

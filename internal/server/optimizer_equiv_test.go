@@ -170,12 +170,15 @@ func TestFitOptimizerValidation(t *testing.T) {
 	if code, msg := post(fitConfig{K: 2, Optimizer: &kmeansll.OptimizerSpec{Type: "trimmed", Fraction: 1.5}}, ""); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range fraction: status %d (%s)", code, msg)
 	}
-	if code, msg := post(fitConfig{K: 2, Optimizer: &kmeansll.OptimizerSpec{Type: "trimmed", Fraction: 0.1, BatchSize: 9}, Kernel: ""}, ""); code != http.StatusBadRequest {
+	if code, msg := post(fitConfig{K: 2, Optimizer: &kmeansll.OptimizerSpec{Type: "trimmed", Fraction: 0.1, BatchSize: 9}}, ""); code != http.StatusBadRequest {
 		t.Fatalf("foreign knob on trimmed: status %d (%s)", code, msg)
 	}
-	if code, msg := post(fitConfig{K: 2, Kernel: "elkan", Optimizer: &kmeansll.OptimizerSpec{Type: "lloyd"}}, ""); code != http.StatusBadRequest ||
-		!strings.Contains(msg, "conflicts") {
-		t.Fatalf("kernel+optimizer conflict: status %d (%s)", code, msg)
+	// The kernel is picked inside the optimizer spec only: config.kernel is
+	// an unknown field.
+	var errResp errorResponse
+	if code := do(t, s, "POST", "/v1/fit", `{"model": "reject", "points": [[1],[2]], "config": {"k": 1, "kernel": "elkan"}}`, &errResp); code != http.StatusBadRequest ||
+		!strings.Contains(errResp.Error, `unknown field "kernel"`) {
+		t.Fatalf("config.kernel: status %d (%s)", code, errResp.Error)
 	}
 	if code, msg := post(fitConfig{K: 2, Optimizer: &kmeansll.OptimizerSpec{Type: "minibatch"}}, "dist"); code != http.StatusBadRequest ||
 		!strings.Contains(msg, "lloyd:naive") {

@@ -180,7 +180,7 @@ func TestFitWithServerSideGenerate(t *testing.T) {
 	code := do(t, s, "POST", "/v1/fit", fitRequest{
 		Model:    "gen",
 		Generate: &GenerateSpec{N: 500, D: 5, K: 3, Seed: 9},
-		Config:   fitConfig{K: 3, Init: "kmeans++", Kernel: "elkan"},
+		Config:   fitConfig{K: 3, Init: "kmeans++", Optimizer: &kmeansll.OptimizerSpec{Type: "lloyd", Kernel: "elkan"}},
 		Restarts: 2,
 	}, &job)
 	if code != http.StatusAccepted {
@@ -236,7 +236,9 @@ func TestMalformedPayloads(t *testing.T) {
 		{"fit bad init", "POST", "/v1/fit",
 			`{"model": "f", "points": [[1],[2]], "config": {"k": 1, "init": "zzz"}}`, http.StatusBadRequest},
 		{"fit bad kernel", "POST", "/v1/fit",
-			`{"model": "f", "points": [[1],[2]], "config": {"k": 1, "kernel": "zzz"}}`, http.StatusBadRequest},
+			`{"model": "f", "points": [[1],[2]], "config": {"k": 1, "optimizer": {"kernel": "zzz"}}}`, http.StatusBadRequest},
+		{"fit removed config.kernel", "POST", "/v1/fit",
+			`{"model": "f", "points": [[1],[2]], "config": {"k": 1, "kernel": "elkan"}}`, http.StatusBadRequest},
 		{"fit no points", "POST", "/v1/fit", `{"model": "f", "config": {"k": 1}}`, http.StatusBadRequest},
 		{"fit points and generate", "POST", "/v1/fit",
 			`{"model": "f", "points": [[1]], "generate": {"n": 4, "d": 1, "k": 1}, "config": {"k": 1}}`, http.StatusBadRequest},

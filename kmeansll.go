@@ -136,16 +136,10 @@ type Config struct {
 	Rounds int
 	// MaxIter caps Lloyd's iteration; 0 means run until convergence.
 	MaxIter int
-	// Kernel selects the Lloyd assignment implementation. All kernels are
-	// exact (same fixed point); they differ only in speed/memory:
-	// NaiveKernel (default) scans all centers, ElkanKernel keeps n×k bounds
-	// (fastest for moderate k), HamerlyKernel keeps 2n bounds (best for
-	// large k). Kernel is honored only when Optimizer is nil (it is
-	// shorthand for Optimizer: Lloyd{Kernel: ...}).
-	Kernel Kernel
 	// Optimizer selects the refinement stage run after seeding: Lloyd
 	// (default), MiniBatch, Trimmed or Spherical. Any Optimizer composes
-	// with any Init and any data source; nil means Lloyd{Kernel: c.Kernel}.
+	// with any Init and any data source; nil means Lloyd{}. Lloyd's Kernel
+	// picks its assignment implementation.
 	Optimizer Optimizer
 	// Weights, when non-nil, gives each point a positive weight (must match
 	// len(points)).

@@ -272,12 +272,11 @@ func ParseOptimizer(s string) (Optimizer, error) {
 	return spec.Optimizer()
 }
 
-// OptimizerOrDefault returns c.Optimizer, or the Lloyd optimizer implied by
-// the legacy c.Kernel field when no Optimizer is set. Serving layers use it
-// to record what a fit will actually run.
+// OptimizerOrDefault returns c.Optimizer, or Lloyd{} when no Optimizer is
+// set. Serving layers use it to record what a fit will actually run.
 func (c Config) OptimizerOrDefault() Optimizer {
 	if c.Optimizer != nil {
 		return c.Optimizer
 	}
-	return Lloyd{Kernel: c.Kernel}
+	return Lloyd{}
 }

@@ -64,30 +64,6 @@ func TestOptimizerSpecRejectsJunk(t *testing.T) {
 	}
 }
 
-// The legacy Config.Kernel field must stay exactly equivalent to the
-// explicit Lloyd optimizer, so existing callers see identical models.
-func TestConfigKernelBackCompat(t *testing.T) {
-	points := makeBlobs(t, 800, 4, 5, 25, 31)
-	legacy, err := Cluster(points, Config{K: 5, Seed: 2, Kernel: ElkanKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := Cluster(points, Config{K: 5, Seed: 2, Optimizer: Lloyd{Kernel: ElkanKernel}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacy.Centers {
-		for j := range legacy.Centers[i] {
-			if legacy.Centers[i][j] != explicit.Centers[i][j] {
-				t.Fatalf("center %d dim %d: %v vs %v", i, j, legacy.Centers[i][j], explicit.Centers[i][j])
-			}
-		}
-	}
-	if _, err := Cluster(points, Config{K: 5, Kernel: Kernel(9)}); err == nil {
-		t.Fatal("invalid legacy kernel accepted")
-	}
-}
-
 // Trimmed must populate the outlier report and shield centers from planted
 // noise. k=1 isolates the textbook effect with no seeding luck involved:
 // the plain centroid of clean-data-plus-scattered-junk is dragged far off

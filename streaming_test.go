@@ -204,7 +204,7 @@ func TestKernelSelection(t *testing.T) {
 	points := makeBlobs(t, 600, 5, 6, 25, 8)
 	var costs []float64
 	for _, k := range []Kernel{NaiveKernel, ElkanKernel, HamerlyKernel} {
-		m, err := Cluster(points, Config{K: 6, Seed: 9, Kernel: k})
+		m, err := Cluster(points, Config{K: 6, Seed: 9, Optimizer: Lloyd{Kernel: k}})
 		if err != nil {
 			t.Fatalf("kernel %d: %v", k, err)
 		}
@@ -215,7 +215,7 @@ func TestKernelSelection(t *testing.T) {
 			t.Fatalf("kernel %d cost %v != naive %v", i, costs[i], costs[0])
 		}
 	}
-	if _, err := Cluster(points, Config{K: 2, Kernel: Kernel(42)}); err == nil {
+	if _, err := Cluster(points, Config{K: 2, Optimizer: Lloyd{Kernel: Kernel(42)}}); err == nil {
 		t.Fatal("bad kernel accepted")
 	}
 }
