@@ -1,6 +1,7 @@
 package lloyd
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -9,8 +10,12 @@ import (
 )
 
 // A run stopped by MaxIter reports the cost and the assignment of the
-// centers it returns, for every method and in both storage precisions: Cost
-// is Cost of the returned centers, bit for bit, and Assign is Assign's.
+// centers it returns, for every exact method and for the Trimmed and
+// Spherical variants, in both storage precisions: Cost is Cost of the
+// returned centers (bit for bit, except Trimmed's, which sums the points
+// in index order), and Assign is Assign's. Trimmed's outliers are the
+// points those centers serve worst and its TrimmedCost is the rest's cost;
+// Spherical's Cohesion is its points' cosine to their returned center.
 func TestCappedRunDescribesReturnedCenters(t *testing.T) {
 	raw, _ := blobs(t, 6, 150, 4, 2, 23)
 	ds64, ds32 := f32Pair(raw)
@@ -18,27 +23,82 @@ func TestCappedRunDescribesReturnedCenters(t *testing.T) {
 	for c := 0; c < init.Rows; c++ {
 		copy(init.Row(c), ds64.Point(c))
 	}
-	for _, m := range []Method{Naive, Elkan, Hamerly} {
-		requireCappedExact(t, ds64, init, m)
-		requireCappedExact(t, ds32, init, m)
+	opts := []Opt{
+		{Kernel: Naive}, {Kernel: Elkan}, {Kernel: Hamerly},
+		{Kind: OptTrimmed, TrimFraction: 0.1}, {Kind: OptSpherical},
+	}
+	for _, o := range opts {
+		requireCappedExact(t, ds64, init, o)
+		requireCappedExact(t, ds32, init, o)
 	}
 }
 
-func requireCappedExact[T geom.Float](t *testing.T, ds *geom.Set[T], init *geom.Matrix, m Method) {
+func requireCappedExact[T geom.Float](t *testing.T, ds *geom.Set[T], init *geom.Matrix, o Opt) {
 	t.Helper()
 	const par = 2
-	res := Run(ds, init, Config{MaxIter: 3, Parallelism: par, Method: m})
+	ds, err := Prepare(o, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Refine(o, ds, init, Config{MaxIter: 3, Parallelism: par}, 0)
+	name := fmt.Sprintf("%+v, Bits %d", o, geom.Bits[T]())
 	if res.Converged || res.Iters != 3 {
-		t.Fatalf("%v: %d iterations, converged=%v; the case needs a run stopped by MaxIter", m, res.Iters, res.Converged)
+		t.Fatalf("%s: %d iterations, converged=%v; the case needs a run stopped by MaxIter", name, res.Iters, res.Converged)
 	}
 	snap := geom.Convert[T](res.Centers)
-	if want := Cost(ds, snap, par); math.Float64bits(res.Cost) != math.Float64bits(want) {
-		t.Fatalf("%v: Cost %v, but the returned centers cost %v", m, res.Cost, want)
+	want, wantCost := Assign(ds, snap, par)
+	if o.Kind == OptTrimmed {
+		if math.Abs(res.Cost-wantCost) > 1e-12*wantCost {
+			t.Fatalf("%s: Cost %v, but the returned centers cost %v", name, res.Cost, wantCost)
+		}
+	} else if math.Float64bits(res.Cost) != math.Float64bits(wantCost) {
+		t.Fatalf("%s: Cost %v, but the returned centers cost %v", name, res.Cost, wantCost)
 	}
-	want, _ := Assign(ds, snap, par)
 	if !slices.Equal(res.Assign, want) {
-		t.Fatalf("%v: the assignment is not the returned centers' (%d of %d points differ)", m, countDiff(res.Assign, want), len(want))
+		t.Fatalf("%s: the assignment is not the returned centers' (%d of %d points differ)", name, countDiff(res.Assign, want), len(want))
 	}
+	cost := make([]float64, ds.N()) // each point's w·d² to its returned center
+	var cohesion float64
+	geom.VisitAssign(ds.X, snap, geom.RowSqNorms(snap, nil), 0, ds.N(), false, func(i int, idx int32, d2 float64) {
+		cost[i] = ds.W(i) * d2
+		x := geom.WidenRow(make([]float64, ds.Dim()), ds.Point(i))
+		cohesion += ds.W(i) * geom.Dot(x, res.Centers.Row(int(idx)))
+	})
+	switch o.Kind {
+	case OptTrimmed:
+		out := make([]bool, len(cost))
+		for _, i := range res.Outliers {
+			out[i] = true
+		}
+		var kept float64
+		for i := range cost {
+			if !out[i] {
+				kept += cost[i]
+			}
+		}
+		if math.Abs(res.TrimmedCost-kept) > 1e-9*kept {
+			t.Fatalf("%s: TrimmedCost %v, but the returned centers cost %v over the kept points", name, res.TrimmedCost, kept)
+		}
+		cut := slices.Min(slicesAt(cost, res.Outliers))
+		for i := range cost {
+			if !out[i] && cost[i] > cut*(1+1e-6) {
+				t.Fatalf("%s: kept point %d costs %v, more than the outlier floor %v", name, i, cost[i], cut)
+			}
+		}
+	case OptSpherical:
+		if math.Abs(res.Cohesion-cohesion) > 1e-6*math.Abs(cohesion) {
+			t.Fatalf("%s: Cohesion %v, but the returned centers give %v", name, res.Cohesion, cohesion)
+		}
+	}
+}
+
+// slicesAt returns v's values at the indices idx.
+func slicesAt(v []float64, idx []int) []float64 {
+	out := make([]float64, len(idx))
+	for j, i := range idx {
+		out[j] = v[i]
+	}
+	return out
 }
 
 // countDiff counts the positions where a and b differ, counting a length

@@ -47,7 +47,8 @@ type SphericalResult struct {
 // Spherical runs spherical k-means from the given initial centers (which are
 // normalized copies; the input is not modified). The dataset must already be
 // row-normalized — call NormalizeRows first; rows with zero norm are not
-// supported and cause a panic.
+// supported and cause a panic. A run stopped by MaxIter ends with one more
+// assignment pass, so Assign and Cohesion describe the centers it returns.
 func Spherical[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) SphericalResult {
 	k, d, n := init.Rows, init.Cols, ds.N()
 	centers := init.Clone()
@@ -74,7 +75,10 @@ func Spherical[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Sph
 
 	sum := make([]float64, k*d)
 	weight := make([]float64, k)
-	for it := 0; it < limit; it++ {
+	// pass assigns every point to the center of largest cosine, sums each
+	// cluster's Σw·x and Σw into sum and weight, records the cohesion, and
+	// returns how many assignments changed.
+	pass := func() (changed int64) {
 		for i := range sum {
 			sum[i] = 0
 		}
@@ -82,7 +86,6 @@ func Spherical[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Sph
 			weight[i] = 0
 		}
 		var cohesion float64
-		var changed int64
 		chunks := geom.ChunkCount(n, cfg.Parallelism)
 		partCoh := make([]float64, chunks)
 		partChanged := make([]int64, chunks)
@@ -125,8 +128,12 @@ func Spherical[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Sph
 				weight[i] += partWeight[c][i]
 			}
 		}
-		out.Iters = it + 1
 		out.Cohesion = cohesion
+		return changed
+	}
+	for it := 0; it < limit; it++ {
+		changed := pass()
+		out.Iters = it + 1
 
 		for c := 0; c < k; c++ {
 			if weight[c] <= 0 {
@@ -143,6 +150,9 @@ func Spherical[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg Config) Sph
 			out.Converged = true
 			break
 		}
+	}
+	if !out.Converged {
+		pass()
 	}
 	return out
 }

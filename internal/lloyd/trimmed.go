@@ -35,7 +35,9 @@ type TrimmedResult struct {
 
 // Trimmed runs trimmed k-means from the given initial centers. The reported
 // Result.Cost is the cost over ALL points (comparable to plain Lloyd);
-// TrimmedCost excludes the outliers.
+// TrimmedCost excludes the outliers. A run stopped by MaxIter ends with one
+// more assignment pass, so Assign, Cost, Outliers and TrimmedCost describe
+// the centers it returns.
 func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig) TrimmedResult {
 	if !(cfg.TrimFraction >= 0 && cfg.TrimFraction < 1) { // negated: NaN too
 		panic("lloyd: TrimFraction must be in [0, 1)")
@@ -54,12 +56,10 @@ func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig
 	out.Centers = centers
 	out.Assign = assign
 
-	sum := make([]float64, k*d)
-	weight := make([]float64, k)
-	var prevOutliers []int
-
-	for it := 0; it < limit; it++ {
-		// Assignment + per-point cost (parallel).
+	// pass assigns every point to its nearest center, ranks the points by
+	// cost — the top trimCount are the outliers, which it returns marked —
+	// and records the outliers and the costs over all and over kept points.
+	pass := func() (excluded []bool) {
 		cNorms = snapshot(snap, centers, cNorms)
 		geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
 			geom.VisitAssign(ds.X, snap, cNorms, lo, hi, false, func(i int, idx int32, dist float64) {
@@ -67,8 +67,6 @@ func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig
 				costs[i] = ds.W(i) * dist
 			})
 		})
-		// Rank points by cost; the top trimCount are this iteration's
-		// outliers.
 		for i := range order {
 			order[i] = i
 		}
@@ -78,13 +76,30 @@ func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig
 			}
 			return order[a] < order[b] // deterministic ties
 		})
-		outliers := append([]int(nil), order[:trimCount]...)
-		sort.Ints(outliers)
-
-		excluded := make([]bool, n)
-		for _, i := range outliers {
+		out.Outliers = append([]int(nil), order[:trimCount]...)
+		sort.Ints(out.Outliers)
+		excluded = make([]bool, n)
+		for _, i := range out.Outliers {
 			excluded[i] = true
 		}
+		out.Cost, out.TrimmedCost = 0, 0
+		for i := 0; i < n; i++ {
+			out.Cost += costs[i]
+			if !excluded[i] {
+				out.TrimmedCost += costs[i]
+			}
+		}
+		return excluded
+	}
+
+	sum := make([]float64, k*d)
+	weight := make([]float64, k)
+	var prevOutliers []int
+
+	for it := 0; it < limit; it++ {
+		excluded := pass()
+		out.Iters = it + 1
+		out.CostTrace = append(out.CostTrace, out.TrimmedCost)
 
 		// Centroid update over the kept points.
 		for i := range sum {
@@ -93,23 +108,15 @@ func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig
 		for i := range weight {
 			weight[i] = 0
 		}
-		var trimmedCost, fullCost float64
 		for i := 0; i < n; i++ {
-			fullCost += costs[i]
 			if excluded[i] {
 				continue
 			}
-			trimmedCost += costs[i]
 			c := int(assign[i])
 			w := ds.W(i)
 			geom.AddScaled(sum[c*d:(c+1)*d], w, ds.Point(i))
 			weight[c] += w
 		}
-		out.Iters = it + 1
-		out.Cost = fullCost
-		out.TrimmedCost = trimmedCost
-		out.CostTrace = append(out.CostTrace, trimmedCost)
-		out.Outliers = outliers
 
 		moved := false
 		var empty []int
@@ -148,11 +155,14 @@ func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig
 			assign[worst] = int32(c)
 			moved = true
 		}
-		if !moved && equalInts(outliers, prevOutliers) {
+		if !moved && equalInts(out.Outliers, prevOutliers) {
 			out.Converged = true
 			break
 		}
-		prevOutliers = outliers
+		prevOutliers = out.Outliers
+	}
+	if !out.Converged {
+		pass()
 	}
 	return out
 }
