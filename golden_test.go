@@ -143,12 +143,12 @@ var goldenWant = map[string]uint64{
 	"cluster/d=2/w=false/kmeans++/minibatch":          0xbba5171af9872e37,
 	"cluster/d=2/w=false/kmeans++/naive":              0xef93f0131a502882,
 	"cluster/d=2/w=false/kmeans++/spherical":          0x218740d4c1d8a2db,
-	"cluster/d=2/w=false/kmeans++/trimmed":            0x7a78b62add198727,
+	"cluster/d=2/w=false/kmeans++/trimmed":            0x19d7d1229b7997be,
 	"cluster/d=2/w=false/kmeans||/elkan":              0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/hamerly":            0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/minibatch":          0xba267d67d495457c,
 	"cluster/d=2/w=false/kmeans||/naive":              0xa8e9cf298aeb1cc6,
-	"cluster/d=2/w=false/kmeans||/spherical":          0x76b2dfc46cd87ffc,
+	"cluster/d=2/w=false/kmeans||/spherical":          0xf68ce178a9c1b809,
 	"cluster/d=2/w=false/kmeans||/trimmed":            0x90c68b8d568df37b,
 	"cluster/d=2/w=false/partition/elkan":             0x48157e497d148ca4,
 	"cluster/d=2/w=false/partition/hamerly":           0x48157e497d148ca4,
@@ -161,7 +161,7 @@ var goldenWant = map[string]uint64{
 	"cluster/d=2/w=false/random/minibatch":            0xf1a18c5548f9fd0,
 	"cluster/d=2/w=false/random/naive":                0x821be6828d488536,
 	"cluster/d=2/w=false/random/spherical":            0x8297231a2f9710be,
-	"cluster/d=2/w=false/random/trimmed":              0x71deb6cc082bd6b1,
+	"cluster/d=2/w=false/random/trimmed":              0xdb96142fda5ac771,
 	"cluster/d=2/w=true/kmeans++/elkan":               0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/hamerly":             0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/minibatch":           0xc429619bd436bc7b,
@@ -173,7 +173,7 @@ var goldenWant = map[string]uint64{
 	"cluster/d=2/w=true/kmeans||/minibatch":           0x1b3cd1b9e12a6aeb,
 	"cluster/d=2/w=true/kmeans||/naive":               0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/spherical":           0xc63a1d6af0905fb1,
-	"cluster/d=2/w=true/kmeans||/trimmed":             0x79d39caabbff8deb,
+	"cluster/d=2/w=true/kmeans||/trimmed":             0xcce213d4a78eb519,
 	"cluster/d=2/w=true/partition/elkan":              0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/hamerly":            0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/minibatch":          0x9cfc7040d832332c,
