@@ -2,15 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"kmeansll/internal/core"
 	"kmeansll/internal/data"
 	"kmeansll/internal/eval"
+	"kmeansll/internal/geom"
 	"kmeansll/internal/lloyd"
 	"kmeansll/internal/mrkm"
-	"kmeansll/internal/seed"
-
-	"kmeansll/internal/rng"
 )
 
 // AblationSampling compares the two sampling modes of k-means|| (independent
@@ -86,41 +85,80 @@ func AblationRecluster(opt Options) []eval.Table {
 	return []eval.Table{tab}
 }
 
-// AblationAssign compares Lloyd assignment kernels (naive scan vs Elkan vs
-// Hamerly bounds) — identical results, different work.
+// assignShape is one AblationAssign workload: GaussMixture(n, d, k, r) at
+// seed 42, or the KDDLike sample of n points (d = 42) when kdd is set.
+type assignShape struct {
+	n, d, k int
+	r       float64
+	kdd     bool
+}
+
+// assignShapes are the workloads the kernel rule in docs/kernels.md was
+// measured on: the paper's GaussMixture at the three R of Table 1, wide
+// and narrow points, k up to 500, and a KDDLike sample.
+var assignShapes = []assignShape{
+	{n: 10000, d: 16, k: 20, r: 1},
+	{n: 10000, d: 15, k: 50, r: 1},
+	{n: 10000, d: 15, k: 50, r: 10},
+	{n: 10000, d: 15, k: 50, r: 100},
+	{n: 20000, d: 58, k: 32, r: 1},
+	{n: 10000, d: 4, k: 256, r: 1},
+	{n: 10000, d: 58, k: 256, r: 1},
+	{n: 50000, d: 8, k: 100, r: 1},
+	{n: 30000, d: 42, k: 500, kdd: true},
+}
+
+// AblationAssign compares the exact Lloyd assignment kernels (naive scan vs
+// Elkan vs Hamerly bounds) on each of assignShapes: whole runs to
+// convergence from one k-means|| seed per shape, timed in alternation.
+// Every kernel must reach naive's cost bits and iteration count, so the
+// rows differ only in wall time. Quick shrinks n by 40 and k by 16.
 func AblationAssign(opt Options) []eval.Table {
-	n := 20000
-	k := 50
-	if opt.Quick {
-		n = 5000
-	}
-	trials := opt.trials(5)
-	ds, _ := data.GaussMixture(data.GaussMixtureConfig{N: n, D: 15, K: k, R: 10, Seed: 42})
+	methods := []lloyd.Method{lloyd.Naive, lloyd.Elkan, lloyd.Hamerly}
 	tab := eval.Table{
 		ID:      "ablation_assign",
-		Title:   fmt.Sprintf("Lloyd assignment kernel ablation (GaussMixture, n=%d, k=%d, %d runs)", n, k, trials),
-		Headers: []string{"kernel", "median final cost", "median iters", "median wall ms"},
-		Notes:   []string{"all kernels compute exact Lloyd; costs must agree"},
+		Title:   "Lloyd assignment kernel ablation (runs to convergence from a k-means|| seed)",
+		Headers: []string{"shape", "kernel", "median wall ms", "iters", "final cost"},
+		Notes: []string{
+			"every kernel is exact Lloyd from the same seed: iters and final cost (all digits) must equal naive's",
+			fmt.Sprintf("float64 nearest-center tile: panel kernel %v (docs/kernels.md: naive is fastest where one runs, the bound kernels on the Go tile)", geom.PanelKernel[float64]()),
+		},
 	}
-	for _, m := range []lloyd.Method{lloyd.Naive, lloyd.Elkan, lloyd.Hamerly} {
-		var finals, iters, walls []float64
-		for t := 0; t < trials; t++ {
-			init := seed.KMeansPP(ds, k, rng.New(opt.Seed+uint64(t)), opt.Parallelism)
-			var res lloyd.Result
-			wall := eval.Timed(func() {
-				res = lloyd.Run(ds, init, lloyd.Config{
-					Method: m, MaxIter: seqMaxIter, Parallelism: opt.Parallelism,
-				})
-			})
-			finals = append(finals, res.Cost)
-			iters = append(iters, float64(res.Iters))
-			walls = append(walls, float64(wall.Milliseconds()))
+	for _, s := range assignShapes {
+		trials := opt.trials(5)
+		if s.k >= 256 || s.n >= 30000 {
+			trials = opt.trials(3)
 		}
-		tab.Rows = append(tab.Rows, []string{
-			m.String(), eval.FmtSci(eval.Median(finals)),
-			fmt.Sprintf("%.0f", eval.Median(iters)),
-			fmt.Sprintf("%.0f", eval.Median(walls)),
-		})
+		if opt.Quick {
+			s.n, s.k = s.n/40, max(s.k/16, 2)
+		}
+		var ds *geom.Dataset
+		name := fmt.Sprintf("GaussMixture %dx%d R=%g k=%d", s.n, s.d, s.r, s.k)
+		if s.kdd {
+			ds = data.KDDLike(data.KDDLikeConfig{N: s.n, Seed: 42})
+			name = fmt.Sprintf("KDDLike %dx%d k=%d", s.n, ds.Dim(), s.k)
+		} else {
+			ds, _ = data.GaussMixture(data.GaussMixtureConfig{N: s.n, D: s.d, K: s.k, R: s.r, Seed: 42})
+		}
+		init, _ := core.Init(ds, core.Config{K: s.k, Parallelism: opt.Parallelism, Seed: opt.Seed})
+		res := make([]lloyd.Result, len(methods))
+		walls := make([][]float64, len(methods))
+		for t := 0; t < trials; t++ {
+			for mi, m := range methods {
+				wall := eval.Timed(func() {
+					res[mi] = lloyd.Run(ds, init, lloyd.Config{
+						Method: m, MaxIter: seqMaxIter, Parallelism: opt.Parallelism,
+					})
+				})
+				walls[mi] = append(walls[mi], float64(wall.Microseconds())/1000)
+			}
+		}
+		for mi, m := range methods {
+			tab.Rows = append(tab.Rows, []string{
+				name, m.String(), fmt.Sprintf("%.1f", eval.Median(walls[mi])),
+				fmt.Sprint(res[mi].Iters), strconv.FormatFloat(res[mi].Cost, 'g', -1, 64),
+			})
+		}
 	}
 	return []eval.Table{tab}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -116,8 +117,31 @@ func TestAblationDrivers(t *testing.T) {
 	}
 	checkTables(t, AblationSampling(tiny()), "ablation_sampling")
 	checkTables(t, AblationRecluster(tiny()), "ablation_recluster")
-	checkTables(t, AblationAssign(tiny()), "ablation_assign")
+	assign := AblationAssign(tiny())
+	checkTables(t, assign, "ablation_assign")
+	requireKernelsAgree(t, assign[0])
 	checkTables(t, AblationMapReduce(tiny()), "ablation_mapreduce")
+}
+
+// requireKernelsAgree fails unless every kernel's row of the assignment
+// ablation reports its shape's naive iteration count and final cost, the
+// cost digit for digit (the table prints its shortest exact form).
+func requireKernelsAgree(t *testing.T, tab eval.Table) {
+	t.Helper()
+	naive := map[string][]string{}
+	for _, row := range tab.Rows {
+		shape, kernel, result := row[0], row[1], row[3:]
+		if kernel == "naive" {
+			naive[shape] = result
+			continue
+		}
+		if want, ok := naive[shape]; !ok || !slices.Equal(result, want) {
+			t.Fatalf("%s: %s ran %v (iters, cost), naive %v", shape, kernel, result, want)
+		}
+	}
+	if len(naive) != len(assignShapes) {
+		t.Fatalf("%d shapes have a naive row, want %d", len(naive), len(assignShapes))
+	}
 }
 
 func TestExtensionAblationDrivers(t *testing.T) {
