@@ -29,17 +29,21 @@ import (
 	"kmeansll/internal/geom"
 )
 
-// Method selects the assignment-step implementation.
+// Method selects the assignment-step implementation. All three reach the
+// same fixed point. Which is fastest depends on the nearest-center tile
+// (docs/kernels.md, measured with the ablation_assign experiment): where
+// geom.PanelKernel reports a panel kernel, Naive is; on the Go tile, the
+// better of Elkan and Hamerly is.
 type Method int
 
 const (
 	// Naive scans all k centers per point (with early-exit distance bounds).
 	Naive Method = iota
 	// Elkan maintains k per-point lower bounds plus center-center distances
-	// (Elkan, ICML 2003). Fastest per iteration for moderate k; O(n·k) memory.
+	// (Elkan, ICML 2003); O(n·k) memory.
 	Elkan
-	// Hamerly maintains one lower bound per point (Hamerly, SDM 2010).
-	// O(n) memory; best when k is large.
+	// Hamerly maintains one lower bound per point (Hamerly, SDM 2010); O(n)
+	// memory.
 	Hamerly
 )
 

@@ -96,11 +96,16 @@ func (m InitMethod) String() string {
 	}
 }
 
-// Kernel selects the exact Lloyd assignment algorithm.
+// Kernel selects the exact Lloyd assignment algorithm, as Lloyd{Kernel}.
+// Every kernel reaches the same fixed point; they differ in time and
+// memory. Measured rule (docs/kernels.md): where the nearest-center scan
+// runs a panel kernel (amd64 with AVX2+FMA), NaiveKernel is the fastest;
+// on the Go tile (km_purego, arm64, amd64 without AVX2+FMA) the better of
+// ElkanKernel and HamerlyKernel is.
 type Kernel int
 
 const (
-	// NaiveKernel scans every center per point (with distance bounds).
+	// NaiveKernel scans every center per point through the blocked engine.
 	NaiveKernel Kernel = iota
 	// ElkanKernel uses Elkan's triangle-inequality bounds (O(n·k) memory).
 	ElkanKernel

@@ -34,7 +34,8 @@ type Optimizer interface {
 }
 
 // Lloyd is exact Lloyd iteration — the default Optimizer. All kernels are
-// exact (same fixed point); they differ only in speed/memory, see Kernel.
+// exact (same fixed point); they differ only in speed and memory, see
+// Kernel for which is fastest where.
 type Lloyd struct {
 	Kernel Kernel
 }
