@@ -67,10 +67,10 @@ func pairDist[T geom.Float](p []T, pn T, snap *geom.Mat[T], cNorms []T, c int) f
 	return math.Sqrt(geom.SqDistPair(p, snap.Row(c), pn, cNorms[c]))
 }
 
-// bounded is the Passes backend of Elkan's and Hamerly's methods: chunks'
-// Farthest, Assign and Step buffers, with a Step that carries each point's
-// assignment and bounds from one call to the next and computes only the
-// distances the bounds cannot rule out.
+// bounded is the Passes backend of Elkan's and Hamerly's methods. It reuses
+// chunks' Assign, farthest-point scan and Step buffers; its Step carries
+// each point's assignment and bounds from one call to the next and computes
+// only the distances the bounds cannot rule out.
 type bounded[T geom.Float] struct {
 	chunks[T]
 	elkan bool // Elkan's k lower bounds per point, or Hamerly's one
@@ -80,11 +80,11 @@ type bounded[T geom.Float] struct {
 	upper  []float64 // upper bound on d(x, c_assign)
 	// lower holds Elkan's n×k lower bounds on d(x, c), or Hamerly's n lower
 	// bounds on the distance to the second-closest center.
-	lower []float64
-	g     *centerGeometry
-	prev  *geom.Matrix // the centers the previous Step saw; nil before the first
-	empty []int        // the clusters the previous Step left empty, in index order
-	moved []int        // the points Farthest returned since the previous Step
+	lower    []float64
+	g        *centerGeometry
+	prev     *geom.Matrix // the centers the previous Step saw; nil before the first
+	empty    []int        // the clusters the previous Step left empty, in index order
+	reseeded []int        // the points Farthest returned since the previous Step
 }
 
 // Step moves the bounds from the centers the previous call saw to these,
@@ -99,7 +99,7 @@ func (b *bounded[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 	case b.prev == nil:
 		b.start(centers)
 	case len(b.empty) > 0:
-		for j, i := range b.moved {
+		for j, i := range b.reseeded {
 			b.assign[i] = int32(b.empty[j])
 		}
 		for i := range b.upper {
@@ -120,7 +120,7 @@ func (b *bounded[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 		}
 	})
 	sums, phi := b.reduce()
-	b.empty, b.moved = b.empty[:0], b.moved[:0]
+	b.empty, b.reseeded = b.empty[:0], b.reseeded[:0]
 	for c := 0; c < k; c++ {
 		if sums.Row(c)[d] <= 0 {
 			b.empty = append(b.empty, c)
@@ -131,7 +131,7 @@ func (b *bounded[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 
 func (b *bounded[T]) Farthest(centers *geom.Matrix) ([]float64, error) {
 	i := farthest(b.ds, geom.Convert[T](centers), b.parallelism)
-	b.moved = append(b.moved, i)
+	b.reseeded = append(b.reseeded, i)
 	return geom.WidenRow(make([]float64, b.ds.Dim()), b.ds.Point(i)), nil
 }
 

@@ -171,7 +171,7 @@ func TestBoundedBackendsUnderDrive(t *testing.T) {
 		calls, reseeds := 0, 0
 		res, err := Drive(b, Result{Centers: init}, 0, func(r Result) error {
 			calls++
-			reseeds += len(b.moved)
+			reseeds += len(b.reseeded)
 			return nil
 		})
 		if err != nil {
