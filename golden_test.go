@@ -297,26 +297,44 @@ var goldenWant = map[string]uint64{
 	"trace/d=16/w=false/elkan":                        0x2812618cd47581d3,
 	"trace/d=16/w=false/hamerly":                      0x3bd9625746a92473,
 	"trace/d=16/w=false/naive":                        0x3d5c7c1fb7898489,
+	"trace/d=16/w=false/reseed/elkan":                 0xd270088261670129,
+	"trace/d=16/w=false/reseed/hamerly":               0xcbfa6528fdfcfbef,
+	"trace/d=16/w=false/reseed/naive":                 0x86ed3eb6a9a7ff36,
 	"trace/d=16/w=false/trimmed":                      0xd86707f578d5a6e4,
 	"trace/d=16/w=true/elkan":                         0xef684d6be955dd53,
 	"trace/d=16/w=true/hamerly":                       0xad93f899efd7ebe9,
 	"trace/d=16/w=true/naive":                         0x9621dd67a12a018b,
+	"trace/d=16/w=true/reseed/elkan":                  0xebb9a19cb735286a,
+	"trace/d=16/w=true/reseed/hamerly":                0xe8cff3ef90ce3b39,
+	"trace/d=16/w=true/reseed/naive":                  0x45f948b96b13d2cd,
 	"trace/d=16/w=true/trimmed":                       0x6169cfc6dd1356e6,
 	"trace/d=2/w=false/elkan":                         0x6ea3ff98d30b03c6,
 	"trace/d=2/w=false/hamerly":                       0x818e902544eaefa9,
 	"trace/d=2/w=false/naive":                         0xc04f431d8e563de9,
+	"trace/d=2/w=false/reseed/elkan":                  0x7935c901d5464c52,
+	"trace/d=2/w=false/reseed/hamerly":                0x261c07bee295927b,
+	"trace/d=2/w=false/reseed/naive":                  0x88375f87c1d2035,
 	"trace/d=2/w=false/trimmed":                       0x4ddbea199e495c08,
 	"trace/d=2/w=true/elkan":                          0x253fcc3ac08ceb7c,
 	"trace/d=2/w=true/hamerly":                        0x8a4caf95916e12ab,
 	"trace/d=2/w=true/naive":                          0x222ae851fb31bcf4,
+	"trace/d=2/w=true/reseed/elkan":                   0x65c36dcac6113ddc,
+	"trace/d=2/w=true/reseed/hamerly":                 0xd7ee9366ded01abc,
+	"trace/d=2/w=true/reseed/naive":                   0x9b7d24cdef6f4f8c,
 	"trace/d=2/w=true/trimmed":                        0xce01af4eb9d10021,
 	"trace/d=58/w=false/elkan":                        0xcfffdabc0e93866b,
 	"trace/d=58/w=false/hamerly":                      0x4206ec5ad1e4ab3a,
 	"trace/d=58/w=false/naive":                        0xa6f2e2b3cdba110d,
+	"trace/d=58/w=false/reseed/elkan":                 0x746fd3d78cba2720,
+	"trace/d=58/w=false/reseed/hamerly":               0x746fd3d78cba2720,
+	"trace/d=58/w=false/reseed/naive":                 0x278db41e67d9536c,
 	"trace/d=58/w=false/trimmed":                      0xa19ce37387469e97,
 	"trace/d=58/w=true/elkan":                         0xacdcfd5c4d616b5d,
 	"trace/d=58/w=true/hamerly":                       0x2c5d42c5380ad5c0,
 	"trace/d=58/w=true/naive":                         0x3476f9ed79285d32,
+	"trace/d=58/w=true/reseed/elkan":                  0x10f73d44bdaa802c,
+	"trace/d=58/w=true/reseed/hamerly":                0xff8d8023c495dc5f,
+	"trace/d=58/w=true/reseed/naive":                  0x2abfa1671e478d1e,
 	"trace/d=58/w=true/trimmed":                       0x6b77642b163b6158,
 }
 
@@ -417,7 +435,10 @@ func TestGoldenCoreInit(t *testing.T) {
 // TestGoldenCostTrace pins the per-iteration cost traces, which Model does
 // not keep: the three exact Lloyd methods and Trimmed from k-means|| seeds.
 // Elkan's and Hamerly's traces are upper bounds on the cost, so their rows
-// differ from naive's.
+// differ from naive's. The reseed rows start the exact methods from the
+// same seeds with center 1 a copy of center 0 and center 2 far away, so
+// both start empty and are reseeded; the bound methods' traces then pin how
+// their bounds restart.
 func TestGoldenCostTrace(t *testing.T) {
 	got := map[string]uint64{}
 	for _, d := range goldenDims {
@@ -425,12 +446,22 @@ func TestGoldenCostTrace(t *testing.T) {
 			pts, w := goldenData(777, d, weighted, uint64(500+d))
 			ds := &geom.Dataset{X: geom.FromRows(pts), Weight: w}
 			init, _ := core.Init(ds, core.Config{K: 8, Parallelism: 2, Seed: 9})
+			reseed := init.Clone()
+			copy(reseed.Row(1), reseed.Row(0))
+			for j := range reseed.Row(2) {
+				reseed.Row(2)[j] = 1e3
+			}
 			for _, m := range []lloyd.Method{lloyd.Naive, lloyd.Elkan, lloyd.Hamerly} {
-				res := lloyd.Run(ds, init, lloyd.Config{MaxIter: 30, Parallelism: 2, Method: m})
-				h := newGoldenHash()
-				h.f64s(res.Centers.Data)
-				h.f64s(res.CostTrace)
-				got[fmt.Sprintf("trace/d=%d/w=%v/%s", d, weighted, m)] = h.h
+				for _, start := range []struct {
+					name    string
+					centers *geom.Matrix
+				}{{"", init}, {"reseed/", reseed}} {
+					res := lloyd.Run(ds, start.centers, lloyd.Config{MaxIter: 30, Parallelism: 2, Method: m})
+					h := newGoldenHash()
+					h.f64s(res.Centers.Data)
+					h.f64s(res.CostTrace)
+					got[fmt.Sprintf("trace/d=%d/w=%v/%s%s", d, weighted, start.name, m)] = h.h
+				}
 			}
 			tr := lloyd.Trimmed(ds, init, lloyd.TrimmedConfig{TrimFraction: 0.05, MaxIter: 30, Parallelism: 2})
 			h := newGoldenHash()
