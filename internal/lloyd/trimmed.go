@@ -152,7 +152,6 @@ func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig
 				break
 			}
 			geom.WidenRow(centers.Row(c), ds.Point(worst))
-			assign[worst] = int32(c)
 			moved = true
 		}
 		if !moved && equalInts(out.Outliers, prevOutliers) {
