@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"kmeansll"
@@ -94,32 +95,40 @@ func TestDistBackendValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		body map[string]any
+		want string // substring the error must carry; "" checks only the status
 	}{
 		{"unknown backend", map[string]any{
 			"model": "m", "points": points,
 			"config": map[string]any{"k": 2}, "backend": "hadoop",
-		}},
+		}, ""},
 		{"too many shards", map[string]any{
 			"model": "m", "points": points,
 			"config": map[string]any{"k": 2}, "backend": "dist", "shards": maxDistShards + 1,
-		}},
+		}, ""},
 		{"negative shards", map[string]any{
 			"model": "m", "points": points,
 			"config": map[string]any{"k": 2}, "backend": "dist", "shards": -1,
-		}},
+		}, ""},
 		{"dist with non-kmeansll init", map[string]any{
 			"model": "m", "points": points,
 			"config": map[string]any{"k": 2, "init": "random"}, "backend": "dist",
-		}},
-		{"dist with accelerated kernel", map[string]any{
-			"model": "m", "points": points,
-			"config": map[string]any{"k": 2, "kernel": "elkan"}, "backend": "dist",
-		}},
+		}, ""},
+		{"dist with elkan kernel", map[string]any{
+			"model": "m", "points": points, "backend": "dist",
+			"config": map[string]any{"k": 2, "optimizer": map[string]any{"type": "lloyd", "kernel": "elkan"}},
+		}, "lloyd:naive"},
+		{"dist with hamerly kernel", map[string]any{
+			"model": "m", "points": points, "backend": "dist",
+			"config": map[string]any{"k": 2, "optimizer": map[string]any{"type": "lloyd", "kernel": "hamerly"}},
+		}, "lloyd:naive"},
 	}
 	for _, tc := range cases {
 		var errResp errorResponse
 		if code := do(t, s, "POST", "/v1/fit", tc.body, &errResp); code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400 (error %q)", tc.name, code, errResp.Error)
+		}
+		if !strings.Contains(errResp.Error, tc.want) {
+			t.Fatalf("%s: error %q, want it to contain %q", tc.name, errResp.Error, tc.want)
 		}
 	}
 }

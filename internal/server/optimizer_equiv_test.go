@@ -192,6 +192,12 @@ func TestFitOptimizerValidation(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "lloyd:naive") {
 		t.Fatalf("SubmitSpec dist+minibatch: err=%v", err)
 	}
+	if _, _, err := s.jobs.SubmitSpec(FitSpec{
+		Model: "direct", Points: points, Backend: "dist",
+		Config: kmeansll.Config{K: 2, Optimizer: kmeansll.Lloyd{Kernel: kmeansll.ElkanKernel}},
+	}); err == nil || !strings.Contains(err.Error(), "lloyd:naive") {
+		t.Fatalf("SubmitSpec dist+lloyd:elkan: err=%v", err)
+	}
 	// A valid spec sails through and lands in the published metadata.
 	var job JobStatus
 	code := do(t, s, "POST", "/v1/fit", fitRequest{
