@@ -148,41 +148,3 @@ func requireStepReuse[T geom.Float](t *testing.T, ds *geom.Set[T]) {
 		}
 	}
 }
-
-// Elkan and Hamerly are backends Drive runs, like the naive method's: with
-// two clusters empty from the start (a duplicate and a far-away center), so
-// that Drive reseeds them, each bound method calls after once per iteration
-// and returns the naive run's centers, assignment, cost and iteration
-// count bit for bit.
-func TestBoundedBackendsUnderDrive(t *testing.T) {
-	ds, _ := blobs(t, 5, 80, 3, 6, 37)
-	init := geom.NewMatrix(5, 3)
-	for c := 0; c < init.Rows; c++ {
-		copy(init.Row(c), ds.Point(80*c))
-	}
-	copy(init.Row(1), init.Row(0))
-	for j := range init.Row(2) {
-		init.Row(2)[j] = 1e4
-	}
-	const par = 2
-	naive := Run(ds, init, Config{Parallelism: par})
-	for _, elkan := range []bool{true, false} {
-		b := &bounded[float64]{chunks: chunks[float64]{ds: ds, parallelism: par}, elkan: elkan}
-		calls, reseeds := 0, 0
-		res, err := Drive(b, Result{Centers: init}, 0, func(r Result) error {
-			calls++
-			reseeds += len(b.reseeded)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls != res.Iters || reseeds != 2 {
-			t.Fatalf("elkan=%v: after ran %d times in %d iterations, %d reseeds (want 2)", elkan, calls, res.Iters, reseeds)
-		}
-		if !slices.Equal(res.Centers.Data, naive.Centers.Data) || !slices.Equal(res.Assign, naive.Assign) ||
-			math.Float64bits(res.Cost) != math.Float64bits(naive.Cost) || res.Iters != naive.Iters || !res.Converged {
-			t.Fatalf("elkan=%v: %d iterations, cost %v; naive: %d iterations, cost %v", elkan, res.Iters, res.Cost, naive.Iters, naive.Cost)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package lloyd
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,6 +218,7 @@ func TestAcceleratedWithEmptyClusters(t *testing.T) {
 	}
 	ds := geom.NewDataset(x)
 	init := geom.FromRows([][]float64{{0, 0}, {1e5, 1e5}, {-1e5, 1e5}})
+	naive := Run(ds, init, Config{MaxIter: 100})
 	for _, m := range []Method{Elkan, Hamerly} {
 		res := Run(ds, init, Config{Method: m, MaxIter: 100})
 		counts := make([]int, 3)
@@ -227,6 +229,11 @@ func TestAcceleratedWithEmptyClusters(t *testing.T) {
 			if cnt == 0 {
 				t.Fatalf("%v: cluster %d empty after repair", m, c)
 			}
+		}
+		// Through the reseed, a bound method returns the naive run bit for bit.
+		if !slices.Equal(res.Centers.Data, naive.Centers.Data) || !slices.Equal(res.Assign, naive.Assign) ||
+			math.Float64bits(res.Cost) != math.Float64bits(naive.Cost) || res.Iters != naive.Iters || res.Converged != naive.Converged {
+			t.Fatalf("%v: %d iterations, cost %v; naive: %d iterations, cost %v", m, res.Iters, res.Cost, naive.Iters, naive.Cost)
 		}
 	}
 }
