@@ -35,7 +35,7 @@ func main() {
 
 	for _, opt := range []kmeansll.Optimizer{
 		kmeansll.Lloyd{}, // exact, to convergence
-		kmeansll.Lloyd{Kernel: kmeansll.ElkanKernel},   // same fixed point; faster only on the Go tile (docs/kernels.md)
+		kmeansll.Lloyd{Kernel: kmeansll.ElkanKernel},   // same fixed point; faster on the Go tile (docs/kernels.md)
 		kmeansll.MiniBatch{BatchSize: 512, Iters: 150}, // sampled steps, fixed budget
 		kmeansll.Trimmed{Fraction: 0.01},               // junk excluded per iteration
 		kmeansll.Spherical{},                           // cosine objective, unit-norm centers

@@ -121,7 +121,7 @@ func AblationAssign(opt Options) []eval.Table {
 		Headers: []string{"shape", "kernel", "median wall ms", "iters", "final cost"},
 		Notes: []string{
 			"every kernel is exact Lloyd from the same seed: iters and final cost (all digits) must equal naive's",
-			fmt.Sprintf("float64 nearest-center tile: panel kernel %v (docs/kernels.md: naive is fastest where one runs, the bound kernels on the Go tile)", geom.PanelKernel[float64]()),
+			fmt.Sprintf("float64 nearest-center tile: panel kernel %v (docs/kernels.md has the three-rung table this experiment measures)", geom.PanelKernel[float64]()),
 		},
 	}
 	for _, s := range assignShapes {

@@ -98,10 +98,11 @@ func (m InitMethod) String() string {
 
 // Kernel selects the exact Lloyd assignment algorithm, as Lloyd{Kernel}.
 // Every kernel reaches the same fixed point; they differ in time and
-// memory. Measured rule (docs/kernels.md): where the nearest-center scan
-// runs a panel kernel (amd64 with AVX2+FMA), NaiveKernel is the fastest;
-// on the Go tile (km_purego, arm64, amd64 without AVX2+FMA) the better of
-// ElkanKernel and HamerlyKernel is.
+// memory. Measured on nine shapes (docs/kernels.md): NaiveKernel is the
+// fastest on all nine on the AVX-512 panel rung, and on seven on the AVX2
+// rung, where ElkanKernel leads at large d·k; on the Go tile (km_purego,
+// arm64, amd64 without AVX2+FMA) the better of ElkanKernel and
+// HamerlyKernel is the fastest on all nine.
 type Kernel int
 
 const (
