@@ -250,38 +250,56 @@ var goldenWant = map[string]uint64{
 	"f32/cluster/d=16/init=0/lloyd:hamerly":           0xc8b1aa34d5e76b41,
 	"f32/cluster/d=16/init=0/lloyd:naive":             0xc8b1aa34d5e76b41,
 	"f32/cluster/d=16/init=0/minibatch:b=64,iters=30": 0x751e828cc51a53d,
+	"f32/cluster/d=16/init=0/spherical":               0x850bb70a2d74d597,
+	"f32/cluster/d=16/init=0/trimmed:0.05":            0x80ab6d62daac3477,
 	"f32/cluster/d=16/init=1/lloyd:elkan":             0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/lloyd:hamerly":           0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/lloyd:naive":             0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/minibatch:b=64,iters=30": 0xd803be65f5a60e1,
+	"f32/cluster/d=16/init=1/spherical":               0xfc520482fb539486,
+	"f32/cluster/d=16/init=1/trimmed:0.05":            0xe85ee90690c3576c,
 	"f32/cluster/d=16/init=2/lloyd:elkan":             0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/lloyd:hamerly":           0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/lloyd:naive":             0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/minibatch:b=64,iters=30": 0x2ebd05369814a2fe,
+	"f32/cluster/d=16/init=2/spherical":               0xbdd1e42675ad67bf,
+	"f32/cluster/d=16/init=2/trimmed:0.05":            0x6641534130163853,
 	"f32/cluster/d=2/init=0/lloyd:elkan":              0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/lloyd:hamerly":            0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/lloyd:naive":              0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/minibatch:b=64,iters=30":  0x708584749a799406,
+	"f32/cluster/d=2/init=0/spherical":                0x6d4b5ed25d805de5,
+	"f32/cluster/d=2/init=0/trimmed:0.05":             0xf6d03c49caba9e5f,
 	"f32/cluster/d=2/init=1/lloyd:elkan":              0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/lloyd:hamerly":            0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/lloyd:naive":              0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/minibatch:b=64,iters=30":  0x384f604f65caffea,
+	"f32/cluster/d=2/init=1/spherical":                0x60c09a04e4b8ab38,
+	"f32/cluster/d=2/init=1/trimmed:0.05":             0xf1633a659af7c601,
 	"f32/cluster/d=2/init=2/lloyd:elkan":              0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/lloyd:hamerly":            0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/lloyd:naive":              0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/minibatch:b=64,iters=30":  0x80de6ef429efec4b,
+	"f32/cluster/d=2/init=2/spherical":                0x11609d36b778bafd,
+	"f32/cluster/d=2/init=2/trimmed:0.05":             0xae3ee62ab54f3816,
 	"f32/cluster/d=58/init=0/lloyd:elkan":             0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/lloyd:hamerly":           0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/lloyd:naive":             0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/minibatch:b=64,iters=30": 0x55e390571747158d,
+	"f32/cluster/d=58/init=0/spherical":               0xa1fd6e51c7a77036,
+	"f32/cluster/d=58/init=0/trimmed:0.05":            0xa52224271fb51137,
 	"f32/cluster/d=58/init=1/lloyd:elkan":             0xaed105131a231217,
 	"f32/cluster/d=58/init=1/lloyd:hamerly":           0xaed105131a231217,
 	"f32/cluster/d=58/init=1/lloyd:naive":             0xaed105131a231217,
 	"f32/cluster/d=58/init=1/minibatch:b=64,iters=30": 0xf144d8043bd3a3db,
+	"f32/cluster/d=58/init=1/spherical":               0xf6e6de60b687d844,
+	"f32/cluster/d=58/init=1/trimmed:0.05":            0x97b3913b4b75414f,
 	"f32/cluster/d=58/init=2/lloyd:elkan":             0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/lloyd:hamerly":           0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/lloyd:naive":             0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/minibatch:b=64,iters=30": 0xae44d8527a405d8,
+	"f32/cluster/d=58/init=2/spherical":               0x881301360718227b,
+	"f32/cluster/d=58/init=2/trimmed:0.05":            0x37b1adb8ce0c7de4,
 	"f32/predict/d=16/k=21":                           0xa4d3ae0c6891029d,
 	"f32/predict/d=16/k=5":                            0xbe6d229c3f721bf7,
 	"f32/predict/d=2/k=21":                            0x29485789a3c1f47b,
@@ -546,7 +564,7 @@ func TestGoldenFloat32PureGo(t *testing.T) {
 		for _, in := range []InitMethod{KMeansParallel, KMeansPlusPlus, RandomInit} {
 			for _, op := range []Optimizer{
 				Lloyd{Kernel: NaiveKernel}, Lloyd{Kernel: ElkanKernel}, Lloyd{Kernel: HamerlyKernel},
-				MiniBatch{BatchSize: 64, Iters: 30},
+				MiniBatch{BatchSize: 64, Iters: 30}, Trimmed{Fraction: 0.05}, Spherical{},
 			} {
 				m, err := Cluster(pts, Config{
 					K: 7, Init: in, MaxIter: 25, Optimizer: op,
