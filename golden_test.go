@@ -95,145 +95,145 @@ var goldenWant = map[string]uint64{
 	"cluster/d=16/w=false/kmeans++/minibatch":         0x28755ce18f837e2c,
 	"cluster/d=16/w=false/kmeans++/naive":             0x2926a60999d0f1c2,
 	"cluster/d=16/w=false/kmeans++/spherical":         0x8bba313391af6c55,
-	"cluster/d=16/w=false/kmeans++/trimmed":           0x8680bcd73418ea93,
+	"cluster/d=16/w=false/kmeans++/trimmed":           0x46506f805bbebe0f,
 	"cluster/d=16/w=false/kmeans||/elkan":             0xaf3779879d36835e,
 	"cluster/d=16/w=false/kmeans||/hamerly":           0xaf3779879d36835e,
 	"cluster/d=16/w=false/kmeans||/minibatch":         0x865b6fdac0133fdf,
 	"cluster/d=16/w=false/kmeans||/naive":             0xaf3779879d36835e,
 	"cluster/d=16/w=false/kmeans||/spherical":         0xf341b594b509219,
-	"cluster/d=16/w=false/kmeans||/trimmed":           0xa90f392565715c19,
+	"cluster/d=16/w=false/kmeans||/trimmed":           0xbc686916018beb2f,
 	"cluster/d=16/w=false/partition/elkan":            0xdf0a782d2174864c,
 	"cluster/d=16/w=false/partition/hamerly":          0xdf0a782d2174864c,
 	"cluster/d=16/w=false/partition/minibatch":        0x85811a64df068f56,
 	"cluster/d=16/w=false/partition/naive":            0xdf0a782d2174864c,
 	"cluster/d=16/w=false/partition/spherical":        0x63fac0e3ef39871,
-	"cluster/d=16/w=false/partition/trimmed":          0x9f809f306bf60e8e,
+	"cluster/d=16/w=false/partition/trimmed":          0xcffc680a716622f9,
 	"cluster/d=16/w=false/random/elkan":               0x8ebc5fff502a030d,
 	"cluster/d=16/w=false/random/hamerly":             0x8ebc5fff502a030d,
 	"cluster/d=16/w=false/random/minibatch":           0xfb354c6811266e26,
 	"cluster/d=16/w=false/random/naive":               0x8ebc5fff502a030d,
 	"cluster/d=16/w=false/random/spherical":           0xccecad91c59334aa,
-	"cluster/d=16/w=false/random/trimmed":             0x699da80be903502f,
+	"cluster/d=16/w=false/random/trimmed":             0x5753423929a8d1c7,
 	"cluster/d=16/w=true/kmeans++/elkan":              0xd6fd7fe852f2d115,
 	"cluster/d=16/w=true/kmeans++/hamerly":            0xd6fd7fe852f2d115,
 	"cluster/d=16/w=true/kmeans++/minibatch":          0x6a4be8ae27ddf73d,
 	"cluster/d=16/w=true/kmeans++/naive":              0xd6fd7fe852f2d115,
 	"cluster/d=16/w=true/kmeans++/spherical":          0x1ac74d626ba477f1,
-	"cluster/d=16/w=true/kmeans++/trimmed":            0xaa27862fb181fd3b,
+	"cluster/d=16/w=true/kmeans++/trimmed":            0xc073c18e29eb2023,
 	"cluster/d=16/w=true/kmeans||/elkan":              0xd427286455ea5e19,
 	"cluster/d=16/w=true/kmeans||/hamerly":            0xd427286455ea5e19,
 	"cluster/d=16/w=true/kmeans||/minibatch":          0x7bc93680c2754530,
 	"cluster/d=16/w=true/kmeans||/naive":              0xd427286455ea5e19,
 	"cluster/d=16/w=true/kmeans||/spherical":          0xaa8aeb777319eb4b,
-	"cluster/d=16/w=true/kmeans||/trimmed":            0xb63ecd9c9401ebcf,
+	"cluster/d=16/w=true/kmeans||/trimmed":            0xd34ddef119220d8f,
 	"cluster/d=16/w=true/partition/elkan":             0x6be169e9285cfb50,
 	"cluster/d=16/w=true/partition/hamerly":           0x6be169e9285cfb50,
 	"cluster/d=16/w=true/partition/minibatch":         0x61b96976fd38214f,
 	"cluster/d=16/w=true/partition/naive":             0x6be169e9285cfb50,
 	"cluster/d=16/w=true/partition/spherical":         0xe95dfbc461924a8c,
-	"cluster/d=16/w=true/partition/trimmed":           0x41fc76a3dbd721fc,
+	"cluster/d=16/w=true/partition/trimmed":           0x664f709ff97f1b38,
 	"cluster/d=16/w=true/random/elkan":                0xa16c54d382861fad,
 	"cluster/d=16/w=true/random/hamerly":              0xa16c54d382861fad,
 	"cluster/d=16/w=true/random/minibatch":            0xb09348e41c88d90c,
 	"cluster/d=16/w=true/random/naive":                0xa16c54d382861fad,
 	"cluster/d=16/w=true/random/spherical":            0x3adfc16cc7c488c4,
-	"cluster/d=16/w=true/random/trimmed":              0x5f0437055fd2674,
+	"cluster/d=16/w=true/random/trimmed":              0x67fd3fb58bcf397,
 	"cluster/d=2/w=false/kmeans++/elkan":              0xef93f0131a502882,
 	"cluster/d=2/w=false/kmeans++/hamerly":            0xef93f0131a502882,
 	"cluster/d=2/w=false/kmeans++/minibatch":          0xbba5171af9872e37,
 	"cluster/d=2/w=false/kmeans++/naive":              0xef93f0131a502882,
 	"cluster/d=2/w=false/kmeans++/spherical":          0x218740d4c1d8a2db,
-	"cluster/d=2/w=false/kmeans++/trimmed":            0x19d7d1229b7997be,
+	"cluster/d=2/w=false/kmeans++/trimmed":            0x3ac4b7e254f841b,
 	"cluster/d=2/w=false/kmeans||/elkan":              0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/hamerly":            0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/minibatch":          0xba267d67d495457c,
 	"cluster/d=2/w=false/kmeans||/naive":              0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/spherical":          0xf68ce178a9c1b809,
-	"cluster/d=2/w=false/kmeans||/trimmed":            0x90c68b8d568df37b,
+	"cluster/d=2/w=false/kmeans||/trimmed":            0x178899e7a3207c90,
 	"cluster/d=2/w=false/partition/elkan":             0x48157e497d148ca4,
 	"cluster/d=2/w=false/partition/hamerly":           0x48157e497d148ca4,
 	"cluster/d=2/w=false/partition/minibatch":         0xcde8923627fa3677,
 	"cluster/d=2/w=false/partition/naive":             0x48157e497d148ca4,
 	"cluster/d=2/w=false/partition/spherical":         0x45de732f07dc58d7,
-	"cluster/d=2/w=false/partition/trimmed":           0x86a041005fa09f09,
+	"cluster/d=2/w=false/partition/trimmed":           0xa03c1704eff2acb3,
 	"cluster/d=2/w=false/random/elkan":                0x821be6828d488536,
 	"cluster/d=2/w=false/random/hamerly":              0x821be6828d488536,
 	"cluster/d=2/w=false/random/minibatch":            0xf1a18c5548f9fd0,
 	"cluster/d=2/w=false/random/naive":                0x821be6828d488536,
 	"cluster/d=2/w=false/random/spherical":            0x8297231a2f9710be,
-	"cluster/d=2/w=false/random/trimmed":              0xdb96142fda5ac771,
+	"cluster/d=2/w=false/random/trimmed":              0x69fdc48654b45a7c,
 	"cluster/d=2/w=true/kmeans++/elkan":               0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/hamerly":             0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/minibatch":           0xc429619bd436bc7b,
 	"cluster/d=2/w=true/kmeans++/naive":               0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/spherical":           0xc07d04b086e43c2b,
-	"cluster/d=2/w=true/kmeans++/trimmed":             0xf8b615c1cff3e934,
+	"cluster/d=2/w=true/kmeans++/trimmed":             0x8f0877c25aede75f,
 	"cluster/d=2/w=true/kmeans||/elkan":               0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/hamerly":             0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/minibatch":           0x1b3cd1b9e12a6aeb,
 	"cluster/d=2/w=true/kmeans||/naive":               0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/spherical":           0xc63a1d6af0905fb1,
-	"cluster/d=2/w=true/kmeans||/trimmed":             0xcce213d4a78eb519,
+	"cluster/d=2/w=true/kmeans||/trimmed":             0x9cbc870f11b97929,
 	"cluster/d=2/w=true/partition/elkan":              0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/hamerly":            0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/minibatch":          0x9cfc7040d832332c,
 	"cluster/d=2/w=true/partition/naive":              0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/spherical":          0xa7eb9b40e32b5904,
-	"cluster/d=2/w=true/partition/trimmed":            0xb574f6d8c989bcc5,
+	"cluster/d=2/w=true/partition/trimmed":            0x38398a1d05980b6,
 	"cluster/d=2/w=true/random/elkan":                 0x9f8be25b93ea770b,
 	"cluster/d=2/w=true/random/hamerly":               0x9f8be25b93ea770b,
 	"cluster/d=2/w=true/random/minibatch":             0x1b9eff0a8a2e9261,
 	"cluster/d=2/w=true/random/naive":                 0x9f8be25b93ea770b,
 	"cluster/d=2/w=true/random/spherical":             0xaba84471912ec398,
-	"cluster/d=2/w=true/random/trimmed":               0xa83dda3696312c78,
+	"cluster/d=2/w=true/random/trimmed":               0xdb2f40738c06084d,
 	"cluster/d=58/w=false/kmeans++/elkan":             0x8ec641936613b073,
 	"cluster/d=58/w=false/kmeans++/hamerly":           0x8ec641936613b073,
 	"cluster/d=58/w=false/kmeans++/minibatch":         0xb009378e6a3e3222,
 	"cluster/d=58/w=false/kmeans++/naive":             0x8ec641936613b073,
 	"cluster/d=58/w=false/kmeans++/spherical":         0x69caec59dcbadc69,
-	"cluster/d=58/w=false/kmeans++/trimmed":           0x9ea04db357511975,
+	"cluster/d=58/w=false/kmeans++/trimmed":           0x65d9749222165cf5,
 	"cluster/d=58/w=false/kmeans||/elkan":             0x436750835758a2ff,
 	"cluster/d=58/w=false/kmeans||/hamerly":           0x436750835758a2ff,
 	"cluster/d=58/w=false/kmeans||/minibatch":         0xeddc19f81111cfac,
 	"cluster/d=58/w=false/kmeans||/naive":             0x436750835758a2ff,
 	"cluster/d=58/w=false/kmeans||/spherical":         0x5db34678c9e15e19,
-	"cluster/d=58/w=false/kmeans||/trimmed":           0x790429a7fc8ec17a,
+	"cluster/d=58/w=false/kmeans||/trimmed":           0x19e81915b7712593,
 	"cluster/d=58/w=false/partition/elkan":            0x7123cd4e2f5ff572,
 	"cluster/d=58/w=false/partition/hamerly":          0x7123cd4e2f5ff572,
 	"cluster/d=58/w=false/partition/minibatch":        0xe19e7d412f82ec0f,
 	"cluster/d=58/w=false/partition/naive":            0x7123cd4e2f5ff572,
 	"cluster/d=58/w=false/partition/spherical":        0x93841aa37a7dc2e,
-	"cluster/d=58/w=false/partition/trimmed":          0xd8b3e6fe8ad137dd,
+	"cluster/d=58/w=false/partition/trimmed":          0x310919912b4fdeb,
 	"cluster/d=58/w=false/random/elkan":               0xeabba100ab07f960,
 	"cluster/d=58/w=false/random/hamerly":             0xeabba100ab07f960,
 	"cluster/d=58/w=false/random/minibatch":           0x753bc4d731e10293,
 	"cluster/d=58/w=false/random/naive":               0xeabba100ab07f960,
 	"cluster/d=58/w=false/random/spherical":           0xd184a33d04a47b3e,
-	"cluster/d=58/w=false/random/trimmed":             0x6c9bbce6f2a71ff9,
+	"cluster/d=58/w=false/random/trimmed":             0xd67287dbae7835bd,
 	"cluster/d=58/w=true/kmeans++/elkan":              0x782fd8143012a170,
 	"cluster/d=58/w=true/kmeans++/hamerly":            0x782fd8143012a170,
 	"cluster/d=58/w=true/kmeans++/minibatch":          0x7397f316d574e7f1,
 	"cluster/d=58/w=true/kmeans++/naive":              0x782fd8143012a170,
 	"cluster/d=58/w=true/kmeans++/spherical":          0x5ae65420ae069f9e,
-	"cluster/d=58/w=true/kmeans++/trimmed":            0xaf0ee02f612bc58c,
+	"cluster/d=58/w=true/kmeans++/trimmed":            0x2b6facd696e0da2b,
 	"cluster/d=58/w=true/kmeans||/elkan":              0x89b2963f2f8612fa,
 	"cluster/d=58/w=true/kmeans||/hamerly":            0x89b2963f2f8612fa,
 	"cluster/d=58/w=true/kmeans||/minibatch":          0xc014317de06ece9e,
 	"cluster/d=58/w=true/kmeans||/naive":              0x89b2963f2f8612fa,
 	"cluster/d=58/w=true/kmeans||/spherical":          0x8b46779e7bc04830,
-	"cluster/d=58/w=true/kmeans||/trimmed":            0xce9fbfb025248c71,
+	"cluster/d=58/w=true/kmeans||/trimmed":            0xe8f72ce4eca5450b,
 	"cluster/d=58/w=true/partition/elkan":             0xd6dc6070b42ad8ec,
 	"cluster/d=58/w=true/partition/hamerly":           0xd6dc6070b42ad8ec,
 	"cluster/d=58/w=true/partition/minibatch":         0x5b3e5f828b77279b,
 	"cluster/d=58/w=true/partition/naive":             0xd6dc6070b42ad8ec,
 	"cluster/d=58/w=true/partition/spherical":         0xeaf74dcd9e249b4b,
-	"cluster/d=58/w=true/partition/trimmed":           0xa265263c7efb60f1,
+	"cluster/d=58/w=true/partition/trimmed":           0x9b16cf82a5182d07,
 	"cluster/d=58/w=true/random/elkan":                0xd20e237d2f227f8c,
 	"cluster/d=58/w=true/random/hamerly":              0xd20e237d2f227f8c,
 	"cluster/d=58/w=true/random/minibatch":            0x4bf2b3df49977b94,
 	"cluster/d=58/w=true/random/naive":                0xd20e237d2f227f8c,
 	"cluster/d=58/w=true/random/spherical":            0xb73e0d6f16c3cb64,
-	"cluster/d=58/w=true/random/trimmed":              0x88702949752585b8,
+	"cluster/d=58/w=true/random/trimmed":              0xd34c772330a11c18,
 	"core/d=16/w=false/bernoulli":                     0xe2fcf6ca56e2412e,
 	"core/d=16/w=false/exact-l":                       0xf2f635ec39898593,
 	"core/d=16/w=true/bernoulli":                      0x1c70e3a1b36192a3,
@@ -251,55 +251,55 @@ var goldenWant = map[string]uint64{
 	"f32/cluster/d=16/init=0/lloyd:naive":             0xc8b1aa34d5e76b41,
 	"f32/cluster/d=16/init=0/minibatch:b=64,iters=30": 0x751e828cc51a53d,
 	"f32/cluster/d=16/init=0/spherical":               0x850bb70a2d74d597,
-	"f32/cluster/d=16/init=0/trimmed:0.05":            0x80ab6d62daac3477,
+	"f32/cluster/d=16/init=0/trimmed:0.05":            0xbf42d8c3e44fa047,
 	"f32/cluster/d=16/init=1/lloyd:elkan":             0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/lloyd:hamerly":           0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/lloyd:naive":             0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/minibatch:b=64,iters=30": 0xd803be65f5a60e1,
 	"f32/cluster/d=16/init=1/spherical":               0xfc520482fb539486,
-	"f32/cluster/d=16/init=1/trimmed:0.05":            0xe85ee90690c3576c,
+	"f32/cluster/d=16/init=1/trimmed:0.05":            0xac85343c6f9a0a90,
 	"f32/cluster/d=16/init=2/lloyd:elkan":             0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/lloyd:hamerly":           0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/lloyd:naive":             0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/minibatch:b=64,iters=30": 0x2ebd05369814a2fe,
 	"f32/cluster/d=16/init=2/spherical":               0xbdd1e42675ad67bf,
-	"f32/cluster/d=16/init=2/trimmed:0.05":            0x6641534130163853,
+	"f32/cluster/d=16/init=2/trimmed:0.05":            0xaa9fe6db17f72a33,
 	"f32/cluster/d=2/init=0/lloyd:elkan":              0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/lloyd:hamerly":            0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/lloyd:naive":              0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/minibatch:b=64,iters=30":  0x708584749a799406,
 	"f32/cluster/d=2/init=0/spherical":                0x6d4b5ed25d805de5,
-	"f32/cluster/d=2/init=0/trimmed:0.05":             0xf6d03c49caba9e5f,
+	"f32/cluster/d=2/init=0/trimmed:0.05":             0x5227e18cc48d582a,
 	"f32/cluster/d=2/init=1/lloyd:elkan":              0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/lloyd:hamerly":            0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/lloyd:naive":              0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/minibatch:b=64,iters=30":  0x384f604f65caffea,
 	"f32/cluster/d=2/init=1/spherical":                0x60c09a04e4b8ab38,
-	"f32/cluster/d=2/init=1/trimmed:0.05":             0xf1633a659af7c601,
+	"f32/cluster/d=2/init=1/trimmed:0.05":             0x22ff33ff8f61e954,
 	"f32/cluster/d=2/init=2/lloyd:elkan":              0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/lloyd:hamerly":            0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/lloyd:naive":              0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/minibatch:b=64,iters=30":  0x80de6ef429efec4b,
 	"f32/cluster/d=2/init=2/spherical":                0x11609d36b778bafd,
-	"f32/cluster/d=2/init=2/trimmed:0.05":             0xae3ee62ab54f3816,
+	"f32/cluster/d=2/init=2/trimmed:0.05":             0x38d38d7f11e6a6fa,
 	"f32/cluster/d=58/init=0/lloyd:elkan":             0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/lloyd:hamerly":           0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/lloyd:naive":             0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/minibatch:b=64,iters=30": 0x55e390571747158d,
 	"f32/cluster/d=58/init=0/spherical":               0xa1fd6e51c7a77036,
-	"f32/cluster/d=58/init=0/trimmed:0.05":            0xa52224271fb51137,
+	"f32/cluster/d=58/init=0/trimmed:0.05":            0xb18f54153114af5c,
 	"f32/cluster/d=58/init=1/lloyd:elkan":             0xaed105131a231217,
 	"f32/cluster/d=58/init=1/lloyd:hamerly":           0xaed105131a231217,
 	"f32/cluster/d=58/init=1/lloyd:naive":             0xaed105131a231217,
 	"f32/cluster/d=58/init=1/minibatch:b=64,iters=30": 0xf144d8043bd3a3db,
 	"f32/cluster/d=58/init=1/spherical":               0xf6e6de60b687d844,
-	"f32/cluster/d=58/init=1/trimmed:0.05":            0x97b3913b4b75414f,
+	"f32/cluster/d=58/init=1/trimmed:0.05":            0xd83b2c850e09d6ed,
 	"f32/cluster/d=58/init=2/lloyd:elkan":             0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/lloyd:hamerly":           0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/lloyd:naive":             0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/minibatch:b=64,iters=30": 0xae44d8527a405d8,
 	"f32/cluster/d=58/init=2/spherical":               0x881301360718227b,
-	"f32/cluster/d=58/init=2/trimmed:0.05":            0x37b1adb8ce0c7de4,
+	"f32/cluster/d=58/init=2/trimmed:0.05":            0xd6bcd2364ccc6e63,
 	"f32/predict/d=16/k=21":                           0xa4d3ae0c6891029d,
 	"f32/predict/d=16/k=5":                            0xbe6d229c3f721bf7,
 	"f32/predict/d=2/k=21":                            0x29485789a3c1f47b,
@@ -318,42 +318,42 @@ var goldenWant = map[string]uint64{
 	"trace/d=16/w=false/reseed/elkan":                 0xd270088261670129,
 	"trace/d=16/w=false/reseed/hamerly":               0xcbfa6528fdfcfbef,
 	"trace/d=16/w=false/reseed/naive":                 0x86ed3eb6a9a7ff36,
-	"trace/d=16/w=false/trimmed":                      0xd86707f578d5a6e4,
+	"trace/d=16/w=false/trimmed":                      0xc3af8819e79631e8,
 	"trace/d=16/w=true/elkan":                         0xef684d6be955dd53,
 	"trace/d=16/w=true/hamerly":                       0xad93f899efd7ebe9,
 	"trace/d=16/w=true/naive":                         0x9621dd67a12a018b,
 	"trace/d=16/w=true/reseed/elkan":                  0xebb9a19cb735286a,
 	"trace/d=16/w=true/reseed/hamerly":                0xe8cff3ef90ce3b39,
 	"trace/d=16/w=true/reseed/naive":                  0x45f948b96b13d2cd,
-	"trace/d=16/w=true/trimmed":                       0x6169cfc6dd1356e6,
+	"trace/d=16/w=true/trimmed":                       0xfc67b9ded8702dbc,
 	"trace/d=2/w=false/elkan":                         0x6ea3ff98d30b03c6,
 	"trace/d=2/w=false/hamerly":                       0x818e902544eaefa9,
 	"trace/d=2/w=false/naive":                         0xc04f431d8e563de9,
 	"trace/d=2/w=false/reseed/elkan":                  0x7935c901d5464c52,
 	"trace/d=2/w=false/reseed/hamerly":                0x261c07bee295927b,
 	"trace/d=2/w=false/reseed/naive":                  0x88375f87c1d2035,
-	"trace/d=2/w=false/trimmed":                       0x4ddbea199e495c08,
+	"trace/d=2/w=false/trimmed":                       0xdd8b1bee6a112288,
 	"trace/d=2/w=true/elkan":                          0x253fcc3ac08ceb7c,
 	"trace/d=2/w=true/hamerly":                        0x8a4caf95916e12ab,
 	"trace/d=2/w=true/naive":                          0x222ae851fb31bcf4,
 	"trace/d=2/w=true/reseed/elkan":                   0x65c36dcac6113ddc,
 	"trace/d=2/w=true/reseed/hamerly":                 0xd7ee9366ded01abc,
 	"trace/d=2/w=true/reseed/naive":                   0x9b7d24cdef6f4f8c,
-	"trace/d=2/w=true/trimmed":                        0xce01af4eb9d10021,
+	"trace/d=2/w=true/trimmed":                        0x2f8d0a081ab43812,
 	"trace/d=58/w=false/elkan":                        0xcfffdabc0e93866b,
 	"trace/d=58/w=false/hamerly":                      0x4206ec5ad1e4ab3a,
 	"trace/d=58/w=false/naive":                        0xa6f2e2b3cdba110d,
 	"trace/d=58/w=false/reseed/elkan":                 0x746fd3d78cba2720,
 	"trace/d=58/w=false/reseed/hamerly":               0x746fd3d78cba2720,
 	"trace/d=58/w=false/reseed/naive":                 0x278db41e67d9536c,
-	"trace/d=58/w=false/trimmed":                      0xa19ce37387469e97,
+	"trace/d=58/w=false/trimmed":                      0xcd2077233d5aa912,
 	"trace/d=58/w=true/elkan":                         0xacdcfd5c4d616b5d,
 	"trace/d=58/w=true/hamerly":                       0x2c5d42c5380ad5c0,
 	"trace/d=58/w=true/naive":                         0x3476f9ed79285d32,
 	"trace/d=58/w=true/reseed/elkan":                  0x10f73d44bdaa802c,
 	"trace/d=58/w=true/reseed/hamerly":                0xff8d8023c495dc5f,
 	"trace/d=58/w=true/reseed/naive":                  0x2abfa1671e478d1e,
-	"trace/d=58/w=true/trimmed":                       0x6b77642b163b6158,
+	"trace/d=58/w=true/trimmed":                       0xa6fcac70d0038d76,
 }
 
 func checkGolden(t *testing.T, got map[string]uint64) {
@@ -481,7 +481,8 @@ func TestGoldenCostTrace(t *testing.T) {
 					got[fmt.Sprintf("trace/d=%d/w=%v/%s%s", d, weighted, start.name, m)] = h.h
 				}
 			}
-			tr := lloyd.Trimmed(ds, init, lloyd.TrimmedConfig{TrimFraction: 0.05, MaxIter: 30, Parallelism: 2})
+			trim := lloyd.Opt{Kind: lloyd.OptTrimmed, TrimFraction: 0.05}
+			tr := lloyd.Refine(trim, ds, init, lloyd.Config{MaxIter: 30, Parallelism: 2}, 0)
 			h := newGoldenHash()
 			h.f64s(tr.Centers.Data)
 			h.f64s(tr.CostTrace)

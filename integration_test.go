@@ -194,7 +194,8 @@ func TestTrimmedPipelineOnContaminatedData(t *testing.T) {
 		ds.X.AppendRow(p)
 	}
 	init, _ := core.Init(ds, core.Config{K: 8, Seed: 19})
-	res := lloyd.Trimmed(ds, init, lloyd.TrimmedConfig{TrimFraction: float64(nOut) / float64(ds.N())})
+	trim := lloyd.Opt{Kind: lloyd.OptTrimmed, TrimFraction: float64(nOut) / float64(ds.N())}
+	res := lloyd.Refine(trim, ds, init, lloyd.Config{}, 0)
 	flaggedInjected := 0
 	for _, i := range res.Outliers {
 		if i >= 2000 {

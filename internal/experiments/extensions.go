@@ -247,9 +247,8 @@ func AblationTrimmed(opt Options) []eval.Table {
 			variants = append(variants, variant{s, refine, func(trial uint64) *geom.Matrix {
 				init := seedOf(s, trial)
 				if refine == "trimmed" {
-					res := lloyd.Trimmed(ds, init, lloyd.TrimmedConfig{
-						TrimFraction: 2 * outFrac, MaxIter: 100, Parallelism: opt.Parallelism,
-					})
+					trim := lloyd.Opt{Kind: lloyd.OptTrimmed, TrimFraction: 2 * outFrac}
+					res := lloyd.Refine(trim, ds, init, lloyd.Config{MaxIter: 100, Parallelism: opt.Parallelism}, 0)
 					return res.Centers
 				}
 				res := lloyd.Run(ds, init, lloyd.Config{MaxIter: 100, Parallelism: opt.Parallelism})

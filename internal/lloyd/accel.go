@@ -130,7 +130,7 @@ func (b *bounded[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
 }
 
 func (b *bounded[T]) Farthest(centers *geom.Matrix) ([]float64, error) {
-	i := farthest(b.ds, geom.Convert[T](centers), b.parallelism)
+	i := farthest(b.ds, geom.Convert[T](centers), b.parallelism, nil)
 	b.reseeded = append(b.reseeded, i)
 	return geom.WidenRow(make([]float64, b.ds.Dim()), b.ds.Point(i)), nil
 }

@@ -121,9 +121,15 @@ func stepInto[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], c
 // (float64) and the blocked engine otherwise, so a point's cost does not
 // depend on the span it is scanned in.
 func FarthestSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T]) (int, float64) {
+	return farthestSpan(ds, lo, hi, centers, nil)
+}
+
+// farthestSpan is FarthestSpan passing over the points i with skip[i] set
+// (none when skip is nil).
+func farthestSpan[T geom.Float](ds *geom.Set[T], lo, hi int, centers *geom.Mat[T], skip []bool) (int, float64) {
 	best, bestCost := -1, -1.0
 	geom.VisitAssign(ds.X, centers, geom.RowSqNorms(centers, nil), lo, hi, false, func(i int, _ int32, d2 float64) {
-		if v := ds.W(i) * d2; v > bestCost {
+		if v := ds.W(i) * d2; v > bestCost && (skip == nil || !skip[i]) {
 			best, bestCost = i, v
 		}
 	})
@@ -193,7 +199,7 @@ func (p *chunks[T]) reduce() (*geom.Matrix, float64) {
 }
 
 func (p *chunks[T]) Farthest(centers *geom.Matrix) ([]float64, error) {
-	i := farthest(p.ds, geom.Convert[T](centers), p.parallelism)
+	i := farthest(p.ds, geom.Convert[T](centers), p.parallelism, nil)
 	return geom.WidenRow(make([]float64, p.ds.Dim()), p.ds.Point(i)), nil
 }
 
@@ -202,14 +208,14 @@ func (p *chunks[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
 	return assign, cost, nil
 }
 
-// farthest is FarthestSpan over parallelism chunks: the index of the
-// costliest point, the lowest on ties (chunks ascend, so the first chunk
-// holding the largest cost wins).
-func farthest[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int) int {
+// farthest is farthestSpan over parallelism chunks: the index of the
+// costliest point not skipped, the lowest on ties (chunks ascend, so the
+// first chunk holding the largest cost wins).
+func farthest[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int, skip []bool) int {
 	n := ds.N()
 	idx := make([]int, geom.ChunkCount(n, parallelism))
 	cost := make([]float64, len(idx))
-	geom.ParallelFor(n, parallelism, func(ch, lo, hi int) { idx[ch], cost[ch] = FarthestSpan(ds, lo, hi, centers) })
+	geom.ParallelFor(n, parallelism, func(ch, lo, hi int) { idx[ch], cost[ch] = farthestSpan(ds, lo, hi, centers, skip) })
 	best, bestCost := -1, -1.0
 	for ch := range idx {
 		if cost[ch] > bestCost {

@@ -108,6 +108,9 @@ func Prepare[T geom.Float](o Opt, ds *geom.Set[T]) (*geom.Set[T], error) {
 // (cfg.Method is ignored — the variant and Opt.Kernel decide); seed drives
 // OptMiniBatch's batch sampling.
 func Refine[T geom.Float](o Opt, ds *geom.Set[T], init *geom.Matrix, cfg Config, seed uint64) RefineResult {
+	if err := o.Validate(); err != nil {
+		panic(err)
+	}
 	switch o.Kind {
 	case OptMiniBatch:
 		iters := o.Batches
@@ -123,10 +126,9 @@ func Refine[T geom.Float](o Opt, ds *geom.Set[T], init *geom.Matrix, cfg Config,
 		})
 		return RefineResult{Result: res}
 	case OptTrimmed:
-		res := Trimmed(ds, init, TrimmedConfig{
-			TrimFraction: o.TrimFraction, MaxIter: cfg.MaxIter, Parallelism: cfg.Parallelism,
-		})
-		return RefineResult{Result: res.Result, Outliers: res.Outliers, TrimmedCost: res.TrimmedCost}
+		tr := &trimmed[T]{chunks: chunks[T]{ds: ds, parallelism: cfg.Parallelism}, trim: int(o.TrimFraction * float64(ds.N()))}
+		res, _ := Drive(tr, Result{Centers: init}, cfg.MaxIter, nil)
+		return RefineResult{Result: res, Outliers: tr.outliers, TrimmedCost: tr.trimmedCost}
 	case OptSpherical:
 		res := Spherical(ds, init, Config{MaxIter: cfg.MaxIter, Parallelism: cfg.Parallelism})
 		// The spherical objective is cohesion; Cost is still reported as the

@@ -1,179 +1,124 @@
 package lloyd
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"kmeansll/internal/geom"
 )
 
-// TrimmedConfig controls Trimmed — trimmed k-means, the classic
+// trimmed is the Passes backend of trimmed k-means, the classic
 // outlier-robust modification the paper's conclusion points at ("several
 // modifications to the basic k-means algorithm to suit specific
 // applications... It will be interesting to see if such modifications can
 // also be efficiently parallelized", §7; k-means with outliers is also
-// discussed in §2). Each iteration excludes the TrimFraction of points with
-// the largest current cost from the centroid update, so far-away noise
-// cannot drag centers.
-type TrimmedConfig struct {
-	// TrimFraction is the fraction of points (by weight rank) excluded per
-	// iteration, in [0, 1). 0 degenerates to plain Lloyd.
-	TrimFraction float64
-	// MaxIter caps iterations; 0 means DefaultMaxIter.
-	MaxIter int
-	// Parallelism bounds workers for the assignment passes; <1 = all CPUs.
-	Parallelism int
+// discussed in §2). Every pass ranks the points by their cost against the
+// centers and marks the trim costliest as outliers; Step leaves them out of
+// the update, so far-away noise cannot drag centers, and its cost, which
+// Drive records in CostTrace, is the kept points'. With trim = 0 every pass
+// is the in-process backend's, bit for bit.
+type trimmed[T geom.Float] struct {
+	chunks[T]
+	trim int // outliers per pass: ⌊f·n⌋ for OptTrimmed's fraction f
+
+	assign []int32   // each point's nearest center in the last pass
+	costs  []float64 // each point's w·d² to it
+	order  []int     // point indices, costliest first
+	out    []bool    // the last pass's outliers
+
+	// Assign's outliers, ascending, and its cost over the kept points.
+	outliers    []int
+	trimmedCost float64
 }
 
-// TrimmedResult extends Result with the outlier set of the final iteration.
-type TrimmedResult struct {
-	Result
-	// Outliers holds the indices excluded in the final iteration, sorted.
-	Outliers []int
-	// TrimmedCost is the final cost over the non-excluded points only.
-	TrimmedCost float64
+// Step ranks the points against centers and returns each center's
+// Σw·x ⧺ Σw over its kept points and their cost.
+func (p *trimmed[T]) Step(centers *geom.Matrix) (*geom.Matrix, float64, error) {
+	p.rank(centers)
+	sums, phi := p.sumKept(centers.Cols)
+	return sums, phi, nil
 }
 
-// Trimmed runs trimmed k-means from the given initial centers. The reported
-// Result.Cost is the cost over ALL points (comparable to plain Lloyd);
-// TrimmedCost excludes the outliers. A run stopped by MaxIter ends with one
-// more assignment pass, so Assign, Cost, Outliers and TrimmedCost describe
-// the centers it returns.
-func Trimmed[T geom.Float](ds *geom.Set[T], init *geom.Matrix, cfg TrimmedConfig) TrimmedResult {
-	if !(cfg.TrimFraction >= 0 && cfg.TrimFraction < 1) { // negated: NaN too
-		panic("lloyd: TrimFraction must be in [0, 1)")
+// Farthest returns the worst-served kept point: an empty cluster is reseeded
+// to the point the last Step kept that pays the largest w·d²(x, centers),
+// never to an outlier.
+func (p *trimmed[T]) Farthest(centers *geom.Matrix) ([]float64, error) {
+	i := farthest(p.ds, geom.Convert[T](centers), p.parallelism, p.out)
+	return geom.WidenRow(make([]float64, p.ds.Dim()), p.ds.Point(i)), nil
+}
+
+// Assign ranks the points against centers and returns their assignment and
+// their cost over all points, summed as Cost sums it. It records the
+// outliers and the kept points' cost, summed as Step sums it, so a
+// converged run's TrimmedCost is its last CostTrace entry.
+func (p *trimmed[T]) Assign(centers *geom.Matrix) ([]int32, float64, error) {
+	cost := p.rank(centers)
+	_, p.trimmedCost = p.sumKept(centers.Cols)
+	for i, out := range p.out {
+		if out {
+			p.outliers = append(p.outliers, i)
+		}
 	}
-	k, d, n := init.Rows, init.Cols, ds.N()
-	centers := init.Clone()
-	snap := geom.NewMat[T](k, d)
-	var cNorms []T
-	assign := make([]int32, n)
-	costs := make([]float64, n)
-	order := make([]int, n)
-	limit := MaxIter(cfg.MaxIter)
-	trimCount := int(cfg.TrimFraction * float64(n))
+	return p.assign, cost, nil
+}
 
-	out := TrimmedResult{}
-	out.Centers = centers
-	out.Assign = assign
-
-	// pass assigns every point to its nearest center, ranks the points by
-	// cost — the top trimCount are the outliers, which it returns marked —
-	// and records the outliers and the costs over all and over kept points.
-	pass := func() (excluded []bool) {
-		cNorms = snapshot(snap, centers, cNorms)
-		geom.ParallelFor(n, cfg.Parallelism, func(_, lo, hi int) {
-			geom.VisitAssign(ds.X, snap, cNorms, lo, hi, false, func(i int, idx int32, dist float64) {
-				assign[i] = idx
-				costs[i] = ds.W(i) * dist
-			})
-		})
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if costs[order[a]] != costs[order[b]] {
-				return costs[order[a]] > costs[order[b]]
-			}
-			return order[a] < order[b] // deterministic ties
-		})
-		out.Outliers = append([]int(nil), order[:trimCount]...)
-		sort.Ints(out.Outliers)
-		excluded = make([]bool, n)
-		for _, i := range out.Outliers {
-			excluded[i] = true
-		}
-		out.Cost, out.TrimmedCost = 0, 0
-		for i := 0; i < n; i++ {
-			out.Cost += costs[i]
-			if !excluded[i] {
-				out.TrimmedCost += costs[i]
-			}
-		}
-		return excluded
+// rank assigns every point to its nearest center with the Lloyd step's
+// scan, records its w·d², and marks the trim costliest points as outliers,
+// the lower index first on ties. It returns φ_X(centers), the chunk
+// partials summed in chunk order as Cost sums them.
+func (p *trimmed[T]) rank(centers *geom.Matrix) float64 {
+	n := p.ds.N()
+	p.prepare(centers)
+	if p.assign == nil {
+		p.assign, p.costs, p.order, p.out = make([]int32, n), make([]float64, n), make([]int, n), make([]bool, n)
 	}
-
-	sum := make([]float64, k*d)
-	weight := make([]float64, k)
-	var prevOutliers []int
-
-	for it := 0; it < limit; it++ {
-		excluded := pass()
-		out.Iters = it + 1
-		out.CostTrace = append(out.CostTrace, out.TrimmedCost)
-
-		// Centroid update over the kept points.
-		for i := range sum {
-			sum[i] = 0
+	blocked := geom.UseBlocked(centers.Rows, centers.Cols)
+	geom.ParallelFor(n, p.parallelism, func(ch, lo, hi int) {
+		var s float64
+		geom.VisitAssign(p.ds.X, p.snap, p.norms, lo, hi, blocked, func(i int, idx int32, d2 float64) {
+			c := p.ds.W(i) * d2
+			p.assign[i], p.costs[i] = idx, c
+			s += c
+		})
+		p.phis[ch] = s
+	})
+	var phi float64
+	for _, s := range p.phis {
+		phi += s
+	}
+	clear(p.out)
+	if p.trim > 0 {
+		for i := range p.order {
+			p.order[i] = i
 		}
-		for i := range weight {
-			weight[i] = 0
+		slices.SortFunc(p.order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(p.costs[b], p.costs[a]), cmp.Compare(a, b))
+		})
+		for _, i := range p.order[:p.trim] {
+			p.out[i] = true
 		}
-		for i := 0; i < n; i++ {
-			if excluded[i] {
+	}
+	return phi
+}
+
+// sumKept sums the points rank kept per chunk, as stepInto sums them: each
+// center's Σw·x ⧺ Σw and the cost, the chunks reduced in order.
+func (p *trimmed[T]) sumKept(d int) (*geom.Matrix, float64) {
+	geom.ParallelFor(p.ds.N(), p.parallelism, func(ch, lo, hi int) {
+		sums := p.parts[ch]
+		clear(sums.Data)
+		var phi float64
+		for i := lo; i < hi; i++ {
+			if p.out[i] {
 				continue
 			}
-			c := int(assign[i])
-			w := ds.W(i)
-			geom.AddScaled(sum[c*d:(c+1)*d], w, ds.Point(i))
-			weight[c] += w
+			w := p.ds.W(i)
+			row := sums.Row(int(p.assign[i]))
+			geom.AddScaled(row[:d], w, p.ds.Point(i))
+			row[d] += w
+			phi += p.costs[i]
 		}
-
-		moved := false
-		var empty []int
-		for c := 0; c < k; c++ {
-			if weight[c] <= 0 {
-				empty = append(empty, c)
-				continue
-			}
-			row := centers.Row(c)
-			inv := 1 / weight[c]
-			for j := 0; j < d; j++ {
-				v := sum[c*d+j] * inv
-				if v != row[j] {
-					moved = true
-				}
-				row[j] = v
-			}
-		}
-		// Repair empty clusters by reseeding to the worst-served KEPT point
-		// (never an outlier), matching plain Lloyd's repair policy.
-		for _, c := range empty {
-			worst, worstVal := -1, -1.0
-			cNorms = snapshot(snap, centers, cNorms)
-			geom.VisitAssign(ds.X, snap, cNorms, 0, n, false, func(i int, _ int32, dist float64) {
-				if excluded[i] {
-					return
-				}
-				if v := ds.W(i) * dist; v > worstVal {
-					worst, worstVal = i, v
-				}
-			})
-			if worst < 0 {
-				break
-			}
-			geom.WidenRow(centers.Row(c), ds.Point(worst))
-			moved = true
-		}
-		if !moved && equalInts(out.Outliers, prevOutliers) {
-			out.Converged = true
-			break
-		}
-		prevOutliers = out.Outliers
-	}
-	if !out.Converged {
-		pass()
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		p.phis[ch] = phi
+	})
+	return p.reduce()
 }

@@ -2,6 +2,7 @@ package lloyd
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kmeansll/internal/geom"
@@ -36,6 +37,11 @@ func blobsWithOutliers(t testing.TB, k, m, dim, outliers int, seedVal uint64) (*
 	return geom.NewDataset(x), truth
 }
 
+// refineTrimmed is Refine's trimmed k-means, excluding the fraction f.
+func refineTrimmed(ds *geom.Dataset, init *geom.Matrix, f float64, cfg Config) RefineResult {
+	return Refine(Opt{Kind: OptTrimmed, TrimFraction: f}, ds, init, cfg, 0)
+}
+
 func signOf(r *rng.Rng) float64 {
 	if r.Bernoulli(0.5) {
 		return 1
@@ -49,7 +55,7 @@ func TestTrimmedIgnoresOutliers(t *testing.T) {
 	// Start from the true centers; plain Lloyd gets dragged by outliers,
 	// trimmed should keep the centers near the truth.
 	plain := Run(ds, truth, Config{MaxIter: 100})
-	trimmed := Trimmed(ds, truth, TrimmedConfig{TrimFraction: float64(out+2) / float64(ds.N()), MaxIter: 100})
+	trimmed := refineTrimmed(ds, truth, float64(out+2)/float64(ds.N()), Config{MaxIter: 100})
 
 	var plainDrift, trimDrift float64
 	for c := 0; c < k; c++ {
@@ -69,7 +75,7 @@ func TestTrimmedIgnoresOutliers(t *testing.T) {
 func TestTrimmedIdentifiesOutliers(t *testing.T) {
 	const k, m, out = 3, 80, 10
 	ds, truth := blobsWithOutliers(t, k, m, 4, out, 2)
-	res := Trimmed(ds, truth, TrimmedConfig{TrimFraction: float64(out) / float64(ds.N()), MaxIter: 50})
+	res := refineTrimmed(ds, truth, float64(out)/float64(ds.N()), Config{MaxIter: 50})
 	if len(res.Outliers) != out {
 		t.Fatalf("flagged %d outliers, want %d", len(res.Outliers), out)
 	}
@@ -84,6 +90,7 @@ func TestTrimmedIdentifiesOutliers(t *testing.T) {
 	}
 }
 
+// With nothing trimmed, trimmed k-means is Run's naive Lloyd bit for bit.
 func TestTrimmedZeroFractionMatchesLloyd(t *testing.T) {
 	ds, _ := blobs(t, 4, 60, 4, 20, 3)
 	r := rng.New(4)
@@ -91,19 +98,25 @@ func TestTrimmedZeroFractionMatchesLloyd(t *testing.T) {
 	for i := range init.Data {
 		init.Data[i] = 20 * r.NormFloat64()
 	}
-	plain := Run(ds, init, Config{MaxIter: 100, Parallelism: 1})
-	trimmed := Trimmed(ds, init, TrimmedConfig{TrimFraction: 0, MaxIter: 100, Parallelism: 1})
-	if math.Abs(plain.Cost-trimmed.Cost) > 1e-6*(1+plain.Cost) {
-		t.Fatalf("trim=0 cost %v != plain %v", trimmed.Cost, plain.Cost)
-	}
-	if len(trimmed.Outliers) != 0 {
-		t.Fatalf("trim=0 flagged %d outliers", len(trimmed.Outliers))
+	for par := 1; par <= 3; par++ {
+		cfg := Config{MaxIter: 100, Parallelism: par}
+		plain := Run(ds, init, cfg)
+		trimmed := refineTrimmed(ds, init, 0, cfg)
+		if !slices.Equal(trimmed.Centers.Data, plain.Centers.Data) || !slices.Equal(trimmed.Assign, plain.Assign) ||
+			math.Float64bits(trimmed.Cost) != math.Float64bits(plain.Cost) || !slices.Equal(trimmed.CostTrace, plain.CostTrace) ||
+			trimmed.Iters != plain.Iters || trimmed.Converged != plain.Converged {
+			t.Fatalf("Parallelism %d: trim=0 ran %d iterations to cost %v, plain Lloyd %d to %v",
+				par, trimmed.Iters, trimmed.Cost, plain.Iters, plain.Cost)
+		}
+		if len(trimmed.Outliers) != 0 {
+			t.Fatalf("Parallelism %d: trim=0 flagged %d outliers", par, len(trimmed.Outliers))
+		}
 	}
 }
 
 func TestTrimmedConverges(t *testing.T) {
 	ds, truth := blobsWithOutliers(t, 3, 50, 3, 5, 5)
-	res := Trimmed(ds, truth, TrimmedConfig{TrimFraction: 0.05, MaxIter: 200})
+	res := refineTrimmed(ds, truth, 0.05, Config{MaxIter: 200})
 	if !res.Converged {
 		t.Fatal("trimmed k-means did not converge")
 	}
@@ -118,14 +131,14 @@ func TestTrimmedConverges(t *testing.T) {
 
 func TestTrimmedPanicsOnBadFraction(t *testing.T) {
 	ds, truth := blobsWithOutliers(t, 2, 10, 2, 0, 6)
-	for _, f := range []float64{-0.1, 1, 1.5} {
+	for _, f := range []float64{-0.1, 1, 1.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("TrimFraction=%v did not panic", f)
 				}
 			}()
-			Trimmed(ds, truth, TrimmedConfig{TrimFraction: f})
+			refineTrimmed(ds, truth, f, Config{})
 		}()
 	}
 }
