@@ -94,145 +94,145 @@ var goldenWant = map[string]uint64{
 	"cluster/d=16/w=false/kmeans++/hamerly":           0x2926a60999d0f1c2,
 	"cluster/d=16/w=false/kmeans++/minibatch":         0x28755ce18f837e2c,
 	"cluster/d=16/w=false/kmeans++/naive":             0x2926a60999d0f1c2,
-	"cluster/d=16/w=false/kmeans++/spherical":         0x8bba313391af6c55,
+	"cluster/d=16/w=false/kmeans++/spherical":         0x75164fffd4fb0bb3,
 	"cluster/d=16/w=false/kmeans++/trimmed":           0x46506f805bbebe0f,
 	"cluster/d=16/w=false/kmeans||/elkan":             0xaf3779879d36835e,
 	"cluster/d=16/w=false/kmeans||/hamerly":           0xaf3779879d36835e,
 	"cluster/d=16/w=false/kmeans||/minibatch":         0x865b6fdac0133fdf,
 	"cluster/d=16/w=false/kmeans||/naive":             0xaf3779879d36835e,
-	"cluster/d=16/w=false/kmeans||/spherical":         0xf341b594b509219,
+	"cluster/d=16/w=false/kmeans||/spherical":         0x9be2b8cde35add7b,
 	"cluster/d=16/w=false/kmeans||/trimmed":           0xbc686916018beb2f,
 	"cluster/d=16/w=false/partition/elkan":            0xdf0a782d2174864c,
 	"cluster/d=16/w=false/partition/hamerly":          0xdf0a782d2174864c,
 	"cluster/d=16/w=false/partition/minibatch":        0x85811a64df068f56,
 	"cluster/d=16/w=false/partition/naive":            0xdf0a782d2174864c,
-	"cluster/d=16/w=false/partition/spherical":        0x63fac0e3ef39871,
+	"cluster/d=16/w=false/partition/spherical":        0xf05456d40afd0c62,
 	"cluster/d=16/w=false/partition/trimmed":          0xcffc680a716622f9,
 	"cluster/d=16/w=false/random/elkan":               0x8ebc5fff502a030d,
 	"cluster/d=16/w=false/random/hamerly":             0x8ebc5fff502a030d,
 	"cluster/d=16/w=false/random/minibatch":           0xfb354c6811266e26,
 	"cluster/d=16/w=false/random/naive":               0x8ebc5fff502a030d,
-	"cluster/d=16/w=false/random/spherical":           0xccecad91c59334aa,
+	"cluster/d=16/w=false/random/spherical":           0x98eb08095ecf46e4,
 	"cluster/d=16/w=false/random/trimmed":             0x5753423929a8d1c7,
 	"cluster/d=16/w=true/kmeans++/elkan":              0xd6fd7fe852f2d115,
 	"cluster/d=16/w=true/kmeans++/hamerly":            0xd6fd7fe852f2d115,
 	"cluster/d=16/w=true/kmeans++/minibatch":          0x6a4be8ae27ddf73d,
 	"cluster/d=16/w=true/kmeans++/naive":              0xd6fd7fe852f2d115,
-	"cluster/d=16/w=true/kmeans++/spherical":          0x1ac74d626ba477f1,
+	"cluster/d=16/w=true/kmeans++/spherical":          0x88c229db636e9a55,
 	"cluster/d=16/w=true/kmeans++/trimmed":            0xc073c18e29eb2023,
 	"cluster/d=16/w=true/kmeans||/elkan":              0xd427286455ea5e19,
 	"cluster/d=16/w=true/kmeans||/hamerly":            0xd427286455ea5e19,
 	"cluster/d=16/w=true/kmeans||/minibatch":          0x7bc93680c2754530,
 	"cluster/d=16/w=true/kmeans||/naive":              0xd427286455ea5e19,
-	"cluster/d=16/w=true/kmeans||/spherical":          0xaa8aeb777319eb4b,
+	"cluster/d=16/w=true/kmeans||/spherical":          0xfe6a0ea3b2b2d744,
 	"cluster/d=16/w=true/kmeans||/trimmed":            0xd34ddef119220d8f,
 	"cluster/d=16/w=true/partition/elkan":             0x6be169e9285cfb50,
 	"cluster/d=16/w=true/partition/hamerly":           0x6be169e9285cfb50,
 	"cluster/d=16/w=true/partition/minibatch":         0x61b96976fd38214f,
 	"cluster/d=16/w=true/partition/naive":             0x6be169e9285cfb50,
-	"cluster/d=16/w=true/partition/spherical":         0xe95dfbc461924a8c,
+	"cluster/d=16/w=true/partition/spherical":         0x417b5c7aab2f0d82,
 	"cluster/d=16/w=true/partition/trimmed":           0x664f709ff97f1b38,
 	"cluster/d=16/w=true/random/elkan":                0xa16c54d382861fad,
 	"cluster/d=16/w=true/random/hamerly":              0xa16c54d382861fad,
 	"cluster/d=16/w=true/random/minibatch":            0xb09348e41c88d90c,
 	"cluster/d=16/w=true/random/naive":                0xa16c54d382861fad,
-	"cluster/d=16/w=true/random/spherical":            0x3adfc16cc7c488c4,
+	"cluster/d=16/w=true/random/spherical":            0x2a79a671ec665a0d,
 	"cluster/d=16/w=true/random/trimmed":              0x67fd3fb58bcf397,
 	"cluster/d=2/w=false/kmeans++/elkan":              0xef93f0131a502882,
 	"cluster/d=2/w=false/kmeans++/hamerly":            0xef93f0131a502882,
 	"cluster/d=2/w=false/kmeans++/minibatch":          0xbba5171af9872e37,
 	"cluster/d=2/w=false/kmeans++/naive":              0xef93f0131a502882,
-	"cluster/d=2/w=false/kmeans++/spherical":          0x218740d4c1d8a2db,
+	"cluster/d=2/w=false/kmeans++/spherical":          0xf779e0d0a94d4857,
 	"cluster/d=2/w=false/kmeans++/trimmed":            0x3ac4b7e254f841b,
 	"cluster/d=2/w=false/kmeans||/elkan":              0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/hamerly":            0xa8e9cf298aeb1cc6,
 	"cluster/d=2/w=false/kmeans||/minibatch":          0xba267d67d495457c,
 	"cluster/d=2/w=false/kmeans||/naive":              0xa8e9cf298aeb1cc6,
-	"cluster/d=2/w=false/kmeans||/spherical":          0xf68ce178a9c1b809,
+	"cluster/d=2/w=false/kmeans||/spherical":          0x3ce2a71deb5848b0,
 	"cluster/d=2/w=false/kmeans||/trimmed":            0x178899e7a3207c90,
 	"cluster/d=2/w=false/partition/elkan":             0x48157e497d148ca4,
 	"cluster/d=2/w=false/partition/hamerly":           0x48157e497d148ca4,
 	"cluster/d=2/w=false/partition/minibatch":         0xcde8923627fa3677,
 	"cluster/d=2/w=false/partition/naive":             0x48157e497d148ca4,
-	"cluster/d=2/w=false/partition/spherical":         0x45de732f07dc58d7,
+	"cluster/d=2/w=false/partition/spherical":         0xdfd8a114ba73c765,
 	"cluster/d=2/w=false/partition/trimmed":           0xa03c1704eff2acb3,
 	"cluster/d=2/w=false/random/elkan":                0x821be6828d488536,
 	"cluster/d=2/w=false/random/hamerly":              0x821be6828d488536,
 	"cluster/d=2/w=false/random/minibatch":            0xf1a18c5548f9fd0,
 	"cluster/d=2/w=false/random/naive":                0x821be6828d488536,
-	"cluster/d=2/w=false/random/spherical":            0x8297231a2f9710be,
+	"cluster/d=2/w=false/random/spherical":            0x8dec7f318d1acab4,
 	"cluster/d=2/w=false/random/trimmed":              0x69fdc48654b45a7c,
 	"cluster/d=2/w=true/kmeans++/elkan":               0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/hamerly":             0x90be03be7c1ae6a7,
 	"cluster/d=2/w=true/kmeans++/minibatch":           0xc429619bd436bc7b,
 	"cluster/d=2/w=true/kmeans++/naive":               0x90be03be7c1ae6a7,
-	"cluster/d=2/w=true/kmeans++/spherical":           0xc07d04b086e43c2b,
+	"cluster/d=2/w=true/kmeans++/spherical":           0xdee8dbbc5f7bbcae,
 	"cluster/d=2/w=true/kmeans++/trimmed":             0x8f0877c25aede75f,
 	"cluster/d=2/w=true/kmeans||/elkan":               0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/hamerly":             0x77f054cc3412d6a9,
 	"cluster/d=2/w=true/kmeans||/minibatch":           0x1b3cd1b9e12a6aeb,
 	"cluster/d=2/w=true/kmeans||/naive":               0x77f054cc3412d6a9,
-	"cluster/d=2/w=true/kmeans||/spherical":           0xc63a1d6af0905fb1,
+	"cluster/d=2/w=true/kmeans||/spherical":           0xc3310ebafaeb64f9,
 	"cluster/d=2/w=true/kmeans||/trimmed":             0x9cbc870f11b97929,
 	"cluster/d=2/w=true/partition/elkan":              0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/hamerly":            0x9705234c3a161564,
 	"cluster/d=2/w=true/partition/minibatch":          0x9cfc7040d832332c,
 	"cluster/d=2/w=true/partition/naive":              0x9705234c3a161564,
-	"cluster/d=2/w=true/partition/spherical":          0xa7eb9b40e32b5904,
+	"cluster/d=2/w=true/partition/spherical":          0x64c8c15ef8b64ab0,
 	"cluster/d=2/w=true/partition/trimmed":            0x38398a1d05980b6,
 	"cluster/d=2/w=true/random/elkan":                 0x9f8be25b93ea770b,
 	"cluster/d=2/w=true/random/hamerly":               0x9f8be25b93ea770b,
 	"cluster/d=2/w=true/random/minibatch":             0x1b9eff0a8a2e9261,
 	"cluster/d=2/w=true/random/naive":                 0x9f8be25b93ea770b,
-	"cluster/d=2/w=true/random/spherical":             0xaba84471912ec398,
+	"cluster/d=2/w=true/random/spherical":             0x449d6e75920f5bf7,
 	"cluster/d=2/w=true/random/trimmed":               0xdb2f40738c06084d,
 	"cluster/d=58/w=false/kmeans++/elkan":             0x8ec641936613b073,
 	"cluster/d=58/w=false/kmeans++/hamerly":           0x8ec641936613b073,
 	"cluster/d=58/w=false/kmeans++/minibatch":         0xb009378e6a3e3222,
 	"cluster/d=58/w=false/kmeans++/naive":             0x8ec641936613b073,
-	"cluster/d=58/w=false/kmeans++/spherical":         0x69caec59dcbadc69,
+	"cluster/d=58/w=false/kmeans++/spherical":         0x882bafecc988188d,
 	"cluster/d=58/w=false/kmeans++/trimmed":           0x65d9749222165cf5,
 	"cluster/d=58/w=false/kmeans||/elkan":             0x436750835758a2ff,
 	"cluster/d=58/w=false/kmeans||/hamerly":           0x436750835758a2ff,
 	"cluster/d=58/w=false/kmeans||/minibatch":         0xeddc19f81111cfac,
 	"cluster/d=58/w=false/kmeans||/naive":             0x436750835758a2ff,
-	"cluster/d=58/w=false/kmeans||/spherical":         0x5db34678c9e15e19,
+	"cluster/d=58/w=false/kmeans||/spherical":         0x61b776ff3f8cd31c,
 	"cluster/d=58/w=false/kmeans||/trimmed":           0x19e81915b7712593,
 	"cluster/d=58/w=false/partition/elkan":            0x7123cd4e2f5ff572,
 	"cluster/d=58/w=false/partition/hamerly":          0x7123cd4e2f5ff572,
 	"cluster/d=58/w=false/partition/minibatch":        0xe19e7d412f82ec0f,
 	"cluster/d=58/w=false/partition/naive":            0x7123cd4e2f5ff572,
-	"cluster/d=58/w=false/partition/spherical":        0x93841aa37a7dc2e,
+	"cluster/d=58/w=false/partition/spherical":        0x4d6dababcdc3f92f,
 	"cluster/d=58/w=false/partition/trimmed":          0x310919912b4fdeb,
 	"cluster/d=58/w=false/random/elkan":               0xeabba100ab07f960,
 	"cluster/d=58/w=false/random/hamerly":             0xeabba100ab07f960,
 	"cluster/d=58/w=false/random/minibatch":           0x753bc4d731e10293,
 	"cluster/d=58/w=false/random/naive":               0xeabba100ab07f960,
-	"cluster/d=58/w=false/random/spherical":           0xd184a33d04a47b3e,
+	"cluster/d=58/w=false/random/spherical":           0xe5b29dc39c2d707f,
 	"cluster/d=58/w=false/random/trimmed":             0xd67287dbae7835bd,
 	"cluster/d=58/w=true/kmeans++/elkan":              0x782fd8143012a170,
 	"cluster/d=58/w=true/kmeans++/hamerly":            0x782fd8143012a170,
 	"cluster/d=58/w=true/kmeans++/minibatch":          0x7397f316d574e7f1,
 	"cluster/d=58/w=true/kmeans++/naive":              0x782fd8143012a170,
-	"cluster/d=58/w=true/kmeans++/spherical":          0x5ae65420ae069f9e,
+	"cluster/d=58/w=true/kmeans++/spherical":          0x5fe88f5bbf60ff34,
 	"cluster/d=58/w=true/kmeans++/trimmed":            0x2b6facd696e0da2b,
 	"cluster/d=58/w=true/kmeans||/elkan":              0x89b2963f2f8612fa,
 	"cluster/d=58/w=true/kmeans||/hamerly":            0x89b2963f2f8612fa,
 	"cluster/d=58/w=true/kmeans||/minibatch":          0xc014317de06ece9e,
 	"cluster/d=58/w=true/kmeans||/naive":              0x89b2963f2f8612fa,
-	"cluster/d=58/w=true/kmeans||/spherical":          0x8b46779e7bc04830,
+	"cluster/d=58/w=true/kmeans||/spherical":          0x415b59ea963feacc,
 	"cluster/d=58/w=true/kmeans||/trimmed":            0xe8f72ce4eca5450b,
 	"cluster/d=58/w=true/partition/elkan":             0xd6dc6070b42ad8ec,
 	"cluster/d=58/w=true/partition/hamerly":           0xd6dc6070b42ad8ec,
 	"cluster/d=58/w=true/partition/minibatch":         0x5b3e5f828b77279b,
 	"cluster/d=58/w=true/partition/naive":             0xd6dc6070b42ad8ec,
-	"cluster/d=58/w=true/partition/spherical":         0xeaf74dcd9e249b4b,
+	"cluster/d=58/w=true/partition/spherical":         0x48f41d18222b07b2,
 	"cluster/d=58/w=true/partition/trimmed":           0x9b16cf82a5182d07,
 	"cluster/d=58/w=true/random/elkan":                0xd20e237d2f227f8c,
 	"cluster/d=58/w=true/random/hamerly":              0xd20e237d2f227f8c,
 	"cluster/d=58/w=true/random/minibatch":            0x4bf2b3df49977b94,
 	"cluster/d=58/w=true/random/naive":                0xd20e237d2f227f8c,
-	"cluster/d=58/w=true/random/spherical":            0xb73e0d6f16c3cb64,
+	"cluster/d=58/w=true/random/spherical":            0x2553800717a8b305,
 	"cluster/d=58/w=true/random/trimmed":              0xd34c772330a11c18,
 	"core/d=16/w=false/bernoulli":                     0xe2fcf6ca56e2412e,
 	"core/d=16/w=false/exact-l":                       0xf2f635ec39898593,
@@ -250,55 +250,55 @@ var goldenWant = map[string]uint64{
 	"f32/cluster/d=16/init=0/lloyd:hamerly":           0xc8b1aa34d5e76b41,
 	"f32/cluster/d=16/init=0/lloyd:naive":             0xc8b1aa34d5e76b41,
 	"f32/cluster/d=16/init=0/minibatch:b=64,iters=30": 0x751e828cc51a53d,
-	"f32/cluster/d=16/init=0/spherical":               0x850bb70a2d74d597,
+	"f32/cluster/d=16/init=0/spherical":               0xc10f30061d2f3b17,
 	"f32/cluster/d=16/init=0/trimmed:0.05":            0xbf42d8c3e44fa047,
 	"f32/cluster/d=16/init=1/lloyd:elkan":             0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/lloyd:hamerly":           0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/lloyd:naive":             0xa28354f73f8efad6,
 	"f32/cluster/d=16/init=1/minibatch:b=64,iters=30": 0xd803be65f5a60e1,
-	"f32/cluster/d=16/init=1/spherical":               0xfc520482fb539486,
+	"f32/cluster/d=16/init=1/spherical":               0xfc62f16516693240,
 	"f32/cluster/d=16/init=1/trimmed:0.05":            0xac85343c6f9a0a90,
 	"f32/cluster/d=16/init=2/lloyd:elkan":             0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/lloyd:hamerly":           0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/lloyd:naive":             0x6f27b4248e705350,
 	"f32/cluster/d=16/init=2/minibatch:b=64,iters=30": 0x2ebd05369814a2fe,
-	"f32/cluster/d=16/init=2/spherical":               0xbdd1e42675ad67bf,
+	"f32/cluster/d=16/init=2/spherical":               0xdc133d025be8946d,
 	"f32/cluster/d=16/init=2/trimmed:0.05":            0xaa9fe6db17f72a33,
 	"f32/cluster/d=2/init=0/lloyd:elkan":              0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/lloyd:hamerly":            0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/lloyd:naive":              0x10f816861a08b39a,
 	"f32/cluster/d=2/init=0/minibatch:b=64,iters=30":  0x708584749a799406,
-	"f32/cluster/d=2/init=0/spherical":                0x6d4b5ed25d805de5,
+	"f32/cluster/d=2/init=0/spherical":                0x54e7d17eaa1b002b,
 	"f32/cluster/d=2/init=0/trimmed:0.05":             0x5227e18cc48d582a,
 	"f32/cluster/d=2/init=1/lloyd:elkan":              0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/lloyd:hamerly":            0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/lloyd:naive":              0x7bec80ec4aeec4ff,
 	"f32/cluster/d=2/init=1/minibatch:b=64,iters=30":  0x384f604f65caffea,
-	"f32/cluster/d=2/init=1/spherical":                0x60c09a04e4b8ab38,
+	"f32/cluster/d=2/init=1/spherical":                0x78f7396d95e08b6a,
 	"f32/cluster/d=2/init=1/trimmed:0.05":             0x22ff33ff8f61e954,
 	"f32/cluster/d=2/init=2/lloyd:elkan":              0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/lloyd:hamerly":            0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/lloyd:naive":              0xe99ac6d84efae69c,
 	"f32/cluster/d=2/init=2/minibatch:b=64,iters=30":  0x80de6ef429efec4b,
-	"f32/cluster/d=2/init=2/spherical":                0x11609d36b778bafd,
+	"f32/cluster/d=2/init=2/spherical":                0x82f78e046438ae2a,
 	"f32/cluster/d=2/init=2/trimmed:0.05":             0x38d38d7f11e6a6fa,
 	"f32/cluster/d=58/init=0/lloyd:elkan":             0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/lloyd:hamerly":           0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/lloyd:naive":             0x90bb472b47b09a09,
 	"f32/cluster/d=58/init=0/minibatch:b=64,iters=30": 0x55e390571747158d,
-	"f32/cluster/d=58/init=0/spherical":               0xa1fd6e51c7a77036,
+	"f32/cluster/d=58/init=0/spherical":               0x68510419be7ae3ae,
 	"f32/cluster/d=58/init=0/trimmed:0.05":            0xb18f54153114af5c,
 	"f32/cluster/d=58/init=1/lloyd:elkan":             0xaed105131a231217,
 	"f32/cluster/d=58/init=1/lloyd:hamerly":           0xaed105131a231217,
 	"f32/cluster/d=58/init=1/lloyd:naive":             0xaed105131a231217,
 	"f32/cluster/d=58/init=1/minibatch:b=64,iters=30": 0xf144d8043bd3a3db,
-	"f32/cluster/d=58/init=1/spherical":               0xf6e6de60b687d844,
+	"f32/cluster/d=58/init=1/spherical":               0x7465061d62124c7,
 	"f32/cluster/d=58/init=1/trimmed:0.05":            0xd83b2c850e09d6ed,
 	"f32/cluster/d=58/init=2/lloyd:elkan":             0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/lloyd:hamerly":           0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/lloyd:naive":             0x298825cefb8ffcce,
 	"f32/cluster/d=58/init=2/minibatch:b=64,iters=30": 0xae44d8527a405d8,
-	"f32/cluster/d=58/init=2/spherical":               0x881301360718227b,
+	"f32/cluster/d=58/init=2/spherical":               0x45a2fe4599d10bd0,
 	"f32/cluster/d=58/init=2/trimmed:0.05":            0xd6bcd2364ccc6e63,
 	"f32/predict/d=16/k=21":                           0xa4d3ae0c6891029d,
 	"f32/predict/d=16/k=5":                            0xbe6d229c3f721bf7,

@@ -171,7 +171,7 @@ func TestSphericalOnNormalizedSpam(t *testing.T) {
 		ds = ds.Subset(keep)
 	}
 	init, _ := core.Init(ds, core.Config{K: 8, Seed: 16})
-	res := lloyd.Spherical(ds, init, lloyd.Config{MaxIter: 50})
+	res := lloyd.Refine(lloyd.Opt{Kind: lloyd.OptSpherical}, ds, init, lloyd.Config{MaxIter: 50}, 0)
 	if res.Cohesion <= 0 {
 		t.Fatalf("cohesion %v", res.Cohesion)
 	}

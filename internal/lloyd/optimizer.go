@@ -130,18 +130,12 @@ func Refine[T geom.Float](o Opt, ds *geom.Set[T], init *geom.Matrix, cfg Config,
 		res, _ := Drive(tr, Result{Centers: init}, cfg.MaxIter, nil)
 		return RefineResult{Result: res, Outliers: tr.outliers, TrimmedCost: tr.trimmedCost}
 	case OptSpherical:
-		res := Spherical(ds, init, Config{MaxIter: cfg.MaxIter, Parallelism: cfg.Parallelism})
-		// The spherical objective is cohesion; Cost is still reported as the
-		// Euclidean k-means cost on the normalized data (= 2·(W − Cohesion)
-		// up to center normalization) so callers can compare models.
-		cost := Cost(ds, geom.Convert[T](res.Centers), cfg.Parallelism)
-		return RefineResult{
-			Result: Result{
-				Centers: res.Centers, Assign: res.Assign, Cost: cost,
-				Iters: res.Iters, Converged: res.Converged,
-			},
-			Cohesion: res.Cohesion,
-		}
+		sp := &sphere[T]{chunks: chunks[T]{ds: ds, parallelism: cfg.Parallelism}}
+		res, _ := Drive(sp, Result{Centers: init}, cfg.MaxIter, nil)
+		// The returned centers are the directions the final pass scanned,
+		// and on unit vectors cos(x, c) = 1 − ‖x−c‖²/2.
+		normalize(res.Centers)
+		return RefineResult{Result: res, Cohesion: ds.TotalWeight() - res.Cost/2}
 	default:
 		cfg.Method = o.Kernel
 		return RefineResult{Result: Run(ds, init, cfg)}

@@ -2,6 +2,7 @@ package lloyd
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kmeansll/internal/geom"
@@ -34,6 +35,11 @@ func directionBlobs(t testing.TB, k, m, dim int, spread float64, seedVal uint64)
 	return geom.NewDataset(x), dirs
 }
 
+// refineSpherical is Refine's spherical k-means.
+func refineSpherical(ds *geom.Dataset, init *geom.Matrix, cfg Config) RefineResult {
+	return Refine(Opt{Kind: OptSpherical}, ds, init, cfg, 0)
+}
+
 func TestNormalizeRows(t *testing.T) {
 	x := geom.FromRows([][]float64{{3, 4}, {0, 0}, {1, 0}})
 	ds := geom.NewDataset(x)
@@ -52,7 +58,7 @@ func TestNormalizeRows(t *testing.T) {
 func TestSphericalRecoversDirections(t *testing.T) {
 	const k = 4
 	ds, dirs := directionBlobs(t, k, 80, 8, 0.05, 1)
-	res := Spherical(ds, dirs, Config{MaxIter: 50})
+	res := refineSpherical(ds, dirs, Config{MaxIter: 50})
 	if !res.Converged {
 		t.Fatal("spherical k-means did not converge from true directions")
 	}
@@ -83,8 +89,8 @@ func TestSphericalCohesionImproves(t *testing.T) {
 	for i := range init.Data {
 		init.Data[i] = r.NormFloat64()
 	}
-	res1 := Spherical(ds, init, Config{MaxIter: 1})
-	resN := Spherical(ds, init, Config{MaxIter: 50})
+	res1 := refineSpherical(ds, init, Config{MaxIter: 1})
+	resN := refineSpherical(ds, init, Config{MaxIter: 50})
 	if resN.Cohesion < res1.Cohesion-1e-9 {
 		t.Fatalf("cohesion decreased with more iterations: %v -> %v",
 			res1.Cohesion, resN.Cohesion)
@@ -99,7 +105,7 @@ func TestSphericalEquivalenceToEuclideanOnSphere(t *testing.T) {
 	// center normalization; the assignments at a common center set must
 	// agree.
 	ds, dirs := directionBlobs(t, 3, 40, 5, 0.1, 4)
-	res := Spherical(ds, dirs, Config{MaxIter: 1})
+	res := refineSpherical(ds, dirs, Config{MaxIter: 1})
 	for i := 0; i < ds.N(); i++ {
 		idx, _ := geom.Nearest(ds.Point(i), dirs)
 		if res.Assign[i] != int32(idx) {
@@ -109,21 +115,47 @@ func TestSphericalEquivalenceToEuclideanOnSphere(t *testing.T) {
 	}
 }
 
-func TestSphericalPanicsOnZeroRows(t *testing.T) {
-	ds := geom.NewDataset(geom.FromRows([][]float64{{0, 0}, {1, 0}}))
-	init := geom.FromRows([][]float64{{1, 0}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on zero-norm row")
-		}
-	}()
-	Spherical(ds, init, Config{MaxIter: 5})
+// Spherical k-means fits a row-normalized copy of the data, and a zero row
+// has no direction to normalize to.
+func TestPrepareRejectsZeroRows(t *testing.T) {
+	ds := geom.NewDataset(geom.FromRows([][]float64{{0, 0}, {3, 4}}))
+	if _, err := Prepare(Opt{Kind: OptSpherical}, ds); err == nil {
+		t.Fatal("Prepare accepted a zero row")
+	}
+	if !slices.Equal(ds.Point(1), []float64{3, 4}) {
+		t.Fatal("Prepare normalized its input in place")
+	}
+}
+
+// A cluster that starts with no point is reseeded, as in Lloyd's other
+// variants: starting from the true directions with the fourth replaced by
+// the opposite of their sum, the fit ends with all four clusters served.
+func TestSphericalReseedsEmptyCluster(t *testing.T) {
+	const k = 4
+	ds, dirs := directionBlobs(t, k, 80, 8, 0.05, 1)
+	init := dirs.Clone()
+	far := init.Row(k - 1)
+	clear(far)
+	for c := 0; c < k; c++ {
+		geom.AddScaled(far, -1, dirs.Row(c))
+	}
+	res := refineSpherical(ds, init, Config{MaxIter: 50})
+	sizes := make([]int, k)
+	for _, a := range res.Assign {
+		sizes[a]++
+	}
+	if slices.Contains(sizes, 0) {
+		t.Fatalf("cluster sizes %v: a cluster was left empty", sizes)
+	}
+	if !res.Converged {
+		t.Fatalf("no convergence in %d iterations", res.Iters)
+	}
 }
 
 func TestSphericalParallelismInvariant(t *testing.T) {
 	ds, dirs := directionBlobs(t, 4, 50, 6, 0.2, 5)
-	a := Spherical(ds, dirs, Config{MaxIter: 20, Parallelism: 1})
-	b := Spherical(ds, dirs, Config{MaxIter: 20, Parallelism: 8})
+	a := refineSpherical(ds, dirs, Config{MaxIter: 20, Parallelism: 1})
+	b := refineSpherical(ds, dirs, Config{MaxIter: 20, Parallelism: 8})
 	if a.Iters != b.Iters {
 		t.Fatalf("iters differ: %d vs %d", a.Iters, b.Iters)
 	}
