@@ -132,7 +132,7 @@ func benchVariant[T geom.Float](env *f32Env, ds *geom.Set[T], variant string, pr
 				if method == lloyd.Naive {
 					lloyd.Step(ds, initCenters, 1)
 				} else {
-					lloyd.Run(ds, initCenters, lloyd.Config{MaxIter: 1, Parallelism: 1, Method: method})
+					lloyd.Refine(lloyd.Opt{Kernel: method}, ds, initCenters, lloyd.Config{MaxIter: 1, Parallelism: 1}, 0)
 				}
 			}
 		})

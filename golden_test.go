@@ -474,7 +474,7 @@ func TestGoldenCostTrace(t *testing.T) {
 					name    string
 					centers *geom.Matrix
 				}{{"", init}, {"reseed/", reseed}} {
-					res := lloyd.Run(ds, start.centers, lloyd.Config{MaxIter: 30, Parallelism: 2, Method: m})
+					res := lloyd.Refine(lloyd.Opt{Kernel: m}, ds, start.centers, lloyd.Config{MaxIter: 30, Parallelism: 2}, 0)
 					h := newGoldenHash()
 					h.f64s(res.Centers.Data)
 					h.f64s(res.CostTrace)

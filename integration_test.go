@@ -30,9 +30,10 @@ func TestAllKernelsAgreeOnFixedPointCost(t *testing.T) {
 	ds := data.KDDLike(data.KDDLikeConfig{N: 4000, Seed: 1})
 	init, _ := core.Init(ds, core.Config{K: 20, Seed: 2})
 
-	naive := lloyd.Run(ds, init, lloyd.Config{Method: lloyd.Naive, MaxIter: 60})
-	elkan := lloyd.Run(ds, init, lloyd.Config{Method: lloyd.Elkan, MaxIter: 60})
-	hamerly := lloyd.Run(ds, init, lloyd.Config{Method: lloyd.Hamerly, MaxIter: 60})
+	cfg := lloyd.Config{MaxIter: 60}
+	naive := lloyd.Run(ds, init, cfg)
+	elkan := lloyd.Refine(lloyd.Opt{Kernel: lloyd.Elkan}, ds, init, cfg, 0)
+	hamerly := lloyd.Refine(lloyd.Opt{Kernel: lloyd.Hamerly}, ds, init, cfg, 0)
 	_, treeCost, _, _ := kdtree.Build(ds, 16).Run(init, 60)
 
 	tol := 1e-6 * (1 + naive.Cost)

@@ -146,9 +146,9 @@ func AblationAssign(opt Options) []eval.Table {
 		for t := 0; t < trials; t++ {
 			for mi, m := range methods {
 				wall := eval.Timed(func() {
-					res[mi] = lloyd.Run(ds, init, lloyd.Config{
-						Method: m, MaxIter: seqMaxIter, Parallelism: opt.Parallelism,
-					})
+					res[mi] = lloyd.Refine(lloyd.Opt{Kernel: m}, ds, init, lloyd.Config{
+						MaxIter: seqMaxIter, Parallelism: opt.Parallelism,
+					}, 0).Result
 				})
 				walls[mi] = append(walls[mi], float64(wall.Microseconds())/1000)
 			}

@@ -40,9 +40,9 @@ func TestAccel32MatchesF64(t *testing.T) {
 			for i := range init.Data {
 				init.Data[i] = float64(float32(8 * r.NormFloat64()))
 			}
-			cfg := Config{MaxIter: 40, Method: method}
-			want := Run(ds64, init, cfg)
-			got := Run(ds32, init, cfg)
+			o, cfg := Opt{Kernel: method}, Config{MaxIter: 40}
+			want := Refine(o, ds64, init, cfg, 0)
+			got := Refine(o, ds32, init, cfg, 0)
 
 			if rel := math.Abs(got.Cost-want.Cost) / want.Cost; rel > 1e-5 {
 				t.Fatalf("%v weighted=%v: Run32 cost %v vs Run cost %v (rel %v)",
@@ -71,7 +71,7 @@ func TestAccel32MatchesNaive32(t *testing.T) {
 	}
 	base := Run(ds32, init, Config{MaxIter: 60})
 	for _, method := range []Method{Elkan, Hamerly} {
-		got := Run(ds32, init, Config{MaxIter: 60, Method: method})
+		got := Refine(Opt{Kernel: method}, ds32, init, Config{MaxIter: 60}, 0)
 		if rel := math.Abs(got.Cost-base.Cost) / base.Cost; rel > 1e-5 {
 			t.Fatalf("%v: cost %v vs naive32 %v (rel %v)", method, got.Cost, base.Cost, rel)
 		}
@@ -92,9 +92,9 @@ func TestAccel32Deterministic(t *testing.T) {
 		init.Data[i] = float64(float32(6 * r.NormFloat64()))
 	}
 	for _, method := range []Method{Elkan, Hamerly} {
-		cfg := Config{MaxIter: 25, Method: method, Parallelism: 3}
-		a := Run(ds32, init, cfg)
-		b := Run(ds32, init, cfg)
+		o, cfg := Opt{Kernel: method}, Config{MaxIter: 25, Parallelism: 3}
+		a := Refine(o, ds32, init, cfg, 0)
+		b := Refine(o, ds32, init, cfg, 0)
 		if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
 			t.Fatalf("%v: costs differ across identical runs: %v vs %v", method, a.Cost, b.Cost)
 		}
@@ -118,7 +118,7 @@ func TestAccel32RepairsEmptyClusters(t *testing.T) {
 		}
 	}
 	for _, method := range []Method{Elkan, Hamerly} {
-		res := Run(ds32, init, Config{MaxIter: 30, Method: method})
+		res := Refine(Opt{Kernel: method}, ds32, init, Config{MaxIter: 30}, 0)
 		seen := map[int32]bool{}
 		for _, a := range res.Assign {
 			seen[a] = true

@@ -29,8 +29,8 @@ import (
 	"kmeansll/internal/geom"
 )
 
-// Method selects the assignment-step implementation. All three reach the
-// same fixed point. Which is fastest depends on the nearest-center tile
+// Method selects OptLloyd's assignment-step implementation (Opt.Kernel).
+// All three reach the same fixed point. Which is fastest depends on the nearest-center tile
 // (docs/kernels.md, nine shapes measured with the ablation_assign
 // experiment): Naive on all nine on the AVX-512 panel rung and on seven on
 // the AVX2 rung, where Elkan leads at large d·k; on the Go tile, the better
@@ -62,7 +62,7 @@ func (m Method) String() string {
 	}
 }
 
-// Config controls a Lloyd run.
+// Config holds the run parameters every refinement variant shares.
 type Config struct {
 	// MaxIter bounds the number of iterations; 0 means DefaultMaxIter.
 	// Iteration stops earlier once an iteration moves no center (every
@@ -71,8 +71,6 @@ type Config struct {
 	MaxIter int
 	// Parallelism is the worker count for the assignment step; <1 = all CPUs.
 	Parallelism int
-	// Method selects the assignment algorithm.
-	Method Method
 }
 
 // DefaultMaxIter is the iteration cap when Config.MaxIter is zero. The
@@ -144,28 +142,16 @@ func scan[T geom.Float](ds *geom.Set[T], centers *geom.Mat[T], parallelism int, 
 	return assign, total
 }
 
-// Run executes Lloyd's iteration starting from the given float64 centers
-// (which are not modified; a copy is made). Points are scanned in their
-// storage type T, against a T snapshot of the centers refreshed once per
-// iteration; everything that accumulates across points (center sums,
-// weights, costs) stays float64, and the returned centers are the float64
-// masters the update step maintains. Every method is Drive over
-// Parallelism chunks; Elkan and Hamerly replace the chunks' Step with one
-// that keeps per-point bounds (accel.go). It panics if centers is empty or
-// wider than the data.
+// Run executes naive Lloyd's iteration, Refine's OptLloyd variant with the
+// Naive kernel, starting from the given float64 centers (which are not
+// modified; a copy is made): Drive over Parallelism in-process chunks.
+// Points are scanned in their storage type T, against a T snapshot of the
+// centers refreshed once per iteration; everything that accumulates across
+// points (center sums, weights, costs) stays float64, and the returned
+// centers are the float64 masters the update step maintains. It panics if
+// centers is empty or wider than the data.
 func Run[T geom.Float](ds *geom.Set[T], centers *geom.Matrix, cfg Config) Result {
-	if centers.Rows == 0 {
-		panic("lloyd: no initial centers")
-	}
-	if centers.Cols != ds.Dim() {
-		panic(fmt.Sprintf("lloyd: center dim %d != data dim %d", centers.Cols, ds.Dim()))
-	}
-	var p Passes = &chunks[T]{ds: ds, parallelism: cfg.Parallelism}
-	if cfg.Method == Elkan || cfg.Method == Hamerly {
-		p = &bounded[T]{chunks: chunks[T]{ds: ds, parallelism: cfg.Parallelism}, elkan: cfg.Method == Elkan}
-	}
-	res, _ := Drive(p, Result{Centers: centers}, cfg.MaxIter, nil)
-	return res
+	return Refine(Opt{}, ds, centers, cfg, 0).Result
 }
 
 // snapshot copies the float64 master centers into snap as T and returns the

@@ -185,9 +185,9 @@ func TestElkanHamerlyMatchNaive(t *testing.T) {
 	for i := range init.Data {
 		init.Data[i] = r.NormFloat64() * 15
 	}
-	naive := Run(ds, init, Config{Method: Naive, MaxIter: 100})
-	elkan := Run(ds, init, Config{Method: Elkan, MaxIter: 100})
-	hamerly := Run(ds, init, Config{Method: Hamerly, MaxIter: 100})
+	naive := Run(ds, init, Config{MaxIter: 100})
+	elkan := Refine(Opt{Kernel: Elkan}, ds, init, Config{MaxIter: 100}, 0)
+	hamerly := Refine(Opt{Kernel: Hamerly}, ds, init, Config{MaxIter: 100}, 0)
 	tol := 1e-6 * (1 + naive.Cost)
 	if math.Abs(elkan.Cost-naive.Cost) > tol {
 		t.Fatalf("Elkan cost %v != naive %v", elkan.Cost, naive.Cost)
@@ -201,8 +201,8 @@ func TestElkanHamerlySingleCluster(t *testing.T) {
 	ds, _ := blobs(t, 1, 50, 3, 1, 12)
 	init := geom.FromRows([][]float64{{5, 5, 5}})
 	for _, m := range []Method{Elkan, Hamerly} {
-		res := Run(ds, init, Config{Method: m, MaxIter: 20})
-		naive := Run(ds, init, Config{Method: Naive, MaxIter: 20})
+		res := Refine(Opt{Kernel: m}, ds, init, Config{MaxIter: 20}, 0)
+		naive := Run(ds, init, Config{MaxIter: 20})
 		if math.Abs(res.Cost-naive.Cost) > 1e-9*(1+naive.Cost) {
 			t.Fatalf("%v k=1 cost %v != naive %v", m, res.Cost, naive.Cost)
 		}
@@ -220,7 +220,7 @@ func TestAcceleratedWithEmptyClusters(t *testing.T) {
 	init := geom.FromRows([][]float64{{0, 0}, {1e5, 1e5}, {-1e5, 1e5}})
 	naive := Run(ds, init, Config{MaxIter: 100})
 	for _, m := range []Method{Elkan, Hamerly} {
-		res := Run(ds, init, Config{Method: m, MaxIter: 100})
+		res := Refine(Opt{Kernel: m}, ds, init, Config{MaxIter: 100}, 0)
 		counts := make([]int, 3)
 		for _, a := range res.Assign {
 			counts[a]++
@@ -288,7 +288,7 @@ func TestFixedPointProperty(t *testing.T) {
 		init.Data[i] = r.NormFloat64() * 10
 	}
 	for _, m := range []Method{Naive, Elkan, Hamerly} {
-		res := Run(ds, init, Config{Method: m})
+		res := Refine(Opt{Kernel: m}, ds, init, Config{}, 0)
 		if !res.Converged {
 			t.Fatalf("%v did not converge within default cap", m)
 		}
@@ -299,12 +299,22 @@ func TestFixedPointProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkLloydIterNaive(b *testing.B)   { benchLloydIter(b, Naive) }
-func BenchmarkLloydIterElkan(b *testing.B)   { benchLloydIter(b, Elkan) }
-func BenchmarkLloydIterHamerly(b *testing.B) { benchLloydIter(b, Hamerly) }
+func BenchmarkLloydIterNaive(b *testing.B)   { benchLloydIter(b, Opt{}) }
+func BenchmarkLloydIterElkan(b *testing.B)   { benchLloydIter(b, Opt{Kernel: Elkan}) }
+func BenchmarkLloydIterHamerly(b *testing.B) { benchLloydIter(b, Opt{Kernel: Hamerly}) }
+func BenchmarkLloydIterTrimmed(b *testing.B) {
+	benchLloydIter(b, Opt{Kind: OptTrimmed, TrimFraction: 0.05})
+}
+func BenchmarkLloydIterSpherical(b *testing.B) { benchLloydIter(b, Opt{Kind: OptSpherical}) }
 
-func benchLloydIter(b *testing.B, m Method) {
+// benchLloydIter times a five-iteration Refine of variant o on 10⁴
+// blobs, 16-d, k = 20, over the data o prepares.
+func benchLloydIter(b *testing.B, o Opt) {
 	ds, _ := blobs(b, 20, 500, 16, 10, 1)
+	ds, err := Prepare(o, ds)
+	if err != nil {
+		b.Fatal(err)
+	}
 	r := rng.New(2)
 	init := geom.NewMatrix(20, 16)
 	for i := range init.Data {
@@ -312,6 +322,6 @@ func benchLloydIter(b *testing.B, m Method) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(ds, init, Config{Method: m, MaxIter: 5})
+		Refine(o, ds, init, Config{MaxIter: 5}, 0)
 	}
 }

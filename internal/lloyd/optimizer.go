@@ -30,8 +30,9 @@ const (
 // across runs. The public kmeansll.Optimizer types lower to this.
 type Opt struct {
 	Kind OptKind
-	// Kernel is the assignment implementation for OptLloyd (and the final
-	// assignment pass of the other variants, which all use Naive today).
+	// Kernel is OptLloyd's assignment implementation, the engine's one
+	// kernel selector. The other variants ignore it: Trimmed and Spherical
+	// scan as the Naive kernel does.
 	Kernel Method
 	// BatchSize is OptMiniBatch's B (0 = 10·k).
 	BatchSize int
@@ -103,13 +104,30 @@ func Prepare[T geom.Float](o Opt, ds *geom.Set[T]) (*geom.Set[T], error) {
 	return norm, nil
 }
 
-// Refine runs the selected refinement variant from init over a dataset
-// already passed through Prepare. cfg carries the shared run parameters
-// (cfg.Method is ignored — the variant and Opt.Kernel decide); seed drives
-// OptMiniBatch's batch sampling.
+// Refine runs the selected refinement variant from init (not modified) over
+// a dataset already passed through Prepare, and is the one place a Passes
+// backend is picked: the in-process chunks for OptLloyd's Naive kernel,
+// bounded for its Elkan and Hamerly kernels (accel.go), trimmed and sphere
+// for OptTrimmed and OptSpherical. Drive runs each, so every full-pass
+// variant shares its update, empty-cluster reseed, stop rule and final
+// pass. OptMiniBatch makes no full pass and runs MiniBatch. cfg carries the
+// shared run parameters; seed drives OptMiniBatch's batch sampling. It
+// panics on an Opt that Validate rejects, and on init empty or wider than
+// the data.
 func Refine[T geom.Float](o Opt, ds *geom.Set[T], init *geom.Matrix, cfg Config, seed uint64) RefineResult {
 	if err := o.Validate(); err != nil {
 		panic(err)
+	}
+	if init.Rows == 0 {
+		panic("lloyd: no initial centers")
+	}
+	if init.Cols != ds.Dim() {
+		panic(fmt.Sprintf("lloyd: center dim %d != data dim %d", init.Cols, ds.Dim()))
+	}
+	ch := chunks[T]{ds: ds, parallelism: cfg.Parallelism}
+	drive := func(p Passes) Result {
+		res, _ := Drive(p, Result{Centers: init}, cfg.MaxIter, nil)
+		return res
 	}
 	switch o.Kind {
 	case OptMiniBatch:
@@ -126,18 +144,17 @@ func Refine[T geom.Float](o Opt, ds *geom.Set[T], init *geom.Matrix, cfg Config,
 		})
 		return RefineResult{Result: res}
 	case OptTrimmed:
-		tr := &trimmed[T]{chunks: chunks[T]{ds: ds, parallelism: cfg.Parallelism}, trim: int(o.TrimFraction * float64(ds.N()))}
-		res, _ := Drive(tr, Result{Centers: init}, cfg.MaxIter, nil)
-		return RefineResult{Result: res, Outliers: tr.outliers, TrimmedCost: tr.trimmedCost}
+		tr := &trimmed[T]{chunks: ch, trim: int(o.TrimFraction * float64(ds.N()))}
+		return RefineResult{Result: drive(tr), Outliers: tr.outliers, TrimmedCost: tr.trimmedCost}
 	case OptSpherical:
-		sp := &sphere[T]{chunks: chunks[T]{ds: ds, parallelism: cfg.Parallelism}}
-		res, _ := Drive(sp, Result{Centers: init}, cfg.MaxIter, nil)
+		res := drive(&sphere[T]{chunks: ch})
 		// The returned centers are the directions the final pass scanned,
 		// and on unit vectors cos(x, c) = 1 − ‖x−c‖²/2.
 		normalize(res.Centers)
 		return RefineResult{Result: res, Cohesion: ds.TotalWeight() - res.Cost/2}
-	default:
-		cfg.Method = o.Kernel
-		return RefineResult{Result: Run(ds, init, cfg)}
 	}
+	if o.Kernel == Naive {
+		return RefineResult{Result: drive(&ch)}
+	}
+	return RefineResult{Result: drive(&bounded[T]{chunks: ch, elkan: o.Kernel == Elkan})}
 }
