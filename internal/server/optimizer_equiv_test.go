@@ -59,6 +59,12 @@ func TestOptimizerSpecEquivalenceAcrossEntryPoints(t *testing.T) {
 			lib:  kmeansll.Trimmed{Fraction: 0.05},
 		},
 		{
+			name: "spherical",
+			flag: "spherical",
+			spec: &kmeansll.OptimizerSpec{Type: "spherical"},
+			lib:  kmeansll.Spherical{},
+		},
+		{
 			name: "lloyd-elkan",
 			flag: "lloyd:elkan",
 			spec: &kmeansll.OptimizerSpec{Type: "lloyd", Kernel: "elkan"},
