@@ -10,10 +10,14 @@
 // fan-outs to shard workers, both running the same span bodies (StepSpan,
 // FarthestSpan) and reducing in partition order.
 //
-// Beyond the textbook algorithm it provides the accelerated assignment
-// methods referenced by the paper's related work (Elkan and Hamerly
-// triangle-inequality pruning, whose Step is a third backend for Drive) and
-// Sculley's mini-batch.
+// Refine is the one place an in-process backend is picked: the chunks of
+// naive Lloyd and, beyond the textbook algorithm, the accelerated
+// assignment methods referenced by the paper's related work (Elkan and
+// Hamerly triangle-inequality pruning, accel.go) and two of the
+// modifications the paper's conclusion (§7) asks to parallelize, trimmed and
+// spherical k-means. All run on Drive, so they share its update, reseed,
+// stop rule and final pass. Sculley's mini-batch makes no full pass and
+// keeps its own loop.
 //
 // Every algorithm is written once over the point storage type T (float64 or
 // float32, see geom.Float). Centers are mastered in float64 and narrowed to
@@ -97,7 +101,9 @@ type Result struct {
 	Converged bool         // true if the last iteration moved no center
 	// CostTrace[i] is φ of the centers iteration i+1 assigned against
 	// (monotone non-increasing), so after a converged run its last entry
-	// equals Cost. Elkan and Hamerly record upper bounds instead (accel.go).
+	// equals Cost. Elkan and Hamerly record upper bounds instead (accel.go),
+	// trimmed k-means the kept points' cost, and spherical k-means the cost
+	// against the centers' unit directions.
 	CostTrace []float64
 }
 
