@@ -34,11 +34,11 @@ import (
 )
 
 // Method selects OptLloyd's assignment-step implementation (Opt.Kernel).
-// All three reach the same fixed point. Which is fastest depends on the nearest-center tile
-// (docs/kernels.md, nine shapes measured with the ablation_assign
-// experiment): Naive on all nine on the AVX-512 panel rung and on seven on
-// the AVX2 rung, where Elkan leads at large d·k; on the Go tile, the better
-// of Elkan and Hamerly on all nine.
+// All three reach the same fixed point. Which is fastest depends on the
+// nearest-center tile (docs/kernels.md, nine shapes measured with the
+// ablation_assign experiment): Naive on all nine on the AVX-512 panel rung
+// and on seven on the AVX2 rung, where Elkan leads at large d·k; on the Go
+// tile, the better of Elkan and Hamerly on all nine.
 type Method int
 
 const (
